@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short check chaos-smoke obs-smoke codec-smoke shard-smoke async-smoke energy-smoke workloads-smoke profile bench bench-json bench-check bench-paper bench-par bench-scale bench-async bench-energy bench-workloads fuzz fuzz-smoke examples clean
+.PHONY: all build vet test test-race test-short check benchmark benchmark-quick chaos-smoke obs-smoke codec-smoke shard-smoke async-smoke energy-smoke workloads-smoke profile bench bench-json bench-check bench-paper bench-par bench-scale bench-async bench-energy bench-workloads fuzz fuzz-smoke examples clean
 
 # Scratch directory for generated artifacts (metrics sinks, bench output,
 # profiles); removed by `make clean`, never committed.
@@ -11,13 +11,33 @@ BUILD_DIR := build
 
 all: build vet test
 
-# Pre-commit gate: formatting, static analysis, and the race-enabled short
-# test suite (includes the zero-allocation regression tests).
+# Pre-commit gate: formatting, the one-round-engine guard, static analysis,
+# and the race-enabled short test suite (includes the zero-allocation
+# regression tests). The guard keeps the platform loops from being copied
+# again: resume, the snapshot write, and the Rejected counter each have one
+# non-test call site under internal/core (DESIGN.md §11).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
+	@for pat in 'checkpoint.LoadRunState' 'saveSnapshot(' 'stats.Rejected++'; do \
+		n=$$(grep -F -- "$$pat" internal/core/*.go | grep -v -e '_test.go:' -e ':func ' -e ':[[:space:]]*//' | wc -l); \
+		if [ "$$n" -gt 1 ]; then \
+			echo "internal/core: $$pat has $$n non-test call sites, want at most 1 (see DESIGN.md §11)"; \
+			grep -n -F -- "$$pat" internal/core/*.go | grep -v '_test.go:'; exit 1; fi; \
+	done
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
+
+# The repo's benchmark (BENCHMARK.json): six workloads that each stress one
+# layer, end-to-end and per-layer metrics, correctness checks against the
+# pinned θ hashes. Results land in $(BUILD_DIR)/bench; see bench/README.md.
+# benchmark-quick is the same at tiny round counts: a smoke run, not a
+# measurement.
+benchmark:
+	$(GO) run ./bench
+
+benchmark-quick:
+	$(GO) run ./bench -quick
 
 build:
 	$(GO) build ./...

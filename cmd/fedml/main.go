@@ -656,11 +656,7 @@ func runPlatform(args []string) error {
 			links[i] = cfg.WrapLink(i, links[i])
 		}
 	}
-	runPlat := core.RunPlatform
-	if cfg.Async {
-		runPlat = core.RunAsyncPlatform
-	}
-	theta, stats, err := runPlat(links, weights, theta0, cfg)
+	theta, stats, err := core.RunPlatform(links, weights, theta0, cfg)
 	if err != nil {
 		_ = closeObs()
 		return err

@@ -32,22 +32,26 @@ type RunState struct {
 	// Theta is the aggregated global parameter vector after Round.
 	Theta []float64 `json:"theta"`
 
-	// Communication accounting carried across the crash. The stale counters
-	// were added for async mode; snapshots written before then decode with
-	// zero values, so no version bump is needed.
-	Rounds        int   `json:"rounds"`
-	Messages      int   `json:"messages"`
-	Bytes         int64 `json:"bytes"`
-	Dropped       int   `json:"dropped"`
-	Rejoined      int   `json:"rejoined"`
-	Rejected      int   `json:"rejected"`
-	SkippedRounds int   `json:"skipped_rounds"`
-	StaleApplied  int   `json:"stale_applied,omitempty"`
-	StaleDropped  int   `json:"stale_dropped,omitempty"`
-	// BudgetFiltered was added with energy-budgeted scheduling; like the
-	// stale counters, older snapshots decode with zero and need no version
-	// bump.
-	BudgetFiltered int `json:"budget_filtered,omitempty"`
+	// Counters is the communication accounting carried across the crash.
+	Counters
+}
+
+// Counters mirrors core.CommStats field for field (names, types and order —
+// core converts between the two, so a counter added to one and not the other
+// fails to compile). The stale and budget counters were added after the
+// first snapshots shipped; older snapshots decode them as zero, so no
+// version bump was needed.
+type Counters struct {
+	Rounds         int   `json:"rounds"`
+	Messages       int   `json:"messages"`
+	Bytes          int64 `json:"bytes"`
+	Dropped        int   `json:"dropped"`
+	Rejoined       int   `json:"rejoined"`
+	Rejected       int   `json:"rejected"`
+	SkippedRounds  int   `json:"skipped_rounds"`
+	StaleApplied   int   `json:"stale_applied,omitempty"`
+	StaleDropped   int   `json:"stale_dropped,omitempty"`
+	BudgetFiltered int   `json:"budget_filtered,omitempty"`
 }
 
 // Validate checks internal consistency.

@@ -15,7 +15,7 @@ func validRunState() *RunState {
 		Round:   3, Iter: 15, T0: 5,
 		Dispersion: 0.25,
 		Theta:      []float64{0.1, -0.2, 0.3},
-		Rounds:     3, Messages: 18, Bytes: 432, Dropped: 1, Rejoined: 1, Rejected: 2,
+		Counters:   Counters{Rounds: 3, Messages: 18, Bytes: 432, Dropped: 1, Rejoined: 1, Rejected: 2},
 	}
 }
 

@@ -33,6 +33,12 @@ type aggCore struct {
 	lo, hi int
 	dim    int
 
+	// leaves is nil for a node-level core: slot k is the update of node
+	// lo+k, scaled by its weight when folded. A merge core (newMergeCore)
+	// sets it to the shard layout: slot k is the pre-weighted partial sum
+	// over leaves[k], folded as is.
+	leaves []ShardRange
+
 	// slots/wts hold the round's accepted updates and their (possibly
 	// inclusion-probability-corrected) weights, indexed by globalIdx-lo.
 	// A nil slot is absent (not sampled, dropped, or rejected).
@@ -67,8 +73,9 @@ func (a *aggCore) reset() {
 	a.count = 0
 }
 
-// accept stores the update of global node i with aggregation weight w. The
-// core takes ownership of u until the next reset.
+// accept stores the update of global node i (of shard i, for a merge core)
+// with aggregation weight w. The core takes ownership of u until the next
+// reset.
 func (a *aggCore) accept(i int, u tensor.Vec, w float64) {
 	s := i - a.lo
 	if a.slots[s] == nil {
@@ -87,31 +94,42 @@ func (a *aggCore) reduce() (sum tensor.Vec, wsum float64, count int) {
 		a.sum.Zero()
 		return a.sum, 0, 0
 	}
-	wsum, _ = a.reduceRange(a.lo, a.hi, 0, a.sum)
+	wsum, _ = a.reduceRange(a.lo, a.hi, 0, len(a.slots), 0, a.sum)
 	return a.sum, wsum, a.count
 }
 
-// reduceRange computes the subtree sum over global indices [lo, hi) into
-// dst, returning the subtree weight sum and whether any slot was present.
-func (a *aggCore) reduceRange(lo, hi, depth int, dst tensor.Vec) (float64, bool) {
-	if hi-lo == 1 {
-		u := a.slots[lo-a.lo]
+// reduceRange computes the subtree sum over global indices [lo, hi) — the
+// slots [s, e) — into dst, returning the subtree weight sum and whether any
+// slot was present.
+func (a *aggCore) reduceRange(lo, hi, s, e, depth int, dst tensor.Vec) (float64, bool) {
+	if e-s == 1 {
+		u := a.slots[s]
 		if u == nil {
 			return 0, false
 		}
-		w := a.wts[lo-a.lo]
-		u.ScaleInto(w, dst)
-		return w, true
+		if a.leaves == nil {
+			u.ScaleInto(a.wts[s], dst)
+		} else {
+			dst.CopyFrom(u)
+		}
+		return a.wts[s], true
 	}
 	mid := lo + (hi-lo)/2
-	wl, okl := a.reduceRange(lo, mid, depth+1, dst)
+	split := s + mid - lo
+	if a.leaves != nil {
+		// The slot whose range starts at the recursion midpoint;
+		// validateRanges guarantees it exists.
+		for split = s + 1; a.leaves[split].Lo != mid; split++ {
+		}
+	}
+	wl, okl := a.reduceRange(lo, mid, s, split, depth+1, dst)
 	if !okl {
 		// The left subtree is empty: the right subtree's value is the
 		// node's value, with no merge rounding — the additive identity.
-		return a.reduceRange(mid, hi, depth+1, dst)
+		return a.reduceRange(mid, hi, split, e, depth+1, dst)
 	}
 	tmp := a.tmp(depth)
-	wr, okr := a.reduceRange(mid, hi, depth+1, tmp)
+	wr, okr := a.reduceRange(mid, hi, split, e, depth+1, tmp)
 	if !okr {
 		return wl, true
 	}
@@ -239,92 +257,20 @@ func validateRanges(n int, ranges []ShardRange) error {
 	return aligned(0, n, 0, len(ranges))
 }
 
-// mergeCore folds shard partial sums with the same midpoint recursion the
-// shards used internally, completing the two-tier reduction bit-exactly.
-// Leaves are pre-weighted partials, so no leaf scaling is applied.
-type mergeCore struct {
-	ranges  []ShardRange
-	dim     int
-	sums    []tensor.Vec // nil = shard contributed nothing this round
-	wts     []float64
-	count   int
-	out     tensor.Vec
-	scratch []tensor.Vec
-}
-
-// newMergeCore builds the root's merge core over a validated shard layout.
-func newMergeCore(ranges []ShardRange, dim int) *mergeCore {
-	return &mergeCore{
-		ranges: ranges,
+// newMergeCore builds the root's merge core over a validated shard layout:
+// it folds shard partial sums with the same midpoint recursion the shards
+// used internally, completing the two-tier reduction bit-exactly. The layout
+// tiles the index space from 0, so slot s is shard s: it holds the shard's
+// round partial — Σ w·u over its accepted updates, accepted at its weight
+// sum — and is folded as is, with no leaf scaling; reduce's count is the
+// number of contributing shards.
+func newMergeCore(ranges []ShardRange, dim int) *aggCore {
+	return &aggCore{
+		hi:     ranges[len(ranges)-1].Hi,
 		dim:    dim,
-		sums:   make([]tensor.Vec, len(ranges)),
+		leaves: ranges,
+		slots:  make([]tensor.Vec, len(ranges)),
 		wts:    make([]float64, len(ranges)),
-		out:    tensor.NewVec(dim),
+		sum:    tensor.NewVec(dim),
 	}
-}
-
-func (m *mergeCore) reset() {
-	for i := range m.sums {
-		m.sums[i] = nil
-		m.wts[i] = 0
-	}
-	m.count = 0
-}
-
-// accept stores shard s's round partial (Σ w·u over its accepted updates)
-// and weight sum. The core takes ownership of sum until the next reset.
-func (m *mergeCore) accept(s int, sum tensor.Vec, wsum float64) {
-	if m.sums[s] == nil {
-		m.count++
-	}
-	m.sums[s] = sum
-	m.wts[s] = wsum
-}
-
-// reduce folds the present shard partials, returning the global partial sum
-// (valid until the next reduce) and the recursion-folded weight sum.
-func (m *mergeCore) reduce() (sum tensor.Vec, wsum float64) {
-	if m.count == 0 {
-		m.out.Zero()
-		return m.out, 0
-	}
-	wsum, _ = m.reduceShards(0, len(m.ranges), 0, m.out)
-	return m.out, wsum
-}
-
-// reduceShards computes the subtree value over the shard-leaf slice [a, b)
-// into dst. The split shard is located by the recursion midpoint of the
-// covered index range; validateRanges guarantees it exists.
-func (m *mergeCore) reduceShards(a, b, depth int, dst tensor.Vec) (float64, bool) {
-	if b-a == 1 {
-		if m.sums[a] == nil {
-			return 0, false
-		}
-		dst.CopyFrom(m.sums[a])
-		return m.wts[a], true
-	}
-	lo, hi := m.ranges[a].Lo, m.ranges[b-1].Hi
-	mid := lo + (hi-lo)/2
-	split := a + 1
-	for m.ranges[split].Lo != mid {
-		split++
-	}
-	wl, okl := m.reduceShards(a, split, depth+1, dst)
-	if !okl {
-		return m.reduceShards(split, b, depth+1, dst)
-	}
-	tmp := m.tmp(depth)
-	wr, okr := m.reduceShards(split, b, depth+1, tmp)
-	if !okr {
-		return wl, true
-	}
-	dst.AddInPlace(tmp)
-	return wl + wr, true
-}
-
-func (m *mergeCore) tmp(depth int) tensor.Vec {
-	for len(m.scratch) <= depth {
-		m.scratch = append(m.scratch, tensor.NewVec(m.dim))
-	}
-	return m.scratch[depth]
 }

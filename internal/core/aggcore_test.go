@@ -90,7 +90,7 @@ func TestValidateRangesRejects(t *testing.T) {
 
 // TestMergeCoreBitExact is the tentpole's composition theorem as a test: a
 // flat core over [0, n) and a two-tier reduction (per-shard cores merged by
-// mergeCore) must produce bit-identical sums and weight folds for any
+// a merge core) must produce bit-identical sums and weight folds for any
 // aligned shard layout and any pattern of absent nodes, because both
 // associate by the same fixed midpoint recursion.
 func TestMergeCoreBitExact(t *testing.T) {
@@ -138,7 +138,7 @@ func TestMergeCoreBitExact(t *testing.T) {
 				merge.accept(si, sum.Clone(), wsum)
 				total += count
 			}
-			mergedSum, mergedW := merge.reduce()
+			mergedSum, mergedW, _ := merge.reduce()
 
 			if total != flatCount {
 				t.Fatalf("n=%d s=%d: counts diverged %d vs %d", n, s, total, flatCount)

@@ -4,20 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
-	"github.com/edgeai/fedml/internal/checkpoint"
-	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
 )
 
-// RunAsyncPlatform executes the buffered-async variant of the platform loop:
-// instead of gating every round on a full gather barrier, it applies node
-// updates as they arrive with staleness-decayed weights and keeps
-// re-broadcasting the current θ, so one straggler no longer sets the pace of
-// the whole federation.
+// RunAsyncPlatform is RunPlatform with cfg.Async set: the round engine runs
+// with the buffered-async gather (gatherBuffered below) in place of the
+// gather barrier, so it applies node updates as they arrive with
+// staleness-decayed weights and keeps re-broadcasting the current θ, and one
+// straggler no longer sets the pace of the whole federation.
 //
 // The consistency model (DESIGN.md §12):
 //
@@ -48,373 +45,128 @@ import (
 // RunPlatform (degenerate-case equality, mirroring the flat-vs-sharded
 // guarantee).
 //
-// The loop is fault-tolerant by construction (cfg.RoundTimeout must be
-// positive): it takes ownership of the links, and checkpoint/resume works as
-// in RunPlatform — the θ-version rides on the persisted Rounds counter, and
-// a resumed platform restarts with no assignments in flight (the nodes it
-// reconnects to are fresh processes).
+// The async gather is fault-tolerant by construction (cfg.RoundTimeout must
+// be positive): the platform takes ownership of the links, and
+// checkpoint/resume is the engine's — the θ-version rides on the persisted
+// Rounds counter, and a resumed platform restarts with no assignments in
+// flight (the nodes it reconnects to are fresh processes).
 func RunAsyncPlatform(links []transport.Link, weights []float64, theta0 tensor.Vec, cfg Config) (tensor.Vec, CommStats, error) {
-	var stats CommStats
-	c := cfg.normalized()
-	c.Async = true // direct callers get the same validation Train does
-	if err := c.Validate(); err != nil {
-		return nil, stats, err
-	}
-	if len(links) == 0 {
-		return nil, stats, fmt.Errorf("core: no nodes to federate")
-	}
-	if len(links) != len(weights) {
-		return nil, stats, fmt.Errorf("core: %d links but %d weights", len(links), len(weights))
-	}
-	var wsum float64
-	for _, w := range weights {
-		if w < 0 {
-			return nil, stats, fmt.Errorf("core: negative aggregation weight %v", w)
-		}
-		wsum += w
-	}
-	if wsum <= 0 {
-		return nil, stats, fmt.Errorf("core: aggregation weights sum to %v", wsum)
-	}
+	cfg.Async = true
+	return RunPlatform(links, weights, theta0, cfg)
+}
 
-	logf := c.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+// initBuffered allocates the buffered-async gather state (see linkSet).
+func (ls *linkSet) initBuffered() {
+	ls.pending = make([]int, len(ls.alive))
+	for i := range ls.pending {
+		ls.pending[i] = -1
 	}
-	ls := newLinkSet(c, links, 0)
-	defer ls.finish()
+	ls.fresh = make([]bool, len(ls.alive))
+	// The per-link poll deadline of the gather sweep: small enough that a
+	// silent straggler cannot stall the pass, large enough not to busy-spin
+	// the scheduler.
+	ls.pollTO = ls.c.RoundTimeout / 64
+	if ls.pollTO < 200*time.Microsecond {
+		ls.pollTO = 200 * time.Microsecond
+	}
+	if ls.pollTO > 2*time.Millisecond {
+		ls.pollTO = 2 * time.Millisecond
+	}
+}
 
-	theta := theta0.Clone()
-	if c.SyncMask != nil {
-		if err := c.SyncMask.validateDim(len(theta)); err != nil {
-			return nil, stats, err
-		}
-	}
-	bp, err := newBudgetPolicy(c, weights, 0, len(theta))
+// pollUpdate waits one poll interval for an update from link i, accepting a
+// reply to any round or θ-version — the async gather weighs staleness at
+// apply time instead of discarding late answers.
+func (ls *linkSet) pollUpdate(i int, rd *nodeRound) (transport.Msg, error) {
+	msg, err := ls.ops.recv(i, ls.pollTO)
 	if err != nil {
-		return nil, stats, err
+		return transport.Msg{}, fmt.Errorf("core: async gather from node %d in round %d: %w", ls.base+i, rd.round, err)
 	}
-	agg := newAggCore(0, len(links), len(theta))
-	selector := newParticipationSelector(c, len(links), 0)
-	pi := selector.inclusionProb()
-	useHT := c.UnbiasedParticipation && c.samplingActive()
-	var htDenom float64
-	if useHT {
-		htDenom = foldScalars(0, len(links), func(i int) float64 { return weights[i] })
-	}
+	return msg, ls.vetUpdate(i, rd.round, &msg, rd.theta, true)
+}
 
-	var prevTheta tensor.Vec
-	if ls.obs != nil {
-		prevTheta = make(tensor.Vec, len(theta))
+// writeOffStale gives every assignment that fell past the drop bound one
+// last poll (the model's last bullet above): an answer that already arrived
+// settles like any other — it is past the bound by construction, so it is
+// billed and dropped and the node is free for fresh work — while silence
+// suspects the node. It runs before the round's selection, which must see
+// the liveness it leaves behind.
+func (ls *linkSet) writeOffStale(rd *nodeRound) {
+	for i, pv := range ls.pending {
+		if pv < 0 || rd.ver-pv <= ls.c.MaxStaleness {
+			continue
+		}
+		ls.pending[i] = -1
+		msg, err := ls.pollUpdate(i, rd)
+		if err != nil && !errors.Is(err, errDecode) {
+			err = fmt.Errorf("in-flight update at version %d exceeded staleness bound %d at version %d", pv, ls.c.MaxStaleness, rd.ver)
+		}
+		ls.settle(i, rd, &msg, err)
 	}
-	// frozenRef snapshots the pre-aggregation θ when the sync mask is frozen
-	// (see RunPlatform): frozen coordinates are restored after ScaleInto.
-	var frozenRef tensor.Vec
-	if c.SyncMask != nil {
-		frozenRef = make(tensor.Vec, len(theta))
-	}
+}
 
-	// pending[i] is the θ-version assigned to node i and not yet resolved
-	// (answered, written off, or suspected); -1 means the node is free.
-	pending := make([]int, len(links))
-	for i := range pending {
-		pending[i] = -1
-	}
-	// fresh marks the assignments dispatched in the current round — the set
-	// the quorum is measured against.
-	fresh := make([]bool, len(links))
-
-	// pollTO is the per-link poll deadline of the gather sweep: small enough
-	// that a silent straggler cannot stall the pass, large enough not to
-	// busy-spin the scheduler.
-	pollTO := c.RoundTimeout / 64
-	if pollTO < 200*time.Microsecond {
-		pollTO = 200 * time.Microsecond
-	}
-	if pollTO > 2*time.Millisecond {
-		pollTO = 2 * time.Millisecond
-	}
-
-	var (
-		iter       int
-		dispersion float64
-	)
-	t0 := c.T0
-	startRound := 1
-	ckEvery := c.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 1
-	}
-	if c.CheckpointPath != "" && c.Resume {
-		st, err := checkpoint.LoadRunState(c.CheckpointPath)
-		switch {
-		case err == nil:
-			if len(st.Theta) != len(theta) {
-				return nil, stats, fmt.Errorf("core: resume: snapshot has %d params, model needs %d", len(st.Theta), len(theta))
-			}
-			theta.CopyFrom(tensor.Vec(st.Theta))
-			iter = st.Iter
-			t0 = st.T0
-			dispersion = st.Dispersion
-			ls.stats = statsFromSnapshot(st)
-			startRound = st.Round + 1
-			logf("core: resumed from %s: round %d done, iter %d", c.CheckpointPath, st.Round, st.Iter)
-		case errors.Is(err, os.ErrNotExist):
-		default:
-			return nil, stats, err
+// gatherBuffered is the quorum-buffered gather, the async counterpart of
+// gatherRound: dispatch to every selected node with no work in flight, then
+// sweep every link with work in flight — stragglers from earlier rounds
+// included, they just don't gate the quorum — until the quorum of this
+// round's fresh assignments has resolved or the round deadline passes.
+// Suspects are re-probed exactly as on the barrier path.
+func (ls *linkSet) gatherBuffered(rd *nodeRound, selected []int) error {
+	free := selected[:0]
+	for _, i := range selected {
+		if ls.pending[i] < 0 {
+			free = append(free, i)
 		}
 	}
+	sent, probed, err := ls.dispatch(rd, free)
+	if err != nil {
+		return err
+	}
+	for i := range ls.fresh {
+		ls.fresh[i] = false
+	}
+	for _, i := range sent {
+		ls.pending[i] = rd.ver
+		ls.fresh[i] = true
+	}
+	freshCnt := len(sent)
 
-	consecSkipped := 0
-	for round := startRound; iter < c.T; round++ {
-		// The θ-version is the aggregation count — skipped rounds leave both
-		// θ and the version unchanged, so staleness measures actual drift.
-		ver := ls.stats.Rounds
-		t0 = nextT0(c, round, dispersion, t0, c.T-iter)
-		var roundT0 time.Time
-		if ls.obs != nil {
-			roundT0 = time.Now()
-			ls.obs.Observe(obs.Event{Type: obs.TypeRoundStart, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt})
+	need := int(math.Ceil(ls.c.AsyncQuorum * float64(freshCnt)))
+	resolvedFresh, resolvedAny := 0, 0
+	deadline := time.Now().Add(ls.c.RoundTimeout)
+	for time.Now().Before(deadline) {
+		if freshCnt > 0 && resolvedFresh >= need {
+			break
 		}
-
-		// Write off assignments that fell past the drop bound, with one last
-		// poll each: a node whose answer already arrived is alive — discard
-		// the update (it is past the bound by construction) and free the node
-		// for fresh work. A node that stayed silent goes to the probe/rejoin
-		// machinery instead of being waited on forever.
-		for i, pv := range pending {
-			if pv < 0 || ver-pv <= c.MaxStaleness {
+		if freshCnt == 0 && resolvedAny > 0 {
+			break
+		}
+		anyPending := false
+		for i := range ls.pending {
+			if ls.pending[i] < 0 {
 				continue
 			}
-			pending[i] = -1
-			msg, err := ls.asyncGather(i, round, theta, pollTO)
-			switch {
-			case err == nil:
-				ls.billUp(i, round, wireBytes(msg))
-				ls.markStaleDrop(i, round, ver-msg.Version)
-			case errors.Is(err, errDecode):
-				ls.billUp(i, round, wireBytes(msg))
-				ls.stats.Rejected++
-				if ls.obs != nil {
-					ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: err.Error()})
-				}
-				ls.resyncLink(i)
-				ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, err)
-			default:
-				ls.markSuspect(i, round, fmt.Errorf("in-flight update at version %d exceeded staleness bound %d at version %d", pv, c.MaxStaleness, ver))
+			anyPending = true
+			msg, err := ls.pollUpdate(i, rd)
+			if errors.Is(err, transport.ErrTimeout) {
+				continue // nothing arrived within this poll; try again next pass
 			}
-		}
-
-		// Dispatch the current θ to every selected node with no work in
-		// flight; nodes still computing keep their older assignment.
-		agg.reset()
-		freshCnt := 0
-		for i := range fresh {
-			fresh[i] = false
-		}
-		selected := selector.selectAlive(round, ls.alive)
-		if bp != nil {
-			selected = bp.filter(round, t0, selected, func(i int, joules float64) {
-				ls.markBudgetFiltered(i, round, joules)
-			})
-		}
-		for _, i := range selected {
-			if pending[i] >= 0 {
-				continue
+			ls.settle(i, rd, &msg, err)
+			if err == nil && msg.Version != ls.pending[i] {
+				continue // an answer to an older assignment; the node is still busy
 			}
-			m, err := ls.paramsMsg(theta, i, round, t0, false)
-			if err != nil {
-				return nil, ls.stats, err
-			}
-			m.Version = ver
-			nBytes := wireBytes(m)
-			if err := ls.ops.send(i, m); err != nil {
-				ls.markSuspect(i, round, err)
-				continue
-			}
-			ls.billDown(i, round, false, nBytes)
-			pending[i] = ver
-			fresh[i] = true
-			freshCnt++
-		}
-
-		// Re-probe suspects with the current θ, exactly as the sync loop
-		// does; in async mode rejoin is routine, not exceptional.
-		var probeNodes []int
-		for i := range ls.alive {
-			if ls.alive[i] {
-				continue
-			}
-			m, err := ls.paramsMsg(theta, i, round, t0, true)
-			if err != nil {
-				return nil, ls.stats, err
-			}
-			m.Version = ver
-			nBytes := wireBytes(m)
-			if err := ls.ops.trySend(i, m, ls.probeTO); err != nil {
-				continue
-			}
-			probeNodes = append(probeNodes, i)
-			ls.billDown(i, round, true, nBytes)
-		}
-
-		thetaNorm := theta.Norm()
-		// deliver vets one arrived update: bill the wire bytes, apply the
-		// staleness drop bound, sanitize, and hand the survivor to the
-		// aggregation core at its decayed weight.
-		deliver := func(i int, msg transport.Msg) {
-			ls.billUp(i, round, wireBytes(msg))
-			s := ver - msg.Version
-			if s > c.MaxStaleness {
-				ls.markStaleDrop(i, round, s)
-				return
-			}
-			if err := sanitize(tensor.Vec(msg.Params), theta, thetaNorm, ls.c.GuardRadius); err != nil {
-				ls.stats.Rejected++
-				if ls.obs != nil {
-					ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: err.Error()})
-				}
-				ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, err)
-				return
-			}
-			w := weights[i]
-			if useHT {
-				w /= pi
-			}
-			if s > 0 {
-				w *= math.Pow(c.StalenessDecay, float64(s))
-				ls.markStaleApply(i, round, s)
-			}
-			agg.accept(i, tensor.Vec(msg.Params), w)
-		}
-
-		// Gather sweep: poll every link with work in flight until the quorum
-		// of this round's fresh assignments has resolved (or the round
-		// deadline passes). Stragglers from earlier rounds deliver here too —
-		// they just don't gate the quorum.
-		need := int(math.Ceil(c.AsyncQuorum * float64(freshCnt)))
-		resolvedFresh, resolvedAny := 0, 0
-		resolve := func(i int) {
-			pending[i] = -1
+			ls.pending[i] = -1
 			resolvedAny++
-			if fresh[i] {
-				fresh[i] = false
+			if ls.fresh[i] {
+				ls.fresh[i] = false
 				resolvedFresh++
 			}
 		}
-		deadline := time.Now().Add(c.RoundTimeout)
-		for time.Now().Before(deadline) {
-			if freshCnt > 0 && resolvedFresh >= need {
-				break
-			}
-			if freshCnt == 0 && resolvedAny > 0 {
-				break
-			}
-			anyPending := false
-			for i := range pending {
-				if pending[i] < 0 {
-					continue
-				}
-				anyPending = true
-				msg, err := ls.asyncGather(i, round, theta, pollTO)
-				switch {
-				case err == nil:
-					resolved := msg.Version == pending[i]
-					deliver(i, msg)
-					if resolved {
-						resolve(i)
-					}
-				case errors.Is(err, transport.ErrTimeout):
-					// Nothing arrived within this poll; try again next pass.
-				case errors.Is(err, errDecode):
-					// Delivered but undecodable: bill, discard like a
-					// sanitation reject, resync the chain. The node stays.
-					ls.billUp(i, round, wireBytes(msg))
-					ls.stats.Rejected++
-					if ls.obs != nil {
-						ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: err.Error()})
-					}
-					ls.resyncLink(i)
-					ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, err)
-					resolve(i)
-				default:
-					ls.markSuspect(i, round, err)
-					resolve(i)
-				}
-			}
-			if !anyPending {
-				break
-			}
-		}
-
-		// Probe gathers: a suspect that answered rejoins and its reply (at
-		// the probed version, staleness 0) aggregates like any other.
-		for _, i := range probeNodes {
-			msg, err := ls.gatherFrom(i, round, theta, ls.probeTO)
-			if err != nil {
-				ls.probeFailed(i)
-				continue // still unreachable; stays suspect
-			}
-			ls.rejoin(i, round)
-			deliver(i, msg)
-		}
-
-		if min := ls.minNodes(); ls.aliveCnt < min {
-			return nil, ls.stats, fmt.Errorf("core: only %d nodes alive, below MinNodes=%d", ls.aliveCnt, min)
-		}
-
-		sum, selSum, count := agg.reduce()
-		denom := selSum
-		if useHT {
-			denom = htDenom
-		}
-		if count == 0 || denom <= 0 {
-			ls.stats.SkippedRounds++
-			consecSkipped++
-			if ls.obs != nil {
-				ls.obs.Observe(obs.Event{Type: obs.TypeRoundSkip, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt, Dur: time.Since(roundT0)})
-			}
-			logf("core: round %d produced no usable updates (%d alive); skipping aggregation", round, ls.aliveCnt)
-			if consecSkipped > maxConsecutiveSkips {
-				return nil, ls.stats, fmt.Errorf("core: %d consecutive rounds without usable updates (%d nodes alive)", consecSkipped, ls.aliveCnt)
-			}
-			continue
-		}
-		consecSkipped = 0
-
-		if ls.obs != nil {
-			prevTheta.CopyFrom(theta)
-		}
-		frozen := c.SyncMask.frozenAt(round)
-		if frozen {
-			frozenRef.CopyFrom(theta)
-		}
-		sum.ScaleInto(1/denom, theta)
-		if frozen {
-			restoreFrozen(theta, frozenRef, c.SyncMask.Ranges)
-		}
-		dispersion = agg.dispersion(theta, denom)
-		iter += t0
-		ls.stats.Rounds++ // this is the version bump: θ changed
-		if ls.obs != nil {
-			ls.obs.Observe(obs.Event{
-				Type: obs.TypeRoundEnd, Round: round, Iter: iter, T0: t0,
-				Alive: ls.aliveCnt, Dur: time.Since(roundT0),
-				Value: theta.Dist(prevTheta), Dispersion: dispersion,
-			})
-		}
-		if c.OnRound != nil {
-			c.OnRound(round, iter, theta)
-		}
-		if c.CheckpointPath != "" && (ls.stats.Rounds%ckEvery == 0 || iter >= c.T) {
-			if err := saveSnapshot(c.CheckpointPath, round, iter, t0, dispersion, theta, ls.stats); err != nil {
-				return nil, ls.stats, err
-			}
+		if !anyPending {
+			break
 		}
 	}
-
-	if err := ls.shutdown(); err != nil {
-		return nil, ls.stats, err
-	}
-	return theta, ls.stats, nil
+	// A suspect that answered its probe rejoins and its reply (at the probed
+	// version, staleness 0) aggregates like any other.
+	return ls.gatherProbes(rd, probed)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/edgeai/fedml/internal/eval"
+	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/rng"
 	"github.com/edgeai/fedml/internal/tensor"
@@ -15,45 +16,83 @@ import (
 
 // TestAsyncDegenerateMatchesSync pins the degenerate-case equality guarantee:
 // with StalenessDecay 1, MaxStaleness 0, AsyncQuorum 1, and every node
-// answering within the round budget, the async loop dispatches to everyone,
-// waits for everyone, and must produce a θ bit-identical to RunPlatform's.
+// answering within the round budget, the async gather dispatches to everyone,
+// waits for everyone, and must produce a θ bit-identical to the barrier
+// gather's — with the same traffic — under every feature that composes with
+// it: codecs, the sync mask, unbiased sampling, an adaptive T0 schedule, and a
+// checkpoint/resume cut.
 func TestAsyncDegenerateMatchesSync(t *testing.T) {
 	fed := tinyFederation(t, 0, 0)
-	m := tinyModel(fed)
-	base := Config{
-		Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 3,
-		RoundTimeout: 5 * time.Second,
-	}
+	soft := tinyModel(fed)
+	mlp, headMask := headMLP(t, fed, 2)
 
-	sync, err := Train(m, fed, nil, base)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		model nn.Model
+		mut   func(*Config)
+		// resumeAt, when positive, cuts the run after that many local
+		// iterations (checkpointing every round) and resumes it to the full T.
+		resumeAt int
+	}{
+		{name: "plain", model: soft},
+		{name: "q8", model: soft, mut: func(c *Config) { c.Codec = "q8" }},
+		{name: "topk", model: soft, mut: func(c *Config) { c.Codec = "topk" }},
+		{name: "mask-head2", model: mlp, mut: func(c *Config) { c.SyncMask = headMask }},
+		{name: "unbiased-sampling", model: soft, mut: func(c *Config) {
+			c.Participation, c.UnbiasedParticipation = 0.5, true
+		}},
+		{name: "t0-controller", model: soft, mut: func(c *Config) {
+			c.T0Controller = DispersionController(1, 10, 0.05)
+		}},
+		{name: "resume", model: soft, resumeAt: 15},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(async bool) *Result {
+				t.Helper()
+				cfg := Config{
+					Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 3,
+					RoundTimeout: 5 * time.Second,
+				}
+				if tc.mut != nil {
+					tc.mut(&cfg)
+				}
+				if async {
+					cfg.Async, cfg.StalenessDecay, cfg.MaxStaleness, cfg.AsyncQuorum = true, 1, 0, 1
+				}
+				if tc.resumeAt > 0 {
+					cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.state")
+					cut := cfg
+					cut.T = tc.resumeAt
+					if _, err := Train(tc.model, fed, nil, cut); err != nil {
+						t.Fatal(err)
+					}
+					cfg.Resume = true
+				}
+				res, err := Train(tc.model, fed, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			sync, async := run(false), run(true)
 
-	asyncCfg := base
-	asyncCfg.Async = true
-	asyncCfg.StalenessDecay = 1
-	asyncCfg.MaxStaleness = 0
-	asyncCfg.AsyncQuorum = 1
-	async, err := Train(m, fed, nil, asyncCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(sync.Theta) != len(async.Theta) {
-		t.Fatalf("θ lengths differ: %d vs %d", len(sync.Theta), len(async.Theta))
-	}
-	for j := range sync.Theta {
-		if sync.Theta[j] != async.Theta[j] {
-			t.Fatalf("θ[%d] differs: sync %v, async %v (degenerate async must be bit-identical)",
-				j, sync.Theta[j], async.Theta[j])
-		}
-	}
-	if sync.Comm.Rounds != async.Comm.Rounds {
-		t.Errorf("rounds differ: sync %d, async %d", sync.Comm.Rounds, async.Comm.Rounds)
-	}
-	if async.Comm.StaleApplied != 0 || async.Comm.StaleDropped != 0 {
-		t.Errorf("degenerate run saw staleness: %+v", async.Comm)
+			if len(sync.Theta) != len(async.Theta) {
+				t.Fatalf("θ lengths differ: %d vs %d", len(sync.Theta), len(async.Theta))
+			}
+			for j := range sync.Theta {
+				if sync.Theta[j] != async.Theta[j] {
+					t.Fatalf("θ[%d] differs: sync %v, async %v (degenerate async must be bit-identical)",
+						j, sync.Theta[j], async.Theta[j])
+				}
+			}
+			if sync.Comm != async.Comm {
+				t.Errorf("stats differ: sync %+v, async %+v", sync.Comm, async.Comm)
+			}
+			if async.Comm.StaleApplied != 0 || async.Comm.StaleDropped != 0 {
+				t.Errorf("degenerate run saw staleness: %+v", async.Comm)
+			}
+		})
 	}
 }
 
@@ -103,10 +142,14 @@ func echoingNode(l transport.Link, id int) {
 	}
 }
 
-// asyncHarness drives RunAsyncPlatform against two echo nodes and one
-// holding node released after the aggregation count reaches releaseAt.
-// It returns the run's stats and the recorder that watched it.
-func asyncHarness(t *testing.T, cfg Config, releaseAt int) (CommStats, *obs.Recorder) {
+// platformFunc is the signature RunPlatform and RunAsyncPlatform share.
+type platformFunc func([]transport.Link, []float64, tensor.Vec, Config) (tensor.Vec, CommStats, error)
+
+// asyncHarness drives run (RunAsyncPlatform, or RunPlatform with cfg.Async)
+// against two echo nodes and one holding node released after the aggregation
+// count reaches releaseAt. It returns the run's stats and the recorder that
+// watched it.
+func asyncHarness(t *testing.T, run platformFunc, cfg Config, releaseAt int) (CommStats, *obs.Recorder) {
 	t.Helper()
 	rec := obs.NewRecorder()
 	cfg.Observer = rec
@@ -145,7 +188,7 @@ func asyncHarness(t *testing.T, cfg Config, releaseAt int) (CommStats, *obs.Reco
 	}()
 
 	theta0 := tensor.Vec{1, 2, 3, 4}
-	theta, stats, err := RunAsyncPlatform(links, []float64{1, 1, 1}, theta0, cfg)
+	theta, stats, err := run(links, []float64{1, 1, 1}, theta0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +211,7 @@ func TestAsyncStaleApply(t *testing.T) {
 		RoundTimeout: 400 * time.Millisecond,
 		Async:        true, StalenessDecay: 0.5, MaxStaleness: 50, AsyncQuorum: 0.6,
 	}
-	stats, rec := asyncHarness(t, cfg, 2)
+	stats, rec := asyncHarness(t, RunAsyncPlatform, cfg, 2)
 	if stats.StaleApplied == 0 {
 		t.Errorf("StaleApplied = 0, want > 0 (held update released after 2 aggregations)")
 	}
@@ -189,6 +232,27 @@ func TestAsyncStaleApply(t *testing.T) {
 	}
 }
 
+// TestRunPlatformHonorsAsync is the regression case for RunPlatform silently
+// running the gather barrier under cfg.Async: the barrier would wait out the
+// held straggler, suspect it, and never see a stale update, so a decayed
+// stale apply proves the buffered-async gather ran. RunAsyncPlatform is the
+// same call with the flag forced on.
+func TestRunPlatformHonorsAsync(t *testing.T) {
+	cfg := Config{
+		Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 1,
+		RoundTimeout: 400 * time.Millisecond,
+		Async:        true, StalenessDecay: 0.5, MaxStaleness: 50, AsyncQuorum: 0.6,
+	}
+	stats, _ := asyncHarness(t, RunPlatform, cfg, 2)
+	if stats.StaleApplied == 0 || stats.Dropped != 0 {
+		t.Errorf("RunPlatform with Async: StaleApplied = %d, Dropped = %d; want > 0 and 0", stats.StaleApplied, stats.Dropped)
+	}
+	cfg.Async = false
+	if stats, _ = asyncHarness(t, RunAsyncPlatform, cfg, 2); stats.StaleApplied == 0 {
+		t.Errorf("RunAsyncPlatform without the flag: StaleApplied = 0, want > 0")
+	}
+}
+
 // TestAsyncStaleDropKeepsNode delivers one update past MaxStaleness: the
 // round-start sweep must discard it (StaleDropped) but keep the node — an
 // answer past the bound proves liveness, so no suspect/drop — and parity
@@ -199,7 +263,7 @@ func TestAsyncStaleDropKeepsNode(t *testing.T) {
 		RoundTimeout: 400 * time.Millisecond,
 		Async:        true, StalenessDecay: 1, MaxStaleness: 0, AsyncQuorum: 0.6,
 	}
-	stats, rec := asyncHarness(t, cfg, 1)
+	stats, rec := asyncHarness(t, RunAsyncPlatform, cfg, 1)
 	if stats.StaleDropped == 0 {
 		t.Errorf("StaleDropped = 0, want > 0 (held update is one version stale, bound is 0)")
 	}

@@ -1,13 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"time"
 
-	"github.com/edgeai/fedml/internal/checkpoint"
-	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
 )
@@ -22,9 +17,10 @@ import (
 // is bit-identical to the flat RunPlatform over the same nodes whenever the
 // same updates arrive, no matter how many shards the fleet is split across.
 //
-// Policy stays at the root: the T0 schedule, checkpoint/resume, and the
-// round lifecycle (including skip accounting when no shard contributes) are
-// the director's, while client sampling, fault tolerance, codecs, and the
+// The director is the round engine (round.go) over a shardSource, so policy
+// stays at the root: the T0 schedule, checkpoint/resume, and the round
+// lifecycle (including skip accounting when no shard contributes) are the
+// engine's, while client sampling, fault tolerance, codecs, and the
 // sanitation guard run inside each shard. Config.MinNodes therefore applies
 // per shard. Director↔shard links are treated as a reliable in-process
 // control plane: dispatches and partials are not billed (root traffic
@@ -35,237 +31,159 @@ import (
 // the sum over shards; Rounds/SkippedRounds count the director's own global
 // aggregations), and the per-shard accounting as last reported.
 func RunDirector(shards []transport.Link, ranges []ShardRange, theta0 tensor.Vec, cfg Config) (tensor.Vec, CommStats, []CommStats, error) {
-	var stats CommStats
 	c := cfg.normalized()
 	if err := c.Validate(); err != nil {
-		return nil, stats, nil, err
+		return nil, CommStats{}, nil, err
 	}
 	if len(shards) == 0 {
-		return nil, stats, nil, fmt.Errorf("core: no shards to direct")
+		return nil, CommStats{}, nil, fmt.Errorf("core: no shards to direct")
 	}
 	if len(shards) != len(ranges) {
-		return nil, stats, nil, fmt.Errorf("core: %d shard links but %d shard ranges", len(shards), len(ranges))
+		return nil, CommStats{}, nil, fmt.Errorf("core: %d shard links but %d shard ranges", len(shards), len(ranges))
 	}
-	n := ranges[len(ranges)-1].Hi
-	if err := validateRanges(n, ranges); err != nil {
-		return nil, stats, nil, err
+	if err := validateRanges(ranges[len(ranges)-1].Hi, ranges); err != nil {
+		return nil, CommStats{}, nil, err
 	}
 	if len(theta0) == 0 {
-		return nil, stats, nil, fmt.Errorf("core: empty initial parameters")
-	}
-	logf := c.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+		return nil, CommStats{}, nil, fmt.Errorf("core: empty initial parameters")
 	}
 
 	S := len(shards)
-	theta := theta0.Clone()
-	if c.SyncMask != nil {
-		if err := c.SyncMask.validateDim(len(theta)); err != nil {
-			return nil, stats, nil, err
-		}
+	d := &shardSource{
+		shards:     shards,
+		ranges:     ranges,
+		merge:      newMergeCore(ranges, len(theta0)),
+		shardStats: make([]CommStats, S),
+		fullW:      make([]float64, S),
+		shardDisp:  make([]float64, S),
+		alive:      make([]int, S),
+		meanBuf:    tensor.NewVec(len(theta0)),
 	}
-	merge := newMergeCore(ranges, len(theta))
-	useHT := c.UnbiasedParticipation && c.samplingActive()
-	ft := c.RoundTimeout > 0
-
-	var (
-		shardStats = make([]CommStats, S)
-		fullW      = make([]float64, S)
-		shardDisp  = make([]float64, S)
-		alive      = make([]int, S)
-		meanBuf    = tensor.NewVec(len(theta))
-		prevTheta  tensor.Vec
-		base       CommStats // accounting restored from a resumed snapshot
-		own        CommStats // the director's round counters
-	)
 	for s, r := range ranges {
-		alive[s] = r.Hi - r.Lo
+		d.alive[s] = r.Hi - r.Lo
 	}
-	obsv := c.Observer
-	if obsv != nil {
-		prevTheta = make(tensor.Vec, len(theta))
+	e, err := newRoundEngine(c, theta0, d, &d.root)
+	if err != nil {
+		return nil, CommStats{}, nil, err
 	}
-	// frozenRef snapshots the pre-aggregation θ when the sync mask is frozen:
-	// the director is where sharded runs normalize, so it restores the frozen
-	// coordinates after ScaleInto exactly like the flat platform.
-	var frozenRef tensor.Vec
-	if c.SyncMask != nil {
-		frozenRef = make(tensor.Vec, len(theta))
+	theta, err := e.run()
+	if err != nil {
+		return nil, d.totals(), d.shardStats, err
 	}
-	// rootStats folds the three accounting layers: the resumed baseline,
-	// the director's own round counters, and the latest cumulative totals
-	// reported by each shard.
-	rootStats := func() CommStats {
-		out := base
-		out.add(own)
-		for s := range shardStats {
-			out.add(shardStats[s])
-		}
-		out.Rounds = base.Rounds + own.Rounds
-		out.SkippedRounds = base.SkippedRounds + own.SkippedRounds
-		return out
-	}
-	aliveTotal := func() int {
-		total := 0
-		for _, a := range alive {
-			total += a
-		}
-		return total
-	}
-
-	var (
-		iter       int
-		dispersion float64
-	)
-	t0 := c.T0
-	startRound := 1
-	ckEvery := c.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 1
-	}
-	if c.CheckpointPath != "" && c.Resume {
-		st, err := checkpoint.LoadRunState(c.CheckpointPath)
-		switch {
-		case err == nil:
-			if len(st.Theta) != len(theta) {
-				return nil, stats, nil, fmt.Errorf("core: resume: snapshot has %d params, model needs %d", len(st.Theta), len(theta))
-			}
-			theta.CopyFrom(tensor.Vec(st.Theta))
-			iter = st.Iter
-			t0 = st.T0
-			dispersion = st.Dispersion
-			base = statsFromSnapshot(st)
-			startRound = st.Round + 1
-			logf("core: resumed from %s: round %d done, iter %d", c.CheckpointPath, st.Round, st.Iter)
-		case errors.Is(err, os.ErrNotExist):
-			// No snapshot yet: start fresh, so supervisors can always
-			// restart the director with Resume set.
-		default:
-			return nil, stats, nil, err
-		}
-	}
-
-	consecSkipped := 0
-	for round := startRound; iter < c.T; round++ {
-		t0 = nextT0(c, round, dispersion, t0, c.T-iter)
-		var roundT0 time.Time
-		if obsv != nil {
-			roundT0 = time.Now()
-			obsv.Observe(obs.Event{Type: obs.TypeRoundStart, Round: round, Iter: iter, T0: t0, Alive: aliveTotal()})
-		}
-
-		for s := range shards {
-			// θ is the director's reused aggregation buffer; ownership of
-			// Msg.Params transfers on Send, so each dispatch carries a clone.
-			m := transport.Msg{Kind: transport.KindParams, Round: round, Params: theta.Clone(), LocalSteps: t0}
-			if err := shards[s].Send(m); err != nil {
-				return nil, rootStats(), shardStats, fmt.Errorf("core: dispatch round %d to shard %d: %w", round, s, err)
-			}
-		}
-
-		merge.reset()
-		totalCount := 0
-		for s := range shards {
-			m, err := shards[s].Recv()
-			if err != nil {
-				return nil, rootStats(), shardStats, fmt.Errorf("core: gather round %d partial from shard %d: %w", round, s, err)
-			}
-			switch {
-			case m.Kind == transport.KindError:
-				return nil, rootStats(), shardStats, fmt.Errorf("core: shard %d failed in round %d: %s", s, round, m.Err)
-			case m.Kind != transport.KindPartial:
-				return nil, rootStats(), shardStats, fmt.Errorf("%w: expected partial, got %v from shard %d", ErrProtocol, m.Kind, s)
-			case m.Round != round:
-				return nil, rootStats(), shardStats, fmt.Errorf("%w: shard %d answered round %d during round %d", ErrProtocol, s, m.Round, round)
-			case m.Partial == nil:
-				return nil, rootStats(), shardStats, fmt.Errorf("%w: shard %d sent a partial without metadata", ErrProtocol, s)
-			}
-			p := m.Partial
-			shardStats[s] = statsOfShard(p.Stats)
-			fullW[s] = p.FullWeight
-			shardDisp[s] = p.Dispersion
-			alive[s] = p.Alive
-			if p.Count > 0 {
-				if len(m.Params) != len(theta) {
-					return nil, rootStats(), shardStats, fmt.Errorf("%w: shard %d partial has %d params, want %d", ErrProtocol, s, len(m.Params), len(theta))
-				}
-				merge.accept(s, tensor.Vec(m.Params), p.Weight)
-				totalCount += p.Count
-			}
-		}
-
-		sum, wsum := merge.reduce()
-		denom := wsum
-		if useHT {
-			denom = foldRangeScalars(ranges, 0, S, fullW)
-		}
-		if totalCount == 0 || denom <= 0 {
-			if ft {
-				own.SkippedRounds++
-				consecSkipped++
-				if obsv != nil {
-					obsv.Observe(obs.Event{Type: obs.TypeRoundSkip, Round: round, Iter: iter, T0: t0, Alive: aliveTotal(), Dur: time.Since(roundT0)})
-				}
-				logf("core: round %d produced no usable updates (%d alive); skipping aggregation", round, aliveTotal())
-				if consecSkipped > maxConsecutiveSkips {
-					return nil, rootStats(), shardStats, fmt.Errorf("core: %d consecutive rounds without usable updates (%d nodes alive)", consecSkipped, aliveTotal())
-				}
-				continue
-			}
-			return nil, rootStats(), shardStats, fmt.Errorf("core: round %d produced no usable updates (%d nodes alive)", round, aliveTotal())
-		}
-		consecSkipped = 0
-
-		if obsv != nil {
-			prevTheta.CopyFrom(theta)
-		}
-		frozen := c.SyncMask.frozenAt(round)
-		if frozen {
-			frozenRef.CopyFrom(theta)
-		}
-		sum.ScaleInto(1/denom, theta)
-		if frozen {
-			restoreFrozen(theta, frozenRef, c.SyncMask.Ranges)
-		}
-		// The hierarchical dispersion proxy: each contributing shard's
-		// within-shard dispersion plus its aggregate's drift from the new
-		// global θ, weighted like the aggregation itself. It upper-bounds
-		// the flat per-update dispersion (triangle inequality) and feeds
-		// the same T0 controller.
-		dispersion = 0
-		for s := range shards {
-			if merge.sums[s] == nil || merge.wts[s] <= 0 {
-				continue
-			}
-			merge.sums[s].ScaleInto(1/merge.wts[s], meanBuf)
-			dispersion += merge.wts[s] / denom * (shardDisp[s] + meanBuf.Dist(theta))
-		}
-		iter += t0
-		own.Rounds++
-		if obsv != nil {
-			obsv.Observe(obs.Event{
-				Type: obs.TypeRoundEnd, Round: round, Iter: iter, T0: t0,
-				Alive: aliveTotal(), Dur: time.Since(roundT0),
-				Value: theta.Dist(prevTheta), Dispersion: dispersion,
-			})
-		}
-		if c.OnRound != nil {
-			c.OnRound(round, iter, theta)
-		}
-		if c.CheckpointPath != "" && (own.Rounds%ckEvery == 0 || iter >= c.T) {
-			if err := saveSnapshot(c.CheckpointPath, round, iter, t0, dispersion, theta, rootStats()); err != nil {
-				return nil, rootStats(), shardStats, err
-			}
-		}
-	}
-
 	for s := range shards {
 		if err := shards[s].Send(transport.Msg{Kind: transport.KindDone}); err != nil {
-			return nil, rootStats(), shardStats, fmt.Errorf("core: done to shard %d: %w", s, err)
+			return nil, d.totals(), d.shardStats, fmt.Errorf("core: done to shard %d: %w", s, err)
 		}
 	}
-	return theta, rootStats(), shardStats, nil
+	return theta, d.totals(), d.shardStats, nil
+}
+
+// shardSource aggregates from shard partials: it dispatches each round to
+// every shard aggregator and folds the returned partial sums with the
+// aggregation core's merge rule.
+type shardSource struct {
+	shards []transport.Link
+	ranges []ShardRange
+	merge  *aggCore
+
+	// root is the director's own accounting: the baseline restored from a
+	// resumed snapshot plus the global round counters the engine advances.
+	root CommStats
+	// Per shard, as last reported: cumulative accounting, the shard's slice
+	// of the unbiased estimator's denominator, within-shard dispersion, and
+	// alive count.
+	shardStats []CommStats
+	fullW      []float64
+	shardDisp  []float64
+	alive      []int
+	meanBuf    tensor.Vec
+}
+
+// totals folds the accounting layers: the director's own baseline and round
+// counters plus the latest cumulative traffic and fault totals reported by
+// each shard. Rounds/SkippedRounds count global aggregations only.
+func (d *shardSource) totals() CommStats {
+	out := d.root
+	for s := range d.shardStats {
+		out.add(d.shardStats[s])
+	}
+	out.Rounds, out.SkippedRounds = d.root.Rounds, d.root.SkippedRounds
+	return out
+}
+
+func (d *shardSource) aliveCount() int {
+	total := 0
+	for _, a := range d.alive {
+		total += a
+	}
+	return total
+}
+
+func (d *shardSource) collect(round, t0 int, theta tensor.Vec) (tensor.Vec, float64, int, error) {
+	for s := range d.shards {
+		// θ is the engine's reused aggregation buffer; ownership of
+		// Msg.Params transfers on Send, so each dispatch carries a clone.
+		m := transport.Msg{Kind: transport.KindParams, Round: round, Params: theta.Clone(), LocalSteps: t0}
+		if err := d.shards[s].Send(m); err != nil {
+			return nil, 0, 0, fmt.Errorf("core: dispatch round %d to shard %d: %w", round, s, err)
+		}
+	}
+
+	d.merge.reset()
+	totalCount := 0
+	for s := range d.shards {
+		m, err := d.shards[s].Recv()
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("core: gather round %d partial from shard %d: %w", round, s, err)
+		}
+		switch {
+		case m.Kind == transport.KindError:
+			return nil, 0, 0, fmt.Errorf("core: shard %d failed in round %d: %s", s, round, m.Err)
+		case m.Kind != transport.KindPartial:
+			return nil, 0, 0, fmt.Errorf("%w: expected partial, got %v from shard %d", ErrProtocol, m.Kind, s)
+		case m.Round != round:
+			return nil, 0, 0, fmt.Errorf("%w: shard %d answered round %d during round %d", ErrProtocol, s, m.Round, round)
+		case m.Partial == nil:
+			return nil, 0, 0, fmt.Errorf("%w: shard %d sent a partial without metadata", ErrProtocol, s)
+		}
+		p := m.Partial
+		d.shardStats[s] = CommStats(p.Stats)
+		d.fullW[s] = p.FullWeight
+		d.shardDisp[s] = p.Dispersion
+		d.alive[s] = p.Alive
+		if p.Count > 0 {
+			if len(m.Params) != len(theta) {
+				return nil, 0, 0, fmt.Errorf("%w: shard %d partial has %d params, want %d", ErrProtocol, s, len(m.Params), len(theta))
+			}
+			d.merge.accept(s, tensor.Vec(m.Params), p.Weight)
+			totalCount += p.Count
+		}
+	}
+
+	sum, wsum, _ := d.merge.reduce()
+	return sum, wsum, totalCount, nil
+}
+
+// fullWeight folds the shards' slices of the unbiased denominator with the
+// merge recursion, reproducing the flat platform's scalar bit for bit.
+func (d *shardSource) fullWeight() float64 {
+	return foldRangeScalars(d.ranges, 0, len(d.ranges), d.fullW)
+}
+
+// dispersion is the hierarchical proxy: each contributing shard's
+// within-shard dispersion plus its aggregate's drift from the new global θ,
+// weighted like the aggregation itself. It upper-bounds the flat per-update
+// dispersion (triangle inequality) and feeds the same T0 controller.
+func (d *shardSource) dispersion(theta tensor.Vec, denom float64) float64 {
+	var disp float64
+	for s, sum := range d.merge.slots {
+		if sum == nil || d.merge.wts[s] <= 0 {
+			continue
+		}
+		sum.ScaleInto(1/d.merge.wts[s], d.meanBuf)
+		disp += d.merge.wts[s] / denom * (d.shardDisp[s] + d.meanBuf.Dist(theta))
+	}
+	return disp
 }
 
 // foldRangeScalars folds per-shard scalars over the shard-leaf slice [a, b)

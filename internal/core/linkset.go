@@ -16,16 +16,14 @@ import (
 // suspect/rejoin bookkeeping — and the traffic billing that goes with it.
 // The flat platform and the leaf shard aggregator both drive their node
 // fleets through one linkSet, so the counter/event parity invariant (every
-// CommStats mutation mirrored as exactly one obs.Event, see billDown/billUp/
-// markSuspect/rejoin) holds for both by construction.
+// CommStats mutation mirrored as exactly one obs.Event, see bill/markSuspect/
+// rejoin/reject) holds for both by construction.
 
 // linkOps abstracts per-node I/O so the strict synchronous path and the
 // fault-tolerant (deadline-bounded) path share the round loop.
 type linkOps interface {
-	// send transmits with the full round deadline (strict: blocking).
-	send(i int, m transport.Msg) error
-	// trySend transmits with an explicit deadline (strict: blocking).
-	trySend(i int, m transport.Msg, d time.Duration) error
+	// send transmits with an explicit deadline (strict: blocking).
+	send(i int, m transport.Msg, d time.Duration) error
 	// recv waits for a message with an explicit deadline (strict: blocking).
 	recv(i int, d time.Duration) (transport.Msg, error)
 	// finish releases any resources the ops layer created.
@@ -35,12 +33,7 @@ type linkOps interface {
 // syncOps is the strict path: direct blocking I/O on the caller's links.
 type syncOps struct{ links []transport.Link }
 
-var _ linkOps = syncOps{}
-
-func (s syncOps) send(i int, m transport.Msg) error { return s.links[i].Send(m) }
-func (s syncOps) trySend(i int, m transport.Msg, _ time.Duration) error {
-	return s.links[i].Send(m)
-}
+func (s syncOps) send(i int, m transport.Msg, _ time.Duration) error { return s.links[i].Send(m) }
 func (s syncOps) recv(i int, _ time.Duration) (transport.Msg, error) { return s.links[i].Recv() }
 func (syncOps) finish()                                              {}
 
@@ -48,26 +41,17 @@ func (syncOps) finish()                                              {}
 // every operation a deadline, so dead or slow nodes cannot stall a round.
 // Links of dropped nodes stay open so the platform can re-probe and re-admit
 // nodes that come back; everything is closed by finish.
-type asyncOps struct {
-	wrapped []*transport.Async
-	timeout time.Duration
-}
+type asyncOps struct{ wrapped []*transport.Async }
 
-var _ linkOps = (*asyncOps)(nil)
-
-func (a *asyncOps) send(i int, m transport.Msg) error {
-	return a.wrapped[i].TrySend(m, a.timeout)
-}
-
-func (a *asyncOps) trySend(i int, m transport.Msg, d time.Duration) error {
+func (a asyncOps) send(i int, m transport.Msg, d time.Duration) error {
 	return a.wrapped[i].TrySend(m, d)
 }
 
-func (a *asyncOps) recv(i int, d time.Duration) (transport.Msg, error) {
+func (a asyncOps) recv(i int, d time.Duration) (transport.Msg, error) {
 	return a.wrapped[i].TryRecv(d)
 }
 
-func (a *asyncOps) finish() {
+func (a asyncOps) finish() {
 	for _, w := range a.wrapped {
 		_ = w.Close()
 	}
@@ -126,6 +110,30 @@ type linkSet struct {
 	maskReady  []bool
 	probeFails []int
 	lastMasked []bool
+
+	// Buffered-async gather state (async.go), nil unless c.Async. pending[i]
+	// is the θ-version assigned to node i and not yet resolved (answered,
+	// written off, or suspected); -1 means the node is free. fresh marks the
+	// assignments dispatched in the current round — the set the quorum is
+	// measured against. pollTO is the per-link poll deadline of the sweep.
+	pending []int
+	fresh   []bool
+	pollTO  time.Duration
+}
+
+// nodeRound is the per-round context the link-layer helpers share: what is
+// being broadcast, and where vetted replies go.
+type nodeRound struct {
+	round, t0 int
+	// ver is the θ-version stamped on every broadcast and probe and echoed
+	// by the nodes; always 0 on the barrier path.
+	ver       int
+	theta     tensor.Vec
+	thetaNorm float64
+	// accept receives every update that survived decode, the staleness bound
+	// and sanitation, with its local link index and its staleness in
+	// aggregations (0 on the barrier path).
+	accept func(i int, u tensor.Vec, staleness int)
 }
 
 // probeEscalation is the number of consecutive failed re-probes after which
@@ -146,18 +154,14 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 		for i, l := range links {
 			wrapped[i] = transport.NewAsync(l, 2)
 		}
-		ops = &asyncOps{wrapped: wrapped, timeout: c.RoundTimeout}
-	}
-	logf := c.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+		ops = asyncOps{wrapped: wrapped}
 	}
 	ls := &linkSet{
 		c:        c,
 		ops:      ops,
 		ft:       ft,
 		probeTO:  resolveProbeTimeout(c),
-		logf:     logf,
+		logf:     c.logger(),
 		base:     base,
 		alive:    make([]bool, len(links)),
 		aliveCnt: len(links),
@@ -193,13 +197,10 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 		ls.probeFails = make([]int, len(links))
 		ls.lastMasked = make([]bool, len(links))
 	}
+	if c.Async {
+		ls.initBuffered()
+	}
 	return ls
-}
-
-// roundMask is the wire mask for round's parameter traffic: nil until the
-// warmup ends or when no sync-mask policy is configured.
-func (ls *linkSet) roundMask(round int) []codec.Range {
-	return ls.c.SyncMask.maskFor(round)
 }
 
 // finish releases the I/O resources (async pumps in fault-tolerant mode).
@@ -222,8 +223,9 @@ func wireBytes(m transport.Msg) int64 {
 // a sync mask that resync is itself masked (an inner full sync of the masked
 // set only); the escalation to a full unmasked payload is driven by
 // maskReady, cleared after probeEscalation consecutive failed probes.
-func (ls *linkSet) paramsMsg(theta tensor.Vec, i, round, t0 int, resync bool) (transport.Msg, error) {
-	m := transport.Msg{Kind: transport.KindParams, Round: round, LocalSteps: t0}
+func (ls *linkSet) paramsMsg(rd *nodeRound, i int, resync bool) (transport.Msg, error) {
+	theta, round := rd.theta, rd.round
+	m := transport.Msg{Kind: transport.KindParams, Round: round, LocalSteps: rd.t0, Version: rd.ver}
 	if ls.down == nil {
 		m.Params = theta.Clone()
 		return m, nil
@@ -231,7 +233,7 @@ func (ls *linkSet) paramsMsg(theta tensor.Vec, i, round, t0 int, resync bool) (t
 	if resync {
 		ls.resyncLink(i)
 	}
-	mask := ls.roundMask(round)
+	mask := ls.c.SyncMask.maskFor(round)
 	if mask != nil && !ls.maskReady[i] {
 		// First payload on this link (fresh start, resumed platform, or an
 		// escalated resync): only a full payload can establish the scatter
@@ -293,7 +295,7 @@ func (ls *linkSet) decodeUp(i, round int, msg *transport.Msg, theta tensor.Vec) 
 	if err != nil {
 		return fmt.Errorf("%w: node %d: %v", errDecode, ls.base+i, err)
 	}
-	if mask := ls.roundMask(round); mask != nil && wireRanges == nil && len(params) == len(theta) {
+	if mask := ls.c.SyncMask.maskFor(round); mask != nil && wireRanges == nil && len(params) == len(theta) {
 		projectMask(params, theta, mask)
 	}
 	msg.Params = params
@@ -306,27 +308,16 @@ func (ls *linkSet) decodeUp(i, round int, msg *transport.Msg, theta tensor.Vec) 
 // strict rounds abort.
 var errDecode = errors.New("core: undecodable update payload")
 
-// billDown accounts one downlink (platform→node) parameter message of
-// nBytes wire bytes, billed on the attempted send — the transport cannot
-// tell delivered from lost (see CommStats.Messages).
-func (ls *linkSet) billDown(node, round int, probe bool, nBytes int64) {
+// bill accounts one parameter-bearing message of nBytes wire bytes on link
+// node, mirrored as one event of type t. A downlink message (TypeBroadcast,
+// TypeProbe) is billed on the attempted send — the transport cannot tell
+// delivered from lost — an uplink one (TypeUpdate) on delivery; see
+// CommStats.Messages.
+func (ls *linkSet) bill(t obs.Type, node, round int, nBytes int64) {
 	ls.stats.Messages++
 	ls.stats.Bytes += nBytes
 	if ls.obs != nil {
-		t := obs.TypeBroadcast
-		if probe {
-			t = obs.TypeProbe
-		}
 		ls.obs.Observe(obs.Event{Type: t, Round: round, Node: ls.base + node, Bytes: nBytes})
-	}
-}
-
-// billUp accounts one delivered uplink (node→platform) update message.
-func (ls *linkSet) billUp(node, round int, nBytes int64) {
-	ls.stats.Messages++
-	ls.stats.Bytes += nBytes
-	if ls.obs != nil {
-		ls.obs.Observe(obs.Event{Type: obs.TypeUpdate, Round: round, Node: ls.base + node, Bytes: nBytes})
 	}
 }
 
@@ -427,14 +418,53 @@ func (ls *linkSet) bindNodeID(i, id int) error {
 	return nil
 }
 
-// gatherFrom waits up to d for link i's update to the given round,
-// validating protocol shape and NodeID binding. In fault-tolerant mode it
-// drains stale answers to earlier rounds (late replies from a node that
-// was dropped and is coming back) instead of treating them as violations.
+// errStaleRound marks a well-formed answer to an earlier round than the one
+// being gathered; gatherFrom drains these in fault-tolerant mode.
+var errStaleRound = errors.New("core: stale round answer")
+
+// vetUpdate validates msg, received from link i, as an update — protocol
+// shape, codec decode (filling msg.Params in place), dimension, and NodeID
+// binding. With anyRound unset the reply must answer round: in
+// fault-tolerant mode an answer to an earlier round fails undecoded with
+// errStaleRound (decoding it would advance a reference chain the expected
+// reply does not continue), anything else is a protocol violation. With
+// anyRound set a reply to any round or θ-version passes, for the
+// buffered-async sweep that weighs staleness at apply time. A decode failure
+// wraps errDecode; msg still holds the wire bytes for the caller to bill.
 // theta is the current global vector masked payloads scatter into; its
 // length is the expected update dimension.
-func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration) (transport.Msg, error) {
+func (ls *linkSet) vetUpdate(i, round int, msg *transport.Msg, theta tensor.Vec, anyRound bool) error {
 	dim := len(theta)
+	switch {
+	case msg.Kind == transport.KindError:
+		return fmt.Errorf("core: node %d failed in round %d: %s", msg.NodeID, round, msg.Err)
+	case msg.Kind != transport.KindUpdate:
+		return fmt.Errorf("%w: expected update, got %v from node %d", ErrProtocol, msg.Kind, ls.base+i)
+	}
+	if !anyRound && msg.Round != round {
+		if ls.ft && msg.Round < round {
+			return errStaleRound
+		}
+		return fmt.Errorf("%w: node %d answered round %d during round %d", ErrProtocol, ls.base+i, msg.Round, round)
+	}
+	if msg.Codec != "" || len(msg.Payload) > 0 {
+		if err := ls.decodeUp(i, round, msg, theta); err != nil {
+			return err
+		}
+		if len(msg.Params) != dim {
+			return fmt.Errorf("%w: node %d payload decoded to %d params, want %d", errDecode, ls.base+i, len(msg.Params), dim)
+		}
+	} else if len(msg.Params) != dim {
+		return fmt.Errorf("%w: node %d sent %d params, want %d", ErrProtocol, ls.base+i, len(msg.Params), dim)
+	}
+	return ls.bindNodeID(i, msg.NodeID)
+}
+
+// gatherFrom waits up to d for link i's update to the given round. In
+// fault-tolerant mode it drains stale answers to earlier rounds (late
+// replies from a node that was dropped and is coming back) instead of
+// treating them as violations.
+func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration) (transport.Msg, error) {
 	deadline := time.Now().Add(d)
 	for {
 		remain := d
@@ -455,87 +485,25 @@ func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration) (
 			}
 			return transport.Msg{}, fmt.Errorf("core: gather round %d from node %d: %w", round, ls.base+i, err)
 		}
-		switch {
-		case msg.Kind == transport.KindError:
-			return transport.Msg{}, fmt.Errorf("core: node %d failed in round %d: %s", msg.NodeID, round, msg.Err)
-		case msg.Kind != transport.KindUpdate:
-			return transport.Msg{}, fmt.Errorf("%w: expected update, got %v from node %d", ErrProtocol, msg.Kind, ls.base+i)
-		}
-		if msg.Round != round {
-			if ls.ft && msg.Round < round {
-				ls.logf("core: discarding stale round-%d update from link %d during round %d", msg.Round, ls.base+i, round)
-				continue
-			}
-			return transport.Msg{}, fmt.Errorf("%w: node %d answered round %d during round %d", ErrProtocol, ls.base+i, msg.Round, round)
-		}
-		if msg.Codec != "" || len(msg.Payload) > 0 {
-			// The message is returned alongside the error so the caller can
-			// bill the bytes that did cross the wire.
-			if err := ls.decodeUp(i, round, &msg, theta); err != nil {
-				return msg, err
-			}
-			if len(msg.Params) != dim {
-				return msg, fmt.Errorf("%w: node %d payload decoded to %d params, want %d", errDecode, ls.base+i, len(msg.Params), dim)
-			}
-		} else if len(msg.Params) != dim {
-			return transport.Msg{}, fmt.Errorf("%w: node %d sent %d params, want %d", ErrProtocol, ls.base+i, len(msg.Params), dim)
-		}
-		if err := ls.bindNodeID(i, msg.NodeID); err != nil {
-			return transport.Msg{}, err
-		}
-		return msg, nil
-	}
-}
-
-// asyncGather waits up to d for one update from link i, accepting a reply
-// to any round or θ-version — the async loop weighs staleness at apply time
-// instead of discarding late answers, so there is no stale-drain loop here.
-// Codec decode, shape, and NodeID binding are validated exactly like
-// gatherFrom; decode failures return the message alongside the error so the
-// caller can bill the bytes that crossed the wire. theta is the current
-// global vector masked payloads scatter into; its length is the expected
-// update dimension.
-func (ls *linkSet) asyncGather(i, round int, theta tensor.Vec, d time.Duration) (transport.Msg, error) {
-	dim := len(theta)
-	msg, err := ls.ops.recv(i, d)
-	if err != nil {
-		return transport.Msg{}, fmt.Errorf("core: async gather from node %d in round %d: %w", ls.base+i, round, err)
-	}
-	switch {
-	case msg.Kind == transport.KindError:
-		return transport.Msg{}, fmt.Errorf("core: node %d failed in round %d: %s", msg.NodeID, round, msg.Err)
-	case msg.Kind != transport.KindUpdate:
-		return transport.Msg{}, fmt.Errorf("%w: expected update, got %v from node %d", ErrProtocol, msg.Kind, ls.base+i)
-	}
-	if msg.Codec != "" || len(msg.Payload) > 0 {
-		if err := ls.decodeUp(i, round, &msg, theta); err != nil {
+		if err := ls.vetUpdate(i, round, &msg, theta, false); err != errStaleRound {
 			return msg, err
 		}
-		if len(msg.Params) != dim {
-			return msg, fmt.Errorf("%w: node %d payload decoded to %d params, want %d", errDecode, ls.base+i, len(msg.Params), dim)
-		}
-	} else if len(msg.Params) != dim {
-		return transport.Msg{}, fmt.Errorf("%w: node %d sent %d params, want %d", ErrProtocol, ls.base+i, len(msg.Params), dim)
+		ls.logf("core: discarding stale round-%d update from link %d during round %d", msg.Round, ls.base+i, round)
 	}
-	if err := ls.bindNodeID(i, msg.NodeID); err != nil {
-		return transport.Msg{}, err
-	}
-	return msg, nil
 }
 
-// gatherRound runs one node-facing round: broadcast theta (with step count
-// t0) to the selected alive links, re-probe suspects, gather the replies,
-// and vet each one through decode + sanitation. Every surviving update is
-// handed to accept with its local link index; rejected updates are billed
-// and counted but never reach accept. A non-nil error means the run must
-// abort (strict-mode failure, or the alive count fell below MinNodes).
+// dispatch is the first half of a node-facing round: broadcast rd.theta
+// (with step count rd.t0, stamped rd.ver) to the selected links and re-probe
+// the suspects. It returns the links a broadcast went out to and the
+// suspects a probe went out to; a link whose send failed is suspected
+// (fault-tolerant mode) or aborts the run (strict mode).
 //
 // selected holds local link indices, already filtered to alive nodes. The
 // suspect re-probe path runs regardless of selection — probing is liveness
 // maintenance, not participation, so a suspect is probed exactly once per
 // round whether or not the sampler would have picked it.
-func (ls *linkSet) gatherRound(round, t0 int, theta tensor.Vec, selected []int, accept func(i int, u tensor.Vec)) error {
-	roundNodes := make([]int, 0, len(selected))
+func (ls *linkSet) dispatch(rd *nodeRound, selected []int) (sent, probed []int, err error) {
+	sent = make([]int, 0, len(selected))
 	for _, i := range selected {
 		// Ownership of Msg.Params/Payload transfers to the receiver on
 		// Send (see transport.Msg). theta is the caller's reusable
@@ -543,115 +511,139 @@ func (ls *linkSet) gatherRound(round, t0 int, theta tensor.Vec, selected []int, 
 		// pump may deliver the message after this round's aggregation
 		// has overwritten it — so every broadcast carries its own copy
 		// (a clone when raw, a freshly encoded payload otherwise).
-		m, err := ls.paramsMsg(theta, i, round, t0, false)
+		m, err := ls.paramsMsg(rd, i, false)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		nBytes := wireBytes(m)
-		if err := ls.ops.send(i, m); err != nil {
+		if err := ls.ops.send(i, m, ls.c.RoundTimeout); err != nil {
 			if ls.ft {
-				ls.markSuspect(i, round, err)
+				ls.markSuspect(i, rd.round, err)
 				continue
 			}
-			return fmt.Errorf("core: broadcast round %d to node %d: %w", round, ls.base+i, err)
+			return nil, nil, fmt.Errorf("core: broadcast round %d to node %d: %w", rd.round, ls.base+i, err)
 		}
-		roundNodes = append(roundNodes, i)
-		ls.billDown(i, round, false, nBytes)
+		sent = append(sent, i)
+		ls.bill(obs.TypeBroadcast, i, rd.round, nBytes)
 	}
-
+	if !ls.ft {
+		return sent, nil, nil
+	}
 	// Re-probe suspects with the current θ: a dropped node that has
-	// recovered answers like any other and rejoins below. Every probe
-	// resyncs the link's codec chains first — an unanswered probe must
+	// recovered answers like any other and rejoins in gatherProbes. Every
+	// probe resyncs the link's codec chains first — an unanswered probe must
 	// not advance the reference a revived node has never seen.
-	var probeNodes []int
-	if ls.ft {
-		for i := range ls.alive {
-			if ls.alive[i] {
-				continue
-			}
-			m, err := ls.paramsMsg(theta, i, round, t0, true)
+	for i := range ls.alive {
+		if ls.alive[i] {
+			continue
+		}
+		m, err := ls.paramsMsg(rd, i, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		nBytes := wireBytes(m)
+		if err := ls.ops.send(i, m, ls.probeTO); err != nil {
+			continue
+		}
+		probed = append(probed, i)
+		ls.bill(obs.TypeProbe, i, rd.round, nBytes)
+	}
+	return sent, probed, nil
+}
+
+// reject discards a delivered, already billed update — the one place the
+// Rejected counter and its event change. An undecodable update (wire
+// corruption or a broken reference chain) also forces a full resync of the
+// link, so the next exchange re-establishes the chain; either way the node
+// stays in the federation.
+func (ls *linkSet) reject(i, round int, cause error) {
+	ls.stats.Rejected++
+	if ls.obs != nil {
+		ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: cause.Error()})
+	}
+	if errors.Is(cause, errDecode) {
+		ls.resyncLink(i)
+	}
+	ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, cause)
+}
+
+// settle closes one gather attempt on link i. Unless the attempt failed
+// outright, which suspects the node, an update arrived and is billed — it
+// crossed the wire whether or not it survives. An undecodable one is then
+// rejected; a decoded one is held to the staleness drop bound (async mode
+// only — the barrier path never reads the version echo), sanitized, and
+// handed to rd.accept with its staleness.
+func (ls *linkSet) settle(i int, rd *nodeRound, msg *transport.Msg, err error) {
+	if err != nil && !errors.Is(err, errDecode) {
+		ls.markSuspect(i, rd.round, err)
+		return
+	}
+	ls.bill(obs.TypeUpdate, i, rd.round, wireBytes(*msg))
+	if err != nil {
+		ls.reject(i, rd.round, err)
+		return
+	}
+	s := 0
+	if ls.pending != nil {
+		if s = rd.ver - msg.Version; s > ls.c.MaxStaleness {
+			ls.markStaleDrop(i, rd.round, s)
+			return
+		}
+	}
+	if err := sanitize(tensor.Vec(msg.Params), rd.theta, rd.thetaNorm, ls.c.GuardRadius); err != nil {
+		ls.reject(i, rd.round, err)
+		return
+	}
+	if s > 0 {
+		ls.markStaleApply(i, rd.round, s)
+	}
+	rd.accept(i, tensor.Vec(msg.Params), s)
+}
+
+// gatherRound is the barrier gather: dispatch, then wait for every link a
+// broadcast went out to (each bounded by RoundTimeout in fault-tolerant
+// mode) and settle its reply. Rejected updates are billed and counted but
+// never reach rd.accept. A non-nil error means the run must abort
+// (strict-mode failure, or the alive count fell below MinNodes).
+func (ls *linkSet) gatherRound(rd *nodeRound, selected []int) error {
+	sent, probed, err := ls.dispatch(rd, selected)
+	if err != nil {
+		return err
+	}
+	for _, i := range sent {
+		msg, err := ls.gatherFrom(i, rd.round, rd.theta, ls.c.RoundTimeout)
+		if !ls.ft {
+			// Strict mode: a failed gather or a poisoned update aborts the
+			// run instead of degrading it.
 			if err != nil {
 				return err
 			}
-			nBytes := wireBytes(m)
-			if err := ls.ops.trySend(i, m, ls.probeTO); err != nil {
-				continue
+			if err := sanitize(tensor.Vec(msg.Params), rd.theta, rd.thetaNorm, ls.c.GuardRadius); err != nil {
+				return fmt.Errorf("core: node %d round %d: %v", ls.base+i, rd.round, err)
 			}
-			probeNodes = append(probeNodes, i)
-			ls.billDown(i, round, true, nBytes)
 		}
+		ls.settle(i, rd, &msg, err)
 	}
+	return ls.gatherProbes(rd, probed)
+}
 
-	thetaNorm := theta.Norm()
-	deliver := func(i int, msg transport.Msg) {
-		// The message crossed the wire either way; account for it even
-		// when the sanitation guard discards the payload.
-		ls.billUp(i, round, wireBytes(msg))
-		if err := sanitize(tensor.Vec(msg.Params), theta, thetaNorm, ls.c.GuardRadius); err != nil {
-			ls.stats.Rejected++
-			if ls.obs != nil {
-				ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: err.Error()})
-			}
-			ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, err)
-			return
-		}
-		accept(i, tensor.Vec(msg.Params))
-	}
-	for _, i := range roundNodes {
-		msg, err := ls.gatherFrom(i, round, theta, ls.c.RoundTimeout)
-		if err != nil {
-			if ls.ft && errors.Is(err, errDecode) {
-				// Delivered but undecodable (wire corruption or a broken
-				// reference chain): bill the bytes that arrived, discard
-				// like a sanitation reject, and force a full resync so
-				// the next exchange re-establishes the chain. The node
-				// stays in the federation.
-				ls.billUp(i, round, wireBytes(msg))
-				ls.stats.Rejected++
-				if ls.obs != nil {
-					ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: err.Error()})
-				}
-				ls.resyncLink(i)
-				ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, err)
-				continue
-			}
-			if ls.ft {
-				ls.markSuspect(i, round, err)
-				continue
-			}
-			return err
-		}
-		if !ls.ft {
-			// Strict mode: a poisoned update aborts the run instead of
-			// degrading it.
-			if err := sanitize(tensor.Vec(msg.Params), theta, thetaNorm, ls.c.GuardRadius); err != nil {
-				return fmt.Errorf("core: node %d round %d: %v", ls.base+i, round, err)
-			}
-		}
-		deliver(i, msg)
-	}
-	for _, i := range probeNodes {
-		msg, err := ls.gatherFrom(i, round, theta, ls.probeTO)
+// gatherProbes closes a node-facing round: a probed suspect that answered
+// rejoins and its reply aggregates like any other; one that did not stays
+// suspect. The round then aborts if too few nodes remain alive.
+func (ls *linkSet) gatherProbes(rd *nodeRound, probed []int) error {
+	for _, i := range probed {
+		msg, err := ls.gatherFrom(i, rd.round, rd.theta, ls.probeTO)
 		if err != nil {
 			ls.probeFailed(i)
 			continue // still unreachable; stays suspect
 		}
-		ls.rejoin(i, round)
-		deliver(i, msg)
+		ls.rejoin(i, rd.round)
+		ls.settle(i, rd, &msg, nil)
 	}
-
-	if min := ls.minNodes(); ls.aliveCnt < min {
+	if min := max(ls.c.MinNodes, 1); ls.aliveCnt < min {
 		return fmt.Errorf("core: only %d nodes alive, below MinNodes=%d", ls.aliveCnt, min)
 	}
 	return nil
-}
-
-// minNodes resolves the abort threshold for fault-tolerant runs.
-func (ls *linkSet) minNodes() int {
-	if ls.c.MinNodes == 0 {
-		return 1
-	}
-	return ls.c.MinNodes
 }
 
 // shutdown tells every node training is over. Failures here are not drops —
@@ -663,11 +655,11 @@ func (ls *linkSet) shutdown() error {
 			if ls.ft {
 				// Best-effort farewell so a node that revives later exits
 				// cleanly instead of waiting for a round that never comes.
-				_ = ls.ops.trySend(i, transport.Msg{Kind: transport.KindDone}, ls.probeTO)
+				_ = ls.ops.send(i, transport.Msg{Kind: transport.KindDone}, ls.probeTO)
 			}
 			continue
 		}
-		if err := ls.ops.send(i, transport.Msg{Kind: transport.KindDone}); err != nil {
+		if err := ls.ops.send(i, transport.Msg{Kind: transport.KindDone}, ls.c.RoundTimeout); err != nil {
 			if ls.ft {
 				ls.logf("core: shutdown: done to node %d failed: %v", ls.base+i, err)
 				continue

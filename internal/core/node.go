@@ -120,6 +120,12 @@ func (l *nodeLink) send(m transport.Msg) error {
 	return l.do(func(lk transport.Link) error { return lk.Send(m) })
 }
 
+// report tells the platform that node id failed in round, best effort, so it
+// can act on the failure instead of waiting out the round.
+func (l *nodeLink) report(round, id int, cause string) {
+	_ = l.send(transport.Msg{Kind: transport.KindError, Round: round, NodeID: id, Err: cause})
+}
+
 // RunNode executes the node side of Algorithm 1 (or Algorithm 2 when
 // Shared.Robust is set) over link, until the platform sends KindDone or the
 // link fails. Transient link errors are retried per nc.Retry (with
@@ -182,12 +188,7 @@ func RunNode(link transport.Link, nc NodeConfig) error {
 					// corruption. Report it and stay alive: a fault-tolerant
 					// platform marks this node suspect and its next probe is
 					// a full resync the fresh chain can decode.
-					_ = nl.send(transport.Msg{
-						Kind:   transport.KindError,
-						Round:  msg.Round,
-						NodeID: nc.ID,
-						Err:    fmt.Sprintf("decode params: %v", derr),
-					})
+					nl.report(msg.Round, nc.ID, fmt.Sprintf("decode params: %v", derr))
 					continue
 				}
 				if codec.IsFull(msg.Payload) {
@@ -209,14 +210,7 @@ func RunNode(link transport.Link, nc NodeConfig) error {
 			}
 			theta, err := n.localUpdates(global, steps, msg.Round)
 			if err != nil {
-				// Report the failure to the platform so it can abort the
-				// round instead of hanging.
-				_ = nl.send(transport.Msg{
-					Kind:   transport.KindError,
-					Round:  msg.Round,
-					NodeID: nc.ID,
-					Err:    err.Error(),
-				})
+				nl.report(msg.Round, nc.ID, err.Error())
 				return fmt.Errorf("core: node %d local update: %w", nc.ID, err)
 			}
 			if cfg.Observer != nil {
@@ -243,12 +237,7 @@ func RunNode(link transport.Link, nc NodeConfig) error {
 				// (the rest is the platform's own θ), so only they return.
 				payload, eerr := upEnc.EncodeMasked(theta, wireMask)
 				if eerr != nil {
-					_ = nl.send(transport.Msg{
-						Kind:   transport.KindError,
-						Round:  msg.Round,
-						NodeID: nc.ID,
-						Err:    eerr.Error(),
-					})
+					nl.report(msg.Round, nc.ID, eerr.Error())
 					return fmt.Errorf("core: node %d encode update: %w", nc.ID, eerr)
 				}
 				reply.Codec, reply.Payload = msg.Codec, payload

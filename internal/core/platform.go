@@ -1,13 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"time"
 
-	"github.com/edgeai/fedml/internal/checkpoint"
-	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
 )
@@ -75,11 +70,12 @@ func (s *CommStats) add(other CommStats) {
 // carrying weight weights[i]; theta0 is not modified.
 //
 // RunPlatform is the one-shard degenerate case of the layered architecture:
-// one linkSet (link layer) feeding one aggCore (aggregation core) covering
-// the whole index space [0, n), steered by the policy layer. RunDirector
-// composes the same layers into a two-tier topology; both produce
-// bit-identical aggregates because every sum follows the aggregation core's
-// fixed merge rule (see aggcore.go).
+// the round engine (round.go) over one nodeSource covering the whole index
+// space [0, n). RunDirector runs the same engine over shard partials; both
+// produce bit-identical aggregates because every sum follows the aggregation
+// core's fixed merge rule (see aggcore.go). With cfg.Async the rounds gather
+// through the buffered-async sweep instead of the barrier — see
+// RunAsyncPlatform for that consistency model.
 //
 // With cfg.RoundTimeout > 0 the platform runs fault-tolerant rounds: it
 // takes ownership of the links (they are closed when training ends), and a
@@ -91,194 +87,31 @@ func (s *CommStats) add(other CommStats) {
 // cfg.CheckpointPath set the platform snapshots its state after aggregation
 // rounds and can resume from the snapshot after a crash (cfg.Resume).
 func RunPlatform(links []transport.Link, weights []float64, theta0 tensor.Vec, cfg Config) (tensor.Vec, CommStats, error) {
-	var stats CommStats
 	c := cfg.normalized()
 	if err := c.Validate(); err != nil {
-		return nil, stats, err
+		return nil, CommStats{}, err
 	}
 	if len(links) == 0 {
-		return nil, stats, fmt.Errorf("core: no nodes to federate")
+		return nil, CommStats{}, fmt.Errorf("core: no nodes to federate")
 	}
-	if len(links) != len(weights) {
-		return nil, stats, fmt.Errorf("core: %d links but %d weights", len(links), len(weights))
-	}
-	var wsum float64
-	for _, w := range weights {
-		if w < 0 {
-			return nil, stats, fmt.Errorf("core: negative aggregation weight %v", w)
-		}
-		wsum += w
-	}
-	if wsum <= 0 {
-		return nil, stats, fmt.Errorf("core: aggregation weights sum to %v", wsum)
-	}
-
-	logf := c.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	ls := newLinkSet(c, links, 0)
-	defer ls.finish()
-
-	theta := theta0.Clone()
-	if c.SyncMask != nil {
-		if err := c.SyncMask.validateDim(len(theta)); err != nil {
-			return nil, stats, err
-		}
-	}
-	bp, err := newBudgetPolicy(c, weights, 0, len(theta))
+	src, err := newNodeSource(c, links, weights, 0)
 	if err != nil {
-		return nil, stats, err
+		return nil, CommStats{}, err
 	}
-	agg := newAggCore(0, len(links), len(theta))
-	selector := newParticipationSelector(c, len(links), 0)
-	pi := selector.inclusionProb()
-	// The unbiased correction divides each sampled weight by its inclusion
-	// probability and normalizes by the full-participation weight sum, so
-	// the aggregate is unbiased over the sampling distribution instead of
-	// renormalized over whoever responded. It engages only when sampling is
-	// active; under full participation both estimators coincide and the
-	// responder renormalization keeps its fault-tolerance semantics. The
-	// denominator is folded with the merge rule so flat and sharded runs
-	// stay bit-identical.
-	useHT := c.UnbiasedParticipation && c.samplingActive()
-	var htDenom float64
-	if useHT {
-		htDenom = foldScalars(0, len(links), func(i int) float64 { return weights[i] })
+	ls := src.ls
+	defer ls.finish()
+	if err := src.size(len(theta0)); err != nil {
+		return nil, ls.stats, err
 	}
-
-	// prevTheta is the pre-aggregation θ snapshot used to report the update
-	// norm; it is only allocated when an observer is attached, keeping the
-	// nil path allocation-free.
-	var prevTheta tensor.Vec
-	if ls.obs != nil {
-		prevTheta = make(tensor.Vec, len(theta))
+	e, err := newRoundEngine(c, theta0, src, &ls.stats)
+	if err != nil {
+		return nil, ls.stats, err
 	}
-	// frozenRef snapshots the pre-aggregation θ when the sync mask is frozen:
-	// the weighted average of bit-identical frozen coordinates is not
-	// bit-identical in floating point, so they are restored after ScaleInto.
-	var frozenRef tensor.Vec
-	if c.SyncMask != nil {
-		frozenRef = make(tensor.Vec, len(theta))
+	theta, err := e.run()
+	if err == nil {
+		err = ls.shutdown()
 	}
-
-	var (
-		iter       int
-		dispersion float64
-	)
-	t0 := c.T0
-	startRound := 1
-	ckEvery := c.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 1
-	}
-	if c.CheckpointPath != "" && c.Resume {
-		st, err := checkpoint.LoadRunState(c.CheckpointPath)
-		switch {
-		case err == nil:
-			if len(st.Theta) != len(theta) {
-				return nil, stats, fmt.Errorf("core: resume: snapshot has %d params, model needs %d", len(st.Theta), len(theta))
-			}
-			theta.CopyFrom(tensor.Vec(st.Theta))
-			iter = st.Iter
-			t0 = st.T0
-			dispersion = st.Dispersion
-			ls.stats = statsFromSnapshot(st)
-			startRound = st.Round + 1
-			logf("core: resumed from %s: round %d done, iter %d", c.CheckpointPath, st.Round, st.Iter)
-		case errors.Is(err, os.ErrNotExist):
-			// No snapshot yet: start fresh, so supervisors can always
-			// restart the platform with Resume set.
-		default:
-			return nil, stats, err
-		}
-	}
-
-	consecSkipped := 0
-	for round := startRound; iter < c.T; round++ {
-		t0 = nextT0(c, round, dispersion, t0, c.T-iter)
-		var roundT0 time.Time
-		if ls.obs != nil {
-			roundT0 = time.Now()
-			ls.obs.Observe(obs.Event{Type: obs.TypeRoundStart, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt})
-		}
-
-		selected := selector.selectAlive(round, ls.alive)
-		if bp != nil {
-			selected = bp.filter(round, t0, selected, func(i int, joules float64) {
-				ls.markBudgetFiltered(i, round, joules)
-			})
-		}
-		agg.reset()
-		if err := ls.gatherRound(round, t0, theta, selected, func(i int, u tensor.Vec) {
-			w := weights[i]
-			if useHT {
-				w /= pi
-			}
-			agg.accept(i, u, w)
-		}); err != nil {
-			return nil, ls.stats, err
-		}
-
-		sum, selSum, count := agg.reduce()
-		denom := selSum
-		if useHT {
-			denom = htDenom
-		}
-		if count == 0 || denom <= 0 {
-			if ls.ft {
-				ls.stats.SkippedRounds++
-				consecSkipped++
-				if ls.obs != nil {
-					ls.obs.Observe(obs.Event{Type: obs.TypeRoundSkip, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt, Dur: time.Since(roundT0)})
-				}
-				logf("core: round %d produced no usable updates (%d alive); skipping aggregation", round, ls.aliveCnt)
-				if consecSkipped > maxConsecutiveSkips {
-					return nil, ls.stats, fmt.Errorf("core: %d consecutive rounds without usable updates (%d nodes alive)", consecSkipped, ls.aliveCnt)
-				}
-				continue
-			}
-			return nil, ls.stats, fmt.Errorf("core: round %d produced no usable updates (%d nodes alive)", round, ls.aliveCnt)
-		}
-		consecSkipped = 0
-
-		// Aggregate into the reused θ buffer (Eq. 5). The updates were
-		// received from the nodes, which relinquished ownership on Send,
-		// so none of them aliases theta or the core's reduction buffer.
-		if ls.obs != nil {
-			prevTheta.CopyFrom(theta)
-		}
-		frozen := c.SyncMask.frozenAt(round)
-		if frozen {
-			frozenRef.CopyFrom(theta)
-		}
-		sum.ScaleInto(1/denom, theta)
-		if frozen {
-			restoreFrozen(theta, frozenRef, c.SyncMask.Ranges)
-		}
-		// Measure the update dispersion around the new aggregate — the
-		// similarity proxy fed back to the T0 controller.
-		dispersion = agg.dispersion(theta, denom)
-		iter += t0
-		ls.stats.Rounds++
-		if ls.obs != nil {
-			ls.obs.Observe(obs.Event{
-				Type: obs.TypeRoundEnd, Round: round, Iter: iter, T0: t0,
-				Alive: ls.aliveCnt, Dur: time.Since(roundT0),
-				Value: theta.Dist(prevTheta), Dispersion: dispersion,
-			})
-		}
-		if c.OnRound != nil {
-			c.OnRound(round, iter, theta)
-		}
-		if c.CheckpointPath != "" && (ls.stats.Rounds%ckEvery == 0 || iter >= c.T) {
-			if err := saveSnapshot(c.CheckpointPath, round, iter, t0, dispersion, theta, ls.stats); err != nil {
-				return nil, ls.stats, err
-			}
-		}
-	}
-
-	if err := ls.shutdown(); err != nil {
+	if err != nil {
 		return nil, ls.stats, err
 	}
 	return theta, ls.stats, nil

@@ -307,36 +307,16 @@ func foldScalars(lo, hi int, f func(i int) float64) float64 {
 // recovery.
 func saveSnapshot(path string, round, iter, t0 int, dispersion float64, theta tensor.Vec, stats CommStats) error {
 	st := &checkpoint.RunState{
-		Version:        checkpoint.RunStateVersion,
-		Round:          round,
-		Iter:           iter,
-		T0:             t0,
-		Dispersion:     dispersion,
-		Theta:          append([]float64(nil), theta...),
-		Rounds:         stats.Rounds,
-		Messages:       stats.Messages,
-		Bytes:          stats.Bytes,
-		Dropped:        stats.Dropped,
-		Rejoined:       stats.Rejoined,
-		Rejected:       stats.Rejected,
-		SkippedRounds:  stats.SkippedRounds,
-		StaleApplied:   stats.StaleApplied,
-		StaleDropped:   stats.StaleDropped,
-		BudgetFiltered: stats.BudgetFiltered,
+		Version:    checkpoint.RunStateVersion,
+		Round:      round,
+		Iter:       iter,
+		T0:         t0,
+		Dispersion: dispersion,
+		Theta:      append([]float64(nil), theta...),
+		Counters:   checkpoint.Counters(stats),
 	}
 	if err := checkpoint.SaveRunState(path, st); err != nil {
 		return fmt.Errorf("core: checkpoint round %d: %w", round, err)
 	}
 	return nil
-}
-
-// statsFromSnapshot rebuilds the accounting a snapshot recorded.
-func statsFromSnapshot(st *checkpoint.RunState) CommStats {
-	return CommStats{
-		Rounds: st.Rounds, Messages: st.Messages, Bytes: st.Bytes,
-		Dropped: st.Dropped, Rejoined: st.Rejoined, Rejected: st.Rejected,
-		SkippedRounds: st.SkippedRounds,
-		StaleApplied:  st.StaleApplied, StaleDropped: st.StaleDropped,
-		BudgetFiltered: st.BudgetFiltered,
-	}
 }

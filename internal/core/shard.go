@@ -1,10 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
-	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
 )
@@ -13,18 +12,19 @@ import (
 // the node links of the contiguous global index range r (links[k] connects
 // the node with global index r.Lo+k and weight weights[k]), takes round
 // dispatches from the director over up, runs the node-facing round through
-// the same link layer and aggregation core as the flat platform, and sends
-// the shard-weighted partial sum + sample count back upstream as a
-// KindPartial message.
+// the same nodeSource (link layer, aggregation core, sampler, budget filter)
+// as the flat platform, and sends the shard-weighted partial sum + sample
+// count back upstream as a KindPartial message.
 //
 // The shard applies the full per-node machinery locally — client sampling
 // (from its own (Seed, shard)-salted stream), fault-tolerant drop/probe/
 // rejoin when cfg.RoundTimeout > 0, codec chains, the sanitation guard —
 // and reports its cumulative CommStats inside every partial, which is what
 // lets the director's totals equal the sum of the shard totals exactly.
-// Checkpointing and the T0 schedule belong to the director: cfg's
-// checkpoint fields are ignored here and the per-round step count arrives
-// in the dispatch message.
+// Checkpointing and the T0 schedule belong to the director's round engine:
+// cfg's checkpoint fields are ignored here and the per-round step count
+// arrives in the dispatch message. The buffered-async gather is flat-only,
+// so cfg.Async is rejected.
 //
 // The function returns when the director sends KindDone (after a clean
 // shutdown sweep of the shard's nodes) or on a fatal error, which is also
@@ -34,46 +34,27 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 	if err := c.Validate(); err != nil {
 		return err
 	}
+	if c.Async {
+		return errAsyncSharded
+	}
 	if r.Lo < 0 || r.Hi <= r.Lo {
 		return fmt.Errorf("core: shard range [%d,%d) is empty", r.Lo, r.Hi)
 	}
 	if len(links) != r.Hi-r.Lo {
 		return fmt.Errorf("core: shard [%d,%d) needs %d links, got %d", r.Lo, r.Hi, r.Hi-r.Lo, len(links))
 	}
-	if len(links) != len(weights) {
-		return fmt.Errorf("core: %d links but %d weights", len(links), len(weights))
+	src, err := newNodeSource(c, links, weights, r.Lo)
+	if err != nil {
+		return err
 	}
-	var wsum float64
-	for _, w := range weights {
-		if w < 0 {
-			return fmt.Errorf("core: negative aggregation weight %v", w)
-		}
-		wsum += w
-	}
-	if wsum <= 0 {
-		return fmt.Errorf("core: aggregation weights sum to %v", wsum)
-	}
-
-	ls := newLinkSet(c, links, r.Lo)
+	ls := src.ls
 	defer ls.finish()
-	selector := newParticipationSelector(c, len(links), uint64(r.Lo))
-	pi := selector.inclusionProb()
-	correct := c.UnbiasedParticipation && c.samplingActive()
-	// The shard's slice of the unbiased estimator's denominator, folded
-	// with the merge rule so the director's cross-shard fold reproduces
-	// the flat platform's scalar bit for bit.
-	fullW := foldScalars(r.Lo, r.Hi, func(gi int) float64 { return weights[gi-r.Lo] })
+	rl := roundLog{obs: ls.obs, stats: &ls.stats}
 
-	// The aggregation core is sized on the first dispatch, when the model
-	// dimension becomes known.
 	var (
-		agg       *aggCore
-		bp        *budgetPolicy
 		shardMean tensor.Vec
-		iter      int
 		lastRound int
 	)
-
 	fail := func(round int, err error) error {
 		_ = up.Send(transport.Msg{
 			Kind:   transport.KindError,
@@ -104,76 +85,44 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 		}
 		lastRound = round
 		theta := tensor.Vec(msg.Params)
-		if agg == nil {
+		if src.agg == nil {
+			// The source is sized on the first dispatch, when the model
+			// dimension becomes known.
 			if c.SyncMask != nil {
 				if err := c.SyncMask.validateDim(len(theta)); err != nil {
 					return fail(round, err)
 				}
 			}
-			var berr error
-			if bp, berr = newBudgetPolicy(c, weights, r.Lo, len(theta)); berr != nil {
-				return fail(round, berr)
+			if err := src.size(len(theta)); err != nil {
+				return fail(round, err)
 			}
-			agg = newAggCore(r.Lo, r.Hi, len(theta))
 			shardMean = tensor.NewVec(len(theta))
 		}
-		if len(theta) != agg.dim {
-			return fail(round, fmt.Errorf("%w: shard [%d,%d) dispatched %d params, want %d", ErrProtocol, r.Lo, r.Hi, len(theta), agg.dim))
+		if len(theta) != src.agg.dim {
+			return fail(round, fmt.Errorf("%w: shard [%d,%d) dispatched %d params, want %d", ErrProtocol, r.Lo, r.Hi, len(theta), src.agg.dim))
 		}
 		t0 := msg.LocalSteps
 		if t0 <= 0 {
 			t0 = c.T0
 		}
-		var roundT0 time.Time
-		if ls.obs != nil {
-			roundT0 = time.Now()
-			ls.obs.Observe(obs.Event{Type: obs.TypeRoundStart, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt})
-		}
-
-		selected := selector.selectAlive(round, ls.alive)
-		if bp != nil {
-			selected = bp.filter(round, t0, selected, func(i int, joules float64) {
-				ls.markBudgetFiltered(i, round, joules)
-			})
-		}
-		agg.reset()
-		if err := ls.gatherRound(round, t0, theta, selected, func(i int, u tensor.Vec) {
-			w := weights[i]
-			if correct {
-				w /= pi
-			}
-			agg.accept(r.Lo+i, u, w)
-		}); err != nil {
+		rl.begin(round, t0, ls.aliveCnt)
+		sum, selSum, count, err := src.collect(round, t0, theta)
+		if err != nil {
 			return fail(round, err)
 		}
-
-		sum, selSum, count := agg.reduce()
-		iter += t0
+		rl.iter += t0
 		// The within-shard dispersion (around the shard-local aggregate) is
 		// the shard's half of the hierarchical similarity proxy; the
 		// director adds the between-shard term.
 		var dispersion float64
 		if count > 0 && selSum > 0 {
 			sum.ScaleInto(1/selSum, shardMean)
-			dispersion = agg.dispersion(shardMean, selSum)
+			dispersion = src.agg.dispersion(shardMean, selSum)
 		}
-		if ls.obs != nil {
-			if count == 0 {
-				ls.stats.SkippedRounds++
-				ls.obs.Observe(obs.Event{Type: obs.TypeRoundSkip, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt, Dur: time.Since(roundT0)})
-			} else {
-				ls.stats.Rounds++
-				ls.obs.Observe(obs.Event{
-					Type: obs.TypeRoundEnd, Round: round, Iter: iter, T0: t0,
-					Alive: ls.aliveCnt, Dur: time.Since(roundT0), Dispersion: dispersion,
-				})
-			}
+		if count == 0 {
+			rl.skipped(round, ls.aliveCnt)
 		} else {
-			if count == 0 {
-				ls.stats.SkippedRounds++
-			} else {
-				ls.stats.Rounds++
-			}
+			rl.aggregated(round, ls.aliveCnt, 0, dispersion)
 		}
 
 		partial := transport.Msg{
@@ -182,11 +131,11 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 			NodeID: r.Lo,
 			Partial: &transport.Partial{
 				Weight:     selSum,
-				FullWeight: fullW,
+				FullWeight: src.fullW,
 				Count:      count,
 				Dispersion: dispersion,
 				Alive:      ls.aliveCnt,
-				Stats:      shardStatsOf(ls.stats),
+				Stats:      transport.ShardStats(ls.stats),
 			},
 		}
 		if count > 0 {
@@ -200,34 +149,7 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 	}
 }
 
-// shardStatsOf converts the shard's accounting to its wire form.
-func shardStatsOf(s CommStats) transport.ShardStats {
-	return transport.ShardStats{
-		Rounds:         s.Rounds,
-		Messages:       s.Messages,
-		Bytes:          s.Bytes,
-		Dropped:        s.Dropped,
-		Rejoined:       s.Rejoined,
-		Rejected:       s.Rejected,
-		SkippedRounds:  s.SkippedRounds,
-		StaleApplied:   s.StaleApplied,
-		StaleDropped:   s.StaleDropped,
-		BudgetFiltered: s.BudgetFiltered,
-	}
-}
-
-// statsOfShard converts a shard's wire-form accounting back to CommStats.
-func statsOfShard(s transport.ShardStats) CommStats {
-	return CommStats{
-		Rounds:         s.Rounds,
-		Messages:       s.Messages,
-		Bytes:          s.Bytes,
-		Dropped:        s.Dropped,
-		Rejoined:       s.Rejoined,
-		Rejected:       s.Rejected,
-		SkippedRounds:  s.SkippedRounds,
-		StaleApplied:   s.StaleApplied,
-		StaleDropped:   s.StaleDropped,
-		BudgetFiltered: s.BudgetFiltered,
-	}
-}
+// errAsyncSharded rejects the one combination of gather strategy and source
+// the engine does not run yet: the director has no per-shard version-skew
+// rule, so a shard leaf cannot gather asynchronously.
+var errAsyncSharded = errors.New("core: async mode is not supported with sharded topologies")

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/edgeai/fedml/internal/eval"
+	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/rng"
 	"github.com/edgeai/fedml/internal/transport"
@@ -26,19 +27,24 @@ func sumShardStats(shards []CommStats) CommStats {
 // change.
 func TestShardedMatchesFlatBitExact(t *testing.T) {
 	fed := tinyFederation(t, 0.5, 0.5)
-	m := tinyModel(fed)
-	theta0 := m.InitParams(rng.New(2))
+	soft := tinyModel(fed)
+	mlp, headMask := headMLP(t, fed, 2)
 
 	cases := []struct {
-		name string
-		cfg  Config
+		name  string
+		model nn.Model
+		cfg   Config
 	}{
-		{"strict", Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 10, Seed: 5}},
-		{"ft-clean", Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 10, Seed: 5, RoundTimeout: 2 * time.Second}},
-		{"strict-q8", Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 10, Seed: 5, Codec: "q8"}},
+		{"strict", soft, Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 10, Seed: 5}},
+		{"ft-clean", soft, Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 10, Seed: 5, RoundTimeout: 2 * time.Second}},
+		{"strict-q8", soft, Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 10, Seed: 5, Codec: "q8"}},
+		{"strict-topk", soft, Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 10, Seed: 5, Codec: "topk"}},
+		{"mask-head2", mlp, Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 5, SyncMask: headMask}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			m := tc.model
+			theta0 := m.InitParams(rng.New(2))
 			flat, err := Train(m, fed, theta0.Clone(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -102,12 +102,7 @@ func (p *SyncMaskPolicy) frozenAt(round int) bool {
 // bit-identical to θ_f in floating point, so the aggregation loop restores
 // them explicitly.
 func restoreFrozen(theta, saved tensor.Vec, mask []codec.Range) {
-	lo := 0
-	for _, r := range mask {
-		copy(theta[lo:r.Lo], saved[lo:r.Lo])
-		lo = r.Hi
-	}
-	copy(theta[lo:], saved[lo:])
+	projectMask(theta, saved, mask)
 }
 
 // projectMask overwrites u outside mask with the corresponding coordinates

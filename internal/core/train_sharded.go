@@ -2,13 +2,11 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/obs"
-	"github.com/edgeai/fedml/internal/rng"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
 )
@@ -55,62 +53,30 @@ type ShardedResult struct {
 // fault tolerance, codecs, and the sanitation guard are applied by the
 // shards against their own node links (cfg.MinNodes is per shard).
 // cfg.WrapLink wraps the node links with their *global* index, exactly as
-// in Train; director↔shard links are an unbilled in-process control plane
-// and are never wrapped.
+// in Train (both start the node tier through startNodes); director↔shard
+// links are an unbilled in-process control plane and are never wrapped.
+// cfg.Async is rejected: the async gather is flat-only.
 func TrainSharded(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config, opt ShardedOptions) (*ShardedResult, error) {
 	c := cfg.normalized()
-	if err := c.Validate(); err != nil {
+	theta0, err := checkTrainInputs(m, fed, theta0, c)
+	if err != nil {
 		return nil, err
 	}
-	if m == nil || fed == nil {
-		return nil, errors.New("core: nil model or federation")
+	if c.Async {
+		return nil, errAsyncSharded
 	}
-	if len(fed.Sources) == 0 {
-		return nil, errors.New("core: federation has no source nodes")
-	}
-	n := len(fed.Sources)
 	ranges := opt.Ranges
 	if ranges == nil {
 		if opt.Shards < 1 {
 			return nil, errors.New("core: sharded training needs Shards >= 1 or an explicit Ranges layout")
 		}
-		ranges = ShardRanges(n, opt.Shards)
+		ranges = ShardRanges(len(fed.Sources), opt.Shards)
 	}
-	if err := validateRanges(n, ranges); err != nil {
+	if err := validateRanges(len(fed.Sources), ranges); err != nil {
 		return nil, err
 	}
-	if theta0 == nil {
-		theta0 = m.InitParams(rng.New(c.Seed))
-	}
-	if len(theta0) != m.NumParams() {
-		return nil, fmt.Errorf("core: theta0 has %d params, model needs %d", len(theta0), m.NumParams())
-	}
 
-	platformLinks := make([]transport.Link, n)
-	nodeLinks := make([]transport.Link, n)
-	for i := range fed.Sources {
-		platformLinks[i], nodeLinks[i] = transport.Pair()
-		if c.WrapLink != nil {
-			// Fault-injection hook, keyed by global node index as in Train.
-			platformLinks[i] = c.WrapLink(i, platformLinks[i])
-		}
-	}
-
-	var nodeWG sync.WaitGroup
-	nodeErrs := make([]error, n)
-	for i, nd := range fed.Sources {
-		nodeWG.Add(1)
-		go func(i int, nd *data.NodeDataset) {
-			defer nodeWG.Done()
-			nodeErrs[i] = RunNode(nodeLinks[i], NodeConfig{
-				ID:     i,
-				Model:  m,
-				Data:   nd,
-				Shared: c,
-			})
-		}(i, nd)
-	}
-
+	fleet := startNodes(m, fed, c)
 	weights := fed.Weights()
 	dirLinks := make([]transport.Link, len(ranges))
 	shardErrs := make([]error, len(ranges))
@@ -118,75 +84,34 @@ func TrainSharded(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Confi
 	for s, r := range ranges {
 		var shardLink transport.Link
 		dirLinks[s], shardLink = transport.Pair()
+		// The policy surface (OnRound, T0Controller, checkpointing) belongs to
+		// the director's round engine and is inert in a shard; only the
+		// observer must not be shared.
 		sc := c
-		// The policy surface stays with the director; a shard must neither
-		// re-wrap its links nor write the global checkpoint.
 		sc.Observer = nil
 		if opt.ShardObserver != nil {
 			sc.Observer = opt.ShardObserver(s)
 		}
-		sc.OnRound = nil
-		sc.T0Controller = nil
-		sc.WrapLink = nil
-		sc.CheckpointPath = ""
-		sc.CheckpointEvery = 0
-		sc.Resume = false
 		shardWG.Add(1)
 		go func(s int, r ShardRange, up transport.Link, sc Config) {
 			defer shardWG.Done()
-			shardErrs[s] = RunShardAggregator(up, platformLinks[r.Lo:r.Hi], weights[r.Lo:r.Hi], r, sc)
+			shardErrs[s] = RunShardAggregator(up, fleet.platform[r.Lo:r.Hi], weights[r.Lo:r.Hi], r, sc)
 		}(s, r, shardLink, sc)
 	}
 
 	theta, rootStats, shardStats, dirErr := RunDirector(dirLinks, ranges, theta0, c)
 
 	// Tear down outside-in: closing the director links unblocks shards
-	// stuck in Recv or mid-partial-Send after a director-side failure, then
-	// closing the platform-side node links unblocks their nodes. In
-	// fault-tolerant mode the shards' linkSets already closed the node
-	// links they own, making these closes no-ops.
+	// stuck in Recv or mid-partial-Send after a director-side failure; the
+	// node tier goes once its shards are gone.
 	for _, l := range dirLinks {
 		_ = l.Close()
 	}
 	shardWG.Wait()
-	for _, l := range platformLinks {
-		_ = l.Close()
-	}
-	nodeWG.Wait()
-	for _, l := range nodeLinks {
-		_ = l.Close()
-	}
+	fleet.stop()
 
-	if dirErr != nil {
-		// A node failure surfaces at every tier; prefer the node's error,
-		// then the shard's, which carry the root cause.
-		for _, err := range nodeErrs {
-			if err != nil && !errors.Is(err, transport.ErrClosed) {
-				return nil, fmt.Errorf("federated training: %w", err)
-			}
-		}
-		for _, err := range shardErrs {
-			if err != nil && !errors.Is(err, transport.ErrClosed) {
-				return nil, fmt.Errorf("federated training: %w", err)
-			}
-		}
-		return nil, fmt.Errorf("federated training: %w", dirErr)
-	}
-	for _, err := range shardErrs {
-		if err != nil {
-			return nil, fmt.Errorf("federated training: %w", err)
-		}
-	}
-	for _, err := range nodeErrs {
-		if err == nil {
-			continue
-		}
-		// In fault-tolerant mode dropped (or raced-at-shutdown) nodes see
-		// their link closed by the shard; that is expected, not failure.
-		if c.RoundTimeout > 0 && errors.Is(err, transport.ErrClosed) {
-			continue
-		}
-		return nil, fmt.Errorf("federated training: %w", err)
+	if err := fleet.runErr(c, dirErr, shardErrs); err != nil {
+		return nil, err
 	}
 	return &ShardedResult{Theta: theta, Comm: rootStats, Shards: shardStats}, nil
 }

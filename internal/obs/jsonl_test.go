@@ -5,6 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +58,27 @@ func TestJSONLGoldenSchema(t *testing.T) {
 	}
 	if len(rec.Nodes) != 1 || rec.Nodes[0].ComputeMS != 1.5 {
 		t.Errorf("node timing lost in round-trip: %+v", rec.Nodes)
+	}
+}
+
+// TestDocsQuoteSchemaVersion keeps the prose honest: every "schema: N" in
+// README.md and DESIGN.md must quote SchemaVersion.
+func TestDocsQuoteSchemaVersion(t *testing.T) {
+	quoted := regexp.MustCompile(`schema: (\d+)`)
+	for _, name := range []string{"README.md", "DESIGN.md"} {
+		doc, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches := quoted.FindAllSubmatch(doc, -1)
+		if len(matches) == 0 {
+			t.Errorf("%s no longer quotes the record schema version", name)
+		}
+		for _, m := range matches {
+			if v, _ := strconv.Atoi(string(m[1])); v != SchemaVersion {
+				t.Errorf("%s says %q, SchemaVersion is %d", name, m[0], SchemaVersion)
+			}
+		}
 	}
 }
 
