@@ -11,11 +11,13 @@ BUILD_DIR := build
 
 all: build vet test
 
-# Pre-commit gate: formatting, the one-round-engine guard, static analysis,
-# and the race-enabled short test suite (includes the zero-allocation
-# regression tests). The guard keeps the platform loops from being copied
-# again: resume, the snapshot write, and the Rejected counter each have one
-# non-test call site under internal/core (DESIGN.md §11).
+# Pre-commit gate: formatting, the source guards, static analysis, and the
+# race-enabled short test suite (includes the zero-allocation regression
+# tests). The first guard keeps the platform loops from being copied again:
+# resume, the snapshot write, and the Rejected counter each have one non-test
+# call site under internal/core (DESIGN.md §11). The second keeps sort.Slice
+# (reflection swapper + closure comparator, O(n log n)) out of the
+# per-message and per-step packages (DESIGN.md §10).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -25,6 +27,9 @@ check:
 			echo "internal/core: $$pat has $$n non-test call sites, want at most 1 (see DESIGN.md §11)"; \
 			grep -n -F -- "$$pat" internal/core/*.go | grep -v '_test.go:'; exit 1; fi; \
 	done
+	@hits=$$(grep -n -F 'sort.Slice' internal/codec/*.go internal/tensor/*.go internal/nn/*.go internal/meta/*.go \
+		| grep -v -e '_test.go:' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
+		echo "sort.Slice in a per-message/per-step package (see DESIGN.md §10):"; echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -160,13 +165,16 @@ profile:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# The benchmarks bench-json snapshots and bench-check gates.
+BENCH_GATED := Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto|CodecEncode|CodecDecode
+
 # Machine-readable performance snapshot: the key end-to-end and kernel
 # benchmarks rendered to BENCH_fedml.json (name -> ns/op, B/op, allocs/op)
 # by cmd/benchjson, so performance regressions show up as diffs.
 bench-json:
 	@mkdir -p $(BUILD_DIR)
 	$(GO) test -run '^$$' \
-		-bench 'Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto' \
+		-bench '$(BENCH_GATED)' \
 		-benchmem . | tee $(BUILD_DIR)/bench_output.txt | $(GO) run ./cmd/benchjson -out BENCH_fedml.json
 
 # CI regression gate: re-measure the bench-json suite into $(BUILD_DIR) and
@@ -178,7 +186,7 @@ bench-json:
 bench-check:
 	@mkdir -p $(BUILD_DIR)
 	$(GO) test -run '^$$' \
-		-bench 'Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto' \
+		-bench '$(BENCH_GATED)' \
 		-benchmem . | tee $(BUILD_DIR)/bench_output.txt | $(GO) run ./cmd/benchjson -out $(BUILD_DIR)/bench_current.json
 	$(GO) run ./cmd/benchjson compare BENCH_fedml.json $(BUILD_DIR)/bench_current.json
 	$(GO) run ./cmd/benchjson expcheck BENCH_experiments.json ext_rec ext_fault

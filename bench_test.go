@@ -5,6 +5,7 @@ import (
 	"net"
 	"testing"
 
+	"github.com/edgeai/fedml/internal/codec"
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/experiments"
@@ -407,5 +408,96 @@ func BenchmarkMetaGradInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.GradInto(theta, nd.Train, nd.Test, 0.05, meta.SecondOrder, grad)
+	}
+}
+
+// --- Codec kernel benchmarks (DESIGN.md §10) ---
+
+// codecBenchDim is the parameter count of the sent140 MLP the tcp_mlp_topk
+// benchmark workload ships: the message size the codec kernels are priced at.
+const codecBenchDim = 25970
+
+var codecBenchSpecs = []string{"raw", "f16", "q8", "topk"}
+
+// codecBenchPair returns a synchronized encoder/decoder pair for spec, a
+// parameter vector, and a drift step that moves the vector a little between
+// messages, as training does — so topk runs its steady-state delta path on
+// tie-heavy deltas (bench/probes.go times the same shape).
+func codecBenchPair(b *testing.B, spec string) (enc, dec codec.Codec, v []float64, drift func()) {
+	b.Helper()
+	enc, err := codec.New(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, _ = codec.New(spec)
+	r := rng.New(1)
+	v = make([]float64, codecBenchDim)
+	for i := range v {
+		v[i] = 0.1 * r.Norm()
+	}
+	first, err := enc.Encode(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := dec.Decode(first); err != nil {
+		b.Fatal(err)
+	}
+	return enc, dec, v, func() {
+		for j := range v {
+			v[j] += 1e-3 * float64(j%7-3)
+		}
+	}
+}
+
+var (
+	codecBenchPayload []byte
+	codecBenchVec     []float64
+)
+
+// BenchmarkCodecEncode measures one steady-state Encode per codec family.
+// The allocation count is the contract: one per message (the payload).
+func BenchmarkCodecEncode(b *testing.B) {
+	for _, spec := range codecBenchSpecs {
+		b.Run(spec, func(b *testing.B) {
+			enc, _, v, drift := codecBenchPair(b, spec)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				drift()
+				p, err := enc.Encode(v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				codecBenchPayload = p
+			}
+		})
+	}
+}
+
+// BenchmarkCodecDecode measures one steady-state Decode per codec family:
+// one allocation per message (the vector the caller owns). A topk delta
+// decodes only in sequence, so every iteration encodes its own payload with
+// the timer stopped.
+func BenchmarkCodecDecode(b *testing.B) {
+	for _, spec := range codecBenchSpecs {
+		b.Run(spec, func(b *testing.B) {
+			enc, dec, v, drift := codecBenchPair(b, spec)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				drift()
+				p, err := enc.Encode(v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				out, err := dec.Decode(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				codecBenchVec = out
+			}
+		})
 	}
 }

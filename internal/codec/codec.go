@@ -20,9 +20,11 @@
 // payload — the resync handshake internal/core runs whenever a node is
 // suspected, probed, or fails to decode.
 //
-// Every payload begins with a one-byte mode marker (ModeFull or ModeDelta),
+// Every payload begins with a one-byte mode marker — ModeFull, ModeDelta, or
+// ModeMasked for the range-list wrapper Masked puts around an inner payload —
 // so receivers can recognize a full resync without codec-specific parsing
-// (IsFull). Multi-byte fields are little-endian.
+// (IsFull, which looks through the wrapper). Multi-byte fields are
+// little-endian.
 //
 // The per-codec reconstruction error is a testable contract, not folklore:
 // see the bounds on each implementation and the matching tests.

@@ -1,8 +1,14 @@
 package codec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"github.com/edgeai/fedml/internal/rng"
@@ -191,6 +197,271 @@ func TestTopKMirrors(t *testing.T) {
 		if diff := math.Abs(truth[i] - got[i]); diff > 1e-5*(1+math.Abs(truth[i])) {
 			t.Errorf("error feedback did not converge at %d: residual %g", i, diff)
 		}
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in length or
+// bit pattern (so NaNs and signed zeros compare exactly), or -1.
+func firstBitDiff(a, b []float64) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// referenceTopK is the selection topKCodec shipped with before the
+// linear-time one, kept as the differential oracle: sort every index by
+// (|Δ| descending, index ascending), keep the first k, return them in index
+// order. Its comparator is a strict weak order only while no delta is NaN.
+func referenceTopK(params, ref []float64, k int) []int {
+	idx := make([]int, len(params))
+	for i := range idx {
+		idx[i] = i
+	}
+	absDelta := func(i int) float64 { return math.Abs(params[i] - ref[i]) }
+	sort.Slice(idx, func(a, b int) bool {
+		da, db := absDelta(idx[a]), absDelta(idx[b])
+		if da != db {
+			return da > db
+		}
+		return idx[a] < idx[b]
+	})
+	kept := idx[:k]
+	sort.Ints(kept)
+	return kept
+}
+
+// referenceDelta builds the delta payload a topk encoder at density frac
+// must emit for params against ref under sequence number seq, selecting
+// through referenceTopK, and advances ref exactly as both endpoints do.
+func referenceDelta(seq uint32, params, ref []float64, frac float64) []byte {
+	n := len(params)
+	k := min(max(int(math.Ceil(frac*float64(n))), 1), n)
+	kept := referenceTopK(params, ref, k)
+	out := []byte{ModeDelta}
+	out = binary.LittleEndian.AppendUint32(out, seq)
+	out = binary.LittleEndian.AppendUint32(out, uint32(n))
+	out = binary.LittleEndian.AppendUint32(out, uint32(k))
+	for _, i := range kept {
+		out = binary.LittleEndian.AppendUint32(out, uint32(i))
+	}
+	for _, i := range kept {
+		v := float32(params[i] - ref[i])
+		ref[i] += float64(v)
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
+	}
+	return out
+}
+
+// TestTopKMatchesReferenceSort is the differential test of the linear-time
+// selection: over seeded random vectors and tie-heavy ones (every delta one
+// of three magnitudes, so the k-th rank falls inside a long run of equal
+// keys), every delta payload of a four-message chain equals the full-sort
+// oracle's byte for byte, and so does the reference the chain leaves behind.
+func TestTopKMatchesReferenceSort(t *testing.T) {
+	magnitudes := []float64{0.5, -1, 2}
+	for _, n := range []int{1, 2, 255, 256, 257, 25970} {
+		// The last density yields k = 1.
+		for _, frac := range []float64{DefaultTopKFraction, 0.5, 1, 0.5 / float64(n)} {
+			for _, ties := range []bool{false, true} {
+				t.Run(fmt.Sprintf("n=%d/frac=%.3g/ties=%v", n, frac, ties), func(t *testing.T) {
+					r := rng.New(uint64(n))
+					params := make([]float64, n)
+					for i := range params {
+						// Dyadic start, so the three-magnitude deltas below
+						// stay exact and really tie.
+						params[i] = float64(r.IntN(64)) / 4
+					}
+					enc := &topKCodec{frac: frac}
+					if _, err := enc.Encode(params); err != nil {
+						t.Fatal(err)
+					}
+					ref := append([]float64(nil), params...)
+					for msg := 0; msg < 4; msg++ {
+						for i := range params {
+							if ties {
+								params[i] = ref[i] + magnitudes[r.IntN(3)]
+							} else {
+								params[i] += 0.1 * r.Norm()
+							}
+						}
+						want := referenceDelta(uint32(msg+2), params, ref, frac)
+						got, err := enc.Encode(params)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("message %d: payload differs from the full-sort oracle's", msg)
+						}
+						if i := firstBitDiff(enc.ref, ref); i >= 0 {
+							t.Fatalf("message %d: reference diverged from the oracle's at %d", msg, i)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTopKEncodersShareScratch drives the one piece of state encoders share,
+// the pooled key scratch, from several goroutines at once (run under -race):
+// each owns its encoder, the vectors differ in size so buffers of every
+// capacity change hands, and every payload must still be the oracle's.
+func TestTopKEncodersShareScratch(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.New(uint64(g) + 100)
+			n := 50 + 400*g
+			params := make([]float64, n)
+			for i := range params {
+				params[i] = r.Norm()
+			}
+			enc := &topKCodec{frac: DefaultTopKFraction}
+			if _, err := enc.Encode(params); err != nil {
+				t.Error(err)
+				return
+			}
+			ref := append([]float64(nil), params...)
+			for msg := 0; msg < 20; msg++ {
+				for i := range params {
+					params[i] += 0.1 * r.Norm()
+				}
+				want := referenceDelta(uint32(msg+2), params, ref, enc.frac)
+				if got, err := enc.Encode(params); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d message %d: payload differs from the oracle's (err %v)", g, msg, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// keptIndices parses the index list of a topk delta payload.
+func keptIndices(t *testing.T, payload []byte) []int {
+	t.Helper()
+	if len(payload) < 13 || payload[0] != ModeDelta {
+		t.Fatalf("not a delta payload: % x", payload[:min(len(payload), 13)])
+	}
+	k := int(binary.LittleEndian.Uint32(payload[9:]))
+	kept := make([]int, k)
+	for j := range kept {
+		kept[j] = int(binary.LittleEndian.Uint32(payload[13+4*j:]))
+	}
+	return kept
+}
+
+// TestTopKTotalOrder extends TestTopKMirrors to the deltas float comparison
+// cannot rank: the bit-pattern key puts NaN above +Inf above every finite
+// magnitude and −0 level with +0, ties go to the lower index, so the kept
+// set is fixed by the inputs alone — two fresh encoders emit the same bytes
+// and the decoder's reference stays bit-identical to the encoder's, through
+// the poisoned message and the one after it.
+func TestTopKTotalOrder(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name   string
+		deltas []float64 // added to an all-ones vector of the same length
+		want   []int     // indices a 30% density (k = 3) keeps
+	}{
+		{"nan above inf", []float64{1, inf, 2, nan, 3, -inf, 4, 5, 6, 7}, []int{1, 3, 5}},
+		{"inf ties by index", []float64{0, -inf, inf, 9, inf, 0, 0, 0, 0, 0}, []int{1, 2, 4}},
+		{"negative zero is zero", []float64{negZero, 0, negZero, 0, negZero, 0, 0, 0, 0, 0}, []int{0, 1, 2}},
+		{"all equal", []float64{2, -2, 2, -2, 2, -2, 2, -2, 2, -2}, []int{0, 1, 2}},
+		{"all zero", make([]float64, 10), []int{0, 1, 2}},
+		{"ties below the cut", []float64{1, 5, 1, 1, 7, 1, 1, 1, 1, 1}, []int{0, 1, 4}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			encA, encB, dec := &topKCodec{frac: 0.3}, &topKCodec{frac: 0.3}, &topKCodec{frac: 0.3}
+			v := make([]float64, len(tc.deltas))
+			for i := range v {
+				v[i] = 1
+			}
+			for msg := 0; msg < 3; msg++ {
+				if msg == 1 {
+					for i, d := range tc.deltas {
+						v[i] += d
+					}
+				}
+				pa, err := encA.Encode(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pb, _ := encB.Encode(v)
+				if !bytes.Equal(pa, pb) {
+					t.Fatalf("message %d: two encoders fed the same inputs emitted different payloads", msg)
+				}
+				if msg == 1 {
+					if got := keptIndices(t, pa); !slices.Equal(got, tc.want) {
+						t.Fatalf("kept %v, want %v", got, tc.want)
+					}
+				}
+				got, err := dec.Decode(pa)
+				if err != nil {
+					t.Fatalf("message %d: %v", msg, err)
+				}
+				if i := max(firstBitDiff(got, encA.ref), firstBitDiff(dec.ref, encA.ref)); i >= 0 {
+					t.Fatalf("message %d: decoder diverged from encoder ref at %d: %g vs %g", msg, i, got[i], encA.ref[i])
+				}
+			}
+		})
+	}
+}
+
+// TestTopKSteadyStateAllocs pins the buffer contract: once the reference
+// chain is up, Encode allocates the payload and nothing else (the selection
+// scratch is pooled) and Decode allocates the returned vector and nothing
+// else (the reference advances in place).
+func TestTopKSteadyStateAllocs(t *testing.T) {
+	const runs = 100
+	enc, dec := &topKCodec{frac: DefaultTopKFraction}, &topKCodec{frac: DefaultTopKFraction}
+	v := testVector(4096, 9)
+	first, _ := enc.Encode(v)
+	if _, err := dec.Decode(first); err != nil {
+		t.Fatal(err)
+	}
+	drift := func() {
+		for i := range v {
+			v[i] += 1e-3 * float64(i%7-3)
+		}
+	}
+	// AllocsPerRun calls its function runs+1 times; the decoder needs one
+	// in-sequence payload for each.
+	payloads := make([][]byte, 0, runs+1)
+	for len(payloads) < cap(payloads) {
+		drift()
+		p, err := enc.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		drift()
+		if _, err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("steady-state topk Encode: %v allocs per call, want 1 (the payload)", allocs)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := dec.Decode(payloads[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); allocs != 1 {
+		t.Errorf("steady-state topk Decode: %v allocs per call, want 1 (the returned vector)", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -60,10 +61,18 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			checkBound(t, spec, params, out)
 
 			// Second message exercises the stateful delta path; stateless
-			// codecs just round-trip again.
+			// codecs just round-trip again. A topk delta must be the one the
+			// full-sort oracle selects (the inputs are finite, so the
+			// oracle's order is defined).
 			p2, err := enc.Encode(perturbed)
 			if err != nil {
 				t.Fatalf("%s: second Encode: %v", spec, err)
+			}
+			if tk, ok := enc.(*topKCodec); ok && len(params) > 0 {
+				ref := append([]float64(nil), params...)
+				if want := referenceDelta(2, perturbed, ref, tk.frac); !bytes.Equal(p2, want) {
+					t.Fatalf("%s: delta payload differs from the full-sort oracle's", spec)
+				}
 			}
 			if _, err := dec.Decode(p2); err != nil {
 				t.Fatalf("%s: second Decode: %v", spec, err)

@@ -135,7 +135,7 @@ func (m *Masked) EncodeMasked(params []float64, ranges []Range) ([]byte, error) 
 	}
 	if !EqualRanges(ranges, m.encRanges) {
 		m.inner.Reset()
-		m.encRanges = append(m.encRanges[:0:0], ranges...)
+		m.encRanges = append(m.encRanges[:0], ranges...)
 	}
 	m.encBuf = m.encBuf[:0]
 	for _, r := range ranges {
@@ -157,11 +157,17 @@ func (m *Masked) EncodeMasked(params []float64, ranges []Range) ([]byte, error) 
 }
 
 // DecodeMasked decodes a payload into a freshly allocated full vector.
-// Plain payloads pass through the inner codec and refresh the retained
-// reference. Masked payloads decode the inner sub-vector and scatter it
-// into base when non-nil (the platform's current global vector) or into the
-// retained reference otherwise (a node's last known global). The second
-// return value is the mask the payload carried (nil for plain payloads).
+// Plain payloads pass through the inner codec. Masked payloads decode the
+// inner sub-vector and scatter it into base when non-nil (the platform's
+// current global vector) or into the retained reference otherwise (a node's
+// last known global). The second return value is the mask the payload
+// carried (nil for plain payloads).
+//
+// The retained reference is a private copy of the last decoded vector,
+// refilled in place and never aliasing the returned one, which the caller
+// owns. A caller that supplies base holds the reference itself, so nothing
+// is retained for it: a later masked payload without a base fails with
+// ErrDesync rather than scattering into a stale vector.
 func (m *Masked) DecodeMasked(payload []byte, base []float64) ([]float64, []Range, error) {
 	if len(payload) == 0 || payload[0] != ModeMasked {
 		if m.decRanges != nil {
@@ -172,7 +178,11 @@ func (m *Masked) DecodeMasked(payload []byte, base []float64) ([]float64, []Rang
 		if err != nil {
 			return nil, nil, err
 		}
-		m.ref = append(m.ref[:0:0], out...)
+		if base != nil {
+			m.ref = nil
+		} else {
+			m.ref = append(m.ref[:0], out...)
+		}
 		return out, nil, nil
 	}
 	ranges, innerPayload, err := parseMaskHeader(payload)
@@ -180,14 +190,15 @@ func (m *Masked) DecodeMasked(payload []byte, base []float64) ([]float64, []Rang
 		return nil, nil, err
 	}
 	dim := int(binary.LittleEndian.Uint32(payload[1:]))
-	if base == nil {
-		base = m.ref
+	ref := base
+	if ref == nil {
+		ref = m.ref
 	}
-	if base == nil {
+	if ref == nil {
 		return nil, nil, fmt.Errorf("%w: masked payload with no full reference", ErrDesync)
 	}
-	if len(base) != dim {
-		return nil, nil, fmt.Errorf("%w: masked payload for %d params, reference has %d", ErrDesync, dim, len(base))
+	if len(ref) != dim {
+		return nil, nil, fmt.Errorf("%w: masked payload for %d params, reference has %d", ErrDesync, dim, len(ref))
 	}
 	if !EqualRanges(ranges, m.decRanges) {
 		m.inner.Reset()
@@ -200,13 +211,23 @@ func (m *Masked) DecodeMasked(payload []byte, base []float64) ([]float64, []Rang
 	if len(sub) != MaskLen(ranges) {
 		return nil, nil, fmt.Errorf("codec: masked inner payload carries %d params, mask covers %d", len(sub), MaskLen(ranges))
 	}
+	if base == nil {
+		// Advance the retained reference itself and hand out a copy.
+		scatter(m.ref, sub, ranges)
+		return append([]float64(nil), m.ref...), ranges, nil
+	}
+	m.ref = nil
 	out := append([]float64(nil), base...)
+	scatter(out, sub, ranges)
+	return out, ranges, nil
+}
+
+// scatter writes the gathered sub-vector back to its ranges of dst.
+func scatter(dst, sub []float64, ranges []Range) {
 	pos := 0
 	for _, r := range ranges {
-		pos += copy(out[r.Lo:r.Hi], sub[pos:])
+		pos += copy(dst[r.Lo:r.Hi], sub[pos:])
 	}
-	m.ref = append(m.ref[:0:0], out...)
-	return out, ranges, nil
 }
 
 // parseMaskHeader validates a ModeMasked payload's framing and returns the

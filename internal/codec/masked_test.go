@@ -2,6 +2,7 @@ package codec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -193,6 +194,60 @@ func TestMaskedTransitionResetsInnerChain(t *testing.T) {
 		}
 		if _, _, err := dec.DecodeMasked(p, nil); err != nil {
 			t.Fatalf("step %d: decode: %v", step, err)
+		}
+	}
+}
+
+// TestDecodedVectorsAreOwned pins the ownership half of the buffer reuse: a
+// decoder refills its reference vectors in place, so no vector it hands out
+// may alias them. One decoder's results are scribbled over as soon as they
+// are compared; every later result must still equal, bit for bit, that of a
+// twin decoder whose results were left alone — across a full payload, the
+// deltas after it, and masked payloads with and without a caller base. Plain
+// payloads pass the inner codec's vector straight through, so the unmasked
+// runs of three also cover the bare topk decoder's full → delta → delta.
+func TestDecodedVectorsAreOwned(t *testing.T) {
+	masks := [][]Range{nil, nil, nil, maskedTestRanges, maskedTestRanges, maskedTestRanges, nil, nil, nil}
+	for _, spec := range []string{"raw", "q8", "topk"} {
+		for _, withBase := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/base=%v", spec, withBase), func(t *testing.T) {
+				newMasked := func() *Masked {
+					inner, err := New(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return NewMasked(inner)
+				}
+				enc, scribbled, twin := newMasked(), newMasked(), newMasked()
+				v := testVector(100, 11)
+				var base []float64
+				if withBase {
+					base = testVector(100, 12)
+				}
+				for msg, mask := range masks {
+					for i := range v {
+						v[i] += 0.01 * float64((i+msg)%5)
+					}
+					p, err := enc.EncodeMasked(v, mask)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, _, err := scribbled.DecodeMasked(p, base)
+					if err != nil {
+						t.Fatalf("message %d: %v", msg, err)
+					}
+					want, _, err := twin.DecodeMasked(p, base)
+					if err != nil {
+						t.Fatalf("message %d: twin: %v", msg, err)
+					}
+					if i := firstBitDiff(got, want); i >= 0 {
+						t.Fatalf("message %d: coord %d = %g, twin decoded %g: an earlier result aliased decoder state", msg, i, got[i], want[i])
+					}
+					for i := range got {
+						got[i] = 1e9
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"sync"
 )
 
 // DefaultTopKFraction is the delta density "topk" keeps when no explicit
@@ -28,6 +28,16 @@ const DefaultTopKFraction = 0.10
 // kept coordinate from float32 rounding. With frac = 1 every coordinate
 // ships and the error is float32 rounding alone.
 //
+// Selection order: coordinates rank by the uint64 bit pattern of |Δᵢ|
+// descending, then by index ascending, and the first k are kept. For
+// non-negative floats the bit pattern orders exactly like the value, so this
+// is "largest magnitude first, lowest index on ties" — and it is total where
+// float comparison is not: −0 ranks with +0, +Inf above every finite delta,
+// and a NaN delta above +Inf (NaNs among themselves by payload bits). Two
+// encoders fed the same inputs therefore emit the same bytes whatever the
+// inputs hold, and any exact selection of that order — the linear-time one
+// here, the full sort the tests keep as an oracle — yields the same payload.
+//
 // Loss safety: every payload carries a sequence number; a delta that does
 // not extend the decoder's reference chain (a lost or reordered reference
 // message) fails with ErrDesync instead of applying against the wrong base.
@@ -38,9 +48,6 @@ type topKCodec struct {
 
 	ref []float64
 	seq uint32
-
-	// selection scratch, reused across Encodes
-	idx []int
 }
 
 var _ Codec = (*topKCodec)(nil)
@@ -76,40 +83,115 @@ func (c *topKCodec) Encode(params []float64) ([]byte, error) {
 	if k > n {
 		k = n
 	}
-	// Deterministic selection: order by |Δ| descending, index ascending on
-	// ties, then transmit the k winners in index order.
-	c.idx = c.idx[:0]
-	for i := 0; i < n; i++ {
-		c.idx = append(c.idx, i)
-	}
-	absDelta := func(i int) float64 { return math.Abs(params[i] - c.ref[i]) }
-	sort.Slice(c.idx, func(a, b int) bool {
-		da, db := absDelta(c.idx[a]), absDelta(c.idx[b])
-		if da != db {
-			return da > db
-		}
-		return c.idx[a] < c.idx[b]
-	})
-	kept := c.idx[:k]
-	sort.Ints(kept)
+	// The kept set is the first k coordinates in the total order (|Δ|
+	// descending, index ascending). With thr the k-th largest key it is every
+	// coordinate above thr plus the lowest-indexed ties at thr, so one
+	// ascending scan emits it already in wire (index) order.
+	thr, ties := c.cutoff(params, k)
 
-	out := make([]byte, 13, 13+8*k)
+	out := make([]byte, 13+8*k)
 	out[0] = ModeDelta
 	binary.LittleEndian.PutUint32(out[1:], c.seq)
 	binary.LittleEndian.PutUint32(out[5:], uint32(n))
 	binary.LittleEndian.PutUint32(out[9:], uint32(k))
-	for _, i := range kept {
-		out = binary.LittleEndian.AppendUint32(out, uint32(i))
-	}
-	for _, i := range kept {
-		v := float32(params[i] - c.ref[i])
+	idxs, vals := out[13:13+4*k], out[13+4*k:]
+	j := 0
+	for i, p := range params {
+		d := p - c.ref[i]
+		key := deltaKey(d)
+		if key < thr {
+			continue
+		}
+		if key == thr {
+			if ties == 0 {
+				continue
+			}
+			ties--
+		}
+		v := float32(d)
 		// Advance the local reference by exactly what the wire carries, so
 		// both ends stay bit-identical and the rounding residual rides into
 		// the next delta.
 		c.ref[i] += float64(v)
-		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
+		binary.LittleEndian.PutUint32(idxs[4*j:], uint32(i))
+		binary.LittleEndian.PutUint32(vals[4*j:], math.Float32bits(v))
+		j++
 	}
 	return out, nil
+}
+
+// cutoff returns the selection key of the k-th ranked coordinate of
+// (params − ref) and how many of the coordinates holding exactly that key
+// are kept (every coordinate with a larger key is).
+func (c *topKCodec) cutoff(params []float64, k int) (thr uint64, ties int) {
+	if k == 0 { // an empty vector keeps nothing
+		return 0, 0
+	}
+	scratch := keyScratch.Get().(*[]uint64)
+	if cap(*scratch) < len(params) {
+		*scratch = make([]uint64, len(params))
+	}
+	keys := (*scratch)[:len(params)]
+	for i, p := range params {
+		keys[i] = deltaKey(p - c.ref[i])
+	}
+	thr, above := kthLargest(keys, k)
+	keyScratch.Put(scratch)
+	return thr, k - above
+}
+
+// keyScratch pools the n-sized key buffer of one selection, so the 2·nodes
+// encoders of a federation share a few buffers instead of owning one each.
+var keyScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
+// deltaKey maps a delta to its selection key: the bit pattern of |d|, which
+// for non-negative floats orders exactly like the value.
+func deltaKey(d float64) uint64 { return math.Float64bits(math.Abs(d)) }
+
+// kthLargest returns the k-th largest of keys (1 ≤ k ≤ len(keys)) and the
+// number of keys strictly above it, permuting keys. Quickselect with a
+// median-of-three pivot and a three-way partition: expected O(n), and a run
+// of equal keys — an unchanged vector, a frozen layer — ends the search in
+// one pass instead of degrading it.
+func kthLargest(keys []uint64, k int) (kth uint64, above int) {
+	lo, hi := 0, len(keys) // the k-th largest sits at index k-1 of [lo, hi)
+	for {
+		p := median3(keys[lo], keys[lo+(hi-lo)/2], keys[hi-1])
+		// Partition [lo, hi) into  > p | == p | < p.
+		gt, i, lt := lo, lo, hi
+		for i < lt {
+			switch x := keys[i]; {
+			case x > p:
+				keys[i], keys[gt] = keys[gt], x
+				gt++
+				i++
+			case x < p:
+				lt--
+				keys[i], keys[lt] = keys[lt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k-1 < gt:
+			hi = gt
+		case k-1 >= lt:
+			lo = lt
+		default:
+			return p, gt
+		}
+	}
+}
+
+// median3 returns the median of its arguments.
+func median3(a, b, c uint64) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 func (c *topKCodec) Decode(payload []byte) ([]float64, error) {
@@ -130,7 +212,7 @@ func (c *topKCodec) Decode(payload []byte) ([]float64, error) {
 		for i := range out {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[9+8*i:]))
 		}
-		c.ref = append(c.ref[:0:0], out...)
+		c.ref = append(c.ref[:0], out...)
 		c.seq = seq
 		return out, nil
 	case ModeDelta:

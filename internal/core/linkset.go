@@ -119,6 +119,9 @@ type linkSet struct {
 	pending []int
 	fresh   []bool
 	pollTO  time.Duration
+
+	// sentBuf backs dispatch's sent list; it never outlives the round.
+	sentBuf []int
 }
 
 // nodeRound is the per-round context the link-layer helpers share: what is
@@ -496,14 +499,15 @@ func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration) (
 // (with step count rd.t0, stamped rd.ver) to the selected links and re-probe
 // the suspects. It returns the links a broadcast went out to and the
 // suspects a probe went out to; a link whose send failed is suspected
-// (fault-tolerant mode) or aborts the run (strict mode).
+// (fault-tolerant mode) or aborts the run (strict mode). sent is the link
+// set's reusable buffer, valid until the next dispatch.
 //
 // selected holds local link indices, already filtered to alive nodes. The
 // suspect re-probe path runs regardless of selection — probing is liveness
 // maintenance, not participation, so a suspect is probed exactly once per
 // round whether or not the sampler would have picked it.
 func (ls *linkSet) dispatch(rd *nodeRound, selected []int) (sent, probed []int, err error) {
-	sent = make([]int, 0, len(selected))
+	ls.sentBuf = ls.sentBuf[:0]
 	for _, i := range selected {
 		// Ownership of Msg.Params/Payload transfers to the receiver on
 		// Send (see transport.Msg). theta is the caller's reusable
@@ -523,11 +527,11 @@ func (ls *linkSet) dispatch(rd *nodeRound, selected []int) (sent, probed []int, 
 			}
 			return nil, nil, fmt.Errorf("core: broadcast round %d to node %d: %w", rd.round, ls.base+i, err)
 		}
-		sent = append(sent, i)
+		ls.sentBuf = append(ls.sentBuf, i)
 		ls.bill(obs.TypeBroadcast, i, rd.round, nBytes)
 	}
 	if !ls.ft {
-		return sent, nil, nil
+		return ls.sentBuf, nil, nil
 	}
 	// Re-probe suspects with the current θ: a dropped node that has
 	// recovered answers like any other and rejoins in gatherProbes. Every
@@ -548,7 +552,7 @@ func (ls *linkSet) dispatch(rd *nodeRound, selected []int) (sent, probed []int, 
 		probed = append(probed, i)
 		ls.bill(obs.TypeProbe, i, rd.round, nBytes)
 	}
-	return sent, probed, nil
+	return ls.sentBuf, probed, nil
 }
 
 // reject discards a delivered, already billed update — the one place the
