@@ -17,7 +17,9 @@ all: build vet test
 # resume, the snapshot write, and the Rejected counter each have one non-test
 # call site under internal/core (DESIGN.md §11). The second keeps sort.Slice
 # (reflection swapper + closure comparator, O(n log n)) out of the
-# per-message and per-step packages (DESIGN.md §10).
+# per-message and per-step packages (DESIGN.md §10). The third keeps
+# encoding/gob (reflection per message, no size cap) from coming back to the
+# wire: the TCP link has one format, the frame of DESIGN.md §7.
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -30,6 +32,9 @@ check:
 	@hits=$$(grep -n -F 'sort.Slice' internal/codec/*.go internal/tensor/*.go internal/nn/*.go internal/meta/*.go \
 		| grep -v -e '_test.go:' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
 		echo "sort.Slice in a per-message/per-step package (see DESIGN.md §10):"; echo "$$hits"; exit 1; fi
+	@hits=$$(grep -n -F 'encoding/gob' internal/transport/*.go internal/core/*.go \
+		| grep -v -e '_test.go:' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
+		echo "encoding/gob in the wire path (see DESIGN.md §7, Wire format):"; echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -166,7 +171,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The benchmarks bench-json snapshots and bench-check gates.
-BENCH_GATED := Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto|CodecEncode|CodecDecode
+BENCH_GATED := Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto|CodecEncode|CodecDecode|TCPRoundTrip
 
 # Machine-readable performance snapshot: the key end-to-end and kernel
 # benchmarks rendered to BENCH_fedml.json (name -> ns/op, B/op, allocs/op)
@@ -229,16 +234,18 @@ bench-energy:
 bench-workloads:
 	$(GO) run ./cmd/fedml-bench -workloads-bench -out BENCH_experiments.json
 
-# Short fuzzing pass over the parsers and the update codecs.
+# Short fuzzing pass over the parsers, the update codecs and the TCP frame.
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/checkpoint
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/codec
+	$(GO) test -fuzz FuzzFrameRecv -fuzztime 30s ./internal/transport
 
 # Seconds-long fuzz smoke for CI: enough to replay the corpus and catch
 # shallow regressions without holding up the pipeline.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzRead -fuzztime 5s ./internal/checkpoint
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/codec
+	$(GO) test -fuzz FuzzFrameRecv -fuzztime 5s ./internal/transport
 
 examples:
 	$(GO) run ./examples/quickstart

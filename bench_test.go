@@ -241,46 +241,85 @@ func BenchmarkAblationTransport(b *testing.B) {
 	})
 
 	b.Run("tcp", func(b *testing.B) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		benchTCPRoundTrip(b, transport.Msg{Kind: transport.KindParams, Params: params})
+	})
+}
+
+// benchTCPRoundTrip times msg going out over a loopback TCP link and coming
+// back from an echoing peer: two messages per op, so allocs/op is twice the
+// link's per-received-message count (the sender allocates nothing).
+func benchTCPRoundTrip(b *testing.B, msg transport.Msg) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		links, err := transport.Accept(ln, 1)
 		if err != nil {
-			b.Fatal(err)
+			return
 		}
-		defer ln.Close()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			links, err := transport.Accept(ln, 1)
+		defer links[0].Close()
+		for {
+			m, err := links[0].Recv()
 			if err != nil {
 				return
 			}
-			defer links[0].Close()
-			for {
-				m, err := links[0].Recv()
-				if err != nil {
-					return
-				}
-				if err := links[0].Send(m); err != nil {
-					return
-				}
+			if err := links[0].Send(m); err != nil {
+				return
 			}
-		}()
-		link, err := transport.Dial(ln.Addr().String())
+		}
+	}()
+	link, err := transport.Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(2 * (8*len(msg.Params) + len(msg.Payload))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := link.Send(msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := link.Recv(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	link.Close()
+	<-done
+}
+
+// BenchmarkTCPRoundTrip measures the TCP link alone on the three message
+// shapes the TCP workloads of bench/ put on it: a raw softmax vector (one
+// frame fits the link's buffer), a raw MLP vector (several buffers) and a
+// steady-state topk payload with its codec name. The allocation count is
+// the contract: per received message, the Params or Payload slice the
+// receiver owns plus the codec-name string when there is one.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	// Trained-looking values: every float costs its full 8 bytes whatever
+	// the format (an all-zero vector would not under a varint encoding).
+	params := make([]float64, codecBenchDim)
+	r := rng.New(1)
+	for i := range params {
+		params[i] = 0.1 * r.Norm()
+	}
+	b.Run("softmax7850", func(b *testing.B) {
+		benchTCPRoundTrip(b, transport.Msg{Kind: transport.KindParams, Round: 1, Params: params[:7850]})
+	})
+	b.Run("mlp25970", func(b *testing.B) {
+		benchTCPRoundTrip(b, transport.Msg{Kind: transport.KindParams, Round: 1, Params: params})
+	})
+	b.Run("topk_payload", func(b *testing.B) {
+		enc, _, v, drift := codecBenchPair(b, "topk")
+		drift()
+		payload, err := enc.Encode(v)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := link.Send(transport.Msg{Kind: transport.KindParams, Params: params}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := link.Recv(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		link.Close()
-		<-done
+		benchTCPRoundTrip(b, transport.Msg{Kind: transport.KindUpdate, Round: 1, Codec: "topk", Payload: payload})
 	})
 }
 

@@ -355,71 +355,6 @@ func TestNodeReportsParamSizeMismatch(t *testing.T) {
 	n.Close()
 }
 
-func TestEndToEndOverTCP(t *testing.T) {
-	// The same Algorithm 1 code must run over real TCP links.
-	fed := tinyFederation(t, 0, 0)
-	// Use a subset of nodes to keep the socket count small.
-	fed.Sources = fed.Sources[:4]
-	m := tinyModel(fed)
-	cfg := Config{Alpha: 0.01, Beta: 0.01, T: 20, T0: 10, Seed: 1}
-
-	ln, err := newLocalListener()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	nodeErrs := make(chan error, len(fed.Sources))
-	for i, nd := range fed.Sources {
-		go func(i int, nd *data.NodeDataset) {
-			link, err := transport.Dial(ln.Addr().String())
-			if err != nil {
-				nodeErrs <- err
-				return
-			}
-			defer link.Close()
-			nodeErrs <- RunNode(link, NodeConfig{ID: i, Model: m, Data: nd, Shared: cfg})
-		}(i, nd)
-	}
-
-	links, err := transport.Accept(ln, len(fed.Sources))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, l := range links {
-			l.Close()
-		}
-	}()
-
-	// TCP accept order is arbitrary, so aggregate with uniform weights.
-	weights := make([]float64, len(fed.Sources))
-	for i := range weights {
-		weights[i] = 1
-	}
-	theta0 := m.InitParams(rng.New(1))
-	theta, stats, err := RunPlatform(links, weights, theta0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range fed.Sources {
-		if err := <-nodeErrs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !theta.IsFinite() {
-		t.Error("TCP-trained θ not finite")
-	}
-	if stats.Rounds != 2 {
-		t.Errorf("rounds = %d, want 2", stats.Rounds)
-	}
-	before := eval.GlobalMetaObjective(m, fed, cfg.Alpha, theta0)
-	after := eval.GlobalMetaObjective(m, fed, cfg.Alpha, theta)
-	if after >= before {
-		t.Errorf("TCP run did not reduce G(θ): %v -> %v", before, after)
-	}
-}
-
 func TestStochasticMinibatchTraining(t *testing.T) {
 	fed := tinyFederation(t, 0, 0)
 	m := tinyModel(fed)

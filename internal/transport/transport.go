@@ -1,9 +1,10 @@
 // Package transport provides the message pipe between the platform and the
 // edge nodes. Two implementations share one interface: an in-memory channel
-// pipe for single-process simulation, and a TCP pipe (encoding/gob framing)
-// that exercises a real network path. The federated runtime in
-// internal/core is written against Link only, so the same Algorithm 1/2 code
-// runs over either.
+// pipe for single-process simulation, and a TCP pipe that exercises a real
+// network path, carrying each Msg as one length-prefixed binary frame (tcp.go;
+// floats cross as their IEEE-754 bits, so a run over TCP reaches the same θ
+// as one in memory). The federated runtime in internal/core is written
+// against Link only, so the same Algorithm 1/2 code runs over either.
 package transport
 
 import (
