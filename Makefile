@@ -160,11 +160,21 @@ workloads-smoke:
 		-metrics-out $(BUILD_DIR)/workloads_fault_smoke.jsonl
 	$(GO) run ./cmd/obscheck $(BUILD_DIR)/workloads_fault_smoke.jsonl
 
-# CPU + heap profiles of the hot end-to-end benchmark (fig2a). Inspect with
-# `go tool pprof cpu.pprof`; live runs expose the same data via -pprof.
+# CPU + heap profiles of the two hot benchmarks, one per model family: fig2a
+# (softmax, end to end) and MetaGradInto/mlp360 (one second-order
+# meta-gradient of the Sent140 MLP the bench/ workloads run — the unit of
+# node compute). Profiles and test binaries land in $(BUILD_DIR); the top of
+# each CPU profile is printed. Inspect further with
+# `go tool pprof $(BUILD_DIR)/profile_mlp360.test $(BUILD_DIR)/cpu_mlp360.pprof`;
+# live runs expose the same data via -pprof.
 profile:
-	$(GO) test -run '^$$' -bench 'Fig2aNodeSimilarity' -benchmem \
-		-cpuprofile cpu.pprof -memprofile mem.pprof .
+	@mkdir -p $(BUILD_DIR)
+	$(GO) test -run '^$$' -bench 'Fig2aNodeSimilarity' -benchmem -o $(BUILD_DIR)/profile_fig2a.test \
+		-cpuprofile $(BUILD_DIR)/cpu_fig2a.pprof -memprofile $(BUILD_DIR)/mem_fig2a.pprof .
+	$(GO) test -run '^$$' -bench 'MetaGradInto/mlp360' -benchmem -o $(BUILD_DIR)/profile_mlp360.test \
+		-cpuprofile $(BUILD_DIR)/cpu_mlp360.pprof -memprofile $(BUILD_DIR)/mem_mlp360.pprof .
+	$(GO) tool pprof -top -nodecount 10 $(BUILD_DIR)/profile_fig2a.test $(BUILD_DIR)/cpu_fig2a.pprof
+	$(GO) tool pprof -top -nodecount 10 $(BUILD_DIR)/profile_mlp360.test $(BUILD_DIR)/cpu_mlp360.pprof
 
 # One testing.B per paper table/figure plus ablations (see bench_test.go).
 bench:

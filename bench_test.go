@@ -433,21 +433,75 @@ func BenchmarkGradStepInto(b *testing.B) {
 	}
 }
 
-// BenchmarkMetaGradInto measures one full buffered meta-gradient (inner
-// step + outer gradient + HVP correction) — the workspace counterpart of
-// BenchmarkMetaStep's allocating path.
-func BenchmarkMetaGradInto(b *testing.B) {
-	fed, m := benchFederation(b)
-	theta := m.InitParams(rng.New(1))
-	nd := fed.Sources[0]
-	ws := meta.NewWorkspace(m)
-	grad := tensor.NewVec(m.NumParams())
-	ws.GradInto(theta, nd.Train, nd.Test, 0.05, meta.SecondOrder, grad)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.GradInto(theta, nd.Train, nd.Test, 0.05, meta.SecondOrder, grad)
+// benchSent140 returns the federation and model the MLP workloads of bench/
+// run (sent140 generator at EmbedDim 24, SeqLen 15: MLP 360→64→32→16→2 with
+// batch norm, 25 970 parameters), every node at the generator's mean size:
+// K=5 training samples, 37 test samples.
+func benchSent140(b *testing.B) (*data.Federation, *nn.MLP) {
+	b.Helper()
+	cfg := data.DefaultSent140Config()
+	cfg.Nodes, cfg.Seed = 4, 1
+	cfg.EmbedDim, cfg.SeqLen = 24, 15
+	cfg.StdSamples = 0
+	fed, err := data.GenerateSent140(cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
+	m, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, 64, 32, 16, fed.NumClasses}, BatchNorm: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fed, m
+}
+
+// BenchmarkMetaGradInto measures one full buffered second-order meta-gradient
+// (inner step + outer gradient + HVP correction) — the workspace counterpart
+// of BenchmarkMetaStep's allocating path, and the unit of node compute in
+// every round. softmax is the synthetic model with its analytic HVP; mlp360
+// is the model of bench/'s mem_mlp_compute, tcp_mlp_topk and ft_ckpt_obs
+// workloads with the finite-difference HVP (four backward passes per op).
+func BenchmarkMetaGradInto(b *testing.B) {
+	synth, sm := benchFederation(b)
+	sent, mlp := benchSent140(b)
+	for _, tc := range []struct {
+		name string
+		m    nn.Model
+		nd   *data.NodeDataset
+	}{
+		{"softmax", sm, synth.Sources[0]},
+		{"mlp360", mlp, sent.Sources[0]},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			theta := tc.m.InitParams(rng.New(1))
+			ws := meta.NewWorkspace(tc.m)
+			grad := tensor.NewVec(tc.m.NumParams())
+			ws.GradInto(theta, tc.nd.Train, tc.nd.Test, 0.05, meta.SecondOrder, grad)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.GradInto(theta, tc.nd.Train, tc.nd.Test, 0.05, meta.SecondOrder, grad)
+			}
+		})
+	}
+}
+
+// BenchmarkInputGradInto measures one frozen-batch-norm input gradient at
+// the same model: the per-sample, per-ascent-step kernel of Algorithm 2's
+// adversarial data generation (dro.Perturb) and of the FGSM/PGD attacks.
+func BenchmarkInputGradInto(b *testing.B) {
+	fed, m := benchSent140(b)
+	b.Run("mlp360", func(b *testing.B) {
+		theta := m.InitParams(rng.New(1))
+		nd := fed.Sources[0]
+		ws := m.NewWorkspace()
+		out := tensor.NewVec(m.InputDim())
+		m.InputGradInto(ws, theta, nd.Train[0], nd.Train, out)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.InputGradInto(ws, theta, nd.Train[0], nd.Train, out)
+		}
+	})
 }
 
 // --- Codec kernel benchmarks (DESIGN.md §10) ---

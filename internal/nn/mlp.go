@@ -170,8 +170,10 @@ type mlpCache struct {
 	// preAct[l][j] is the value fed to ReLU (after BN scale/shift, or z).
 	preAct [][]tensor.Vec
 	// mean[l], istd[l] are the per-feature batch statistics of hidden
-	// layer l (BN only).
+	// layer l (BN only); frozen records that the caller supplied them, so
+	// backprop must treat them as constants.
 	mean, istd []tensor.Vec
+	frozen     bool
 	logits     []tensor.Vec
 }
 
@@ -193,7 +195,9 @@ type mlpWorkspace struct {
 	logits []tensor.Vec   // [fwCap]
 	cache  mlpCache       // per-call reslices of the buffers above
 
-	// Backward buffers, capacity bwCap samples per layer.
+	// Backward buffers, capacity bwCap samples per layer. delta[0], the
+	// per-sample input gradients, has its own capacity (its length): only
+	// input-gradient calls allocate it.
 	bwCap                int
 	delta                [][]tensor.Vec // [layers][bwCap]; delta[l][j] sized dims[l]
 	dzhat                [][]tensor.Vec // [hidden][bwCap], BN only
@@ -202,7 +206,6 @@ type mlpWorkspace struct {
 
 	// Rebindable parameter and gradient views, plus InputGrad scratch.
 	pv, gv mlpView
-	igrad  tensor.Vec // discarded parameter grads of InputGradInto
 	gstep  tensor.Vec // gradient accumulator of the fused GradStepInto
 	dx1    []tensor.Vec
 	frozen bnStats
@@ -288,13 +291,19 @@ func (ws *mlpWorkspace) ensureForward(n int) {
 	ws.logits = allocVecs(n, m.NumClasses())
 }
 
-func (ws *mlpWorkspace) ensureBackward(n int) {
+// ensureBackward sizes the backward buffers for a batch of n. The n × dims[0]
+// input-gradient buffer is by far the largest of them and feeds no parameter
+// gradient, so it exists only once a caller has asked for input gradients.
+func (ws *mlpWorkspace) ensureBackward(n int, inputGrad bool) {
+	m := ws.m
+	if inputGrad && n > len(ws.delta[0]) {
+		ws.delta[0] = allocVecs(n, m.dims[0])
+	}
 	if n <= ws.bwCap {
 		return
 	}
-	m := ws.m
 	ws.bwCap = n
-	for l := 0; l < m.layers(); l++ {
+	for l := 1; l < m.layers(); l++ {
 		ws.delta[l] = allocVecs(n, m.dims[l])
 	}
 	ws.probs = allocVecs(n, m.NumClasses())
@@ -328,6 +337,7 @@ func (m *MLP) forward(ws *mlpWorkspace, v mlpView, batch []data.Sample, frozen *
 		}
 	}
 	c.logits = ws.logits[:n]
+	c.frozen = frozen != nil
 
 	for j, s := range batch {
 		if len(s.X) != m.dims[0] {
@@ -466,7 +476,7 @@ func (m *MLP) GradInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, 
 		m.viewInto(&ws.pv, params)
 		m.viewInto(&ws.gv, out)
 		c := m.forward(ws, ws.pv, batch, nil)
-		m.backward(ws, ws.pv, ws.gv, c, batch, nil)
+		m.backward(ws, ws.pv, &ws.gv, c, batch, nil)
 	}
 	if m.l2 != 0 {
 		out.Axpy(m.l2, params)
@@ -493,7 +503,7 @@ func (m *MLP) GradStepInto(wsAny Workspace, params tensor.Vec, batch []data.Samp
 		m.viewInto(&ws.pv, params)
 		m.viewInto(&ws.gv, g)
 		c := m.forward(ws, ws.pv, batch, nil)
-		m.backward(ws, ws.pv, ws.gv, c, batch, nil)
+		m.backward(ws, ws.pv, &ws.gv, c, batch, nil)
 	}
 	if m.l2 != 0 {
 		// out = params − lr·(g + l2·params): the L2 axpy of GradInto and the
@@ -507,24 +517,29 @@ func (m *MLP) GradStepInto(wsAny Workspace, params tensor.Vec, batch []data.Samp
 	params.AxpyInto(-lr, g, out)
 }
 
-// backward accumulates parameter gradients into gv. If dx is non-nil it
-// also stores the loss gradient with respect to each input sample into
-// dx[j] (aliasing ws.delta[0] memory); in that mode BN statistics are
-// treated as constants (frozen).
-func (m *MLP) backward(ws *mlpWorkspace, v, gv mlpView, c *mlpCache, batch []data.Sample, dx []tensor.Vec) {
+// backward backpropagates the batch loss through the forward pass cached in
+// c and computes the outputs its caller asks for, no others: with a non-nil
+// gv the parameter gradients, accumulated into gv (GradInto, GradStepInto
+// and, through them, the finite-difference HVP); with a non-nil dx the loss
+// gradient with respect to each input sample, stored into dx[j] (aliasing
+// ws.delta[0] memory; InputGradInto). Both are read off the same chain of
+// deltas and neither feeds it — no delta reads a parameter gradient, no
+// parameter gradient reads an input gradient — so leaving one out cannot
+// change a bit of the other. Batch-norm statistics are differentiated through
+// unless the forward pass was handed frozen ones.
+func (m *MLP) backward(ws *mlpWorkspace, v mlpView, gv *mlpView, c *mlpCache, batch []data.Sample, dx []tensor.Vec) {
 	n := len(batch)
-	ws.ensureBackward(n)
+	inputGrad := dx != nil
+	ws.ensureBackward(n, inputGrad)
 	invN := 1 / float64(n)
 	hidden := m.layers() - 1
 	last := m.layers() - 1
 
-	// d holds ∂loss/∂(input of layer l+1) per sample, i.e. post-ReLU grads.
-	// The loss layer runs as three blocked passes — per-sample softmax
-	// gradients, then one batched outer-product accumulation and one batched
-	// transposed product — instead of interleaving tiny kernels per sample;
-	// the per-element accumulation order (ascending sample index) is the
-	// same, so the gradients are bit-identical.
-	d := ws.delta[last][:n]
+	// The loss layer runs as blocked passes — per-sample softmax gradients,
+	// then one batched outer-product accumulation and one batched transposed
+	// product — instead of interleaving tiny kernels per sample; the
+	// per-element accumulation order (ascending sample index) is the same, so
+	// the gradients are bit-identical.
 	probs := ws.probs[:n]
 	for j, s := range batch {
 		p := probs[j]
@@ -532,11 +547,8 @@ func (m *MLP) backward(ws *mlpWorkspace, v, gv mlpView, c *mlpCache, batch []dat
 		p[s.Y]--
 		p.ScaleInPlace(invN)
 	}
-	gv.w[last].AddOuterBatch(1, probs, c.inputs[last])
-	for j := 0; j < n; j++ {
-		gv.b[last].AddInPlace(probs[j])
-	}
-	v.w[last].MulVecTBatch(probs, d)
+	// d holds ∂loss/∂(input of layer l+1) per sample, i.e. post-ReLU grads.
+	d := m.backwardLinear(ws, v, gv, c, last, probs, inputGrad)
 
 	for l := hidden - 1; l >= 0; l-- {
 		dim := m.dims[l+1]
@@ -551,48 +563,63 @@ func (m *MLP) backward(ws *mlpWorkspace, v, gv mlpView, c *mlpCache, batch []dat
 			}
 		}
 
-		var dz []tensor.Vec
+		dz := dy
 		if m.batchNorm {
 			// Through the affine BN parameters.
-			dzhat := ws.dzhat[l][:n]
+			dz = ws.dzhat[l][:n]
+			gamma := v.gamma[l]
 			for j := 0; j < n; j++ {
-				dzh := dzhat[j]
+				if gv != nil {
+					zhat := c.zhat[l][j]
+					for f := 0; f < dim; f++ {
+						gv.gamma[l][f] += dy[j][f] * zhat[f]
+						gv.beta[l][f] += dy[j][f]
+					}
+				}
 				for f := 0; f < dim; f++ {
-					gv.gamma[l][f] += dy[j][f] * c.zhat[l][j][f]
-					gv.beta[l][f] += dy[j][f]
-					dzh[f] = dy[j][f] * v.gamma[l][f]
+					dz[j][f] = dy[j][f] * gamma[f]
 				}
 			}
-			dz = dzhat
-			if dx != nil {
-				// Frozen statistics: dz = dzhat * istd.
+			if c.frozen {
+				// Constant statistics: dz = dzhat * istd.
 				for j := 0; j < n; j++ {
 					for f := 0; f < dim; f++ {
 						dz[j][f] *= c.istd[l][f]
 					}
 				}
 			} else {
-				bnBackwardInPlace(dzhat, c.z[l], c.mean[l], c.istd[l],
+				bnBackwardInPlace(dz, c.z[l], c.mean[l], c.istd[l],
 					ws.sumDzhat[:dim], ws.sumDzhatZc[:dim])
 			}
-		} else {
-			dz = dy
 		}
+		d = m.backwardLinear(ws, v, gv, c, l, dz, inputGrad)
+	}
 
-		prev := ws.delta[l][:n]
+	for j := range dx {
+		dx[j] = d[j]
+	}
+}
+
+// backwardLinear is backward's step through linear layer l, given dz =
+// ∂loss/∂(the layer's output) per sample: the weight and bias gradients when
+// gv is non-nil, then ∂loss/∂(the layer's input) = Wₗᵀ·dz, which it returns.
+// Below layer 0 there is no layer to hand that product to — it is the loss
+// gradient with respect to the input features, dims[1] × dims[0]
+// multiply-adds per sample on the widest matrix of the network — so it is
+// computed only when the caller wants input gradients.
+func (m *MLP) backwardLinear(ws *mlpWorkspace, v mlpView, gv *mlpView, c *mlpCache, l int, dz []tensor.Vec, inputGrad bool) []tensor.Vec {
+	if gv != nil {
 		gv.w[l].AddOuterBatch(1, dz, c.inputs[l])
-		for j := 0; j < n; j++ {
+		for j := range dz {
 			gv.b[l].AddInPlace(dz[j])
 		}
-		v.w[l].MulVecTBatch(dz, prev)
-		d = prev
 	}
-
-	if dx != nil {
-		for j := 0; j < n; j++ {
-			dx[j] = d[j]
-		}
+	if l == 0 && !inputGrad {
+		return nil
 	}
+	prev := ws.delta[l][:len(dz)]
+	v.w[l].MulVecTBatch(dz, prev)
+	return prev
 }
 
 // bnBackwardInPlace propagates gradients through batch normalization,
@@ -650,12 +677,7 @@ func (m *MLP) InputGradInto(wsAny Workspace, params tensor.Vec, s data.Sample, c
 	}
 	batch := []data.Sample{s}
 	c := m.forward(ws, ws.pv, batch, frozen)
-	if ws.igrad == nil {
-		ws.igrad = tensor.NewVec(m.numParams)
-	}
-	ws.igrad.Zero()
-	m.viewInto(&ws.gv, ws.igrad) // scratch; parameter grads discarded
-	m.backward(ws, ws.pv, ws.gv, c, batch, ws.dx1)
+	m.backward(ws, ws.pv, nil, c, batch, ws.dx1)
 	out.CopyFrom(ws.dx1[0])
 }
 

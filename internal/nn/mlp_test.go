@@ -156,6 +156,48 @@ func TestMLPInputGradWithBNFiniteAndNonZero(t *testing.T) {
 	}
 }
 
+// The frozen-BN input gradient is the exact gradient of the loss whose
+// batch-normalization statistics are those of ctx held constant: compare it
+// with a central difference of that loss, evaluated by the frozen forward
+// pass directly.
+func TestMLPInputGradFrozenBNMatchesNumerical(t *testing.T) {
+	r := rng.New(7)
+	m := mustMLP(t, MLPConfig{Dims: []int{5, 6, 4, 3}, BatchNorm: true})
+	p := m.InitParams(r)
+	for i := range p {
+		p[i] += 0.3 * r.Norm() // off the γ=1, β=0, b=0 initialization
+	}
+	ctx := randBatch(r, 6, 5, 3)
+	s := ctx[0]
+	got := m.InputGrad(p, s, ctx)
+
+	ws := m.workspace(nil)
+	v := m.view(p)
+	ref := m.forward(ws, v, ctx, nil)
+	frozen := &bnStats{mean: ref.mean, istd: ref.istd} // written by non-frozen forwards only
+	frozenLoss := func() float64 {
+		c := m.forward(ws, v, []data.Sample{s}, frozen)
+		return tensor.CrossEntropyFromLogits(c.logits[0], s.Y)
+	}
+	const eps = 1e-6
+	want := tensor.NewVec(5)
+	for i := range s.X {
+		orig := s.X[i]
+		s.X[i] = orig + eps
+		lp := frozenLoss()
+		s.X[i] = orig - eps
+		lm := frozenLoss()
+		s.X[i] = orig
+		want[i] = (lp - lm) / (2 * eps)
+	}
+	if got.Norm() == 0 {
+		t.Fatal("frozen-BN input gradient is identically zero")
+	}
+	if e := relErr(got, want); e > 1e-5 {
+		t.Errorf("frozen-BN input gradient relErr = %v\n got %v\nwant %v", e, got, want)
+	}
+}
+
 func TestMLPGradientDescentReducesLoss(t *testing.T) {
 	r := rng.New(8)
 	m := mustMLP(t, MLPConfig{Dims: []int{4, 8, 3}, BatchNorm: true})

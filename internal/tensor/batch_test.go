@@ -1,24 +1,35 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
-// lcgFill fills v deterministically, planting an exact zero every fifth
-// entry so the zero-coefficient skip paths of the batched kernels are
-// exercised alongside the dense fast paths.
+// lcgFill fills v deterministically with non-zero values in (−1, 1).
 func lcgFill(v Vec, seed *uint64) {
 	for i := range v {
 		*seed = *seed*6364136223846793005 + 1442695040888963407
-		if i%5 == 4 {
-			v[i] = 0
-			continue
-		}
 		v[i] = float64(int64(*seed>>33))/float64(1<<30) - 1
+		if v[i] == 0 {
+			v[i] = 0.5
+		}
 	}
 }
 
 func lcgMat(rows, cols int, seed *uint64) *Mat {
 	m := NewMat(rows, cols)
 	lcgFill(m.Data, seed)
+	return m
+}
+
+// lcgAccumulator is lcgMat with −0 in every third element: an accumulator
+// whose row is skipped must keep that sign, where adding 0·y would flip it.
+func lcgAccumulator(rows, cols int, seed *uint64) *Mat {
+	m := lcgMat(rows, cols, seed)
+	for i := 0; i < len(m.Data); i += 3 {
+		m.Data[i] = math.Copysign(0, -1)
+	}
 	return m
 }
 
@@ -31,26 +42,107 @@ func lcgVecs(n, dim int, seed *uint64) []Vec {
 	return vs
 }
 
-// The batched kernels must be bit-identical to their per-sample loops — the
-// par determinism contract extends to tiling. Batch sizes 1..9 cover the
-// singles fallback (n < tile), full tiles (4, 8) and odd remainders.
-func TestMulVecBatchMatchesPerSample(t *testing.T) {
-	seed := uint64(1)
-	m := lcgMat(6, 7, &seed)
-	bias := NewVec(6)
-	lcgFill(bias, &seed)
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
-		xs := lcgVecs(n, 7, &seed)
-		outs := lcgVecs(n, 6, &seed) // pre-filled garbage: kernel must overwrite
-		m.MulVecBatch(xs, bias, outs)
-		ref := NewVec(6)
-		for j := range xs {
-			m.MulVec(xs[j], ref)
-			ref.AddInPlace(bias)
-			for i := range ref {
-				if outs[j][i] != ref[i] {
-					t.Fatalf("n=%d sample %d out[%d] = %v, want %v (bit-exact)", n, j, i, outs[j][i], ref[i])
+// tileCoeffs returns n coefficient vectors for the kernels that skip zero
+// coefficients. Entry i of sample j is zero iff bit j%4 of (i + j/4) mod 16
+// is set, so over any 16 consecutive rows a four-sample tile meets all 16
+// zero/non-zero combinations of its lanes (all non-zero: the fast path; all
+// zero: nothing to do; the 14 mixtures: the per-sample fallthrough), and a
+// remainder sample's own vector mixes zeros into every lane of the
+// four-row blocks of the per-sample kernels. Every fourth planted zero is
+// −0, which must be skipped like +0.
+func tileCoeffs(n, dim int, seed *uint64) []Vec {
+	xs := lcgVecs(n, dim, seed)
+	for j, x := range xs {
+		for i := range x {
+			if ((i+j/4)%16)>>(j%4)&1 == 1 {
+				x[i] = 0
+				if (i+j)%4 == 0 {
+					x[i] = math.Copysign(0, -1)
 				}
+			}
+		}
+	}
+	return xs
+}
+
+// The oracles: the one-accumulator per-sample kernels every tiled, blocked
+// or batched variant must reproduce bit for bit, kept here so the exported
+// kernels can be restructured freely.
+
+func refMulVec(m *Mat, x, out Vec) {
+	for i := 0; i < m.Rows; i++ {
+		var s float64
+		for k, r := range m.Row(i) {
+			s += r * x[k]
+		}
+		out[i] = s
+	}
+}
+
+func refMulVecT(m *Mat, x, out Vec) {
+	out.Zero()
+	for i := 0; i < m.Rows; i++ {
+		if x[i] == 0 {
+			continue
+		}
+		for k, r := range m.Row(i) {
+			out[k] += r * x[i]
+		}
+	}
+}
+
+func refAddOuter(m *Mat, c float64, x, y Vec) {
+	for i := 0; i < m.Rows; i++ {
+		cxi := c * x[i]
+		if cxi == 0 {
+			continue
+		}
+		row := m.Row(i)
+		for k := range row {
+			row[k] += cxi * y[k]
+		}
+	}
+}
+
+// requireSameBits fails unless got and want agree bit for bit — stricter
+// than ==, which cannot tell −0 from +0 and never equates two NaNs.
+func requireSameBits(t *testing.T, what string, got, want Vec) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// kernelShapes are the two shapes every identity table runs at: a small one
+// whose 19 rows and 7 columns leave a remainder in every blocked loop, and
+// the first layer of the Sent140 MLP (64×360) the bench/ workloads run.
+var kernelShapes = []struct{ rows, cols int }{{19, 7}, {64, 360}}
+
+// maxTableBatch bounds the batch sizes of the identity tables: n = 1…13
+// covers no full tile, one to three full tiles, and every remainder after
+// each.
+const maxTableBatch = 13
+
+// The batched kernels must be bit-identical to their per-sample loops — the
+// par determinism contract extends to tiling.
+func TestMulVecBatchMatchesPerSample(t *testing.T) {
+	for _, sh := range kernelShapes {
+		seed := uint64(1)
+		m := lcgMat(sh.rows, sh.cols, &seed)
+		bias := NewVec(sh.rows)
+		lcgFill(bias, &seed)
+		for n := 1; n <= maxTableBatch; n++ {
+			xs := tileCoeffs(n, sh.cols, &seed) // zeros and −0 among the inputs
+			outs := lcgVecs(n, sh.rows, &seed)  // pre-filled garbage: kernel must overwrite
+			m.MulVecBatch(xs, bias, outs)
+			ref := NewVec(sh.rows)
+			for j := range xs {
+				refMulVec(m, xs[j], ref)
+				ref.AddInPlace(bias)
+				requireSameBits(t, fmt.Sprintf("%dx%d n=%d sample %d", sh.rows, sh.cols, n, j), outs[j], ref)
 			}
 		}
 	}
@@ -64,29 +156,23 @@ func TestMulVecBatchNilBias(t *testing.T) {
 	m.MulVecBatch(xs, nil, outs)
 	ref := NewVec(4)
 	for j := range xs {
-		m.MulVec(xs[j], ref)
-		for i := range ref {
-			if outs[j][i] != ref[i] {
-				t.Fatalf("sample %d out[%d] = %v, want %v", j, i, outs[j][i], ref[i])
-			}
-		}
+		refMulVec(m, xs[j], ref)
+		requireSameBits(t, fmt.Sprintf("sample %d", j), outs[j], ref)
 	}
 }
 
 func TestMulVecTBatchMatchesPerSample(t *testing.T) {
-	seed := uint64(3)
-	m := lcgMat(6, 7, &seed)
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
-		xs := lcgVecs(n, 6, &seed) // every fifth entry zero: exercises skip paths
-		outs := lcgVecs(n, 7, &seed)
-		m.MulVecTBatch(xs, outs)
-		ref := NewVec(7)
-		for j := range xs {
-			m.MulVecT(xs[j], ref)
-			for k := range ref {
-				if outs[j][k] != ref[k] {
-					t.Fatalf("n=%d sample %d out[%d] = %v, want %v (bit-exact)", n, j, k, outs[j][k], ref[k])
-				}
+	for _, sh := range kernelShapes {
+		seed := uint64(3)
+		m := lcgMat(sh.rows, sh.cols, &seed)
+		for n := 1; n <= maxTableBatch; n++ {
+			xs := tileCoeffs(n, sh.rows, &seed)
+			outs := lcgVecs(n, sh.cols, &seed)
+			m.MulVecTBatch(xs, outs)
+			ref := NewVec(sh.cols)
+			for j := range xs {
+				refMulVecT(m, xs[j], ref)
+				requireSameBits(t, fmt.Sprintf("%dx%d n=%d sample %d", sh.rows, sh.cols, n, j), outs[j], ref)
 			}
 		}
 	}
@@ -107,29 +193,131 @@ func TestMulVecTBatchAllZeroRow(t *testing.T) {
 	m.MulVecTBatch(xs, outs)
 	ref := NewVec(4)
 	for j := range xs {
-		m.MulVecT(xs[j], ref)
-		for k := range ref {
-			if outs[j][k] != ref[k] {
-				t.Fatalf("sample %d out[%d] = %v, want %v", j, k, outs[j][k], ref[k])
-			}
-		}
+		refMulVecT(m, xs[j], ref)
+		requireSameBits(t, fmt.Sprintf("sample %d", j), outs[j], ref)
 	}
 }
 
 func TestAddOuterBatchMatchesPerSample(t *testing.T) {
-	for _, n := range []int{1, 3, 7, 8, 9, 17} { // below, at, and past the 8-sample block
+	for _, sh := range kernelShapes {
 		seed := uint64(5)
-		xs := lcgVecs(n, 4, &seed) // zeros exercise the cxi == 0 skip
-		ys := lcgVecs(n, 5, &seed)
-		got := lcgMat(4, 5, &seed)
-		want := got.Clone()
-		got.AddOuterBatch(-0.75, xs, ys)
-		for j := range xs {
-			want.AddOuterInPlace(-0.75, xs[j], ys[j])
+		for n := 1; n <= maxTableBatch; n++ {
+			xs := tileCoeffs(n, sh.rows, &seed)
+			ys := lcgVecs(n, sh.cols, &seed)
+			got := lcgAccumulator(sh.rows, sh.cols, &seed)
+			want := got.Clone()
+			got.AddOuterBatch(-0.75, xs, ys)
+			for j := range xs {
+				refAddOuter(want, -0.75, xs[j], ys[j])
+			}
+			requireSameBits(t, fmt.Sprintf("%dx%d n=%d", sh.rows, sh.cols, n), got.Data, want.Data)
 		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("n=%d element %d = %v, want %v (bit-exact)", n, i, got.Data[i], want.Data[i])
+	}
+}
+
+// The per-sample kernels block four rows per pass; each must reproduce the
+// one-accumulator oracle bit for bit, remainder rows and zero-coefficient
+// skips included. tileCoeffs(13, …) hands every four-row block a different
+// mixture of zero and non-zero coefficients.
+func TestRowBlockedKernelsMatchReference(t *testing.T) {
+	for _, sh := range kernelShapes {
+		seed := uint64(6)
+		m := lcgMat(sh.rows, sh.cols, &seed)
+		what := fmt.Sprintf("%dx%d", sh.rows, sh.cols)
+
+		for j, x := range tileCoeffs(maxTableBatch, sh.cols, &seed) {
+			got, want := lcgVecs(1, sh.rows, &seed)[0], NewVec(sh.rows)
+			m.MulVec(x, got)
+			refMulVec(m, x, want)
+			requireSameBits(t, fmt.Sprintf("MulVec %s input %d", what, j), got, want)
+		}
+		for j, x := range tileCoeffs(maxTableBatch, sh.rows, &seed) {
+			got, want := lcgVecs(1, sh.cols, &seed)[0], NewVec(sh.cols)
+			m.MulVecT(x, got)
+			refMulVecT(m, x, want)
+			requireSameBits(t, fmt.Sprintf("MulVecT %s input %d", what, j), got, want)
+
+			y := lcgVecs(1, sh.cols, &seed)[0]
+			acc := lcgAccumulator(sh.rows, sh.cols, &seed)
+			wantAcc := acc.Clone()
+			acc.AddOuterInPlace(1.5, x, y)
+			refAddOuter(wantAcc, 1.5, x, y)
+			requireSameBits(t, fmt.Sprintf("AddOuterInPlace %s input %d", what, j), acc.Data, wantAcc.Data)
+		}
+	}
+}
+
+// Special values. A zero coefficient means "skip", never "multiply by zero":
+// ±Inf or NaN sitting in a weight row or a right-hand vector whose
+// coefficient is zero must leave the output untouched (0·Inf would plant a
+// NaN), and with a non-zero coefficient they must propagate exactly as the
+// per-sample loop propagates them. Each output element meets at most one
+// special value, so its bits do not depend on which of two NaN operands an
+// addition keeps.
+func TestBatchKernelsSpecialValues(t *testing.T) {
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, sh := range kernelShapes {
+		for n := 1; n <= maxTableBatch; n++ {
+			what := fmt.Sprintf("%dx%d n=%d", sh.rows, sh.cols, n)
+			seed := uint64(7)
+
+			// MulVecTBatch and MulVecT: specials in the weights, one per
+			// column, on rows where some samples' coefficients are zero.
+			m := lcgMat(sh.rows, sh.cols, &seed)
+			for k := 0; k < sh.cols; k++ {
+				m.Set((3*k+1)%sh.rows, k, specials[k%len(specials)])
+			}
+			xs := tileCoeffs(n, sh.rows, &seed)
+			outs := lcgVecs(n, sh.cols, &seed)
+			m.MulVecTBatch(xs, outs)
+			single, ref := NewVec(sh.cols), NewVec(sh.cols)
+			finite := 0
+			for j := range xs {
+				refMulVecT(m, xs[j], ref)
+				requireSameBits(t, "MulVecTBatch "+what, outs[j], ref)
+				m.MulVecT(xs[j], single)
+				requireSameBits(t, "MulVecT "+what, single, ref)
+				for _, v := range ref {
+					if !math.IsNaN(v) && !math.IsInf(v, 0) {
+						finite++
+					}
+				}
+			}
+			if finite == 0 || finite == n*sh.cols {
+				t.Fatalf("%s: %d of %d transposed outputs finite; the table must hold skipped and propagated specials", what, finite, n*sh.cols)
+			}
+
+			// AddOuterBatch and AddOuterInPlace: specials in the right-hand
+			// vectors, one per column, spread over the samples.
+			ys := lcgVecs(n, sh.cols, &seed)
+			for k := 0; k < sh.cols; k++ {
+				ys[k%n][k] = specials[(k/n)%len(specials)]
+			}
+			got := lcgMat(sh.rows, sh.cols, &seed)
+			want, blocked := got.Clone(), got.Clone()
+			got.AddOuterBatch(0.5, xs, ys)
+			for j := range xs {
+				refAddOuter(want, 0.5, xs[j], ys[j])
+				blocked.AddOuterInPlace(0.5, xs[j], ys[j])
+			}
+			requireSameBits(t, "AddOuterBatch "+what, got.Data, want.Data)
+			requireSameBits(t, "AddOuterInPlace "+what, blocked.Data, want.Data)
+
+			// MulVecBatch and MulVec skip nothing: 0·Inf is NaN in the oracle
+			// and must be the same NaN here. One special per input vector.
+			w := lcgMat(sh.rows, sh.cols, &seed)
+			ins := lcgVecs(n, sh.cols, &seed)
+			for j := range ins {
+				ins[j][(5*j+2)%sh.cols] = specials[j%len(specials)]
+			}
+			fw := lcgVecs(n, sh.rows, &seed)
+			w.MulVecBatch(ins, nil, fw)
+			one, refOut := NewVec(sh.rows), NewVec(sh.rows)
+			for j := range ins {
+				refMulVec(w, ins[j], refOut)
+				requireSameBits(t, "MulVecBatch "+what, fw[j], refOut)
+				w.MulVec(ins[j], one)
+				requireSameBits(t, "MulVec "+what, one, refOut)
 			}
 		}
 	}
@@ -184,29 +372,39 @@ func TestAxpyInto(t *testing.T) {
 	}
 }
 
-// Benchmarks comparing the tiled batch kernels against per-sample loops on
-// a Sent140-shaped layer (64 features, 16 hidden, 32-sample batch).
-func benchBatchSetup(b *testing.B, rows, cols, n int) (*Mat, []Vec, []Vec) {
-	b.Helper()
-	seed := uint64(1)
-	m := lcgMat(rows, cols, &seed)
-	xs := lcgVecs(n, cols, &seed)
-	outs := lcgVecs(n, rows, &seed)
-	return m, xs, outs
+// Benchmarks comparing the tiled batch kernels against per-sample loops:
+// on the fig-scale CI layer the tiles were first sized on (16 hidden units,
+// 64 features, 32 samples) and on the first layer of the Sent140 MLP the
+// bench/ workloads run (64×360) at its train (K=5) and test (41) batch
+// sizes. Coefficients are dense, as they are under batch normalization.
+var batchBenchShapes = []struct{ rows, cols, n int }{{16, 64, 32}, {64, 360, 5}, {64, 360, 41}}
+
+// benchBatchKernel runs batched and perSample as sub-benchmarks at every
+// shape; setup returns the two closures for one shape.
+func benchBatchKernel(b *testing.B, setup func(rows, cols, n int) (batched, perSample func())) {
+	for _, sh := range batchBenchShapes {
+		batched, perSample := setup(sh.rows, sh.cols, sh.n)
+		for _, v := range []struct {
+			name string
+			fn   func()
+		}{{"batched", batched}, {"per-sample", perSample}} {
+			b.Run(fmt.Sprintf("%dx%d/n%d/%s", sh.rows, sh.cols, sh.n, v.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.fn()
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkMulVecBatch(b *testing.B) {
-	m, xs, outs := benchBatchSetup(b, 16, 64, 32)
-	bias := NewVec(16)
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.MulVecBatch(xs, bias, outs)
-		}
-	})
-	b.Run("per-sample", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+	benchBatchKernel(b, func(rows, cols, n int) (func(), func()) {
+		seed := uint64(1)
+		m := lcgMat(rows, cols, &seed)
+		xs, outs := lcgVecs(n, cols, &seed), lcgVecs(n, rows, &seed)
+		bias := NewVec(rows)
+		return func() { m.MulVecBatch(xs, bias, outs) }, func() {
 			for j := range xs {
 				m.MulVec(xs[j], outs[j])
 				outs[j].AddInPlace(bias)
@@ -215,22 +413,30 @@ func BenchmarkMulVecBatch(b *testing.B) {
 	})
 }
 
-func BenchmarkAddOuterBatch(b *testing.B) {
-	seed := uint64(2)
-	m := lcgMat(16, 64, &seed)
-	xs := lcgVecs(32, 16, &seed)
-	ys := lcgVecs(32, 64, &seed)
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.AddOuterBatch(0.5, xs, ys)
+func BenchmarkMulVecTBatch(b *testing.B) {
+	benchBatchKernel(b, func(rows, cols, n int) (func(), func()) {
+		seed := uint64(3)
+		m := lcgMat(rows, cols, &seed)
+		xs, outs := lcgVecs(n, rows, &seed), lcgVecs(n, cols, &seed)
+		return func() { m.MulVecTBatch(xs, outs) }, func() {
+			for j := range xs {
+				m.MulVecT(xs[j], outs[j])
+			}
 		}
 	})
-	b.Run("per-sample", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+}
+
+func BenchmarkAddOuterBatch(b *testing.B) {
+	benchBatchKernel(b, func(rows, cols, n int) (func(), func()) {
+		seed := uint64(2)
+		m := lcgMat(rows, cols, &seed)
+		xs, ys := lcgVecs(n, rows, &seed), lcgVecs(n, cols, &seed)
+		// c = 0 would be skipped; alternating signs keep the sums bounded.
+		c := 0.5
+		return func() { c = -c; m.AddOuterBatch(c, xs, ys) }, func() {
+			c = -c
 			for j := range xs {
-				m.AddOuterInPlace(0.5, xs[j], ys[j])
+				m.AddOuterInPlace(c, xs[j], ys[j])
 			}
 		}
 	})
