@@ -323,6 +323,66 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	})
 }
 
+// BenchmarkShardedSimRound measures one global round at the fleet shape of
+// ext-scale: 65 536 core.SimNodeLinks of 32 params (linear dynamics
+// u = θ + η(c_i − θ)) under 8 shard aggregators and a director. Round 1
+// sizes every per-link and per-shard buffer and runs before the timer
+// starts, so allocs/op is the steady-state round's — a handful per shard,
+// none per node (TestShardedSimRoundAllocsPerNode pins that).
+func BenchmarkShardedSimRound(b *testing.B) {
+	const n, dim, shards, eta = 65536, 32, 8, 0.3
+	r := rng.New(1)
+	centres := make([]float64, n*dim)
+	for i := range centres {
+		centres[i] = r.Norm()
+	}
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = 0.5 + float64(i%10)/10
+	}
+	ranges := core.ShardRanges(n, shards)
+	dirLinks := make([]transport.Link, len(ranges))
+	shardCfg := core.Config{Alpha: 0.01, Beta: 0.01, T: b.N + 1, T0: 1, Seed: 1}
+	errs := make(chan error, len(ranges))
+	for s, rg := range ranges {
+		var up transport.Link
+		dirLinks[s], up = transport.Pair()
+		sim := make([]core.SimNodeLink, rg.Hi-rg.Lo)
+		links := make([]transport.Link, len(sim))
+		for k := range sim {
+			sim[k] = core.SimNodeLink{ID: rg.Lo + k, Update: func(id, _, _ int, theta []float64) []float64 {
+				c := centres[id*dim : (id+1)*dim]
+				for d := range theta {
+					theta[d] += eta * (c[d] - theta[d])
+				}
+				return theta
+			}}
+			links[k] = &sim[k]
+		}
+		go func(up transport.Link, links []transport.Link, rg core.ShardRange) {
+			errs <- core.RunShardAggregator(up, links, weights[rg.Lo:rg.Hi], rg, shardCfg)
+		}(up, links, rg)
+	}
+	dirCfg := shardCfg
+	dirCfg.OnRound = func(round, _ int, _ tensor.Vec) {
+		if round == 1 {
+			b.ResetTimer()
+		}
+	}
+	theta0 := tensor.NewVec(dim)
+	b.ReportAllocs()
+	_, _, _, err := core.RunDirector(dirLinks, ranges, theta0, dirCfg)
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range ranges {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationLocalSteps measures how the communication budget trades
 // against wall time as T0 varies at fixed T (the knob Theorem 2 analyzes).
 func BenchmarkAblationLocalSteps(b *testing.B) {

@@ -74,15 +74,14 @@ func (ls *linkSet) initBuffered() {
 	}
 }
 
-// pollUpdate waits one poll interval for an update from link i, accepting a
-// reply to any round or θ-version — the async gather weighs staleness at
-// apply time instead of discarding late answers.
-func (ls *linkSet) pollUpdate(i int, rd *nodeRound) (transport.Msg, error) {
-	msg, err := ls.ops.recv(i, ls.pollTO)
-	if err != nil {
-		return transport.Msg{}, fmt.Errorf("core: async gather from node %d in round %d: %w", ls.base+i, rd.round, err)
+// pollUpdate waits one poll interval for an update from link i, storing it
+// in *msg and accepting a reply to any round or θ-version — the async
+// gather weighs staleness at apply time instead of discarding late answers.
+func (ls *linkSet) pollUpdate(msg *transport.Msg, i int, rd *nodeRound) error {
+	if err := ls.ops.recv(i, ls.pollTO, msg); err != nil {
+		return fmt.Errorf("core: async gather from node %d in round %d: %w", ls.base+i, rd.round, err)
 	}
-	return msg, ls.vetUpdate(i, rd.round, &msg, rd.theta, true)
+	return ls.vetUpdate(i, rd.round, msg, rd.theta, true)
 }
 
 // writeOffStale gives every assignment that fell past the drop bound one
@@ -97,7 +96,8 @@ func (ls *linkSet) writeOffStale(rd *nodeRound) {
 			continue
 		}
 		ls.pending[i] = -1
-		msg, err := ls.pollUpdate(i, rd)
+		var msg transport.Msg
+		err := ls.pollUpdate(&msg, i, rd)
 		if err != nil && !errors.Is(err, errDecode) {
 			err = fmt.Errorf("in-flight update at version %d exceeded staleness bound %d at version %d", pv, ls.c.MaxStaleness, rd.ver)
 		}
@@ -147,7 +147,8 @@ func (ls *linkSet) gatherBuffered(rd *nodeRound, selected []int) error {
 				continue
 			}
 			anyPending = true
-			msg, err := ls.pollUpdate(i, rd)
+			var msg transport.Msg
+			err := ls.pollUpdate(&msg, i, rd)
 			if errors.Is(err, transport.ErrTimeout) {
 				continue // nothing arrived within this poll; try again next pass
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
+	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/rng"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
@@ -173,6 +175,67 @@ func TestSanitationStrictModeGuardRadius(t *testing.T) {
 	_, _, err := RunPlatform([]transport.Link{p0, p1}, []float64{0.5, 0.5}, tensor.Vec{1, 2, 3}, cfg)
 	if err == nil || !strings.Contains(err.Error(), "guard") {
 		t.Fatalf("strict mode accepted a norm-exploding update: %v", err)
+	}
+}
+
+// TestStrictAbortBillsNothingForPoison: a strict run whose node 1 poisons its
+// round-2 update aborts with the sanitation error, and the accounting at the
+// abort — counters and events alike — is exactly what preceded the poisoned
+// update: round 1 in full, then round 2's three broadcasts and node 0's
+// update. The poisoned update itself is never billed.
+func TestStrictAbortBillsNothingForPoison(t *testing.T) {
+	const dim = 4
+	for _, tc := range []struct {
+		name   string
+		guard  float64
+		poison func(u []float64)
+		want   string
+	}{
+		{"nan", 0, func(u []float64) { u[2] = math.NaN() },
+			"core: node 1 round 2: update contains NaN or Inf"},
+		// θ is all ones after round 1, so the limit is 10·(1+‖θ‖) = 30 and
+		// the poisoned update sits at distance √(4·100²) = 200.
+		{"guard", 10, func(u []float64) {
+			for d := range u {
+				u[d] += 100
+			}
+		}, "core: node 1 round 2: update distance 200 from θ exceeds guard limit 30"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := make([]SimNodeLink, 3)
+			links := make([]transport.Link, len(sim))
+			for i := range sim {
+				sim[i] = SimNodeLink{ID: i, Update: func(id, round, _ int, theta []float64) []float64 {
+					if id == 1 && round == 2 {
+						tc.poison(theta)
+						return theta
+					}
+					for d := range theta {
+						theta[d]++
+					}
+					return theta
+				}}
+				links[i] = &sim[i]
+			}
+			rec := obs.NewRecorder()
+			cfg := Config{Alpha: 0.01, Beta: 0.01, T: 4, T0: 1, Seed: 1, GuardRadius: tc.guard, Observer: rec}
+			_, stats, err := RunPlatform(links, []float64{1, 1, 1}, tensor.NewVec(dim), cfg)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			want := CommStats{Rounds: 1, Messages: 10, Bytes: 10 * 8 * dim}
+			if stats != want {
+				t.Errorf("stats at abort = %+v, want %+v", stats, want)
+			}
+			counts := map[obs.Type]int{}
+			for _, e := range rec.Events() {
+				counts[e.Type]++
+			}
+			wantCounts := map[obs.Type]int{obs.TypeRoundStart: 2, obs.TypeBroadcast: 6, obs.TypeUpdate: 4, obs.TypeRoundEnd: 1}
+			if !reflect.DeepEqual(counts, wantCounts) {
+				t.Errorf("events at abort = %v, want %v", counts, wantCounts)
+			}
+		})
 	}
 }
 

@@ -120,10 +120,10 @@ func (d *shardSource) aliveCount() int {
 }
 
 func (d *shardSource) collect(round, t0 int, theta tensor.Vec) (tensor.Vec, float64, int, error) {
+	// θ is the engine's reused aggregation buffer, so the dispatch carries
+	// a read-only snapshot of it, one per round, shared by every shard.
+	m := transport.Msg{Kind: transport.KindParams, Round: round, Params: theta.Clone(), LocalSteps: t0}
 	for s := range d.shards {
-		// θ is the engine's reused aggregation buffer; ownership of
-		// Msg.Params transfers on Send, so each dispatch carries a clone.
-		m := transport.Msg{Kind: transport.KindParams, Round: round, Params: theta.Clone(), LocalSteps: t0}
 		if err := d.shards[s].Send(m); err != nil {
 			return nil, 0, 0, fmt.Errorf("core: dispatch round %d to shard %d: %w", round, s, err)
 		}

@@ -345,6 +345,7 @@ func (n *nodeSource) selectRound(round, t0 int) []int {
 func (n *nodeSource) collect(round, t0 int, theta tensor.Vec) (sum tensor.Vec, wsum float64, count int, err error) {
 	ls, rd := n.ls, &n.rd
 	rd.round, rd.t0, rd.theta, rd.thetaNorm = round, t0, theta, theta.Norm()
+	rd.snap = nil
 	n.agg.reset()
 	if ls.pending == nil {
 		err = ls.gatherRound(rd, n.selectRound(round, t0))

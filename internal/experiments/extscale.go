@@ -139,8 +139,10 @@ func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
 			sim[k] = core.SimNodeLink{
 				ID: r.Lo + k,
 				Update: func(id, round, t0 int, theta []float64) []float64 {
-					// u = θ + η(c_i − θ), computed in place; the per-node
-					// center is regenerated from (seed, id) each call.
+					// u = θ + η(c_i − θ), computed in place in the link's
+					// reply buffer (a copy of the shared broadcast); the
+					// per-node center is regenerated from (seed, id) each
+					// call.
 					simCenter(cfg.Seed, id, len(theta), scratch)
 					for d := range theta {
 						theta[d] += eta * (scratch[d] - theta[d])

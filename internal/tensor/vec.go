@@ -213,14 +213,15 @@ func (v Vec) ArgMax() int {
 	return best
 }
 
-// IsFinite reports whether every element is finite (no NaN or Inf).
+// IsFinite reports whether every element is finite (no NaN or Inf). It is
+// branch-free: x*0 is ±0 for finite x and NaN for ±Inf or NaN, so the sum
+// of x*0 over v is NaN exactly when some element is not finite.
 func (v Vec) IsFinite() bool {
+	var s float64
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
+		s += x * 0
 	}
-	return true
+	return !math.IsNaN(s)
 }
 
 // WeightedSum returns sum_i weights[i]*vs[i] as a new vector. All vectors

@@ -106,6 +106,55 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
+// TestIsFiniteMatchesReference checks the branch-free IsFinite against the
+// per-element math.IsNaN || math.IsInf definition over lengths 0–9, with
+// each special value in every position of a background of extreme finite
+// values (−0, ±MaxFloat64, subnormals — none of which may trip it).
+func TestIsFiniteMatchesReference(t *testing.T) {
+	reference := func(v Vec) bool {
+		for _, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	background := []float64{
+		math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+		1, -2.5, 0,
+	}
+	specials := []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8000000000001), // quiet NaN with payload
+		math.Float64frombits(0xfff4000000000abc), // sign-set NaN with payload
+		math.Float64frombits(0x7ff0000000000001), // signalling-pattern NaN
+		math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+	}
+	for n := 0; n <= 9; n++ {
+		v := make(Vec, n)
+		for pos := 0; pos < n; pos++ {
+			for _, x := range specials {
+				for i := range v {
+					v[i] = background[(i+pos)%len(background)]
+				}
+				v[pos] = x
+				if got, want := v.IsFinite(), reference(v); got != want {
+					t.Fatalf("len %d, %#x at %d: IsFinite = %v, want %v", n, math.Float64bits(x), pos, got, want)
+				}
+			}
+		}
+		for i := range v {
+			v[i] = background[i%len(background)]
+		}
+		if !v.IsFinite() {
+			t.Fatalf("len %d finite background reported non-finite", n)
+		}
+	}
+}
+
 func TestWeightedSum(t *testing.T) {
 	got := WeightedSum([]float64{0.25, 0.75}, []Vec{{4, 0}, {0, 4}})
 	if !almostEq(got[0], 1, 1e-12) || !almostEq(got[1], 3, 1e-12) {

@@ -50,13 +50,24 @@ func (k Kind) String() string {
 
 // Msg is one message between the platform and a node.
 //
-// Ownership of the Params slice transfers to the receiver when the message
-// is sent: after Send returns, the sender must neither read nor mutate the
-// slice, and the receiver may retain it indefinitely. This matters because
-// the in-memory link passes slices by reference (no serialization) and the
-// senders in internal/core reuse their parameter buffers across rounds — a
-// sender that keeps writing into a sent slice would corrupt the receiver's
-// copy. Senders that want to keep using a buffer must Send a Clone.
+// The in-memory link passes slices by reference (no serialization), so the
+// Params slice carries an ownership contract that depends on the kind:
+//
+//   - KindParams (platform to node, director to shard): Params is a
+//     read-only snapshot. The sender may hand the same slice to many links —
+//     the platform shares one clone of θ per round across every broadcast —
+//     and never writes it again; a receiver may read and retain it
+//     indefinitely but must never write it, and copies it first if it wants
+//     to compute in place.
+//   - Every other kind: ownership of Params transfers to the receiver when
+//     the message is sent. After Send returns the sender must neither read
+//     nor mutate the slice, and the receiver may retain it. The senders in
+//     internal/core reuse their parameter buffers across rounds, so they Send
+//     a Clone.
+//
+// One Link relaxes the second rule on its own receive side, by contract with
+// its only caller: core.SimNodeLink lends its replies (valid until its next
+// Send), see its documentation.
 type Msg struct {
 	Kind   Kind      `json:"kind"`
 	Round  int       `json:"round"`
@@ -138,11 +149,13 @@ type Partial struct {
 // for concurrent use with itself.
 //
 // Implementations must honor the Msg.Params ownership contract: a message
-// handed to Send belongs to the far endpoint from that moment on, and a
-// message returned by Recv belongs to the caller. Implementations may pass
-// the Params slice through by reference (the in-memory pipe does) or copy
-// it (the TCP pipe serializes); callers cannot tell the difference as long
-// as they respect the contract.
+// handed to Send belongs to the far endpoint from that moment on (read-only
+// when it is a KindParams snapshot the sender may share across links), and
+// a message returned by Recv belongs to the caller. Implementations never
+// write the Params of a KindParams message (Chaos corrupts only what it
+// receives), and may pass slices through by reference (the in-memory pipe
+// does) or copy them (the TCP pipe serializes); callers cannot tell the
+// difference as long as they respect the contract.
 type Link interface {
 	Send(Msg) error
 	Recv() (Msg, error)
