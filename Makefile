@@ -19,7 +19,10 @@ all: build vet test
 # (reflection swapper + closure comparator, O(n log n)) out of the
 # per-message and per-step packages (DESIGN.md §10). The third keeps
 # encoding/gob (reflection per message, no size cap) from coming back to the
-# wire: the TCP link has one format, the frame of DESIGN.md §7.
+# wire: the TCP link has one format, the frame of DESIGN.md §7. The fourth
+# keeps the round loop single: round lifecycle events are emitted only by
+# internal/core/round.go, so a baseline cannot grow a private loop again
+# (DESIGN.md §15).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -35,6 +38,9 @@ check:
 	@hits=$$(grep -n -F 'encoding/gob' internal/transport/*.go internal/core/*.go \
 		| grep -v -e '_test.go:' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
 		echo "encoding/gob in the wire path (see DESIGN.md §7, Wire format):"; echo "$$hits"; exit 1; fi
+	@hits=$$(grep -rn -E 'Type:[[:space:]]*obs\.TypeRound(Start|End)\b' --include='*.go' internal cmd \
+		| grep -v -e '_test.go:' -e '^internal/core/round.go:' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
+		echo "round lifecycle event outside internal/core/round.go (one round loop, see DESIGN.md §15):"; echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 

@@ -462,8 +462,8 @@ func BenchmarkGradInto(b *testing.B) {
 
 // BenchmarkGradStepInto measures the fused gradient+descent-step kernel —
 // one pass over the parameter vector instead of gradient-write, copy, axpy —
-// that the fedavg/reptile/meta inner loops run. Steady state is expected to
-// report 0 allocs/op.
+// that the core baseline rules and the meta/eval inner loops run. Steady
+// state is expected to report 0 allocs/op.
 func BenchmarkGradStepInto(b *testing.B) {
 	fed, sm := benchFederation(b)
 	batch := fed.Sources[0].Train

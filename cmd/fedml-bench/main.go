@@ -390,6 +390,7 @@ type workloadBenchArm struct {
 	GlobalAcc  float64 `json:"global_acc"`
 	AdaptedAcc float64 `json:"adapted_acc"`
 	Gap        float64 `json:"gap"`
+	KiB        float64 `json:"kib"`
 }
 
 // workloadBenchPoint is one point of the fedml arm's accuracy/traffic
@@ -437,7 +438,7 @@ func runWorkloadsBench(scale experiments.Scale, workers int, outPath string) err
 				Scale:      scale.String(),
 				Workload:   workload,
 				AdaptSteps: cfg.AdaptSteps,
-				TotalKiB:   res.TotalKiB,
+				TotalKiB:   res.KiB[0],
 			}
 			if res.AccVsKiB != nil {
 				for _, p := range res.AccVsKiB.Points {
@@ -450,6 +451,7 @@ func runWorkloadsBench(scale experiments.Scale, workers int, outPath string) err
 					GlobalAcc:  res.Pers[i].Global,
 					AdaptedAcc: res.Pers[i].Adapted,
 					Gap:        res.Pers[i].Gap(),
+					KiB:        res.KiB[i],
 				})
 			}
 			if err := mergeBenchEntry(outPath, "ext_"+workload, rep); err != nil {

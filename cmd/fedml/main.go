@@ -190,8 +190,8 @@ func (c *commonFlags) buildWorkload() (*data.Federation, nn.Model, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// An MLP (not all-head softmax) so sync-mask and repshare-style
-		// partial policies have a representation block to act on.
+		// An MLP (not all-head softmax) so the sync mask and the RepShare
+		// rule have a representation block to act on.
 		m, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, 16, fed.NumClasses}, L2: 0.01})
 		if err != nil {
 			return nil, nil, err

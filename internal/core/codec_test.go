@@ -166,60 +166,73 @@ func TestCodecDropForcesResyncNotDeath(t *testing.T) {
 }
 
 // TestCodecObsParityUnderChaos extends the counter/event parity invariant to
-// compressed runs: with topk payloads, kills, revives, and byte-level wire
-// corruption in play, the event stream must still fold back into CommStats
-// exactly — including the compressed byte billing.
+// compressed runs: with compressed payloads, kills, revives, and byte-level
+// wire corruption in play, the event stream must still fold back into
+// CommStats exactly — including the compressed byte billing. The FedProx row
+// is a baseline rule on the same platform: it gets codec, fault tolerance,
+// chaos and accounting with no code of its own.
 func TestCodecObsParityUnderChaos(t *testing.T) {
-	fed := tinyFederation(t, 0, 0)
-	fed.Sources = fed.Sources[:5]
-	m := tinyModel(fed)
-	rec := obs.NewRecorder()
-	cfg := Config{
-		Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 3,
-		Codec:        "topk",
-		RoundTimeout: 400 * time.Millisecond,
-		GuardRadius:  50,
-		Observer:     rec,
-		WrapLink: func(i int, l transport.Link) transport.Link {
-			var sc []transport.ChaosEvent
-			switch i {
-			case 1:
-				sc = []transport.ChaosEvent{{Round: 2, Op: transport.OpKill}, {Round: 5, Op: transport.OpRevive}}
-			case 3:
-				sc = []transport.ChaosEvent{{Round: 3, Op: transport.OpCorrupt}}
-			default:
-				return l
+	for _, tc := range []struct {
+		name, codec string
+		local       LocalRule
+	}{
+		{"fedml-topk", "topk", nil},
+		{"fedprox-q8", "q8", LocalSGD{Mu: 0.1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fed := tinyFederation(t, 0, 0)
+			fed.Sources = fed.Sources[:5]
+			m := tinyModel(fed)
+			rec := obs.NewRecorder()
+			cfg := Config{
+				Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 3,
+				Local:        tc.local,
+				Codec:        tc.codec,
+				RoundTimeout: 400 * time.Millisecond,
+				GuardRadius:  50,
+				Observer:     rec,
+				WrapLink: func(i int, l transport.Link) transport.Link {
+					var sc []transport.ChaosEvent
+					switch i {
+					case 1:
+						sc = []transport.ChaosEvent{{Round: 2, Op: transport.OpKill}, {Round: 5, Op: transport.OpRevive}}
+					case 3:
+						sc = []transport.ChaosEvent{{Round: 3, Op: transport.OpCorrupt}}
+					default:
+						return l
+					}
+					return transport.NewChaos(l, transport.ChaosConfig{Seed: 100 + uint64(i), Scenario: sc})
+				},
 			}
-			return transport.NewChaos(l, transport.ChaosConfig{Seed: 100 + uint64(i), Scenario: sc})
-		},
-	}
-	res, err := Train(m, fed, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Comm.Dropped == 0 || res.Comm.Rejoined == 0 {
-		t.Fatalf("scenario did not exercise the drop/rejoin paths: %+v", res.Comm)
-	}
-	if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
-		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
-	}
-	// Compressed billing sanity: a raw run of the same shape moves 8 bytes
-	// per parameter per message; this run must bill far less.
-	var msgBytes int64
-	var msgs int
-	for _, e := range rec.Events() {
-		switch e.Type {
-		case obs.TypeBroadcast, obs.TypeProbe, obs.TypeUpdate:
-			msgBytes += e.Bytes
-			msgs++
-		}
-	}
-	if msgBytes != res.Comm.Bytes || msgs != res.Comm.Messages {
-		t.Errorf("traffic events sum to %d bytes / %d msgs, stats say %d / %d", msgBytes, msgs, res.Comm.Bytes, res.Comm.Messages)
-	}
-	rawPerMsg := int64(8 * m.NumParams())
-	if avg := res.Comm.Bytes / int64(res.Comm.Messages); avg > rawPerMsg/2 {
-		t.Errorf("average billed message %d bytes — not compressed (raw would be %d)", avg, rawPerMsg)
+			res, err := Train(m, fed, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Comm.Dropped == 0 || res.Comm.Rejoined == 0 {
+				t.Fatalf("scenario did not exercise the drop/rejoin paths: %+v", res.Comm)
+			}
+			if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+				t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
+			}
+			// Compressed billing sanity: a raw run of the same shape moves 8
+			// bytes per parameter per message; this run must bill far less.
+			var msgBytes int64
+			var msgs int
+			for _, e := range rec.Events() {
+				switch e.Type {
+				case obs.TypeBroadcast, obs.TypeProbe, obs.TypeUpdate:
+					msgBytes += e.Bytes
+					msgs++
+				}
+			}
+			if msgBytes != res.Comm.Bytes || msgs != res.Comm.Messages {
+				t.Errorf("traffic events sum to %d bytes / %d msgs, stats say %d / %d", msgBytes, msgs, res.Comm.Bytes, res.Comm.Messages)
+			}
+			rawPerMsg := int64(8 * m.NumParams())
+			if avg := res.Comm.Bytes / int64(res.Comm.Messages); avg > rawPerMsg/2 {
+				t.Errorf("average billed message %d bytes — not compressed (raw would be %d)", avg, rawPerMsg)
+			}
+		})
 	}
 }
 

@@ -126,11 +126,12 @@ func (l *nodeLink) report(round, id int, cause string) {
 	_ = l.send(transport.Msg{Kind: transport.KindError, Round: round, NodeID: id, Err: cause})
 }
 
-// RunNode executes the node side of Algorithm 1 (or Algorithm 2 when
-// Shared.Robust is set) over link, until the platform sends KindDone or the
-// link fails. Transient link errors are retried per nc.Retry (with
-// nc.Redial re-establishing the connection when set); any node-side failure
-// is reported to the platform as a KindError message before returning.
+// RunNode executes the node side of Algorithm 1 (Algorithm 2 when
+// Shared.Robust is set, a baseline when Shared.Local is) over link, until
+// the platform sends KindDone or the link fails. Transient link errors are
+// retried per nc.Retry (with nc.Redial re-establishing the connection when
+// set); any node-side failure is reported to the platform as a KindError
+// message before returning.
 func RunNode(link transport.Link, nc NodeConfig) error {
 	cfg := nc.Shared.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -138,6 +139,9 @@ func RunNode(link transport.Link, nc NodeConfig) error {
 	}
 	if nc.Model == nil || nc.Data == nil {
 		return fmt.Errorf("core: node %d missing model or data", nc.ID)
+	}
+	if err := checkLocalModel(cfg, nc.Model); err != nil {
+		return err
 	}
 
 	n := newNodeState(cfg, nc.Model, nc.Data, nc.ID)
@@ -256,7 +260,9 @@ func RunNode(link transport.Link, nc NodeConfig) error {
 // nodeState carries the across-round state of one node: the iteration
 // counter, the adversarial dataset D_adv, the regeneration count r, and the
 // reusable numeric buffers (one meta workspace plus the local θ and
-// meta-gradient vectors) shared by all T0 steps of all rounds.
+// meta-gradient vectors) shared by all T0 steps of all rounds. Under a
+// LocalRule the meta workspace gives way to the model's own, and the node
+// keeps its full local dataset and, for RepShare, its head.
 type nodeState struct {
 	cfg   Config
 	model nn.Model
@@ -271,32 +277,50 @@ type nodeState struct {
 	iter     int
 	adv      []data.Sample
 	advRound int // r in Algorithm 2
+
+	nws        nn.Workspace
+	all        []data.Sample // train ∪ test
+	head       []codec.Range // RepShare: coordinates kept across rounds
+	headSeeded bool          // RepShare: theta holds this node's head
 }
 
 // newNodeState builds the per-node state, sizing the reusable buffers for
-// the model.
+// the model. cfg.Local must already be checked against m.
 func newNodeState(cfg Config, m nn.Model, d *data.NodeDataset, id int) *nodeState {
 	np := m.NumParams()
-	return &nodeState{
+	n := &nodeState{
 		cfg:   cfg,
 		model: m,
 		data:  d,
 		id:    id,
 		rand:  rng.New(cfg.Seed).Split(uint64(id) + 1),
-		ws:    meta.NewWorkspace(m),
 		theta: tensor.NewVec(np),
 		grad:  tensor.NewVec(np),
 	}
+	if cfg.Local == nil {
+		n.ws = meta.NewWorkspace(m)
+		return n
+	}
+	n.nws = nn.NewWorkspace(m)
+	n.all = d.All()
+	if _, ok := cfg.Local.(RepShare); ok {
+		n.head, _ = headRanges(m)
+	}
+	return n
 }
 
 // localUpdates performs `steps` local meta-updates starting from the
 // received global parameters and returns the updated vector (Algorithm 1
-// lines 6–13, Algorithm 2 lines 6–22). The step count is normally T0 but
-// the platform may override it per round. round tags emitted observability
-// events and does not influence the computation.
+// lines 6–13, Algorithm 2 lines 6–22), or runs the configured LocalRule.
+// The step count is normally T0 but the platform may override it per round.
+// round tags emitted observability events and does not influence the
+// computation.
 func (n *nodeState) localUpdates(global tensor.Vec, steps, round int) (tensor.Vec, error) {
 	if len(global) != n.model.NumParams() {
 		return nil, fmt.Errorf("core: node %d got %d params, model needs %d", n.id, len(global), n.model.NumParams())
+	}
+	if n.cfg.Local != nil {
+		return n.ruleUpdates(global, steps)
 	}
 	theta := n.theta
 	theta.CopyFrom(global)

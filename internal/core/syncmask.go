@@ -134,19 +134,9 @@ func ResolveSyncMask(spec string, m nn.Model) (*SyncMaskPolicy, error) {
 	if err != nil || warmup < 1 {
 		return nil, fmt.Errorf("core: sync mask warmup %q, want a positive integer", warmStr)
 	}
-	segs, err := nn.HeadSegments(m)
+	ranges, err := headRanges(m)
 	if err != nil {
 		return nil, err
-	}
-	var ranges []codec.Range
-	for _, s := range segs {
-		// Adjacent segments (w directly followed by b) coalesce into one
-		// wire range, keeping the mask header minimal.
-		if n := len(ranges); n > 0 && ranges[n-1].Hi == s.Lo {
-			ranges[n-1].Hi = s.Hi
-			continue
-		}
-		ranges = append(ranges, codec.Range{Lo: s.Lo, Hi: s.Hi})
 	}
 	return &SyncMaskPolicy{Warmup: warmup, Ranges: ranges}, nil
 }

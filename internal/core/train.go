@@ -20,11 +20,11 @@ type Result struct {
 	Comm CommStats
 }
 
-// Train runs FedML (or Robust FedML when cfg.Robust is set) fully
-// in-process: each source node of fed executes in its own goroutine,
-// connected to the platform by an in-memory link. The computation is
-// deterministic: aggregation order is fixed by node index and every node's
-// randomness derives from cfg.Seed.
+// Train runs FedML (Robust FedML when cfg.Robust is set, a baseline when
+// cfg.Local is) fully in-process: each source node of fed executes in its
+// own goroutine, connected to the platform by an in-memory link. The
+// computation is deterministic: aggregation order is fixed by node index and
+// every node's randomness derives from cfg.Seed.
 //
 // theta0 may be nil, in which case the model initializes it from cfg.Seed
 // (Algorithm 1 line 3).
@@ -60,6 +60,9 @@ func checkTrainInputs(m nn.Model, fed *data.Federation, theta0 tensor.Vec, c Con
 	}
 	if len(theta0) != m.NumParams() {
 		return nil, fmt.Errorf("core: theta0 has %d params, model needs %d", len(theta0), m.NumParams())
+	}
+	if err := checkLocalModel(c, m); err != nil {
+		return nil, err
 	}
 	return theta0, nil
 }

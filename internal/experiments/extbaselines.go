@@ -6,10 +6,8 @@ import (
 
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/eval"
-	"github.com/edgeai/fedml/internal/fedavg"
 	"github.com/edgeai/fedml/internal/meta"
 	"github.com/edgeai/fedml/internal/par"
-	"github.com/edgeai/fedml/internal/reptile"
 )
 
 // Extension: a four-way baseline comparison. Besides the paper's
@@ -69,58 +67,18 @@ func RunExtBaselines(cfg ExtBaselinesConfig) (*ExtBaselinesResult, error) {
 	}
 	m := softmaxModel(fed)
 
-	type algo struct {
+	// Every arm runs on the platform loop; they differ only in the
+	// meta-gradient mode or in what a node does between aggregations.
+	algos := []struct {
 		name  string
-		train func() ([]float64, error)
-	}
-	algos := []algo{
-		{"FedML", func() ([]float64, error) {
-			res, err := core.Train(m, fed, nil, core.Config{
-				Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return res.Theta, nil
-		}},
-		{"FedML-FO", func() ([]float64, error) {
-			res, err := core.Train(m, fed, nil, core.Config{
-				Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-				GradMode: meta.FirstOrder,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return res.Theta, nil
-		}},
-		{"FedAvg", func() ([]float64, error) {
-			res, err := fedavg.Train(m, fed, nil, fedavg.Config{
-				Eta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Workers: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return res.Theta, nil
-		}},
-		{"FedProx", func() ([]float64, error) {
-			res, err := fedavg.Train(m, fed, nil, fedavg.Config{
-				Eta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, ProxMu: cfg.ProxMu, Workers: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return res.Theta, nil
-		}},
-		{"Reptile", func() ([]float64, error) {
-			res, err := reptile.Train(m, fed, nil, reptile.Config{
-				InnerLR: cfg.Alpha, MetaLR: cfg.ReptileEps, InnerSteps: cfg.T0,
-				Rounds: cfg.T / cfg.T0, Seed: cfg.Seed, Workers: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return res.Theta, nil
-		}},
+		mode  meta.GradMode
+		local core.LocalRule
+	}{
+		{"FedML", meta.SecondOrder, nil},
+		{"FedML-FO", meta.FirstOrder, nil},
+		{"FedAvg", meta.SecondOrder, core.LocalSGD{}},
+		{"FedProx", meta.SecondOrder, core.LocalSGD{Mu: cfg.ProxMu}},
+		{"Reptile", meta.SecondOrder, core.Reptile{Eps: cfg.ReptileEps}},
 	}
 
 	// Algorithms are independent; train and evaluate each on the worker
@@ -132,13 +90,16 @@ func RunExtBaselines(cfg ExtBaselinesConfig) (*ExtBaselinesResult, error) {
 	}
 	err = par.ForEachErr(cfg.Workers, len(algos), func(c int) error {
 		a := algos[c]
-		theta, err := a.train()
+		trained, err := core.Train(m, fed, nil, core.Config{
+			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
+			GradMode: a.mode, Local: a.local,
+		})
 		if err != nil {
 			return fmt.Errorf("ext-baselines %s: %w", a.name, err)
 		}
 		res.Names[c] = a.name
-		res.Curves[c] = eval.AverageAdaptationCurveN(m, theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-		res.SourceMeta[c] = eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, theta, 1)
+		res.Curves[c] = eval.AverageAdaptationCurveN(m, trained.Theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
+		res.SourceMeta[c] = eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, trained.Theta, 1)
 		return nil
 	})
 	if err != nil {

@@ -8,12 +8,9 @@ import (
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
-	"github.com/edgeai/fedml/internal/fedavg"
-	"github.com/edgeai/fedml/internal/fedprox"
 	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/par"
-	"github.com/edgeai/fedml/internal/repshare"
 	"github.com/edgeai/fedml/internal/tensor"
 )
 
@@ -25,13 +22,17 @@ import (
 // and each is scored on the personalized-vs-global split over held-out
 // target nodes:
 //
-//	fedml     meta-learned initialization (core.Train), the platform arm —
-//	          composable with the codec/sync-mask/async knobs so the matrix
-//	          exercises the whole stack, and the arm whose accuracy/traffic
-//	          trajectory is recorded ext-codec style
-//	fedavg    single global fit, the paper's baseline
-//	fedprox   global fit with the proximal term (μ > 0)
-//	repshare  structurally personalized: shared representation, private heads
+//	fedml     meta-learned initialization — composable with the
+//	          codec/sync-mask/async knobs so the matrix exercises the whole
+//	          stack, and the arm whose accuracy/traffic trajectory is
+//	          recorded ext-codec style
+//	fedavg    single global fit, the paper's baseline (core.LocalSGD)
+//	fedprox   global fit with the proximal term (core.LocalSGD, μ > 0)
+//	repshare  structurally personalized: shared representation, private
+//	          heads (core.RepShare)
+//
+// Every arm runs core.Train, so each has the same traffic accounting and the
+// matrix reports wire KiB per arm.
 //
 // The headline claim the acceptance test pins: FedML's adapted accuracy
 // beats the global (un-adapted) accuracy of both FedAvg and FedProx on both
@@ -115,14 +116,14 @@ func workloadFederation(workload string, scale Scale, seed uint64) (*data.Federa
 // accuracy/traffic trajectory.
 type ExtWorkloadResult struct {
 	Workload string
-	// Arms and Pers are the matrix rows: per algorithm, global vs adapted
-	// target accuracy.
+	// Arms, Pers and KiB are the matrix rows: per algorithm, global vs
+	// adapted target accuracy and the run's billed wire traffic.
 	Arms []string
 	Pers []eval.Personalization
+	KiB  []float64
 	// AccVsKiB is the fedml arm's adapted accuracy against cumulative wire
 	// KiB (ext-codec style); Codec/MaskSpec record the knobs it ran under.
 	AccVsKiB *eval.Series
-	TotalKiB float64
 	Codec    string
 	MaskSpec string
 	Async    bool
@@ -134,9 +135,10 @@ type ExtWorkloadResult struct {
 // the shared seed, so results are bit-identical for every worker count.
 func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 	arms := []string{"fedml", "fedavg", "fedprox", "repshare"}
+	locals := []core.LocalRule{nil, core.LocalSGD{}, core.LocalSGD{Mu: cfg.Mu}, core.RepShare{}}
 	pers := make([]eval.Personalization, len(arms))
+	kib := make([]float64, len(arms))
 	var accVsKiB *eval.Series
-	var totalKiB float64
 	err := par.ForEachErr(cfg.Workers, len(arms), func(c int) error {
 		arm := arms[c]
 		fed, err := workloadFederation(cfg.Workload, cfg.Scale, cfg.Seed)
@@ -147,23 +149,21 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 		if err != nil {
 			return fmt.Errorf("ext-%s model: %w", cfg.Workload, err)
 		}
-		var theta tensor.Vec
-		switch arm {
-		case "fedml":
-			rec := obs.NewRecorder()
-			accByIter := map[int]float64{}
-			trainCfg := core.Config{
-				Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-				Codec:    cfg.Codec,
-				Observer: rec,
-				OnRound: func(_, iter int, th tensor.Vec) {
-					accs := eval.FinalAccuraciesN(m, th, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-					var s float64
-					for _, a := range accs {
-						s += a
-					}
-					accByIter[iter] = s / float64(len(accs))
-				},
+		trainCfg := core.Config{T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: locals[c]}
+		var rec *obs.Recorder
+		accByIter := map[int]float64{}
+		if arm == "fedml" {
+			rec = obs.NewRecorder()
+			trainCfg.Alpha, trainCfg.Beta = cfg.Alpha, cfg.Beta
+			trainCfg.Codec = cfg.Codec
+			trainCfg.Observer = rec
+			trainCfg.OnRound = func(_, iter int, th tensor.Vec) {
+				accs := eval.FinalAccuraciesN(m, th, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
+				var s float64
+				for _, a := range accs {
+					s += a
+				}
+				accByIter[iter] = s / float64(len(accs))
 			}
 			if cfg.SyncMask != "" {
 				mask, err := core.ResolveSyncMask(cfg.SyncMask, m)
@@ -176,11 +176,15 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 				trainCfg.Async = true
 				trainCfg.RoundTimeout = 30 * time.Second
 			}
-			res, err := core.Train(m, fed, nil, trainCfg)
-			if err != nil {
-				return fmt.Errorf("ext-%s train fedml: %w", cfg.Workload, err)
-			}
-			theta = res.Theta
+		} else {
+			trainCfg.Beta = cfg.Eta
+		}
+		res, err := core.Train(m, fed, nil, trainCfg)
+		if err != nil {
+			return fmt.Errorf("ext-%s train %s: %w", cfg.Workload, arm, err)
+		}
+		kib[c] = float64(res.Comm.Bytes) / 1024
+		if rec != nil {
 			spec := cfg.Codec
 			if spec == "" {
 				spec = "raw"
@@ -192,36 +196,11 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 				}
 			}
 			accVsKiB = curve
-			totalKiB = float64(res.Comm.Bytes) / 1024
-		case "fedavg":
-			res, err := fedavg.Train(m, fed, nil, fedavg.Config{
-				Eta: cfg.Eta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Workers: 1,
-			})
-			if err != nil {
-				return fmt.Errorf("ext-%s train fedavg: %w", cfg.Workload, err)
-			}
-			theta = res.Theta
-		case "fedprox":
-			res, err := fedprox.Train(m, fed, nil, fedprox.Config{
-				Eta: cfg.Eta, Mu: cfg.Mu, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Workers: 1,
-			})
-			if err != nil {
-				return fmt.Errorf("ext-%s train fedprox: %w", cfg.Workload, err)
-			}
-			theta = res.Theta
-		case "repshare":
-			res, err := repshare.Train(m, fed, nil, repshare.Config{
-				Eta: cfg.Eta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Workers: 1,
-			})
-			if err != nil {
-				return fmt.Errorf("ext-%s train repshare: %w", cfg.Workload, err)
-			}
-			theta = res.Theta
 		}
 		// Targets are nodes unseen during training for every arm, so the
 		// same split applies: θ as-is (global) vs θ after AdaptSteps local
 		// steps on the node's K-shot split (personalized).
-		pers[c] = eval.PersonalizationN(m, theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
+		pers[c] = eval.PersonalizationN(m, res.Theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
 		return nil
 	})
 	if err != nil {
@@ -231,8 +210,8 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 		Workload: cfg.Workload,
 		Arms:     arms,
 		Pers:     pers,
+		KiB:      kib,
 		AccVsKiB: accVsKiB,
-		TotalKiB: totalKiB,
 		Codec:    cfg.Codec,
 		MaskSpec: cfg.SyncMask,
 		Async:    cfg.Async,
@@ -255,13 +234,13 @@ func (r *ExtWorkloadResult) Render() string {
 	}
 	fmt.Fprintf(&b, "Extension: %s workload — personalized vs global accuracy on held-out nodes%s\n", r.Workload, knobs)
 	if r.AccVsKiB != nil {
-		fmt.Fprintf(&b, "arm %s (KiB -> mean adapted target accuracy, total %.1f KiB)\n", r.AccVsKiB.Name, r.TotalKiB)
+		fmt.Fprintf(&b, "arm %s (KiB -> mean adapted target accuracy, total %.1f KiB)\n", r.AccVsKiB.Name, r.KiB[0])
 		b.WriteString(r.AccVsKiB.TSV())
 	}
-	b.WriteString("arm        global acc   adapted acc   gap\n")
+	b.WriteString("arm        global acc   adapted acc   gap       KiB\n")
 	for i, name := range r.Arms {
 		p := r.Pers[i]
-		fmt.Fprintf(&b, "%-10s %-12.4f %-13.4f %+.4f\n", name, p.Global, p.Adapted, p.Gap())
+		fmt.Fprintf(&b, "%-10s %-12.4f %-13.4f %+.4f   %.1f\n", name, p.Global, p.Adapted, p.Gap(), r.KiB[i])
 	}
 	b.WriteString("(global = θ applied unchanged; adapted = after per-node K-shot fine-tuning;\n" +
 		"fedml meta-learns for adaptation, repshare personalizes structurally via private heads)\n")

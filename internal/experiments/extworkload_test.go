@@ -44,8 +44,10 @@ func TestExtWorkloadAcceptance(t *testing.T) {
 		if res.AccVsKiB == nil || len(res.AccVsKiB.Points) == 0 {
 			t.Fatalf("%s: missing fedml accuracy/traffic trajectory", workload)
 		}
-		if res.TotalKiB <= 0 {
-			t.Errorf("%s: non-positive traffic total %.1f KiB", workload, res.TotalKiB)
+		for i, kib := range res.KiB {
+			if kib <= 0 {
+				t.Errorf("%s: arm %s billed non-positive traffic %.1f KiB", workload, res.Arms[i], kib)
+			}
 		}
 		out := res.Render()
 		for _, want := range []string{workload, "global acc", "adapted acc", "fedprox", "repshare", "KiB"} {
@@ -79,8 +81,8 @@ func TestExtWorkloadPlatformKnobs(t *testing.T) {
 	if res.AccVsKiB == nil || !strings.Contains(res.AccVsKiB.Name, "q8") {
 		t.Errorf("trajectory not labeled with the codec: %+v", res.AccVsKiB)
 	}
-	if res.TotalKiB >= raw.TotalKiB {
-		t.Errorf("q8+mask moved %.1f KiB, raw %.1f KiB — knobs not applied", res.TotalKiB, raw.TotalKiB)
+	if res.KiB[0] >= raw.KiB[0] {
+		t.Errorf("q8+mask moved %.1f KiB, raw %.1f KiB — knobs not applied", res.KiB[0], raw.KiB[0])
 	}
 	out := res.Render()
 	if !strings.Contains(out, "codec=q8") || !strings.Contains(out, "mask=head:2") {

@@ -7,7 +7,6 @@ import (
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
-	"github.com/edgeai/fedml/internal/fedavg"
 	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/par"
 	"github.com/edgeai/fedml/internal/rng"
@@ -270,8 +269,8 @@ func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
 		if err != nil {
 			return fmt.Errorf("adapt-compare FedML K=%d: %w", k, err)
 		}
-		avgRes, err := fedavg.Train(m, fedK, nil, fedavg.Config{
-			Eta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Workers: 1,
+		avgRes, err := core.Train(m, fedK, nil, core.Config{
+			Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: core.LocalSGD{},
 		})
 		if err != nil {
 			return fmt.Errorf("adapt-compare FedAvg K=%d: %w", k, err)

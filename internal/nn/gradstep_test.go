@@ -10,8 +10,8 @@ import (
 
 // The fused gradient+step kernel must be bit-identical to GradInto followed
 // by an axpy — it is the same arithmetic in one pass over the parameter
-// vector, and every inner-loop caller (fedavg, reptile, meta, eval) now
-// relies on that equivalence.
+// vector, and every inner-loop caller (the core baseline rules, meta, eval)
+// now relies on that equivalence.
 func TestGradStepIntoMatchesGradThenStep(t *testing.T) {
 	models := []Model{
 		&SoftmaxRegression{In: 6, Classes: 4},

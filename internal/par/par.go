@@ -1,7 +1,8 @@
 // Package par is the shared worker-pool execution layer for the
-// measurement and experiment stack (eval, meta.TrainCentralized, fedavg,
-// reptile, experiments): bounded fan-out over an index space with
-// deterministic results.
+// measurement and experiment stack (eval, meta.TrainCentralized,
+// experiments): bounded fan-out over an index space with deterministic
+// results. Federated training is not a caller: its nodes are goroutines of
+// internal/core's one round loop.
 //
 // The contract every caller relies on:
 //

@@ -43,42 +43,3 @@ func TestIntoOpsAliasing(t *testing.T) {
 		t.Errorf("ScaleInto aliased = %v", c)
 	}
 }
-
-func TestWeightedSumIntoOverwrites(t *testing.T) {
-	out := Vec{99, 99} // stale contents must not leak through
-	WeightedSumInto(out, []float64{0.5, 2}, []Vec{{1, 2}, {10, 20}})
-	if out.Dist(Vec{20.5, 41}) != 0 {
-		t.Errorf("WeightedSumInto = %v", out)
-	}
-	WeightedSumInto(out, nil, nil)
-	if out.Dist(Vec{0, 0}) != 0 {
-		t.Errorf("empty WeightedSumInto = %v, want zeros", out)
-	}
-}
-
-func TestWeightedSumIntoMatchesWeightedSum(t *testing.T) {
-	weights := []float64{0.3, 0.5, 0.2}
-	vs := []Vec{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	out := NewVec(3)
-	WeightedSumInto(out, weights, vs)
-	if d := out.Dist(WeightedSum(weights, vs)); d != 0 {
-		t.Errorf("WeightedSumInto differs from WeightedSum by %g", d)
-	}
-}
-
-func TestWeightedSumIntoPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("weight/vector count mismatch", func() {
-		WeightedSumInto(NewVec(2), []float64{1}, []Vec{{1, 2}, {3, 4}})
-	})
-	mustPanic("length mismatch", func() {
-		WeightedSumInto(NewVec(2), []float64{1}, []Vec{{1, 2, 3}})
-	})
-}

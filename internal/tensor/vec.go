@@ -224,38 +224,6 @@ func (v Vec) IsFinite() bool {
 	return !math.IsNaN(s)
 }
 
-// WeightedSum returns sum_i weights[i]*vs[i] as a new vector. All vectors
-// must share one length; len(weights) must equal len(vs). This is the
-// platform's global-aggregation kernel (Eq. 5 in the paper).
-func WeightedSum(weights []float64, vs []Vec) Vec {
-	if len(vs) == 0 {
-		if len(weights) != 0 {
-			panic(fmt.Sprintf("tensor: WeightedSum got %d weights for 0 vectors", len(weights)))
-		}
-		return nil
-	}
-	out := make(Vec, len(vs[0]))
-	WeightedSumInto(out, weights, vs)
-	return out
-}
-
-// WeightedSumInto overwrites out with sum_i weights[i]*vs[i]. All vectors
-// must share out's length; len(weights) must equal len(vs). out must not
-// alias any vs[k]. With no vectors out is zeroed.
-func WeightedSumInto(out Vec, weights []float64, vs []Vec) {
-	if len(weights) != len(vs) {
-		panic(fmt.Sprintf("tensor: WeightedSumInto got %d weights for %d vectors", len(weights), len(vs)))
-	}
-	out.Zero()
-	for k, v := range vs {
-		checkLen("WeightedSumInto", out, v)
-		w := weights[k]
-		for i := range v {
-			out[i] += w * v[i]
-		}
-	}
-}
-
 func checkLen(op string, a, b Vec) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: %s length mismatch %d != %d", op, len(a), len(b)))

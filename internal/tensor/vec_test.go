@@ -155,46 +155,6 @@ func TestIsFiniteMatchesReference(t *testing.T) {
 	}
 }
 
-func TestWeightedSum(t *testing.T) {
-	got := WeightedSum([]float64{0.25, 0.75}, []Vec{{4, 0}, {0, 4}})
-	if !almostEq(got[0], 1, 1e-12) || !almostEq(got[1], 3, 1e-12) {
-		t.Errorf("WeightedSum = %v, want [1 3]", got)
-	}
-	if WeightedSum(nil, nil) != nil {
-		t.Error("empty WeightedSum should be nil")
-	}
-}
-
-func TestWeightedSumConvexCombinationProperty(t *testing.T) {
-	// Property: a convex combination of identical vectors is that vector.
-	check := func(raw []float64, w8 uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		v := Vec(raw)
-		n := int(w8%4) + 1
-		weights := make([]float64, n)
-		vs := make([]Vec, n)
-		for i := range weights {
-			weights[i] = 1 / float64(n)
-			vs[i] = v
-		}
-		got := WeightedSum(weights, vs)
-		for i := range got {
-			if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
-				continue
-			}
-			if !almostEq(got[i], v[i], 1e-9*(1+math.Abs(v[i]))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDotCauchySchwarzProperty(t *testing.T) {
 	// Property: |<v,w>| <= ||v||*||w||.
 	check := func(a, b []float64) bool {
@@ -224,7 +184,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		{"Dot", func() { _ = (Vec{1}).Dot(Vec{1, 2}) }},
 		{"Axpy", func() { (Vec{1}).Axpy(1, Vec{1, 2}) }},
 		{"CopyFrom", func() { (Vec{1}).CopyFrom(Vec{1, 2}) }},
-		{"WeightedSum", func() { WeightedSum([]float64{1}, []Vec{{1}, {2}}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
