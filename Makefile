@@ -191,7 +191,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The benchmarks bench-json snapshots and bench-check gates.
-BENCH_GATED := Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto|CodecEncode|CodecDecode|TCPRoundTrip|ShardedSimRound
+BENCH_GATED := Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto|CodecEncode|CodecDecode|TCPRoundTrip|ShardedSimRound|RunState
 
 # Machine-readable performance snapshot: the key end-to-end and kernel
 # benchmarks rendered to BENCH_fedml.json (name -> ns/op, B/op, allocs/op)
@@ -254,18 +254,23 @@ bench-energy:
 bench-workloads:
 	$(GO) run ./cmd/fedml-bench -workloads-bench -out BENCH_experiments.json
 
-# Short fuzzing pass over the parsers, the update codecs and the TCP frame.
+# Short fuzzing pass over the parsers (model checkpoint, run-state snapshot),
+# the update codecs and the TCP frame.
+# Each -fuzz pattern is anchored: go test refuses to fuzz when a pattern
+# matches more than one target.
 fuzz:
-	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/checkpoint
-	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/codec
-	$(GO) test -fuzz FuzzFrameRecv -fuzztime 30s ./internal/transport
+	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/checkpoint
+	$(GO) test -fuzz '^FuzzLoadRunState$$' -fuzztime 30s ./internal/checkpoint
+	$(GO) test -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 30s ./internal/codec
+	$(GO) test -fuzz '^FuzzFrameRecv$$' -fuzztime 30s ./internal/transport
 
 # Seconds-long fuzz smoke for CI: enough to replay the corpus and catch
 # shallow regressions without holding up the pipeline.
 fuzz-smoke:
-	$(GO) test -fuzz FuzzRead -fuzztime 5s ./internal/checkpoint
-	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 5s ./internal/codec
-	$(GO) test -fuzz FuzzFrameRecv -fuzztime 5s ./internal/transport
+	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/checkpoint
+	$(GO) test -fuzz '^FuzzLoadRunState$$' -fuzztime 5s ./internal/checkpoint
+	$(GO) test -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s ./internal/codec
+	$(GO) test -fuzz '^FuzzFrameRecv$$' -fuzztime 5s ./internal/transport
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -3,8 +3,10 @@ package fedml_test
 import (
 	"fmt"
 	"net"
+	"path/filepath"
 	"testing"
 
+	"github.com/edgeai/fedml/internal/checkpoint"
 	"github.com/edgeai/fedml/internal/codec"
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/data"
@@ -652,5 +654,48 @@ func BenchmarkCodecDecode(b *testing.B) {
 				codecBenchVec = out
 			}
 		})
+	}
+}
+
+// runStateBench is the snapshot ft_ckpt_obs writes every round: the sent140
+// MLP's 25 970 parameters plus the loop counters.
+func runStateBench() *checkpoint.RunState {
+	theta := make([]float64, codecBenchDim)
+	r := rng.New(1)
+	for i := range theta {
+		theta[i] = r.Norm()
+	}
+	return &checkpoint.RunState{
+		Version: checkpoint.RunStateVersion, Round: 60, Iter: 60, T0: 1, Dispersion: 0.5, Theta: theta,
+		Counters: checkpoint.Counters{Rounds: 60, Messages: 1920, Bytes: 199_449_600},
+	}
+}
+
+// BenchmarkRunStateSave measures one crash snapshot: encode, write, fsync,
+// rename. One buffer of the file's size is the allocation budget.
+func BenchmarkRunStateSave(b *testing.B) {
+	st := runStateBench()
+	path := filepath.Join(b.TempDir(), "run.state")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := checkpoint.SaveRunState(path, st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunStateLoad measures one resume read: the file's bytes plus θ.
+func BenchmarkRunStateLoad(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "run.state")
+	if err := checkpoint.SaveRunState(path, runStateBench()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := checkpoint.LoadRunState(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

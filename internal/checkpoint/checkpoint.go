@@ -3,9 +3,11 @@
 // store) instead of a live connection — the "transfer via the platform"
 // step of the paper's architecture, made durable.
 //
-// The format is JSON with an explicit version and the model architecture
+// A Checkpoint is JSON with an explicit version and the model architecture
 // embedded, so a target device can reconstruct the model family and run
-// fast adaptation with nothing but the checkpoint.
+// fast adaptation with nothing but the checkpoint. It is written once per
+// run. The platform's per-round crash snapshot, RunState, is a separate
+// binary format (runstate.go).
 package checkpoint
 
 import (

@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -55,6 +58,61 @@ func FuzzRead(f *testing.F) {
 		}
 		if again.ModelKind != ck.ModelKind || len(again.Params) != len(ck.Params) {
 			t.Fatal("round trip changed the checkpoint")
+		}
+	})
+}
+
+// FuzzLoadRunState feeds arbitrary bytes to the snapshot decoder LoadRunState
+// runs on a file's contents. It checks that no input panics, that decoding
+// allocates no more than the input's size (plus a constant for the state
+// header and an error message), and that every accepted snapshot saves back
+// to exactly the input bytes.
+func FuzzLoadRunState(f *testing.F) {
+	s := validRunState()
+	f.Add(encodeRunState(s))
+	s.Theta = []float64{-0.0, 5e-324, 1.7976931348623157e308}
+	s.Counters = everyCounterSet()
+	f.Add(encodeRunState(s))
+	f.Add(encodeRunState(s)[:runStateHeader])
+	f.Add([]byte(v1RunStateFixture))
+	f.Add([]byte(runStateMagic + "\x02"))
+	f.Add([]byte{})
+
+	const slack = 1024
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// TotalAlloc is process-wide, and the fuzzing engine allocates on
+		// its own goroutines now and then, so an over-bound reading is
+		// retried: decoding is deterministic, only the noise varies.
+		var (
+			st            *RunState
+			err           error
+			grew          uint64
+			before, after runtime.MemStats
+		)
+		for try := 0; try < 5; try++ {
+			runtime.ReadMemStats(&before)
+			st, err = decodeRunState(data)
+			runtime.ReadMemStats(&after)
+			if grew = after.TotalAlloc - before.TotalAlloc; grew <= uint64(len(data))+slack {
+				break
+			}
+		}
+		if grew > uint64(len(data))+slack {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil || st.Validate() != nil {
+			return // rejected input is fine; panics are not
+		}
+		path := filepath.Join(t.TempDir(), "run.state")
+		if err := SaveRunState(path, st); err != nil {
+			t.Fatalf("accepted run state failed to save: %v", err)
+		}
+		again, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted run state re-saved to different bytes:\n in  %x\n out %x", data, again)
 		}
 	})
 }

@@ -1,36 +1,53 @@
 package checkpoint
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
 	"github.com/edgeai/fedml/internal/tensor"
 )
 
-// RunStateVersion identifies the mid-training snapshot schema.
-const RunStateVersion = 1
+// RunStateVersion identifies the mid-training snapshot format. Version 1 was
+// JSON; version 2 is the binary layout below. Any change to the layout bumps
+// it.
+const RunStateVersion = 2
 
 // RunState is a platform-side mid-training snapshot: everything
 // core.RunPlatform needs to resume a crashed run at the next round. Unlike
 // Checkpoint (a finished, adaptation-ready model), RunState is training
 // plumbing: it carries the loop counters and communication accounting
 // alongside θ.
+//
+// On disk it is one little-endian file (DESIGN.md §7, "Platform crash"):
+//
+//	offset  size  field
+//	     0     4  magic "FMRS"
+//	     4     1  format version (RunStateVersion)
+//	     5   8·3  Round, Iter, T0 (i64)
+//	    29     8  Dispersion (IEEE-754 bits)
+//	    37  8·10  Counters, in declaration order (i64)
+//	   117     4  n = len(Theta) (u32)
+//	   121   8·n  Theta (IEEE-754 bits)
+//	     …     4  CRC-32C (Castagnoli) of every byte before it
 type RunState struct {
-	Version int `json:"version"`
+	Version int
 	// Round is the last completed (aggregated) global round.
-	Round int `json:"round"`
+	Round int
 	// Iter is the cumulative local-iteration count after Round.
-	Iter int `json:"iter"`
+	Iter int
 	// T0 is the per-round local step count in effect (the adaptive-T0
 	// controller's latest choice).
-	T0 int `json:"t0"`
+	T0 int
 	// Dispersion is the last measured update dispersion, fed back to the
 	// T0 controller on resume.
-	Dispersion float64 `json:"dispersion"`
+	Dispersion float64
 	// Theta is the aggregated global parameter vector after Round.
-	Theta []float64 `json:"theta"`
+	Theta []float64
 
 	// Counters is the communication accounting carried across the crash.
 	Counters
@@ -38,21 +55,51 @@ type RunState struct {
 
 // Counters mirrors core.CommStats field for field (names, types and order —
 // core converts between the two, so a counter added to one and not the other
-// fails to compile). The stale and budget counters were added after the
-// first snapshots shipped; older snapshots decode them as zero, so no
-// version bump was needed.
+// fails to compile). Every counter is a fixed header field of the snapshot,
+// so adding one changes the layout and bumps RunStateVersion.
 type Counters struct {
-	Rounds         int   `json:"rounds"`
-	Messages       int   `json:"messages"`
-	Bytes          int64 `json:"bytes"`
-	Dropped        int   `json:"dropped"`
-	Rejoined       int   `json:"rejoined"`
-	Rejected       int   `json:"rejected"`
-	SkippedRounds  int   `json:"skipped_rounds"`
-	StaleApplied   int   `json:"stale_applied,omitempty"`
-	StaleDropped   int   `json:"stale_dropped,omitempty"`
-	BudgetFiltered int   `json:"budget_filtered,omitempty"`
+	Rounds         int
+	Messages       int
+	Bytes          int64
+	Dropped        int
+	Rejoined       int
+	Rejected       int
+	SkippedRounds  int
+	StaleApplied   int
+	StaleDropped   int
+	BudgetFiltered int
 }
+
+// Errors LoadRunState wraps, with the path and the figures, when a file is
+// not a snapshot this binary can resume from. Test with errors.Is.
+var (
+	// ErrRunStateV1 is a snapshot written by a JSON-era binary. It is
+	// refused rather than read as "no snapshot", because a fresh start would
+	// silently discard the run's progress.
+	ErrRunStateV1 = errors.New("v1 JSON run state; this binary reads v2")
+	// ErrRunStateMagic is a file that does not start with the magic.
+	ErrRunStateMagic = errors.New("not a run-state file")
+	// ErrRunStateVersion is a binary snapshot of another format version.
+	ErrRunStateVersion = errors.New("unsupported run-state format version")
+	// ErrRunStateLength is a file shorter than the header, or whose length
+	// is not header + 8·n + 4 for the n it declares (truncated, extended, or
+	// a count that claims more parameters than the file holds).
+	ErrRunStateLength = errors.New("run-state length does not match its parameter count")
+	// ErrRunStateChecksum is a file whose CRC-32C does not match its bytes.
+	ErrRunStateChecksum = errors.New("run-state checksum mismatch")
+)
+
+const (
+	runStateMagic = "FMRS"
+	// runStateFields is the number of 8-byte header fields: Round, Iter, T0,
+	// Dispersion and the ten Counters.
+	runStateFields = 14
+	// runStateHeader is the byte size of everything before Theta.
+	runStateHeader = 4 + 1 + 8*runStateFields + 4
+	runStateCRC    = 4
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Validate checks internal consistency.
 func (s *RunState) Validate() error {
@@ -69,17 +116,90 @@ func (s *RunState) Validate() error {
 	return nil
 }
 
-// SaveRunState atomically writes s to path: the snapshot is marshaled to a
-// temporary file in the same directory, synced, and renamed over path, so a
-// crash (even kill -9) mid-write can never destroy the previous snapshot.
+// encodeRunState lays s out in one buffer of exactly
+// runStateHeader + 8·len(s.Theta) + runStateCRC bytes.
+func encodeRunState(s *RunState) []byte {
+	le := binary.LittleEndian
+	c := &s.Counters
+	fields := [runStateFields]uint64{
+		uint64(s.Round), uint64(s.Iter), uint64(s.T0), math.Float64bits(s.Dispersion),
+		uint64(c.Rounds), uint64(c.Messages), uint64(c.Bytes), uint64(c.Dropped), uint64(c.Rejoined),
+		uint64(c.Rejected), uint64(c.SkippedRounds), uint64(c.StaleApplied), uint64(c.StaleDropped),
+		uint64(c.BudgetFiltered),
+	}
+	buf := make([]byte, runStateHeader+8*len(s.Theta)+runStateCRC)
+	copy(buf, runStateMagic)
+	buf[4] = byte(s.Version)
+	off := 5
+	for _, f := range fields {
+		le.PutUint64(buf[off:], f)
+		off += 8
+	}
+	le.PutUint32(buf[off:], uint32(len(s.Theta)))
+	off += 4
+	for _, v := range s.Theta {
+		le.PutUint64(buf[off:], math.Float64bits(v))
+		off += 8
+	}
+	le.PutUint32(buf[off:], crc32.Checksum(buf[:off], castagnoli))
+	return buf
+}
+
+// decodeRunState parses a snapshot's bytes; the caller validates the result.
+// Every structural check — magic, version, exact length for the declared
+// count, checksum — runs before θ is allocated, so what it allocates never
+// exceeds len(data).
+func decodeRunState(data []byte) (*RunState, error) {
+	le := binary.LittleEndian
+	switch {
+	case len(data) > 0 && data[0] == '{':
+		return nil, ErrRunStateV1
+	case len(data) < runStateHeader+runStateCRC:
+		return nil, fmt.Errorf("%w: %d bytes, header and checksum alone take %d", ErrRunStateLength, len(data), runStateHeader+runStateCRC)
+	case string(data[:4]) != runStateMagic:
+		return nil, fmt.Errorf("%w: magic %q", ErrRunStateMagic, data[:4])
+	case data[4] != RunStateVersion:
+		return nil, fmt.Errorf("%w: %d, this binary reads %d", ErrRunStateVersion, data[4], RunStateVersion)
+	}
+	n := le.Uint32(data[runStateHeader-4:])
+	if want := runStateHeader + 8*uint64(n) + runStateCRC; uint64(len(data)) != want {
+		return nil, fmt.Errorf("%w: %d bytes for %d parameters, want %d", ErrRunStateLength, len(data), n, want)
+	}
+	body := len(data) - runStateCRC
+	if got, want := crc32.Checksum(data[:body], castagnoli), le.Uint32(data[body:]); got != want {
+		return nil, fmt.Errorf("%w: computed %08x, stored %08x", ErrRunStateChecksum, got, want)
+	}
+	var f [runStateFields]uint64
+	for i := range f {
+		f[i] = le.Uint64(data[5+8*i:])
+	}
+	s := &RunState{
+		Version: int(data[4]),
+		Round:   int(f[0]), Iter: int(f[1]), T0: int(f[2]),
+		Dispersion: math.Float64frombits(f[3]),
+		Counters: Counters{
+			Rounds: int(f[4]), Messages: int(f[5]), Bytes: int64(f[6]), Dropped: int(f[7]), Rejoined: int(f[8]),
+			Rejected: int(f[9]), SkippedRounds: int(f[10]), StaleApplied: int(f[11]), StaleDropped: int(f[12]),
+			BudgetFiltered: int(f[13]),
+		},
+		Theta: make([]float64, n),
+	}
+	for i, off := 0, runStateHeader; i < len(s.Theta); i, off = i+1, off+8 {
+		s.Theta[i] = math.Float64frombits(le.Uint64(data[off:]))
+	}
+	return s, nil
+}
+
+// SaveRunState atomically writes s to path: the snapshot is encoded into one
+// buffer, written to a temporary file in the same directory, synced, and
+// renamed over path, so a crash (even kill -9) mid-write can never destroy
+// the previous snapshot. It only reads s.Theta and keeps no reference to it,
+// so the caller may pass its live θ and modify it once SaveRunState returns.
 func SaveRunState(path string, s *RunState) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode run state: %w", err)
-	}
+	data := encodeRunState(s)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -105,18 +225,19 @@ func SaveRunState(path string, s *RunState) error {
 
 // LoadRunState reads and validates a snapshot. A missing file surfaces as an
 // error satisfying errors.Is(err, os.ErrNotExist), which resuming callers
-// treat as "start fresh".
+// treat as "start fresh"; any other failure — including a v1 JSON snapshot
+// (ErrRunStateV1) — is an error to stop on, never a fresh start.
 func LoadRunState(path string) (*RunState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: read run state: %w", err)
 	}
-	var s RunState
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode run state %s: %w", path, err)
+	s, err := decodeRunState(data)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: run state %s: %w", path, err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/edgeai/fedml/internal/checkpoint"
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
 	"github.com/edgeai/fedml/internal/obs"
@@ -645,6 +647,36 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 	}
 	if stats2.Rounds != wantRounds || lastRound2 != wantRounds {
 		t.Errorf("fresh resume run: rounds = %d last = %d, want %d", stats2.Rounds, lastRound2, wantRounds)
+	}
+}
+
+// TestResumeRefusesV1Snapshot: a snapshot in the v1 JSON format is an error
+// to stop on, not a missing snapshot — starting fresh would silently discard
+// the run's progress and then overwrite the file.
+func TestResumeRefusesV1Snapshot(t *testing.T) {
+	fed := tinyFederation(t, 0, 0)
+	fed.Sources = fed.Sources[:4]
+	m := tinyModel(fed)
+	ckPath := filepath.Join(t.TempDir(), "run.state")
+	const v1 = `{"version":1,"round":3,"iter":15,"t0":5,"dispersion":0.25,"theta":[0.1,-0.2,0.3],"rounds":3,"messages":18,"bytes":432,"dropped":1,"rejoined":1,"rejected":2,"skipped_rounds":1,"stale_applied":4,"stale_dropped":1,"budget_filtered":2}`
+	if err := os.WriteFile(ckPath, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	cfg := Config{
+		Alpha: 0.01, Beta: 0.01, T: 20, T0: 5, Seed: 2,
+		CheckpointPath: ckPath, CheckpointEvery: 1, Resume: true,
+		OnRound: func(int, int, tensor.Vec) { rounds++ },
+	}
+	_, err := Train(m, fed, nil, cfg)
+	if !errors.Is(err, checkpoint.ErrRunStateV1) {
+		t.Fatalf("resume from a v1 snapshot: err = %v, want checkpoint.ErrRunStateV1", err)
+	}
+	if rounds != 0 {
+		t.Errorf("%d rounds ran after the refused resume", rounds)
+	}
+	if got, err := os.ReadFile(ckPath); err != nil || string(got) != v1 {
+		t.Errorf("v1 snapshot was modified (err %v)", err)
 	}
 }
 

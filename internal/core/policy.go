@@ -308,7 +308,7 @@ func foldScalars(lo, hi int, f func(i int) float64) float64 {
 }
 
 // saveSnapshot persists the post-aggregation state of a round for crash
-// recovery.
+// recovery. θ goes in uncloned: SaveRunState only reads it.
 func saveSnapshot(path string, round, iter, t0 int, dispersion float64, theta tensor.Vec, stats CommStats) error {
 	st := &checkpoint.RunState{
 		Version:    checkpoint.RunStateVersion,
@@ -316,7 +316,7 @@ func saveSnapshot(path string, round, iter, t0 int, dispersion float64, theta te
 		Iter:       iter,
 		T0:         t0,
 		Dispersion: dispersion,
-		Theta:      append([]float64(nil), theta...),
+		Theta:      theta,
 		Counters:   checkpoint.Counters(stats),
 	}
 	if err := checkpoint.SaveRunState(path, st); err != nil {
