@@ -166,12 +166,14 @@ workloads-smoke:
 		-metrics-out $(BUILD_DIR)/workloads_fault_smoke.jsonl
 	$(GO) run ./cmd/obscheck $(BUILD_DIR)/workloads_fault_smoke.jsonl
 
-# CPU + heap profiles of the three hot benchmarks: fig2a (softmax, end to
+# CPU + heap profiles of the four hot benchmarks: fig2a (softmax, end to
 # end), MetaGradInto/mlp360 (one second-order meta-gradient of the Sent140
-# MLP the bench/ workloads run — the unit of node compute) and
-# ShardedSimRound (one round of 65 536 simulated nodes under 8 shards and a
-# director — the platform's per-node cost). Profiles and test binaries land
-# in $(BUILD_DIR); the top of each CPU profile is printed. Inspect further with
+# MLP the bench/ workloads run — the unit of node compute), ShardedSimRound
+# (one round of 65 536 simulated nodes under 8 shards and a director — the
+# platform's per-node cost) and CodecEncode/topk (one top-k delta encode of
+# that MLP's 25 970 parameters — the codec's selection). Profiles and test
+# binaries land in $(BUILD_DIR); the top of each CPU profile is printed.
+# Inspect further with
 # `go tool pprof $(BUILD_DIR)/profile_mlp360.test $(BUILD_DIR)/cpu_mlp360.pprof`;
 # live runs expose the same data via -pprof.
 profile:
@@ -182,16 +184,19 @@ profile:
 		-cpuprofile $(BUILD_DIR)/cpu_mlp360.pprof -memprofile $(BUILD_DIR)/mem_mlp360.pprof .
 	$(GO) test -run '^$$' -bench 'ShardedSimRound' -benchmem -o $(BUILD_DIR)/profile_simround.test \
 		-cpuprofile $(BUILD_DIR)/cpu_simround.pprof -memprofile $(BUILD_DIR)/mem_simround.pprof .
+	$(GO) test -run '^$$' -bench 'CodecEncode/topk' -benchmem -o $(BUILD_DIR)/profile_topk.test \
+		-cpuprofile $(BUILD_DIR)/cpu_topk.pprof -memprofile $(BUILD_DIR)/mem_topk.pprof .
 	$(GO) tool pprof -top -nodecount 10 $(BUILD_DIR)/profile_fig2a.test $(BUILD_DIR)/cpu_fig2a.pprof
 	$(GO) tool pprof -top -nodecount 10 $(BUILD_DIR)/profile_mlp360.test $(BUILD_DIR)/cpu_mlp360.pprof
 	$(GO) tool pprof -top -nodecount 10 $(BUILD_DIR)/profile_simround.test $(BUILD_DIR)/cpu_simround.pprof
+	$(GO) tool pprof -top -nodecount 10 $(BUILD_DIR)/profile_topk.test $(BUILD_DIR)/cpu_topk.pprof
 
 # One testing.B per paper table/figure plus ablations (see bench_test.go).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The benchmarks bench-json snapshots and bench-check gates.
-BENCH_GATED := Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto|CodecEncode|CodecDecode|TCPRoundTrip|ShardedSimRound|RunState
+BENCH_GATED := Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto|CodecEncode|CodecDecode|TCPRoundTrip|ShardedSimRound|RunState|DispatchTopK
 
 # Machine-readable performance snapshot: the key end-to-end and kernel
 # benchmarks rendered to BENCH_fedml.json (name -> ns/op, B/op, allocs/op)

@@ -630,9 +630,10 @@ func BenchmarkCodecEncode(b *testing.B) {
 }
 
 // BenchmarkCodecDecode measures one steady-state Decode per codec family:
-// one allocation per message (the vector the caller owns). A topk delta
-// decodes only in sequence, so every iteration encodes its own payload with
-// the timer stopped.
+// one allocation per message for the stateless codecs (the vector they hand
+// out), none for topk (it lends its reference). A topk delta decodes only in
+// sequence, so every iteration encodes its own payload with the timer
+// stopped.
 func BenchmarkCodecDecode(b *testing.B) {
 	for _, spec := range codecBenchSpecs {
 		b.Run(spec, func(b *testing.B) {
@@ -654,6 +655,90 @@ func BenchmarkCodecDecode(b *testing.B) {
 				codecBenchVec = out
 			}
 		})
+	}
+}
+
+// BenchmarkDispatchTopK measures one strict topk round at the tcp_mlp_topk
+// shape over 16 in-memory links: the platform encodes θ once for the 16
+// links, each node decodes the broadcast and replies with a topk update, and
+// the platform decodes the 16 replies into vectors it recycles and
+// aggregates them. The nodes do no training, so the round is the codec path
+// of both ends; round 1 (the full syncs that start every chain) runs before
+// the timer starts. The allocation count is the contract: the platform's one
+// payload and the nodes' sixteen, plus a handful per round, none θ-sized on
+// the decode side.
+func BenchmarkDispatchTopK(b *testing.B) {
+	const nodes = 16
+	r := rng.New(1)
+	theta0 := tensor.NewVec(codecBenchDim)
+	for i := range theta0 {
+		theta0[i] = 0.1 * r.Norm()
+	}
+	links := make([]transport.Link, nodes)
+	weights := make([]float64, nodes)
+	errs := make(chan error, nodes)
+	for i := range links {
+		var nodeEnd transport.Link
+		links[i], nodeEnd = transport.Pair()
+		weights[i] = 1 + float64(i%4)
+		go func(id int, l transport.Link) { errs <- topKStepNode(l, id) }(i, nodeEnd)
+	}
+	cfg := core.Config{Alpha: 0.01, Beta: 0.01, T: b.N + 1, T0: 1, Seed: 1, Codec: "topk"}
+	cfg.OnRound = func(round, _ int, _ tensor.Vec) {
+		if round == 1 {
+			b.ResetTimer()
+		}
+	}
+	b.ReportAllocs()
+	_, _, err := core.RunPlatform(links, weights, theta0, cfg)
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range links {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// topKStepNode answers every broadcast on l the way core.RunNode does under
+// the topk codec, with a fixed node-specific step in place of local
+// training: decode the broadcast, add the step, encode the reply.
+func topKStepNode(l transport.Link, id int) error {
+	newTopK := func() *codec.Masked {
+		c, _ := codec.New("topk")
+		return codec.NewMasked(c)
+	}
+	down, up := newTopK(), newTopK()
+	r := rng.New(uint64(id) + 100)
+	step := make([]float64, codecBenchDim)
+	for i := range step {
+		step[i] = 1e-3 * r.Norm()
+	}
+	reply := make([]float64, codecBenchDim)
+	for {
+		m, err := l.Recv()
+		if err != nil || m.Kind == transport.KindDone {
+			return err
+		}
+		global, _, err := down.DecodeMasked(m.Payload, nil)
+		if err != nil {
+			return err
+		}
+		if codec.IsFull(m.Payload) {
+			up.Reset()
+		}
+		for i := range reply {
+			reply[i] = global[i] + step[i]
+		}
+		p, err := up.Encode(reply)
+		if err != nil {
+			return err
+		}
+		if err := l.Send(transport.Msg{Kind: transport.KindUpdate, Round: m.Round, NodeID: id, Codec: m.Codec, Payload: p}); err != nil {
+			return err
+		}
 	}
 }
 

@@ -64,7 +64,9 @@ var ErrDesync = errors.New("codec: reference state out of sync")
 // Codec encodes parameter vectors to wire payloads and back. An instance
 // serves exactly one direction of one link: stateful implementations keep
 // per-instance reference state, so sharing an instance across links or
-// directions corrupts it. Instances are not safe for concurrent use.
+// directions corrupts it. Instances are not safe for concurrent use. The
+// four implementations are this package's own (New builds them); the
+// unexported methods are the hooks Masked composes them through.
 type Codec interface {
 	// Name returns the canonical spec string; New(Name()) reproduces the
 	// codec, which is how the platform's choice propagates to nodes (the
@@ -73,14 +75,56 @@ type Codec interface {
 	// Encode returns the wire form of params in a freshly allocated buffer
 	// (ownership passes to the caller; params is read, never retained).
 	Encode(params []float64) ([]byte, error)
-	// Decode parses a payload into a freshly allocated vector (ownership
-	// passes to the caller). Stateful codecs return ErrDesync when the
-	// payload does not apply to their reference state.
+	// Decode parses a payload into a vector the codec lends: read-only to
+	// the caller and valid until the next Decode or Reset on the instance.
+	// (The stateful topk codec lends its reference vector itself; the
+	// stateless ones hand out a fresh vector.) Stateful codecs return
+	// ErrDesync when the payload does not apply to their reference state.
 	Decode(payload []byte) ([]float64, error)
 	// Reset drops any cross-message state: the next Encode emits a full
 	// payload and the next Decode accepts only one. No-op for stateless
 	// codecs.
 	Reset()
+
+	// appendEncode is Encode appending to dst: it grows dst at most once,
+	// by exactly the payload's size.
+	appendEncode(dst []byte, params []float64) ([]byte, error)
+	// decodeInto is Decode writing the vector into out (grown when too
+	// short) and returning it; the result never aliases codec state.
+	decodeInto(payload []byte, out []float64) ([]float64, error)
+	// copyStateFrom replaces the encoder state with a copy of src's, an
+	// instance of the same spec, so the next Encode emits what src's next
+	// Encode would. No-op for stateless codecs.
+	copyStateFrom(src Codec)
+}
+
+// reserve returns dst with room for n more bytes, allocating at most once.
+// (slices.Grow allocates twice under the race detector, which would show in
+// the allocation tests of make check.)
+func reserve(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	grown := make([]byte, len(dst), len(dst)+n)
+	copy(grown, dst)
+	return grown
+}
+
+// extend grows dst by n bytes, allocating at most once, and returns it with
+// the n-byte tail to fill.
+func extend(dst []byte, n int) (grown, tail []byte) {
+	dst = reserve(dst, n)
+	dst = dst[:len(dst)+n]
+	return dst, dst[len(dst)-n:]
+}
+
+// resize returns out with length n, allocating only when it is nil or its
+// capacity is short (a decoded vector is never nil).
+func resize(out []float64, n int) []float64 {
+	if out == nil || cap(out) < n {
+		return make([]float64, n)
+	}
+	return out[:n]
 }
 
 // New builds a fresh codec instance from its spec string: "raw", "f16",
@@ -122,7 +166,8 @@ func Names() []string { return []string{"raw", "f16", "q8", "topk", "topk:<frac>
 // re-shipping the frozen coordinates.
 func IsFull(payload []byte) bool {
 	if len(payload) > 0 && payload[0] == ModeMasked {
-		_, inner, err := parseMaskHeader(payload)
+		var buf [4]Range // room for the usual masks, so the check allocates nothing
+		_, inner, err := parseMaskHeader(payload, buf[:0])
 		return err == nil && IsFull(inner)
 	}
 	return len(payload) > 0 && payload[0] == ModeFull

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -418,50 +419,132 @@ func TestTopKTotalOrder(t *testing.T) {
 	}
 }
 
-// TestTopKSteadyStateAllocs pins the buffer contract: once the reference
-// chain is up, Encode allocates the payload and nothing else (the selection
-// scratch is pooled) and Decode allocates the returned vector and nothing
-// else (the reference advances in place).
+// TestTopKSteadyStateAllocs pins the buffer lifetimes: once the reference
+// chain is up, an encode allocates its payload and nothing else (the
+// selection scratch is pooled, a masked header is built in place), and no
+// decode allocates — a bare decoder lends its reference, a node-side Masked
+// decoder lends its retained reference, and a platform-side one writes into
+// the vector its caller recycles.
 func TestTopKSteadyStateAllocs(t *testing.T) {
 	const runs = 100
-	enc, dec := &topKCodec{frac: DefaultTopKFraction}, &topKCodec{frac: DefaultTopKFraction}
 	v := testVector(4096, 9)
-	first, _ := enc.Encode(v)
-	if _, err := dec.Decode(first); err != nil {
-		t.Fatal(err)
-	}
 	drift := func() {
 		for i := range v {
 			v[i] += 1e-3 * float64(i%7-3)
 		}
 	}
-	// AllocsPerRun calls its function runs+1 times; the decoder needs one
-	// in-sequence payload for each.
-	payloads := make([][]byte, 0, runs+1)
-	for len(payloads) < cap(payloads) {
-		drift()
-		p, err := enc.Encode(v)
-		if err != nil {
-			t.Fatal(err)
+	check := func(what string, want float64, f func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(runs, f); got != want {
+			t.Errorf("steady-state %s: %v allocs per call, want %v", what, got, want)
 		}
-		payloads = append(payloads, p)
 	}
-	if allocs := testing.AllocsPerRun(runs, func() {
+	// stream returns runs+1 in-sequence payloads of encode: AllocsPerRun calls
+	// its function runs+1 times, and a decoder needs a fresh one each time.
+	stream := func(encode func() ([]byte, error)) [][]byte {
+		payloads := make([][]byte, 0, runs+1)
+		for len(payloads) < cap(payloads) {
+			drift()
+			p, err := encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads = append(payloads, p)
+		}
+		return payloads
+	}
+	decodeAll := func(what string, payloads [][]byte, decode func([]byte) error) {
+		t.Helper()
+		next := 0
+		check(what, 0, func() {
+			if err := decode(payloads[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+
+	enc, dec := &topKCodec{frac: DefaultTopKFraction}, &topKCodec{frac: DefaultTopKFraction}
+	first, _ := enc.Encode(v)
+	if _, err := dec.Decode(first); err != nil {
+		t.Fatal(err)
+	}
+	payloads := stream(func() ([]byte, error) { return enc.Encode(v) })
+	check("topk Encode", 1, func() {
 		drift()
 		if _, err := enc.Encode(v); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 1 {
-		t.Errorf("steady-state topk Encode: %v allocs per call, want 1 (the payload)", allocs)
-	}
-	next := 0
-	if allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := dec.Decode(payloads[next]); err != nil {
+	})
+	decodeAll("topk Decode", payloads, func(p []byte) error {
+		_, err := dec.Decode(p)
+		return err
+	})
+
+	// The same through the mask wrapper, with a mask, at both ends of a link.
+	mask := []Range{{Lo: 100, Hi: 900}, {Lo: 3000, Hi: 4096}}
+	newMasked := func() *Masked { return NewMasked(&topKCodec{frac: DefaultTopKFraction}) }
+	menc, node, plat := newMasked(), newMasked(), newMasked()
+	base, out := testVector(4096, 10), make([]float64, 4096)
+	for _, ranges := range [][]Range{nil, mask} { // the reference, then the inner full sync under the mask
+		p, err := menc.EncodeMasked(v, ranges)
+		if err != nil {
 			t.Fatal(err)
 		}
-		next++
-	}); allocs != 1 {
-		t.Errorf("steady-state topk Decode: %v allocs per call, want 1 (the returned vector)", allocs)
+		if _, _, err := node.DecodeMasked(p, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := plat.DecodeMaskedInto(p, base, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payloads = stream(func() ([]byte, error) { return menc.EncodeMasked(v, mask) })
+	check("masked EncodeMasked", 1, func() {
+		drift()
+		if _, err := menc.EncodeMasked(v, mask); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decodeAll("node-side DecodeMasked", payloads, func(p []byte) error {
+		_, _, err := node.DecodeMasked(p, nil)
+		return err
+	})
+	decodeAll("platform-side DecodeMaskedInto", payloads, func(p []byte) error {
+		got, _, err := plat.DecodeMaskedInto(p, base, out)
+		if err == nil && &got[0] != &out[0] {
+			t.Fatal("DecodeMaskedInto did not decode into the caller's vector")
+		}
+		return err
+	})
+}
+
+// TestKthLargestMatchesSort checks the radix select against a sort on the
+// key sets that stress its passes: keys that differ only in their lowest
+// mantissa bits (every pass runs, including the overlapping last digit),
+// long runs of ties, one key, and keys spread over every binade.
+func TestKthLargestMatchesSort(t *testing.T) {
+	r := rng.New(5)
+	sets := map[string][]uint64{"one": {deltaKey(3)}}
+	low, ties, wide := make([]uint64, 1000), make([]uint64, 1000), make([]uint64, 1000)
+	for i := range low {
+		low[i] = deltaKey(1) + uint64(r.IntN(4096))
+		ties[i] = deltaKey(float64(r.IntN(3)))
+		wide[i] = deltaKey(math.Ldexp(r.Norm(), r.IntN(2000)-1000))
+	}
+	sets["low bits"], sets["ties"], sets["wide"] = low, ties, wide
+	for name, keys := range sets {
+		sorted := slices.Clone(keys)
+		slices.SortFunc(sorted, func(a, b uint64) int { return cmp.Compare(b, a) })
+		for k := 1; k <= len(keys); k += 1 + k/8 {
+			var hist [1 << radixBits]uint32
+			for _, x := range keys {
+				hist[x>>topShift]++
+			}
+			kth, above := kthLargest(slices.Clone(keys), &hist, k)
+			if want, wantAbove := sorted[k-1], slices.Index(sorted, sorted[k-1]); kth != want || above != wantAbove {
+				t.Fatalf("%s, k=%d: got (%#x, %d above), want (%#x, %d above)", name, k, kth, above, want, wantAbove)
+			}
+		}
 	}
 }
 

@@ -23,18 +23,22 @@ var _ Codec = f16Codec{}
 
 func (f16Codec) Name() string { return "f16" }
 
-func (f16Codec) Encode(params []float64) ([]byte, error) {
-	out := make([]byte, 1+2*len(params))
+func (c f16Codec) Encode(params []float64) ([]byte, error) { return c.appendEncode(nil, params) }
+
+func (f16Codec) appendEncode(dst []byte, params []float64) ([]byte, error) {
+	dst, out := extend(dst, 1+2*len(params))
 	out[0] = ModeFull
 	for i, v := range params {
 		h := halfFromFloat64(v)
 		out[1+2*i] = byte(h)
 		out[2+2*i] = byte(h >> 8)
 	}
-	return out, nil
+	return dst, nil
 }
 
-func (f16Codec) Decode(payload []byte) ([]float64, error) {
+func (c f16Codec) Decode(payload []byte) ([]float64, error) { return c.decodeInto(payload, nil) }
+
+func (f16Codec) decodeInto(payload []byte, out []float64) ([]float64, error) {
 	if len(payload) < 1 || payload[0] != ModeFull {
 		return nil, fmt.Errorf("codec: f16: bad payload header")
 	}
@@ -42,7 +46,7 @@ func (f16Codec) Decode(payload []byte) ([]float64, error) {
 	if len(body)%2 != 0 {
 		return nil, fmt.Errorf("codec: f16: payload length %d not a whole number of halfs", len(body))
 	}
-	out := make([]float64, len(body)/2)
+	out = resize(out, len(body)/2)
 	for i := range out {
 		out[i] = halfToFloat64(uint16(body[2*i]) | uint16(body[2*i+1])<<8)
 	}
@@ -50,6 +54,8 @@ func (f16Codec) Decode(payload []byte) ([]float64, error) {
 }
 
 func (f16Codec) Reset() {}
+
+func (f16Codec) copyStateFrom(Codec) {}
 
 // halfFromFloat64 converts to binary16 with round-to-nearest-even, clamping
 // finite overflow to the largest finite half instead of ±Inf.

@@ -77,6 +77,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if _, err := dec.Decode(p2); err != nil {
 				t.Fatalf("%s: second Decode: %v", spec, err)
 			}
+			checkFollower(t, spec, params, perturbed)
 
 			// Interpretation 2: the bytes are a hostile wire payload, fed to
 			// both a fresh and an already-synchronized decoder.
@@ -95,10 +96,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			_, _, _ = masked.DecodeMasked(data, params)
 			// And a legitimate masked round-trip over a data-derived mask.
 			if n := len(params); n >= 2 {
-				ranges := []Range{{Lo: n / 4, Hi: n/4 + 1 + n/3}}
-				if ranges[0].Hi > n {
-					ranges[0].Hi = n
-				}
+				ranges := fuzzMask(n)
 				mp, err := masked.EncodeMasked(params, ranges)
 				if err != nil {
 					t.Fatalf("%s: masked Encode: %v", spec, err)
@@ -111,6 +109,48 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzMask is a data-derived one-range mask over n ≥ 2 coordinates.
+func fuzzMask(n int) []Range {
+	return []Range{{Lo: n / 4, Hi: min(n/4+1+n/3, n)}}
+}
+
+// checkFollower pins the state-copy contract behind a shared broadcast: an
+// encoder that follows a leader (FollowEncoder after each of the leader's
+// encodes) emits byte for byte the payload the leader emits next, through a
+// full sync, a delta, a mask transition and a delta under the mask.
+func checkFollower(t *testing.T, spec string, params, perturbed []float64) {
+	t.Helper()
+	var mask []Range
+	if len(params) >= 2 {
+		mask = fuzzMask(len(params))
+	}
+	newMasked := func() *Masked {
+		inner, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewMasked(inner)
+	}
+	leader, follower := newMasked(), newMasked()
+	steps := []struct {
+		v    []float64
+		mask []Range
+	}{{params, nil}, {perturbed, nil}, {params, mask}, {perturbed, mask}}
+	for i, st := range steps {
+		want, err := leader.EncodeMasked(st.v, st.mask)
+		if err != nil {
+			t.Fatalf("%s: leader encode %d: %v", spec, i, err)
+		}
+		if i > 0 {
+			got, err := follower.EncodeMasked(st.v, st.mask)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: step %d: follower payload differs from its leader's (err %v)", spec, i, err)
+			}
+		}
+		follower.FollowEncoder(leader)
+	}
 }
 
 // isBounded reports whether v lies in the domain all four codec error

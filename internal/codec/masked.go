@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Range is a half-open index interval [Lo, Hi) into a parameter vector.
@@ -75,19 +76,20 @@ func ValidRanges(ranges []Range, dim int) error {
 // fails with ErrDesync, which feeds the PR 5 suspect/probe/resync protocol.
 //
 // A Masked instance serves one direction of one link, like any Codec, and
-// also satisfies the plain Codec interface by treating nil ranges as "no
-// mask" (plain inner payload, no wrapper).
+// also offers the plain Codec methods, treating nil ranges as "no mask"
+// (plain inner payload, no wrapper).
 type Masked struct {
 	inner Codec
 
 	encRanges []Range // mask of the previous Encode (nil = full)
 	encBuf    []float64
+	encHdr    []byte
 
 	decRanges []Range // mask of the previous Decode (nil = full)
 	ref       []float64
+	decSub    []float64
+	wire      []Range // the ranges a payload carries, parsed
 }
-
-var _ Codec = (*Masked)(nil)
 
 // NewMasked wraps inner with mask support.
 func NewMasked(inner Codec) *Masked { return &Masked{inner: inner} }
@@ -117,11 +119,27 @@ func (m *Masked) Decode(payload []byte) ([]float64, error) {
 	return out, err
 }
 
+// FollowEncoder makes m's encoder state a copy of leader's, as if m had made
+// leader's encodes itself: m's next EncodeMasked emits exactly the payload
+// leader's next one would, and the two chains stay interchangeable. Both
+// must wrap the same codec spec. It is how one encode serves every link
+// whose chain was in the same state: the first link encodes, the rest follow.
+// m's decoder side is untouched.
+func (m *Masked) FollowEncoder(leader *Masked) {
+	if leader.encRanges == nil {
+		m.encRanges = nil
+	} else {
+		m.encRanges = append(m.encRanges[:0], leader.encRanges...)
+	}
+	m.inner.copyStateFrom(leader.inner)
+}
+
 // EncodeMasked encodes params under the given mask. Nil ranges produce a
 // plain inner payload (no wrapper); otherwise only the masked coordinates
 // are gathered and encoded. Changing the mask between calls resets the
 // inner codec, so the first message under any new mask is a full (inner)
-// sync of that coordinate set.
+// sync of that coordinate set. The payload is one fresh allocation, owned by
+// the caller.
 func (m *Masked) EncodeMasked(params []float64, ranges []Range) ([]byte, error) {
 	if len(ranges) == 0 {
 		if m.encRanges != nil {
@@ -141,54 +159,77 @@ func (m *Masked) EncodeMasked(params []float64, ranges []Range) ([]byte, error) 
 	for _, r := range ranges {
 		m.encBuf = append(m.encBuf, params[r.Lo:r.Hi]...)
 	}
-	innerPayload, err := m.inner.Encode(m.encBuf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 9+8*len(ranges)+len(innerPayload))
-	out = append(out, ModeMasked)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(params)))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(ranges)))
+	hdr := append(m.encHdr[:0], ModeMasked)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(params)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(ranges)))
 	for _, r := range ranges {
-		out = binary.LittleEndian.AppendUint32(out, uint32(r.Lo))
-		out = binary.LittleEndian.AppendUint32(out, uint32(r.Len()))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(r.Lo))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(r.Len()))
 	}
-	return append(out, innerPayload...), nil
+	m.encHdr = hdr
+	// The header scratch is capped at its length, so the inner encoder's one
+	// growth is the payload's own allocation and the scratch stays private.
+	return m.inner.appendEncode(hdr[:len(hdr):len(hdr)], m.encBuf)
 }
 
-// DecodeMasked decodes a payload into a freshly allocated full vector.
+// DecodeMasked decodes a payload into a full vector the decoder lends:
+// read-only to the caller and valid until the next decode or Reset on m.
 // Plain payloads pass through the inner codec. Masked payloads decode the
 // inner sub-vector and scatter it into base when non-nil (the platform's
-// current global vector) or into the retained reference otherwise (a node's
-// last known global). The second return value is the mask the payload
-// carried (nil for plain payloads).
+// current global vector, never written) or into the retained reference
+// otherwise (a node's last known global). The second return value is the
+// mask the payload carried (nil for plain payloads).
 //
-// The retained reference is a private copy of the last decoded vector,
-// refilled in place and never aliasing the returned one, which the caller
-// owns. A caller that supplies base holds the reference itself, so nothing
-// is retained for it: a later masked payload without a base fails with
-// ErrDesync rather than scattering into a stale vector.
+// Without base the lent vector is the retained reference itself, refilled in
+// place, so a node's steady-state decode allocates nothing. A caller that
+// supplies base holds the reference itself, so nothing is retained for it: a
+// later masked payload without a base fails with ErrDesync rather than
+// scattering into a stale vector. A caller that keeps the vector beyond the
+// next decode uses DecodeMaskedInto.
 func (m *Masked) DecodeMasked(payload []byte, base []float64) ([]float64, []Range, error) {
+	return m.decode(payload, base, nil)
+}
+
+// DecodeMaskedInto is DecodeMasked writing the vector into out, which the
+// caller owns: it is grown when too short, returned, and never aliases
+// decoder state or base, so the caller may keep and write it. A caller that
+// recycles one out per update allocates nothing in steady state.
+func (m *Masked) DecodeMaskedInto(payload []byte, base, out []float64) ([]float64, []Range, error) {
+	v, ranges, err := m.decode(payload, base, out)
+	if err != nil || base != nil {
+		return v, ranges, err
+	}
+	return append(out[:0], v...), ranges, nil
+}
+
+// decode is the one decode path. Under a base the vector is written into out
+// (a fresh one when out is nil); without one it is the retained reference.
+func (m *Masked) decode(payload []byte, base, out []float64) ([]float64, []Range, error) {
 	if len(payload) == 0 || payload[0] != ModeMasked {
 		if m.decRanges != nil {
 			m.inner.Reset()
 			m.decRanges = nil
 		}
-		out, err := m.inner.Decode(payload)
+		if base != nil {
+			v, err := m.inner.decodeInto(payload, out)
+			if err != nil {
+				return nil, nil, err
+			}
+			m.ref = nil
+			return v, nil, nil
+		}
+		ref, err := m.inner.decodeInto(payload, m.ref)
 		if err != nil {
 			return nil, nil, err
 		}
-		if base != nil {
-			m.ref = nil
-		} else {
-			m.ref = append(m.ref[:0], out...)
-		}
-		return out, nil, nil
+		m.ref = ref
+		return ref, nil, nil
 	}
-	ranges, innerPayload, err := parseMaskHeader(payload)
+	ranges, innerPayload, err := parseMaskHeader(payload, m.wire[:0])
 	if err != nil {
 		return nil, nil, err
 	}
+	m.wire = ranges
 	dim := int(binary.LittleEndian.Uint32(payload[1:]))
 	ref := base
 	if ref == nil {
@@ -202,22 +243,24 @@ func (m *Masked) DecodeMasked(payload []byte, base []float64) ([]float64, []Rang
 	}
 	if !EqualRanges(ranges, m.decRanges) {
 		m.inner.Reset()
-		m.decRanges = ranges
+		m.decRanges = append(m.decRanges[:0], ranges...)
 	}
-	sub, err := m.inner.Decode(innerPayload)
+	ranges = m.decRanges
+	sub, err := m.inner.decodeInto(innerPayload, m.decSub)
 	if err != nil {
 		return nil, nil, err
 	}
+	m.decSub = sub
 	if len(sub) != MaskLen(ranges) {
 		return nil, nil, fmt.Errorf("codec: masked inner payload carries %d params, mask covers %d", len(sub), MaskLen(ranges))
 	}
 	if base == nil {
-		// Advance the retained reference itself and hand out a copy.
+		// Advance the retained reference itself.
 		scatter(m.ref, sub, ranges)
-		return append([]float64(nil), m.ref...), ranges, nil
+		return m.ref, ranges, nil
 	}
 	m.ref = nil
-	out := append([]float64(nil), base...)
+	out = append(out[:0], base...)
 	scatter(out, sub, ranges)
 	return out, ranges, nil
 }
@@ -231,10 +274,11 @@ func scatter(dst, sub []float64, ranges []Range) {
 }
 
 // parseMaskHeader validates a ModeMasked payload's framing and returns the
-// range list and the inner payload. It rejects malformed masks (unsorted,
-// overlapping, out of range) before any allocation proportional to the
-// claimed dimension, so hostile payloads cannot force large allocations.
-func parseMaskHeader(payload []byte) ([]Range, []byte, error) {
+// range list, appended to dst, and the inner payload. It rejects malformed
+// masks (unsorted, overlapping, out of range) before any allocation
+// proportional to the claimed dimension, so hostile payloads cannot force
+// large allocations.
+func parseMaskHeader(payload []byte, dst []Range) ([]Range, []byte, error) {
 	if len(payload) < 9 {
 		return nil, nil, fmt.Errorf("codec: truncated masked header")
 	}
@@ -243,11 +287,11 @@ func parseMaskHeader(payload []byte) ([]Range, []byte, error) {
 	if dim <= 0 || nr <= 0 || nr > dim || len(payload) < 9+8*nr {
 		return nil, nil, fmt.Errorf("codec: masked header claims %d ranges over dim %d in %d bytes", nr, dim, len(payload))
 	}
-	ranges := make([]Range, nr)
+	ranges := slices.Grow(dst, nr)
 	for i := 0; i < nr; i++ {
 		lo := int(binary.LittleEndian.Uint32(payload[9+8*i:]))
 		ln := int(binary.LittleEndian.Uint32(payload[13+8*i:]))
-		ranges[i] = Range{Lo: lo, Hi: lo + ln}
+		ranges = append(ranges, Range{Lo: lo, Hi: lo + ln})
 	}
 	if err := ValidRanges(ranges, dim); err != nil {
 		return nil, nil, err

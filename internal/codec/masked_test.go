@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -198,14 +199,15 @@ func TestMaskedTransitionResetsInnerChain(t *testing.T) {
 	}
 }
 
-// TestDecodedVectorsAreOwned pins the ownership half of the buffer reuse: a
-// decoder refills its reference vectors in place, so no vector it hands out
-// may alias them. One decoder's results are scribbled over as soon as they
-// are compared; every later result must still equal, bit for bit, that of a
-// twin decoder whose results were left alone — across a full payload, the
-// deltas after it, and masked payloads with and without a caller base. Plain
-// payloads pass the inner codec's vector straight through, so the unmasked
-// runs of three also cover the bare topk decoder's full → delta → delta.
+// TestDecodedVectorsAreOwned pins who owns a decoded vector, across a full
+// payload, the deltas after it, and masked payloads with and without a
+// caller base. DecodeMaskedInto writes the caller's vector and nothing else:
+// the result is out's own storage, scribbling over it never changes a later
+// result, and base is never written. DecodeMasked lends: its result agrees
+// with a twin decoder's and stays unchanged until the decoder's next call,
+// whatever other decoders do meanwhile. Plain payloads pass through the
+// inner codec, so the unmasked runs of three also cover the bare topk
+// decoder's full → delta → delta.
 func TestDecodedVectorsAreOwned(t *testing.T) {
 	masks := [][]Range{nil, nil, nil, maskedTestRanges, maskedTestRanges, maskedTestRanges, nil, nil, nil}
 	for _, spec := range []string{"raw", "q8", "topk"} {
@@ -218,12 +220,14 @@ func TestDecodedVectorsAreOwned(t *testing.T) {
 					}
 					return NewMasked(inner)
 				}
-				enc, scribbled, twin := newMasked(), newMasked(), newMasked()
+				enc, into, lent, twin := newMasked(), newMasked(), newMasked(), newMasked()
 				v := testVector(100, 11)
-				var base []float64
+				var base, baseCopy []float64
 				if withBase {
 					base = testVector(100, 12)
+					baseCopy = slices.Clone(base)
 				}
+				out := make([]float64, 100)
 				for msg, mask := range masks {
 					for i := range v {
 						v[i] += 0.01 * float64((i+msg)%5)
@@ -232,7 +236,7 @@ func TestDecodedVectorsAreOwned(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, err := scribbled.DecodeMasked(p, base)
+					lentV, _, err := lent.DecodeMasked(p, base)
 					if err != nil {
 						t.Fatalf("message %d: %v", msg, err)
 					}
@@ -240,8 +244,22 @@ func TestDecodedVectorsAreOwned(t *testing.T) {
 					if err != nil {
 						t.Fatalf("message %d: twin: %v", msg, err)
 					}
+					want = slices.Clone(want)
+					got, _, err := into.DecodeMaskedInto(p, base, out)
+					if err != nil {
+						t.Fatalf("message %d: into: %v", msg, err)
+					}
+					if &got[0] != &out[0] {
+						t.Fatalf("message %d: DecodeMaskedInto returned a vector other than the caller's", msg)
+					}
 					if i := firstBitDiff(got, want); i >= 0 {
 						t.Fatalf("message %d: coord %d = %g, twin decoded %g: an earlier result aliased decoder state", msg, i, got[i], want[i])
+					}
+					if i := firstBitDiff(lentV, want); i >= 0 {
+						t.Fatalf("message %d: lent coord %d = %g, twin decoded %g", msg, i, lentV[i], want[i])
+					}
+					if i := firstBitDiff(base, baseCopy); i >= 0 {
+						t.Fatalf("message %d: base written at %d", msg, i)
 					}
 					for i := range got {
 						got[i] = 1e9

@@ -28,10 +28,12 @@ var _ Codec = q8Codec{}
 
 func (q8Codec) Name() string { return "q8" }
 
-func (q8Codec) Encode(params []float64) ([]byte, error) {
+func (c q8Codec) Encode(params []float64) ([]byte, error) { return c.appendEncode(nil, params) }
+
+func (q8Codec) appendEncode(out []byte, params []float64) ([]byte, error) {
 	n := len(params)
 	nChunks := (n + q8ChunkSize - 1) / q8ChunkSize
-	out := make([]byte, 0, 5+4*nChunks+n)
+	out = reserve(out, 5+4*nChunks+n)
 	out = append(out, ModeFull)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
 	for start := 0; start < n; start += q8ChunkSize {
@@ -66,7 +68,9 @@ func (q8Codec) Encode(params []float64) ([]byte, error) {
 	return out, nil
 }
 
-func (q8Codec) Decode(payload []byte) ([]float64, error) {
+func (c q8Codec) Decode(payload []byte) ([]float64, error) { return c.decodeInto(payload, nil) }
+
+func (q8Codec) decodeInto(payload []byte, out []float64) ([]float64, error) {
 	if len(payload) < 5 || payload[0] != ModeFull {
 		return nil, fmt.Errorf("codec: q8: bad payload header")
 	}
@@ -75,7 +79,7 @@ func (q8Codec) Decode(payload []byte) ([]float64, error) {
 	if n < 0 || len(payload) != 5+4*nChunks+n {
 		return nil, fmt.Errorf("codec: q8: payload length %d does not match %d params", len(payload), n)
 	}
-	out := make([]float64, n)
+	out = resize(out, n)
 	pos := 5
 	for start := 0; start < n; start += q8ChunkSize {
 		end := min(start+q8ChunkSize, n)
@@ -90,3 +94,5 @@ func (q8Codec) Decode(payload []byte) ([]float64, error) {
 }
 
 func (q8Codec) Reset() {}
+
+func (q8Codec) copyStateFrom(Codec) {}

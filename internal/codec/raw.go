@@ -20,16 +20,20 @@ var _ Codec = rawCodec{}
 
 func (rawCodec) Name() string { return Raw }
 
-func (rawCodec) Encode(params []float64) ([]byte, error) {
-	out := make([]byte, 1+8*len(params))
+func (c rawCodec) Encode(params []float64) ([]byte, error) { return c.appendEncode(nil, params) }
+
+func (rawCodec) appendEncode(dst []byte, params []float64) ([]byte, error) {
+	dst, out := extend(dst, 1+8*len(params))
 	out[0] = ModeFull
 	for i, v := range params {
 		binary.LittleEndian.PutUint64(out[1+8*i:], math.Float64bits(v))
 	}
-	return out, nil
+	return dst, nil
 }
 
-func (rawCodec) Decode(payload []byte) ([]float64, error) {
+func (c rawCodec) Decode(payload []byte) ([]float64, error) { return c.decodeInto(payload, nil) }
+
+func (rawCodec) decodeInto(payload []byte, out []float64) ([]float64, error) {
 	if len(payload) < 1 || payload[0] != ModeFull {
 		return nil, fmt.Errorf("codec: raw: bad payload header")
 	}
@@ -37,7 +41,7 @@ func (rawCodec) Decode(payload []byte) ([]float64, error) {
 	if len(body)%8 != 0 {
 		return nil, fmt.Errorf("codec: raw: payload length %d not a whole number of float64s", len(body))
 	}
-	out := make([]float64, len(body)/8)
+	out = resize(out, len(body)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
@@ -45,3 +49,5 @@ func (rawCodec) Decode(payload []byte) ([]float64, error) {
 }
 
 func (rawCodec) Reset() {}
+
+func (rawCodec) copyStateFrom(Codec) {}

@@ -50,6 +50,11 @@ type aggCore struct {
 	// recursion depth so reduce allocates nothing after warm-up.
 	sum     tensor.Vec
 	scratch []tensor.Vec
+
+	// spares are the vectors a round decodes updates into (spare); the
+	// first used of them are handed out, and reset frees them all.
+	spares []tensor.Vec
+	used   int
 }
 
 // newAggCore builds a core over the global index range [lo, hi).
@@ -64,13 +69,28 @@ func newAggCore(lo, hi, dim int) *aggCore {
 	}
 }
 
-// reset clears the round's slots.
+// reset clears the round's slots, which frees every spare vector.
 func (a *aggCore) reset() {
 	for i := range a.slots {
 		a.slots[i] = nil
 		a.wts[i] = 0
 	}
 	a.count = 0
+	a.used = 0
+}
+
+// spare returns a dim-sized vector that nothing else holds until the next
+// reset: an update decodes into it and may then be accepted into a slot. A
+// steady-state round reuses the spares of the last one, so decoding
+// allocates nothing. Every call gets its own vector — an async link can
+// deliver twice in one round, and a rejected second reply must not
+// overwrite the slot its accepted first one fills.
+func (a *aggCore) spare() tensor.Vec {
+	if a.used == len(a.spares) {
+		a.spares = append(a.spares, tensor.NewVec(a.dim))
+	}
+	a.used++
+	return a.spares[a.used-1]
 }
 
 // accept stores the update of global node i (of shard i, for a merge core)

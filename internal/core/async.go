@@ -81,7 +81,7 @@ func (ls *linkSet) pollUpdate(msg *transport.Msg, i int, rd *nodeRound) error {
 	if err := ls.ops.recv(i, ls.pollTO, msg); err != nil {
 		return fmt.Errorf("core: async gather from node %d in round %d: %w", ls.base+i, rd.round, err)
 	}
-	return ls.vetUpdate(i, rd.round, msg, rd.theta, true)
+	return ls.vetUpdate(i, rd, msg, true)
 }
 
 // writeOffStale gives every assignment that fell past the drop bound one

@@ -99,6 +99,15 @@ type linkSet struct {
 	codecSpec string
 	down      []*codec.Masked
 	up        []*codec.Masked
+	// chain[i] names the state of link i's downlink encoder: links with
+	// equal ids hold bit-identical encoder state, so θ encoded for one of
+	// them under one mask is the payload each of the others would emit. 0 is
+	// the empty state of a fresh or reset encoder; every encode moves a link
+	// to an id never used before (lastChain counts them). shared lists the
+	// current dispatch's encodes, one per (state, mask) pair.
+	chain     []uint64
+	lastChain uint64
+	shared    []sharedPayload
 
 	// Sync-mask state, nil/empty unless c.SyncMask is set. maskReady[i]
 	// records that link i has been sent a full payload this process
@@ -142,7 +151,26 @@ type nodeRound struct {
 	// and sanitation, with its local link index and its staleness in
 	// aggregations (0 on the barrier path).
 	accept func(i int, u tensor.Vec, staleness int)
+	// spare hands out a θ-sized vector to decode one delivered update into,
+	// its own until the round's aggregation slots are cleared.
+	spare func() tensor.Vec
 }
+
+// sharedPayload is one encode of a dispatch: the payload a link whose chain
+// is in state from gets, masked or not, the state it leaves the link in, and
+// the leader, the link that encoded it and holds that state for the links
+// that follow it to copy.
+type sharedPayload struct {
+	from, to uint64
+	masked   bool
+	leader   int
+	payload  []byte
+}
+
+// perLinkEncode turns the sharing off, so that every link encodes for
+// itself. Only tests set it: per-link encoding is the oracle a shared
+// payload must match byte for byte.
+var perLinkEncode bool
 
 // probeEscalation is the number of consecutive failed re-probes after which
 // a masked run stops offering masked resyncs (inner chain restarts over the
@@ -199,6 +227,7 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 			ls.down[i] = codec.NewMasked(di)
 			ls.up[i] = codec.NewMasked(ui)
 		}
+		ls.chain = make([]uint64, len(links))
 	}
 	if c.SyncMask != nil {
 		ls.maskReady = make([]bool, len(links))
@@ -226,9 +255,10 @@ func wireBytes(m *transport.Msg) int64 {
 // paramsMsg builds in *m the KindParams message carrying theta to link i.
 // Raw runs ship the round's shared read-only snapshot of theta (see
 // transport.Msg), cloned once per round rather than once per link; payload
-// runs encode through link i's downlink encoder. resync restarts the link's
-// reference chains first, so the message is guaranteed to be a payload any
-// decoder state can accept — the recovery offer sent with every probe. Under
+// runs encode through link i's downlink encoder, once per distinct chain
+// state (encodeDown). resync restarts the link's reference chains first, so
+// the message is guaranteed to be a payload any decoder state can accept —
+// the recovery offer sent with every probe. Under
 // a sync mask that resync is itself masked (an inner full sync of the masked
 // set only); the escalation to a full unmasked payload is driven by
 // maskReady, cleared after probeEscalation consecutive failed probes.
@@ -252,7 +282,7 @@ func (ls *linkSet) paramsMsg(m *transport.Msg, rd *nodeRound, i int, resync bool
 		// reference a masked payload needs.
 		mask = nil
 	}
-	payload, err := ls.down[i].EncodeMasked(theta, mask)
+	payload, err := ls.encodeDown(theta, i, mask)
 	if err != nil {
 		return fmt.Errorf("core: encode broadcast for node %d: %w", ls.base+i, err)
 	}
@@ -276,6 +306,34 @@ func (ls *linkSet) paramsMsg(m *transport.Msg, rd *nodeRound, i int, resync bool
 	return nil
 }
 
+// encodeDown encodes theta for link i under mask. Within one dispatch θ is
+// fixed, so the payload is a function of the link's chain state and the
+// mask alone: the first link in a given (state, mask) encodes, and every
+// later one takes the same payload — read-only and shared, like any
+// KindParams message — and copies the leader's post-encode state, exactly
+// as if it had encoded itself. In a fault-free round every link is in one
+// state, and the round encodes once.
+func (ls *linkSet) encodeDown(theta tensor.Vec, i int, mask []codec.Range) ([]byte, error) {
+	from, masked := ls.chain[i], mask != nil
+	for _, e := range ls.shared {
+		// A leader that was reset since (a failed send) no longer holds the
+		// state its followers need.
+		if e.from == from && e.masked == masked && ls.chain[e.leader] == e.to && !perLinkEncode {
+			ls.down[i].FollowEncoder(ls.down[e.leader])
+			ls.chain[i] = e.to
+			return e.payload, nil
+		}
+	}
+	payload, err := ls.down[i].EncodeMasked(theta, mask)
+	if err != nil {
+		return nil, err
+	}
+	ls.lastChain++
+	ls.chain[i] = ls.lastChain
+	ls.shared = append(ls.shared, sharedPayload{from: from, to: ls.lastChain, masked: masked, leader: i, payload: payload})
+	return payload, nil
+}
+
 // resyncLink drops link i's codec reference chains, forcing the next
 // downlink message to be a full payload and priming the uplink decoder to
 // accept the full reply it triggers. No-op for raw runs.
@@ -284,14 +342,16 @@ func (ls *linkSet) resyncLink(i int) {
 		return
 	}
 	ls.down[i].Reset()
+	ls.chain[i] = 0
 	ls.up[i].Reset()
 }
 
 // decodeUp expands the compressed update carried by msg through link i's
-// uplink decoder, filling msg.Params in place. Every failure wraps
-// errDecode so the round loop can tell wire damage from protocol abuse.
+// uplink decoder into a spare vector of the round, filling msg.Params in
+// place. Every failure wraps errDecode so the round loop can tell wire
+// damage from protocol abuse.
 //
-// theta is the platform's current global vector: masked payloads scatter
+// rd.theta is the platform's current global vector: masked payloads scatter
 // into it, so the frozen coordinates of the decoded update are θ's
 // bit-exactly. A full (unmasked) reply arriving while the mask is active —
 // recovery traffic after an escalated resync, or a warmup-era straggler on
@@ -299,15 +359,16 @@ func (ls *linkSet) resyncLink(i int) {
 // active mask the accepted vector is always θ outside the mask and the
 // node's values inside it, so frozen coordinates cannot drift no matter
 // which payload shape delivered them.
-func (ls *linkSet) decodeUp(i, round int, msg *transport.Msg, theta tensor.Vec) error {
+func (ls *linkSet) decodeUp(i int, rd *nodeRound, msg *transport.Msg) error {
 	if ls.up == nil || msg.Codec != ls.codecSpec {
 		return fmt.Errorf("%w: node %d sent codec %q, platform expects %q", errDecode, ls.base+i, msg.Codec, ls.codecSpec)
 	}
-	params, wireRanges, err := ls.up[i].DecodeMasked(msg.Payload, theta)
+	theta := rd.theta
+	params, wireRanges, err := ls.up[i].DecodeMaskedInto(msg.Payload, theta, rd.spare())
 	if err != nil {
 		return fmt.Errorf("%w: node %d: %v", errDecode, ls.base+i, err)
 	}
-	if mask := ls.c.SyncMask.maskFor(round); mask != nil && wireRanges == nil && len(params) == len(theta) {
+	if mask := ls.c.SyncMask.maskFor(rd.round); mask != nil && wireRanges == nil && len(params) == len(theta) {
 		projectMask(params, theta, mask)
 	}
 	msg.Params = params
@@ -443,10 +504,10 @@ var errStaleRound = errors.New("core: stale round answer")
 // anyRound set a reply to any round or θ-version passes, for the
 // buffered-async sweep that weighs staleness at apply time. A decode failure
 // wraps errDecode; msg still holds the wire bytes for the caller to bill.
-// theta is the current global vector masked payloads scatter into; its
+// rd.theta is the current global vector masked payloads scatter into; its
 // length is the expected update dimension.
-func (ls *linkSet) vetUpdate(i, round int, msg *transport.Msg, theta tensor.Vec, anyRound bool) error {
-	dim := len(theta)
+func (ls *linkSet) vetUpdate(i int, rd *nodeRound, msg *transport.Msg, anyRound bool) error {
+	round, dim := rd.round, len(rd.theta)
 	switch {
 	case msg.Kind == transport.KindError:
 		return fmt.Errorf("core: node %d failed in round %d: %s", msg.NodeID, round, msg.Err)
@@ -460,7 +521,7 @@ func (ls *linkSet) vetUpdate(i, round int, msg *transport.Msg, theta tensor.Vec,
 		return fmt.Errorf("%w: node %d answered round %d during round %d", ErrProtocol, ls.base+i, msg.Round, round)
 	}
 	if msg.Codec != "" || len(msg.Payload) > 0 {
-		if err := ls.decodeUp(i, round, msg, theta); err != nil {
+		if err := ls.decodeUp(i, rd, msg); err != nil {
 			return err
 		}
 		if len(msg.Params) != dim {
@@ -472,11 +533,12 @@ func (ls *linkSet) vetUpdate(i, round int, msg *transport.Msg, theta tensor.Vec,
 	return ls.bindNodeID(i, msg.NodeID)
 }
 
-// gatherFrom waits up to d for link i's update to the given round and
-// stores it in *msg. In fault-tolerant mode it drains stale answers to
-// earlier rounds (late replies from a node that was dropped and is coming
-// back) instead of treating them as violations.
-func (ls *linkSet) gatherFrom(msg *transport.Msg, i, round int, theta tensor.Vec, d time.Duration) error {
+// gatherFrom waits up to d for link i's update to round rd and stores it in
+// *msg. In fault-tolerant mode it drains stale answers to earlier rounds
+// (late replies from a node that was dropped and is coming back) instead of
+// treating them as violations.
+func (ls *linkSet) gatherFrom(msg *transport.Msg, i int, rd *nodeRound, d time.Duration) error {
+	round := rd.round
 	var deadline time.Time
 	if ls.ft {
 		deadline = time.Now().Add(d)
@@ -499,7 +561,7 @@ func (ls *linkSet) gatherFrom(msg *transport.Msg, i, round int, theta tensor.Vec
 			}
 			return fmt.Errorf("core: gather round %d from node %d: %w", round, ls.base+i, err)
 		}
-		if err := ls.vetUpdate(i, round, msg, theta, false); err != errStaleRound {
+		if err := ls.vetUpdate(i, rd, msg, false); err != errStaleRound {
 			return err
 		}
 		ls.logf("core: discarding stale round-%d update from link %d during round %d", msg.Round, ls.base+i, round)
@@ -519,12 +581,14 @@ func (ls *linkSet) gatherFrom(msg *transport.Msg, i, round int, theta tensor.Vec
 // round whether or not the sampler would have picked it.
 func (ls *linkSet) dispatch(rd *nodeRound, selected []int) (sent, probed []int, err error) {
 	ls.sentBuf = ls.sentBuf[:0]
+	clear(ls.shared)
+	ls.shared = ls.shared[:0]
 	for _, i := range selected {
 		// theta is the caller's reusable aggregation buffer — and in
 		// fault-tolerant mode the async pump may deliver the message after
 		// this round's aggregation has overwritten it — so no broadcast
 		// carries it: raw runs share the round's read-only snapshot,
-		// payload runs a freshly encoded payload per link.
+		// payload runs a freshly encoded payload per chain state.
 		var m transport.Msg
 		if err := ls.paramsMsg(&m, rd, i, false); err != nil {
 			return nil, nil, err
@@ -642,7 +706,7 @@ func (ls *linkSet) gatherRound(rd *nodeRound, selected []int) error {
 	}
 	for _, i := range sent {
 		var msg transport.Msg
-		err := ls.gatherFrom(&msg, i, rd.round, rd.theta, ls.c.RoundTimeout)
+		err := ls.gatherFrom(&msg, i, rd, ls.c.RoundTimeout)
 		if err := ls.settle(i, rd, &msg, err); err != nil {
 			return err
 		}
@@ -656,7 +720,7 @@ func (ls *linkSet) gatherRound(rd *nodeRound, selected []int) error {
 func (ls *linkSet) gatherProbes(rd *nodeRound, probed []int) error {
 	for _, i := range probed {
 		var msg transport.Msg
-		if err := ls.gatherFrom(&msg, i, rd.round, rd.theta, ls.probeTO); err != nil {
+		if err := ls.gatherFrom(&msg, i, rd, ls.probeTO); err != nil {
 			ls.probeFailed(i)
 			continue // still unreachable; stays suspect
 		}

@@ -201,6 +201,9 @@ func RunNode(link transport.Link, nc NodeConfig) error {
 					// a full payload back.
 					upEnc.Reset()
 				}
+				// Both are lent by downDec until its next decode, the next
+				// broadcast: localUpdates copies global before it writes, and
+				// upEnc copies the mask.
 				global = tensor.Vec(decoded)
 				wireMask = ranges
 			}

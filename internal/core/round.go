@@ -270,7 +270,7 @@ type nodeSource struct {
 	fullW float64
 
 	// rd is the round context handed to the link layer, reused so a round
-	// allocates neither it nor its accept hook.
+	// allocates neither it nor its hooks.
 	rd nodeRound
 }
 
@@ -308,6 +308,7 @@ func newNodeSource(c Config, links []transport.Link, weights []float64, base int
 // size builds the dimension-dependent parts for a dim-parameter model.
 func (n *nodeSource) size(dim int) (err error) {
 	n.agg = newAggCore(n.ls.base, n.ls.base+len(n.weights), dim)
+	n.rd.spare = n.agg.spare
 	n.bp, err = newBudgetPolicy(n.ls.c, n.weights, n.ls.base, dim)
 	return err
 }
