@@ -432,31 +432,52 @@ func BenchmarkFastAdaptation(b *testing.B) {
 
 // --- Zero-allocation kernel benchmarks (DESIGN.md §6) ---
 
+// benchMNIST returns the federation and model of bench/'s tcp_softmax_comm
+// workload (MNIST-like digits, softmax regression 784→10 with L2 0.01, 7 850
+// parameters), every node at the generator's mean size: K=5 training
+// samples, 29 test samples. Its 62.7 KB weight matrix does not fit a 48 KiB
+// L1d; the Synthetic model's 4.8 KB does.
+func benchMNIST(b *testing.B) (*data.Federation, *nn.SoftmaxRegression) {
+	b.Helper()
+	cfg := data.DefaultMNISTConfig()
+	cfg.Nodes, cfg.Seed = 5, 1
+	cfg.StdSamples = 0
+	fed, err := data.GenerateMNIST(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fed, &nn.SoftmaxRegression{In: fed.Dim, Classes: fed.NumClasses, L2: 0.01}
+}
+
 // BenchmarkGradInto measures the buffered gradient kernels against a warm
-// workspace; steady state is expected to report 0 allocs/op.
+// workspace; steady state is expected to report 0 allocs/op. softmax and mlp
+// run the synthetic node's training batch; mnist runs the 29-sample test
+// batch of the meta-gradient's outer gradient at tcp_softmax_comm's shape.
 func BenchmarkGradInto(b *testing.B) {
 	fed, sm := benchFederation(b)
-	batch := fed.Sources[0].Train
+	mnist, mm := benchMNIST(b)
 	mlp, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, 16, fed.NumClasses}, BatchNorm: true, L2: 0.01})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		m    nn.Model
+		name  string
+		m     nn.Model
+		batch []data.Sample
 	}{
-		{"softmax", sm},
-		{"mlp", mlp},
+		{"softmax", sm, fed.Sources[0].Train},
+		{"mlp", mlp, fed.Sources[0].Train},
+		{"mnist", mm, mnist.Sources[0].Test},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			theta := tc.m.InitParams(rng.New(1))
 			ws := nn.NewWorkspace(tc.m)
 			out := tensor.NewVec(tc.m.NumParams())
-			nn.GradInto(tc.m, ws, theta, batch, out)
+			nn.GradInto(tc.m, ws, theta, tc.batch, out)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nn.GradInto(tc.m, ws, theta, batch, out)
+				nn.GradInto(tc.m, ws, theta, tc.batch, out)
 			}
 		})
 	}
@@ -519,11 +540,14 @@ func benchSent140(b *testing.B) (*data.Federation, *nn.MLP) {
 // BenchmarkMetaGradInto measures one full buffered second-order meta-gradient
 // (inner step + outer gradient + HVP correction) — the workspace counterpart
 // of BenchmarkMetaStep's allocating path, and the unit of node compute in
-// every round. softmax is the synthetic model with its analytic HVP; mlp360
-// is the model of bench/'s mem_mlp_compute, tcp_mlp_topk and ft_ckpt_obs
-// workloads with the finite-difference HVP (four backward passes per op).
+// every round. softmax is the synthetic model with its analytic HVP; mnist
+// is the softmax model of bench/'s tcp_softmax_comm workload (784→10, K=5,
+// 29 test samples); mlp360 is the model of bench/'s mem_mlp_compute,
+// tcp_mlp_topk and ft_ckpt_obs workloads with the finite-difference HVP
+// (four backward passes per op).
 func BenchmarkMetaGradInto(b *testing.B) {
 	synth, sm := benchFederation(b)
+	mnist, mm := benchMNIST(b)
 	sent, mlp := benchSent140(b)
 	for _, tc := range []struct {
 		name string
@@ -531,6 +555,7 @@ func BenchmarkMetaGradInto(b *testing.B) {
 		nd   *data.NodeDataset
 	}{
 		{"softmax", sm, synth.Sources[0]},
+		{"mnist", mm, mnist.Sources[0]},
 		{"mlp360", mlp, sent.Sources[0]},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -40,14 +40,28 @@ var (
 	_ LossWither        = (*SoftmaxRegression)(nil)
 )
 
-// softmaxWorkspace owns the class-sized scratch vectors and the rebindable
-// matrix views of the softmax kernels, so the steady-state GradInto /
-// HVPInto / InputGradInto paths allocate nothing.
+// softmaxChunk is the number of samples the softmax kernels carry through
+// one pass over the weight matrix: the batch kernels' tile of four. Those
+// kernels already treat a batch tile by tile, in ascending sample order, so
+// feeding them one chunk at a time leaves every accumulation order — and
+// every bit — as it is, while the per-sample rows stay fixed-size scratch
+// whatever the batch size.
+const softmaxChunk = 4
+
+// softmaxWorkspace owns the per-sample rows and the rebindable matrix views
+// of the softmax kernels, so the steady-state GradInto / GradStepInto /
+// HVPInto / LossWith / InputGradInto paths allocate nothing. NewWorkspace
+// allocates only the struct (dro.Perturb builds one per adversarial
+// sample); the rows' storage is one allocation, made on first use.
 type softmaxWorkspace struct {
 	classes, in int
-	p, u, a     tensor.Vec // probability / direction / curvature scratch
-	gstep       tensor.Vec // gradient accumulator of the fused GradStepInto
-	w, gw, vw   tensor.Mat // views rebound onto params / out / v per call
+	// For sample j of the current chunk, xs[j] aliases its features; ps[j]
+	// holds its logits, then its probabilities or loss gradient; us[j]
+	// holds the HVP direction's logits V·x + v_b, then the curvature
+	// p∘u − p(pᵀu).
+	xs, ps, us [softmaxChunk]tensor.Vec
+	gstep      tensor.Vec // gradient accumulator of the fused GradStepInto
+	w, gw, vw  tensor.Mat // views rebound onto params / out / v per call
 	fdBufs
 }
 
@@ -55,13 +69,7 @@ func (*softmaxWorkspace) isWorkspace() {}
 
 // NewWorkspace implements WorkspaceProvider.
 func (m *SoftmaxRegression) NewWorkspace() Workspace {
-	ws := &softmaxWorkspace{
-		classes: m.Classes,
-		in:      m.In,
-		p:       tensor.NewVec(m.Classes),
-		u:       tensor.NewVec(m.Classes),
-		a:       tensor.NewVec(m.Classes),
-	}
+	ws := &softmaxWorkspace{classes: m.Classes, in: m.In}
 	for _, mat := range []*tensor.Mat{&ws.w, &ws.gw, &ws.vw} {
 		mat.Rows, mat.Cols = m.Classes, m.In
 	}
@@ -87,42 +95,101 @@ func (m *SoftmaxRegression) bindView(mat *tensor.Mat, p tensor.Vec) tensor.Vec {
 	return p[m.Classes*m.In:]
 }
 
+// chunkEnd returns the end of the chunk of batch that starts at lo.
+func chunkEnd(batch []data.Sample, lo int) int { return min(lo+softmaxChunk, len(batch)) }
+
+// logits computes Wx + b, with W the matrix s.w is bound to, for every
+// sample of part (at most softmaxChunk of them) with one MulVecBatch: the
+// samples share each streamed weight row. It returns s.xs and s.ps resliced
+// to part; each ps[j] holds sample j's logits.
+func (s *softmaxWorkspace) logits(b tensor.Vec, part []data.Sample) (xs, ps []tensor.Vec) {
+	if s.ps[0] == nil {
+		rows := tensor.NewVec(2 * softmaxChunk * s.classes)
+		for j := range s.ps {
+			s.ps[j] = rows[j*s.classes : (j+1)*s.classes]
+			s.us[j] = rows[(softmaxChunk+j)*s.classes : (softmaxChunk+j+1)*s.classes]
+		}
+	}
+	xs, ps = s.xs[:len(part)], s.ps[:len(part)]
+	for j, smp := range part {
+		xs[j] = smp.X
+	}
+	s.w.MulVecBatch(xs, b, ps)
+	return xs, ps
+}
+
+// probs is logits followed by an in-place softmax of every row.
+func (s *softmaxWorkspace) probs(b tensor.Vec, part []data.Sample) (xs, ps []tensor.Vec) {
+	xs, ps = s.logits(b, part)
+	for _, p := range ps {
+		tensor.Softmax(p, p)
+	}
+	return xs, ps
+}
+
+// lossGrad adds the data term of ∇L(params, batch) to g: per chunk, the
+// loss gradients p − e_y, one AddOuterBatch into the weight block and the
+// bias block in ascending sample order.
+func (m *SoftmaxRegression) lossGrad(s *softmaxWorkspace, params tensor.Vec, batch []data.Sample, g tensor.Vec) {
+	b := m.bindView(&s.w, params)
+	gb := m.bindView(&s.gw, g)
+	inv := 1 / float64(len(batch))
+	for lo := 0; lo < len(batch); lo += softmaxChunk {
+		part := batch[lo:chunkEnd(batch, lo)]
+		xs, ps := s.probs(b, part)
+		for j, smp := range part {
+			ps[j][smp.Y]--
+		}
+		s.gw.AddOuterBatch(inv, ps, xs)
+		for _, p := range ps {
+			gb.Axpy(inv, p)
+		}
+	}
+}
+
 // GradInto implements GradIntoer. out must not alias params.
 func (m *SoftmaxRegression) GradInto(ws Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec) {
 	s := m.workspace(ws)
-	b := m.bindView(&s.w, params)
-	gb := m.bindView(&s.gw, out)
 	out.Zero()
-	if len(batch) > 0 {
-		inv := 1 / float64(len(batch))
-		for _, smp := range batch {
-			m.probs(&s.w, b, smp.X, s.p)
-			s.p[smp.Y]--
-			s.gw.AddOuterInPlace(inv, s.p, smp.X)
-			gb.Axpy(inv, s.p)
-		}
-	}
+	m.lossGrad(s, params, batch, out)
 	if m.L2 != 0 {
 		out.Axpy(m.L2, params)
 	}
 }
 
 // GradStepInto implements GradStepIntoer: out = params − lr·∇L(params, batch)
-// with the gradient held in workspace scratch and the step applied as one
-// fused pass, replacing the caller's copy-then-axpy pair. out may alias
-// params; it must not alias workspace memory. Bit-identical to GradInto
-// followed by the axpy step.
+// as one fused kernel. The gradient accumulates into workspace scratch, and
+// the L2 term plus the descent step collapse into a single final pass over
+// the parameter vector — element for element the same arithmetic as GradInto
+// followed by the axpy step, so results are bit-identical. out may alias
+// params (in-place step); it must not alias workspace memory.
 func (m *SoftmaxRegression) GradStepInto(ws Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
 	s := m.workspace(ws)
-	if len(s.gstep) != m.NumParams() {
+	if len(out) != m.NumParams() {
+		panic(fmt.Sprintf("nn: SoftmaxRegression step buffer has %d entries, want %d", len(out), m.NumParams()))
+	}
+	if s.gstep == nil {
 		s.gstep = tensor.NewVec(m.NumParams())
 	}
-	m.GradInto(s, params, batch, s.gstep)
-	params.AxpyInto(-lr, s.gstep, out)
+	g := s.gstep
+	g.Zero()
+	m.lossGrad(s, params, batch, g)
+	if m.L2 != 0 {
+		// out = params − lr·(g + l2·params): the L2 axpy of GradInto and the
+		// step fused into one sweep, with identical per-element rounding.
+		l2 := m.L2
+		for i := range out {
+			out[i] = params[i] - lr*(g[i]+l2*params[i])
+		}
+		return
+	}
+	params.AxpyInto(-lr, g, out)
 }
 
 // HVPInto implements HVPIntoer: the analytic Hessian-vector product written
-// into out. out must alias neither params nor v.
+// into out. out must alias neither params nor v. Per chunk, the direction's
+// logits u = V·x + v_b take a second MulVecBatch; the curvature rows
+// overwrite them in place and accumulate with one AddOuterBatch.
 func (m *SoftmaxRegression) HVPInto(ws Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec) {
 	s := m.workspace(ws)
 	b := m.bindView(&s.w, params)
@@ -132,18 +199,21 @@ func (m *SoftmaxRegression) HVPInto(ws Workspace, params tensor.Vec, batch []dat
 	vb := m.bindView(&s.vw, v)
 	ob := m.bindView(&s.gw, out)
 	out.Zero()
-	if len(batch) > 0 {
-		inv := 1 / float64(len(batch))
-		for _, smp := range batch {
-			m.probs(&s.w, b, smp.X, s.p)
-			s.vw.MulVec(smp.X, s.u)
-			s.u.AddInPlace(vb)
-			pu := s.p.Dot(s.u)
-			for c := range s.a {
-				s.a[c] = s.p[c]*s.u[c] - s.p[c]*pu
+	inv := 1 / float64(len(batch))
+	for lo := 0; lo < len(batch); lo += softmaxChunk {
+		xs, ps := s.probs(b, batch[lo:chunkEnd(batch, lo)])
+		us := s.us[:len(ps)]
+		s.vw.MulVecBatch(xs, vb, us)
+		for j, u := range us {
+			p := ps[j]
+			pu := p.Dot(u)
+			for c := range u {
+				u[c] = p[c]*u[c] - p[c]*pu
 			}
-			s.gw.AddOuterInPlace(inv, s.a, smp.X)
-			ob.Axpy(inv, s.a)
+		}
+		s.gw.AddOuterBatch(inv, us, xs)
+		for _, a := range us {
+			ob.Axpy(inv, a)
 		}
 	}
 	if m.L2 != 0 {
@@ -155,10 +225,10 @@ func (m *SoftmaxRegression) HVPInto(ws Workspace, params tensor.Vec, batch []dat
 // written into out (length m.In).
 func (m *SoftmaxRegression) InputGradInto(ws Workspace, params tensor.Vec, smp data.Sample, _ []data.Sample, out tensor.Vec) {
 	s := m.workspace(ws)
-	b := m.bindView(&s.w, params)
-	m.probs(&s.w, b, smp.X, s.p)
-	s.p[smp.Y]--
-	s.w.MulVecT(s.p, out)
+	_, ps := s.probs(m.bindView(&s.w, params), []data.Sample{smp})
+	p := ps[0]
+	p[smp.Y]--
+	s.w.MulVecT(p, out)
 }
 
 // NumParams implements Model.
@@ -177,24 +247,6 @@ func (m *SoftmaxRegression) InitParams(r *rng.Rand) tensor.Vec {
 	return p
 }
 
-// view splits the flat parameter vector into the weight matrix and bias,
-// aliasing the underlying storage.
-func (m *SoftmaxRegression) view(params tensor.Vec) (*tensor.Mat, tensor.Vec) {
-	if len(params) != m.NumParams() {
-		panic(fmt.Sprintf("nn: SoftmaxRegression got %d params, want %d", len(params), m.NumParams()))
-	}
-	w := tensor.MatFromData(m.Classes, m.In, params[:m.Classes*m.In])
-	b := params[m.Classes*m.In:]
-	return w, b
-}
-
-// probs computes softmax(Wx+b) into out.
-func (m *SoftmaxRegression) probs(w *tensor.Mat, b tensor.Vec, x tensor.Vec, out tensor.Vec) {
-	w.MulVec(x, out)
-	out.AddInPlace(b)
-	tensor.Softmax(out, out)
-}
-
 // Loss implements Model.
 func (m *SoftmaxRegression) Loss(params tensor.Vec, batch []data.Sample) float64 {
 	return m.LossWith(nil, params, batch)
@@ -211,10 +263,12 @@ func (m *SoftmaxRegression) LossWith(ws Workspace, params tensor.Vec, batch []da
 	s := m.workspace(ws)
 	b := m.bindView(&s.w, params)
 	var total float64
-	for _, smp := range batch {
-		s.w.MulVec(smp.X, s.u)
-		s.u.AddInPlace(b)
-		total += tensor.CrossEntropyFromLogits(s.u, smp.Y)
+	for lo := 0; lo < len(batch); lo += softmaxChunk {
+		part := batch[lo:chunkEnd(batch, lo)]
+		_, logits := s.logits(b, part)
+		for j, smp := range part {
+			total += tensor.CrossEntropyFromLogits(logits[j], smp.Y)
+		}
 	}
 	return total/float64(len(batch)) + m.l2Term(params)
 }
@@ -253,13 +307,14 @@ func (m *SoftmaxRegression) InputGrad(params tensor.Vec, s data.Sample, _ []data
 
 // PredictBatch implements Model.
 func (m *SoftmaxRegression) PredictBatch(params tensor.Vec, batch []data.Sample) []int {
-	w, b := m.view(params)
+	s := m.workspace(nil)
+	b := m.bindView(&s.w, params)
 	preds := make([]int, len(batch))
-	logits := tensor.NewVec(m.Classes)
-	for i, s := range batch {
-		w.MulVec(s.X, logits)
-		logits.AddInPlace(b)
-		preds[i] = logits.ArgMax()
+	for lo := 0; lo < len(batch); lo += softmaxChunk {
+		_, logits := s.logits(b, batch[lo:chunkEnd(batch, lo)])
+		for j, l := range logits {
+			preds[lo+j] = l.ArgMax()
+		}
 	}
 	return preds
 }
