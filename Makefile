@@ -47,6 +47,12 @@ check:
 	@hits=$$(grep -rn -F 'AddOuterInPlace(' --include='*.go' . \
 		| grep -v -e '_test.go:' -e '^./internal/tensor/' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
 		echo "per-sample AddOuterInPlace outside internal/tensor (accumulate through AddOuterBatch, see DESIGN.md §13):"; echo "$$hits"; exit 1; fi
+	@hits=$$(grep -n -E '(^|[[:space:]])type[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]+interface\b' internal/nn/*.go \
+		| grep -v -e '_test.go:' -e ':[0-9]*:[[:space:]]*//' -e ':type Model interface' -e ':type Workspace interface'); if [ -n "$$hits" ]; then \
+		echo "interface type in internal/nn other than Model and Workspace (one model contract, see DESIGN.md §6):"; echo "$$hits"; exit 1; fi
+	@hits=$$(grep -rn -F '.(nn.' --include='*.go' . \
+		| grep -v -e '^./internal/nn/' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
+		echo "type assertion on an nn type outside internal/nn (call the nn.Model method, see DESIGN.md §6):"; echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 

@@ -199,7 +199,7 @@ func BenchmarkAblationHVP(b *testing.B) {
 	b.Run("analytic", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = m.HVP(theta, batch, v)
+			_ = nn.HVP(m, theta, batch, v)
 		}
 	})
 	b.Run("finite-difference", func(b *testing.B) {
@@ -471,13 +471,13 @@ func BenchmarkGradInto(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			theta := tc.m.InitParams(rng.New(1))
-			ws := nn.NewWorkspace(tc.m)
+			ws := tc.m.NewWorkspace()
 			out := tensor.NewVec(tc.m.NumParams())
-			nn.GradInto(tc.m, ws, theta, tc.batch, out)
+			tc.m.GradInto(ws, theta, tc.batch, out)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nn.GradInto(tc.m, ws, theta, tc.batch, out)
+				tc.m.GradInto(ws, theta, tc.batch, out)
 			}
 		})
 	}
@@ -503,14 +503,13 @@ func BenchmarkGradStepInto(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			theta := tc.m.InitParams(rng.New(1))
-			ws := nn.NewWorkspace(tc.m)
-			g := tensor.NewVec(tc.m.NumParams())
+			ws := tc.m.NewWorkspace()
 			out := tensor.NewVec(tc.m.NumParams())
-			nn.GradStepInto(tc.m, ws, theta, batch, 0.05, g, out)
+			tc.m.GradStepInto(ws, theta, batch, 0.05, out)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nn.GradStepInto(tc.m, ws, theta, batch, 0.05, g, out)
+				tc.m.GradStepInto(ws, theta, batch, 0.05, out)
 			}
 		})
 	}

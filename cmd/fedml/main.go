@@ -573,10 +573,10 @@ func runAdapt(args []string) error {
 	theta := tensor.Vec(ck.Params)
 	fmt.Printf("checkpoint: %s (α=%g)\n", ck.Description, ck.Alpha)
 	fmt.Printf("before adaptation: loss %.4f accuracy %.3f\n",
-		m.Loss(theta, node.Test), nn.Accuracy(m, theta, node.Test))
+		nn.Loss(m, theta, node.Test), nn.Accuracy(m, theta, node.Test))
 	phi := meta.Adapt(m, theta, node.Train, ck.Alpha, *steps)
 	fmt.Printf("after %d step(s):   loss %.4f accuracy %.3f\n",
-		*steps, m.Loss(phi, node.Test), nn.Accuracy(m, phi, node.Test))
+		*steps, nn.Loss(m, phi, node.Test), nn.Accuracy(m, phi, node.Test))
 	return nil
 }
 

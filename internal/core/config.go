@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/edgeai/fedml/internal/codec"
-	"github.com/edgeai/fedml/internal/dro"
 	"github.com/edgeai/fedml/internal/meta"
 	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/tensor"
@@ -261,8 +260,6 @@ type RobustConfig struct {
 	N0 int
 	// R bounds how many times each node regenerates adversarial data.
 	R int
-	// Cost is the transportation cost; nil means dro.SquaredL2.
-	Cost dro.Cost
 	// ClampMin/ClampMax bound perturbed features (no clamping when equal).
 	ClampMin, ClampMax float64
 }
@@ -284,13 +281,6 @@ func (c *Config) normalized() Config {
 	out := *c
 	if out.GradMode == 0 {
 		out.GradMode = meta.SecondOrder
-	}
-	if out.Robust != nil {
-		r := *out.Robust
-		if r.Cost == nil {
-			r.Cost = dro.SquaredL2{}
-		}
-		out.Robust = &r
 	}
 	if out.StalenessDecay == 0 {
 		out.StalenessDecay = 1

@@ -114,18 +114,18 @@ func (n *nodeState) ruleUpdates(global tensor.Vec, steps int) (tensor.Vec, error
 			if r.Mu > 0 {
 				// ∇[(μ/2)‖θ − θ_global‖²] = μ(θ − θ_global) modifies the
 				// gradient, so the step cannot fuse.
-				nn.GradInto(n.model, n.nws, theta, n.all, n.grad)
+				n.model.GradInto(n.nws, theta, n.all, n.grad)
 				n.grad.Axpy(r.Mu, theta)
 				n.grad.Axpy(-r.Mu, global)
 				theta.Axpy(-cfg.Beta, n.grad)
 			} else {
-				nn.GradStepInto(n.model, n.nws, theta, n.all, cfg.Beta, n.grad, theta)
+				n.model.GradStepInto(n.nws, theta, n.all, cfg.Beta, theta)
 			}
 		}
 	case Reptile:
 		theta.CopyFrom(global)
 		for t := 0; t < steps; t++ {
-			nn.GradStepInto(n.model, n.nws, theta, n.data.Train, cfg.Alpha, n.grad, theta)
+			n.model.GradStepInto(n.nws, theta, n.data.Train, cfg.Alpha, theta)
 		}
 		if r.Eps != 1 { // ε = 1 replies φ itself
 			for i, g := range global {
@@ -140,7 +140,7 @@ func (n *nodeState) ruleUpdates(global tensor.Vec, steps int) (tensor.Vec, error
 			n.headSeeded = true
 		}
 		for t := 0; t < steps; t++ {
-			nn.GradStepInto(n.model, n.nws, theta, n.all, cfg.Beta, n.grad, theta)
+			n.model.GradStepInto(n.nws, theta, n.all, cfg.Beta, theta)
 		}
 	}
 	n.iter += steps

@@ -16,7 +16,7 @@ import (
 // referenceBaseline is the baseline round loop as it was before the rules
 // moved onto the platform, kept as the oracle the rules are measured
 // against: every node steps from θ in index order through the allocating
-// m.Grad, the platform sums the results sequentially with pre-normalized
+// nn.Grad, the platform sums the results sequentially with pre-normalized
 // weights, Reptile interpolates on the platform, and RepShare keeps one
 // vector per node whose non-head segments are overwritten after each
 // aggregation.
@@ -37,14 +37,14 @@ func referenceBaseline(m nn.Model, fed *data.Federation, theta0 tensor.Vec, c Co
 			for t := 0; t < c.T0; t++ {
 				switch rule := c.Local.(type) {
 				case LocalSGD:
-					g := m.Grad(phi, nd.All())
+					g := nn.Grad(m, phi, nd.All())
 					g.Axpy(rule.Mu, phi)
 					g.Axpy(-rule.Mu, theta)
 					phi.Axpy(-c.Beta, g)
 				case Reptile:
-					phi.Axpy(-c.Alpha, m.Grad(phi, nd.Train))
+					phi.Axpy(-c.Alpha, nn.Grad(m, phi, nd.Train))
 				case RepShare:
-					phi.Axpy(-c.Beta, m.Grad(phi, nd.All()))
+					phi.Axpy(-c.Beta, nn.Grad(m, phi, nd.All()))
 				}
 			}
 			agg.Axpy(w[i], phi)
@@ -55,7 +55,7 @@ func referenceBaseline(m nn.Model, fed *data.Federation, theta0 tensor.Vec, c Co
 			theta.Axpy(rule.Eps, agg)
 		case RepShare:
 			theta = agg
-			for _, s := range m.(nn.Segmenter).Segments() {
+			for _, s := range m.Segments() {
 				if strings.HasPrefix(s.Name, "head.") {
 					continue
 				}
@@ -85,7 +85,7 @@ func sourceLoss(m nn.Model, fed *data.Federation, theta tensor.Vec) float64 {
 	w := fed.Weights()
 	var total float64
 	for i, nd := range fed.Sources {
-		total += w[i] * m.Loss(theta, nd.All())
+		total += w[i] * nn.Loss(m, theta, nd.All())
 	}
 	return total
 }
@@ -247,7 +247,7 @@ func TestRepShareKeepsHeadsLocal(t *testing.T) {
 	}
 	better := 0
 	for i, nd := range fed.Sources {
-		if m.Loss(probes[i], nd.All()) < m.Loss(final, nd.All()) {
+		if nn.Loss(m, probes[i], nd.All()) < nn.Loss(m, final, nd.All()) {
 			better++
 		}
 	}

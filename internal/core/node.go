@@ -304,7 +304,7 @@ func newNodeState(cfg Config, m nn.Model, d *data.NodeDataset, id int) *nodeStat
 		n.ws = meta.NewWorkspace(m)
 		return n
 	}
-	n.nws = nn.NewWorkspace(m)
+	n.nws = m.NewWorkspace()
 	n.all = d.All()
 	if _, ok := cfg.Local.(RepShare); ok {
 		n.head, _ = headRanges(m)
@@ -376,7 +376,6 @@ func (n *nodeState) generateAdversarial(phi tensor.Vec, round int) error {
 		Lambda:   r.Lambda,
 		Nu:       r.Nu,
 		Steps:    r.Ta,
-		Cost:     r.Cost,
 		ClampMin: r.ClampMin,
 		ClampMax: r.ClampMax,
 	}

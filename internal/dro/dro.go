@@ -6,7 +6,6 @@
 package dro
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/edgeai/fedml/internal/data"
@@ -14,65 +13,22 @@ import (
 	"github.com/edgeai/fedml/internal/tensor"
 )
 
-// Cost is a transportation cost restricted to feature perturbations: the
-// paper's §VI-C cost assigns infinite cost to label changes, so only x moves.
-type Cost interface {
-	// Value returns c((x, y), (x0, y)).
-	Value(x, x0 tensor.Vec) float64
-	// Grad returns ∇_x c((x, y), (x0, y)).
-	Grad(x, x0 tensor.Vec) tensor.Vec
-}
-
-// CostGradInto is an optional Cost extension for allocation-free ascent
-// loops: GradInto writes ∇_x c((x, y), (x0, y)) into out, which must have
-// the feature dimension and may not alias x or x0.
-type CostGradInto interface {
-	Cost
-	GradInto(x, x0, out tensor.Vec)
-}
-
-// costGradInto dispatches to the buffered gradient when the cost supports
-// it, falling back to copying the allocating Grad.
-func costGradInto(c Cost, x, x0, out tensor.Vec) {
-	if ci, ok := c.(CostGradInto); ok {
-		ci.GradInto(x, x0, out)
-		return
-	}
-	out.CopyFrom(c.Grad(x, x0))
-}
-
-// SquaredL2 is the paper's transportation cost c = ‖x − x′‖₂². It is
-// 2-strongly convex in x (Assumption 5 asks for 1-strong convexity, which
-// ‖·‖² dominates).
-type SquaredL2 struct{}
-
-var (
-	_ Cost         = SquaredL2{}
-	_ CostGradInto = SquaredL2{}
-)
-
-// Value implements Cost.
-func (SquaredL2) Value(x, x0 tensor.Vec) float64 {
+// transportCost is the paper's transportation cost c = ‖x − x₀‖₂², restricted
+// to feature perturbations: the §VI-C cost assigns infinite cost to label
+// changes, so only x moves. It is 2-strongly convex in x (Assumption 5 asks
+// for 1-strong convexity, which ‖·‖² dominates); Perturb's step cap relies on
+// that modulus.
+func transportCost(x, x0 tensor.Vec) float64 {
 	d := x.Dist(x0)
 	return d * d
 }
 
-// Grad implements Cost.
-func (SquaredL2) Grad(x, x0 tensor.Vec) tensor.Vec {
-	g := x.Sub(x0)
-	g.ScaleInPlace(2)
-	return g
-}
-
-// GradInto implements CostGradInto: out = 2(x − x0).
-func (SquaredL2) GradInto(x, x0, out tensor.Vec) {
+// transportCostGradInto writes ∇_x c = 2(x − x₀) into out, which must have
+// the feature dimension and may not alias x or x0.
+func transportCostGradInto(x, x0, out tensor.Vec) {
 	x.SubInto(x0, out)
 	out.ScaleInPlace(2)
 }
-
-// ErrNoInputGrad is returned when the model cannot differentiate its loss
-// with respect to the input features.
-var ErrNoInputGrad = errors.New("dro: model does not implement nn.InputGradienter")
 
 // PerturbConfig parameterizes the inner-maximization ascent of Algorithm 2
 // (lines 17–20).
@@ -84,8 +40,6 @@ type PerturbConfig struct {
 	Nu float64
 	// Steps is Ta, the number of ascent steps.
 	Steps int
-	// Cost is the transportation cost (SquaredL2 in the paper).
-	Cost Cost
 	// ClampMin/ClampMax bound the perturbed features to the valid input
 	// domain (e.g. [0,1] for image pixels). No clamping when equal.
 	ClampMin, ClampMax float64
@@ -99,8 +53,6 @@ func (c PerturbConfig) validate() error {
 		return fmt.Errorf("dro: ascent rate nu must be positive, got %v", c.Nu)
 	case c.Steps <= 0:
 		return fmt.Errorf("dro: ascent steps must be positive, got %d", c.Steps)
-	case c.Cost == nil:
-		return errors.New("dro: nil transportation cost")
 	case c.ClampMax < c.ClampMin:
 		return fmt.Errorf("dro: clamp range [%v, %v] inverted", c.ClampMin, c.ClampMax)
 	}
@@ -115,14 +67,10 @@ func Perturb(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, cf
 	if err := cfg.validate(); err != nil {
 		return data.Sample{}, err
 	}
-	ig, ok := m.(nn.InputGradienter)
-	if !ok {
-		return data.Sample{}, fmt.Errorf("%w (%T)", ErrNoInputGrad, m)
-	}
 	x0 := s.X
 	cur := data.Sample{X: x0.Clone(), Y: s.Y}
-	// The penalty term makes the ascent objective λ·μ_c-strongly concave
-	// (μ_c = 2 for SquaredL2); plain gradient ascent diverges when
+	// The penalty term makes the ascent objective 2λ-strongly concave
+	// (transportCost has modulus 2); plain gradient ascent diverges when
 	// ν·2λ > 1, so cap the effective step at the stability limit.
 	nu := cfg.Nu
 	if cfg.Lambda > 0 {
@@ -131,16 +79,16 @@ func Perturb(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, cf
 		}
 	}
 	// One workspace and two feature-sized buffers serve all ascent steps.
-	ws := nn.NewWorkspace(m)
+	ws := m.NewWorkspace()
 	g := tensor.NewVec(len(x0))
 	var costG tensor.Vec
 	if cfg.Lambda != 0 {
 		costG = tensor.NewVec(len(x0))
 	}
 	for step := 0; step < cfg.Steps; step++ {
-		nn.InputGradInto(ig, ws, params, cur, ctx, g)
+		m.InputGradInto(ws, params, cur, ctx, g)
 		if cfg.Lambda != 0 {
-			costGradInto(cfg.Cost, cur.X, x0, costG)
+			transportCostGradInto(cur.X, x0, costG)
 			g.Axpy(-cfg.Lambda, costG)
 		}
 		cur.X.Axpy(nu, g)
@@ -159,7 +107,7 @@ func SurrogateLoss(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Samp
 	if err != nil {
 		return 0, err
 	}
-	return m.Loss(params, []data.Sample{adv}) - cfg.Lambda*cfg.Cost.Value(adv.X, s.X), nil
+	return nn.Loss(m, params, []data.Sample{adv}) - cfg.Lambda*transportCost(adv.X, s.X), nil
 }
 
 // RobustAdapt performs the target-side counterpart of Eq. 8: `steps`
@@ -186,7 +134,7 @@ func RobustAdapt(m nn.Model, theta tensor.Vec, adaptSet []data.Sample, alpha flo
 			}
 			combined = append(combined, adv)
 		}
-		phi.Axpy(-alpha, m.Grad(phi, combined))
+		phi.Axpy(-alpha, nn.Grad(m, phi, combined))
 	}
 	return phi, nil
 }
@@ -196,14 +144,11 @@ func RobustAdapt(m nn.Model, theta tensor.Vec, adaptSet []data.Sample, alpha flo
 // clamped to [clampMin, clampMax] (no clamping when equal). This is the
 // attack the paper uses to evaluate (robust) FedML at the target node.
 func FGSM(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, xi, clampMin, clampMax float64) (data.Sample, error) {
-	ig, ok := m.(nn.InputGradienter)
-	if !ok {
-		return data.Sample{}, fmt.Errorf("%w (%T)", ErrNoInputGrad, m)
-	}
 	if xi < 0 {
 		return data.Sample{}, fmt.Errorf("dro: negative FGSM budget %v", xi)
 	}
-	g := ig.InputGrad(params, s, ctx)
+	g := tensor.NewVec(len(s.X))
+	m.InputGradInto(nil, params, s, ctx, g)
 	x := s.X.Clone()
 	for i := range x {
 		x[i] += xi * tensor.Sign(g[i])
@@ -220,10 +165,6 @@ func FGSM(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, xi, c
 // box). This is the attack whose threat model matches the Wasserstein-DRO
 // training objective (c = ‖x−x′‖²), complementing the ℓ∞ FGSM evaluation.
 func PGDL2(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, eps, stepSize float64, steps int, clampMin, clampMax float64) (data.Sample, error) {
-	ig, ok := m.(nn.InputGradienter)
-	if !ok {
-		return data.Sample{}, fmt.Errorf("%w (%T)", ErrNoInputGrad, m)
-	}
 	switch {
 	case eps < 0:
 		return data.Sample{}, fmt.Errorf("dro: negative PGD radius %v", eps)
@@ -236,8 +177,10 @@ func PGDL2(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, eps,
 	}
 	x0 := s.X
 	cur := data.Sample{X: x0.Clone(), Y: s.Y}
+	ws := m.NewWorkspace()
+	g := tensor.NewVec(len(x0))
 	for step := 0; step < steps; step++ {
-		g := ig.InputGrad(params, cur, ctx)
+		m.InputGradInto(ws, params, cur, ctx, g)
 		// Normalized ascent direction keeps the step scale-free.
 		if n := g.Norm(); n > 0 {
 			g.ScaleInPlace(1 / n)

@@ -1,7 +1,6 @@
 package dro
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -32,39 +31,39 @@ func trainedSoftmax(t *testing.T) (*nn.SoftmaxRegression, tensor.Vec, []data.Sam
 	}
 	p := m.InitParams(r)
 	for step := 0; step < 200; step++ {
-		p.Axpy(-0.5, m.Grad(p, batch))
+		p.Axpy(-0.5, nn.Grad(m, p, batch))
 	}
 	return m, p, batch
 }
 
 func TestSquaredL2Cost(t *testing.T) {
-	c := SquaredL2{}
 	x := tensor.Vec{1, 2}
 	x0 := tensor.Vec{0, 0}
-	if got := c.Value(x, x0); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Value = %v, want 5", got)
+	if got := transportCost(x, x0); math.Abs(got-5) > 1e-12 {
+		t.Errorf("cost = %v, want 5", got)
 	}
-	g := c.Grad(x, x0)
+	g := tensor.NewVec(2)
+	transportCostGradInto(x, x0, g)
 	if g[0] != 2 || g[1] != 4 {
-		t.Errorf("Grad = %v, want [2 4]", g)
+		t.Errorf("grad = %v, want [2 4]", g)
 	}
-	if c.Value(x, x) != 0 {
+	if transportCost(x, x) != 0 {
 		t.Error("c(x,x) must be 0")
 	}
 }
 
 func TestSquaredL2GradMatchesNumerical(t *testing.T) {
-	c := SquaredL2{}
 	x := tensor.Vec{0.5, -1.5, 2}
 	x0 := tensor.Vec{0.1, 0.2, 0.3}
-	g := c.Grad(x, x0)
+	g := tensor.NewVec(len(x))
+	transportCostGradInto(x, x0, g)
 	const eps = 1e-6
 	for i := range x {
 		orig := x[i]
 		x[i] = orig + eps
-		vp := c.Value(x, x0)
+		vp := transportCost(x, x0)
 		x[i] = orig - eps
-		vm := c.Value(x, x0)
+		vm := transportCost(x, x0)
 		x[i] = orig
 		num := (vp - vm) / (2 * eps)
 		if math.Abs(num-g[i]) > 1e-5 {
@@ -75,14 +74,14 @@ func TestSquaredL2GradMatchesNumerical(t *testing.T) {
 
 func TestPerturbIncreasesLoss(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
-	cfg := PerturbConfig{Lambda: 0.1, Nu: 0.5, Steps: 10, Cost: SquaredL2{}}
+	cfg := PerturbConfig{Lambda: 0.1, Nu: 0.5, Steps: 10}
 	s := batch[0]
-	before := m.Loss(p, []data.Sample{s})
+	before := nn.Loss(m, p, []data.Sample{s})
 	adv, err := Perturb(m, p, s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := m.Loss(p, []data.Sample{adv})
+	after := nn.Loss(m, p, []data.Sample{adv})
 	if after <= before {
 		t.Errorf("perturbation did not increase loss: %v -> %v", before, after)
 	}
@@ -98,7 +97,7 @@ func TestPerturbLargerLambdaStaysCloser(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
 	s := batch[0]
 	dist := func(lambda float64) float64 {
-		cfg := PerturbConfig{Lambda: lambda, Nu: 0.3, Steps: 15, Cost: SquaredL2{}}
+		cfg := PerturbConfig{Lambda: lambda, Nu: 0.3, Steps: 15}
 		adv, err := Perturb(m, p, s, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +113,7 @@ func TestPerturbLargerLambdaStaysCloser(t *testing.T) {
 
 func TestPerturbRespectsClamp(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
-	cfg := PerturbConfig{Lambda: 0, Nu: 5, Steps: 20, Cost: SquaredL2{}, ClampMin: -0.5, ClampMax: 0.5}
+	cfg := PerturbConfig{Lambda: 0, Nu: 5, Steps: 20, ClampMin: -0.5, ClampMax: 0.5}
 	adv, err := Perturb(m, p, batch[0], nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,11 +128,10 @@ func TestPerturbRespectsClamp(t *testing.T) {
 func TestPerturbValidation(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
 	bad := []PerturbConfig{
-		{Lambda: -1, Nu: 1, Steps: 1, Cost: SquaredL2{}},
-		{Lambda: 1, Nu: 0, Steps: 1, Cost: SquaredL2{}},
-		{Lambda: 1, Nu: 1, Steps: 0, Cost: SquaredL2{}},
-		{Lambda: 1, Nu: 1, Steps: 1, Cost: nil},
-		{Lambda: 1, Nu: 1, Steps: 1, Cost: SquaredL2{}, ClampMin: 1, ClampMax: 0},
+		{Lambda: -1, Nu: 1, Steps: 1},
+		{Lambda: 1, Nu: 0, Steps: 1},
+		{Lambda: 1, Nu: 1, Steps: 0},
+		{Lambda: 1, Nu: 1, Steps: 1, ClampMin: 1, ClampMax: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := Perturb(m, p, batch[0], nil, cfg); err == nil {
@@ -142,26 +140,11 @@ func TestPerturbValidation(t *testing.T) {
 	}
 }
 
-// modelWithoutInputGrad hides the InputGradienter implementation.
-type modelWithoutInputGrad struct{ nn.Model }
-
-func TestPerturbRequiresInputGrad(t *testing.T) {
-	m, p, batch := trainedSoftmax(t)
-	wrapped := modelWithoutInputGrad{m}
-	cfg := PerturbConfig{Lambda: 1, Nu: 1, Steps: 1, Cost: SquaredL2{}}
-	if _, err := Perturb(wrapped, p, batch[0], nil, cfg); !errors.Is(err, ErrNoInputGrad) {
-		t.Errorf("err = %v, want ErrNoInputGrad", err)
-	}
-	if _, err := FGSM(wrapped, p, batch[0], nil, 0.1, 0, 0); !errors.Is(err, ErrNoInputGrad) {
-		t.Errorf("FGSM err = %v, want ErrNoInputGrad", err)
-	}
-}
-
 func TestSurrogateLossAtLeastCleanLossMinusPenalty(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
-	cfg := PerturbConfig{Lambda: 0.5, Nu: 0.3, Steps: 10, Cost: SquaredL2{}}
+	cfg := PerturbConfig{Lambda: 0.5, Nu: 0.3, Steps: 10}
 	s := batch[1]
-	clean := m.Loss(p, []data.Sample{s})
+	clean := nn.Loss(m, p, []data.Sample{s})
 	sur, err := SurrogateLoss(m, p, s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,13 +159,13 @@ func TestSurrogateLossAtLeastCleanLossMinusPenalty(t *testing.T) {
 func TestFGSMIncreasesLossAndScalesWithXi(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
 	s := batch[2]
-	clean := m.Loss(p, []data.Sample{s})
+	clean := nn.Loss(m, p, []data.Sample{s})
 	lossAt := func(xi float64) float64 {
 		adv, err := FGSM(m, p, s, nil, xi, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Loss(p, []data.Sample{adv})
+		return nn.Loss(m, p, []data.Sample{adv})
 	}
 	small := lossAt(0.05)
 	big := lossAt(0.5)
@@ -257,13 +240,13 @@ func TestPGDL2StaysInBall(t *testing.T) {
 func TestPGDL2IncreasesLossAndScalesWithEps(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
 	s := batch[1]
-	clean := m.Loss(p, []data.Sample{s})
+	clean := nn.Loss(m, p, []data.Sample{s})
 	lossAt := func(eps float64) float64 {
 		adv, err := PGDL2(m, p, s, nil, eps, eps/4, 15, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Loss(p, []data.Sample{adv})
+		return nn.Loss(m, p, []data.Sample{adv})
 	}
 	small := lossAt(0.2)
 	big := lossAt(2)
@@ -289,9 +272,6 @@ func TestPGDL2Validation(t *testing.T) {
 	}
 	if _, err := PGDL2(m, p, s, nil, 1, 0.1, 5, 1, 0); err == nil {
 		t.Error("inverted clamp accepted")
-	}
-	if _, err := PGDL2(modelWithoutInputGrad{m}, p, s, nil, 1, 0.1, 5, 0, 0); !errors.Is(err, ErrNoInputGrad) {
-		t.Error("missing input gradient not detected")
 	}
 }
 
@@ -324,7 +304,7 @@ func TestPGDL2RespectsClamp(t *testing.T) {
 
 func TestRobustAdaptValidation(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
-	cfg := PerturbConfig{Lambda: 0.1, Nu: 0.3, Steps: 3, Cost: SquaredL2{}}
+	cfg := PerturbConfig{Lambda: 0.1, Nu: 0.3, Steps: 3}
 	if _, err := RobustAdapt(m, p, batch[:5], 0, 2, cfg); err == nil {
 		t.Error("zero rate accepted")
 	}
@@ -338,7 +318,7 @@ func TestRobustAdaptValidation(t *testing.T) {
 
 func TestRobustAdaptZeroStepsIsIdentity(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
-	cfg := PerturbConfig{Lambda: 0.1, Nu: 0.3, Steps: 3, Cost: SquaredL2{}}
+	cfg := PerturbConfig{Lambda: 0.1, Nu: 0.3, Steps: 3}
 	phi, err := RobustAdapt(m, p, batch[:5], 0.1, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -363,9 +343,9 @@ func TestRobustAdaptHardensAgainstAttack(t *testing.T) {
 
 	plain := p.Clone()
 	for s := 0; s < steps; s++ {
-		plain.Axpy(-alpha, m.Grad(plain, adaptSet))
+		plain.Axpy(-alpha, nn.Grad(m, plain, adaptSet))
 	}
-	cfg := PerturbConfig{Lambda: 0.05, Nu: 0.5, Steps: 5, Cost: SquaredL2{}}
+	cfg := PerturbConfig{Lambda: 0.05, Nu: 0.5, Steps: 5}
 	robust, err := RobustAdapt(m, p, adaptSet, alpha, steps, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/rng"
 )
 
@@ -111,7 +112,7 @@ func TestCompareAlgorithmsEndToEnd(t *testing.T) {
 	_ = all
 	for i := 0; i < 50; i++ {
 		for _, nd := range fed.Sources {
-			thetaGood.Axpy(-0.02, m.Grad(thetaGood, nd.Train))
+			thetaGood.Axpy(-0.02, nn.Grad(m, thetaGood, nd.Train))
 		}
 	}
 	thetaBad := m.InitParams(rng.New(2))

@@ -81,7 +81,7 @@ func TestAdaptationCurveShapeAndBaseline(t *testing.T) {
 		t.Errorf("steps = %d..%d", curve[0].Step, curve[5].Step)
 	}
 	// Step 0 must be the un-adapted model.
-	if math.Abs(curve[0].Loss-m.Loss(theta, node.Test)) > 1e-12 {
+	if math.Abs(curve[0].Loss-nn.Loss(m, theta, node.Test)) > 1e-12 {
 		t.Error("step-0 loss is not the un-adapted loss")
 	}
 	for _, p := range curve {
@@ -101,7 +101,7 @@ func TestAverageAdaptationCurve(t *testing.T) {
 	// Cross-check against a manual average at step 0.
 	var want float64
 	for _, node := range fed.Targets {
-		want += m.Loss(theta, node.Test)
+		want += nn.Loss(m, theta, node.Test)
 	}
 	want /= float64(len(fed.Targets))
 	if math.Abs(avg[0].Loss-want) > 1e-12 {

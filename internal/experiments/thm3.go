@@ -7,6 +7,7 @@ import (
 
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/meta"
+	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/par"
 )
 
@@ -103,7 +104,7 @@ func RunThm3(cfg Thm3Config) (*Thm3Result, error) {
 		// evaluated on the target's test split (L*_t stand-in).
 		phiC := meta.Adapt(m, thetaC, node.Train, cfg.Alpha, 1)
 		phiT := meta.Adapt(m, thetaT, node.Train, cfg.Alpha, 1)
-		gap := m.Loss(phiC, node.Test) - m.Loss(phiT, node.Test)
+		gap := nn.Loss(m, phiC, node.Test) - nn.Loss(m, phiT, node.Test)
 
 		res.Points[ti] = Thm3Point{
 			Target:        ti,

@@ -44,7 +44,7 @@ func globalLoss(m nn.Model, fed *data.Federation, theta tensor.Vec) float64 {
 	w := fed.Weights()
 	var total float64
 	for i, nd := range fed.Sources {
-		total += w[i] * m.Loss(theta, nd.All())
+		total += w[i] * nn.Loss(m, theta, nd.All())
 	}
 	return total
 }
@@ -189,10 +189,11 @@ func TestTrainDivergenceDetected(t *testing.T) {
 	}
 }
 
-// nanAtCall wraps a model and poisons the gradient for a window of one
-// node's Grad calls. A node makes T0 calls per round, so a call window
-// addresses an exact (node, round) pair. Nodes run concurrently; the node is
-// recognised by its first training sample.
+// nanAtCall wraps a model and poisons the result for a window of one node's
+// local steps: GradStepInto, or GradInto on FedProx's μ > 0 path. A node
+// makes T0 calls per round, so a call window addresses an exact (node,
+// round) pair. Nodes run concurrently; the node is recognised by its first
+// training sample.
 type nanAtCall struct {
 	nn.Model
 	node     *data.NodeDataset
@@ -202,18 +203,30 @@ type nanAtCall struct {
 	calls int
 }
 
-func (m *nanAtCall) Grad(theta tensor.Vec, batch []data.Sample) tensor.Vec {
-	g := m.Model.Grad(theta, batch).Clone()
+// poisoned counts a call on batch and reports whether it falls in the window.
+func (m *nanAtCall) poisoned(batch []data.Sample) bool {
 	if &batch[0].X[0] != &m.node.Train[0].X[0] {
-		return g
+		return false
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.calls >= m.from && m.calls < m.to {
-		g[0] = math.NaN()
-	}
+	hit := m.calls >= m.from && m.calls < m.to
 	m.calls++
-	return g
+	return hit
+}
+
+func (m *nanAtCall) GradStepInto(ws nn.Workspace, theta tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
+	m.Model.GradStepInto(ws, theta, batch, lr, out)
+	if m.poisoned(batch) {
+		out[0] = math.NaN()
+	}
+}
+
+func (m *nanAtCall) GradInto(ws nn.Workspace, theta tensor.Vec, batch []data.Sample, out tensor.Vec) {
+	m.Model.GradInto(ws, theta, batch, out)
+	if m.poisoned(batch) {
+		out[0] = math.NaN()
+	}
 }
 
 // A node failing in round 2 must be reported as exactly that node, at the

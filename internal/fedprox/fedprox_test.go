@@ -67,7 +67,7 @@ func TestTrainMatchesFedavgWithProxMu(t *testing.T) {
 		for i, nd := range fed.Sources {
 			phi := want.Clone()
 			for s := 0; s < T0; s++ {
-				g := m.Grad(phi, nd.All())
+				g := nn.Grad(m, phi, nd.All())
 				g.Axpy(mu, phi)
 				g.Axpy(-mu, want)
 				phi.Axpy(-eta, g)
@@ -89,7 +89,7 @@ func TestTrainReducesLoss(t *testing.T) {
 		w := fed.Weights()
 		var total float64
 		for i, nd := range fed.Sources {
-			total += w[i] * m.Loss(theta, nd.All())
+			total += w[i] * nn.Loss(m, theta, nd.All())
 		}
 		return total
 	}

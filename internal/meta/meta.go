@@ -47,20 +47,20 @@ func (g GradMode) String() string {
 // InnerStep returns φ = θ − α ∇L(θ, train) without modifying θ (Eq. 3).
 func InnerStep(m nn.Model, theta tensor.Vec, train []data.Sample, alpha float64) tensor.Vec {
 	phi := theta.Clone()
-	phi.Axpy(-alpha, m.Grad(theta, train))
+	phi.Axpy(-alpha, nn.Grad(m, theta, train))
 	return phi
 }
 
 // Objective evaluates the per-node meta-objective G_i(θ) = L(φ_i(θ), test).
 func Objective(m nn.Model, theta tensor.Vec, train, test []data.Sample, alpha float64) float64 {
-	return m.Loss(InnerStep(m, theta, train, alpha), test)
+	return nn.Loss(m, InnerStep(m, theta, train, alpha), test)
 }
 
 // Grad computes the meta-gradient ∇_θ L(φ(θ), test) and returns it together
 // with the inner-adapted parameters φ.
 func Grad(m nn.Model, theta tensor.Vec, train, test []data.Sample, alpha float64, mode GradMode) (grad, phi tensor.Vec) {
 	phi = InnerStep(m, theta, train, alpha)
-	gTest := m.Grad(phi, test)
+	gTest := nn.Grad(m, phi, test)
 	return correct(m, theta, train, gTest, alpha, mode), phi
 }
 
@@ -70,9 +70,9 @@ func Grad(m nn.Model, theta tensor.Vec, train, test []data.Sample, alpha float64
 // gradients are summed before the single Hessian-vector product.
 func GradWithExtra(m nn.Model, theta tensor.Vec, train, test, extra []data.Sample, alpha float64, mode GradMode) (grad, phi tensor.Vec) {
 	phi = InnerStep(m, theta, train, alpha)
-	gOuter := m.Grad(phi, test)
+	gOuter := nn.Grad(m, phi, test)
 	if len(extra) > 0 {
-		gOuter.AddInPlace(m.Grad(phi, extra))
+		gOuter.AddInPlace(nn.Grad(m, phi, extra))
 	}
 	return correct(m, theta, train, gOuter, alpha, mode), phi
 }
@@ -102,7 +102,7 @@ func Step(m nn.Model, theta tensor.Vec, train, test []data.Sample, alpha, beta f
 func Adapt(m nn.Model, theta tensor.Vec, adaptSet []data.Sample, alpha float64, steps int) tensor.Vec {
 	phi := theta.Clone()
 	for s := 0; s < steps; s++ {
-		phi.Axpy(-alpha, m.Grad(phi, adaptSet))
+		phi.Axpy(-alpha, nn.Grad(m, phi, adaptSet))
 	}
 	return phi
 }

@@ -39,7 +39,7 @@ func TestInnerStepMatchesDefinition(t *testing.T) {
 	const alpha = 0.1
 	phi := InnerStep(m, theta, train, alpha)
 	want := theta.Clone()
-	want.Axpy(-alpha, m.Grad(theta, train))
+	want.Axpy(-alpha, nn.Grad(m, theta, train))
 	if relErr(phi, want) != 0 {
 		t.Error("InnerStep does not match θ − α∇L")
 	}
@@ -96,7 +96,7 @@ func TestFirstOrderDropsCurvature(t *testing.T) {
 		t.Error("φ differs between grad modes")
 	}
 	// FO must equal ∇L(φ, test) exactly.
-	want := m.Grad(phiSO, test)
+	want := nn.Grad(m, phiSO, test)
 	if relErr(fo, want) != 0 {
 		t.Error("first-order gradient is not ∇L(φ, test)")
 	}
@@ -116,7 +116,7 @@ func TestGradAlphaZeroReducesToPlainGradient(t *testing.T) {
 	if relErr(phi, theta) != 0 {
 		t.Error("α=0 should leave φ = θ")
 	}
-	if relErr(g, m.Grad(theta, test)) != 0 {
+	if relErr(g, nn.Grad(m, theta, test)) != 0 {
 		t.Error("α=0 meta-gradient should be the plain test gradient")
 	}
 }
@@ -188,9 +188,9 @@ func TestAdaptMultiStepReducesLoss(t *testing.T) {
 	adaptSet := randBatch(r, 20, 5, 3)
 	phi1 := Adapt(m, theta, adaptSet, 0.3, 1)
 	phi10 := Adapt(m, theta, adaptSet, 0.3, 10)
-	l0 := m.Loss(theta, adaptSet)
-	l1 := m.Loss(phi1, adaptSet)
-	l10 := m.Loss(phi10, adaptSet)
+	l0 := nn.Loss(m, theta, adaptSet)
+	l1 := nn.Loss(m, phi1, adaptSet)
+	l10 := nn.Loss(m, phi10, adaptSet)
 	if !(l10 < l1 && l1 < l0) {
 		t.Errorf("adaptation losses not decreasing: %v, %v, %v", l0, l1, l10)
 	}

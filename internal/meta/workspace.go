@@ -7,7 +7,7 @@ import (
 )
 
 // Workspace owns every buffer one meta-learning loop needs — the inner-
-// adapted parameters φ, the inner/outer gradients and the HVP correction —
+// adapted parameters φ, the second outer gradient and the HVP correction —
 // plus the model's own nn.Workspace, so the steady-state meta-step
 // (gradient → inner step → outer gradient → HVP) allocates nothing.
 //
@@ -21,7 +21,6 @@ type Workspace struct {
 	nws nn.Workspace
 
 	phi    tensor.Vec // inner-adapted parameters
-	gInner tensor.Vec // inner gradient ∇L(θ, train)
 	gExtra tensor.Vec // second outer gradient of GradWithExtra
 	hvp    tensor.Vec // Hessian-vector product scratch
 }
@@ -31,9 +30,8 @@ func NewWorkspace(m nn.Model) *Workspace {
 	n := m.NumParams()
 	return &Workspace{
 		m:      m,
-		nws:    nn.NewWorkspace(m),
+		nws:    m.NewWorkspace(),
 		phi:    tensor.NewVec(n),
-		gInner: tensor.NewVec(n),
 		gExtra: tensor.NewVec(n),
 		hvp:    tensor.NewVec(n),
 	}
@@ -47,14 +45,14 @@ func (ws *Workspace) Model() nn.Model { return ws.m }
 // parameter vector instead of gradient-write, copy, axpy). The result is
 // valid until the next call on ws.
 func (ws *Workspace) InnerStepInto(theta tensor.Vec, train []data.Sample, alpha float64) tensor.Vec {
-	nn.GradStepInto(ws.m, ws.nws, theta, train, alpha, ws.gInner, ws.phi)
+	ws.m.GradStepInto(ws.nws, theta, train, alpha, ws.phi)
 	return ws.phi
 }
 
 // Objective evaluates the per-node meta-objective G_i(θ) = L(φ_i(θ), test)
 // reusing the workspace for the inner step.
 func (ws *Workspace) Objective(theta tensor.Vec, train, test []data.Sample, alpha float64) float64 {
-	return nn.LossWith(ws.m, ws.nws, ws.InnerStepInto(theta, train, alpha), test)
+	return ws.m.LossWith(ws.nws, ws.InnerStepInto(theta, train, alpha), test)
 }
 
 // GradInto computes the meta-gradient ∇_θ L(φ(θ), test) into grad and
@@ -62,7 +60,7 @@ func (ws *Workspace) Objective(theta tensor.Vec, train, test []data.Sample, alph
 // workspace and is valid until the next call on ws.
 func (ws *Workspace) GradInto(theta tensor.Vec, train, test []data.Sample, alpha float64, mode GradMode, grad tensor.Vec) (phi tensor.Vec) {
 	phi = ws.InnerStepInto(theta, train, alpha)
-	nn.GradInto(ws.m, ws.nws, phi, test, grad)
+	ws.m.GradInto(ws.nws, phi, test, grad)
 	ws.correctInto(theta, train, alpha, mode, grad)
 	return phi
 }
@@ -72,9 +70,9 @@ func (ws *Workspace) GradInto(theta tensor.Vec, train, test []data.Sample, alpha
 // (Eq. 14) written into grad. φ aliases the workspace.
 func (ws *Workspace) GradWithExtraInto(theta tensor.Vec, train, test, extra []data.Sample, alpha float64, mode GradMode, grad tensor.Vec) (phi tensor.Vec) {
 	phi = ws.InnerStepInto(theta, train, alpha)
-	nn.GradInto(ws.m, ws.nws, phi, test, grad)
+	ws.m.GradInto(ws.nws, phi, test, grad)
 	if len(extra) > 0 {
-		nn.GradInto(ws.m, ws.nws, phi, extra, ws.gExtra)
+		ws.m.GradInto(ws.nws, phi, extra, ws.gExtra)
 		grad.AddInPlace(ws.gExtra)
 	}
 	ws.correctInto(theta, train, alpha, mode, grad)
@@ -87,7 +85,7 @@ func (ws *Workspace) correctInto(theta tensor.Vec, train []data.Sample, alpha fl
 	if mode == FirstOrder || alpha == 0 {
 		return
 	}
-	nn.HVPInto(ws.m, ws.nws, theta, train, g, ws.hvp)
+	ws.m.HVPInto(ws.nws, theta, train, g, ws.hvp)
 	g.Axpy(-alpha, ws.hvp)
 }
 
@@ -97,6 +95,6 @@ func (ws *Workspace) correctInto(theta tensor.Vec, train []data.Sample, alpha fl
 func (ws *Workspace) AdaptInto(theta tensor.Vec, adaptSet []data.Sample, alpha float64, steps int, phi tensor.Vec) {
 	phi.CopyFrom(theta)
 	for s := 0; s < steps; s++ {
-		nn.GradStepInto(ws.m, ws.nws, phi, adaptSet, alpha, ws.gInner, phi)
+		ws.m.GradStepInto(ws.nws, phi, adaptSet, alpha, phi)
 	}
 }

@@ -107,13 +107,14 @@ func TestFiniteDiffHVPIntoZeroAllocs(t *testing.T) {
 	out := tensor.NewVec(m.NumParams())
 
 	assertZeroAllocs(t, "HVPInto(MLP, finite-diff)", func() {
-		HVPInto(m, ws, params, batch, v, out)
+		m.HVPInto(ws, params, batch, v, out)
 	})
 }
 
-// The Into kernels must agree exactly with the allocating wrappers: the
-// wrappers are now implemented on top of them, so this pins the aliasing
-// discipline (reused buffers must not leak state between calls).
+// The Into kernels on a reused workspace must agree exactly with the
+// allocating helpers, which run them on a nil (fresh) workspace: this pins
+// the aliasing discipline (reused buffers must not leak state between
+// calls).
 
 func TestGradIntoMatchesGrad(t *testing.T) {
 	models := []Model{
@@ -124,13 +125,13 @@ func TestGradIntoMatchesGrad(t *testing.T) {
 		r := rng.New(9)
 		batch := randBatch(r, 11, 6, 4)
 		params := m.InitParams(r)
-		ws := NewWorkspace(m)
+		ws := m.NewWorkspace()
 		out := tensor.NewVec(m.NumParams())
 		// Run twice on different params so buffer reuse across calls is
 		// exercised; compare each against the fresh-allocation path.
 		for trial := 0; trial < 2; trial++ {
-			GradInto(m, ws, params, batch, out)
-			want := m.Grad(params, batch)
+			m.GradInto(ws, params, batch, out)
+			want := Grad(m, params, batch)
 			if d := out.Dist(want); d != 0 {
 				t.Errorf("%T trial %d: GradInto differs from Grad by %g", m, trial, d)
 			}
@@ -147,8 +148,8 @@ func TestHVPIntoMatchesHVP(t *testing.T) {
 	v := m.InitParams(rng.New(5))
 	ws := m.NewWorkspace()
 	out := tensor.NewVec(m.NumParams())
-	HVPInto(m, ws, params, batch, v, out)
-	want := m.HVP(params, batch, v)
+	m.HVPInto(ws, params, batch, v, out)
+	want := HVP(m, params, batch, v)
 	if d := out.Dist(want); d != 0 {
 		t.Errorf("HVPInto differs from HVP by %g", d)
 	}
@@ -160,30 +161,33 @@ func TestInputGradIntoMatchesInputGrad(t *testing.T) {
 		mustMLP(t, MLPConfig{Dims: []int{6, 5, 3}, BatchNorm: true}),
 	}
 	for _, m := range models {
-		ig := m.(InputGradienter)
 		r := rng.New(7)
 		batch := randBatch(r, 8, 6, 3)
 		params := m.InitParams(r)
-		ws := NewWorkspace(m)
+		ws := m.NewWorkspace()
 		out := tensor.NewVec(6)
-		InputGradInto(ig, ws, params, batch[0], batch, out)
-		want := ig.InputGrad(params, batch[0], batch)
+		// Warm the workspace on another sample so reuse is exercised.
+		m.InputGradInto(ws, params, batch[1], batch, out)
+		m.InputGradInto(ws, params, batch[0], batch, out)
+		want := inputGrad(m, params, batch[0], batch)
 		if d := out.Dist(want); d != 0 {
-			t.Errorf("%T: InputGradInto differs from InputGrad by %g", m, d)
+			t.Errorf("%T: InputGradInto on a reused workspace differs from a fresh one by %g", m, d)
 		}
 	}
 }
 
 // TestGradIntoNilWorkspace pins the graceful-degradation contract: a nil
-// workspace is always valid and produces identical numbers.
+// workspace is always valid and produces the numbers of a real one.
 func TestGradIntoNilWorkspace(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{4, 5, 2}, BatchNorm: true})
 	r := rng.New(3)
 	batch := randBatch(r, 6, 4, 2)
 	params := m.InitParams(r)
 	out := tensor.NewVec(m.NumParams())
-	GradInto(m, nil, params, batch, out)
-	if d := out.Dist(m.Grad(params, batch)); d != 0 {
+	want := tensor.NewVec(m.NumParams())
+	m.GradInto(nil, params, batch, out)
+	m.GradInto(m.NewWorkspace(), params, batch, want)
+	if d := out.Dist(want); d != 0 {
 		t.Errorf("nil-workspace GradInto differs by %g", d)
 	}
 }

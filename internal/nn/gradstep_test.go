@@ -25,46 +25,24 @@ func TestGradStepIntoMatchesGradThenStep(t *testing.T) {
 		r := rng.New(11)
 		batch := randBatch(r, 9, 6, 4)
 		params := m.InitParams(r)
-		ws := NewWorkspace(m)
+		ws := m.NewWorkspace()
 		g := tensor.NewVec(m.NumParams())
 		want := tensor.NewVec(m.NumParams())
-		GradInto(m, NewWorkspace(m), params, batch, g)
+		m.GradInto(m.NewWorkspace(), params, batch, g)
 		params.AxpyInto(-lr, g, want)
 
 		out := tensor.NewVec(m.NumParams())
-		GradStepInto(m, ws, params, batch, lr, g, out)
+		m.GradStepInto(ws, params, batch, lr, out)
 		if d := out.Dist(want); d != 0 {
 			t.Errorf("%T: fused GradStepInto differs from grad-then-step by %g", m, d)
 		}
 
 		// In-place: out aliases params (the adaptation-loop pattern).
 		phi := params.Clone()
-		GradStepInto(m, ws, phi, batch, lr, g, phi)
+		m.GradStepInto(ws, phi, batch, lr, phi)
 		if d := phi.Dist(want); d != 0 {
 			t.Errorf("%T: in-place GradStepInto differs by %g", m, d)
 		}
-	}
-}
-
-// noFused hides the GradStepIntoer fast path, forcing the package helper
-// onto its grad-then-axpy fallback; both routes must agree bit-exactly.
-type noFused struct{ Model }
-
-func TestGradStepIntoFallbackMatchesFused(t *testing.T) {
-	m := mustMLP(t, MLPConfig{Dims: []int{5, 6, 3}, L2: 0.01})
-	if _, ok := interface{}(noFused{m}).(GradStepIntoer); ok {
-		t.Fatal("noFused still satisfies GradStepIntoer; fallback not exercised")
-	}
-	r := rng.New(13)
-	batch := randBatch(r, 7, 5, 3)
-	params := m.InitParams(r)
-	g := tensor.NewVec(m.NumParams())
-	fused := tensor.NewVec(m.NumParams())
-	fallback := tensor.NewVec(m.NumParams())
-	GradStepInto(m, NewWorkspace(m), params, batch, 0.2, g, fused)
-	GradStepInto(noFused{m}, NewWorkspace(m), params, batch, 0.2, g, fallback)
-	if d := fused.Dist(fallback); d != 0 {
-		t.Errorf("fused and fallback GradStepInto differ by %g", d)
 	}
 }
 
@@ -78,11 +56,10 @@ func TestGradStepIntoZeroAllocs(t *testing.T) {
 		r := rng.New(1)
 		batch := randBatch(r, 10, 6, 4)
 		params := m.InitParams(r)
-		ws := NewWorkspace(m)
-		g := tensor.NewVec(m.NumParams())
+		ws := m.NewWorkspace()
 		out := tensor.NewVec(m.NumParams())
 		assertZeroAllocs(t, "GradStepInto", func() {
-			GradStepInto(m, ws, params, batch, 0.1, g, out)
+			m.GradStepInto(ws, params, batch, 0.1, out)
 		})
 	}
 }

@@ -36,15 +36,7 @@ type MLP struct {
 	numParams int
 }
 
-var (
-	_ Model             = (*MLP)(nil)
-	_ InputGradienter   = (*MLP)(nil)
-	_ WorkspaceProvider = (*MLP)(nil)
-	_ GradIntoer        = (*MLP)(nil)
-	_ GradStepIntoer    = (*MLP)(nil)
-	_ InputGradIntoer   = (*MLP)(nil)
-	_ LossWither        = (*MLP)(nil)
-)
+var _ Model = (*MLP)(nil)
 
 // NewMLP validates cfg and returns the model.
 func NewMLP(cfg MLPConfig) (*MLP, error) {
@@ -204,7 +196,7 @@ type mlpWorkspace struct {
 	probs                []tensor.Vec   // [bwCap][classes]; per-sample softmax grads
 	sumDzhat, sumDzhatZc tensor.Vec     // sized max hidden dim
 
-	// Rebindable parameter and gradient views, plus InputGrad scratch.
+	// Rebindable parameter and gradient views, plus InputGradInto scratch.
 	pv, gv mlpView
 	gstep  tensor.Vec // gradient accumulator of the fused GradStepInto
 	dx1    []tensor.Vec
@@ -215,7 +207,7 @@ type mlpWorkspace struct {
 
 func (*mlpWorkspace) isWorkspace() {}
 
-// NewWorkspace implements WorkspaceProvider.
+// NewWorkspace implements Model.
 func (m *MLP) NewWorkspace() Workspace {
 	hidden := m.layers() - 1
 	ws := &mlpWorkspace{
@@ -316,7 +308,7 @@ func (ws *mlpWorkspace) ensureBackward(n int, inputGrad bool) {
 
 // forward runs the network on a batch using ws's buffers; frozen, when
 // non-nil, overrides the batch-normalization statistics (used by
-// InputGrad's frozen-BN mode). The returned cache aliases ws and is valid
+// InputGradInto's frozen-BN mode). The returned cache aliases ws and is valid
 // until the next forward on the same workspace.
 func (m *MLP) forward(ws *mlpWorkspace, v mlpView, batch []data.Sample, frozen *bnStats) *mlpCache {
 	n := len(batch)
@@ -428,12 +420,7 @@ func batchStatsInto(zs []tensor.Vec, mean, istd tensor.Vec) {
 	}
 }
 
-// Loss implements Model.
-func (m *MLP) Loss(params tensor.Vec, batch []data.Sample) float64 {
-	return m.LossWith(nil, params, batch)
-}
-
-// LossWith implements LossWither.
+// LossWith implements Model.
 func (m *MLP) LossWith(wsAny Workspace, params tensor.Vec, batch []data.Sample) float64 {
 	if len(batch) == 0 {
 		return m.l2Term(params)
@@ -455,14 +442,7 @@ func (m *MLP) l2Term(params tensor.Vec) float64 {
 	return 0.5 * m.l2 * params.Dot(params)
 }
 
-// Grad implements Model. It is the allocating wrapper over GradInto.
-func (m *MLP) Grad(params tensor.Vec, batch []data.Sample) tensor.Vec {
-	g := tensor.NewVec(m.numParams)
-	m.GradInto(nil, params, batch, g)
-	return g
-}
-
-// GradInto implements GradIntoer via full manual backpropagation, including
+// GradInto implements Model via full manual backpropagation, including
 // the gradient through the batch-normalization statistics. With a workspace
 // from this model the steady-state path allocates nothing. out must not
 // alias params.
@@ -483,7 +463,7 @@ func (m *MLP) GradInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, 
 	}
 }
 
-// GradStepInto implements GradStepIntoer: out = params − lr·∇L(params, batch)
+// GradStepInto implements Model: out = params − lr·∇L(params, batch)
 // as one fused kernel. The gradient accumulates into workspace scratch, and
 // the L2 term plus the descent step collapse into a single final pass over
 // the parameter vector — element for element the same arithmetic as GradInto
@@ -515,6 +495,14 @@ func (m *MLP) GradStepInto(wsAny Workspace, params tensor.Vec, batch []data.Samp
 		return
 	}
 	params.AxpyInto(-lr, g, out)
+}
+
+// HVPInto implements Model by a central finite difference of GradInto
+// (FiniteDiffHVPInto), with the perturbed parameters in the workspace's own
+// scratch. out must alias neither params nor v.
+func (m *MLP) HVPInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec) {
+	ws := m.workspace(wsAny)
+	finiteDiffHVPInto(m, ws, &ws.fdBufs, params, batch, v, out)
 }
 
 // backward backpropagates the batch loss through the forward pass cached in
@@ -649,18 +637,10 @@ func bnBackwardInPlace(dzhat, z []tensor.Vec, mean, istd, sumDzhat, sumDzhatZc t
 	}
 }
 
-// InputGrad implements InputGradienter. For batch-normalized networks the
-// statistics are taken from ctx and frozen (constant w.r.t. x); without
-// batch norm the result is the exact per-sample input gradient and ctx is
-// ignored.
-func (m *MLP) InputGrad(params tensor.Vec, s data.Sample, ctx []data.Sample) tensor.Vec {
-	out := tensor.NewVec(m.dims[0])
-	m.InputGradInto(nil, params, s, ctx, out)
-	return out
-}
-
-// InputGradInto implements InputGradIntoer: the frozen-BN input gradient
-// written into out (length = input dimension).
+// InputGradInto implements Model: the input gradient written into out
+// (length = input dimension). For batch-normalized networks the statistics
+// are taken from ctx and frozen (constant w.r.t. x); without batch norm the
+// result is the exact per-sample input gradient and ctx is ignored.
 func (m *MLP) InputGradInto(wsAny Workspace, params tensor.Vec, s data.Sample, ctx []data.Sample, out tensor.Vec) {
 	ws := m.workspace(wsAny)
 	m.viewInto(&ws.pv, params)

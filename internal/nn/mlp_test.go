@@ -70,7 +70,7 @@ func TestMLPGradMatchesNumericalNoBN(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{5, 4, 3}, L2: 0.02})
 	p := m.InitParams(r)
 	batch := randBatch(r, 6, 5, 3)
-	got := m.Grad(p, batch)
+	got := Grad(m, p, batch)
 	want := NumericalGrad(m, p, batch)
 	if e := relErr(got, want); e > 1e-5 {
 		t.Errorf("MLP gradient relErr = %v", e)
@@ -82,7 +82,7 @@ func TestMLPGradMatchesNumericalWithBN(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{4, 5, 3, 2}, BatchNorm: true})
 	p := m.InitParams(r)
 	batch := randBatch(r, 8, 4, 2)
-	got := m.Grad(p, batch)
+	got := Grad(m, p, batch)
 	want := NumericalGrad(m, p, batch)
 	if e := relErr(got, want); e > 1e-4 {
 		t.Errorf("BN MLP gradient relErr = %v", e)
@@ -95,7 +95,7 @@ func TestMLPDeepGradMatchesNumerical(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{6, 8, 4, 3, 2}, BatchNorm: true, L2: 0.01})
 	p := m.InitParams(r)
 	batch := randBatch(r, 10, 6, 2)
-	got := m.Grad(p, batch)
+	got := Grad(m, p, batch)
 	want := NumericalGrad(m, p, batch)
 	if e := relErr(got, want); e > 1e-4 {
 		t.Errorf("deep BN MLP gradient relErr = %v", e)
@@ -124,16 +124,16 @@ func TestMLPInputGradMatchesNumericalNoBN(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{5, 4, 3}})
 	p := m.InitParams(r)
 	s := randBatch(r, 1, 5, 3)[0]
-	got := m.InputGrad(p, s, nil)
+	got := inputGrad(m, p, s, nil)
 
 	const eps = 1e-6
 	want := tensor.NewVec(5)
 	for i := range s.X {
 		orig := s.X[i]
 		s.X[i] = orig + eps
-		lp := m.Loss(p, []data.Sample{s})
+		lp := Loss(m, p, []data.Sample{s})
 		s.X[i] = orig - eps
-		lm := m.Loss(p, []data.Sample{s})
+		lm := Loss(m, p, []data.Sample{s})
 		s.X[i] = orig
 		want[i] = (lp - lm) / (2 * eps)
 	}
@@ -147,7 +147,7 @@ func TestMLPInputGradWithBNFiniteAndNonZero(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{5, 4, 3}, BatchNorm: true})
 	p := m.InitParams(r)
 	batch := randBatch(r, 6, 5, 3)
-	g := m.InputGrad(p, batch[0], batch)
+	g := inputGrad(m, p, batch[0], batch)
 	if !g.IsFinite() {
 		t.Fatal("frozen-BN input gradient is not finite")
 	}
@@ -169,7 +169,7 @@ func TestMLPInputGradFrozenBNMatchesNumerical(t *testing.T) {
 	}
 	ctx := randBatch(r, 6, 5, 3)
 	s := ctx[0]
-	got := m.InputGrad(p, s, ctx)
+	got := inputGrad(m, p, s, ctx)
 
 	ws := m.workspace(nil)
 	v := m.view(p)
@@ -203,11 +203,11 @@ func TestMLPGradientDescentReducesLoss(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{4, 8, 3}, BatchNorm: true})
 	p := m.InitParams(r)
 	batch := randBatch(r, 20, 4, 3)
-	before := m.Loss(p, batch)
+	before := Loss(m, p, batch)
 	for step := 0; step < 80; step++ {
-		p.Axpy(-0.1, m.Grad(p, batch))
+		p.Axpy(-0.1, Grad(m, p, batch))
 	}
-	after := m.Loss(p, batch)
+	after := Loss(m, p, batch)
 	if after >= before-0.05 {
 		t.Errorf("training failed: %v -> %v", before, after)
 	}
@@ -225,7 +225,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 		batch = append(batch, data.Sample{X: x, Y: a ^ b})
 	}
 	for step := 0; step < 2000; step++ {
-		p.Axpy(-0.5, m.Grad(p, batch))
+		p.Axpy(-0.5, Grad(m, p, batch))
 	}
 	if acc := Accuracy(m, p, batch); acc < 0.95 {
 		t.Errorf("XOR accuracy = %v", acc)
@@ -236,10 +236,10 @@ func TestMLPEmptyBatch(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{3, 2}, L2: 1})
 	p := tensor.NewVec(m.NumParams())
 	p[0] = 2
-	if got := m.Loss(p, nil); math.Abs(got-2) > 1e-12 {
+	if got := Loss(m, p, nil); math.Abs(got-2) > 1e-12 {
 		t.Errorf("empty-batch loss = %v, want L2 term 2", got)
 	}
-	g := m.Grad(p, nil)
+	g := Grad(m, p, nil)
 	if g[0] != 2 || g[1] != 0 {
 		t.Errorf("empty-batch grad = %v", g)
 	}
@@ -256,7 +256,7 @@ func TestMLPPanicsOnBadShapes(t *testing.T) {
 				t.Fatal("no panic on bad param length")
 			}
 		}()
-		m.Loss(tensor.NewVec(1), randBatch(rng.New(1), 1, 3, 2))
+		Loss(m, tensor.NewVec(1), randBatch(rng.New(1), 1, 3, 2))
 	})
 	t.Run("input", func(t *testing.T) {
 		defer func() {
@@ -265,7 +265,7 @@ func TestMLPPanicsOnBadShapes(t *testing.T) {
 			}
 		}()
 		p := m.InitParams(rng.New(1))
-		m.Loss(p, []data.Sample{{X: tensor.NewVec(5), Y: 0}})
+		Loss(m, p, []data.Sample{{X: tensor.NewVec(5), Y: 0}})
 	})
 }
 
@@ -307,7 +307,7 @@ func BenchmarkSoftmaxGrad(b *testing.B) {
 	batch := randBatch(r, 17, 60, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Grad(p, batch)
+		_ = Grad(m, p, batch)
 	}
 }
 
@@ -319,7 +319,7 @@ func BenchmarkSoftmaxHVP(b *testing.B) {
 	v := m.InitParams(r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.HVP(p, batch, v)
+		_ = HVP(m, p, batch, v)
 	}
 }
 
@@ -333,6 +333,6 @@ func BenchmarkMLPGradBN(b *testing.B) {
 	batch := randBatch(r, 16, 50, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Grad(p, batch)
+		_ = Grad(m, p, batch)
 	}
 }

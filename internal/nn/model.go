@@ -8,10 +8,10 @@
 //     normalization (the Sent140 model), with manual backpropagation.
 //
 // The MAML meta-gradient (I − α∇²L_train(θ)) ∇L_test(φ) only ever needs a
-// Hessian-VECTOR product, never the full Hessian. Models may provide an
-// analytic HVP (SoftmaxRegression does); for the rest, HVP falls back to a
-// central finite difference of the gradient, the standard substitute when
-// second-order automatic differentiation is unavailable (see DESIGN.md §3).
+// Hessian-VECTOR product, never the full Hessian. SoftmaxRegression computes
+// it analytically; the MLP takes a central finite difference of the
+// gradient, the standard substitute when second-order automatic
+// differentiation is unavailable (see DESIGN.md §3).
 package nn
 
 import (
@@ -24,37 +24,64 @@ import (
 
 // Model is a stateless model family: parameters live in a flat tensor.Vec so
 // that the federated runtime can aggregate, ship and compare them without
-// knowing the architecture.
+// knowing the architecture. It is the one contract Algorithms 1 and 2 need:
+// a gradient, a fused inner step, a Hessian-vector product, a loss and an
+// input gradient, each written into a caller-owned buffer against a
+// reusable Workspace (the Into conventions in into.go and DESIGN.md §6).
+// Cold paths and tests use the allocating helpers Grad, Loss and HVP.
 type Model interface {
 	// NumParams returns the length of the flat parameter vector.
 	NumParams() int
 	// InitParams draws a fresh random initialization.
 	InitParams(r *rng.Rand) tensor.Vec
-	// Loss returns the empirical loss L(θ, D) (Eq. 1), averaged over batch.
-	Loss(params tensor.Vec, batch []data.Sample) float64
-	// Grad returns ∇_θ L(θ, D), averaged over batch.
-	Grad(params tensor.Vec, batch []data.Sample) tensor.Vec
+	// NewWorkspace returns reusable scratch for this model's kernels.
+	NewWorkspace() Workspace
+	// GradInto computes ∇_θ L(θ, D) averaged over batch into out.
+	// out must not alias params.
+	GradInto(ws Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec)
+	// GradStepInto computes out = params − lr·∇L(params, batch) as one
+	// fused kernel, bit-identical to GradInto followed by the axpy step.
+	// out may alias params (in-place step); it must not alias workspace
+	// memory.
+	GradStepInto(ws Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec)
+	// HVPInto computes ∇²L(θ, D)·v into out. out must alias neither
+	// params nor v.
+	HVPInto(ws Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec)
+	// InputGradInto computes ∇_x l(θ, (x, y)) for a single sample into
+	// out (length = input dimension), as the adversarial data generation
+	// of Algorithm 2 and the FGSM attack require. For models with batch
+	// normalization the statistics of ctx are treated as constants
+	// (frozen-BN approximation); ctx may be nil for models without.
+	InputGradInto(ws Workspace, params tensor.Vec, s data.Sample, ctx []data.Sample, out tensor.Vec)
+	// LossWith returns the empirical loss L(θ, D) (Eq. 1), averaged over
+	// batch.
+	LossWith(ws Workspace, params tensor.Vec, batch []data.Sample) float64
 	// PredictBatch returns the predicted class of every sample. Predictions
 	// are computed jointly so models with batch normalization can use
 	// transductive batch statistics (as MAML-style meta-testing does).
 	PredictBatch(params tensor.Vec, batch []data.Sample) []int
+	// Segments reports the flat-vector layout: contiguous, sorted, and
+	// tiling [0, NumParams()) exactly.
+	Segments() []Segment
 }
 
-// HVPComputer is implemented by models that can compute the Hessian-vector
-// product ∇²L(θ, D)·v analytically.
-type HVPComputer interface {
-	HVP(params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec
+// Grad returns ∇_θ L(θ, D) averaged over batch in a fresh vector.
+func Grad(m Model, params tensor.Vec, batch []data.Sample) tensor.Vec {
+	g := tensor.NewVec(m.NumParams())
+	m.GradInto(nil, params, batch, g)
+	return g
 }
 
-// InputGradienter is implemented by models that can differentiate the
-// per-sample loss with respect to the input features, as required by the
-// adversarial data generation of Algorithm 2 and the FGSM attack.
-type InputGradienter interface {
-	// InputGrad returns ∇_x l(θ, (x, y)) for a single sample. For models
-	// with batch normalization the normalization statistics of ctx are
-	// treated as constants (frozen-BN approximation); ctx may be nil for
-	// models that do not need it.
-	InputGrad(params tensor.Vec, s data.Sample, ctx []data.Sample) tensor.Vec
+// Loss returns the empirical loss L(θ, D) (Eq. 1), averaged over batch.
+func Loss(m Model, params tensor.Vec, batch []data.Sample) float64 {
+	return m.LossWith(nil, params, batch)
+}
+
+// HVP returns ∇²L(θ, D)·v in a fresh vector.
+func HVP(m Model, params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
+	out := tensor.NewVec(m.NumParams())
+	m.HVPInto(nil, params, batch, v, out)
+	return out
 }
 
 // _fdEpsBase is the optimal step scale for central differences,
@@ -63,30 +90,12 @@ var _fdEpsBase = math.Cbrt(2.220446049250313e-16)
 
 // FiniteDiffHVP approximates ∇²L(θ)·v by a central finite difference of the
 // gradient: (∇L(θ+εv) − ∇L(θ−εv)) / 2ε, with ε scaled to the magnitudes of
-// θ and v. The error is O(ε²‖∇³L‖).
+// θ and v. The error is O(ε²‖∇³L‖). Tests use it as the oracle for the
+// analytic HVP.
 func FiniteDiffHVP(m Model, params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
-	vn := v.Norm()
-	if vn == 0 {
-		return tensor.NewVec(len(params))
-	}
-	eps := _fdEpsBase * (1 + params.Norm()) / vn
-	pp := params.Clone()
-	pp.Axpy(eps, v)
-	pm := params.Clone()
-	pm.Axpy(-eps, v)
-	g := m.Grad(pp, batch)
-	g.SubInPlace(m.Grad(pm, batch))
-	g.ScaleInPlace(1 / (2 * eps))
-	return g
-}
-
-// HVP returns ∇²L(θ, D)·v, using the model's analytic implementation when
-// available and the finite-difference approximation otherwise.
-func HVP(m Model, params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
-	if h, ok := m.(HVPComputer); ok {
-		return h.HVP(params, batch, v)
-	}
-	return FiniteDiffHVP(m, params, batch, v)
+	out := tensor.NewVec(len(params))
+	FiniteDiffHVPInto(m, nil, params, batch, v, out)
+	return out
 }
 
 // Accuracy evaluates the fraction of batch whose predicted class matches the
@@ -105,7 +114,7 @@ func Accuracy(m Model, params tensor.Vec, batch []data.Sample) float64 {
 	return float64(correct) / float64(len(batch))
 }
 
-// NumericalGrad computes a central finite-difference gradient of m.Loss.
+// NumericalGrad computes a central finite-difference gradient of the loss.
 // It is exposed for tests that verify analytic gradients.
 func NumericalGrad(m Model, params tensor.Vec, batch []data.Sample) tensor.Vec {
 	const eps = 1e-6
@@ -114,9 +123,9 @@ func NumericalGrad(m Model, params tensor.Vec, batch []data.Sample) tensor.Vec {
 	for i := range p {
 		orig := p[i]
 		p[i] = orig + eps
-		lp := m.Loss(p, batch)
+		lp := Loss(m, p, batch)
 		p[i] = orig - eps
-		lm := m.Loss(p, batch)
+		lm := Loss(m, p, batch)
 		p[i] = orig
 		g[i] = (lp - lm) / (2 * eps)
 	}

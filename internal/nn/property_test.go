@@ -27,7 +27,7 @@ func TestSoftmaxGradPropertyRandomShapes(t *testing.T) {
 			p[i] = r.Norm() * 0.5
 		}
 		batch := randBatch(r, 1+r.IntN(6), m.In, m.Classes)
-		got := m.Grad(p, batch)
+		got := Grad(m, p, batch)
 		want := NumericalGrad(m, p, batch)
 		return relErr(got, want) < 1e-5
 	}
@@ -50,10 +50,10 @@ func TestSoftmaxHVPPropertyRandomShapes(t *testing.T) {
 		for i := range v {
 			v[i], w[i] = r.Norm(), r.Norm()
 		}
-		hv := m.HVP(p, batch, v)
+		hv := HVP(m, p, batch, v)
 		// Symmetry.
 		lhs := hv.Dot(w)
-		rhs := v.Dot(m.HVP(p, batch, w))
+		rhs := v.Dot(HVP(m, p, batch, w))
 		if math.Abs(lhs-rhs) > 1e-9*(1+math.Abs(lhs)) {
 			return false
 		}
@@ -98,7 +98,7 @@ func TestMLPGradPropertyRandomShapes(t *testing.T) {
 				}
 			}
 		}
-		got := m.Grad(p, batch)
+		got := Grad(m, p, batch)
 		want := NumericalGrad(m, p, batch)
 		return relErr(got, want) < 5e-3
 	}
@@ -119,7 +119,7 @@ func TestLossNonNegativeProperty(t *testing.T) {
 			p[i] = 3 * r.Norm()
 		}
 		batch := randBatch(r, 1+r.IntN(8), m.In, m.Classes)
-		return m.Loss(p, batch) >= 0
+		return Loss(m, p, batch) >= 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -139,7 +139,7 @@ func TestPredictionsMatchTrainingLabelsAfterInterpolation(t *testing.T) {
 	}
 	p := m.InitParams(r)
 	for i := 0; i < 400; i++ {
-		p.Axpy(-0.5, m.Grad(p, batch))
+		p.Axpy(-0.5, Grad(m, p, batch))
 	}
 	preds := m.PredictBatch(p, batch)
 	for i, s := range batch {

@@ -19,23 +19,13 @@ type Segment struct {
 // Len returns the number of parameters in the segment.
 func (s Segment) Len() int { return s.Hi - s.Lo }
 
-// Segmenter is implemented by models that expose their flat-vector layout.
-// Segments must be contiguous, sorted, and tile [0, NumParams()) exactly.
-type Segmenter interface {
-	Segments() []Segment
-}
-
 // HeadSegments returns the model's output-layer ("head.*") segments, the
 // structural subset a head-only sync policy keeps synchronizing after
-// warmup. The error names models that expose no layout or no head — callers
-// surface it at configuration time, not mid-training.
+// warmup. The error names models that have no head — callers surface it at
+// configuration time, not mid-training.
 func HeadSegments(m Model) ([]Segment, error) {
-	sg, ok := m.(Segmenter)
-	if !ok {
-		return nil, fmt.Errorf("nn: model %T does not expose parameter segments", m)
-	}
 	var head []Segment
-	for _, s := range sg.Segments() {
+	for _, s := range m.Segments() {
 		if len(s.Name) >= 5 && s.Name[:5] == "head." {
 			head = append(head, s)
 		}

@@ -1,24 +1,14 @@
 package nn
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/edgeai/fedml/internal/data"
-	"github.com/edgeai/fedml/internal/rng"
-	"github.com/edgeai/fedml/internal/tensor"
-)
+// headless is a model whose layout names no "head.*" segment.
+type headless struct{ Model }
 
-// fakeModel satisfies Model but not Segmenter.
-type fakeModel struct{}
-
-func (fakeModel) NumParams() int                               { return 4 }
-func (fakeModel) InitParams(*rng.Rand) tensor.Vec              { return tensor.NewVec(4) }
-func (fakeModel) Loss(tensor.Vec, []data.Sample) float64       { return 0 }
-func (fakeModel) Grad(tensor.Vec, []data.Sample) tensor.Vec    { return tensor.NewVec(4) }
-func (fakeModel) PredictBatch(tensor.Vec, []data.Sample) []int { return nil }
+func (headless) Segments() []Segment { return []Segment{{Name: "layer0.w", Lo: 0, Hi: 4}} }
 
 // checkTiling asserts that segments are sorted, contiguous, and tile
-// [0, numParams) exactly — the Segmenter contract.
+// [0, numParams) exactly — the Model.Segments contract.
 func checkTiling(t *testing.T, segs []Segment, numParams int) {
 	t.Helper()
 	off := 0
@@ -79,8 +69,8 @@ func TestMLPSegments(t *testing.T) {
 	}
 }
 
-func TestHeadSegmentsRejectsNonSegmenter(t *testing.T) {
-	if _, err := HeadSegments(fakeModel{}); err == nil {
-		t.Fatal("HeadSegments accepted a model with no layout metadata")
+func TestHeadSegmentsRejectsHeadlessModel(t *testing.T) {
+	if _, err := HeadSegments(headless{}); err == nil {
+		t.Fatal("HeadSegments accepted a model with no head segments")
 	}
 }

@@ -28,17 +28,7 @@ type SoftmaxRegression struct {
 	InitScale float64
 }
 
-var (
-	_ Model             = (*SoftmaxRegression)(nil)
-	_ HVPComputer       = (*SoftmaxRegression)(nil)
-	_ InputGradienter   = (*SoftmaxRegression)(nil)
-	_ WorkspaceProvider = (*SoftmaxRegression)(nil)
-	_ GradIntoer        = (*SoftmaxRegression)(nil)
-	_ GradStepIntoer    = (*SoftmaxRegression)(nil)
-	_ HVPIntoer         = (*SoftmaxRegression)(nil)
-	_ InputGradIntoer   = (*SoftmaxRegression)(nil)
-	_ LossWither        = (*SoftmaxRegression)(nil)
-)
+var _ Model = (*SoftmaxRegression)(nil)
 
 // softmaxChunk is the number of samples the softmax kernels carry through
 // one pass over the weight matrix: the batch kernels' tile of four. Those
@@ -62,12 +52,11 @@ type softmaxWorkspace struct {
 	xs, ps, us [softmaxChunk]tensor.Vec
 	gstep      tensor.Vec // gradient accumulator of the fused GradStepInto
 	w, gw, vw  tensor.Mat // views rebound onto params / out / v per call
-	fdBufs
 }
 
 func (*softmaxWorkspace) isWorkspace() {}
 
-// NewWorkspace implements WorkspaceProvider.
+// NewWorkspace implements Model.
 func (m *SoftmaxRegression) NewWorkspace() Workspace {
 	ws := &softmaxWorkspace{classes: m.Classes, in: m.In}
 	for _, mat := range []*tensor.Mat{&ws.w, &ws.gw, &ws.vw} {
@@ -147,7 +136,7 @@ func (m *SoftmaxRegression) lossGrad(s *softmaxWorkspace, params tensor.Vec, bat
 	}
 }
 
-// GradInto implements GradIntoer. out must not alias params.
+// GradInto implements Model. out must not alias params.
 func (m *SoftmaxRegression) GradInto(ws Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec) {
 	s := m.workspace(ws)
 	out.Zero()
@@ -157,7 +146,7 @@ func (m *SoftmaxRegression) GradInto(ws Workspace, params tensor.Vec, batch []da
 	}
 }
 
-// GradStepInto implements GradStepIntoer: out = params − lr·∇L(params, batch)
+// GradStepInto implements Model: out = params − lr·∇L(params, batch)
 // as one fused kernel. The gradient accumulates into workspace scratch, and
 // the L2 term plus the descent step collapse into a single final pass over
 // the parameter vector — element for element the same arithmetic as GradInto
@@ -186,10 +175,13 @@ func (m *SoftmaxRegression) GradStepInto(ws Workspace, params tensor.Vec, batch 
 	params.AxpyInto(-lr, g, out)
 }
 
-// HVPInto implements HVPIntoer: the analytic Hessian-vector product written
-// into out. out must alias neither params nor v. Per chunk, the direction's
-// logits u = V·x + v_b take a second MulVecBatch; the curvature rows
-// overwrite them in place and accumulate with one AddOuterBatch.
+// HVPInto implements Model: the exact Hessian-vector product of the softmax
+// cross-entropy, written into out. For a single sample with probabilities p
+// and perturbation direction (V, v), let u = Vx + v; then
+// ∇²l · (V, v) = ((p∘u − p(pᵀu)) xᵀ, p∘u − p(pᵀu)). out must alias neither
+// params nor v. Per chunk, the direction's logits u = V·x + v_b take a
+// second MulVecBatch; the curvature rows overwrite them in place and
+// accumulate with one AddOuterBatch.
 func (m *SoftmaxRegression) HVPInto(ws Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec) {
 	s := m.workspace(ws)
 	b := m.bindView(&s.w, params)
@@ -221,8 +213,9 @@ func (m *SoftmaxRegression) HVPInto(ws Workspace, params tensor.Vec, batch []dat
 	}
 }
 
-// InputGradInto implements InputGradIntoer: ∇_x l(θ, (x, y)) = Wᵀ(p − e_y)
-// written into out (length m.In).
+// InputGradInto implements Model: ∇_x l(θ, (x, y)) = Wᵀ(p − e_y) written
+// into out (length m.In). The ctx batch is unused (softmax regression has no
+// batch statistics).
 func (m *SoftmaxRegression) InputGradInto(ws Workspace, params tensor.Vec, smp data.Sample, _ []data.Sample, out tensor.Vec) {
 	s := m.workspace(ws)
 	_, ps := s.probs(m.bindView(&s.w, params), []data.Sample{smp})
@@ -247,12 +240,7 @@ func (m *SoftmaxRegression) InitParams(r *rng.Rand) tensor.Vec {
 	return p
 }
 
-// Loss implements Model.
-func (m *SoftmaxRegression) Loss(params tensor.Vec, batch []data.Sample) float64 {
-	return m.LossWith(nil, params, batch)
-}
-
-// LossWith implements LossWither.
+// LossWith implements Model.
 func (m *SoftmaxRegression) LossWith(ws Workspace, params tensor.Vec, batch []data.Sample) float64 {
 	if len(params) != m.NumParams() {
 		panic(fmt.Sprintf("nn: SoftmaxRegression got %d params, want %d", len(params), m.NumParams()))
@@ -278,31 +266,6 @@ func (m *SoftmaxRegression) l2Term(params tensor.Vec) float64 {
 		return 0
 	}
 	return 0.5 * m.L2 * params.Dot(params)
-}
-
-// Grad implements Model. It is the allocating wrapper over GradInto.
-func (m *SoftmaxRegression) Grad(params tensor.Vec, batch []data.Sample) tensor.Vec {
-	g := tensor.NewVec(m.NumParams())
-	m.GradInto(nil, params, batch, g)
-	return g
-}
-
-// HVP implements HVPComputer: the exact Hessian-vector product of the
-// softmax cross-entropy. For a single sample with probabilities p and
-// perturbation direction (V, v), let u = Vx + v; then
-// ∇²l · (V, v) = ((p∘u − p(pᵀu)) xᵀ, p∘u − p(pᵀu)).
-func (m *SoftmaxRegression) HVP(params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
-	out := tensor.NewVec(m.NumParams())
-	m.HVPInto(nil, params, batch, v, out)
-	return out
-}
-
-// InputGrad implements InputGradienter: ∇_x l(θ, (x, y)) = Wᵀ(p − e_y).
-// The ctx batch is unused (softmax regression has no batch statistics).
-func (m *SoftmaxRegression) InputGrad(params tensor.Vec, s data.Sample, _ []data.Sample) tensor.Vec {
-	out := tensor.NewVec(m.In)
-	m.InputGradInto(nil, params, s, nil, out)
-	return out
 }
 
 // PredictBatch implements Model.

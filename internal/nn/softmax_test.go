@@ -22,6 +22,14 @@ func randBatch(r *rng.Rand, n, dim, classes int) []data.Sample {
 	return batch
 }
 
+// inputGrad returns ∇_x l(θ, (x, y)) for s in a fresh vector, on a nil
+// workspace.
+func inputGrad(m Model, params tensor.Vec, s data.Sample, ctx []data.Sample) tensor.Vec {
+	out := tensor.NewVec(len(s.X))
+	m.InputGradInto(nil, params, s, ctx, out)
+	return out
+}
+
 func relErr(a, b tensor.Vec) float64 {
 	d := a.Sub(b).Norm()
 	den := math.Max(a.Norm(), b.Norm())
@@ -57,7 +65,7 @@ func TestSoftmaxRegressionGradMatchesNumerical(t *testing.T) {
 			p[i] = r.Norm() * 0.5
 		}
 		batch := randBatch(r, 7, 5, 4)
-		got := m.Grad(p, batch)
+		got := Grad(m, p, batch)
 		want := NumericalGrad(m, p, batch)
 		if e := relErr(got, want); e > 1e-6 {
 			t.Errorf("L2=%v: analytic vs numerical gradient relErr = %v", l2, e)
@@ -77,7 +85,7 @@ func TestSoftmaxRegressionHVPMatchesFiniteDiff(t *testing.T) {
 	for i := range v {
 		v[i] = r.Norm()
 	}
-	got := m.HVP(p, batch, v)
+	got := HVP(m, p, batch, v)
 	want := FiniteDiffHVP(m, p, batch, v)
 	if e := relErr(got, want); e > 1e-5 {
 		t.Errorf("analytic vs FD HVP relErr = %v", e)
@@ -95,8 +103,8 @@ func TestSoftmaxRegressionHVPLinearity(t *testing.T) {
 		v1[i], v2[i] = r.Norm(), r.Norm()
 	}
 	sum := v1.Add(v2)
-	lhs := m.HVP(p, batch, sum)
-	rhs := m.HVP(p, batch, v1).Add(m.HVP(p, batch, v2))
+	lhs := HVP(m, p, batch, sum)
+	rhs := HVP(m, p, batch, v1).Add(HVP(m, p, batch, v2))
 	if e := relErr(lhs, rhs); e > 1e-10 {
 		t.Errorf("HVP not linear: relErr = %v", e)
 	}
@@ -113,8 +121,8 @@ func TestSoftmaxRegressionHVPSymmetry(t *testing.T) {
 	for i := range v {
 		v[i], w[i] = r.Norm(), r.Norm()
 	}
-	lhs := m.HVP(p, batch, v).Dot(w)
-	rhs := v.Dot(m.HVP(p, batch, w))
+	lhs := HVP(m, p, batch, v).Dot(w)
+	rhs := v.Dot(HVP(m, p, batch, w))
 	if math.Abs(lhs-rhs) > 1e-9*(1+math.Abs(lhs)) {
 		t.Errorf("HVP asymmetric: %v vs %v", lhs, rhs)
 	}
@@ -131,7 +139,7 @@ func TestSoftmaxRegressionHVPPositiveSemiDefinite(t *testing.T) {
 		for i := range v {
 			v[i] = r.Norm()
 		}
-		q := v.Dot(m.HVP(p, batch, v))
+		q := v.Dot(HVP(m, p, batch, v))
 		if q < 0.1*v.Dot(v)-1e-9 {
 			t.Fatalf("quadratic form %v below strong-convexity floor %v", q, 0.1*v.Dot(v))
 		}
@@ -146,16 +154,16 @@ func TestSoftmaxRegressionInputGradMatchesNumerical(t *testing.T) {
 		p[i] = r.Norm() * 0.3
 	}
 	s := randBatch(r, 1, 6, 3)[0]
-	got := m.InputGrad(p, s, nil)
+	got := inputGrad(m, p, s, nil)
 
 	const eps = 1e-6
 	want := tensor.NewVec(6)
 	for i := range s.X {
 		orig := s.X[i]
 		s.X[i] = orig + eps
-		lp := m.Loss(p, []data.Sample{s})
+		lp := Loss(m, p, []data.Sample{s})
 		s.X[i] = orig - eps
-		lm := m.Loss(p, []data.Sample{s})
+		lm := Loss(m, p, []data.Sample{s})
 		s.X[i] = orig
 		want[i] = (lp - lm) / (2 * eps)
 	}
@@ -169,12 +177,12 @@ func TestSoftmaxRegressionGradientDescentReducesLoss(t *testing.T) {
 	m := &SoftmaxRegression{In: 5, Classes: 3}
 	p := m.InitParams(r)
 	batch := randBatch(r, 30, 5, 3)
-	before := m.Loss(p, batch)
+	before := Loss(m, p, batch)
 	for step := 0; step < 50; step++ {
-		g := m.Grad(p, batch)
+		g := Grad(m, p, batch)
 		p.Axpy(-0.5, g)
 	}
-	after := m.Loss(p, batch)
+	after := Loss(m, p, batch)
 	if after >= before {
 		t.Errorf("gradient descent failed: %v -> %v", before, after)
 	}
@@ -195,7 +203,7 @@ func TestSoftmaxRegressionLearnsSeparableProblem(t *testing.T) {
 	}
 	p := m.InitParams(r)
 	for step := 0; step < 300; step++ {
-		p.Axpy(-1.0, m.Grad(p, batch))
+		p.Axpy(-1.0, Grad(m, p, batch))
 	}
 	if acc := Accuracy(m, p, batch); acc < 0.95 {
 		t.Errorf("accuracy %v on separable problem", acc)
@@ -205,10 +213,10 @@ func TestSoftmaxRegressionLearnsSeparableProblem(t *testing.T) {
 func TestSoftmaxRegressionEmptyBatch(t *testing.T) {
 	m := &SoftmaxRegression{In: 3, Classes: 2, L2: 0.5}
 	p := tensor.Vec{1, 0, 0, 0, 0, 0, 1, 0}
-	if got := m.Loss(p, nil); math.Abs(got-0.5) > 1e-12 {
+	if got := Loss(m, p, nil); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("empty-batch loss = %v, want pure L2 term 0.5", got)
 	}
-	g := m.Grad(p, nil)
+	g := Grad(m, p, nil)
 	if relErr(g, p.Scale(0.5)) > 1e-12 {
 		t.Errorf("empty-batch grad = %v", g)
 	}
@@ -224,7 +232,7 @@ func TestSoftmaxRegressionParamLengthPanics(t *testing.T) {
 			t.Fatal("wrong param length did not panic")
 		}
 	}()
-	m.Loss(tensor.NewVec(3), nil)
+	Loss(m, tensor.NewVec(3), nil)
 }
 
 func TestSmoothnessAndConvexityAccessors(t *testing.T) {
@@ -248,10 +256,14 @@ func TestHVPDispatchUsesAnalytic(t *testing.T) {
 	for i := range v {
 		v[i] = r.Norm()
 	}
-	viaDispatch := HVP(m, p, batch, v)
-	direct := m.HVP(p, batch, v)
-	if relErr(viaDispatch, direct) != 0 {
-		t.Error("HVP dispatch did not use the analytic implementation")
+	viaHelper := HVP(m, p, batch, v)
+	direct := tensor.NewVec(m.NumParams())
+	m.HVPInto(m.NewWorkspace(), p, batch, v, direct)
+	if relErr(viaHelper, direct) != 0 {
+		t.Error("HVP helper differs from the model's analytic HVPInto")
+	}
+	if relErr(viaHelper, FiniteDiffHVP(m, p, batch, v)) == 0 {
+		t.Error("HVP helper matches the finite difference bit for bit: not the analytic kernel")
 	}
 }
 

@@ -47,15 +47,11 @@ func repShare(eta float64, T, T0 int) core.Config {
 }
 
 // probe wraps the model and records, for every node, the parameters it holds
-// at the first gradient call of each round: the broadcast trunk plus the
-// node's own head. Nodes run concurrently; a node is recognised by its first
+// at the first local step of each round: the broadcast trunk plus the node's
+// own head. Nodes run concurrently; a node is recognised by its first
 // training sample.
-//
-// Only nn.Model's methods are promoted, which hides the MLP's fused kernels:
-// every local step goes through Grad.
 type probe struct {
 	nn.Model
-	mlp *nn.MLP
 	fed *data.Federation
 	t0  int
 
@@ -66,10 +62,10 @@ type probe struct {
 
 func newProbe(m *nn.MLP, fed *data.Federation, t0 int) *probe {
 	n := len(fed.Sources)
-	return &probe{Model: m, mlp: m, fed: fed, t0: t0, calls: make([]int, n), starts: make([][]tensor.Vec, n)}
+	return &probe{Model: m, fed: fed, t0: t0, calls: make([]int, n), starts: make([][]tensor.Vec, n)}
 }
 
-func (p *probe) Grad(theta tensor.Vec, batch []data.Sample) tensor.Vec {
+func (p *probe) GradStepInto(ws nn.Workspace, theta tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
 	p.mu.Lock()
 	for i, nd := range p.fed.Sources {
 		if &batch[0].X[0] == &nd.Train[0].X[0] {
@@ -80,11 +76,8 @@ func (p *probe) Grad(theta tensor.Vec, batch []data.Sample) tensor.Vec {
 		}
 	}
 	p.mu.Unlock()
-	return p.Model.Grad(theta, batch)
+	p.Model.GradStepInto(ws, theta, batch, lr, out)
 }
-
-// Segments exposes the MLP's layout, which RepShare needs to find the head.
-func (p *probe) Segments() []nn.Segment { return p.mlp.Segments() }
 
 // trainProbed runs RepShare on a probed MLP and returns the probe and θ after
 // each round.
@@ -214,7 +207,7 @@ func TestTrainLocalHeadsPersonalize(t *testing.T) {
 	better := 0
 	for i, nd := range fed.Sources {
 		all := nd.All()
-		if p.Loss(p.starts[i][last], all) < p.Loss(thetas[last-1], all) {
+		if nn.Loss(p, p.starts[i][last], all) < nn.Loss(p, thetas[last-1], all) {
 			better++
 		}
 	}

@@ -105,7 +105,7 @@ func TestMetaLROneInterpolatesFully(t *testing.T) {
 	for i, nd := range fed.Sources {
 		phi := theta0.Clone()
 		for s := 0; s < 2; s++ {
-			phi.Axpy(-0.05, m.Grad(phi, nd.Train))
+			phi.Axpy(-0.05, nn.Grad(m, phi, nd.Train))
 		}
 		want.Axpy(weights[i], phi)
 	}
@@ -154,7 +154,7 @@ func TestTrainDivergenceDetected(t *testing.T) {
 	}
 }
 
-// nanAtCall poisons a window of one node's Grad calls; a node makes
+// nanAtCall poisons a window of one node's GradStepInto calls; a node makes
 // innerSteps calls per round, so the window addresses an exact (node, round)
 // pair. Nodes run concurrently; the node is recognised by its first training
 // sample.
@@ -167,18 +167,17 @@ type nanAtCall struct {
 	calls int
 }
 
-func (m *nanAtCall) Grad(theta tensor.Vec, batch []data.Sample) tensor.Vec {
-	g := m.Model.Grad(theta, batch).Clone()
+func (m *nanAtCall) GradStepInto(ws nn.Workspace, theta tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
+	m.Model.GradStepInto(ws, theta, batch, lr, out)
 	if &batch[0].X[0] != &m.node.Train[0].X[0] {
-		return g
+		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.calls >= m.from && m.calls < m.to {
-		g[0] = math.NaN()
+		out[0] = math.NaN()
 	}
 	m.calls++
-	return g
 }
 
 // A node failing in round 2 is reported as that node, at the iteration that
