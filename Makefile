@@ -25,7 +25,10 @@ all: build vet test
 # (DESIGN.md §15). The fifth keeps per-sample gradient accumulation from
 # coming back: every model gradient accumulates through AddOuterBatch, so
 # AddOuterInPlace has no non-test caller outside internal/tensor
-# (DESIGN.md §13).
+# (DESIGN.md §13). The next two keep one model contract (DESIGN.md §6). The
+# last keeps the traffic counters declared once, as obs.Totals: a struct
+# field named SkippedRounds anywhere outside internal/obs is a mirror of the
+# counter set coming back (DESIGN.md §9).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -53,6 +56,9 @@ check:
 	@hits=$$(grep -rn -F '.(nn.' --include='*.go' . \
 		| grep -v -e '^./internal/nn/' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
 		echo "type assertion on an nn type outside internal/nn (call the nn.Model method, see DESIGN.md §6):"; echo "$$hits"; exit 1; fi
+	@hits=$$(grep -rn -E '^[[:space:]]*SkippedRounds[[:space:]]+[][*[:alpha:]]' --include='*.go' . \
+		| grep -v -e '^./internal/obs/'); if [ -n "$$hits" ]; then \
+		echo "counter field declared outside internal/obs (one counter set, obs.Totals; see DESIGN.md §9):"; echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 

@@ -13,6 +13,7 @@ import (
 	"github.com/edgeai/fedml/internal/experiments"
 	"github.com/edgeai/fedml/internal/meta"
 	"github.com/edgeai/fedml/internal/nn"
+	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/rng"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
@@ -776,7 +777,7 @@ func runStateBench() *checkpoint.RunState {
 	}
 	return &checkpoint.RunState{
 		Version: checkpoint.RunStateVersion, Round: 60, Iter: 60, T0: 1, Dispersion: 0.5, Theta: theta,
-		Counters: checkpoint.Counters{Rounds: 60, Messages: 1920, Bytes: 199_449_600},
+		Totals: obs.Totals{Rounds: 60, Messages: 1920, Bytes: 199_449_600},
 	}
 }
 

@@ -46,7 +46,7 @@ func run(args []string) error {
 		asyncBench  = fs.Bool("async-bench", false, "benchmark buffered-async vs sync round throughput under latency skew (ext-async)")
 		energyBench = fs.Bool("energy-bench", false, "measure accuracy-per-joule of head-only partial sync vs full sync (ext-energy) and check the savings floor")
 		workBench   = fs.Bool("workloads-bench", false, "run the ext-rec and ext-fault personalization matrices and check FedML's adapted accuracy beats the global baselines")
-		out         = fs.String("out", "", "with -par-bench, -scale-bench, -async-bench, or -energy-bench: merge the measurement into this keyed JSON file")
+		out         = fs.String("out", "", "with -par-bench, -scale-bench, -async-bench, -energy-bench, or -workloads-bench: merge the measurement into this keyed JSON file")
 		codecs      = fs.String("codec", "", "with -exp ext-codec: comma-separated update codecs to compare, first is the baseline (default raw,f16,q8,topk)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -128,24 +128,10 @@ func validate(in io.Reader) (int, obs.Totals, error) {
 }
 
 func cumMonotone(a, b obs.Totals) error {
-	type pair struct {
-		name     string
-		old, new int64
-	}
-	for _, p := range []pair{
-		{"rounds", int64(a.Rounds), int64(b.Rounds)},
-		{"messages", int64(a.Messages), int64(b.Messages)},
-		{"bytes", a.Bytes, b.Bytes},
-		{"dropped", int64(a.Dropped), int64(b.Dropped)},
-		{"rejoined", int64(a.Rejoined), int64(b.Rejoined)},
-		{"rejected", int64(a.Rejected), int64(b.Rejected)},
-		{"skipped_rounds", int64(a.SkippedRounds), int64(b.SkippedRounds)},
-		{"stale_applied", int64(a.StaleApplied), int64(b.StaleApplied)},
-		{"stale_dropped", int64(a.StaleDropped), int64(b.StaleDropped)},
-		{"budget_filtered", int64(a.BudgetFiltered), int64(b.BudgetFiltered)},
-	} {
-		if p.new < p.old {
-			return fmt.Errorf("cumulative %s regressed from %d to %d", p.name, p.old, p.new)
+	old := a.Values()
+	for i, v := range b.Values() {
+		if v < old[i] {
+			return fmt.Errorf("cumulative %s regressed from %d to %d", obs.CounterKeys[i], old[i], v)
 		}
 	}
 	return nil

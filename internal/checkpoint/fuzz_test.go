@@ -71,7 +71,7 @@ func FuzzLoadRunState(f *testing.F) {
 	s := validRunState()
 	f.Add(encodeRunState(s))
 	s.Theta = []float64{-0.0, 5e-324, 1.7976931348623157e308}
-	s.Counters = everyCounterSet()
+	s.Totals = everyCounterSet()
 	f.Add(encodeRunState(s))
 	f.Add(encodeRunState(s)[:runStateHeader])
 	f.Add([]byte(v1RunStateFixture))

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/tensor"
 )
 
@@ -30,7 +31,7 @@ const RunStateVersion = 2
 //	     4     1  format version (RunStateVersion)
 //	     5   8·3  Round, Iter, T0 (i64)
 //	    29     8  Dispersion (IEEE-754 bits)
-//	    37  8·10  Counters, in declaration order (i64)
+//	    37    80  obs.Totals, its binary block (obs.BlockSize)
 //	   117     4  n = len(Theta) (u32)
 //	   121   8·n  Theta (IEEE-754 bits)
 //	     …     4  CRC-32C (Castagnoli) of every byte before it
@@ -49,25 +50,10 @@ type RunState struct {
 	// Theta is the aggregated global parameter vector after Round.
 	Theta []float64
 
-	// Counters is the communication accounting carried across the crash.
-	Counters
-}
-
-// Counters mirrors core.CommStats field for field (names, types and order —
-// core converts between the two, so a counter added to one and not the other
-// fails to compile). Every counter is a fixed header field of the snapshot,
-// so adding one changes the layout and bumps RunStateVersion.
-type Counters struct {
-	Rounds         int
-	Messages       int
-	Bytes          int64
-	Dropped        int
-	Rejoined       int
-	Rejected       int
-	SkippedRounds  int
-	StaleApplied   int
-	StaleDropped   int
-	BudgetFiltered int
+	// Totals is the communication accounting carried across the crash.
+	// Every counter is a fixed header field of the snapshot, so adding one
+	// changes the layout and bumps RunStateVersion.
+	obs.Totals
 }
 
 // Errors LoadRunState wraps, with the path and the figures, when a file is
@@ -91,11 +77,11 @@ var (
 
 const (
 	runStateMagic = "FMRS"
-	// runStateFields is the number of 8-byte header fields: Round, Iter, T0,
-	// Dispersion and the ten Counters.
-	runStateFields = 14
+	// runStateFields is the number of 8-byte header fields before the
+	// counters: Round, Iter, T0, Dispersion.
+	runStateFields = 4
 	// runStateHeader is the byte size of everything before Theta.
-	runStateHeader = 4 + 1 + 8*runStateFields + 4
+	runStateHeader = 4 + 1 + 8*runStateFields + obs.BlockSize + 4
 	runStateCRC    = 4
 )
 
@@ -120,29 +106,18 @@ func (s *RunState) Validate() error {
 // runStateHeader + 8·len(s.Theta) + runStateCRC bytes.
 func encodeRunState(s *RunState) []byte {
 	le := binary.LittleEndian
-	c := &s.Counters
-	fields := [runStateFields]uint64{
-		uint64(s.Round), uint64(s.Iter), uint64(s.T0), math.Float64bits(s.Dispersion),
-		uint64(c.Rounds), uint64(c.Messages), uint64(c.Bytes), uint64(c.Dropped), uint64(c.Rejoined),
-		uint64(c.Rejected), uint64(c.SkippedRounds), uint64(c.StaleApplied), uint64(c.StaleDropped),
-		uint64(c.BudgetFiltered),
+	buf := make([]byte, 0, runStateHeader+8*len(s.Theta)+runStateCRC)
+	buf = append(buf, runStateMagic...)
+	buf = append(buf, byte(s.Version))
+	for _, f := range [runStateFields]uint64{uint64(s.Round), uint64(s.Iter), uint64(s.T0), math.Float64bits(s.Dispersion)} {
+		buf = le.AppendUint64(buf, f)
 	}
-	buf := make([]byte, runStateHeader+8*len(s.Theta)+runStateCRC)
-	copy(buf, runStateMagic)
-	buf[4] = byte(s.Version)
-	off := 5
-	for _, f := range fields {
-		le.PutUint64(buf[off:], f)
-		off += 8
-	}
-	le.PutUint32(buf[off:], uint32(len(s.Theta)))
-	off += 4
+	buf = s.Totals.AppendBlock(buf)
+	buf = le.AppendUint32(buf, uint32(len(s.Theta)))
 	for _, v := range s.Theta {
-		le.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
+		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
-	le.PutUint32(buf[off:], crc32.Checksum(buf[:off], castagnoli))
-	return buf
+	return le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
 // decodeRunState parses a snapshot's bytes; the caller validates the result.
@@ -177,13 +152,9 @@ func decodeRunState(data []byte) (*RunState, error) {
 		Version: int(data[4]),
 		Round:   int(f[0]), Iter: int(f[1]), T0: int(f[2]),
 		Dispersion: math.Float64frombits(f[3]),
-		Counters: Counters{
-			Rounds: int(f[4]), Messages: int(f[5]), Bytes: int64(f[6]), Dropped: int(f[7]), Rejoined: int(f[8]),
-			Rejected: int(f[9]), SkippedRounds: int(f[10]), StaleApplied: int(f[11]), StaleDropped: int(f[12]),
-			BudgetFiltered: int(f[13]),
-		},
-		Theta: make([]float64, n),
+		Theta:      make([]float64, n),
 	}
+	s.Totals.ReadBlock(data[5+8*runStateFields:])
 	for i, off := 0, runStateHeader; i < len(s.Theta); i, off = i+1, off+8 {
 		s.Theta[i] = math.Float64frombits(le.Uint64(data[off:]))
 	}

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/edgeai/fedml/internal/obs"
 )
 
 // v1RunStateFixture is the exact file the v1 (JSON) SaveRunState wrote for
@@ -23,14 +25,14 @@ func validRunState() *RunState {
 		Round:   3, Iter: 15, T0: 5,
 		Dispersion: 0.25,
 		Theta:      []float64{0.1, -0.2, 0.3},
-		Counters:   Counters{Rounds: 3, Messages: 18, Bytes: 432, Dropped: 1, Rejoined: 1, Rejected: 2},
+		Totals:     obs.Totals{Rounds: 3, Messages: 18, Bytes: 432, Dropped: 1, Rejoined: 1, Rejected: 2},
 	}
 }
 
-// everyCounterSet gives each Counters field a distinct non-zero value, found
-// by reflection, so a counter the format forgets fails the round trip.
-func everyCounterSet() Counters {
-	var c Counters
+// everyCounterSet gives each counter a distinct non-zero value, found by
+// reflection, so a counter the format forgets fails the round trip.
+func everyCounterSet() obs.Totals {
+	var c obs.Totals
 	v := reflect.ValueOf(&c).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		v.Field(i).SetInt(int64(1000*(i+1) + 7))
@@ -67,7 +69,7 @@ func TestRunStateRoundTrip(t *testing.T) {
 			want.Round, want.Iter, want.T0 = 1<<40, 1<<41+3, 7
 			want.Dispersion = math.Copysign(0, -1)
 			want.Theta = theta
-			want.Counters = everyCounterSet()
+			want.Totals = everyCounterSet()
 			if err := SaveRunState(path, want); err != nil {
 				t.Fatal(err)
 			}
@@ -88,8 +90,8 @@ func TestRunStateRoundTrip(t *testing.T) {
 					got.Version, got.Round, got.Iter, got.T0, got.Dispersion,
 					want.Version, want.Round, want.Iter, want.T0, want.Dispersion)
 			}
-			if got.Counters != want.Counters {
-				t.Errorf("counters: got %+v want %+v", got.Counters, want.Counters)
+			if got.Totals != want.Totals {
+				t.Errorf("counters: got %+v want %+v", got.Totals, want.Totals)
 			}
 			if len(got.Theta) != len(want.Theta) {
 				t.Fatalf("len(theta) = %d, want %d", len(got.Theta), len(want.Theta))

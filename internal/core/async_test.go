@@ -221,7 +221,7 @@ func TestAsyncStaleApply(t *testing.T) {
 	if stats.Dropped != 0 {
 		t.Errorf("Dropped = %d, want 0 (a slow node inside the bound is not a suspect)", stats.Dropped)
 	}
-	if got, want := rec.Totals(), statsAsTotals(stats); got != want {
+	if got, want := rec.Totals(), stats; got != want {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 	}
 	// The stale-apply event must carry the staleness as its value.
@@ -270,7 +270,7 @@ func TestAsyncStaleDropKeepsNode(t *testing.T) {
 	if stats.Dropped != 0 {
 		t.Errorf("Dropped = %d, want 0 (late-but-arrived must not suspect the node)", stats.Dropped)
 	}
-	if got, want := rec.Totals(), statsAsTotals(stats); got != want {
+	if got, want := rec.Totals(), stats; got != want {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 	}
 }
@@ -310,7 +310,7 @@ func TestAsyncSilentStragglerSuspectedAndRejoins(t *testing.T) {
 	if res.Comm.Rejoined == 0 {
 		t.Errorf("Rejoined = 0, want > 0 (revived node must come back via probe)")
 	}
-	if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+	if got, want := rec.Totals(), res.Comm; got != want {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 	}
 }

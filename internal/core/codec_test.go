@@ -211,7 +211,7 @@ func TestCodecObsParityUnderChaos(t *testing.T) {
 			if res.Comm.Dropped == 0 || res.Comm.Rejoined == 0 {
 				t.Fatalf("scenario did not exercise the drop/rejoin paths: %+v", res.Comm)
 			}
-			if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+			if got, want := rec.Totals(), res.Comm; got != want {
 				t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 			}
 			// Compressed billing sanity: a raw run of the same shape moves 8

@@ -105,7 +105,7 @@ type shardSource struct {
 func (d *shardSource) totals() CommStats {
 	out := d.root
 	for s := range d.shardStats {
-		out.add(d.shardStats[s])
+		out.Add(d.shardStats[s])
 	}
 	out.Rounds, out.SkippedRounds = d.root.Rounds, d.root.SkippedRounds
 	return out
@@ -147,7 +147,7 @@ func (d *shardSource) collect(round, t0 int, theta tensor.Vec) (tensor.Vec, floa
 			return nil, 0, 0, fmt.Errorf("%w: shard %d sent a partial without metadata", ErrProtocol, s)
 		}
 		p := m.Partial
-		d.shardStats[s] = CommStats(p.Stats)
+		d.shardStats[s] = p.Stats
 		d.fullW[s] = p.FullWeight
 		d.shardDisp[s] = p.Dispersion
 		d.alive[s] = p.Alive

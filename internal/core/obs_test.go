@@ -12,18 +12,6 @@ import (
 	"github.com/edgeai/fedml/internal/transport"
 )
 
-// statsAsTotals maps a run's CommStats onto the obs mirror for parity
-// comparisons.
-func statsAsTotals(s CommStats) obs.Totals {
-	return obs.Totals{
-		Rounds: s.Rounds, Messages: s.Messages, Bytes: s.Bytes,
-		Dropped: s.Dropped, Rejoined: s.Rejoined, Rejected: s.Rejected,
-		SkippedRounds: s.SkippedRounds,
-		StaleApplied:  s.StaleApplied, StaleDropped: s.StaleDropped,
-		BudgetFiltered: s.BudgetFiltered,
-	}
-}
-
 // TestObserverCounterEventParity is the accounting invariant under fire: a
 // chaos run with kills, revives, and a corrupted update must emit exactly
 // one event per CommStats counter increment, so the event stream folds back
@@ -58,7 +46,7 @@ func TestObserverCounterEventParity(t *testing.T) {
 	if res.Comm.Dropped == 0 || res.Comm.Rejoined == 0 || res.Comm.Rejected == 0 {
 		t.Fatalf("scenario did not exercise all fault paths: %+v", res.Comm)
 	}
-	if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+	if got, want := rec.Totals(), res.Comm; got != want {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 	}
 	// Per-type cross-check so a compensating double-count cannot hide.
@@ -135,7 +123,7 @@ func TestObserverAttemptedBroadcastBilling(t *testing.T) {
 	if down <= up {
 		t.Errorf("attempted downlink %d should exceed delivered uplink %d under one-way loss", down, up)
 	}
-	if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+	if got, want := rec.Totals(), res.Comm; got != want {
 		t.Errorf("parity broke under partition: events %+v vs stats %+v", got, want)
 	}
 }
@@ -256,7 +244,7 @@ func TestJSONLSinkUnderChaos(t *testing.T) {
 	if len(recs) < res.Comm.Rounds {
 		t.Fatalf("only %d records for %d aggregated rounds", len(recs), res.Comm.Rounds)
 	}
-	if got, want := recs[len(recs)-1].Cum, statsAsTotals(res.Comm); got != want {
+	if got, want := recs[len(recs)-1].Cum, res.Comm; got != want {
 		t.Errorf("final cumulative block %+v does not reconstruct CommStats %+v", got, want)
 	}
 	// Sum of per-round deltas must agree with the cumulative block too.

@@ -260,7 +260,7 @@ func TestSamplingSuspectProbedOnce(t *testing.T) {
 		}
 	}
 	// And the parity invariant must survive the combination.
-	if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+	if got, want := rec.Totals(), res.Comm; got != want {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 	}
 }

@@ -3,65 +3,14 @@ package core
 import (
 	"fmt"
 
+	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
 )
 
-// CommStats accounts for the platform↔edge traffic of one training run.
-type CommStats struct {
-	// Rounds is the number of global aggregations.
-	Rounds int
-	// Messages is the total number of parameter-bearing messages crossing
-	// the platform's transport boundary. Downlink traffic — round
-	// broadcasts and suspect re-probes — is billed per *attempted* send:
-	// the transport offers no delivery acknowledgment, so a message lost
-	// in flight (e.g. a chaos drop) still consumed the platform's uplink
-	// and is counted. Uplink updates are billed per *delivered* message
-	// only, including updates the sanitation guard later rejects; an
-	// update lost in flight is observable only as a gather timeout and is
-	// never counted.
-	Messages int
-	// Bytes is the payload volume of the messages counted above, at
-	// 8 bytes per parameter.
-	Bytes int64
-	// Dropped counts nodes removed by fault-tolerant rounds. A node can be
-	// dropped, rejoin, and be dropped again; each removal counts.
-	Dropped int
-	// Rejoined counts suspect nodes re-admitted after answering a re-probe.
-	Rejoined int
-	// Rejected counts updates discarded by the sanitation guard (non-finite
-	// values or norm explosions past Config.GuardRadius).
-	Rejected int
-	// SkippedRounds counts fault-tolerant rounds that produced no usable
-	// update and therefore aggregated nothing.
-	SkippedRounds int
-	// StaleApplied counts async-mode updates applied at positive staleness
-	// (weighted by StalenessDecay^s). Always zero on the sync path.
-	StaleApplied int
-	// StaleDropped counts async-mode updates discarded because their
-	// staleness exceeded MaxStaleness. Always zero on the sync path.
-	StaleDropped int
-	// BudgetFiltered counts sampled nodes excluded from a round because
-	// their modeled energy or time cost exceeded the per-round budget
-	// (Config.EnergyBudget / Config.RoundDeadline). A filtered node stays in
-	// the federation and may participate again — e.g. once the sync mask
-	// shrinks the per-round traffic below its budget.
-	BudgetFiltered int
-}
-
-// add accumulates other into s field by field.
-func (s *CommStats) add(other CommStats) {
-	s.Rounds += other.Rounds
-	s.Messages += other.Messages
-	s.Bytes += other.Bytes
-	s.Dropped += other.Dropped
-	s.Rejoined += other.Rejoined
-	s.Rejected += other.Rejected
-	s.SkippedRounds += other.SkippedRounds
-	s.StaleApplied += other.StaleApplied
-	s.StaleDropped += other.StaleDropped
-	s.BudgetFiltered += other.BudgetFiltered
-}
+// CommStats accounts for the platform↔edge traffic of one training run. It
+// is obs.Totals, the one declaration of the counter set (field docs there).
+type CommStats = obs.Totals
 
 // RunPlatform executes the platform side of Algorithms 1/2: broadcast the
 // current global parameters to the (possibly sampled) nodes, gather their

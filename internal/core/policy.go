@@ -317,7 +317,7 @@ func saveSnapshot(path string, round, iter, t0 int, dispersion float64, theta te
 		T0:         t0,
 		Dispersion: dispersion,
 		Theta:      theta,
-		Counters:   checkpoint.Counters(stats),
+		Totals:     stats,
 	}
 	if err := checkpoint.SaveRunState(path, st); err != nil {
 		return fmt.Errorf("core: checkpoint round %d: %w", round, err)

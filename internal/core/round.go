@@ -164,7 +164,7 @@ func (e *roundEngine) resume() error {
 	e.iter = st.Iter
 	e.t0 = st.T0
 	e.dispersion = st.Dispersion
-	*e.stats = CommStats(st.Counters)
+	*e.stats = st.Totals
 	e.firstRound = st.Round + 1
 	e.logf("core: resumed from %s: round %d done, iter %d", e.c.CheckpointPath, st.Round, st.Iter)
 	return nil

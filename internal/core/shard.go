@@ -135,7 +135,7 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 				Count:      count,
 				Dispersion: dispersion,
 				Alive:      ls.aliveCnt,
-				Stats:      transport.ShardStats(ls.stats),
+				Stats:      ls.stats,
 			},
 		}
 		if count > 0 {

@@ -402,7 +402,7 @@ func TestBudgetFiltersExpensiveNode(t *testing.T) {
 			t.Errorf("round %d filtered node %d; only node %d is unaffordable", e.Round, e.Node, hungry)
 		}
 	}
-	if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+	if got, want := rec.Totals(), res.Comm; got != want {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 	}
 	if !res.Theta.IsFinite() {
@@ -553,7 +553,7 @@ func TestSyncMaskKillReviveMaskedResync(t *testing.T) {
 	if fullEsc != 0 {
 		t.Errorf("%d full-payload escalations — a transient fault must resync the masked set only", fullEsc)
 	}
-	if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+	if got, want := rec.Totals(), res.Comm; got != want {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 	}
 }
@@ -613,7 +613,7 @@ func TestSyncMaskEscalatedFullResync(t *testing.T) {
 	if fullEsc == 0 {
 		t.Error("no full-payload escalation observed — repeated probe failures must clear the mask")
 	}
-	if got, want := rec.Totals(), statsAsTotals(res.Comm); got != want {
+	if got, want := rec.Totals(), res.Comm; got != want {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, want)
 	}
 }

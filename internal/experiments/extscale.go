@@ -188,11 +188,7 @@ func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
 
 	var sum core.CommStats
 	for _, s := range shardStats {
-		sum.Messages += s.Messages
-		sum.Bytes += s.Bytes
-		sum.Dropped += s.Dropped
-		sum.Rejoined += s.Rejoined
-		sum.Rejected += s.Rejected
+		sum.Add(s)
 	}
 	parity := sum.Messages == root.Messages && sum.Bytes == root.Bytes &&
 		root.Messages == 2*n*cfg.Rounds

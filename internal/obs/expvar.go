@@ -2,11 +2,11 @@ package obs
 
 import "expvar"
 
-// ExpvarSink mirrors the CommStats counters into an expvar.Map, so a live
+// ExpvarSink publishes the Totals counters as an expvar.Map, so a live
 // training process serves them at /debug/vars next to net/http/pprof (the
-// cmd/fedml -pprof endpoint). Map keys: rounds, messages, bytes, dropped,
-// rejoined, rejected, skipped_rounds, stale_applied, stale_dropped,
-// budget_filtered.
+// cmd/fedml -pprof endpoint). The map keys are the Totals JSON keys: rounds,
+// messages, bytes, dropped, rejoined, rejected, skipped_rounds,
+// stale_applied, stale_dropped, budget_filtered.
 type ExpvarSink struct {
 	m *expvar.Map
 }
@@ -26,27 +26,14 @@ func NewExpvarSink(name string) *ExpvarSink {
 	return &ExpvarSink{m: expvar.NewMap(name)}
 }
 
-// Observe implements RoundObserver. expvar.Map is internally synchronized.
+// Observe implements RoundObserver: it folds e into a zero Totals and adds
+// the counters it moved. expvar.Map is internally synchronized.
 func (s *ExpvarSink) Observe(e Event) {
-	switch e.Type {
-	case TypeRoundEnd:
-		s.m.Add("rounds", 1)
-	case TypeRoundSkip:
-		s.m.Add("skipped_rounds", 1)
-	case TypeBroadcast, TypeProbe, TypeUpdate:
-		s.m.Add("messages", 1)
-		s.m.Add("bytes", e.Bytes)
-	case TypeDrop:
-		s.m.Add("dropped", 1)
-	case TypeRejoin:
-		s.m.Add("rejoined", 1)
-	case TypeReject:
-		s.m.Add("rejected", 1)
-	case TypeStaleApply:
-		s.m.Add("stale_applied", 1)
-	case TypeStaleDrop:
-		s.m.Add("stale_dropped", 1)
-	case TypeBudgetFilter:
-		s.m.Add("budget_filtered", 1)
+	var d Totals
+	d.observe(e)
+	for i, v := range d.Values() {
+		if v != 0 {
+			s.m.Add(CounterKeys[i], v)
+		}
 	}
 }

@@ -6,14 +6,15 @@
 // The package ships three observers: JSONLSink (one schema-versioned JSON
 // record per round, for offline analysis), Recorder (in-memory, for tests
 // and for eval to rebuild per-round trajectories without re-running
-// evaluation), and ExpvarSink (live counters mirroring core.CommStats under
-// /debug/vars next to net/http/pprof).
+// evaluation), and ExpvarSink (the live Totals counters under /debug/vars
+// next to net/http/pprof). Totals itself, the run's traffic and fault
+// counters, is declared here for every package that carries them.
 //
 // The contract every emitter honors: a nil observer costs one pointer
 // comparison and zero allocations on the hot round loop (see Emit and the
 // AllocsPerRun regression test), and counter/event parity — every traffic or
-// fault counter increment in core.CommStats is paired with exactly one
-// event, so a trace reconstructs the final stats exactly (Totals).
+// fault counter increment in core.CommStats (an alias of Totals) is paired
+// with exactly one event, so a trace reconstructs the final stats exactly.
 package obs
 
 import (
@@ -143,7 +144,7 @@ type Event struct {
 	T0 int
 	// Alive is the active-node count at emission time, where known.
 	Alive int
-	// Bytes is the payload volume of traffic events (8 bytes per parameter).
+	// Bytes is the billed payload volume of traffic events (see Totals.Bytes).
 	Bytes int64
 	// Dur is the wall-clock duration of timed events.
 	Dur time.Duration
@@ -202,47 +203,5 @@ func Multi(observers ...RoundObserver) RoundObserver {
 		return list[0]
 	default:
 		return &Tracer{obs: list}
-	}
-}
-
-// Totals is the event-side mirror of core.CommStats: folding a trace's
-// events reproduces the run's final counters exactly (the counter/event
-// parity invariant). It lives here rather than reusing core.CommStats so
-// obs stays dependency-free.
-type Totals struct {
-	Rounds         int   `json:"rounds"`
-	Messages       int   `json:"messages"`
-	Bytes          int64 `json:"bytes"`
-	Dropped        int   `json:"dropped"`
-	Rejoined       int   `json:"rejoined"`
-	Rejected       int   `json:"rejected"`
-	SkippedRounds  int   `json:"skipped_rounds"`
-	StaleApplied   int   `json:"stale_applied"`
-	StaleDropped   int   `json:"stale_dropped"`
-	BudgetFiltered int   `json:"budget_filtered"`
-}
-
-// observe folds one event into the totals.
-func (t *Totals) observe(e Event) {
-	switch e.Type {
-	case TypeRoundEnd:
-		t.Rounds++
-	case TypeRoundSkip:
-		t.SkippedRounds++
-	case TypeBroadcast, TypeProbe, TypeUpdate:
-		t.Messages++
-		t.Bytes += e.Bytes
-	case TypeDrop:
-		t.Dropped++
-	case TypeRejoin:
-		t.Rejoined++
-	case TypeReject:
-		t.Rejected++
-	case TypeStaleApply:
-		t.StaleApplied++
-	case TypeStaleDrop:
-		t.StaleDropped++
-	case TypeBudgetFilter:
-		t.BudgetFiltered++
 	}
 }

@@ -49,7 +49,7 @@ func recvBytes(wire []byte) (Msg, error) {
 
 // fullPartial returns a Partial with every leaf field, however nested, set to
 // a distinct non-zero value, and the number of leaves. It walks the type by
-// reflection so that a field added to Partial or ShardStats later is set here
+// reflection so that a field added to Partial or obs.Totals later is set here
 // — and then fails the round trip until the frame carries it.
 func fullPartial(t testing.TB) (*Partial, int) {
 	t.Helper()

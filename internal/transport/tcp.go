@@ -9,6 +9,8 @@ import (
 	"math"
 	"net"
 	"sync"
+
+	"github.com/edgeai/fedml/internal/obs"
 )
 
 // The TCP wire format: every Msg is one length-prefixed little-endian frame
@@ -38,7 +40,7 @@ const (
 
 	prefixSize  = 4
 	headerSize  = 32
-	partialSize = 120 // 15 fields × 8 bytes, see appendPartial
+	partialSize = 5*8 + obs.BlockSize // 5 fields × 8 bytes, then Stats; see appendPartial
 
 	// flagPartial marks a frame that ends with a Partial block. Every other
 	// flag bit is reserved and must be zero.
@@ -194,32 +196,25 @@ func parseHeader(b []byte) header {
 }
 
 // appendPartial appends the fixed-size Partial block: the fields of Partial
-// and then of ShardStats in declaration order, 8 bytes each, floats as their
-// IEEE-754 bits and counts as two's-complement i64.
+// before Stats in declaration order, 8 bytes each, floats as their IEEE-754
+// bits and counts as two's-complement i64, then the Stats block
+// (obs.Totals.AppendBlock).
 func appendPartial(b []byte, p *Partial) []byte {
-	s := p.Stats
 	for _, v := range [...]uint64{
 		math.Float64bits(p.Weight), math.Float64bits(p.FullWeight), uint64(p.Count),
 		math.Float64bits(p.Dispersion), uint64(p.Alive),
-		uint64(s.Rounds), uint64(s.Messages), uint64(s.Bytes), uint64(s.Dropped), uint64(s.Rejoined),
-		uint64(s.Rejected), uint64(s.SkippedRounds), uint64(s.StaleApplied), uint64(s.StaleDropped), uint64(s.BudgetFiltered),
 	} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	return b
+	return p.Stats.AppendBlock(b)
 }
 
 func parsePartial(b []byte) *Partial {
 	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
 	f := func(i int) float64 { return math.Float64frombits(u(i)) }
-	n := func(i int) int { return int(int64(u(i))) }
-	return &Partial{
-		Weight: f(0), FullWeight: f(1), Count: n(2), Dispersion: f(3), Alive: n(4),
-		Stats: ShardStats{
-			Rounds: n(5), Messages: n(6), Bytes: int64(u(7)), Dropped: n(8), Rejoined: n(9),
-			Rejected: n(10), SkippedRounds: n(11), StaleApplied: n(12), StaleDropped: n(13), BudgetFiltered: n(14),
-		},
-	}
+	p := &Partial{Weight: f(0), FullWeight: f(1), Count: int(u(2)), Dispersion: f(3), Alive: int(u(4))}
+	p.Stats.ReadBlock(b[partialSize-obs.BlockSize:])
+	return p
 }
 
 // Send implements Link. A Msg the format cannot carry is refused before a

@@ -10,6 +10,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+
+	"github.com/edgeai/fedml/internal/obs"
 )
 
 // Kind discriminates wire messages.
@@ -69,51 +71,35 @@ func (k Kind) String() string {
 // its only caller: core.SimNodeLink lends its replies (valid until its next
 // Send), see its documentation.
 type Msg struct {
-	Kind   Kind      `json:"kind"`
-	Round  int       `json:"round"`
-	NodeID int       `json:"node_id"`
-	Params []float64 `json:"params,omitempty"`
+	Kind   Kind
+	Round  int
+	NodeID int
+	Params []float64
 	// Version tags the global parameter vector a message refers to: the
 	// platform stamps each KindParams broadcast with the number of
 	// aggregations applied to θ so far, and nodes echo it on the KindUpdate
 	// reply. The async platform computes an update's staleness as the
 	// difference between its current version and the echoed one. Zero on the
 	// sync path (which tracks freshness by Round instead).
-	Version int `json:"version,omitempty"`
+	Version int
 	// LocalSteps, when positive on a KindParams message, overrides the
 	// node's configured T0 for this round — the knob the platform uses to
 	// balance communication against local computation (§IV of the paper).
-	LocalSteps int `json:"local_steps,omitempty"`
+	LocalSteps int
 	// Err carries a node-side error description on KindError.
-	Err string `json:"err,omitempty"`
+	Err string
 	// Codec and Payload carry compressed parameters instead of Params: when
 	// Codec is non-empty, Payload holds the parameter vector encoded by the
 	// internal/codec implementation Codec names, and Params is empty. Every
 	// message is self-describing — a receiver instantiates the named codec
 	// on first sight, so mixed fleets and codec changes need no handshake
 	// round. Payload follows the same ownership contract as Params.
-	Codec   string `json:"codec,omitempty"`
-	Payload []byte `json:"payload,omitempty"`
+	Codec   string
+	Payload []byte
 	// Partial carries the shard-aggregation metadata of a KindPartial
 	// message; Params holds the unnormalized partial sum Σ ω·u it belongs
 	// to. Nil on every other kind.
-	Partial *Partial `json:"partial,omitempty"`
-}
-
-// ShardStats mirrors the platform's communication counters for transit in a
-// Partial, so the shard wire protocol does not depend on internal/core. The
-// semantics match core.CommStats field for field.
-type ShardStats struct {
-	Rounds         int   `json:"rounds"`
-	Messages       int   `json:"messages"`
-	Bytes          int64 `json:"bytes"`
-	Dropped        int   `json:"dropped"`
-	Rejoined       int   `json:"rejoined"`
-	Rejected       int   `json:"rejected"`
-	SkippedRounds  int   `json:"skipped_rounds"`
-	StaleApplied   int   `json:"stale_applied"`
-	StaleDropped   int   `json:"stale_dropped"`
-	BudgetFiltered int   `json:"budget_filtered,omitempty"`
+	Partial *Partial
 }
 
 // Partial is the metadata block of a shard aggregator's round result. The
@@ -123,25 +109,25 @@ type ShardStats struct {
 type Partial struct {
 	// Weight is the merge-rule-folded sum of the aggregation weights of
 	// the updates inside the partial sum (0 when Count is 0).
-	Weight float64 `json:"weight"`
+	Weight float64
 	// FullWeight is the merge-rule-folded weight total of every node the
 	// shard owns, responding or not — the denominator contribution of the
 	// unbiased-participation estimator.
-	FullWeight float64 `json:"full_weight"`
+	FullWeight float64
 	// Count is the number of node updates aggregated into the partial sum.
 	// Zero means the shard contributed nothing this round and Msg.Params
 	// is empty.
-	Count int `json:"count"`
+	Count int
 	// Dispersion is the shard's weighted mean distance of its accepted
 	// updates from the shard-local aggregate — the within-shard half of
 	// the hierarchical similarity proxy.
-	Dispersion float64 `json:"dispersion"`
+	Dispersion float64
 	// Alive is the shard's live node count after the round.
-	Alive int `json:"alive"`
+	Alive int
 	// Stats is the shard's cumulative communication accounting after this
 	// round. The director's totals are the sum of the latest Stats of
 	// every shard, which is what makes root/shard counter parity exact.
-	Stats ShardStats `json:"stats"`
+	Stats obs.Totals
 }
 
 // Link is one endpoint of a bidirectional, ordered, reliable message pipe.
