@@ -248,7 +248,7 @@ bench-check:
 bench-paper:
 	$(GO) run ./cmd/fedml-bench -exp all -paper
 
-# Parallel-speedup snapshot: time the fig2a grid at workers=1 vs all cores,
+# Parallel-speedup snapshot: time the fig2a grid at GOMAXPROCS=1 up to all cores,
 # verify the outputs are byte-identical (the determinism contract), and
 # merge the measurement into BENCH_experiments.json under "par_bench".
 bench-par:

@@ -5,7 +5,7 @@
 //	fedml-bench -list                 # show available experiments
 //	fedml-bench -exp fig2a            # run one experiment (CI scale)
 //	fedml-bench -exp all -paper       # run everything at paper scale
-//	fedml-bench -par-bench -workers 4 # measure parallel speedup on fig2a
+//	fedml-bench -par-bench            # measure parallel speedup on fig2a
 //	fedml-bench -scale-bench -paper   # measure fleet-scale sharded throughput
 //	fedml-bench -async-bench          # measure async vs sync rounds/sec under latency skew
 //	fedml-bench -energy-bench         # measure accuracy-per-joule of partial vs full sync
@@ -40,8 +40,7 @@ func run(args []string) error {
 		exp         = fs.String("exp", "all", "experiment id (see -list) or \"all\"")
 		paper       = fs.Bool("paper", false, "run at the paper's scale instead of the fast CI scale")
 		list        = fs.Bool("list", false, "list available experiments and exit")
-		workers     = fs.Int("workers", 0, "worker count for parallel sections (0 = all cores, 1 = serial)")
-		parBench    = fs.Bool("par-bench", false, "benchmark the fig2a grid at workers=1 vs -workers, verify identical output, and report the speedup")
+		parBench    = fs.Bool("par-bench", false, "benchmark the fig2a grid at GOMAXPROCS=1 and doubling up to the current GOMAXPROCS, verify identical output, and report the speedup")
 		scaleBench  = fs.Bool("scale-bench", false, "benchmark fleet-scale two-tier aggregation (ext-scale) and report rounds/sec")
 		asyncBench  = fs.Bool("async-bench", false, "benchmark buffered-async vs sync round throughput under latency skew (ext-async)")
 		energyBench = fs.Bool("energy-bench", false, "measure accuracy-per-joule of head-only partial sync vs full sync (ext-energy) and check the savings floor")
@@ -67,7 +66,7 @@ func run(args []string) error {
 	}
 
 	if *parBench {
-		return runParBench(scale, *workers, *out)
+		return runParBench(scale, *out)
 	}
 	if *scaleBench {
 		return runScaleBench(scale, *out)
@@ -76,10 +75,10 @@ func run(args []string) error {
 		return runAsyncBench(scale, *out)
 	}
 	if *energyBench {
-		return runEnergyBench(scale, *workers, *out)
+		return runEnergyBench(scale, *out)
 	}
 	if *workBench {
-		return runWorkloadsBench(scale, *workers, *out)
+		return runWorkloadsBench(scale, *out)
 	}
 
 	if *codecs != "" {
@@ -87,7 +86,6 @@ func run(args []string) error {
 			return fmt.Errorf("-codec only applies to -exp ext-codec (got -exp %s)", *exp)
 		}
 		cfg := experiments.DefaultExtCodecConfig(scale)
-		cfg.Workers = *workers
 		cfg.Codecs = strings.Split(*codecs, ",")
 		start := time.Now()
 		res, err := experiments.RunExtCodec(cfg)
@@ -108,7 +106,7 @@ func run(args []string) error {
 
 	for _, id := range ids {
 		start := time.Now()
-		out, err := experiments.Run(id, scale, *workers)
+		out, err := experiments.Run(id, scale)
 		if err != nil {
 			return err
 		}
@@ -118,7 +116,7 @@ func run(args []string) error {
 }
 
 // parBenchPoint is one leg of the speedup curve: the fig2a grid timed at a
-// worker count, relative to the workers=1 leg.
+// GOMAXPROCS (the worker count of its fan-outs), relative to the serial leg.
 type parBenchPoint struct {
 	Workers    int     `json:"workers"`
 	ParallelNs int64   `json:"parallel_ns"`
@@ -131,14 +129,15 @@ type parBenchReport struct {
 	Scale      string `json:"scale"`
 	// GOMAXPROCS and Workers record the actual parallelism of the run, so a
 	// snapshot taken on a small machine is honest about what it compared.
+	// The sweep ends at the starting GOMAXPROCS, so the two are equal.
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	Workers    int     `json:"workers"`
 	SerialNs   int64   `json:"serial_ns"`
 	ParallelNs int64   `json:"parallel_ns"`
 	Speedup    float64 `json:"speedup"`
 	// Degenerate marks a run whose effective parallelism never exceeded 1 —
-	// a single-core host, or an explicit -workers 1 — so Speedup measures
-	// worker-pool overhead, not scaling.
+	// a single-core host, or GOMAXPROCS=1 — so Speedup measures worker-pool
+	// overhead, not scaling.
 	Degenerate      bool `json:"degenerate,omitempty"`
 	OutputIdentical bool `json:"output_identical"`
 	// Curve is the multi-worker sweep (doubling counts up to Workers);
@@ -147,13 +146,10 @@ type parBenchReport struct {
 }
 
 // degenerateRun reports whether a serial-vs-parallel comparison ran at
-// effective parallelism ≤ 1, either because the host has a single core or
-// because the parallel leg was itself asked for one worker. It must depend
-// on the parallelism the run actually used: deriving it from GOMAXPROCS
-// alone recorded a `-workers 1` run on a multi-core box as a non-degenerate
-// ~1.0× "speedup".
-func degenerateRun(workers, gomaxprocs int) bool {
-	return workers <= 1 || gomaxprocs <= 1
+// effective parallelism ≤ 1, either because the largest parallel leg had
+// one worker or because the host has a single CPU for all of them.
+func degenerateRun(workers, cpus int) bool {
+	return workers <= 1 || cpus <= 1
 }
 
 // workerSweep returns the worker counts of the speedup curve: doubling from
@@ -217,16 +213,17 @@ func mergeBenchEntry(path, key string, entry any) error {
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// runParBench times the fig2a grid serially and then across a doubling
-// sweep of worker counts up to the requested one, checks every rendered
-// output is byte-identical to the serial one (the par contract), and prints
-// — and optionally writes — the speedup curve.
-func runParBench(scale experiments.Scale, workers int, outPath string) error {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// runParBench times the fig2a grid at GOMAXPROCS 1 and then across a
+// doubling sweep of GOMAXPROCS up to the starting value (every fan-out of
+// the experiment runs on GOMAXPROCS workers), checks every rendered output is
+// byte-identical to the serial one (the par contract), and prints — and
+// optionally writes — the speedup curve. GOMAXPROCS is restored on return.
+func runParBench(scale experiments.Scale, outPath string) error {
+	workers := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(workers)
+	runtime.GOMAXPROCS(1)
 	start := time.Now()
-	serialOut, err := experiments.Run("fig2a", scale, 1)
+	serialOut, err := experiments.Run("fig2a", scale)
 	if err != nil {
 		return fmt.Errorf("par-bench serial run: %w", err)
 	}
@@ -234,14 +231,15 @@ func runParBench(scale experiments.Scale, workers int, outPath string) error {
 
 	curve := make([]parBenchPoint, 0, 8)
 	for _, w := range workerSweep(workers) {
+		runtime.GOMAXPROCS(w)
 		start = time.Now()
-		parOut, err := experiments.Run("fig2a", scale, w)
+		parOut, err := experiments.Run("fig2a", scale)
 		if err != nil {
-			return fmt.Errorf("par-bench workers=%d run: %w", w, err)
+			return fmt.Errorf("par-bench GOMAXPROCS=%d run: %w", w, err)
 		}
 		ns := time.Since(start).Nanoseconds()
 		if parOut != serialOut {
-			return fmt.Errorf("par-bench: workers=1 and workers=%d outputs differ — determinism contract violated", w)
+			return fmt.Errorf("par-bench: GOMAXPROCS=1 and GOMAXPROCS=%d outputs differ — determinism contract violated", w)
 		}
 		curve = append(curve, parBenchPoint{Workers: w, ParallelNs: ns, Speedup: float64(serialNs) / float64(ns)})
 	}
@@ -250,12 +248,12 @@ func runParBench(scale experiments.Scale, workers int, outPath string) error {
 	rep := parBenchReport{
 		Experiment:      "fig2a",
 		Scale:           scale.String(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
+		GOMAXPROCS:      workers,
 		Workers:         workers,
 		SerialNs:        serialNs,
 		ParallelNs:      last.ParallelNs,
 		Speedup:         last.Speedup,
-		Degenerate:      degenerateRun(workers, runtime.GOMAXPROCS(0)),
+		Degenerate:      degenerateRun(workers, runtime.NumCPU()),
 		OutputIdentical: true,
 	}
 	rep.Curve = curve
@@ -347,10 +345,8 @@ type energyBenchReport struct {
 // runEnergyBench runs the ext-energy experiment and enforces its headline
 // claim as a gate: head-only sync within 2 accuracy points of full sync at
 // >= 3x fewer modeled joules on the lora-like profile.
-func runEnergyBench(scale experiments.Scale, workers int, outPath string) error {
-	cfg := experiments.DefaultExtEnergyConfig(scale)
-	cfg.Workers = workers
-	res, err := experiments.RunExtEnergy(cfg)
+func runEnergyBench(scale experiments.Scale, outPath string) error {
+	res, err := experiments.RunExtEnergy(experiments.DefaultExtEnergyConfig(scale))
 	if err != nil {
 		return fmt.Errorf("energy-bench: %w", err)
 	}
@@ -413,10 +409,9 @@ type workloadBenchReport struct {
 // runWorkloadsBench runs the ext-rec and ext-fault comparison matrices and
 // enforces the personalization claim as a gate on both: FedML's adapted
 // accuracy must be at least the global accuracy of FedAvg and FedProx.
-func runWorkloadsBench(scale experiments.Scale, workers int, outPath string) error {
+func runWorkloadsBench(scale experiments.Scale, outPath string) error {
 	for _, workload := range []string{"rec", "fault"} {
 		cfg := experiments.DefaultExtWorkloadConfig(workload, scale)
-		cfg.Workers = workers
 		res, err := experiments.RunExtWorkload(cfg)
 		if err != nil {
 			return fmt.Errorf("workloads-bench %s: %w", workload, err)

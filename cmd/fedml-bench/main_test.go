@@ -51,24 +51,24 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-// Regression for the Degenerate flag: it used to be derived from
-// runtime.GOMAXPROCS alone, so a `-workers 1` run on a multi-core box was
+// Regression for the Degenerate flag: it used to be derived from the host
+// alone, so a run whose parallel legs had one worker on a multi-core box was
 // recorded as a non-degenerate ~1.0× "speedup". It must depend on the
 // parallelism the run actually used.
 func TestDegenerateRun(t *testing.T) {
 	cases := []struct {
-		workers, gomaxprocs int
-		want                bool
+		workers, cpus int
+		want          bool
 	}{
-		{workers: 1, gomaxprocs: 8, want: true}, // the original bug: -workers 1 on a multi-core host
-		{workers: 8, gomaxprocs: 1, want: true}, // single-core host: workers contend for one P
-		{workers: 1, gomaxprocs: 1, want: true},
-		{workers: 2, gomaxprocs: 2, want: false},
-		{workers: 8, gomaxprocs: 8, want: false},
+		{workers: 1, cpus: 8, want: true}, // the original bug: GOMAXPROCS=1 on a multi-core host
+		{workers: 8, cpus: 1, want: true}, // single-core host: workers contend for one CPU
+		{workers: 1, cpus: 1, want: true},
+		{workers: 2, cpus: 2, want: false},
+		{workers: 8, cpus: 8, want: false},
 	}
 	for _, c := range cases {
-		if got := degenerateRun(c.workers, c.gomaxprocs); got != c.want {
-			t.Errorf("degenerateRun(workers=%d, gomaxprocs=%d) = %v, want %v", c.workers, c.gomaxprocs, got, c.want)
+		if got := degenerateRun(c.workers, c.cpus); got != c.want {
+			t.Errorf("degenerateRun(workers=%d, cpus=%d) = %v, want %v", c.workers, c.cpus, got, c.want)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: fedml <train|platform|node> [flags]")
+		return fmt.Errorf("usage: fedml <train|platform|node|adapt> [flags]")
 	}
 	switch args[0] {
 	case "train":
@@ -85,7 +85,6 @@ type commonFlags struct {
 	lambda  float64
 	csvPath string
 	csvDim  int
-	workers int
 	codec   string
 
 	syncMask      string
@@ -108,7 +107,6 @@ func addCommonFlags(fs *flag.FlagSet) *commonFlags {
 	fs.Float64Var(&c.lambda, "lambda", 0.01, "DRO penalty λ (with -robust)")
 	fs.StringVar(&c.csvPath, "csv", "", "with -dataset csv: path to a CSV of feature columns + integer label")
 	fs.IntVar(&c.csvDim, "csv-dim", 0, "with -dataset csv: number of feature columns")
-	fs.IntVar(&c.workers, "workers", 0, "worker count for evaluation fan-out (0 = all cores, 1 = serial); results are identical for every value")
 	fs.StringVar(&c.codec, "codec", "", "update compression codec: raw, f16, q8, or topk[:frac] (empty = raw; nodes mirror the platform's choice)")
 	fs.StringVar(&c.syncMask, "sync-mask", "", `partial-parameter sync policy: "head:<warmup>" freezes the feature layers after <warmup> full-sync rounds and syncs only the output head (nodes mirror the mask from the wire format)`)
 	fs.StringVar(&c.energyProfile, "energy-profile", "", "per-node energy pricing profile: lora-like, wifi, or datacenter (enables joule accounting)")
@@ -412,7 +410,7 @@ func runTrain(args []string) error {
 	}
 	cfg := c.trainConfig(func(round, iter int, theta tensor.Vec) {
 		if round%5 == 0 || iter == c.t {
-			g := eval.GlobalMetaObjectiveN(m, fed, c.alpha, theta, c.workers)
+			g := eval.GlobalMetaObjective(m, fed, c.alpha, theta)
 			fmt.Printf("round %4d (iter %5d): G(θ) = %.4f\n", round, iter, g)
 			// OnRound fires after the round's end event, so the sinks fold
 			// this measurement into the record of the round it belongs to.
@@ -456,7 +454,7 @@ func runTrain(args []string) error {
 		comm.Rounds, comm.Messages, float64(comm.Bytes)/1024)
 	printResilience(comm)
 
-	curve := eval.AverageAdaptationCurveN(m, theta, fed.Targets, c.alpha, *adaptSteps, c.workers)
+	curve := eval.AverageAdaptationCurve(m, theta, fed.Targets, c.alpha, *adaptSteps)
 	fmt.Println("fast adaptation at held-out target nodes:")
 	for _, p := range curve {
 		fmt.Printf("  step %2d: loss %.4f  accuracy %.3f\n", p.Step, p.Loss, p.Accuracy)
@@ -638,7 +636,7 @@ func runPlatform(args []string) error {
 		return err
 	}
 	cfg := c.trainConfig(func(round, iter int, theta tensor.Vec) {
-		g := eval.GlobalMetaObjectiveN(m, fed, c.alpha, theta, c.workers)
+		g := eval.GlobalMetaObjective(m, fed, c.alpha, theta)
 		fmt.Printf("round %4d (iter %5d): G(θ) = %.4f\n", round, iter, g)
 		obs.Emit(ob, obs.Event{Type: obs.TypeMetaLoss, Round: round, Iter: iter, Value: g})
 	})
@@ -670,7 +668,7 @@ func runPlatform(args []string) error {
 	fmt.Printf("done: %d rounds, %d messages, %.1f KiB\n", stats.Rounds, stats.Messages, float64(stats.Bytes)/1024)
 	printResilience(stats)
 
-	curve := eval.AverageAdaptationCurveN(m, theta, fed.Targets, c.alpha, 5, c.workers)
+	curve := eval.AverageAdaptationCurve(m, theta, fed.Targets, c.alpha, 5)
 	fmt.Println("fast adaptation at held-out target nodes:")
 	for _, p := range curve {
 		fmt.Printf("  step %2d: loss %.4f  accuracy %.3f\n", p.Step, p.Loss, p.Accuracy)

@@ -12,8 +12,15 @@ import (
 )
 
 func TestRunRequiresMode(t *testing.T) {
-	if err := run(nil); err == nil {
-		t.Error("no-args run succeeded")
+	err := run(nil)
+	if err == nil {
+		t.Fatal("no-args run succeeded")
+	}
+	// The usage line names every mode run dispatches.
+	for _, mode := range []string{"train", "platform", "node", "adapt"} {
+		if !strings.Contains(err.Error(), mode) {
+			t.Errorf("usage %q does not name mode %s", err, mode)
+		}
 	}
 	if err := run([]string{"bogus"}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
 		t.Errorf("bogus mode: %v", err)

@@ -55,7 +55,7 @@ func TestCodecCompressionAndAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %q: %v", spec, err)
 		}
-		acc := eval.FinalAccuracies(m, res.Theta, fed.Targets, base.Alpha, base.T0)
+		acc := eval.FinalAccuraciesN(m, res.Theta, fed.Targets, base.Alpha, base.T0, 0)
 		return res, meanAccuracy(acc)
 	}
 

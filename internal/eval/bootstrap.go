@@ -23,19 +23,13 @@ type BootstrapResult struct {
 	Significant bool
 }
 
-// PairedBootstrap estimates a percentile confidence interval for the mean
+// PairedBootstrapN estimates a percentile confidence interval for the mean
 // difference between two paired per-target metric vectors (e.g. the adapted
 // accuracies of two algorithms on the same target nodes) by resampling
-// target indices with replacement, using all cores. The randomness is fully
-// deterministic given r.
-func PairedBootstrap(r *rng.Rand, a, b []float64, resamples int, confidence float64) (BootstrapResult, error) {
-	return PairedBootstrapN(r, a, b, resamples, confidence, 0)
-}
-
-// PairedBootstrapN is PairedBootstrap on `workers` workers. Each resample
-// draws from its own RNG stream split off r by resample index, so the
-// resampled means — and hence the interval — are bit-identical for every
-// worker count. r itself is never advanced.
+// target indices with replacement, on `workers` workers (0 = all cores).
+// Each resample draws from its own RNG stream split off r by resample
+// index, so the resampled means — and hence the interval — are bit-identical
+// for every worker count. r itself is never advanced.
 func PairedBootstrapN(r *rng.Rand, a, b []float64, resamples int, confidence float64, workers int) (BootstrapResult, error) {
 	switch {
 	case len(a) == 0 || len(a) != len(b):
@@ -97,14 +91,9 @@ func quantileIndex(q float64, n int) int {
 	return i
 }
 
-// FinalAccuracies returns each target node's test accuracy after `steps`
+// FinalAccuraciesN returns each target node's test accuracy after `steps`
 // fast-adaptation gradient steps — the per-target vector the paired
-// bootstrap compares across algorithms — using all cores.
-func FinalAccuracies(m nn.Model, theta tensor.Vec, targets []*data.NodeDataset, alpha float64, steps int) []float64 {
-	return FinalAccuraciesN(m, theta, targets, alpha, steps, 0)
-}
-
-// FinalAccuraciesN is FinalAccuracies on `workers` workers; per-target
+// bootstrap compares across algorithms — on `workers` workers; per-target
 // slots make it bit-identical for every worker count.
 func FinalAccuraciesN(m nn.Model, theta tensor.Vec, targets []*data.NodeDataset, alpha float64, steps, workers int) []float64 {
 	out := make([]float64, len(targets))
@@ -115,14 +104,9 @@ func FinalAccuraciesN(m nn.Model, theta tensor.Vec, targets []*data.NodeDataset,
 	return out
 }
 
-// CompareAlgorithms runs the paired bootstrap on the final adapted
-// accuracies of two initializations over the same target nodes, using all
-// cores.
-func CompareAlgorithms(r *rng.Rand, m nn.Model, thetaA, thetaB tensor.Vec, targets []*data.NodeDataset, alpha float64, steps, resamples int, confidence float64) (BootstrapResult, error) {
-	return CompareAlgorithmsN(r, m, thetaA, thetaB, targets, alpha, steps, resamples, confidence, 0)
-}
-
-// CompareAlgorithmsN is CompareAlgorithms on `workers` workers.
+// CompareAlgorithmsN runs the paired bootstrap on the final adapted
+// accuracies of two initializations over the same target nodes, on
+// `workers` workers.
 func CompareAlgorithmsN(r *rng.Rand, m nn.Model, thetaA, thetaB tensor.Vec, targets []*data.NodeDataset, alpha float64, steps, resamples int, confidence float64, workers int) (BootstrapResult, error) {
 	if len(targets) == 0 {
 		return BootstrapResult{}, fmt.Errorf("eval: no target nodes to compare on")

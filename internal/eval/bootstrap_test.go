@@ -10,19 +10,19 @@ import (
 func TestPairedBootstrapValidation(t *testing.T) {
 	r := rng.New(1)
 	a := []float64{1, 2, 3}
-	if _, err := PairedBootstrap(r, nil, nil, 100, 0.95); err == nil {
+	if _, err := PairedBootstrapN(r, nil, nil, 100, 0.95, 0); err == nil {
 		t.Error("empty vectors accepted")
 	}
-	if _, err := PairedBootstrap(r, a, a[:2], 100, 0.95); err == nil {
+	if _, err := PairedBootstrapN(r, a, a[:2], 100, 0.95, 0); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := PairedBootstrap(r, a, a, 5, 0.95); err == nil {
+	if _, err := PairedBootstrapN(r, a, a, 5, 0.95, 0); err == nil {
 		t.Error("too few resamples accepted")
 	}
-	if _, err := PairedBootstrap(r, a, a, 100, 1.5); err == nil {
+	if _, err := PairedBootstrapN(r, a, a, 100, 1.5, 0); err == nil {
 		t.Error("bad confidence accepted")
 	}
-	if _, err := PairedBootstrap(nil, a, a, 100, 0.95); err == nil {
+	if _, err := PairedBootstrapN(nil, a, a, 100, 0.95, 0); err == nil {
 		t.Error("nil rng accepted")
 	}
 }
@@ -30,7 +30,7 @@ func TestPairedBootstrapValidation(t *testing.T) {
 func TestPairedBootstrapIdenticalVectors(t *testing.T) {
 	r := rng.New(2)
 	a := []float64{0.5, 0.6, 0.7, 0.8}
-	res, err := PairedBootstrap(r, a, a, 500, 0.95)
+	res, err := PairedBootstrapN(r, a, a, 500, 0.95, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPairedBootstrapClearDifference(t *testing.T) {
 		a[i] = 0.8 + 0.01*float64(i%3)
 		b[i] = 0.5 + 0.01*float64(i%3)
 	}
-	res, err := PairedBootstrap(r, a, b, 1000, 0.95)
+	res, err := PairedBootstrapN(r, a, b, 1000, 0.95, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPairedBootstrapNoisyNoDifference(t *testing.T) {
 		a[i] = base + 0.05*gen.Norm()
 		b[i] = base + 0.05*gen.Norm()
 	}
-	res, err := PairedBootstrap(r, a, b, 2000, 0.95)
+	res, err := PairedBootstrapN(r, a, b, 2000, 0.95, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestPairedBootstrapDeterministic(t *testing.T) {
 	a := []float64{0.1, 0.9, 0.4, 0.6, 0.3}
 	b := []float64{0.2, 0.7, 0.5, 0.4, 0.5}
 	r1, r2 := rng.New(7), rng.New(7)
-	res1, err := PairedBootstrap(r1, a, b, 500, 0.9)
+	res1, err := PairedBootstrapN(r1, a, b, 500, 0.9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := PairedBootstrap(r2, a, b, 500, 0.9)
+	res2, err := PairedBootstrapN(r2, a, b, 500, 0.9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +108,6 @@ func TestCompareAlgorithmsEndToEnd(t *testing.T) {
 	r := rng.New(9)
 	thetaGood := m.InitParams(rng.New(1))
 	// Train one initialization briefly so the two differ meaningfully.
-	var all []float64
-	_ = all
 	for i := 0; i < 50; i++ {
 		for _, nd := range fed.Sources {
 			thetaGood.Axpy(-0.02, nn.Grad(m, thetaGood, nd.Train))
@@ -117,14 +115,14 @@ func TestCompareAlgorithmsEndToEnd(t *testing.T) {
 	}
 	thetaBad := m.InitParams(rng.New(2))
 
-	res, err := CompareAlgorithms(r, m, thetaGood, thetaBad, fed.Targets, 0.05, 3, 500, 0.9)
+	res, err := CompareAlgorithmsN(r, m, thetaGood, thetaBad, fed.Targets, 0.05, 3, 500, 0.9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MeanDiff < -1 || res.MeanDiff > 1 {
 		t.Errorf("nonsense mean diff %v", res.MeanDiff)
 	}
-	if _, err := CompareAlgorithms(r, m, thetaGood, thetaBad, nil, 0.05, 3, 500, 0.9); err == nil {
+	if _, err := CompareAlgorithmsN(r, m, thetaGood, thetaBad, nil, 0.05, 3, 500, 0.9, 0); err == nil {
 		t.Error("empty target list accepted")
 	}
 }

@@ -2,23 +2,6 @@ package eval
 
 import "github.com/edgeai/fedml/internal/obs"
 
-// MetaLossTrajectory rebuilds a per-round meta-objective Series from the
-// round records an obs.Recorder (or a parsed metrics JSONL) captured during
-// training. Rounds that never got a loss measurement (the tracker samples
-// every few rounds) and skipped rounds are left out, so the series contains
-// exactly the measured points, keyed by cumulative local iteration — the
-// x-axis the paper's convergence figures use.
-func MetaLossTrajectory(name string, rounds []obs.RoundRecord) *Series {
-	s := &Series{Name: name}
-	for _, r := range rounds {
-		if r.Skipped || r.Loss == nil {
-			continue
-		}
-		s.Add(r.Iter, *r.Loss)
-	}
-	return s
-}
-
 // TrafficTrajectory extracts the cumulative wire bytes after each round as
 // a Series over cumulative local iterations — the joining key for
 // accuracy-vs-bytes comparisons of update codecs. Skipped rounds still
@@ -27,21 +10,6 @@ func TrafficTrajectory(name string, rounds []obs.RoundRecord) *Series {
 	s := &Series{Name: name}
 	for _, r := range rounds {
 		s.Add(r.Iter, float64(r.Cum.Bytes))
-	}
-	return s
-}
-
-// DispersionTrajectory extracts the per-round update dispersion (the task
-// similarity proxy the adaptive-T0 controller consumes) as a Series over
-// cumulative local iterations. Skipped rounds carry no aggregation and are
-// left out.
-func DispersionTrajectory(name string, rounds []obs.RoundRecord) *Series {
-	s := &Series{Name: name}
-	for _, r := range rounds {
-		if r.Skipped {
-			continue
-		}
-		s.Add(r.Iter, r.Dispersion)
 	}
 	return s
 }

@@ -268,13 +268,13 @@ func TestRegistryRunsEveryExperimentID(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", ScaleCI, 1); err == nil {
+	if _, err := Run("nope", ScaleCI); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
 
 func TestRunTable1ByID(t *testing.T) {
-	out, err := Run("table1", ScaleCI, 1)
+	out, err := Run("table1", ScaleCI)
 	if err != nil {
 		t.Fatal(err)
 	}

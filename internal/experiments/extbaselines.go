@@ -27,8 +27,6 @@ type ExtBaselinesConfig struct {
 	ReptileEps float64
 	AdaptSteps int
 	Seed       uint64
-	// Workers bounds the per-algorithm fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultExtBaselinesConfig returns the comparison configuration.
@@ -88,7 +86,7 @@ func RunExtBaselines(cfg ExtBaselinesConfig) (*ExtBaselinesResult, error) {
 		Curves:     make([][]eval.AdaptPoint, len(algos)),
 		SourceMeta: make([]float64, len(algos)),
 	}
-	err = par.ForEachErr(cfg.Workers, len(algos), func(c int) error {
+	err = par.ForEachErr(0, len(algos), func(c int) error {
 		a := algos[c]
 		trained, err := core.Train(m, fed, nil, core.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,

@@ -28,8 +28,6 @@ type ExtCodecConfig struct {
 	// AdaptSteps is the target-side adaptation depth for the accuracy probe.
 	AdaptSteps int
 	Seed       uint64
-	// Workers bounds the per-codec cell fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultExtCodecConfig returns the extension's configuration at the given
@@ -81,7 +79,7 @@ func RunExtCodec(cfg ExtCodecConfig) (*ExtCodecResult, error) {
 		cfg.Codecs = []string{"raw", "f16", "q8", "topk"}
 	}
 	cells := make([]extCodecCell, len(cfg.Codecs))
-	err := par.ForEachErr(cfg.Workers, len(cfg.Codecs), func(c int) error {
+	err := par.ForEachErr(0, len(cfg.Codecs), func(c int) error {
 		spec := cfg.Codecs[c]
 		fed, err := syntheticFederation(cfg.AlphaBeta, cfg.AlphaBeta, cfg.Scale, 5, cfg.Seed)
 		if err != nil {

@@ -51,8 +51,6 @@ type ExtEnergyConfig struct {
 	// budgeted arm (a node with a power-hungry radio).
 	HungryScale float64
 	Seed        uint64
-	// Workers bounds the per-arm fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultExtEnergyConfig returns the experiment configuration.
@@ -146,7 +144,7 @@ func RunExtEnergy(cfg ExtEnergyConfig) (*ExtEnergyResult, error) {
 	}
 	arms := []string{"full-sync", "head-sync", "head+budget"}
 	cells := make([]extEnergyCell, len(arms))
-	err := par.ForEachErr(cfg.Workers, len(arms), func(c int) error {
+	err := par.ForEachErr(0, len(arms), func(c int) error {
 		arm := arms[c]
 		fed, err := syntheticFederation(0.5, 0.5, cfg.Scale, 5, cfg.Seed)
 		if err != nil {

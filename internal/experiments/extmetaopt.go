@@ -25,8 +25,6 @@ type ExtMetaOptConfig struct {
 	Alpha, Beta, AdamLR float64
 	Iters               int
 	Seed                uint64
-	// Workers bounds the per-optimizer fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultExtMetaOptConfig returns the ablation configuration.
@@ -69,7 +67,7 @@ func RunExtMetaOpt(cfg ExtMetaOptConfig) (*ExtMetaOptResult, error) {
 	// Each optimizer run is independent (stateful optimizers are per-cell);
 	// run the three on the worker pool into index slots.
 	curves := make([]*eval.Series, len(optimizers))
-	err = par.ForEachErr(cfg.Workers, len(optimizers), func(c int) error {
+	err = par.ForEachErr(0, len(optimizers), func(c int) error {
 		o := optimizers[c]
 		series := &eval.Series{Name: o.Name()}
 		_, err := meta.TrainCentralized(m, fed.Sources, fed.Weights(), theta0,

@@ -40,9 +40,6 @@ type ExtTimeConfig struct {
 	// price fed to the TimeModel.
 	Codec string
 	Seed  uint64
-	// Workers bounds the grid-cell fan-out (0 = GOMAXPROCS); one cell
-	// per T0.
-	Workers int
 }
 
 // DefaultExtTimeConfig returns the experiment configuration.
@@ -111,7 +108,7 @@ func RunExtTime(cfg ExtTimeConfig) (*ExtTimeResult, error) {
 	// One training per T0, on the worker pool into per-cell slots (the
 	// worstFinal reduction happens in index order afterwards).
 	series := make([][]point, len(cfg.T0s))
-	err = par.ForEachErr(cfg.Workers, len(cfg.T0s), func(c int) error {
+	err = par.ForEachErr(0, len(cfg.T0s), func(c int) error {
 		t0 := cfg.T0s[c]
 		var pts []point
 		trainCfg := core.Config{

@@ -64,8 +64,6 @@ type ExtWorkloadConfig struct {
 	SyncMask string
 	Async    bool
 	Seed     uint64
-	// Workers bounds the per-arm fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultExtWorkloadConfig returns the matrix configuration for a workload.
@@ -139,7 +137,7 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 	pers := make([]eval.Personalization, len(arms))
 	kib := make([]float64, len(arms))
 	var accVsKiB *eval.Series
-	err := par.ForEachErr(cfg.Workers, len(arms), func(c int) error {
+	err := par.ForEachErr(0, len(arms), func(c int) error {
 		arm := arms[c]
 		fed, err := workloadFederation(cfg.Workload, cfg.Scale, cfg.Seed)
 		if err != nil {

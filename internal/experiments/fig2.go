@@ -60,10 +60,6 @@ type Fig2aConfig struct {
 	// T, T0 are the iteration budget and local steps (paper: T0 = 10).
 	T, T0 int
 	Seed  uint64
-	// Workers bounds the grid-cell fan-out (0 = GOMAXPROCS). Each
-	// similarity level is one independent cell; results are bit-identical
-	// for every worker count.
-	Workers int
 }
 
 // DefaultFig2aConfig returns the paper configuration at the given scale.
@@ -111,7 +107,7 @@ type fig2Cell struct {
 // for every worker count.
 func RunFig2a(cfg Fig2aConfig) (*Fig2aResult, error) {
 	cells := make([]fig2Cell, len(cfg.Similarities))
-	err := par.ForEachErr(cfg.Workers, len(cfg.Similarities), func(c int) error {
+	err := par.ForEachErr(0, len(cfg.Similarities), func(c int) error {
 		ab := cfg.Similarities[c]
 		fed, err := syntheticFederation(ab, ab, cfg.Scale, 5, cfg.Seed)
 		if err != nil {
@@ -176,9 +172,6 @@ type Fig2bConfig struct {
 	// T is the fixed total iteration budget (paper: 500).
 	T    int
 	Seed uint64
-	// Workers bounds the grid-cell fan-out (0 = GOMAXPROCS); one cell
-	// per T0.
-	Workers int
 }
 
 // DefaultFig2bConfig returns the paper configuration at the given scale.
@@ -217,7 +210,7 @@ func RunFig2b(cfg Fig2bConfig) (*Fig2bResult, error) {
 	}
 	m := softmaxModel(fed)
 	res := &Fig2bResult{}
-	gStar, gErr := estimateGStar(m, fed, cfg.Alpha, cfg.Beta, 4*cfg.T, cfg.Workers)
+	gStar, gErr := estimateGStar(m, fed, cfg.Alpha, cfg.Beta, 4*cfg.T, 0)
 	if gErr != nil {
 		res.Warnings = append(res.Warnings, gErr.Error())
 	}
@@ -228,7 +221,7 @@ func RunFig2b(cfg Fig2bConfig) (*Fig2bResult, error) {
 	}
 
 	cells := make([]fig2Cell, len(cfg.T0s))
-	err = par.ForEachErr(cfg.Workers, len(cfg.T0s), func(c int) error {
+	err = par.ForEachErr(0, len(cfg.T0s), func(c int) error {
 		t0 := cfg.T0s[c]
 		series := &eval.Series{Name: fmt.Sprintf("T0=%d", t0)}
 		trainCfg := core.Config{

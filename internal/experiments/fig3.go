@@ -22,9 +22,6 @@ type Fig3aConfig struct {
 	// Participation enables client sampling (0 = full participation).
 	Participation float64
 	Seed          uint64
-	// Workers bounds the per-round objective-tracking fan-out over the
-	// tracked nodes (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultFig3aConfig returns the paper configuration at the given scale
@@ -61,7 +58,7 @@ func RunFig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
 		Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
 		Participation: cfg.Participation,
 		OnRound: func(_, iter int, theta tensor.Vec) {
-			series.Add(iter, eval.GlobalMetaObjectiveN(m, tracked, cfg.Alpha, theta, cfg.Workers))
+			series.Add(iter, eval.GlobalMetaObjectiveN(m, tracked, cfg.Alpha, theta, 0))
 		},
 	}
 	if _, err := core.Train(m, fed, nil, trainCfg); err != nil {
@@ -87,9 +84,6 @@ type Fig3bConfig struct {
 	// at the target nodes.
 	AdaptSteps int
 	Seed       uint64
-	// Workers bounds the grid-cell fan-out (0 = GOMAXPROCS); one cell per
-	// similarity level.
-	Workers int
 }
 
 // DefaultFig3bConfig returns the paper configuration at the given scale.
@@ -126,7 +120,7 @@ type Fig3bResult struct {
 func RunFig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
 	names := make([]string, len(cfg.Similarities))
 	curves := make([][]eval.AdaptPoint, len(cfg.Similarities))
-	err := par.ForEachErr(cfg.Workers, len(cfg.Similarities), func(c int) error {
+	err := par.ForEachErr(0, len(cfg.Similarities), func(c int) error {
 		ab := cfg.Similarities[c]
 		fed, err := syntheticFederation(ab, ab, cfg.Scale, 5, cfg.Seed)
 		if err != nil {
@@ -177,9 +171,6 @@ type AdaptCompareConfig struct {
 	Participation float64
 	AdaptSteps    int
 	Seed          uint64
-	// Workers bounds the grid-cell fan-out (0 = GOMAXPROCS); one cell
-	// per K.
-	Workers int
 }
 
 // DefaultAdaptCompareConfig returns the paper configuration for the given
@@ -260,7 +251,7 @@ func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
 		FedAvg:    make([][]eval.AdaptPoint, len(cfg.Ks)),
 		Bootstrap: make([]eval.BootstrapResult, len(cfg.Ks)),
 	}
-	err = par.ForEachErr(cfg.Workers, len(cfg.Ks), func(c int) error {
+	err = par.ForEachErr(0, len(cfg.Ks), func(c int) error {
 		k, fedK := cfg.Ks[c], feds[c]
 		mlRes, err := core.Train(m, fedK, nil, core.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,

@@ -27,9 +27,6 @@ type Fig4Config struct {
 	Xi         float64
 	AdaptSteps int
 	Seed       uint64
-	// Workers bounds the fan-out over trainings and per-model evaluations
-	// (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultFig4Config returns the paper configuration at the given scale.
@@ -93,7 +90,7 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	// trainings are independent (the federation is read-only) and run on
 	// the worker pool into index slots.
 	models := make([]trained, 1+len(cfg.Lambdas))
-	err = par.ForEachErr(cfg.Workers, len(models), func(c int) error {
+	err = par.ForEachErr(0, len(models), func(c int) error {
 		trainCfg := core.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
 		}
@@ -123,7 +120,7 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 		Clean: make([][]eval.AdaptPoint, len(models)),
 		Adv:   make([][]eval.AdaptPoint, len(models)),
 	}
-	err = par.ForEachErr(cfg.Workers, len(models), func(c int) error {
+	err = par.ForEachErr(0, len(models), func(c int) error {
 		tr := models[c]
 		clean := eval.AverageAdaptationCurveN(m, tr.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
 		adv, err := eval.AverageAdversarialAdaptationCurveN(m, tr.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, cfg.Xi, 0, 1, 1)
@@ -167,9 +164,6 @@ type Fig4eConfig struct {
 	Ta, N0, R   int
 	AdaptSteps  int
 	Seed        uint64
-	// Workers bounds the fan-out over the two trainings and the ξ grid
-	// (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultFig4eConfig returns the paper configuration at the given scale.
@@ -223,7 +217,7 @@ func RunFig4e(cfg Fig4eConfig) (*Fig4eResult, error) {
 
 	// The plain and robust trainings are independent; run both on the pool.
 	thetas := make([]tensor.Vec, 2)
-	err = par.ForEachErr(cfg.Workers, 2, func(c int) error {
+	err = par.ForEachErr(0, 2, func(c int) error {
 		trainCfg := core.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
 		}
@@ -253,7 +247,7 @@ func RunFig4e(cfg Fig4eConfig) (*Fig4eResult, error) {
 		RobustAcc:   make([]float64, len(cfg.Xis)),
 		Improvement: make([]float64, len(cfg.Xis)),
 	}
-	err = par.ForEachErr(cfg.Workers, len(cfg.Xis), func(c int) error {
+	err = par.ForEachErr(0, len(cfg.Xis), func(c int) error {
 		xi := cfg.Xis[c]
 		pc, err := eval.AverageAdversarialAdaptationCurveN(m, plainTheta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, xi, 0, 1, 1)
 		if err != nil {

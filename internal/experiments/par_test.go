@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,7 +62,6 @@ func TestFig2aRendersGStarWarning(t *testing.T) {
 		T:            20,
 		T0:           10,
 		Seed:         1,
-		Workers:      1,
 	}
 	res, err := RunFig2a(clean)
 	if err != nil {
@@ -81,66 +81,46 @@ func TestFig2aRendersGStarWarning(t *testing.T) {
 
 // Experiment output must be byte-identical across worker counts. This is the
 // end-to-end determinism check over the whole pipeline: data generation,
-// training, evaluation, bootstrap, and rendering.
+// training, evaluation, bootstrap, and rendering. The experiments fan out
+// over GOMAXPROCS workers, so each runs at GOMAXPROCS 1 and then 8, one
+// after the other: the setting is process-wide.
 func TestExperimentsWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment comparison")
 	}
-	t.Run("table1", func(t *testing.T) {
-		t.Parallel()
-		ref, err := RunTable1(Table1Config{Scale: ScaleCI, Seed: 1, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := RunTable1(Table1Config{Scale: ScaleCI, Seed: 1, Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Render() != par.Render() {
-			t.Errorf("table1 output differs between workers=1 and workers=8:\n%s\n---\n%s", ref.Render(), par.Render())
-		}
-	})
-	t.Run("fig2a", func(t *testing.T) {
-		t.Parallel()
-		cfg := Fig2aConfig{
-			Scale:        ScaleCI,
-			Similarities: []float64{0, 1},
-			Alpha:        0.01,
-			Beta:         0.01,
-			T:            40,
-			T0:           10,
-			Seed:         1,
-		}
-		cfg.Workers = 1
-		ref, err := RunFig2a(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = 8
-		par, err := RunFig2a(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Render() != par.Render() {
-			t.Error("fig2a output differs between workers=1 and workers=8")
-		}
-	})
-	t.Run("ext-meta-opt", func(t *testing.T) {
-		t.Parallel()
-		cfg := DefaultExtMetaOptConfig(ScaleCI)
-		cfg.Iters = 30
-		cfg.Workers = 1
-		ref, err := RunExtMetaOpt(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = 8
-		par, err := RunExtMetaOpt(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Render() != par.Render() {
-			t.Error("ext-meta-opt output differs between workers=1 and workers=8")
-		}
-	})
+	fig2a := Fig2aConfig{
+		Scale:        ScaleCI,
+		Similarities: []float64{0, 1},
+		Alpha:        0.01,
+		Beta:         0.01,
+		T:            40,
+		T0:           10,
+		Seed:         1,
+	}
+	metaOpt := DefaultExtMetaOptConfig(ScaleCI)
+	metaOpt.Iters = 30
+	for _, tc := range []struct {
+		name string
+		run  func() (Renderable, error)
+	}{
+		{"table1", func() (Renderable, error) { return RunTable1(Table1Config{Scale: ScaleCI, Seed: 1}) }},
+		{"fig2a", func() (Renderable, error) { return RunFig2a(fig2a) }},
+		{"ext-meta-opt", func() (Renderable, error) { return RunExtMetaOpt(metaOpt) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			ref, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GOMAXPROCS(8)
+			got, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Render() != got.Render() {
+				t.Errorf("%s output differs between GOMAXPROCS=1 and GOMAXPROCS=8:\n%s\n---\n%s", tc.name, ref.Render(), got.Render())
+			}
+		})
+	}
 }

@@ -14,8 +14,6 @@ type Table1Config struct {
 	Scale Scale
 	// Seed drives all three generators.
 	Seed uint64
-	// Workers bounds the fan-out over the three generators (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Table1Row is one dataset's statistics, matching the paper's Table I
@@ -43,7 +41,7 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	// Each generator owns its seed; run the three on the worker pool into
 	// index slots.
 	feds := make([]*data.Federation, 3)
-	err := par.ForEachErr(cfg.Workers, 3, func(c int) error {
+	err := par.ForEachErr(0, 3, func(c int) error {
 		var err error
 		switch c {
 		case 0:

@@ -31,8 +31,6 @@ type Thm3Config struct {
 	// optimum θ*_t.
 	OptSteps int
 	Seed     uint64
-	// Workers bounds the per-target fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultThm3Config returns the experiment configuration.
@@ -94,7 +92,7 @@ func RunThm3(cfg Thm3Config) (*Thm3Result, error) {
 	// Targets are independent; measure them on the worker pool into index
 	// slots (θ_c is read-only during the fan-out).
 	res := &Thm3Result{Points: make([]Thm3Point, len(fed.Targets))}
-	par.ForEach(cfg.Workers, len(fed.Targets), func(ti int) {
+	par.ForEach(0, len(fed.Targets), func(ti int) {
 		node := fed.Targets[ti]
 		all := node.All()
 		// θ*_t: the target's own (regularized) optimum on its full data.

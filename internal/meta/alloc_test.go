@@ -61,7 +61,6 @@ func TestWorkspaceMatchesAllocatingAPI(t *testing.T) {
 		r := rng.New(2)
 		train := randBatch(r, 6, 4, 3)
 		test := randBatch(r, 7, 4, 3)
-		extra := randBatch(r, 3, 4, 3)
 		theta := m.InitParams(r)
 		ws := NewWorkspace(m)
 		grad := tensor.NewVec(m.NumParams())
@@ -76,12 +75,6 @@ func TestWorkspaceMatchesAllocatingAPI(t *testing.T) {
 			if d := gotPhi.Dist(wantPhi); d != 0 {
 				t.Errorf("%T mode %v: GradInto φ differs by %g", m, mode, d)
 			}
-		}
-
-		ws.GradWithExtraInto(theta, train, test, extra, 0.05, SecondOrder, grad)
-		wantGrad, _ := GradWithExtra(m, theta, train, test, extra, 0.05, SecondOrder)
-		if d := grad.Dist(wantGrad); d != 0 {
-			t.Errorf("%T: GradWithExtraInto differs by %g", m, d)
 		}
 
 		if got, want := ws.Objective(theta, train, test, 0.05), Objective(m, theta, train, test, 0.05); got != want {

@@ -64,19 +64,6 @@ func Grad(m nn.Model, theta tensor.Vec, train, test []data.Sample, alpha float64
 	return correct(m, theta, train, gTest, alpha, mode), phi
 }
 
-// GradWithExtra computes the meta-gradient of the combined outer loss
-// L(φ, test) + L(φ, extra) used by Robust FedML (Eq. 14), where extra is the
-// adversarial dataset. Because the inner-step Jacobian is linear, the outer
-// gradients are summed before the single Hessian-vector product.
-func GradWithExtra(m nn.Model, theta tensor.Vec, train, test, extra []data.Sample, alpha float64, mode GradMode) (grad, phi tensor.Vec) {
-	phi = InnerStep(m, theta, train, alpha)
-	gOuter := nn.Grad(m, phi, test)
-	if len(extra) > 0 {
-		gOuter.AddInPlace(nn.Grad(m, phi, extra))
-	}
-	return correct(m, theta, train, gOuter, alpha, mode), phi
-}
-
 // correct applies the inner-step Jacobian: (I − α∇²L(θ, train))·g.
 func correct(m nn.Model, theta tensor.Vec, train []data.Sample, g tensor.Vec, alpha float64, mode GradMode) tensor.Vec {
 	if mode == FirstOrder || alpha == 0 {

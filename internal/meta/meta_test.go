@@ -130,19 +130,21 @@ func TestGradWithExtraCombinesOuterLosses(t *testing.T) {
 	extra := randBatch(r, 5, 4, 3)
 	const alpha = 0.07
 
-	got, _ := GradWithExtra(m, theta, train, test, extra, alpha, SecondOrder)
+	ws := NewWorkspace(m)
+	got := tensor.NewVec(m.NumParams())
+	ws.GradWithExtraInto(theta, train, test, extra, alpha, SecondOrder, got)
 
 	// Must equal the sum of the two individual meta-gradients.
 	g1, _ := Grad(m, theta, train, test, alpha, SecondOrder)
 	g2, _ := Grad(m, theta, train, extra, alpha, SecondOrder)
 	want := g1.Add(g2)
 	if e := relErr(got, want); e > 1e-10 {
-		t.Errorf("GradWithExtra relErr = %v", e)
+		t.Errorf("GradWithExtraInto relErr = %v", e)
 	}
 
 	// Empty extra falls back to the plain meta-gradient.
-	got2, _ := GradWithExtra(m, theta, train, test, nil, alpha, SecondOrder)
-	if relErr(got2, g1) != 0 {
+	ws.GradWithExtraInto(theta, train, test, nil, alpha, SecondOrder, got)
+	if relErr(got, g1) != 0 {
 		t.Error("empty extra changed the meta-gradient")
 	}
 }

@@ -21,7 +21,7 @@ type Workspace struct {
 	nws nn.Workspace
 
 	phi    tensor.Vec // inner-adapted parameters
-	gExtra tensor.Vec // second outer gradient of GradWithExtra
+	gExtra tensor.Vec // second outer gradient of GradWithExtraInto
 	hvp    tensor.Vec // Hessian-vector product scratch
 }
 
@@ -65,9 +65,11 @@ func (ws *Workspace) GradInto(theta tensor.Vec, train, test []data.Sample, alpha
 	return phi
 }
 
-// GradWithExtraInto is the buffered counterpart of GradWithExtra: the
-// meta-gradient of the combined outer loss L(φ, test) + L(φ, extra)
-// (Eq. 14) written into grad. φ aliases the workspace.
+// GradWithExtraInto writes into grad the meta-gradient of the combined
+// outer loss L(φ, test) + L(φ, extra) used by Robust FedML (Eq. 14), where
+// extra is the adversarial dataset. Because the inner-step Jacobian is
+// linear, the outer gradients are summed before the single Hessian-vector
+// product. φ aliases the workspace.
 func (ws *Workspace) GradWithExtraInto(theta tensor.Vec, train, test, extra []data.Sample, alpha float64, mode GradMode, grad tensor.Vec) (phi tensor.Vec) {
 	phi = ws.InnerStepInto(theta, train, alpha)
 	ws.m.GradInto(ws.nws, phi, test, grad)

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/rng"
@@ -281,22 +280,3 @@ func (m *SoftmaxRegression) PredictBatch(params tensor.Vec, batch []data.Sample)
 	}
 	return preds
 }
-
-// SmoothnessUpperBound returns a data-dependent upper bound on the
-// H-smoothness constant of the empirical loss over batch: the softmax
-// cross-entropy Hessian satisfies ‖∇²l‖ ≤ ‖x̃‖²/2 + λ₂ where x̃ = (x, 1).
-// The theory package uses it to pick admissible learning rates.
-func (m *SoftmaxRegression) SmoothnessUpperBound(batch []data.Sample) float64 {
-	var maxSq float64
-	for _, s := range batch {
-		sq := s.X.Dot(s.X) + 1
-		if sq > maxSq {
-			maxSq = sq
-		}
-	}
-	return maxSq/2 + m.L2
-}
-
-// StrongConvexity returns the strong-convexity modulus μ = λ₂ of the
-// regularized loss (0 when unregularized).
-func (m *SoftmaxRegression) StrongConvexity() float64 { return math.Max(m.L2, 0) }

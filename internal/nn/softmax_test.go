@@ -235,18 +235,6 @@ func TestSoftmaxRegressionParamLengthPanics(t *testing.T) {
 	Loss(m, tensor.NewVec(3), nil)
 }
 
-func TestSmoothnessAndConvexityAccessors(t *testing.T) {
-	m := &SoftmaxRegression{In: 2, Classes: 2, L2: 0.3}
-	batch := []data.Sample{{X: tensor.Vec{3, 4}, Y: 0}}
-	// ||x||^2+1 = 26; bound = 13 + 0.3.
-	if got := m.SmoothnessUpperBound(batch); math.Abs(got-13.3) > 1e-12 {
-		t.Errorf("smoothness bound = %v, want 13.3", got)
-	}
-	if m.StrongConvexity() != 0.3 {
-		t.Errorf("strong convexity = %v", m.StrongConvexity())
-	}
-}
-
 func TestHVPDispatchUsesAnalytic(t *testing.T) {
 	r := rng.New(10)
 	m := &SoftmaxRegression{In: 3, Classes: 2}

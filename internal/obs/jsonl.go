@@ -18,7 +18,6 @@ type JSONLSink struct {
 	w   io.Writer
 	c   io.Closer // nil unless the sink owns the destination
 	b   builder
-	n   int // records written
 	err error
 }
 
@@ -62,9 +61,7 @@ func (s *JSONLSink) write(r *RoundRecord) {
 	data = append(data, '\n')
 	if _, err := s.w.Write(data); err != nil {
 		s.err = fmt.Errorf("obs: write round %d: %w", r.Round, err)
-		return
 	}
-	s.n++
 }
 
 // Flush writes the open round record, if any, and reports the sticky error.
@@ -90,11 +87,4 @@ func (s *JSONLSink) Close() error {
 		s.c = nil
 	}
 	return err
-}
-
-// Written reports how many round records have been written so far.
-func (s *JSONLSink) Written() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }

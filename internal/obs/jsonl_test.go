@@ -111,7 +111,8 @@ func TestJSONLSkippedAndLossOmitted(t *testing.T) {
 }
 
 func TestJSONLWriteErrorIsSticky(t *testing.T) {
-	s := NewJSONLSink(failWriter{})
+	w := &failWriter{}
+	s := NewJSONLSink(w)
 	s.Observe(Event{Type: TypeRoundStart, Round: 1, T0: 5, Alive: 2})
 	s.Observe(Event{Type: TypeRoundStart, Round: 2, T0: 5, Alive: 2}) // flushes round 1 -> write fails
 	s.Observe(Event{Type: TypeRoundStart, Round: 3, T0: 5, Alive: 2}) // must be a no-op
@@ -119,17 +120,20 @@ func TestJSONLWriteErrorIsSticky(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("sticky error not surfaced: %v", err)
 	}
-	if s.Written() != 0 {
-		t.Errorf("Written = %d after failed writes", s.Written())
+	if w.calls != 1 {
+		t.Errorf("%d writes attempted, want 1: the sink kept writing after the first failure", w.calls)
 	}
 	if cerr := s.Close(); cerr == nil {
 		t.Error("Close must also surface the sticky error")
 	}
 }
 
-type failWriter struct{}
+type failWriter struct{ calls int }
 
-func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (w *failWriter) Write([]byte) (int, error) {
+	w.calls++
+	return 0, errors.New("disk full")
+}
 
 func parseLines(t *testing.T, data []byte) []RoundRecord {
 	t.Helper()

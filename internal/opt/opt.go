@@ -140,16 +140,6 @@ func (a *Adam) Reset() {
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "adam" }
 
-// ClipNorm scales grad in place so its Euclidean norm is at most max.
-// It returns the original norm. Non-positive max is a no-op.
-func ClipNorm(grad tensor.Vec, max float64) float64 {
-	n := grad.Norm()
-	if max > 0 && n > max {
-		grad.ScaleInPlace(max / n)
-	}
-	return n
-}
-
 func check(lr float64, params, grad tensor.Vec) error {
 	if lr <= 0 {
 		return fmt.Errorf("opt: learning rate must be positive, got %v", lr)

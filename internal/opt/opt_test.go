@@ -149,23 +149,3 @@ func TestNames(t *testing.T) {
 		t.Error("optimizer names broken")
 	}
 }
-
-func TestClipNorm(t *testing.T) {
-	g := tensor.Vec{3, 4}
-	if n := ClipNorm(g, 10); n != 5 {
-		t.Errorf("returned norm %v, want 5", n)
-	}
-	if g.Norm() != 5 {
-		t.Error("clip below threshold modified the gradient")
-	}
-	ClipNorm(g, 1)
-	if math.Abs(g.Norm()-1) > 1e-12 {
-		t.Errorf("clipped norm = %v, want 1", g.Norm())
-	}
-	// Non-positive max is a no-op.
-	g2 := tensor.Vec{3, 4}
-	ClipNorm(g2, 0)
-	if g2.Norm() != 5 {
-		t.Error("max=0 clipped")
-	}
-}

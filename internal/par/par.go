@@ -18,8 +18,9 @@
 //
 // Under these rules the numbers produced are bit-identical for every
 // worker count, including 1 — the parallel suite is byte-for-byte the
-// sequential suite, only faster. Worker counts are a knob (`-workers`),
-// with 0 meaning runtime.GOMAXPROCS(0).
+// sequential suite, only faster. Top-level fan-outs pass 0, meaning
+// runtime.GOMAXPROCS(0), so GOMAXPROCS is the knob; calls nested inside a
+// parallel cell pass 1.
 //
 // Scheduling hands out *batched index ranges*: each atomic claim grabs a
 // contiguous chunk of ~n/(8·w) indices (singles when n is small), so the

@@ -265,7 +265,7 @@ func TestBatchKernelsSpecialValues(t *testing.T) {
 			// column, on rows where some samples' coefficients are zero.
 			m := lcgMat(sh.rows, sh.cols, &seed)
 			for k := 0; k < sh.cols; k++ {
-				m.Set((3*k+1)%sh.rows, k, specials[k%len(specials)])
+				m.Data[((3*k+1)%sh.rows)*sh.cols+k] = specials[k%len(specials)]
 			}
 			xs := tileCoeffs(n, sh.rows, &seed)
 			outs := lcgVecs(n, sh.cols, &seed)

@@ -16,20 +16,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make(Vec, rows*cols)}
 }
 
-// MatFromData wraps data (not copied) as a rows x cols matrix.
-func MatFromData(rows, cols int, data Vec) *Mat {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: MatFromData %dx%d needs %d values, got %d", rows, cols, rows*cols, len(data)))
-	}
-	return &Mat{Rows: rows, Cols: cols, Data: data}
-}
-
-// At returns the element at (i, j).
-func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 

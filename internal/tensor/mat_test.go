@@ -6,23 +6,20 @@ import (
 
 func TestMatAtSetRow(t *testing.T) {
 	m := NewMat(2, 3)
-	m.Set(0, 1, 5)
-	m.Set(1, 2, 7)
-	if m.At(0, 1) != 5 || m.At(1, 2) != 7 {
-		t.Errorf("At/Set mismatch: %v", m.Data)
-	}
+	m.Data[1] = 5 // (0, 1): row-major
+	m.Data[5] = 7 // (1, 2)
 	row := m.Row(1)
-	if len(row) != 3 || row[2] != 7 {
-		t.Errorf("Row(1) = %v", row)
+	if len(row) != 3 || row[2] != 7 || m.Row(0)[1] != 5 {
+		t.Errorf("Row(1) = %v of %v", row, m.Data)
 	}
 	row[0] = 9 // Row aliases storage
-	if m.At(1, 0) != 9 {
+	if m.Data[3] != 9 {
 		t.Error("Row does not alias matrix storage")
 	}
 }
 
 func TestMulVec(t *testing.T) {
-	m := MatFromData(2, 3, Vec{1, 2, 3, 4, 5, 6})
+	m := &Mat{Rows: 2, Cols: 3, Data: Vec{1, 2, 3, 4, 5, 6}}
 	out := NewVec(2)
 	m.MulVec(Vec{1, 1, 1}, out)
 	if out[0] != 6 || out[1] != 15 {
@@ -31,7 +28,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestMulVecT(t *testing.T) {
-	m := MatFromData(2, 3, Vec{1, 2, 3, 4, 5, 6})
+	m := &Mat{Rows: 2, Cols: 3, Data: Vec{1, 2, 3, 4, 5, 6}}
 	out := NewVec(3)
 	m.MulVecT(Vec{1, 1}, out)
 	if out[0] != 5 || out[1] != 7 || out[2] != 9 {
@@ -41,7 +38,7 @@ func TestMulVecT(t *testing.T) {
 
 func TestMulVecTransposeConsistency(t *testing.T) {
 	// Property: <M x, y> == <x, Mᵀ y>.
-	m := MatFromData(3, 2, Vec{1, -2, 0.5, 3, -1, 4})
+	m := &Mat{Rows: 3, Cols: 2, Data: Vec{1, -2, 0.5, 3, -1, 4}}
 	x := Vec{2, -1}
 	y := Vec{1, 0.5, -2}
 	mx := NewVec(3)
@@ -65,10 +62,10 @@ func TestAddOuterInPlace(t *testing.T) {
 }
 
 func TestMatClone(t *testing.T) {
-	m := MatFromData(1, 2, Vec{1, 2})
+	m := &Mat{Rows: 1, Cols: 2, Data: Vec{1, 2}}
 	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
+	c.Data[0] = 99
+	if m.Data[0] != 1 {
 		t.Error("Clone shares storage")
 	}
 }
@@ -79,7 +76,6 @@ func TestMatShapePanics(t *testing.T) {
 		fn   func()
 	}{
 		{"NewMatNegative", func() { NewMat(-1, 2) }},
-		{"MatFromDataWrongLen", func() { MatFromData(2, 2, Vec{1, 2, 3}) }},
 		{"MulVecWrongX", func() { NewMat(2, 3).MulVec(NewVec(2), NewVec(2)) }},
 		{"MulVecWrongOut", func() { NewMat(2, 3).MulVec(NewVec(3), NewVec(3)) }},
 		{"MulVecTWrongX", func() { NewMat(2, 3).MulVecT(NewVec(3), NewVec(3)) }},

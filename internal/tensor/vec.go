@@ -67,16 +67,6 @@ func (v Vec) Sub(w Vec) Vec {
 	return out
 }
 
-// AddInto sets out = v + w. out must have the same length as v and w; it
-// may alias either input.
-func (v Vec) AddInto(w, out Vec) {
-	checkLen("AddInto", v, w)
-	checkLen("AddInto", v, out)
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-}
-
 // SubInto sets out = v - w. out must have the same length as v and w; it
 // may alias either input.
 func (v Vec) SubInto(w, out Vec) {
@@ -158,17 +148,6 @@ func (v Vec) Dot(w Vec) float64 {
 
 // Norm returns the Euclidean norm of v.
 func (v Vec) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// NormInf returns the max-absolute-value norm of v.
-func (v Vec) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // Dist returns the Euclidean distance ||v - w||.
 func (v Vec) Dist(w Vec) float64 {

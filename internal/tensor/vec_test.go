@@ -80,9 +80,6 @@ func TestNormAndDist(t *testing.T) {
 	if !almostEq(v.Dist(Vec{0, 0}), 5, 1e-12) {
 		t.Errorf("Dist = %v, want 5", v.Dist(Vec{0, 0}))
 	}
-	if got := (Vec{-7, 2}).NormInf(); got != 7 {
-		t.Errorf("NormInf = %v, want 7", got)
-	}
 }
 
 func TestArgMaxEdgeCases(t *testing.T) {

@@ -64,6 +64,12 @@ type Curvature struct {
 	HPrime float64
 }
 
+// MaxBeta returns the supremum of the meta learning rates admissible for
+// Theorem 2: β < min{1/(2μ′), 2/H′}.
+func (cv Curvature) MaxBeta() float64 {
+	return math.Min(1/(2*cv.MuPrime), 2/cv.HPrime)
+}
+
 // Lemma1 computes the meta-objective curvature for inner rate alpha.
 func (c Constants) Lemma1(alpha float64) (Curvature, error) {
 	if err := c.Validate(); err != nil {
@@ -87,16 +93,6 @@ func (c Constants) Lemma1(alpha float64) (Curvature, error) {
 // δ + αC(Hδ + Bσ + τ).
 func (c Constants) MetaDissimilarity(alpha float64) float64 {
 	return c.Delta + alpha*c.cOrDefault()*(c.H*c.Delta+c.B*c.Sigma+c.Tau)
-}
-
-// MaxBeta returns the largest meta learning rate admissible for Theorem 2:
-// β < min{1/(2μ′), 2/H′}.
-func (c Constants) MaxBeta(alpha float64) (float64, error) {
-	cv, err := c.Lemma1(alpha)
-	if err != nil {
-		return 0, err
-	}
-	return math.Min(1/(2*cv.MuPrime), 2/cv.HPrime), nil
 }
 
 // Schedule is an algorithm configuration to bound.
@@ -139,7 +135,7 @@ func ConvergenceBound(c Constants, s Schedule, initialGap float64) (Bound, error
 	if err != nil {
 		return Bound{}, err
 	}
-	maxBeta := math.Min(1/(2*cv.MuPrime), 2/cv.HPrime)
+	maxBeta := cv.MaxBeta()
 	if s.Beta <= 0 || s.Beta >= maxBeta {
 		return Bound{}, fmt.Errorf("%w: β=%v outside (0, %v)", ErrInadmissible, s.Beta, maxBeta)
 	}

@@ -136,11 +136,11 @@ func TestHFuncProperties(t *testing.T) {
 func TestConvergenceBoundStructure(t *testing.T) {
 	c := Constants{Mu: 1, H: 2, Delta: 0.1, B: 1}
 	alpha := c.MaxAlpha() / 2
-	maxBeta, err := c.MaxBeta(alpha)
+	cv, err := c.Lemma1(alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta := maxBeta / 4
+	beta := cv.MaxBeta() / 4
 
 	b, err := ConvergenceBound(c, Schedule{Alpha: alpha, Beta: beta, T: 100, T0: 10}, 5)
 	if err != nil {
