@@ -366,7 +366,7 @@ func printResilience(stats core.CommStats) {
 			stats.StaleApplied, stats.StaleDropped)
 	}
 	if stats.BudgetFiltered > 0 {
-		fmt.Printf("budget: %d node-rounds sat out over the energy/deadline budget\n", stats.BudgetFiltered)
+		fmt.Printf("budget: %d node-rounds sat out over the energy budget\n", stats.BudgetFiltered)
 	}
 }
 

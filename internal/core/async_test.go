@@ -38,9 +38,7 @@ func TestAsyncDegenerateMatchesSync(t *testing.T) {
 		{name: "q8", model: soft, mut: func(c *Config) { c.Codec = "q8" }},
 		{name: "topk", model: soft, mut: func(c *Config) { c.Codec = "topk" }},
 		{name: "mask-head2", model: mlp, mut: func(c *Config) { c.SyncMask = headMask }},
-		{name: "unbiased-sampling", model: soft, mut: func(c *Config) {
-			c.Participation, c.UnbiasedParticipation = 0.5, true
-		}},
+		{name: "sampling", model: soft, mut: func(c *Config) { c.Participation = 0.5 }},
 		{name: "t0-controller", model: soft, mut: func(c *Config) {
 			c.T0Controller = DispersionController(1, 10, 0.05)
 		}},

@@ -684,7 +684,6 @@ func TestResilienceConfigValidation(t *testing.T) {
 	good := Config{Alpha: 0.1, Beta: 0.1, T: 10, T0: 5}
 	bad := []Config{
 		func() Config { c := good; c.GuardRadius = -1; return c }(),
-		func() Config { c := good; c.ProbeTimeout = -time.Second; return c }(),
 		func() Config { c := good; c.CheckpointEvery = -1; return c }(),
 		func() Config { c := good; c.Resume = true; return c }(), // no path
 	}
@@ -698,9 +697,23 @@ func TestResilienceConfigValidation(t *testing.T) {
 	ok.CheckpointPath = "x"
 	ok.Resume = true
 	ok.CheckpointEvery = 2
-	ok.ProbeTimeout = time.Second
 	if err := ok.Validate(); err != nil {
 		t.Errorf("good resilience config rejected: %v", err)
+	}
+}
+
+// TestProbeTimeoutResolution: a suspect's re-probe deadline is a quarter of
+// RoundTimeout, floored at 1ms.
+func TestProbeTimeoutResolution(t *testing.T) {
+	for _, tc := range []struct{ round, want time.Duration }{
+		{2 * time.Second, 500 * time.Millisecond},
+		{4 * time.Millisecond, time.Millisecond},
+		{3 * time.Millisecond, time.Millisecond}, // 750µs, floored
+		{0, time.Millisecond},
+	} {
+		if got := resolveProbeTimeout(Config{RoundTimeout: tc.round}); got != tc.want {
+			t.Errorf("RoundTimeout %v: probe timeout %v, want %v", tc.round, got, tc.want)
+		}
 	}
 }
 

@@ -354,44 +354,3 @@ func TestNodeReportsParamSizeMismatch(t *testing.T) {
 	p.Close()
 	n.Close()
 }
-
-func TestStochasticMinibatchTraining(t *testing.T) {
-	fed := tinyFederation(t, 0, 0)
-	m := tinyModel(fed)
-	theta0 := m.InitParams(rng.New(8))
-	cfg := Config{Alpha: 0.01, Beta: 0.01, T: 100, T0: 10, Seed: 8, BatchSize: 4}
-	before := eval.GlobalMetaObjective(m, fed, cfg.Alpha, theta0)
-	res, err := Train(m, fed, theta0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := eval.GlobalMetaObjective(m, fed, cfg.Alpha, res.Theta)
-	if after >= before {
-		t.Errorf("stochastic training did not reduce G(θ): %v -> %v", before, after)
-	}
-
-	// Determinism: node minibatch streams derive from the seed.
-	res2, err := Train(m, fed, theta0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Theta.Dist(res2.Theta) != 0 {
-		t.Error("minibatch training is not deterministic")
-	}
-
-	// Different from full-batch training.
-	full, err := Train(m, fed, theta0, Config{Alpha: 0.01, Beta: 0.01, T: 100, T0: 10, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Theta.Dist(full.Theta) == 0 {
-		t.Error("BatchSize had no effect")
-	}
-}
-
-func TestBatchSizeValidation(t *testing.T) {
-	cfg := Config{Alpha: 0.01, Beta: 0.01, T: 10, T0: 5, BatchSize: -1}
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative BatchSize accepted")
-	}
-}

@@ -54,7 +54,6 @@ func RunDirector(shards []transport.Link, ranges []ShardRange, theta0 tensor.Vec
 		ranges:     ranges,
 		merge:      newMergeCore(ranges, len(theta0)),
 		shardStats: make([]CommStats, S),
-		fullW:      make([]float64, S),
 		shardDisp:  make([]float64, S),
 		alive:      make([]int, S),
 		meanBuf:    tensor.NewVec(len(theta0)),
@@ -89,11 +88,9 @@ type shardSource struct {
 	// root is the director's own accounting: the baseline restored from a
 	// resumed snapshot plus the global round counters the engine advances.
 	root CommStats
-	// Per shard, as last reported: cumulative accounting, the shard's slice
-	// of the unbiased estimator's denominator, within-shard dispersion, and
-	// alive count.
+	// Per shard, as last reported: cumulative accounting, within-shard
+	// dispersion, and alive count.
 	shardStats []CommStats
-	fullW      []float64
 	shardDisp  []float64
 	alive      []int
 	meanBuf    tensor.Vec
@@ -148,7 +145,6 @@ func (d *shardSource) collect(round, t0 int, theta tensor.Vec) (tensor.Vec, floa
 		}
 		p := m.Partial
 		d.shardStats[s] = p.Stats
-		d.fullW[s] = p.FullWeight
 		d.shardDisp[s] = p.Dispersion
 		d.alive[s] = p.Alive
 		if p.Count > 0 {
@@ -162,12 +158,6 @@ func (d *shardSource) collect(round, t0 int, theta tensor.Vec) (tensor.Vec, floa
 
 	sum, wsum, _ := d.merge.reduce()
 	return sum, wsum, totalCount, nil
-}
-
-// fullWeight folds the shards' slices of the unbiased denominator with the
-// merge recursion, reproducing the flat platform's scalar bit for bit.
-func (d *shardSource) fullWeight() float64 {
-	return foldRangeScalars(d.ranges, 0, len(d.ranges), d.fullW)
 }
 
 // dispersion is the hierarchical proxy: each contributing shard's
@@ -184,20 +174,4 @@ func (d *shardSource) dispersion(theta tensor.Vec, denom float64) float64 {
 		disp += d.merge.wts[s] / denom * (d.shardDisp[s] + d.meanBuf.Dist(theta))
 	}
 	return disp
-}
-
-// foldRangeScalars folds per-shard scalars over the shard-leaf slice [a, b)
-// with the merge recursion, so the result equals foldScalars over the
-// underlying global index range.
-func foldRangeScalars(ranges []ShardRange, a, b int, vals []float64) float64 {
-	if b-a == 1 {
-		return vals[a]
-	}
-	lo, hi := ranges[a].Lo, ranges[b-1].Hi
-	mid := lo + (hi-lo)/2
-	split := a + 1
-	for ranges[split].Lo != mid {
-		split++
-	}
-	return foldRangeScalars(ranges, a, split, vals) + foldRangeScalars(ranges, split, b, vals)
 }

@@ -413,7 +413,7 @@ func (ls *linkSet) markSuspect(i, round int, cause error) {
 }
 
 // markBudgetFiltered accounts a sampled node excluded from round because its
-// modeled cost (joules) exceeded the energy/deadline budget. Like the other
+// modeled cost (joules) exceeded the energy budget. Like the other
 // billing helpers, this is the only place counter or event side changes.
 func (ls *linkSet) markBudgetFiltered(i, round int, joules float64) {
 	ls.stats.BudgetFiltered++

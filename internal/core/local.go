@@ -62,8 +62,8 @@ func validateLocal(c *Config) error {
 	default:
 		return fmt.Errorf("core: unknown local rule %T", c.Local)
 	}
-	if c.Robust != nil || c.BatchSize > 0 {
-		return fmt.Errorf("core: Robust and BatchSize apply only to FedML (Local unset), not to %T", c.Local)
+	if c.Robust != nil {
+		return fmt.Errorf("core: Robust applies only to FedML (Local unset), not to %T", c.Local)
 	}
 	return nil
 }

@@ -338,7 +338,6 @@ func TestLocalRuleValidate(t *testing.T) {
 		{Alpha: 0.1, T: 10, T0: 5, Local: Reptile{Eps: math.NaN()}}, // ε not a number
 		{Beta: 0.1, T: 10, T0: 5, Local: &LocalSGD{}},               // not one of the rules
 		{Alpha: 0.1, Beta: 0.1, T: 10, T0: 5, Local: LocalSGD{}, Robust: robust},
-		{Alpha: 0.1, Beta: 0.1, T: 10, T0: 5, Local: RepShare{}, BatchSize: 4},
 	} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%+v accepted", c)

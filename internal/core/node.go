@@ -331,10 +331,6 @@ func (n *nodeState) localUpdates(global tensor.Vec, steps, round int) (tensor.Ve
 	for t := 0; t < steps; t++ {
 		n.iter++
 		train, test := n.data.Train, n.data.Test
-		if cfg.BatchSize > 0 {
-			train = data.Minibatch(n.rand, n.data.Train, cfg.BatchSize)
-			test = data.Minibatch(n.rand, n.data.Test, cfg.BatchSize)
-		}
 		// phi aliases workspace memory: valid until the next ws call,
 		// which is exactly the lifetime generateAdversarial needs.
 		var phi tensor.Vec

@@ -412,9 +412,8 @@ func lendCheckFleet(n, base int) []transport.Link {
 
 // TestSimNodeReplyNotReadAfterNextBroadcast: with every lent reply poisoned
 // at its link's next broadcast, θ is bit-identical to the plain run — flat
-// and sharded, under full participation, sampling, and the unbiased
-// (inverse-inclusion) estimator, where unsampled links keep a stale reply
-// across rounds.
+// and sharded, under full participation and under sampling, where unsampled
+// links keep a stale reply across rounds.
 func TestSimNodeReplyNotReadAfterNextBroadcast(t *testing.T) {
 	const n, rounds = 16, 6
 	theta0 := tensor.Vec{0.5, -1, 2, 0, 3}
@@ -423,20 +422,18 @@ func TestSimNodeReplyNotReadAfterNextBroadcast(t *testing.T) {
 		weights[i] = 1 + float64(i%3)
 	}
 	for _, tc := range []struct {
-		name              string
-		participation     float64
-		unbiased, sharded bool
+		name          string
+		participation float64
+		sharded       bool
 	}{
-		{"flat", 0, false, false},
-		{"flat_sampled", 0.5, false, false},
-		{"flat_unbiased", 0.5, true, false},
-		{"sharded", 0, false, true},
-		{"sharded_sampled", 0.5, false, true},
-		{"sharded_unbiased", 0.5, true, true},
+		{"flat", 0, false},
+		{"flat_sampled", 0.5, false},
+		{"sharded", 0, true},
+		{"sharded_sampled", 0.5, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Alpha: 0.01, Beta: 0.01, T: rounds, T0: 1, Seed: 3,
-				Participation: tc.participation, UnbiasedParticipation: tc.unbiased}
+				Participation: tc.participation}
 			run := func(fleet func(n, base int) []transport.Link) tensor.Vec {
 				if tc.sharded {
 					return runSharded(t, n, 4, nil, fleet, theta0, cfg)

@@ -69,16 +69,6 @@ func (s *participationSelector) pick(round int) []int {
 	return sel
 }
 
-// inclusionProb is the marginal probability that any given node is sampled
-// in a round (uniform over fixed-size subsets), the π of the
-// inverse-inclusion-probability correction. 1 under full participation.
-func (s *participationSelector) inclusionProb() float64 {
-	if s.src == nil {
-		return 1
-	}
-	return float64(s.perRound) / float64(s.n)
-}
-
 // selectAlive applies the round's sample to the current liveness mask,
 // falling back to every alive node when the sample missed all of them. The
 // result is the selector's reusable buffer, valid until the next call.
@@ -108,23 +98,21 @@ func budgetEnabled(b float64) bool {
 }
 
 // budgetPolicy is the opt-in budget-aware participation mode: it filters the
-// round's sampled nodes to those whose modeled per-round cost — energy under
-// the EnergyModel, wall-clock under the TimeModel — fits the configured
-// per-node budgets, so the Elgabli-style scheduling question ("who can
-// afford this round?") is answered before any radio turns on. It layers on
-// top of the round-keyed sampler rather than replacing it: with every
-// sampled node affordable (in particular whenever both budgets are
-// disabled), filter returns the selection slice untouched, which is what
-// makes the unbudgeted trajectory bit-identical to plain sampling.
+// round's sampled nodes to those whose modeled per-round energy under the
+// EnergyModel fits the configured per-node budget, so the Elgabli-style
+// scheduling question ("who can afford this round?") is answered before any
+// radio turns on. It layers on top of the round-keyed sampler rather than
+// replacing it: with every sampled node affordable (in particular whenever
+// the budget is disabled), filter returns the selection slice untouched,
+// which is what makes the unbudgeted trajectory bit-identical to plain
+// sampling.
 type budgetPolicy struct {
-	em       EnergyModel
-	budget   float64   // joules per node-round; constrains when budgetEnabled
-	scale    []float64 // per-node energy multipliers by global index; nil = 1
-	tm       TimeModel
-	deadline time.Duration // modeled per-round deadline; 0 = disabled
-	weights  []float64     // aggregation weights by local index
-	base     int
-	mask     *SyncMaskPolicy
+	em      EnergyModel
+	budget  float64   // joules per node-round; constrains when budgetEnabled
+	scale   []float64 // per-node energy multipliers by global index; nil = 1
+	weights []float64 // aggregation weights by local index
+	base    int
+	mask    *SyncMaskPolicy
 
 	// fullBytes and maskedBytes are the modeled one-way wire sizes of a
 	// parameter message before and after the sync mask engages, priced by
@@ -137,7 +125,7 @@ type budgetPolicy struct {
 // newBudgetPolicy builds the round filter, or nil when no budget constrains
 // the run (the bit-identity fast path costs nothing).
 func newBudgetPolicy(c Config, weights []float64, base, dim int) (*budgetPolicy, error) {
-	if !budgetEnabled(c.EnergyBudget) && c.RoundDeadline <= 0 {
+	if !budgetEnabled(c.EnergyBudget) {
 		return nil, nil
 	}
 	if c.EnergyScale != nil && len(c.EnergyScale) < base+len(weights) {
@@ -152,21 +140,17 @@ func newBudgetPolicy(c Config, weights []float64, base, dim int) (*budgetPolicy,
 		return nil, fmt.Errorf("core: budget wire model: %w", err)
 	}
 	bp := &budgetPolicy{
-		budget:   c.EnergyBudget,
-		scale:    c.EnergyScale,
-		deadline: c.RoundDeadline,
-		weights:  weights,
-		base:     base,
-		mask:     c.SyncMask,
+		budget:  c.EnergyBudget,
+		scale:   c.EnergyScale,
+		weights: weights,
+		base:    base,
+		mask:    c.SyncMask,
 
 		fullBytes:   fullBytes,
 		maskedBytes: fullBytes,
 	}
 	if c.Energy != nil {
 		bp.em = *c.Energy
-	}
-	if c.Time != nil {
-		bp.tm = *c.Time
 	}
 	if p := c.SyncMask; p != nil {
 		inner, err := codec.WireSize(spec, codec.MaskLen(p.Ranges))
@@ -197,17 +181,7 @@ func (b *budgetPolicy) nodeJoules(i, bytes, t0 int) float64 {
 	return s * b.em.RoundJoules(int64(bytes), int64(bytes), t0)
 }
 
-// nodeTime models a node's wall-clock share of one round under the
-// TimeModel, reusing Estimate's saturating arithmetic.
-func (b *budgetPolicy) nodeTime(bytes, t0 int) time.Duration {
-	d, err := b.tm.Estimate(CommStats{Rounds: 1, Messages: 2, Bytes: int64(2 * bytes)}, t0, 0)
-	if err != nil {
-		return 0 // validated at config time; unreachable
-	}
-	return d
-}
-
-// filter applies the budgets to the round's sampled nodes. Affordable nodes
+// filter applies the budget to the round's sampled nodes. Affordable nodes
 // pass through; unaffordable ones are handed to reject (which bills
 // CommStats.BudgetFiltered). When every sampled node is affordable the input
 // slice is returned untouched — the bit-identity guarantee. When none is,
@@ -220,15 +194,8 @@ func (b *budgetPolicy) filter(round, t0 int, selected []int, reject func(i int, 
 	nAfford := 0
 	for k, i := range selected {
 		joules[k] = b.nodeJoules(i, bytes, t0)
-		ok := true
-		if budgetEnabled(b.budget) && joules[k] > b.budget {
-			ok = false
-		}
-		if ok && b.deadline > 0 && b.nodeTime(bytes, t0) > b.deadline {
-			ok = false
-		}
-		afford[k] = ok
-		if ok {
+		afford[k] = joules[k] <= b.budget
+		if afford[k] {
 			nAfford++
 		}
 	}
@@ -267,12 +234,9 @@ func progressPerJoule(w, joules float64) float64 {
 }
 
 // resolveProbeTimeout resolves the per-operation suspect re-probe deadline:
-// ProbeTimeout when set, RoundTimeout/4 otherwise, floored at 1ms.
+// RoundTimeout/4, floored at 1ms.
 func resolveProbeTimeout(c Config) time.Duration {
-	probeTO := c.ProbeTimeout
-	if probeTO <= 0 {
-		probeTO = c.RoundTimeout / 4
-	}
+	probeTO := c.RoundTimeout / 4
 	if probeTO < time.Millisecond {
 		probeTO = time.Millisecond
 	}
@@ -293,18 +257,6 @@ func nextT0(c Config, round int, dispersion float64, t0, remaining int) int {
 		t0 = remaining
 	}
 	return t0
-}
-
-// foldScalars folds per-node scalars over global indices [lo, hi) with the
-// same midpoint recursion the aggregation core uses for vectors, so scalar
-// totals (e.g. the full-participation weight sum of the unbiased
-// correction) compose bit-exactly across the shard tree.
-func foldScalars(lo, hi int, f func(i int) float64) float64 {
-	if hi-lo == 1 {
-		return f(lo)
-	}
-	mid := lo + (hi-lo)/2
-	return foldScalars(lo, mid, f) + foldScalars(mid, hi, f)
 }
 
 // saveSnapshot persists the post-aggregation state of a round for crash

@@ -32,9 +32,6 @@ type roundSource interface {
 	// sum Σ w·u (valid until the next collect), the weight sum Σ w folded by
 	// the same merge rule, and the number of updates behind them.
 	collect(round, t0 int, theta tensor.Vec) (sum tensor.Vec, wsum float64, count int, err error)
-	// fullWeight is the full-participation weight sum Σ ω over every node of
-	// the source, the unbiased estimator's denominator.
-	fullWeight() float64
 	// dispersion measures the collected updates' spread around the new
 	// aggregate theta — the similarity proxy fed back to the T0 controller.
 	dispersion(theta tensor.Vec, denom float64) float64
@@ -191,19 +188,8 @@ func (e *roundEngine) run() (tensor.Vec, error) {
 // tail that reports and persists it.
 func (e *roundEngine) commit(round int, sum tensor.Vec, wsum float64, count int) error {
 	alive := e.src.aliveCount()
-	// Eq. 5 renormalizes over whoever responded. The unbiased correction
-	// instead has every sampled weight divided by its inclusion probability
-	// (nodeSource.accept) and normalizes by the full-participation weight
-	// sum, so the aggregate is unbiased over the sampling distribution. It
-	// engages only when sampling is active; under full participation both
-	// estimators coincide and the responder renormalization keeps its
-	// fault-tolerance semantics. Sources fold the full weight with the merge
-	// rule so flat and sharded runs stay bit-identical.
-	denom := wsum
-	if e.c.UnbiasedParticipation && e.c.samplingActive() {
-		denom = e.src.fullWeight()
-	}
-	if count == 0 || denom <= 0 {
+	// Eq. 5 renormalizes over whoever responded.
+	if count == 0 || wsum <= 0 {
 		if e.c.RoundTimeout == 0 {
 			return fmt.Errorf("core: round %d produced no usable updates (%d nodes alive)", round, alive)
 		}
@@ -227,11 +213,11 @@ func (e *roundEngine) commit(round int, sum tensor.Vec, wsum float64, count int)
 	if frozen {
 		e.frozenRef.CopyFrom(e.theta)
 	}
-	sum.ScaleInto(1/denom, e.theta)
+	sum.ScaleInto(1/wsum, e.theta)
 	if frozen {
 		restoreFrozen(e.theta, e.frozenRef, e.c.SyncMask.Ranges)
 	}
-	e.dispersion = e.src.dispersion(e.theta, denom)
+	e.dispersion = e.src.dispersion(e.theta, wsum)
 	e.iter += e.t0
 	var moved float64
 	if e.obs != nil {
@@ -261,14 +247,6 @@ type nodeSource struct {
 	bp  *budgetPolicy
 	agg *aggCore
 
-	// useHT engages the unbiased correction (see roundEngine.commit): every
-	// sampled weight is divided by the inclusion probability pi, and fullW,
-	// the full-participation weight sum over this source's index range, is
-	// the denominator it reports upstream.
-	useHT bool
-	pi    float64
-	fullW float64
-
 	// rd is the round context handed to the link layer, reused so a round
 	// allocates neither it nor its hooks.
 	rd nodeRound
@@ -292,14 +270,10 @@ func newNodeSource(c Config, links []transport.Link, weights []float64, base int
 	if wsum <= 0 {
 		return nil, fmt.Errorf("core: aggregation weights sum to %v", wsum)
 	}
-	selector := newParticipationSelector(c, len(links), uint64(base))
 	n := &nodeSource{
 		ls:       newLinkSet(c, links, base),
 		weights:  weights,
-		selector: selector,
-		useHT:    c.UnbiasedParticipation && c.samplingActive(),
-		pi:       selector.inclusionProb(),
-		fullW:    foldScalars(base, base+len(links), func(gi int) float64 { return weights[gi-base] }),
+		selector: newParticipationSelector(c, len(links), uint64(base)),
 	}
 	n.rd.accept = n.accept
 	return n, nil
@@ -314,13 +288,10 @@ func (n *nodeSource) size(dim int) (err error) {
 }
 
 // accept hands a vetted update from local link i to the aggregation core at
-// its effective weight: ω_i, inverse-probability corrected under unbiased
-// sampling, decayed by StalenessDecay^staleness for a late async update.
+// its effective weight: ω_i, decayed by StalenessDecay^staleness for a late
+// async update.
 func (n *nodeSource) accept(i int, u tensor.Vec, staleness int) {
 	w := n.weights[i]
-	if n.useHT {
-		w /= n.pi
-	}
 	if staleness > 0 {
 		w *= math.Pow(n.ls.c.StalenessDecay, float64(staleness))
 	}
@@ -328,7 +299,7 @@ func (n *nodeSource) accept(i int, u tensor.Vec, staleness int) {
 }
 
 // selectRound is the round's participant set: the sampler's pick among the
-// alive nodes, minus those the energy/deadline budget prices out.
+// alive nodes, minus those the energy budget prices out.
 func (n *nodeSource) selectRound(round, t0 int) []int {
 	selected := n.selector.selectAlive(round, n.ls.alive)
 	if n.bp != nil {
@@ -366,6 +337,5 @@ func (n *nodeSource) dispersion(theta tensor.Vec, denom float64) float64 {
 	return n.agg.dispersion(theta, denom)
 }
 
-func (n *nodeSource) fullWeight() float64 { return n.fullW }
-func (n *nodeSource) aliveCount() int     { return n.ls.aliveCnt }
-func (n *nodeSource) totals() CommStats   { return n.ls.stats }
+func (n *nodeSource) aliveCount() int   { return n.ls.aliveCnt }
+func (n *nodeSource) totals() CommStats { return n.ls.stats }

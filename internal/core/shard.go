@@ -131,7 +131,6 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 			NodeID: r.Lo,
 			Partial: &transport.Partial{
 				Weight:     selSum,
-				FullWeight: src.fullW,
 				Count:      count,
 				Dispersion: dispersion,
 				Alive:      ls.aliveCnt,

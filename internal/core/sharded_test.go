@@ -61,7 +61,7 @@ func TestShardedMatchesFlatBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 2, 3, 4} {
-				res, err := TrainSharded(m, fed, theta0.Clone(), tc.cfg, ShardedOptions{Shards: shards})
+				res, err := TrainSharded(m, fed, theta0.Clone(), tc.cfg, ShardedOptions{Ranges: ShardRanges(len(fed.Sources), shards)})
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -112,7 +112,7 @@ func TestShardedStatsParityUnderChaos(t *testing.T) {
 		},
 	}
 	res, err := TrainSharded(m, fed, nil, cfg, ShardedOptions{
-		Shards: 4,
+		Ranges: ShardRanges(len(fed.Sources), 4),
 		ShardObserver: func(shard int) obs.RoundObserver {
 			for len(recs) <= shard {
 				recs = append(recs, obs.NewRecorder())
@@ -153,7 +153,7 @@ func TestShardedWithSamplingConverges(t *testing.T) {
 	cfg := Config{Alpha: 0.01, Beta: 0.01, T: 100, T0: 10, Seed: 4, Participation: 0.5}
 
 	before := eval.GlobalMetaObjective(m, fed, cfg.Alpha, theta0)
-	res, err := TrainSharded(m, fed, theta0.Clone(), cfg, ShardedOptions{Shards: 2})
+	res, err := TrainSharded(m, fed, theta0.Clone(), cfg, ShardedOptions{Ranges: ShardRanges(len(fed.Sources), 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestShardedWithSamplingConverges(t *testing.T) {
 	}
 
 	// Sampling inside shards must still cut traffic vs full participation.
-	full, err := TrainSharded(m, fed, theta0.Clone(), Config{Alpha: 0.01, Beta: 0.01, T: 100, T0: 10, Seed: 4}, ShardedOptions{Shards: 2})
+	full, err := TrainSharded(m, fed, theta0.Clone(), Config{Alpha: 0.01, Beta: 0.01, T: 100, T0: 10, Seed: 4}, ShardedOptions{Ranges: ShardRanges(len(fed.Sources), 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestShardedRejectsBadLayout(t *testing.T) {
 		t.Fatal("misaligned shard layout accepted")
 	}
 	if _, err := TrainSharded(m, fed, nil, cfg, ShardedOptions{}); err == nil {
-		t.Fatal("zero shards with no layout accepted")
+		t.Fatal("empty shard layout accepted")
 	}
 }
 
@@ -203,7 +203,7 @@ func TestShardedCheckpointResume(t *testing.T) {
 
 	uncut := base
 	uncut.T = 100
-	want, err := TrainSharded(m, fed, nil, uncut, ShardedOptions{Shards: 2})
+	want, err := TrainSharded(m, fed, nil, uncut, ShardedOptions{Ranges: ShardRanges(len(fed.Sources), 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestShardedCheckpointResume(t *testing.T) {
 	first := base
 	first.T = 50
 	first.CheckpointPath = ck
-	if _, err := TrainSharded(m, fed, nil, first, ShardedOptions{Shards: 2}); err != nil {
+	if _, err := TrainSharded(m, fed, nil, first, ShardedOptions{Ranges: ShardRanges(len(fed.Sources), 2)}); err != nil {
 		t.Fatal(err)
 	}
 	second := base
 	second.T = 100
 	second.CheckpointPath = ck
 	second.Resume = true
-	got, err := TrainSharded(m, fed, nil, second, ShardedOptions{Shards: 2})
+	got, err := TrainSharded(m, fed, nil, second, ShardedOptions{Ranges: ShardRanges(len(fed.Sources), 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

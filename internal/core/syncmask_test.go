@@ -179,7 +179,6 @@ func TestConfigValidateBudgetAndMask(t *testing.T) {
 		func(c *Config) { c.EnergyBudget = 0 },
 		func(c *Config) { c.EnergyBudget = math.Inf(1) }, // +Inf = unlimited, no Energy model needed
 		func(c *Config) { c.EnergyBudget = 0.5; c.Energy = &EnergyModel{TxJPerByte: 1e-6} },
-		func(c *Config) { c.RoundDeadline = time.Second; c.Time = &TimeModel{OneWayLatency: time.Millisecond} },
 		func(c *Config) { c.SyncMask = mask },
 		func(c *Config) { c.EnergyScale = []float64{1, 2, 0.5} },
 	}
@@ -205,15 +204,11 @@ func TestConfigValidateBudgetAndMask(t *testing.T) {
 		func(c *Config) { c.EnergyBudget = 0.5 }, // finite budget without an Energy model
 		func(c *Config) { c.EnergyBudget = 0.5; c.Energy = &EnergyModel{TxJPerByte: -1} },
 		func(c *Config) { c.Energy = &EnergyModel{RxJPerByte: math.NaN()} },
-		func(c *Config) { c.RoundDeadline = -time.Second },
-		func(c *Config) { c.RoundDeadline = time.Second }, // deadline without a Time model
-		func(c *Config) { c.RoundDeadline = time.Second; c.Time = &TimeModel{OneWayLatency: -1} },
 		func(c *Config) { c.EnergyScale = []float64{1, 0, 1} },
 		func(c *Config) { c.EnergyScale = []float64{1, math.NaN()} },
 		func(c *Config) { c.EnergyScale = []float64{-2} },
 		func(c *Config) { c.SyncMask = &SyncMaskPolicy{Warmup: 0, Ranges: mask.Ranges} },
 		func(c *Config) { c.SyncMask = &SyncMaskPolicy{Warmup: 1} },
-		func(c *Config) { c.SyncMask = mask; c.Participation = 0.5; c.UnbiasedParticipation = true },
 	}
 	for i, mod := range bad {
 		c := ok
@@ -264,21 +259,6 @@ func TestBudgetPolicyFilter(t *testing.T) {
 	got = bp.filter(1, 0, sel, func(i int, _ float64) { rejected = append(rejected, i) })
 	if len(got) != 1 || got[0] != 1 || len(rejected) != 2 {
 		t.Errorf("backfill kept %v rejected %v, want [1] / the other two", got, rejected)
-	}
-
-	// Deadline constraint alone: 2 messages × 100ms latency > 150ms kills
-	// everyone, so backfill again keeps exactly the best node.
-	dl := Config{
-		Time:          &TimeModel{OneWayLatency: 100 * time.Millisecond},
-		RoundDeadline: 150 * time.Millisecond,
-	}
-	bp, err = newBudgetPolicy(dl, weights, 0, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = bp.filter(1, 0, sel, func(int, float64) {})
-	if len(got) != 1 {
-		t.Errorf("deadline backfill kept %v, want exactly one node", got)
 	}
 
 	// No constraint configured: no policy at all.
@@ -347,10 +327,6 @@ func TestBudgetUnlimitedBitIdentity(t *testing.T) {
 			c.EnergyBudget = 1e9
 		},
 		"infinite budget": func(c *Config) { c.EnergyBudget = math.Inf(1) },
-		"loose deadline": func(c *Config) {
-			c.Time = &TimeModel{OneWayLatency: time.Millisecond, BandwidthBps: 1e6}
-			c.RoundDeadline = time.Hour
-		},
 	} {
 		traj, comm := run(mod)
 		if comm != baseComm {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync"
 
 	"github.com/edgeai/fedml/internal/data"
@@ -13,12 +12,9 @@ import (
 
 // ShardedOptions shapes the two-tier topology built by TrainSharded.
 type ShardedOptions struct {
-	// Shards is the number of leaf shard aggregators. Used only when Ranges
-	// is nil; ShardRanges(n, Shards) plans the layout.
-	Shards int
-	// Ranges, when non-nil, is an explicit shard layout. It must tile the
-	// node index space with boundaries on merge-recursion split points
-	// (validateRanges); use ShardRanges to generate one.
+	// Ranges is the shard layout, one leaf aggregator per range. It must
+	// tile the node index space with boundaries on merge-recursion split
+	// points (validateRanges); ShardRanges generates one.
 	Ranges []ShardRange
 	// ShardObserver, when non-nil, supplies a per-shard observer for the
 	// shard aggregators' round and traffic events. Cfg.Observer stays with
@@ -66,12 +62,6 @@ func TrainSharded(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Confi
 		return nil, errAsyncSharded
 	}
 	ranges := opt.Ranges
-	if ranges == nil {
-		if opt.Shards < 1 {
-			return nil, errors.New("core: sharded training needs Shards >= 1 or an explicit Ranges layout")
-		}
-		ranges = ShardRanges(len(fed.Sources), opt.Shards)
-	}
 	if err := validateRanges(len(fed.Sources), ranges); err != nil {
 		return nil, err
 	}

@@ -164,56 +164,3 @@ func TestPowerLawSizes(t *testing.T) {
 		t.Error("zero-count sizes should be nil")
 	}
 }
-
-func TestMinibatch(t *testing.T) {
-	r := rng.New(7)
-	samples := mkSamples(20)
-
-	b := Minibatch(r, samples, 5)
-	if len(b) != 5 {
-		t.Fatalf("batch size = %d", len(b))
-	}
-	// Without replacement: all distinct.
-	seen := map[float64]bool{}
-	for _, s := range b {
-		if seen[s.X[0]] {
-			t.Fatal("minibatch drew a sample twice")
-		}
-		seen[s.X[0]] = true
-	}
-
-	// Oversized request returns a copy of everything.
-	full := Minibatch(r, samples, 100)
-	if len(full) != 20 {
-		t.Errorf("oversized batch = %d", len(full))
-	}
-	full[0].X[0] = 999
-	// The Sample struct is copied but shares X storage by design (samples
-	// are immutable by convention); just check the slice itself is fresh.
-	full[1] = Sample{}
-	if samples[1].X == nil {
-		t.Error("minibatch aliases the source slice headers")
-	}
-
-	if Minibatch(r, samples, 0) != nil {
-		t.Error("zero-size batch should be nil")
-	}
-	if Minibatch(r, nil, 5) != nil {
-		t.Error("empty source should give nil")
-	}
-}
-
-func TestMinibatchCoverage(t *testing.T) {
-	// Over many draws, every sample should appear.
-	r := rng.New(8)
-	samples := mkSamples(10)
-	seen := map[float64]bool{}
-	for i := 0; i < 200; i++ {
-		for _, s := range Minibatch(r, samples, 3) {
-			seen[s.X[0]] = true
-		}
-	}
-	if len(seen) != 10 {
-		t.Errorf("only %d/10 samples ever drawn", len(seen))
-	}
-}

@@ -83,9 +83,6 @@ type PartitionConfig struct {
 	ClassesPerNode int
 	// K is the few-shot training-split size per node.
 	K int
-	// MeanSamples/StdSamples parameterize power-law node sizes. Zero mean
-	// divides the pool evenly.
-	MeanSamples, StdSamples float64
 	// SourceFraction is the fraction of meta-training nodes (paper: 0.8).
 	SourceFraction float64
 	// Seed drives the assignment.
@@ -111,8 +108,6 @@ func BuildFederation(name string, samples []Sample, classes int, cfg PartitionCo
 		return nil, fmt.Errorf("data: K must be positive, got %d", cfg.K)
 	case cfg.SourceFraction <= 0 || cfg.SourceFraction >= 1:
 		return nil, fmt.Errorf("data: SourceFraction must be in (0,1), got %v", cfg.SourceFraction)
-	case cfg.MeanSamples < 0 || cfg.StdSamples < 0:
-		return nil, fmt.Errorf("data: negative node-size moments")
 	}
 
 	root := rng.New(cfg.Seed)
@@ -142,19 +137,10 @@ func BuildFederation(name string, samples []Sample, classes int, cfg PartitionCo
 		return s
 	}
 
-	// Per-node sizes.
-	var sizes []int
-	if cfg.MeanSamples > 0 {
-		sizes = PowerLawSizes(root.Split(1), cfg.Nodes, cfg.MeanSamples, cfg.StdSamples, cfg.K+2)
-	} else {
-		per := len(samples) / cfg.Nodes
-		if per < cfg.K+2 {
-			return nil, fmt.Errorf("data: %d samples over %d nodes leaves %d per node, need > K=%d", len(samples), cfg.Nodes, per, cfg.K)
-		}
-		sizes = make([]int, cfg.Nodes)
-		for i := range sizes {
-			sizes[i] = per
-		}
+	// Every node gets an even share of the pool.
+	per := len(samples) / cfg.Nodes
+	if per < cfg.K+2 {
+		return nil, fmt.Errorf("data: %d samples over %d nodes leaves %d per node, need > K=%d", len(samples), cfg.Nodes, per, cfg.K)
 	}
 
 	numSources := int(cfg.SourceFraction*float64(cfg.Nodes) + 0.5)
@@ -183,7 +169,7 @@ func BuildFederation(name string, samples []Sample, classes int, cfg PartitionCo
 				nodeClasses[j] = eligible[perm[j]]
 			}
 		}
-		nodeSamples := make([]Sample, sizes[i])
+		nodeSamples := make([]Sample, per)
 		for s := range nodeSamples {
 			nodeSamples[s] = drawFrom(nodeClasses[nodeRng.IntN(len(nodeClasses))])
 		}

@@ -99,8 +99,7 @@ func TestBuildFederationIID(t *testing.T) {
 func TestBuildFederationLabelSkew(t *testing.T) {
 	pool := importPool(10, 50)
 	fed, err := BuildFederation("csv", pool, 10, PartitionConfig{
-		Nodes: 12, ClassesPerNode: 2, K: 5,
-		MeanSamples: 30, StdSamples: 5, SourceFraction: 0.75, Seed: 2,
+		Nodes: 12, ClassesPerNode: 2, K: 5, SourceFraction: 0.75, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +117,7 @@ func TestBuildFederationLabelSkew(t *testing.T) {
 
 func TestBuildFederationDeterministic(t *testing.T) {
 	pool := importPool(3, 60)
-	cfg := PartitionConfig{Nodes: 6, ClassesPerNode: 2, K: 4, MeanSamples: 20, StdSamples: 4, SourceFraction: 0.5, Seed: 9}
+	cfg := PartitionConfig{Nodes: 6, ClassesPerNode: 2, K: 4, SourceFraction: 0.5, Seed: 9}
 	a, err := BuildFederation("x", pool, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -143,32 +142,36 @@ func TestBuildFederationDeterministic(t *testing.T) {
 }
 
 func TestBuildFederationRecyclesSmallPools(t *testing.T) {
-	// 2 classes x 10 samples but nodes demand ~40 each: pools must recycle
-	// rather than fail.
-	pool := importPool(2, 10)
+	// Class 1 has 2 samples but IID nodes draw about half of their 8 from
+	// it: its pool must recycle rather than fail.
+	pool := append(importPool(1, 30), Sample{X: []float64{1, 0}, Y: 1}, Sample{X: []float64{1, 1}, Y: 1})
 	fed, err := BuildFederation("small", pool, 2, PartitionConfig{
-		Nodes: 4, K: 3, MeanSamples: 40, StdSamples: 5, SourceFraction: 0.5, Seed: 3,
+		Nodes: 4, K: 3, SourceFraction: 0.5, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, nd := range fed.Sources {
+	total, class1 := 0, 0
+	for _, nd := range append(append([]*NodeDataset{}, fed.Sources...), fed.Targets...) {
 		total += nd.Size()
+		for _, s := range nd.All() {
+			if s.Y == 1 {
+				class1++
+			}
+		}
 	}
-	if total < 60 {
-		t.Errorf("recycling failed: only %d samples distributed", total)
+	if total != len(pool) || class1 <= 2 {
+		t.Errorf("recycling failed: %d samples distributed, %d from the 2-sample class", total, class1)
 	}
 }
 
 func TestBuildFederationRejections(t *testing.T) {
 	pool := importPool(3, 20)
 	cases := map[string]PartitionConfig{
-		"few nodes":      {Nodes: 1, K: 3, SourceFraction: 0.5},
-		"bad K":          {Nodes: 4, K: 0, SourceFraction: 0.5},
-		"bad fraction":   {Nodes: 4, K: 3, SourceFraction: 1},
-		"bad skew":       {Nodes: 4, K: 3, ClassesPerNode: 7, SourceFraction: 0.5},
-		"negative sizes": {Nodes: 4, K: 3, MeanSamples: -1, SourceFraction: 0.5},
+		"few nodes":    {Nodes: 1, K: 3, SourceFraction: 0.5},
+		"bad K":        {Nodes: 4, K: 0, SourceFraction: 0.5},
+		"bad fraction": {Nodes: 4, K: 3, SourceFraction: 1},
+		"bad skew":     {Nodes: 4, K: 3, ClassesPerNode: 7, SourceFraction: 0.5},
 	}
 	for name, cfg := range cases {
 		if _, err := BuildFederation("x", pool, 3, cfg); err == nil {
@@ -186,9 +189,9 @@ func TestBuildFederationRejections(t *testing.T) {
 		t.Error("insufficient even split accepted")
 	}
 	// Out-of-range label.
-	bad := importPool(3, 5)
+	bad := importPool(3, 10)
 	bad[0].Y = 9
-	if _, err := BuildFederation("x", bad, 3, PartitionConfig{Nodes: 4, K: 2, MeanSamples: 10, SourceFraction: 0.5}); err == nil {
+	if _, err := BuildFederation("x", bad, 3, PartitionConfig{Nodes: 4, K: 2, SourceFraction: 0.5}); err == nil {
 		t.Error("out-of-range label accepted")
 	}
 }
@@ -206,7 +209,7 @@ func TestBuildFederationEndToEndCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	fed, err := BuildFederation("csv", samples, classes, PartitionConfig{
-		Nodes: 6, ClassesPerNode: 2, K: 4, MeanSamples: 12, StdSamples: 2, SourceFraction: 0.5, Seed: 4,
+		Nodes: 6, ClassesPerNode: 2, K: 4, SourceFraction: 0.5, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,13 +42,11 @@ type ExtEnergyConfig struct {
 	// "datacenter"); ComputeJPerIter is its workload-dependent compute term.
 	Profile         string
 	ComputeJPerIter float64
-	// BudgetJ is the per-node per-round energy budget of the budgeted arm.
-	// Zero selects it automatically: 2x the modeled full-sync round cost of
-	// an unscaled node, so regular nodes always fit while the HungryScale
-	// node only fits once the mask discounts its traffic.
-	BudgetJ float64
 	// HungryScale is the energy multiplier of the last source node in the
-	// budgeted arm (a node with a power-hungry radio).
+	// budgeted arm (a node with a power-hungry radio). The arm's per-node
+	// per-round budget is 2x the modeled full-sync round cost of an
+	// unscaled node, so regular nodes always fit while the hungry node only
+	// fits once the mask discounts its traffic.
 	HungryScale float64
 	Seed        uint64
 }
@@ -179,12 +177,9 @@ func RunExtEnergy(cfg ExtEnergyConfig) (*ExtEnergyResult, error) {
 		}
 		if arm == "head+budget" {
 			// The modeled full-sync round cost of an unscaled node prices the
-			// auto budget; the hungry node only fits under the mask discount.
+			// budget; the hungry node only fits under the mask discount.
 			fullBytes := int64(8 * m.NumParams())
-			budget := cfg.BudgetJ
-			if budget <= 0 {
-				budget = 2 * em.RoundJoules(fullBytes, fullBytes, cfg.T0)
-			}
+			budget := 2 * em.RoundJoules(fullBytes, fullBytes, cfg.T0)
 			scale = make([]float64, len(fed.Sources))
 			for i := range scale {
 				scale[i] = 1

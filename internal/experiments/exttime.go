@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/edgeai/fedml/internal/codec"
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/eval"
 	"github.com/edgeai/fedml/internal/par"
@@ -35,11 +34,7 @@ type ExtTimeConfig struct {
 	TargetG float64
 	// LocalStepTime models one local meta-iteration's compute cost.
 	LocalStepTime time.Duration
-	// Codec is the wire codec of the modeled runs ("" = raw []float64).
-	// It shapes both the training trajectory and the per-message byte
-	// price fed to the TimeModel.
-	Codec string
-	Seed  uint64
+	Seed          uint64
 }
 
 // DefaultExtTimeConfig returns the experiment configuration.
@@ -88,13 +83,7 @@ func RunExtTime(cfg ExtTimeConfig) (*ExtTimeResult, error) {
 		return nil, fmt.Errorf("ext-time data: %w", err)
 	}
 	m := softmaxModel(fed)
-	// Price messages at the codec's steady-state encoded size, not at the
-	// raw 8 B/param width — a q8 run moves ~1 B/param and the what-if
-	// estimate must see that discount or it overstates transfer time ~8×.
-	paramBytes, err := codec.WireSize(cfg.Codec, m.NumParams())
-	if err != nil {
-		return nil, fmt.Errorf("ext-time codec: %w", err)
-	}
+	paramBytes := 8 * m.NumParams() // raw []float64 messages
 
 	type point struct {
 		iters, rounds int
@@ -113,7 +102,6 @@ func RunExtTime(cfg ExtTimeConfig) (*ExtTimeResult, error) {
 		var pts []point
 		trainCfg := core.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: cfg.Seed,
-			Codec: cfg.Codec,
 			OnRound: func(round, iter int, theta tensor.Vec) {
 				pts = append(pts, point{
 					iters:  iter,

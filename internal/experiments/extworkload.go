@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/data"
@@ -22,10 +21,8 @@ import (
 // and each is scored on the personalized-vs-global split over held-out
 // target nodes:
 //
-//	fedml     meta-learned initialization — composable with the
-//	          codec/sync-mask/async knobs so the matrix exercises the whole
-//	          stack, and the arm whose accuracy/traffic trajectory is
-//	          recorded ext-codec style
+//	fedml     meta-learned initialization, and the arm whose
+//	          accuracy/traffic trajectory is recorded ext-codec style
 //	fedavg    single global fit, the paper's baseline (core.LocalSGD)
 //	fedprox   global fit with the proximal term (core.LocalSGD, μ > 0)
 //	repshare  structurally personalized: shared representation, private
@@ -56,14 +53,8 @@ type ExtWorkloadConfig struct {
 	// column.
 	AdaptSteps int
 	// Mu is FedProx's proximal coefficient.
-	Mu float64
-	// Codec, SyncMask, and Async thread the platform knobs through the
-	// fedml arm: wire codec spec ("" = raw), partial-sync mask spec (e.g.
-	// "head:2", "" = full sync), and buffered-async aggregation.
-	Codec    string
-	SyncMask string
-	Async    bool
-	Seed     uint64
+	Mu   float64
+	Seed uint64
 }
 
 // DefaultExtWorkloadConfig returns the matrix configuration for a workload.
@@ -120,11 +111,8 @@ type ExtWorkloadResult struct {
 	Pers []eval.Personalization
 	KiB  []float64
 	// AccVsKiB is the fedml arm's adapted accuracy against cumulative wire
-	// KiB (ext-codec style); Codec/MaskSpec record the knobs it ran under.
+	// KiB (ext-codec style).
 	AccVsKiB *eval.Series
-	Codec    string
-	MaskSpec string
-	Async    bool
 }
 
 // RunExtWorkload trains the four algorithms on the same workload federation
@@ -153,7 +141,6 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 		if arm == "fedml" {
 			rec = obs.NewRecorder()
 			trainCfg.Alpha, trainCfg.Beta = cfg.Alpha, cfg.Beta
-			trainCfg.Codec = cfg.Codec
 			trainCfg.Observer = rec
 			trainCfg.OnRound = func(_, iter int, th tensor.Vec) {
 				accs := eval.FinalAccuraciesN(m, th, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
@@ -162,17 +149,6 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 					s += a
 				}
 				accByIter[iter] = s / float64(len(accs))
-			}
-			if cfg.SyncMask != "" {
-				mask, err := core.ResolveSyncMask(cfg.SyncMask, m)
-				if err != nil {
-					return fmt.Errorf("ext-%s mask: %w", cfg.Workload, err)
-				}
-				trainCfg.SyncMask = mask
-			}
-			if cfg.Async {
-				trainCfg.Async = true
-				trainCfg.RoundTimeout = 30 * time.Second
 			}
 		} else {
 			trainCfg.Beta = cfg.Eta
@@ -183,12 +159,8 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 		}
 		kib[c] = float64(res.Comm.Bytes) / 1024
 		if rec != nil {
-			spec := cfg.Codec
-			if spec == "" {
-				spec = "raw"
-			}
-			curve := &eval.Series{Name: "fedml/" + spec}
-			for _, p := range eval.TrafficTrajectory(spec, rec.Rounds()).Points {
+			curve := &eval.Series{Name: "fedml/raw"}
+			for _, p := range eval.TrafficTrajectory("raw", rec.Rounds()).Points {
 				if acc, ok := accByIter[p.Iter]; ok {
 					curve.Add(int(p.Value/1024), acc)
 				}
@@ -210,9 +182,6 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 		Pers:     pers,
 		KiB:      kib,
 		AccVsKiB: accVsKiB,
-		Codec:    cfg.Codec,
-		MaskSpec: cfg.SyncMask,
-		Async:    cfg.Async,
 	}, nil
 }
 
@@ -220,17 +189,7 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 // trajectory, then the personalization matrix.
 func (r *ExtWorkloadResult) Render() string {
 	var b strings.Builder
-	knobs := ""
-	if r.Codec != "" {
-		knobs += " codec=" + r.Codec
-	}
-	if r.MaskSpec != "" {
-		knobs += " mask=" + r.MaskSpec
-	}
-	if r.Async {
-		knobs += " async"
-	}
-	fmt.Fprintf(&b, "Extension: %s workload — personalized vs global accuracy on held-out nodes%s\n", r.Workload, knobs)
+	fmt.Fprintf(&b, "Extension: %s workload — personalized vs global accuracy on held-out nodes\n", r.Workload)
 	if r.AccVsKiB != nil {
 		fmt.Fprintf(&b, "arm %s (KiB -> mean adapted target accuracy, total %.1f KiB)\n", r.AccVsKiB.Name, r.KiB[0])
 		b.WriteString(r.AccVsKiB.TSV())

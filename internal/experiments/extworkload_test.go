@@ -58,38 +58,6 @@ func TestExtWorkloadAcceptance(t *testing.T) {
 	}
 }
 
-// TestExtWorkloadPlatformKnobs verifies the fedml arm composes with the
-// platform stack: a q8 codec plus a head-only sync mask must still train,
-// still produce the matrix, and move fewer wire bytes than the raw run.
-func TestExtWorkloadPlatformKnobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training runs are slow")
-	}
-	base := DefaultExtWorkloadConfig("fault", ScaleCI)
-	base.T = 60
-	raw, err := RunExtWorkload(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knobbed := base
-	knobbed.Codec = "q8"
-	knobbed.SyncMask = "head:2"
-	res, err := RunExtWorkload(knobbed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AccVsKiB == nil || !strings.Contains(res.AccVsKiB.Name, "q8") {
-		t.Errorf("trajectory not labeled with the codec: %+v", res.AccVsKiB)
-	}
-	if res.KiB[0] >= raw.KiB[0] {
-		t.Errorf("q8+mask moved %.1f KiB, raw %.1f KiB — knobs not applied", res.KiB[0], raw.KiB[0])
-	}
-	out := res.Render()
-	if !strings.Contains(out, "codec=q8") || !strings.Contains(out, "mask=head:2") {
-		t.Errorf("render missing knob labels:\n%s", out)
-	}
-}
-
 func TestExtWorkloadRejectsUnknownWorkload(t *testing.T) {
 	cfg := DefaultExtWorkloadConfig("images", ScaleCI)
 	if _, err := RunExtWorkload(cfg); err == nil {

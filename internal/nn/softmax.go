@@ -22,9 +22,6 @@ type SoftmaxRegression struct {
 	In, Classes int
 	// L2 is the λ₂ regularization coefficient (may be zero).
 	L2 float64
-	// InitScale is the standard deviation of the weight initialization
-	// (biases start at zero). Zero means 0.01.
-	InitScale float64
 }
 
 var _ Model = (*SoftmaxRegression)(nil)
@@ -226,15 +223,11 @@ func (m *SoftmaxRegression) InputGradInto(ws Workspace, params tensor.Vec, smp d
 // NumParams implements Model.
 func (m *SoftmaxRegression) NumParams() int { return m.Classes*m.In + m.Classes }
 
-// InitParams implements Model.
+// InitParams implements Model: weights drawn from N(0, 0.01²), biases zero.
 func (m *SoftmaxRegression) InitParams(r *rng.Rand) tensor.Vec {
-	scale := m.InitScale
-	if scale == 0 {
-		scale = 0.01
-	}
 	p := tensor.NewVec(m.NumParams())
 	for i := 0; i < m.Classes*m.In; i++ {
-		p[i] = r.Norm() * scale
+		p[i] = r.Norm() * 0.01
 	}
 	return p
 }

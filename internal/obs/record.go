@@ -64,7 +64,7 @@ type RoundRecord struct {
 	StaleApplied int `json:"stale_applied,omitempty"`
 	StaleDropped int `json:"stale_dropped,omitempty"`
 	// BudgetFiltered is this round's count of sampled nodes excluded by the
-	// energy/deadline budget.
+	// energy budget.
 	BudgetFiltered int `json:"budget_filtered,omitempty"`
 	// Nodes carries per-node compute timings, in arrival order.
 	Nodes []NodeTiming `json:"nodes,omitempty"`

@@ -48,8 +48,8 @@ type Totals struct {
 	// staleness exceeded MaxStaleness. Always zero on the sync path.
 	StaleDropped int `json:"stale_dropped"`
 	// BudgetFiltered counts sampled nodes excluded from a round because
-	// their modeled energy or time cost exceeded the per-round budget
-	// (core.Config.EnergyBudget / RoundDeadline). A filtered node stays in
+	// their modeled energy cost exceeded the per-round energy budget
+	// (core.Config.EnergyBudget). A filtered node stays in
 	// the federation and may participate again — e.g. once the sync mask
 	// shrinks the per-round traffic below its budget.
 	BudgetFiltered int `json:"budget_filtered"`

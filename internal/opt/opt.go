@@ -83,11 +83,18 @@ func (m *Momentum) Reset() { m.velocity = nil }
 // Name implements Optimizer.
 func (m *Momentum) Name() string { return "momentum" }
 
+// Adam's moment decays and denominator floor: Kingma and Ba's standard
+// values.
+const (
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+)
+
 // Adam is the Kingma–Ba adaptive optimizer with bias correction.
 type Adam struct {
-	// LR is the step size; Beta1/Beta2 the moment decays (0 means the
-	// standard 0.9/0.999); Eps the denominator floor (0 means 1e-8).
-	LR, Beta1, Beta2, Eps float64
+	// LR is the step size.
+	LR float64
 
 	m, v tensor.Vec
 	t    int
@@ -100,19 +107,6 @@ func (a *Adam) Step(params, grad tensor.Vec) error {
 	if err := check(a.LR, params, grad); err != nil {
 		return err
 	}
-	b1, b2, eps := a.Beta1, a.Beta2, a.Eps
-	if b1 == 0 {
-		b1 = 0.9
-	}
-	if b2 == 0 {
-		b2 = 0.999
-	}
-	if eps == 0 {
-		eps = 1e-8
-	}
-	if b1 < 0 || b1 >= 1 || b2 < 0 || b2 >= 1 {
-		return fmt.Errorf("opt: adam betas (%v, %v) outside [0, 1)", b1, b2)
-	}
 	if a.m == nil {
 		a.m = tensor.NewVec(len(params))
 		a.v = tensor.NewVec(len(params))
@@ -120,14 +114,14 @@ func (a *Adam) Step(params, grad tensor.Vec) error {
 		return fmt.Errorf("opt: optimizer built for %d params, got %d", len(a.m), len(params))
 	}
 	a.t++
-	c1 := 1 - math.Pow(b1, float64(a.t))
-	c2 := 1 - math.Pow(b2, float64(a.t))
+	c1 := 1 - math.Pow(adamBeta1, float64(a.t))
+	c2 := 1 - math.Pow(adamBeta2, float64(a.t))
 	for i := range params {
-		a.m[i] = b1*a.m[i] + (1-b1)*grad[i]
-		a.v[i] = b2*a.v[i] + (1-b2)*grad[i]*grad[i]
+		a.m[i] = adamBeta1*a.m[i] + (1-adamBeta1)*grad[i]
+		a.v[i] = adamBeta2*a.v[i] + (1-adamBeta2)*grad[i]*grad[i]
 		mHat := a.m[i] / c1
 		vHat := a.v[i] / c2
-		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + eps)
+		params[i] -= a.LR * mHat / (math.Sqrt(vHat) + adamEps)
 	}
 	return nil
 }

@@ -88,9 +88,6 @@ type ChaosConfig struct {
 	// CorruptProb is the probability that a node→platform payload is
 	// corrupted (NaN/Inf injection, exponent bit-flip, or norm explosion).
 	CorruptProb float64
-	// SendErrProb is the probability that a platform→node Send fails with a
-	// transient ErrInjected instead of transmitting.
-	SendErrProb float64
 	// Latency and Jitter delay every delivered message by
 	// Latency + |N(0,1)|·Jitter.
 	Latency time.Duration
@@ -101,8 +98,8 @@ type ChaosConfig struct {
 }
 
 // Chaos wraps the platform-side endpoint of a Link with deterministic,
-// seeded fault injection: message drops, payload corruption, transient send
-// errors, latency, and scripted kill/revive/partition scenarios. It tracks
+// seeded fault injection: message drops, payload corruption, latency, and
+// scripted send-error/kill/revive/partition scenarios. It tracks
 // the protocol round from outbound KindParams messages, so scenarios are
 // expressed in the same round numbers the training loop uses.
 //
@@ -196,10 +193,8 @@ func (c *Chaos) Send(m Msg) error {
 	if m.Kind == KindParams {
 		c.observeRound(m.Round)
 	}
-	if c.sendErrNext > 0 || (c.cfg.SendErrProb > 0 && c.rand.Float64() < c.cfg.SendErrProb) {
-		if c.sendErrNext > 0 {
-			c.sendErrNext--
-		}
+	if c.sendErrNext > 0 {
+		c.sendErrNext--
 		c.Errored++
 		c.mu.Unlock()
 		return fmt.Errorf("chaos send: %w", ErrInjected)

@@ -340,22 +340,23 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		return out
 	}
 	cases := map[string][]byte{
-		"length over MaxFrameBytes":   putU32(good, 0, MaxFrameBytes+1),
-		"length 4 GiB":                putU32(good, 0, math.MaxUint32),
-		"length under the header":     putU32(good, 0, headerSize-1),
-		"length zero":                 putU32(good, 0, 0),
-		"length one short":            putU32(good, 0, uint32(len(good)-prefixSize-1)),
-		"length one long":             putU32(good, 0, uint32(len(good)-prefixSize+1)),
-		"payload length one long":     putU32(good, offNPayload, 4),
-		"err length without an err":   putU32(good, offNErr, 1),
-		"nParams*8 overflows 32 bits": putU32(good, offNParams, 1<<29+2),
-		"nParams max":                 putU32(good, offNParams, math.MaxUint32),
-		"version 0":                   setByte(offVersion, 0),
-		"version 1 (gob era)":         setByte(offVersion, 1),
-		"version from the future":     setByte(offVersion, frameVersion+1),
-		"reserved flag bit 1":         setByte(offFlags, 1<<1),
-		"reserved flag bit 7":         setByte(offFlags, 1<<7),
-		"partial flag without block":  setByte(offFlags, flagPartial),
+		"length over MaxFrameBytes":        putU32(good, 0, MaxFrameBytes+1),
+		"length 4 GiB":                     putU32(good, 0, math.MaxUint32),
+		"length under the header":          putU32(good, 0, headerSize-1),
+		"length zero":                      putU32(good, 0, 0),
+		"length one short":                 putU32(good, 0, uint32(len(good)-prefixSize-1)),
+		"length one long":                  putU32(good, 0, uint32(len(good)-prefixSize+1)),
+		"payload length one long":          putU32(good, offNPayload, 4),
+		"err length without an err":        putU32(good, offNErr, 1),
+		"nParams*8 overflows 32 bits":      putU32(good, offNParams, 1<<29+2),
+		"nParams max":                      putU32(good, offNParams, math.MaxUint32),
+		"version 0":                        setByte(offVersion, 0),
+		"version 1 (gob era)":              setByte(offVersion, 1),
+		"version 2 (15-u64 Partial block)": setByte(offVersion, 2),
+		"version from the future":          setByte(offVersion, frameVersion+1),
+		"reserved flag bit 1":              setByte(offFlags, 1<<1),
+		"reserved flag bit 7":              setByte(offFlags, 1<<7),
+		"partial flag without block":       setByte(offFlags, flagPartial),
 	}
 	for name, wire := range cases {
 		l := NewConnLink(script(wire))
@@ -371,6 +372,9 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	}
 	if _, err := recvBytes(good); err != nil {
 		t.Fatalf("unmodified frame: %v", err)
+	}
+	if _, err := recvBytes(setByte(offVersion, 2)); err == nil || !strings.Contains(err.Error(), "format version 2, this binary speaks 3") {
+		t.Errorf("version-2 frame: Recv = %v, want it refused by name", err)
 	}
 }
 

@@ -9,13 +9,13 @@ import (
 
 // goldenPartialFrame is the exact frame Send writes for the KindPartial
 // message in TestFramePartialGolden: the length prefix, the header one u32
-// per row, then the two parameters and the 15 Partial-block fields one u64
+// per row, then the two parameters and the 14 Partial-block fields one u64
 // per row. The round-trip tests cannot see a field order changed on both the
 // encode and the decode side; these bytes can. A layout change bumps
 // frameVersion instead of editing this.
 const goldenPartialFrame = `
-a8 00 00 00
-02 05 01 00
+a0 00 00 00
+03 05 01 00
 06 00 00 00
 01 00 00 00
 00 00 00 00
@@ -26,9 +26,9 @@ a8 00 00 00
 00 00 00 00 00 00 e0 3f
 00 00 00 00 00 00 e0 bf
 00 00 00 00 00 00 f4 bf
-00 00 00 00 00 00 02 c0
-00 00 00 00 fa ff ff ff
-00 00 00 00 00 00 11 c0
+00 00 00 00 fc ff ff ff
+00 00 00 00 00 00 0a c0
+00 00 00 00 f8 ff ff ff
 00 00 00 00 f6 ff ff ff
 00 00 00 00 f4 ff ff ff
 00 00 00 00 f2 ff ff ff
@@ -38,8 +38,7 @@ a8 00 00 00
 00 00 00 00 ea ff ff ff
 00 00 00 00 e8 ff ff ff
 00 00 00 00 e6 ff ff ff
-00 00 00 00 e4 ff ff ff
-00 00 00 00 e2 ff ff ff`
+00 00 00 00 e4 ff ff ff`
 
 // TestFramePartialGolden pins a KindPartial frame byte for byte, with every
 // Partial leaf distinct and using all 64 bits (fullPartial), so the block's

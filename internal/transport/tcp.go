@@ -21,7 +21,7 @@ import (
 //	[nParams × u64]                  Params as raw IEEE-754 bits
 //	[nPayload bytes]                 Payload
 //	[codec name][err]                lengths in the header
-//	[120-byte Partial block]         only when flagPartial is set
+//	[112-byte Partial block]         only when flagPartial is set
 //
 // The section lengths in the header must add up exactly to the frame length,
 // so a receiver knows every size before it allocates anything.
@@ -35,12 +35,13 @@ const (
 	// negotiation, a peer with another version is refused. The binaries
 	// before this format streamed encoding/gob, whose type descriptor for
 	// Msg puts 0x01 at the version offset — so gob is, in effect, format 1,
-	// and such a peer gets the version error instead of a misparse.
-	frameVersion = 2
+	// and such a peer gets the version error instead of a misparse. Format 2
+	// had one more u64 in the Partial block.
+	frameVersion = 3
 
 	prefixSize  = 4
 	headerSize  = 32
-	partialSize = 5*8 + obs.BlockSize // 5 fields × 8 bytes, then Stats; see appendPartial
+	partialSize = 4*8 + obs.BlockSize // 4 fields × 8 bytes, then Stats; see appendPartial
 
 	// flagPartial marks a frame that ends with a Partial block. Every other
 	// flag bit is reserved and must be zero.
@@ -201,8 +202,7 @@ func parseHeader(b []byte) header {
 // (obs.Totals.AppendBlock).
 func appendPartial(b []byte, p *Partial) []byte {
 	for _, v := range [...]uint64{
-		math.Float64bits(p.Weight), math.Float64bits(p.FullWeight), uint64(p.Count),
-		math.Float64bits(p.Dispersion), uint64(p.Alive),
+		math.Float64bits(p.Weight), uint64(p.Count), math.Float64bits(p.Dispersion), uint64(p.Alive),
 	} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
@@ -212,7 +212,7 @@ func appendPartial(b []byte, p *Partial) []byte {
 func parsePartial(b []byte) *Partial {
 	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
 	f := func(i int) float64 { return math.Float64frombits(u(i)) }
-	p := &Partial{Weight: f(0), FullWeight: f(1), Count: int(u(2)), Dispersion: f(3), Alive: int(u(4))}
+	p := &Partial{Weight: f(0), Count: int(u(1)), Dispersion: f(2), Alive: int(u(3))}
 	p.Stats.ReadBlock(b[partialSize-obs.BlockSize:])
 	return p
 }

@@ -110,10 +110,6 @@ type Partial struct {
 	// Weight is the merge-rule-folded sum of the aggregation weights of
 	// the updates inside the partial sum (0 when Count is 0).
 	Weight float64
-	// FullWeight is the merge-rule-folded weight total of every node the
-	// shard owns, responding or not — the denominator contribution of the
-	// unbiased-participation estimator.
-	FullWeight float64
 	// Count is the number of node updates aggregated into the partial sum.
 	// Zero means the shard contributed nothing this round and Msg.Params
 	// is empty.
