@@ -28,7 +28,9 @@ all: build vet test
 # (DESIGN.md §13). The next two keep one model contract (DESIGN.md §6). The
 # last keeps the traffic counters declared once, as obs.Totals: a struct
 # field named SkippedRounds anywhere outside internal/obs is a mirror of the
-# counter set coming back (DESIGN.md §9).
+# counter set coming back (DESIGN.md §9). The arm64 vet and build compile
+# internal/tensor's !amd64 kernel file, the only path off amd64, so the
+# fallback for the AVX2 assembly cannot rot unseen (DESIGN.md §13).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -60,6 +62,8 @@ check:
 		| grep -v -e '^./internal/obs/'); if [ -n "$$hits" ]; then \
 		echo "counter field declared outside internal/obs (one counter set, obs.Totals; see DESIGN.md §9):"; echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -short ./...
 
 # The repo's benchmark (BENCHMARK.json): six workloads that each stress one

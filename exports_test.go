@@ -3,6 +3,7 @@ package fedml_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -51,8 +52,9 @@ type module struct {
 	files []srcFile
 }
 
-// loadModule parses every non-test Go file of the module once (cmd/,
-// examples/ and bench/ included); both guards read this one parse.
+// loadModule parses every non-test Go file of the module that this build
+// compiles, once (cmd/, examples/ and bench/ included); both guards read
+// this one parse.
 var loadModule = sync.OnceValues(func() (module, error) {
 	m := module{fset: token.NewFileSet()}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -67,6 +69,12 @@ var loadModule = sync.OnceValues(func() (module, error) {
 		}
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
+		}
+		// Only the files this build compiles: a package may declare one
+		// name per GOARCH (internal/tensor's kernels_amd64.go and
+		// kernels_other.go), and the type check sees one of them.
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(m.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {

@@ -323,6 +323,211 @@ func TestBatchKernelsSpecialValues(t *testing.T) {
 	}
 }
 
+// kernelPath is one implementation of the batch primitives. The Go path
+// calls the Go loops directly; the dispatch path calls what the exported
+// kernels call, which is the AVX2 assembly wherever useAVX2 is set.
+type kernelPath struct {
+	name        string
+	axpy        func(v Vec, c float64, w Vec)
+	axpy4       func(acc Vec, c0, c1, c2, c3 float64, y0, y1, y2, y3 Vec)
+	axpyRows4   func(y Vec, c0, c1, c2, c3 float64, r0, r1, r2, r3 Vec)
+	mulVecBatch func(m *Mat, xs []Vec, bias Vec, outs []Vec)
+}
+
+var kernelPaths = []kernelPath{
+	{"go", axpyGo, axpy4Go, axpyRows4Go, (*Mat).mulVecBatchGo},
+	{"avx2", axpy, axpy4, axpyRows4, (*Mat).mulVecBatch},
+}
+
+// forEachPath runs f once per kernel path. The AVX2 half skips only where
+// the CPU (or GOARCH) has no AVX2, since the dispatchers then run the Go
+// loops the first half already covered.
+func forEachPath(t *testing.T, f func(t *testing.T, p kernelPath)) {
+	for _, p := range kernelPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if p.name == "avx2" && !useAVX2 {
+				t.Skip("CPUID reports no AVX2 with OS-enabled YMM state (or GOARCH is not amd64): the Go loops are the only path")
+			}
+			f(t, p)
+		})
+	}
+}
+
+// operandMix overwrites some elements of v with the values the assembly
+// must treat exactly as the Go loop does: subnormals everywhere (their
+// products underflow further), and, at the positions special selects,
+// ±0, ±Inf and NaN. Element k gets a special only where special(k) is
+// true, so a caller can keep every output element to at most one NaN or
+// Inf operand.
+func operandMix(v Vec, special func(k int) bool) {
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0}
+	subnormals := []float64{5e-324, -3e-310, 2.2250738585072e-308, -1e-320}
+	for k := range v {
+		switch {
+		case special(k):
+			v[k] = specials[k%len(specials)]
+		case k%3 == 1:
+			v[k] = subnormals[k%len(subnormals)]
+		}
+	}
+}
+
+// coeffCombos returns all 16 zero/non-zero patterns of four coefficients.
+// The non-zero ones include a subnormal; the zeros alternate +0 and −0.
+func coeffCombos() [][4]float64 {
+	nonZero := [4]float64{-0.75, 3e-310, 2.5, -1.25}
+	var out [][4]float64
+	for mask := 0; mask < 16; mask++ {
+		var c [4]float64
+		for l := range c {
+			c[l] = nonZero[l]
+			if mask>>l&1 == 1 {
+				c[l] = 0
+				if (mask+l)%2 == 1 {
+					c[l] = math.Copysign(0, -1)
+				}
+			}
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// The vector primitives at every length 0…13 (every tail of a four-lane
+// loop, with and without a full block before it) and one long length,
+// against one-accumulator loops. A zero coefficient in axpy4 and axpyRows4
+// skips its term; axpy (Vec.Axpy) skips nothing.
+func TestVectorPrimitivesMatchOracle(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 360}
+	forEachPath(t, func(t *testing.T, p kernelPath) {
+		for _, n := range lengths {
+			seed := uint64(11 + n)
+			acc := lcgAccumulator(1, n, &seed).Data // −0 in every third element
+			ys := lcgVecs(4, n, &seed)
+			for l, y := range ys {
+				operandMix(y, func(k int) bool { return k%4 == l && k%3 == 0 })
+			}
+			for ci, c := range coeffCombos() {
+				what := fmt.Sprintf("len %d coefficients %d", n, ci)
+
+				got, want := acc.Clone(), acc.Clone()
+				p.axpy(got, c[0], ys[0])
+				for k := range want {
+					want[k] += c[0] * ys[0][k]
+				}
+				requireSameBits(t, "axpy "+what, got, want)
+
+				got, want = acc.Clone(), acc.Clone()
+				p.axpy4(got, c[0], c[1], c[2], c[3], ys[0], ys[1], ys[2], ys[3])
+				for l := range c {
+					if c[l] == 0 {
+						continue
+					}
+					for k := range want {
+						want[k] += c[l] * ys[l][k]
+					}
+				}
+				requireSameBits(t, "axpy4 "+what, got, want)
+
+				rows := lcgVecs(4, n, &seed)
+				wantRows := make([]Vec, 4)
+				for l, r := range rows {
+					for k := 2; k < n; k += 3 {
+						r[k] = math.Copysign(0, -1) // must keep its sign when its row is skipped
+					}
+					wantRows[l] = r.Clone()
+					if c[l] == 0 {
+						continue
+					}
+					for k := range wantRows[l] {
+						wantRows[l][k] += c[l] * ys[0][k]
+					}
+				}
+				p.axpyRows4(ys[0], c[0], c[1], c[2], c[3], rows[0], rows[1], rows[2], rows[3])
+				for l := range rows {
+					requireSameBits(t, fmt.Sprintf("axpyRows4 %s row %d", what, l), rows[l], wantRows[l])
+				}
+			}
+		}
+	})
+}
+
+// mulVecBatchShapes add to kernelShapes the shapes whose row count is not
+// a multiple of four: the softmax regression (10×784, deeper than one
+// transposed block) and the MLP's 2-row last layer.
+var mulVecBatchShapes = append([]struct{ rows, cols int }{{10, 784}, {2, 16}}, kernelShapes...)
+
+// MulVecBatch on both paths at n = 1…13, so every padded-lane count runs,
+// with a bias and without, against per-sample one-accumulator dot
+// products. Subnormals sit in the weights and the inputs; each output
+// element meets at most one ±Inf or NaN, from its weight row or from its
+// input.
+func TestMulVecBatchPathsMatchOracle(t *testing.T) {
+	forEachPath(t, func(t *testing.T, p kernelPath) {
+		for _, sh := range mulVecBatchShapes {
+			seed := uint64(12)
+			m := lcgMat(sh.rows, sh.cols, &seed)
+			operandMix(m.Data, func(int) bool { return false })
+			special := lcgMat(sh.rows, sh.cols, &seed) // one special per row
+			operandMix(special.Data, func(k int) bool { return k%sh.cols == (k/sh.cols*7)%sh.cols })
+			bias := NewVec(sh.rows)
+			lcgFill(bias, &seed)
+			for n := 1; n <= maxTableBatch; n++ {
+				xs := tileCoeffs(n, sh.cols, &seed)
+				for j, x := range xs {
+					operandMix(x, func(k int) bool { return k == (5*j+2)%sh.cols })
+				}
+				finite := lcgVecs(n, sh.cols, &seed)
+				for _, x := range finite {
+					operandMix(x, func(int) bool { return false })
+				}
+				for _, c := range []struct {
+					name string
+					m    *Mat
+					xs   []Vec
+					bias Vec
+				}{{"bias", m, xs, bias}, {"nil-bias", m, xs, nil}, {"weight-specials", special, finite, bias}} {
+					outs := lcgVecs(n, sh.rows, &seed) // garbage the kernel must overwrite
+					p.mulVecBatch(c.m, c.xs, c.bias, outs)
+					ref := NewVec(sh.rows)
+					for j, x := range c.xs {
+						refMulVec(c.m, x, ref)
+						for i := range ref {
+							if c.bias != nil {
+								ref[i] += c.bias[i]
+							}
+						}
+						requireSameBits(t, fmt.Sprintf("%dx%d n=%d %s sample %d", sh.rows, sh.cols, n, c.name, j), outs[j], ref)
+					}
+				}
+			}
+		}
+	})
+}
+
+// The batch kernels allocate nothing in steady state, on whichever path
+// the CPU selects; the AVX2 MulVecBatch keeps its transposed block on the
+// stack. Both shapes are the ones the bench/ workloads run: the MLP's first
+// layer at the K=5 training batch, and the softmax regression's weights at
+// a 12-sample batch (three transposed blocks' worth of samples, two of k).
+func TestBatchKernelsZeroAllocs(t *testing.T) {
+	for _, sh := range []struct{ rows, cols, n int }{{64, 360, 5}, {10, 784, 12}} {
+		seed := uint64(13)
+		m := lcgMat(sh.rows, sh.cols, &seed)
+		xs, outs := lcgVecs(sh.n, sh.cols, &seed), lcgVecs(sh.n, sh.rows, &seed)
+		ds := lcgVecs(sh.n, sh.rows, &seed)
+		bias := NewVec(sh.rows)
+		what := fmt.Sprintf("%dx%d n=%d", sh.rows, sh.cols, sh.n)
+		if a := testing.AllocsPerRun(20, func() { m.MulVecBatch(xs, bias, outs) }); a != 0 {
+			t.Errorf("MulVecBatch %s: %v allocs per run, want 0", what, a)
+		}
+		c := 0.5
+		if a := testing.AllocsPerRun(20, func() { c = -c; m.AddOuterBatch(c, ds, xs) }); a != 0 {
+			t.Errorf("AddOuterBatch %s: %v allocs per run, want 0", what, a)
+		}
+	}
+}
+
 func TestBatchKernelShapePanics(t *testing.T) {
 	m := NewMat(2, 3)
 	cases := []struct {

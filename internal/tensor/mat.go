@@ -39,6 +39,13 @@ func (m *Mat) Clone() *Mat {
 // skipped exactly where that loop skips them, so results are bit-identical to
 // it (the oracles live in batch_test.go) — the determinism contract the
 // golden workers=1-vs-8 tests enforce extends to tiling.
+//
+// On amd64 with AVX2 the batch primitives run as assembly
+// (kernels_amd64.s) that keeps the same per-element order four lanes at a
+// time, each lane its own output element; the Go loops below are the only
+// path everywhere else and the oracles the assembly is tested against. The
+// dispatchers (axpy, axpy4, axpyRows4, mulVecBatch) live in kernels_amd64.go
+// and kernels_other.go.
 
 // tile is the width of every blocked loop: four scalar accumulators (or four
 // coefficients and one accumulator) plus the five slice pointers fit the
@@ -48,7 +55,7 @@ const tile = 4
 // dot4 returns the four dot products aᵢ·x, each summed in ascending k. The
 // aᵢ must be at least as long as x.
 //
-// The three tile primitives (dot4, axpy4, axpyRows4) stay out of line:
+// The three Go tile primitives (dot4, axpy4Go, axpyRows4Go) stay out of line:
 // inlined into their callers' loop nests they share a register file with
 // everything live there, and the compiler spills the inner loop's counter
 // and slice pointers to the stack on every iteration (measured: AddOuterBatch
@@ -66,7 +73,7 @@ func dot4(x, a0, a1, a2, a3 Vec) (s0, s1, s2, s3 float64) {
 	return
 }
 
-// axpy4 adds c0*y0 + c1*y1 + c2*y2 + c3*y3 to acc, skipping every term whose
+// axpy4Go adds c0*y0 + c1*y1 + c2*y2 + c3*y3 to acc, skipping every term whose
 // coefficient is zero (±0·Inf must not plant a NaN). With four non-zero
 // coefficients each element gathers its terms, in that order, in a register:
 // one load and one store of acc[k] for four multiply-adds. Otherwise the
@@ -74,7 +81,7 @@ func dot4(x, a0, a1, a2, a3 Vec) (s0, s1, s2, s3 float64) {
 // arithmetic. The yᵢ must be as long as acc.
 //
 //go:noinline
-func axpy4(acc Vec, c0, c1, c2, c3 float64, y0, y1, y2, y3 Vec) {
+func axpy4Go(acc Vec, c0, c1, c2, c3 float64, y0, y1, y2, y3 Vec) {
 	if c0 != 0 && c1 != 0 && c2 != 0 && c3 != 0 {
 		y0, y1, y2, y3 = y0[:len(acc)], y1[:len(acc)], y2[:len(acc)], y3[:len(acc)]
 		for k, a := range acc {
@@ -87,27 +94,27 @@ func axpy4(acc Vec, c0, c1, c2, c3 float64, y0, y1, y2, y3 Vec) {
 		return
 	}
 	if c0 != 0 {
-		acc.Axpy(c0, y0)
+		axpyGo(acc, c0, y0)
 	}
 	if c1 != 0 {
-		acc.Axpy(c1, y1)
+		axpyGo(acc, c1, y1)
 	}
 	if c2 != 0 {
-		acc.Axpy(c2, y2)
+		axpyGo(acc, c2, y2)
 	}
 	if c3 != 0 {
-		acc.Axpy(c3, y3)
+		axpyGo(acc, c3, y3)
 	}
 }
 
-// axpyRows4 is axpy4 turned around: it adds cᵢ*y to each of four rows rᵢ,
+// axpyRows4Go is axpy4Go turned around: it adds cᵢ*y to each of four rows rᵢ,
 // skipping the rows whose coefficient is zero. No element gathers more than
 // one term, so there is nothing to hold in a register; with four non-zero
 // coefficients the rows advance together and share each load of y[k]. The rᵢ
 // must be as long as y.
 //
 //go:noinline
-func axpyRows4(y Vec, c0, c1, c2, c3 float64, r0, r1, r2, r3 Vec) {
+func axpyRows4Go(y Vec, c0, c1, c2, c3 float64, r0, r1, r2, r3 Vec) {
 	if c0 != 0 && c1 != 0 && c2 != 0 && c3 != 0 {
 		r0, r1, r2, r3 = r0[:len(y)], r1[:len(y)], r2[:len(y)], r3[:len(y)]
 		for k, yk := range y {
@@ -119,16 +126,16 @@ func axpyRows4(y Vec, c0, c1, c2, c3 float64, r0, r1, r2, r3 Vec) {
 		return
 	}
 	if c0 != 0 {
-		r0.Axpy(c0, y)
+		axpyGo(r0, c0, y)
 	}
 	if c1 != 0 {
-		r1.Axpy(c1, y)
+		axpyGo(r1, c1, y)
 	}
 	if c2 != 0 {
-		r2.Axpy(c2, y)
+		axpyGo(r2, c2, y)
 	}
 	if c3 != 0 {
-		r3.Axpy(c3, y)
+		axpyGo(r3, c3, y)
 	}
 }
 
@@ -203,6 +210,13 @@ func (m *Mat) MulVecBatch(xs []Vec, bias Vec, outs []Vec) {
 			panic(fmt.Sprintf("tensor: MulVecBatch shape mismatch at sample %d: %dx%d by %d into %d", j, m.Rows, m.Cols, len(xs[j]), len(outs[j])))
 		}
 	}
+	m.mulVecBatch(xs, bias, outs)
+}
+
+// mulVecBatchGo is MulVecBatch after its shape checks, in Go: dot4 shares
+// each weight row between four samples, and the n mod 4 remainder samples
+// go through MulVec.
+func (m *Mat) mulVecBatchGo(xs []Vec, bias Vec, outs []Vec) {
 	n := len(xs)
 	j := 0
 	for ; j+tile <= n; j += tile {

@@ -120,6 +120,12 @@ func (v Vec) ScaleInPlace(c float64) {
 // Axpy sets v = v + c*w (BLAS axpy).
 func (v Vec) Axpy(c float64, w Vec) {
 	checkLen("Axpy", v, w)
+	axpy(v, c, w)
+}
+
+// axpyGo is axpy in Go: v[i] += c*w[i]. w must be at least as long as v.
+func axpyGo(v Vec, c float64, w Vec) {
+	w = w[:len(v)]
 	for i := range v {
 		v[i] += c * w[i]
 	}
