@@ -30,7 +30,10 @@ all: build vet test
 # field named SkippedRounds anywhere outside internal/obs is a mirror of the
 # counter set coming back (DESIGN.md §9). The arm64 vet and build compile
 # internal/tensor's !amd64 kernel file, the only path off amd64, so the
-# fallback for the AVX2 assembly cannot rot unseen (DESIGN.md §13).
+# fallback for the AVX2 assembly cannot rot unseen (DESIGN.md §13). The
+# last line repeats the two doorbell tests of the buffered-async gather ten
+# times under the race detector: a lost wake shows only now and then, as a
+# stall their watchdogs turn into a failure (DESIGN.md §12).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -65,6 +68,7 @@ check:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 -run '^(TestAsyncDoorbellDeliversAll|TestAsyncLinkErrorWakesGather)$$' ./internal/transport ./internal/core
 
 # The repo's benchmark (BENCHMARK.json): six workloads that each stress one
 # layer, end-to-end and per-layer metrics, correctness checks against the

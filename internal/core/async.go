@@ -30,9 +30,12 @@ import (
 //   - Each round the platform waits only for an AsyncQuorum fraction of the
 //     assignments it dispatched *this* round (bounded by RoundTimeout), then
 //     aggregates whatever has arrived — fresh or stale. Stragglers past the
-//     quorum deliver in a later round at decayed weight.
+//     quorum deliver in a later round at decayed weight. The platform
+//     notices a reply when the link set's doorbell rings, not by waiting on
+//     one link at a time.
 //   - A node whose in-flight assignment falls MaxStaleness versions behind
-//     gets one last poll: an update that has already arrived is discarded
+//     gets one last poll, bounded by linkSet.pollTO (the one timed poll left
+//     in the async gather): an update that has already arrived is discarded
 //     past the bound (StaleDropped) and the node is handed fresh work, while
 //     a node that stayed silent is suspected — its recovery then runs through
 //     the ordinary probe/rejoin machinery, which in async mode is the common
@@ -62,9 +65,9 @@ func (ls *linkSet) initBuffered() {
 		ls.pending[i] = -1
 	}
 	ls.fresh = make([]bool, len(ls.alive))
-	// The per-link poll deadline of the gather sweep: small enough that a
-	// silent straggler cannot stall the pass, large enough not to busy-spin
-	// the scheduler.
+	// The bound of the write-off's last poll (writeOffStale), its only
+	// use: long enough for a reply already on its way to land, short enough
+	// that each silent straggler written off costs the round little.
 	ls.pollTO = ls.c.RoundTimeout / 64
 	if ls.pollTO < 200*time.Microsecond {
 		ls.pollTO = 200 * time.Microsecond
@@ -74,11 +77,17 @@ func (ls *linkSet) initBuffered() {
 	}
 }
 
-// pollUpdate waits one poll interval for an update from link i, storing it
-// in *msg and accepting a reply to any round or θ-version — the async
-// gather weighs staleness at apply time instead of discarding late answers.
-func (ls *linkSet) pollUpdate(msg *transport.Msg, i int, rd *nodeRound) error {
-	if err := ls.ops.recv(i, ls.pollTO, msg); err != nil {
+// pollUpdate waits up to d (d <= 0: not at all) for an update from link i,
+// storing it in *msg and accepting a reply to any round or θ-version — the
+// async gather weighs staleness at apply time instead of discarding late
+// answers. Silence comes back as the bare transport.ErrTimeout: the sweep
+// meets it on most links of every wake, and neither caller reports it, so it
+// is not worth an allocated wrapping.
+func (ls *linkSet) pollUpdate(msg *transport.Msg, i int, rd *nodeRound, d time.Duration) error {
+	if err := ls.ops.recv(i, d, msg); err != nil {
+		if err == transport.ErrTimeout {
+			return err
+		}
 		return fmt.Errorf("core: async gather from node %d in round %d: %w", ls.base+i, rd.round, err)
 	}
 	return ls.vetUpdate(i, rd, msg, true)
@@ -97,7 +106,7 @@ func (ls *linkSet) writeOffStale(rd *nodeRound) {
 		}
 		ls.pending[i] = -1
 		var msg transport.Msg
-		err := ls.pollUpdate(&msg, i, rd)
+		err := ls.pollUpdate(&msg, i, rd, ls.pollTO)
 		if err != nil && !errors.Is(err, errDecode) {
 			err = fmt.Errorf("in-flight update at version %d exceeded staleness bound %d at version %d", pv, ls.c.MaxStaleness, rd.ver)
 		}
@@ -110,7 +119,11 @@ func (ls *linkSet) writeOffStale(rd *nodeRound) {
 // sweep every link with work in flight — stragglers from earlier rounds
 // included, they just don't gate the quorum — until the quorum of this
 // round's fresh assignments has resolved or the round deadline passes.
-// Suspects are re-probed exactly as on the barrier path.
+// A sweep drains each in-flight link without blocking; between sweeps the
+// gather sleeps on the link set's doorbell, which every pump rings after it
+// queues a reply or reports an error, so a reply is noticed when it lands
+// and a silent link costs one non-blocking check per wake. Suspects are
+// re-probed exactly as on the barrier path.
 func (ls *linkSet) gatherBuffered(rd *nodeRound, selected []int) error {
 	free := selected[:0]
 	for _, i := range selected {
@@ -133,14 +146,10 @@ func (ls *linkSet) gatherBuffered(rd *nodeRound, selected []int) error {
 
 	need := int(math.Ceil(ls.c.AsyncQuorum * float64(freshCnt)))
 	resolvedFresh, resolvedAny := 0, 0
-	deadline := time.Now().Add(ls.c.RoundTimeout)
-	for time.Now().Before(deadline) {
-		if freshCnt > 0 && resolvedFresh >= need {
-			break
-		}
-		if freshCnt == 0 && resolvedAny > 0 {
-			break
-		}
+	deadline := time.NewTimer(ls.c.RoundTimeout)
+	defer deadline.Stop()
+sweep:
+	for {
 		anyPending := false
 		for i := range ls.pending {
 			if ls.pending[i] < 0 {
@@ -148,9 +157,9 @@ func (ls *linkSet) gatherBuffered(rd *nodeRound, selected []int) error {
 			}
 			anyPending = true
 			var msg transport.Msg
-			err := ls.pollUpdate(&msg, i, rd)
+			err := ls.pollUpdate(&msg, i, rd, 0)
 			if errors.Is(err, transport.ErrTimeout) {
-				continue // nothing arrived within this poll; try again next pass
+				continue // nothing queued yet; the doorbell rings when it is
 			}
 			ls.settle(i, rd, &msg, err)
 			if err == nil && msg.Version != ls.pending[i] {
@@ -163,8 +172,13 @@ func (ls *linkSet) gatherBuffered(rd *nodeRound, selected []int) error {
 				resolvedFresh++
 			}
 		}
-		if !anyPending {
+		if !anyPending || freshCnt > 0 && resolvedFresh >= need || freshCnt == 0 && resolvedAny > 0 {
 			break
+		}
+		select {
+		case <-ls.ops.bell:
+		case <-deadline.C:
+			break sweep
 		}
 	}
 	// A suspect that answered its probe rejoins and its reply (at the probed

@@ -481,3 +481,107 @@ func TestAsyncConfigValidation(t *testing.T) {
 		t.Error("RunAsyncPlatform accepted a config without RoundTimeout")
 	}
 }
+
+// TestAsyncLinkErrorWakesGather shows that a pump error rings the doorbell.
+// Of three nodes, one echoes, one never answers, and one echoes until its
+// third assignment, which it drops by closing its link once the echo of that
+// round has been gathered. The quorum of that round then needs the failed
+// node, and with RoundTimeout at a minute only the error's ring can end the
+// wait: the node must be suspected in the round its link failed, well
+// inside a 10 s watchdog.
+func TestAsyncLinkErrorWakesGather(t *testing.T) {
+	const failAt = 3 // the failing node's assignment count at its failure
+	rec := obs.NewRecorder()
+	cfg := Config{
+		Alpha: 0.01, Beta: 0.01, T: 30, T0: 5, Seed: 1,
+		RoundTimeout: time.Minute,
+		Observer:     rec,
+		Async:        true, StalenessDecay: 0.5, MaxStaleness: 100, AsyncQuorum: 0.6,
+	}
+	const n = 3
+	links := make([]transport.Link, n)
+	nodeLinks := make([]transport.Link, n)
+	for i := range links {
+		links[i], nodeLinks[i] = transport.Pair()
+	}
+	defer func() {
+		for i := range links {
+			_ = links[i].Close()
+			_ = nodeLinks[i].Close()
+		}
+	}()
+	go echoingNode(nodeLinks[0], 0)
+	failedRound := make(chan int, 1)
+	go func(l transport.Link) {
+		for got := 0; ; {
+			m, err := l.Recv()
+			if err != nil || m.Kind == transport.KindDone {
+				return
+			}
+			if m.Kind != transport.KindParams {
+				continue
+			}
+			if got++; got == failAt {
+				// Fail after the echoing node's reply has been swept, so
+				// the gather is asleep on the doorbell when the error lands.
+				time.Sleep(50 * time.Millisecond)
+				failedRound <- m.Round
+				_ = l.Close()
+				return
+			}
+			if l.Send(transport.Msg{Kind: transport.KindUpdate, Round: m.Round, NodeID: 1, Params: m.Params, Version: m.Version}) != nil {
+				return
+			}
+		}
+	}(nodeLinks[1])
+	go func(l transport.Link) { // silent: takes every assignment, answers none
+		for {
+			if m, err := l.Recv(); err != nil || m.Kind == transport.KindDone {
+				return
+			}
+		}
+	}(nodeLinks[2])
+
+	type result struct {
+		stats CommStats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, stats, err := RunAsyncPlatform(links, []float64{1, 1, 1}, tensor.Vec{1, 2, 3, 4}, cfg)
+		done <- result{stats, err}
+	}()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run still going after 10 s: the link error did not wake the gather")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	var round int
+	select {
+	case round = <-failedRound:
+	default:
+		t.Fatal("the failing node never failed; scenario is vacuous")
+	}
+	if res.stats.Dropped != 1 {
+		t.Errorf("Dropped = %d, want 1 (only the failed link; the silent node stays within MaxStaleness)", res.stats.Dropped)
+	}
+	drops := 0
+	for _, e := range rec.Events() {
+		if e.Type == obs.TypeDrop {
+			drops++
+			if e.Node != 1 || e.Round != round {
+				t.Errorf("drop of node %d in round %d, want node 1 in round %d", e.Node, e.Round, round)
+			}
+		}
+	}
+	if drops != 1 {
+		t.Errorf("%d drop events, want 1", drops)
+	}
+	if got := rec.Totals(); got != res.stats {
+		t.Errorf("event stream folds to %+v, CommStats says %+v", got, res.stats)
+	}
+}

@@ -24,13 +24,17 @@ import (
 // (wrapped non-nil) gives every link goroutine pumps and every operation a
 // deadline, so dead or slow nodes cannot stall a round; links of dropped
 // nodes stay open so the platform can re-probe and re-admit nodes that come
-// back, and everything is closed by finish. Messages travel by pointer
+// back, and everything is closed by finish. Every pump of a link set rings
+// the set's one doorbell, bell, which the buffered-async gather waits on
+// between its non-blocking sweeps; the barrier gathers never read it, and a
+// ring nobody reads costs one non-blocking send. Messages travel by pointer
 // inside the link layer (a transport.Msg is 17 words and a round touches
 // each one several times); only the transport.Link call itself copies.
 // linkOps is a concrete type so those pointers stay on the stack.
 type linkOps struct {
 	links   []transport.Link
 	wrapped []*transport.Async
+	bell    chan struct{}
 }
 
 // send transmits *m with deadline d (strict: blocking, d unused).
@@ -42,6 +46,7 @@ func (o linkOps) send(i int, m *transport.Msg, d time.Duration) error {
 }
 
 // recv waits up to d (strict: blocking) for a message and stores it in *m.
+// In fault-tolerant mode a d <= 0 only checks, without blocking.
 func (o linkOps) recv(i int, d time.Duration, m *transport.Msg) (err error) {
 	if o.wrapped != nil {
 		*m, err = o.wrapped[i].TryRecv(d)
@@ -125,7 +130,7 @@ type linkSet struct {
 	// is the θ-version assigned to node i and not yet resolved (answered,
 	// written off, or suspected); -1 means the node is free. fresh marks the
 	// assignments dispatched in the current round — the set the quorum is
-	// measured against. pollTO is the per-link poll deadline of the sweep.
+	// measured against. pollTO bounds the write-off's last poll of a link.
 	pending []int
 	fresh   []bool
 	pollTO  time.Duration
@@ -187,8 +192,9 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 	ops := linkOps{links: links}
 	if ft {
 		ops.wrapped = make([]*transport.Async, len(links))
+		ops.bell = make(chan struct{}, 1)
 		for i, l := range links {
-			ops.wrapped[i] = transport.NewAsync(l, 2)
+			ops.wrapped[i] = transport.NewAsyncBell(l, 2, ops.bell)
 		}
 	}
 	ls := &linkSet{

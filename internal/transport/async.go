@@ -19,6 +19,7 @@ type Async struct {
 	recvQ chan Msg
 	errc  chan error
 	done  chan struct{}
+	bell  chan<- struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
 }
@@ -26,6 +27,16 @@ type Async struct {
 // NewAsync starts the I/O pumps for link with the given queue depth per
 // direction. Close stops the pumps and closes the underlying link.
 func NewAsync(link Link, queue int) *Async {
+	return NewAsyncBell(link, queue, nil)
+}
+
+// NewAsyncBell is NewAsync with a doorbell: after the pumps queue an inbound
+// message or report an error, they send to bell without blocking. A bell of
+// capacity 1 shared by several links coalesces their rings, so a consumer
+// that drains every link with TryRecv(0) and then waits on bell never misses
+// an arrival: a ring always follows the enqueue it announces. A nil bell is
+// never rung.
+func NewAsyncBell(link Link, queue int, bell chan<- struct{}) *Async {
 	if queue < 1 {
 		queue = 1
 	}
@@ -35,6 +46,7 @@ func NewAsync(link Link, queue int) *Async {
 		recvQ: make(chan Msg, queue),
 		errc:  make(chan error, 2), // one slot per pump
 		done:  make(chan struct{}),
+		bell:  bell,
 	}
 	a.wg.Add(2)
 	go a.sendLoop()
@@ -51,6 +63,7 @@ func (a *Async) sendLoop() {
 		case m := <-a.sendQ:
 			if err := a.link.Send(m); err != nil {
 				a.reportErr(err)
+				a.ring()
 				return
 			}
 		}
@@ -63,13 +76,25 @@ func (a *Async) recvLoop() {
 		m, err := a.link.Recv()
 		if err != nil {
 			a.reportErr(err)
+			a.ring()
 			return
 		}
 		select {
 		case <-a.done:
 			return
 		case a.recvQ <- m:
+			a.ring()
 		}
+	}
+}
+
+// ring announces a queued message or a pump error on the doorbell, if any.
+// Only the pumps ring: a caller that re-reports an error it took from errc
+// announces nothing new.
+func (a *Async) ring() {
+	select {
+	case a.bell <- struct{}{}:
+	default:
 	}
 }
 
@@ -82,12 +107,24 @@ func (a *Async) reportErr(err error) {
 
 // TrySend enqueues m, waiting at most timeout for queue space. It returns
 // ErrTimeout on deadline, or the pump's error if the link has failed.
-// Close takes priority over free queue space (a queued message would never
-// be sent once the pumps have stopped).
+// Close and a pending pump error take priority over free queue space (a
+// queued message would never be sent once the pumps have stopped). With
+// room in the queue it enqueues without building a timer.
 func (a *Async) TrySend(m Msg, timeout time.Duration) error {
 	select {
 	case <-a.done:
 		return ErrClosed
+	default:
+	}
+	select {
+	case err := <-a.errc:
+		a.reportErr(err)
+		return err
+	default:
+	}
+	select {
+	case a.sendQ <- m:
+		return nil
 	default:
 	}
 	timer := time.NewTimer(timeout)
@@ -106,12 +143,28 @@ func (a *Async) TrySend(m Msg, timeout time.Duration) error {
 }
 
 // TryRecv waits at most timeout for an inbound message. Messages already
-// queued are delivered even if the link has since closed.
+// queued are delivered even if the link has since closed. A timeout <= 0
+// only checks, in order, for a queued message, a pump error and Close, and
+// returns ErrTimeout otherwise; it builds no timer and does not allocate.
 func (a *Async) TryRecv(timeout time.Duration) (Msg, error) {
 	select {
 	case m := <-a.recvQ:
 		return m, nil
 	default:
+	}
+	if timeout <= 0 {
+		select {
+		case err := <-a.errc:
+			a.reportErr(err)
+			return Msg{}, err
+		default:
+		}
+		select {
+		case <-a.done:
+			return Msg{}, ErrClosed
+		default:
+			return Msg{}, ErrTimeout
+		}
 	}
 	select {
 	case <-a.done:

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -200,6 +201,73 @@ func TestAsyncDeepQueueCloseVsTryOps(t *testing.T) {
 			if i > 3 { // queue depth is 3; anything more is a leak
 				t.Fatal("TryRecv kept producing messages on a closed Async")
 			}
+		}
+	}
+}
+
+// TestAsyncDoorbellDeliversAll shares one doorbell among several links whose
+// peers send at random moments. A consumer that only drains every link with
+// TryRecv(0) and sleeps on the doorbell must receive every message, in order
+// per link: a ring always follows the enqueue it announces, and rings
+// coalesce without being lost. A watchdog fails the test instead of hanging
+// it on a missed wake.
+func TestAsyncDoorbellDeliversAll(t *testing.T) {
+	const links, perLink = 6, 60
+	bell := make(chan struct{}, 1)
+	asyncs := make([]*Async, links)
+	peers := make([]Link, links)
+	for i := range asyncs {
+		p, n := Pair()
+		asyncs[i], peers[i] = NewAsyncBell(p, 2, bell), n
+	}
+	defer func() {
+		for i := range asyncs {
+			_ = asyncs[i].Close()
+			_ = peers[i].Close()
+		}
+	}()
+	for i, n := range peers {
+		go func(i int, n Link) {
+			r := rand.New(rand.NewPCG(uint64(i), 1))
+			for seq := 0; seq < perLink; seq++ {
+				if d := r.IntN(300); d > 200 {
+					time.Sleep(time.Duration(d-200) * 5 * time.Microsecond)
+				}
+				if n.Send(Msg{Kind: KindUpdate, NodeID: i, Round: seq}) != nil {
+					return
+				}
+			}
+		}(i, n)
+	}
+
+	next := make([]int, links)
+	got := 0
+	watchdog := time.NewTimer(10 * time.Second)
+	defer watchdog.Stop()
+	for got < links*perLink {
+		for i, a := range asyncs {
+			for {
+				m, err := a.TryRecv(0)
+				if err == ErrTimeout {
+					break
+				}
+				if err != nil {
+					t.Fatalf("link %d: %v", i, err)
+				}
+				if m.NodeID != i || m.Round != next[i] {
+					t.Fatalf("link %d delivered node %d seq %d, want seq %d", i, m.NodeID, m.Round, next[i])
+				}
+				next[i]++
+				got++
+			}
+		}
+		if got == links*perLink {
+			break
+		}
+		select {
+		case <-bell:
+		case <-watchdog.C:
+			t.Fatalf("consumer stalled at %d of %d messages (per link %v): a ring was lost", got, links*perLink, next)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -151,5 +152,133 @@ func TestAsyncOverTCP(t *testing.T) {
 	}
 	if len(got.Params) != 2 {
 		t.Error("payload lost over async TCP")
+	}
+}
+
+// stubLink exercises Async's pumps on their own: Recv returns what recv
+// says, and Send blocks until Close, so every message sent stays queued.
+type stubLink struct {
+	recv   func() (Msg, error)
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newStubLink(recv func() (Msg, error)) *stubLink {
+	l := &stubLink{recv: recv, closed: make(chan struct{})}
+	if recv == nil {
+		l.recv = func() (Msg, error) { <-l.closed; return Msg{}, ErrClosed }
+	}
+	return l
+}
+
+func (l *stubLink) Send(Msg) error {
+	<-l.closed
+	return ErrClosed
+}
+
+func (l *stubLink) Recv() (Msg, error) { return l.recv() }
+
+func (l *stubLink) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+// waitBell waits for a ring on bell, failing the test after a second.
+func waitBell(t *testing.T, bell <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-bell:
+	case <-time.After(time.Second):
+		t.Fatal("the pump never rang the doorbell")
+	}
+}
+
+// TestAsyncTryRecvZeroTimeout pins the non-blocking receive: a queued
+// message first, then a pump error, then Close, otherwise ErrTimeout — and
+// no allocation on the empty or the queued path.
+func TestAsyncTryRecvZeroTimeout(t *testing.T) {
+	t.Run("timeout", func(t *testing.T) {
+		p, n := Pair()
+		a := NewAsync(p, 1)
+		defer a.Close()
+		defer n.Close()
+		if _, err := a.TryRecv(0); err != ErrTimeout {
+			t.Fatalf("err = %v, want ErrTimeout", err)
+		}
+		if _, err := a.TryRecv(-time.Second); err != ErrTimeout {
+			t.Fatalf("negative timeout: err = %v, want ErrTimeout", err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = a.TryRecv(0) }); allocs != 0 {
+			t.Errorf("empty-queue TryRecv(0) allocates %v times, want 0", allocs)
+		}
+	})
+	t.Run("queued", func(t *testing.T) {
+		const k = 101 // AllocsPerRun(100, f) calls f once more to warm up
+		p, n := Pair()
+		bell := make(chan struct{}, 1)
+		a := NewAsyncBell(p, k, bell)
+		defer a.Close()
+		defer n.Close()
+		for r := 0; r < k; r++ {
+			if err := n.Send(Msg{Kind: KindUpdate, Round: r}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for len(a.recvQ) < k {
+			waitBell(t, bell)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(k-1, func() {
+			if m, err := a.TryRecv(0); err != nil || m.Round != next {
+				t.Errorf("TryRecv(0) = round %d, %v; want round %d", m.Round, err, next)
+			}
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("queued TryRecv(0) allocates %v times, want 0", allocs)
+		}
+	})
+	t.Run("pump-error", func(t *testing.T) {
+		boom := errors.New("boom")
+		bell := make(chan struct{}, 1)
+		a := NewAsyncBell(newStubLink(func() (Msg, error) { return Msg{}, boom }), 1, bell)
+		defer a.Close()
+		waitBell(t, bell)
+		for i := 0; i < 2; i++ { // the error stays observable
+			if _, err := a.TryRecv(0); err != boom {
+				t.Fatalf("call %d: err = %v, want the pump's error", i, err)
+			}
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		// The link delivers forever, so the receive pump parks on the full
+		// queue and leaves through Close without reporting an error.
+		bell := make(chan struct{}, 1)
+		a := NewAsyncBell(newStubLink(func() (Msg, error) { return Msg{Kind: KindUpdate, Round: 7}, nil }), 1, bell)
+		waitBell(t, bell)
+		_ = a.Close()
+		if m, err := a.TryRecv(0); err != nil || m.Round != 7 {
+			t.Fatalf("after Close: round %d, %v; want the queued message first", m.Round, err)
+		}
+		if _, err := a.TryRecv(0); err != ErrClosed {
+			t.Fatalf("err = %v, want ErrClosed", err)
+		}
+	})
+}
+
+// TestAsyncTrySendFastPathAllocs pins TrySend's fast path: with room in the
+// send queue it enqueues without building a timer, so it does not allocate.
+func TestAsyncTrySendFastPathAllocs(t *testing.T) {
+	const k = 102 // the pump holds one message; AllocsPerRun sends 101
+	a := NewAsync(newStubLink(nil), k)
+	defer a.Close()
+	m := Msg{Kind: KindParams, Round: 1}
+	allocs := testing.AllocsPerRun(k-2, func() {
+		if err := a.TrySend(m, time.Second); err != nil {
+			t.Errorf("TrySend: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("TrySend with queue room allocates %v times, want 0", allocs)
 	}
 }
