@@ -9,7 +9,7 @@
 //	raw   — 8 B/param; bit-exact (the uncompressed baseline)
 //	f16   — 2 B/param; IEEE 754 half-precision truncation, ~4×
 //	q8    — ~1 B/param; per-chunk max-abs int8 quantization, ~8×
-//	topk  — sparsified delta against the last synchronized vector, ~10×
+//	topk  — sparsified delta against the last synchronized vector, ~16×
 //	        at the default 10% density ("topk:<frac>" tunes it)
 //
 // Stateless codecs (raw, f16, q8) make every payload self-describing. The
@@ -45,14 +45,21 @@ const Raw = "raw"
 const (
 	// ModeFull marks a self-contained payload carrying the whole vector.
 	ModeFull byte = 1
-	// ModeDelta marks a payload that only applies on top of the receiver's
-	// reference state (topk).
-	ModeDelta byte = 2
 	// ModeMasked marks a structurally sparse payload: an explicit list of
 	// index ranges followed by an inner-codec payload covering only those
 	// coordinates. The receiver scatters the decoded sub-vector into its
 	// reference copy of the full vector (see Masked).
 	ModeMasked byte = 3
+	// ModeDelta marks a payload that only applies on top of the receiver's
+	// reference state (topk): kept coordinates as (uvarint index gap,
+	// float32 value) pairs.
+	ModeDelta byte = 4
+
+	// modeDeltaU32 is the retired topk delta layout, k u32 indices then k
+	// float32 values. A decoder refuses it by name, and a peer that still
+	// sends it rejects ModeDelta as an unknown mode, so neither end
+	// misparses the other.
+	modeDeltaU32 byte = 2
 )
 
 // ErrDesync reports that a stateful decode cannot proceed because the
@@ -177,9 +184,13 @@ func IsFull(payload []byte) bool {
 // dim-parameter message under spec, the figure the what-if cost estimators
 // must use instead of assuming 8 B/param. The empty spec is the
 // payload-free []float64 path (exactly 8 B/param). Stateless codecs are
-// measured by encoding one representative vector; stateful (delta) codecs
-// are measured on their second message, after the reference chain is
-// established — the size every message but the first has.
+// measured by encoding one representative vector. A topk delta's size
+// depends on where its kept coordinates lie, so topk is priced halfway
+// between the shortest and the longest delta a dim-parameter message can
+// have (deltaSizes). While no gap can reach 2¹⁴ (k > dim/2¹⁴) the two differ
+// by at most a byte per kept coordinate, so the price is within a tenth of
+// every delta. Trained deltas keep clustered coordinates: their gaps are
+// mostly short, they fall in the lower half, and the price is above them.
 func WireSize(spec string, dim int) (int, error) {
 	if spec == "" {
 		return 8 * dim, nil
@@ -188,12 +199,13 @@ func WireSize(spec string, dim int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if tk, ok := c.(*topKCodec); ok {
+		shortest, longest := deltaSizes(dim, keep(tk.frac, dim))
+		return (shortest + longest) / 2, nil
+	}
 	v := make([]float64, dim)
 	for i := range v {
 		v[i] = float64(i%17)*0.25 - 2
-	}
-	if _, err := c.Encode(v); err != nil {
-		return 0, fmt.Errorf("codec: sizing %q: %w", spec, err)
 	}
 	p, err := c.Encode(v)
 	if err != nil {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,24 +239,30 @@ func referenceTopK(params, ref []float64, k int) []int {
 	return kept
 }
 
-// referenceDelta builds the delta payload a topk encoder at density frac
-// must emit for params against ref under sequence number seq, selecting
-// through referenceTopK, and advances ref exactly as both endpoints do.
+// referenceDelta is the specification of a topk delta: the payload an
+// encoder at density frac must emit for params against ref under sequence
+// number seq, selecting through referenceTopK, and the advance of ref both
+// endpoints make. The layout is
+//
+//	[ModeDelta][u32 seq][u32 n][u32 k]
+//	k × [uvarint i − prev − 1][f32 bits of float32(params[i] − ref[i])]
+//
+// over the kept indices i in ascending order, with prev the previous kept
+// index (−1 before the first) and every fixed-width integer little-endian.
 func referenceDelta(seq uint32, params, ref []float64, frac float64) []byte {
 	n := len(params)
 	k := min(max(int(math.Ceil(frac*float64(n))), 1), n)
-	kept := referenceTopK(params, ref, k)
 	out := []byte{ModeDelta}
 	out = binary.LittleEndian.AppendUint32(out, seq)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
 	out = binary.LittleEndian.AppendUint32(out, uint32(k))
-	for _, i := range kept {
-		out = binary.LittleEndian.AppendUint32(out, uint32(i))
-	}
-	for _, i := range kept {
+	prev := -1
+	for _, i := range referenceTopK(params, ref, k) {
 		v := float32(params[i] - ref[i])
 		ref[i] += float64(v)
+		out = binary.AppendUvarint(out, uint64(i-prev-1))
 		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
+		prev = i
 	}
 	return out
 }
@@ -354,8 +362,15 @@ func keptIndices(t *testing.T, payload []byte) []int {
 	}
 	k := int(binary.LittleEndian.Uint32(payload[9:]))
 	kept := make([]int, k)
+	body, prev := payload[13:], -1
 	for j := range kept {
-		kept[j] = int(binary.LittleEndian.Uint32(payload[13+4*j:]))
+		gap, w := binary.Uvarint(body)
+		if w <= 0 || len(body) < w+4 {
+			t.Fatalf("delta entry %d of %d truncated", j, k)
+		}
+		prev += int(gap) + 1
+		kept[j] = prev
+		body = body[w+4:]
 	}
 	return kept
 }
@@ -611,9 +626,94 @@ func TestTopKDesyncDetected(t *testing.T) {
 	}
 }
 
+// longestGaps is the oracle of deltaSizes' longest payload: the k index
+// gaps, summing to at most n − k, whose varints are longest together. A
+// varint only lengthens when its gap reaches 2⁷, 2¹⁴, …, so a longest gap
+// list uses those values and zeros alone, and a dynamic program over them
+// finds it: best[j][s] is the most varint bytes j gaps summing to at most s
+// can take.
+func longestGaps(n, k int) []int {
+	steps := []int{0}
+	for x := 1 << 7; x <= n-k; x <<= 7 {
+		steps = append(steps, x)
+	}
+	best := make([][]int, k+1)
+	pick := make([][]int, k+1)
+	for j := range best {
+		best[j], pick[j] = make([]int, n-k+1), make([]int, n-k+1)
+	}
+	for j := 1; j <= k; j++ {
+		for s := 0; s <= n-k; s++ {
+			best[j][s] = -1
+			for _, g := range steps {
+				if g <= s {
+					if b := best[j-1][s-g] + uvarintLen(uint64(g)); b > best[j][s] {
+						best[j][s], pick[j][s] = b, g
+					}
+				}
+			}
+		}
+	}
+	gaps := make([]int, 0, k)
+	for j, s := k, n-k; j > 0; j-- {
+		gaps = append(gaps, pick[j][s])
+		s -= pick[j][s]
+	}
+	return gaps
+}
+
+// TestTopKDeltaSizes pins the two bounds WireSize prices topk between:
+// a delta keeping the first k indices is the shortest, one with the oracle's
+// longest gap list is the longest, and deltas keeping random index sets fall
+// between them. The shapes reach one-, two- and three-byte gaps.
+func TestTopKDeltaSizes(t *testing.T) {
+	r := rng.New(13)
+	for _, tc := range []struct{ n, k int }{{1, 1}, {10, 3}, {300, 2}, {300, 30}, {5000, 30}, {5000, 100}, {40000, 2}, {40000, 3}} {
+		shortest, longest := deltaSizes(tc.n, tc.k)
+		// encode returns the delta payload that keeps exactly the given
+		// ascending indices.
+		encode := func(kept []int) []byte {
+			enc := &topKCodec{frac: (float64(tc.k) - 0.5) / float64(tc.n)}
+			v := make([]float64, tc.n)
+			_, _ = enc.Encode(v)
+			for _, i := range kept {
+				v[i] = 1
+			}
+			p, _ := enc.Encode(v)
+			if got := keptIndices(t, p); !slices.Equal(got, kept) {
+				t.Fatalf("n=%d k=%d: kept %v, want %v", tc.n, tc.k, got, kept)
+			}
+			return p
+		}
+		first := make([]int, tc.k)
+		for j := range first {
+			first[j] = j
+		}
+		if got := len(encode(first)); got != shortest {
+			t.Errorf("n=%d k=%d: first-k delta is %d bytes, deltaSizes says the shortest is %d", tc.n, tc.k, got, shortest)
+		}
+		spread, i := make([]int, 0, tc.k), -1
+		for _, g := range longestGaps(tc.n, tc.k) {
+			i += g + 1
+			spread = append(spread, i)
+		}
+		if got := len(encode(spread)); got != longest {
+			t.Errorf("n=%d k=%d: the longest gap list makes a %d-byte delta, deltaSizes says %d", tc.n, tc.k, got, longest)
+		}
+		for range 20 {
+			kept := r.Perm(tc.n)[:tc.k]
+			slices.Sort(kept)
+			if got := len(encode(kept)); got < shortest || got > longest {
+				t.Errorf("n=%d k=%d: a %d-byte delta outside [%d, %d]", tc.n, tc.k, got, shortest, longest)
+			}
+		}
+	}
+}
+
 // TestCompressionRatios pins the headline claim on a fig2a-sized vector
-// (610 parameters: 60×10 softmax + bias): q8 and topk steady-state payloads
-// are ≥4× smaller than the 8·n raw wire size, f16 ≈4×.
+// (610 parameters: 60×10 softmax + bias): q8's payload is ≥4× smaller than
+// the 8·n raw wire size, f16's ≈4×, and topk's steady-state delta ≥14×
+// (61 kept coordinates at 5 bytes each plus a 13-byte header: 15.3×).
 func TestCompressionRatios(t *testing.T) {
 	v := testVector(610, 8)
 	rawBytes := float64(8 * len(v))
@@ -622,7 +722,7 @@ func TestCompressionRatios(t *testing.T) {
 		spec     string
 		minRatio float64
 	}{
-		{"f16", 3.9}, {"q8", 4}, {"topk", 4},
+		{"f16", 3.9}, {"q8", 4}, {"topk", 14},
 	} {
 		c, _ := New(tc.spec)
 		payload, err := c.Encode(v)
@@ -645,10 +745,102 @@ func TestCompressionRatios(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, spec := range []string{"raw", "f16", "q8", "topk"} {
 		c, _ := New(spec)
-		for _, payload := range [][]byte{nil, {}, {0xff}, {ModeFull, 1, 2, 3}, {ModeDelta, 9, 9, 9, 9}} {
+		for _, payload := range [][]byte{nil, {}, {0xff}, {ModeFull, 1, 2, 3}, {ModeDelta, 9, 9, 9, 9}, {modeDeltaU32, 9, 9, 9, 9}} {
 			if out, err := c.Decode(payload); err == nil {
 				t.Errorf("%s: Decode(% x) = %v, want error", spec, payload, out)
 			}
 		}
+	}
+
+	// Malformed deltas that do extend the decoder's chain (right seq and n):
+	// each is refused whole, and the valid delta decoded after it shows the
+	// reference did not move.
+	const n = 300
+	enc, dec := &topKCodec{frac: DefaultTopKFraction}, &topKCodec{frac: DefaultTopKFraction}
+	v := testVector(n, 12)
+	first, _ := enc.Encode(v)
+	if _, err := dec.Decode(first); err != nil {
+		t.Fatal(err)
+	}
+	one := []byte{0, 0, 0x80, 0x3f} // float32 1
+	cases := []struct {
+		name, want string
+		mode       byte
+		k          uint32
+		body       []byte
+	}{
+		{"truncated varint", "truncated or non-minimal", ModeDelta, 1, []byte{0x80, 0x80, 0x80, 0x80, 0x80}},
+		{"non-minimal varint", "truncated or non-minimal", ModeDelta, 1, slices.Concat([]byte{0x80, 0x00}, one)},
+		{"gap past n", "past n", ModeDelta, 2, slices.Concat([]byte{5}, one, []byte{0xa6, 0x02}, one)}, // 6 + 1 + 294 = 301
+		{"fewer than k entries", "cannot hold", ModeDelta, 3, slices.Concat([]byte{0}, one, []byte{0}, one)},
+		{"trailing bytes", "trailing", ModeDelta, 1, slices.Concat([]byte{0}, one, []byte{0})},
+		{"retired mode-2 delta", "retired", modeDeltaU32, 1, slices.Concat([]byte{5, 0, 0, 0}, one)},
+	}
+	for _, tc := range cases {
+		p := []byte{tc.mode}
+		p = binary.LittleEndian.AppendUint32(p, enc.seq+1)
+		p = binary.LittleEndian.AppendUint32(p, n)
+		p = binary.LittleEndian.AppendUint32(p, tc.k)
+		p = append(p, tc.body...)
+		if _, err := dec.Decode(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Decode(% x) error %v, want one naming %q", tc.name, p, err, tc.want)
+		}
+		for i := range v {
+			v[i] += 1e-3 * float64(i%5-2)
+		}
+		p, _ = enc.Encode(v)
+		if _, err := dec.Decode(p); err != nil {
+			t.Fatalf("%s: the next valid delta no longer applies: %v", tc.name, err)
+		}
+		if i := firstBitDiff(dec.ref, enc.ref); i >= 0 {
+			t.Fatalf("%s: reference moved: decoder and encoder differ at %d", tc.name, i)
+		}
+	}
+}
+
+// goldenDelta is the exact topk delta of TestTopKDeltaGolden, one field per
+// row: mode, seq 2, n 20480, k 5, then per kept index its uvarint gap and
+// float32 value. The gaps take one, two and three varint bytes.
+const goldenDelta = `
+04
+02 00 00 00
+00 50 00 00
+05 00 00 00
+00       00 00 80 3f
+00       00 00 00 c0
+c6 01    00 00 00 3f
+9f 83 01 00 00 50 40
+96 1b    00 00 00 be`
+
+// TestTopKDeltaGolden pins the delta layout byte for byte. The oracle test
+// cannot see a change made to the encoder and referenceDelta alike; these
+// bytes can. The kept indices 0, 1, 200, 17000 and 20479 make gaps of 0, 0,
+// 198, 16799 and 3478.
+func TestTopKDeltaGolden(t *testing.T) {
+	const n = 20480
+	kept := []int{0, 1, 200, 17000, 20479}
+	deltas := []float64{1, -2, 0.5, 3.25, -0.125}
+	golden, err := hex.DecodeString(strings.Join(strings.Fields(goldenDelta), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, dec := &topKCodec{frac: 0x1p-12}, &topKCodec{frac: 0x1p-12} // k = n/4096 = 5
+	v := make([]float64, n)
+	first, _ := enc.Encode(v)
+	if _, err := dec.Decode(first); err != nil {
+		t.Fatal(err)
+	}
+	for j, i := range kept {
+		v[i] = deltas[j]
+	}
+	if got, _ := enc.Encode(v); !bytes.Equal(got, golden) {
+		t.Fatalf("Encode wrote\n% x\nwant\n% x", got, golden)
+	}
+	got, err := dec.Decode(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := firstBitDiff(got, v); i >= 0 {
+		t.Fatalf("decoded golden delta differs from the vector at %d: %g vs %g", i, got[i], v[i])
 	}
 }

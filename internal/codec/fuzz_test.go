@@ -25,6 +25,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(float64(i)*0.37-5))
 	}
 	f.Add(seed)
+	f.Add(wideGapSeed())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Interpretation 1: the bytes are a parameter vector. Non-finite
@@ -38,9 +39,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			params[i] = v
 		}
+		// Each coordinate's lowest byte sets its step, so an input places
+		// the coordinates a topk delta keeps, wide gaps included.
 		perturbed := append([]float64(nil), params...)
 		for i := range perturbed {
-			perturbed[i] += 0.25 * float64(i%5)
+			perturbed[i] += 0.25 * float64(data[8*i]%5)
 		}
 
 		for _, spec := range fuzzSpecs {
@@ -109,6 +112,22 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// wideGapSeed is a 200-parameter zero vector whose perturbation (see the
+// fuzz body) moves index 0 and the last 19 coordinates by 1 and leaves the
+// rest. A 10% topk delta keeps exactly those 20, so its index gaps take one
+// and two (180) varint bytes. A three-byte gap needs over 16 384
+// parameters; TestTopKDeltaGolden and TestTopKDeltaSizes cover those.
+func wideGapSeed() []byte {
+	const n = 200
+	data := make([]byte, 8*n)
+	moved := func(i int) { data[8*i] = 4 } // a subnormal, which the body zeroes; step 4·0.25
+	moved(0)
+	for i := n - 19; i < n; i++ {
+		moved(i)
+	}
+	return data
 }
 
 // fuzzMask is a data-derived one-range mask over n ≥ 2 coordinates.

@@ -304,8 +304,9 @@ func TestMaskedRejectsHostileHeaders(t *testing.T) {
 
 // TestWireSize pins the codec-aware pricing the what-if estimators use: the
 // empty spec is exactly 8 B/param, q8 lands near 1 B/param, and topk's
-// steady-state delta is far below raw. This is the figure exttime's
-// fallback pricing must use (the 8·NumParams bug).
+// steady-state delta is far below raw and priced halfway between its
+// shortest and longest payload. This is the figure exttime's fallback
+// pricing must use (the 8·NumParams bug).
 func TestWireSize(t *testing.T) {
 	const dim = 1000
 	empty, err := WireSize("", dim)
@@ -323,8 +324,11 @@ func TestWireSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topk >= 2*dim { // steady state ≈ 0.8 B/param at 10% density
+	if topk >= dim { // steady state ≈ 0.5 B/param at 10% density: 5 B per kept coordinate
 		t.Fatalf("WireSize(topk) = %d, want steady-state delta well under raw", topk)
+	}
+	if shortest, longest := deltaSizes(dim, 100); topk != (shortest+longest)/2 {
+		t.Fatalf("WireSize(topk) = %d, want the midpoint of %d and %d", topk, shortest, longest)
 	}
 	if _, err := WireSize("no-such-codec", dim); err == nil {
 		t.Fatal("WireSize accepted an unknown codec")

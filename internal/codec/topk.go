@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -14,9 +15,17 @@ const DefaultTopKFraction = 0.10
 // topKCodec ships sparsified deltas against the last synchronized vector.
 // The first message after construction or Reset is a full payload that
 // establishes the shared reference; each following Encode transmits only
-// the k = ⌈frac·n⌉ largest-magnitude coordinates of (params − ref) as
-// (uint32 index, float32 value) pairs — ≈(8·frac)·n bytes instead of 8n,
-// a ~10× reduction at the default density.
+// the k = ⌈frac·n⌉ largest-magnitude coordinates of (params − ref), in
+// ascending index order, as (uvarint index gap, float32 value) pairs — the
+// gap is the index minus the previous kept index minus one (the first is
+// the index itself). At the default density the mean gap is about 9, one
+// varint byte, so a delta costs ≈(5·frac)·n bytes instead of 8n, a ~16×
+// reduction.
+//
+// Delta layout: [ModeDelta][u32 seq][u32 n][u32 k][(uvarint gap, f32)×k].
+// Decode validates all of it before it touches the reference: strictly
+// increasing indices below n, exactly k entries, minimal varints, no
+// trailing bytes.
 //
 // Both endpoints advance the same reference: the encoder applies exactly
 // the sparsified, float32-rounded delta it transmitted to its own ref, so
@@ -89,13 +98,7 @@ func (c *topKCodec) appendEncode(dst []byte, params []float64) ([]byte, error) {
 	}
 
 	c.seq++
-	k := int(math.Ceil(c.frac * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
+	k := keep(c.frac, n)
 	// The kept set is the first k coordinates in the total order (|Δ|
 	// descending, index ascending). With thr the k-th largest key it is every
 	// coordinate above thr plus the lowest-indexed ties at thr, so one
@@ -115,13 +118,14 @@ func (c *topKCodec) appendEncode(dst []byte, params []float64) ([]byte, error) {
 	selectPool.Put(sc)
 	ties := k - above
 
-	dst, out := extend(dst, 13+8*k)
-	out[0] = ModeDelta
-	binary.LittleEndian.PutUint32(out[1:], c.seq)
-	binary.LittleEndian.PutUint32(out[5:], uint32(n))
-	binary.LittleEndian.PutUint32(out[9:], uint32(k))
-	idxs, vals := out[13:13+4*k], out[13+4*k:]
-	j := 0
+	// No gap exceeds n − 1, so one reservation holds every pair (at most
+	// 13 + 8k bytes while n < 2²⁸) and the appends below never grow dst.
+	dst = reserve(dst, 13+k*(4+uvarintLen(uint64(n-1))))
+	dst = append(dst, ModeDelta)
+	dst = binary.LittleEndian.AppendUint32(dst, c.seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
+	prev := -1
 	for i, p := range params {
 		d := p - c.ref[i]
 		key := deltaKey(d)
@@ -139,11 +143,53 @@ func (c *topKCodec) appendEncode(dst []byte, params []float64) ([]byte, error) {
 		// both ends stay bit-identical and the rounding residual rides into
 		// the next delta.
 		c.ref[i] += float64(v)
-		binary.LittleEndian.PutUint32(idxs[4*j:], uint32(i))
-		binary.LittleEndian.PutUint32(vals[4*j:], math.Float32bits(v))
-		j++
+		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+		prev = i
 	}
 	return dst, nil
+}
+
+// keep is the size of the kept set of an n-coordinate delta at density
+// frac: k = ⌈frac·n⌉, at least 1 and at most n.
+func keep(frac float64, n int) int {
+	return min(max(int(math.Ceil(frac*float64(n))), 1), n)
+}
+
+// deltaSizes returns the lengths of the shortest and the longest delta
+// payload over n coordinates with k kept. Every entry costs 4 value bytes
+// and at least one gap byte. The gaps sum to at most n − k, and a gap's
+// varint grows by a byte at 2⁷, 2¹⁴, …, so the longest payload lengthens as
+// many gaps as that sum allows, cheapest step first: every gap to 2⁷ before
+// any to 2¹⁴.
+func deltaSizes(n, k int) (shortest, longest int) {
+	shortest = 13 + 5*k
+	longest = shortest
+	spare := n - k
+	for lo, hi := 0, 1<<7; k > 0; lo, hi = hi, hi<<7 {
+		m := min(k, spare/(hi-lo))
+		longest += m
+		if m < k {
+			break
+		}
+		spare -= k * (hi - lo)
+	}
+	return shortest, longest
+}
+
+// uvarintLen is the length of x as a uvarint: one byte per started 7 bits.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// longGap parses the uvarint of two or more bytes at the start of b and
+// returns it with its length, or length 0 when b does not start with a
+// minimal one: truncated, over 64 bits, or padded with a zero final byte.
+// The decode loops read the common one-byte gap themselves.
+func longGap(b []byte) (uint64, int) {
+	x, w := binary.Uvarint(b)
+	if w <= 0 || b[w-1] == 0 {
+		return 0, 0
+	}
+	return x, w
 }
 
 // radixBits is the digit width of the radix select: 11 bits, so the top
@@ -291,26 +337,47 @@ func (c *topKCodec) advance(payload []byte) error {
 		if seq != c.seq+1 {
 			return fmt.Errorf("%w: delta seq %d does not extend reference seq %d", ErrDesync, seq, c.seq)
 		}
-		if k < 0 || k > n || len(payload) != 13+8*k {
-			return fmt.Errorf("codec: topk: delta payload length %d does not match k=%d", len(payload), k)
+		body := payload[13:]
+		if k < 0 || k > n || len(body) < 5*k {
+			return fmt.Errorf("codec: topk: delta payload length %d cannot hold k=%d entries over %d params", len(payload), k, n)
 		}
-		idxs := payload[13 : 13+4*k]
-		vals := payload[13+4*k:]
-		prev := -1
+		// Validate every entry before the reference moves.
+		prev, off := -1, 0
 		for j := 0; j < k; j++ {
-			i := int(binary.LittleEndian.Uint32(idxs[4*j:]))
-			if i <= prev || i >= n {
-				return fmt.Errorf("codec: topk: delta index %d out of order or range (n=%d)", i, n)
+			if off >= len(body) {
+				return fmt.Errorf("codec: topk: delta payload ends after %d of %d entries", j, k)
 			}
-			prev = i
+			gap, w := uint64(body[off]), 1
+			if gap >= 0x80 {
+				if gap, w = longGap(body[off:]); w == 0 {
+					return fmt.Errorf("codec: topk: delta entry %d of %d: truncated or non-minimal index gap", j, k)
+				}
+			}
+			if gap >= uint64(n-prev-1) {
+				return fmt.Errorf("codec: topk: delta entry %d: index gap %d past n=%d after index %d", j, gap, n, prev)
+			}
+			prev += int(gap) + 1
+			if off += w + 4; off > len(body) {
+				return fmt.Errorf("codec: topk: delta entry %d of %d: truncated value", j, k)
+			}
 		}
+		if off != len(body) {
+			return fmt.Errorf("codec: topk: %d trailing bytes after %d delta entries", len(body)-off, k)
+		}
+		prev, off = -1, 0
 		for j := 0; j < k; j++ {
-			i := int(binary.LittleEndian.Uint32(idxs[4*j:]))
-			v := math.Float32frombits(binary.LittleEndian.Uint32(vals[4*j:]))
-			c.ref[i] += float64(v)
+			gap, w := uint64(body[off]), 1
+			if gap >= 0x80 {
+				gap, w = binary.Uvarint(body[off:])
+			}
+			prev += int(gap) + 1
+			c.ref[prev] += float64(math.Float32frombits(binary.LittleEndian.Uint32(body[off+w:])))
+			off += w + 4
 		}
 		c.seq = seq
 		return nil
+	case modeDeltaU32:
+		return fmt.Errorf("codec: topk: retired delta layout (mode %d, u32 indices): the peer runs an older build", modeDeltaU32)
 	default:
 		return fmt.Errorf("codec: topk: unknown payload mode %d", payload[0])
 	}

@@ -2,11 +2,15 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/edgeai/fedml/internal/codec"
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
+	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/transport"
 )
@@ -71,6 +75,76 @@ func TestCodecCompressionAndAccuracy(t *testing.T) {
 		if gap := rawAcc - acc; gap > 0.02 {
 			t.Errorf("%s: meta-test accuracy %.4f vs raw %.4f — gap %.4f > 0.02", spec, acc, rawAcc, gap)
 		}
+	}
+}
+
+// deltaLenLink records the length of every topk delta that crosses a
+// platform-side link, broadcasts and updates alike.
+type deltaLenLink struct {
+	transport.Link
+	mu   *sync.Mutex
+	lens *[]int
+}
+
+func (l deltaLenLink) record(m transport.Msg) {
+	if len(m.Payload) > 0 && !codec.IsFull(m.Payload) {
+		l.mu.Lock()
+		*l.lens = append(*l.lens, len(m.Payload))
+		l.mu.Unlock()
+	}
+}
+
+func (l deltaLenLink) Send(m transport.Msg) error {
+	l.record(m)
+	return l.Link.Send(m)
+}
+
+func (l deltaLenLink) Recv() (transport.Msg, error) {
+	m, err := l.Link.Recv()
+	if err == nil {
+		l.record(m)
+	}
+	return m, err
+}
+
+// TestWireSizePricesTrainedDeltas checks codec.WireSize's topk price against
+// the deltas a training run sends, on the model tcp_mlp_topk ships (the
+// sent140 MLP 360-64-32-16-2 with batch norm, 25 970 parameters): at the
+// default density and at a sparse one, the price is never below a delta
+// and within 15% of each.
+func TestWireSizePricesTrainedDeltas(t *testing.T) {
+	scfg := data.DefaultSent140Config()
+	scfg.Nodes, scfg.Seed = 20, 1
+	scfg.EmbedDim, scfg.SeqLen = 24, 15
+	fed, err := data.GenerateSent140(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, 64, 32, 16, fed.NumClasses}, BatchNorm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"topk:0.1", "topk:0.005"} {
+		price, err := codec.WireSize(spec, m.NumParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var lens []int
+		cfg := Config{Alpha: 0.01, Beta: 0.01, T: 20, T0: 5, Seed: 3, Codec: spec,
+			WrapLink: func(_ int, l transport.Link) transport.Link { return deltaLenLink{l, &mu, &lens} }}
+		if _, err := Train(m, fed, nil, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(lens) == 0 {
+			t.Fatalf("%s: no delta crossed the links", spec)
+		}
+		for _, n := range lens {
+			if price < n || float64(price) > 1.15*float64(n) {
+				t.Errorf("%s: WireSize %d B against a %d-byte trained delta, want within 1–1.15×", spec, price, n)
+			}
+		}
+		t.Logf("%s: WireSize %d B, %d trained deltas of %d–%d B", spec, price, len(lens), slices.Min(lens), slices.Max(lens))
 	}
 }
 

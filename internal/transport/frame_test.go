@@ -248,6 +248,47 @@ func TestFrameOverhead(t *testing.T) {
 	}
 }
 
+// TestTCPRecvReusesCodecName: a steady stream of topk updates allocates once
+// per Recv, for the payload. The codec name repeats, so it reuses the
+// string the link kept from the frame before.
+func TestTCPRecvReusesCodecName(t *testing.T) {
+	const runs = 100
+	frame := encodeFrame(t, Msg{Kind: KindUpdate, Round: 1, Codec: "topk", Payload: make([]byte, 300)})
+	l := NewConnLink(script(bytes.Repeat(frame, runs+1))) // AllocsPerRun calls once more to warm up
+	allocs := testing.AllocsPerRun(runs, func() {
+		if m, err := l.Recv(); err != nil || m.Codec != "topk" {
+			t.Fatalf("Recv = %q, %v", m.Codec, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("steady topk Recv: %v allocs, want 1 (the payload)", allocs)
+	}
+}
+
+// TestTCPRecvCodecNameChanges: the kept name never leaks into a frame with
+// another name or with none.
+func TestTCPRecvCodecNameChanges(t *testing.T) {
+	names := []string{"topk", "q8", "", "topk", "topk", "", "q8", "q8", "topk"}
+	var wire []byte
+	for _, name := range names {
+		m := Msg{Kind: KindUpdate, Params: []float64{1}}
+		if name != "" {
+			m = Msg{Kind: KindUpdate, Codec: name, Payload: []byte{1}}
+		}
+		wire = append(wire, encodeFrame(t, m)...)
+	}
+	l := NewConnLink(script(wire))
+	for i, want := range names {
+		m, err := l.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Codec != want {
+			t.Errorf("frame %d: codec %q, want %q", i, m.Codec, want)
+		}
+	}
+}
+
 func TestTCPTruncatedFrameIsErrClosed(t *testing.T) {
 	partial, _ := fullPartial(t)
 	m := Msg{Kind: KindPartial, Round: 2, NodeID: 1, Params: []float64{1, 2, 3}, Codec: "topk", Payload: []byte{9, 8, 7, 6, 5}, Err: "e", Partial: partial}

@@ -78,7 +78,11 @@ type tcpLink struct {
 	// recvErr is the first error Recv returned. A failed Recv leaves the
 	// stream at an unknown offset, so every later one repeats the error.
 	recvErr error
-	once    sync.Once
+	// codec is the last non-empty codec name Recv returned. A link carries
+	// one codec for long stretches, so a frame whose name matches reuses
+	// this string instead of allocating its own.
+	codec string
+	once  sync.Once
 }
 
 var _ Link = (*tcpLink)(nil)
@@ -291,7 +295,7 @@ func (l *tcpLink) Recv() (Msg, error) {
 	if l.r == nil {
 		l.r = bufio.NewReaderSize(l.conn, bufSize)
 	}
-	m, err := readFrame(l.r)
+	m, err := readFrame(l.r, &l.codec)
 	if err != nil {
 		l.recvErr = fmt.Errorf("transport: recv: %w", mapClosed(err))
 		return Msg{}, l.recvErr
@@ -299,7 +303,10 @@ func (l *tcpLink) Recv() (Msg, error) {
 	return m, nil
 }
 
-func readFrame(r *bufio.Reader) (Msg, error) {
+// readFrame reads one frame from r. last is the link's last codec name: a
+// frame with the same name gets that string, a frame with another non-empty
+// name replaces it.
+func readFrame(r *bufio.Reader, last *string) (Msg, error) {
 	// The version is judged first, on the first bytes to arrive: a peer
 	// speaking another format is told so, whatever its bytes look like as
 	// a length.
@@ -351,7 +358,12 @@ func readFrame(r *bufio.Reader) (Msg, error) {
 	if err != nil {
 		return Msg{}, err
 	}
-	m.Codec = string(b[:h.nCodec])
+	if name := b[:h.nCodec]; len(name) > 0 {
+		if string(name) != *last { // the comparison does not allocate
+			*last = string(name)
+		}
+		m.Codec = *last
+	}
 	m.Err = string(b[h.nCodec:][:h.nErr])
 	if h.flags&flagPartial != 0 {
 		m.Partial = parsePartial(b[nTail-partialSize:])
