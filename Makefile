@@ -30,7 +30,10 @@ all: build vet test
 # field named SkippedRounds anywhere outside internal/obs is a mirror of the
 # counter set coming back (DESIGN.md §9). The arm64 vet and build compile
 # internal/tensor's !amd64 kernel file, the only path off amd64, so the
-# fallback for the AVX2 assembly cannot rot unseen (DESIGN.md §13). The
+# fallback for the AVX2 assembly cannot rot unseen (DESIGN.md §13). arm64 is
+# little-endian like amd64, so the s390x vet and build compile the
+# transport's big-endian Params path for a host that takes it (DESIGN.md §7,
+# "Why 64 KiB"); TestFloatLoopsMatchBulk runs that path's loops here. The
 # last line repeats the two doorbell tests of the buffered-async gather ten
 # times under the race detector: a lost wake shows only now and then, as a
 # stall their watchdogs turn into a failure (DESIGN.md §12).
@@ -67,6 +70,8 @@ check:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/transport
+	GOARCH=s390x $(GO) build ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=10 -run '^(TestAsyncDoorbellDeliversAll|TestAsyncLinkErrorWakesGather)$$' ./internal/transport ./internal/core
 
@@ -301,12 +306,14 @@ fuzz:
 	$(GO) test -fuzz '^FuzzFrameRecv$$' -fuzztime 30s ./internal/transport
 
 # Seconds-long fuzz smoke for CI: enough to replay the corpus and catch
-# shallow regressions without holding up the pipeline.
+# shallow regressions without holding up the pipeline. Minimization is off:
+# by default a leg that finds new coverage spends its 5 s shrinking inputs
+# instead of executing new ones; the 30 s fuzz target above keeps it.
 fuzz-smoke:
-	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/checkpoint
-	$(GO) test -fuzz '^FuzzLoadRunState$$' -fuzztime 5s ./internal/checkpoint
-	$(GO) test -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s ./internal/codec
-	$(GO) test -fuzz '^FuzzFrameRecv$$' -fuzztime 5s ./internal/transport
+	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/checkpoint
+	$(GO) test -fuzz '^FuzzLoadRunState$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/checkpoint
+	$(GO) test -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/codec
+	$(GO) test -fuzz '^FuzzFrameRecv$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/transport
 
 examples:
 	$(GO) run ./examples/quickstart

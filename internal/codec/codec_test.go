@@ -717,27 +717,41 @@ func TestTopKDeltaSizes(t *testing.T) {
 func TestCompressionRatios(t *testing.T) {
 	v := testVector(610, 8)
 	rawBytes := float64(8 * len(v))
+	// A steady round moves every coordinate a little, so the top-k delta
+	// keeps scattered indices with realistic gaps between them.
+	moved := slices.Clone(v)
+	r := rng.New(21)
+	for i := range moved {
+		moved[i] += 0.01 * r.Norm()
+	}
 
 	for _, tc := range []struct {
-		spec     string
+		name, spec string
+		// next, when set, is the second message of a stateful codec, whose
+		// payload is the one measured: the steady state is the delta, not
+		// the initial full sync.
+		next     []float64
 		minRatio float64
 	}{
-		{"f16", 3.9}, {"q8", 4}, {"topk", 14},
+		{"f16", "f16", nil, 3.9},
+		{"q8", "q8", nil, 4},
+		{"topk/zero-delta", "topk", v, 14},
+		// Measured at 15.35x: every one of the 61 kept gaps fits one
+		// varint byte, so an entry costs 5 bytes.
+		{"topk/moved", "topk", moved, 15.3},
 	} {
 		c, _ := New(tc.spec)
 		payload, err := c.Encode(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.spec == "topk" {
-			// Steady state is the delta payload, not the initial full sync.
-			payload, err = c.Encode(v)
-			if err != nil {
+		if tc.next != nil {
+			if payload, err = c.Encode(tc.next); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if ratio := rawBytes / float64(len(payload)); ratio < tc.minRatio {
-			t.Errorf("%s: %d-byte payload, ratio %.2fx < %.1fx", tc.spec, len(payload), ratio, tc.minRatio)
+			t.Errorf("%s: %d-byte payload, ratio %.2fx < %.1fx", tc.name, len(payload), ratio, tc.minRatio)
 		}
 	}
 }

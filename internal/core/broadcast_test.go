@@ -205,3 +205,83 @@ func TestAsyncSecondReplyKeepsAcceptedSlot(t *testing.T) {
 	// A rejected reply that overwrote the slot fails here.
 	sameBits(t, "the slot against the accepted reply", ns.agg.slots[0], tensor.Vec(want))
 }
+
+// TestAsyncSecondReplyKeepsAcceptedSlotRaw is the raw-codec twin of
+// TestAsyncSecondReplyKeepsAcceptedSlot, over TCP. A raw update is lent by
+// the link — the TCP link reads every frame into one buffer and the async
+// pump copies each into a ring of queue+2 slots — so settle must copy the
+// accepted reply. Here the link delivers five rejected replies after it,
+// enough to wrap the ring, and the slot must still hold the first bit for
+// bit. The test settles the replies one by one as the async sweep does.
+func TestAsyncSecondReplyKeepsAcceptedSlotRaw(t *testing.T) {
+	const dim = 300
+	c := Config{
+		Alpha: 0.01, Beta: 0.01, T: 10, T0: 1,
+		Async: true, RoundTimeout: 2 * time.Second, AsyncQuorum: 1,
+		MaxStaleness: 2, StalenessDecay: 0.5, GuardRadius: 1,
+	}
+	c = c.normalized()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := newLocalListener()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	node, err := transport.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	links, err := transport.Accept(ln, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := newNodeSource(c, links, []float64{1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.ls.finish()
+	if err := ns.size(dim); err != nil {
+		t.Fatal(err)
+	}
+	theta := tensor.NewVec(dim)
+	good, poison := tensor.NewVec(dim), tensor.NewVec(dim)
+	for i := range theta {
+		theta[i] = math.Sin(float64(i))
+		good[i] = theta[i] + 0.01*math.Cos(float64(i))
+		poison[i] = theta[i] + 1e6
+	}
+
+	// As in the payload test, the platform is at θ-version 4: the first
+	// reply answers version 2 (stale by 2, within the bound) and is
+	// accepted; five poisoned ones follow, rejected by the norm guard.
+	ns.ls.stats.Rounds = 4
+	replies := []transport.Msg{{Kind: transport.KindUpdate, Round: 2, Version: 2, Params: good}}
+	for range 5 {
+		replies = append(replies, transport.Msg{Kind: transport.KindUpdate, Round: 2, Version: 2, Params: poison})
+	}
+	go func() {
+		for _, m := range replies {
+			if node.Send(m) != nil {
+				return
+			}
+		}
+	}()
+	rd := &ns.rd
+	rd.round, rd.t0, rd.theta, rd.thetaNorm, rd.ver = 5, 1, theta, theta.Norm(), 4
+	ns.agg.reset()
+	for range replies {
+		var msg transport.Msg
+		err := ns.ls.pollUpdate(&msg, 0, rd, time.Second)
+		ns.ls.settle(0, rd, &msg, err)
+	}
+	if _, _, count := ns.agg.reduce(); count != 1 {
+		t.Fatalf("%d updates aggregated, want the first reply alone", count)
+	}
+	if st := ns.ls.stats; st.StaleApplied != 1 || st.Rejected != 5 || st.Dropped != 0 {
+		t.Fatalf("stats %+v, want the first reply applied stale and the other five rejected", st)
+	}
+	sameBits(t, "the slot against the accepted reply", ns.agg.slots[0], good)
+}

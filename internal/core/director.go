@@ -151,6 +151,8 @@ func (d *shardSource) collect(round, t0 int, theta tensor.Vec) (tensor.Vec, floa
 			if len(m.Params) != len(theta) {
 				return nil, 0, 0, fmt.Errorf("%w: shard %d partial has %d params, want %d", ErrProtocol, s, len(m.Params), len(theta))
 			}
+			// Lent by the shard link until its next Recv, next round:
+			// reduce and dispersion are done with the slot by then.
 			d.merge.accept(s, tensor.Vec(m.Params), p.Weight)
 			totalCount += p.Count
 		}

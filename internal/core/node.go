@@ -174,6 +174,9 @@ func RunNode(link transport.Link, nc NodeConfig) error {
 		case transport.KindDone:
 			return nil
 		case transport.KindParams:
+			// msg's sections are lent until the next recv; this round is
+			// done with them before it (localUpdates copies global, the
+			// decoder copies the payload).
 			global := tensor.Vec(msg.Params)
 			var wireMask []codec.Range
 			if msg.Codec != "" {

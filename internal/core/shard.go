@@ -84,6 +84,9 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 			return fmt.Errorf("%w: shard [%d,%d) dispatched round %d after round %d", ErrProtocol, r.Lo, r.Hi, round, lastRound)
 		}
 		lastRound = round
+		// Lent until the next up.Recv, at the top of the next round: this
+		// round is done with it by then, and every broadcast carries a
+		// snapshot of its own.
 		theta := tensor.Vec(msg.Params)
 		if src.agg == nil {
 			// The source is sized on the first dispatch, when the model

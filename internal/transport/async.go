@@ -22,6 +22,45 @@ type Async struct {
 	bell  chan<- struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
+	// slots are where the receive pump copies each message's sections, in
+	// turn, before its next inner Recv reuses the link's buffers: one slot
+	// per queued message, one for the message the caller holds and one for
+	// the message being received, so no slot is rewritten while a message in
+	// it can still be read. Only the pump touches them. Nil over a link that
+	// never reuses what it lends (keepsReceived), whose messages pass through
+	// as they are.
+	slots []slot
+}
+
+// slot is one pump-owned copy of a received message's sections.
+type slot struct {
+	params  []float64
+	payload []byte
+}
+
+// hold copies m's sections into the slot and points m at the copies.
+func (s *slot) hold(m *Msg) {
+	m.Params = keep(&s.params, m.Params)
+	m.Payload = keep(&s.payload, m.Payload)
+}
+
+// keep copies src into *buf and returns the copy. A buffer too small for
+// src, or more than twice its size, is replaced by one of src's size, so a
+// slot holds at most twice the message it last carried (a large first sync
+// is not pinned by every slot it passed through), and a steady stream of one
+// shape allocates nothing. An empty src comes back as it is, and frees the
+// buffer.
+func keep[T float64 | byte](buf *[]T, src []T) []T {
+	if len(src) == 0 {
+		*buf = nil
+		return src[:0:0]
+	}
+	if c := cap(*buf); c < len(src) || c > 2*len(src) {
+		*buf = make([]T, len(src))
+	}
+	dst := (*buf)[:len(src)]
+	copy(dst, src)
+	return dst
 }
 
 // NewAsync starts the I/O pumps for link with the given queue depth per
@@ -48,6 +87,9 @@ func NewAsyncBell(link Link, queue int, bell chan<- struct{}) *Async {
 		done:  make(chan struct{}),
 		bell:  bell,
 	}
+	if !keepsReceived(link) {
+		a.slots = make([]slot, queue+2)
+	}
 	a.wg.Add(2)
 	go a.sendLoop()
 	go a.recvLoop()
@@ -72,12 +114,15 @@ func (a *Async) sendLoop() {
 
 func (a *Async) recvLoop() {
 	defer a.wg.Done()
-	for {
+	for next := 0; ; next++ {
 		m, err := a.link.Recv()
 		if err != nil {
 			a.reportErr(err)
 			a.ring()
 			return
+		}
+		if a.slots != nil {
+			a.slots[next%len(a.slots)].hold(&m)
 		}
 		select {
 		case <-a.done:
@@ -146,6 +191,8 @@ func (a *Async) TrySend(m Msg, timeout time.Duration) error {
 // queued are delivered even if the link has since closed. A timeout <= 0
 // only checks, in order, for a queued message, a pump error and Close, and
 // returns ErrTimeout otherwise; it builds no timer and does not allocate.
+// Like Link.Recv, it lends the message's Params and Payload: they are the
+// pump's copies and stay valid until the next TryRecv.
 func (a *Async) TryRecv(timeout time.Duration) (Msg, error) {
 	select {
 	case m := <-a.recvQ:

@@ -295,6 +295,8 @@ func (c *Chaos) corruptBytes(p []byte) {
 // Close implements Link.
 func (c *Chaos) Close() error { return c.inner.Close() }
 
+func (c *Chaos) keepsReceived() bool { return keepsReceived(c.inner) }
+
 // Stats returns the injected-fault counters (dropped, corrupted, errored).
 func (c *Chaos) Stats() (dropped, corrupted, errored int) {
 	c.mu.Lock()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -248,20 +250,123 @@ func TestFrameOverhead(t *testing.T) {
 	}
 }
 
-// TestTCPRecvReusesCodecName: a steady stream of topk updates allocates once
-// per Recv, for the payload. The codec name repeats, so it reuses the
-// string the link kept from the frame before.
+// TestTCPRecvReusesCodecName: a steady stream of topk updates allocates
+// nothing per Recv. The payload is read into the link's buffer, and the
+// codec name repeats, so it reuses the string the link kept from the frame
+// before.
 func TestTCPRecvReusesCodecName(t *testing.T) {
 	const runs = 100
 	frame := encodeFrame(t, Msg{Kind: KindUpdate, Round: 1, Codec: "topk", Payload: make([]byte, 300)})
 	l := NewConnLink(script(bytes.Repeat(frame, runs+1))) // AllocsPerRun calls once more to warm up
 	allocs := testing.AllocsPerRun(runs, func() {
-		if m, err := l.Recv(); err != nil || m.Codec != "topk" {
-			t.Fatalf("Recv = %q, %v", m.Codec, err)
+		if m, err := l.Recv(); err != nil || m.Codec != "topk" || len(m.Payload) != 300 {
+			t.Fatalf("Recv = %q with %d payload bytes, %v", m.Codec, len(m.Payload), err)
 		}
 	})
-	if allocs != 1 {
-		t.Errorf("steady topk Recv: %v allocs, want 1 (the payload)", allocs)
+	if allocs != 0 {
+		t.Errorf("steady topk Recv: %v allocs, want 0", allocs)
+	}
+}
+
+// TestTCPRecvRawAllocatesNothing: a steady stream of raw parameter frames,
+// one bigger than the link's read buffer, reads every frame into the same
+// Params buffer.
+func TestTCPRecvRawAllocatesNothing(t *testing.T) {
+	const runs = 100
+	for _, n := range []int{7850, 25970} { // the softmax and the MLP of bench/
+		frame := encodeFrame(t, Msg{Kind: KindParams, Round: 1, Params: make([]float64, n)})
+		l := NewConnLink(script(bytes.Repeat(frame, runs+1)))
+		allocs := testing.AllocsPerRun(runs, func() {
+			if m, err := l.Recv(); err != nil || len(m.Params) != n {
+				t.Fatalf("Recv = %d params, %v", len(m.Params), err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady raw Recv of %d params: %v allocs, want 0", n, allocs)
+		}
+	}
+}
+
+// TestTCPRecvReusedBuffersHoldOnlyTheirFrame: the link's receive buffers
+// carry frames of every size in turn, and each Recv returns exactly its own
+// frame's sections — a shorter frame after a longer one shows none of the
+// longer one's tail, and an empty section comes back nil, never an empty
+// view of the buffer.
+func TestTCPRecvReusedBuffersHoldOnlyTheirFrame(t *testing.T) {
+	fill := func(n int, seed uint64) []float64 {
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = math.Float64frombits(seed ^ uint64(i)*0x9e3779b97f4a7c15)
+		}
+		return p
+	}
+	msgs := []Msg{
+		{Kind: KindParams, Round: 1, Params: fill(eagerBytes/8+3, 1), Codec: "q8", Payload: bytes.Repeat([]byte{1}, eagerBytes+5)},
+		{Kind: KindParams, Round: 2, Params: fill(3, 2), Codec: "q8", Payload: []byte{2, 2}},
+		{Kind: KindUpdate, Round: 3},
+		{Kind: KindUpdate, Round: 4, Codec: "topk", Payload: []byte{4}},
+		{Kind: KindUpdate, Round: 5, Params: fill(1, 5)},
+		{Kind: KindParams, Round: 6, Params: fill(bufSize/8+1, 6), Payload: bytes.Repeat([]byte{6}, bufSize+1)},
+		{Kind: KindDone, Round: 7},
+	}
+	var wire []byte
+	for _, m := range msgs {
+		wire = append(wire, encodeFrame(t, m)...)
+	}
+	l := NewConnLink(script(wire))
+	for i, want := range msgs {
+		got, err := l.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		sameMsg(t, got, want)
+		if (got.Params == nil) != (len(want.Params) == 0) || (got.Payload == nil) != (len(want.Payload) == 0) {
+			t.Fatalf("frame %d: params nil %v, payload nil %v; want nil exactly for empty sections", i, got.Params == nil, got.Payload == nil)
+		}
+	}
+}
+
+// TestFloatLoopsMatchBulk keeps the big-endian Params path alive on a
+// little-endian host: writeFloats puts the same bytes on the wire as the
+// bulk write of floatBytes, and readFloats reads them back to the same bits
+// as Recv's bulk read — NaN payloads, signed zeros, infinities and
+// subnormals included, across read-buffer boundaries.
+func TestFloatLoopsMatchBulk(t *testing.T) {
+	p := []float64{
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), 1e-310, math.MaxFloat64, -1.5,
+	}
+	for len(p) < bufSize/8+100 { // more than one buffer of floats
+		p = append(p, math.Float64frombits(uint64(len(p))*0x9e3779b97f4a7c15))
+	}
+	wire := encodeFrame(t, Msg{Kind: KindParams, Round: 1, Params: p})
+	section := wire[prefixSize+headerSize:]
+
+	var loop bytes.Buffer
+	w := bufio.NewWriterSize(&loop, bufSize)
+	if err := writeFloats(w, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(loop.Bytes(), section) {
+		t.Fatal("writeFloats differs from the bulk write's Params section")
+	}
+
+	bulk, err := recvBytes(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, len(p))
+	if err := readFloats(bufio.NewReaderSize(bytes.NewReader(section), bufSize), got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range p {
+		if g, b, w := math.Float64bits(got[i]), math.Float64bits(bulk.Params[i]), math.Float64bits(p[i]); g != w || b != w {
+			t.Fatalf("float %d: readFloats bits %#x, bulk read %#x, sent %#x", i, g, b, w)
+		}
 	}
 }
 
@@ -469,11 +574,15 @@ func TestFrameRefusesGobPeer(t *testing.T) {
 	}
 }
 
-// FuzzFrameRecv feeds arbitrary bytes to Recv. Whatever comes back is either
-// an error or a Msg that encodes to exactly the bytes consumed, and the
-// receiver never allocates much more than it was sent.
+// FuzzFrameRecv feeds arbitrary bytes to one link and receives until it
+// fails, so the reuse of the link's receive buffers is fuzzed with the
+// parser: a short frame after a long one, a payload after params, garbage
+// after a valid frame. Every Recv either errs or returns a Msg that encodes
+// to exactly the bytes it consumed, and the receiver never allocates much
+// more than it was sent.
 func FuzzFrameRecv(f *testing.F) {
-	for _, m := range seedMsgs(f) {
+	seeds := seedMsgs(f)
+	for _, m := range seeds {
 		wire := encodeFrame(f, m)
 		f.Add(wire)
 		f.Add(wire[:len(wire)/2])
@@ -482,26 +591,47 @@ func FuzzFrameRecv(f *testing.F) {
 	var gobWire bytes.Buffer
 	_ = gob.NewEncoder(&gobWire).Encode(Msg{Kind: KindParams, Params: []float64{1}})
 	f.Add(gobWire.Bytes())
+	// Sequences: every seed message after every other, then each valid frame
+	// followed by garbage.
+	long := encodeFrame(f, Msg{Kind: KindUpdate, Params: make([]float64, 40), Codec: "q8", Payload: bytes.Repeat([]byte{7}, 90)})
+	var all []byte
+	for _, m := range seeds {
+		all = append(all, encodeFrame(f, m)...)
+	}
+	f.Add(all)
+	for _, m := range seeds {
+		wire := encodeFrame(f, m)
+		f.Add(slices.Concat(long, wire, long))
+		f.Add(slices.Concat(wire, gobWire.Bytes()))
+	}
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err := recvBytes(wire)
-		runtime.ReadMemStats(&after)
+		l := NewConnLink(script(wire))
+		var grew uint64
+		for consumed := 0; ; {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := l.Recv()
+			runtime.ReadMemStats(&after)
+			grew += after.TotalAlloc - before.TotalAlloc
+			if err != nil {
+				if !errors.Is(err, ErrFrame) && !errors.Is(err, ErrClosed) {
+					t.Fatalf("Recv error is neither ErrFrame nor ErrClosed: %v", err)
+				}
+				break
+			}
+			// The frame's sections are lent until the next Recv: check
+			// them now.
+			n := prefixSize + int(binary.LittleEndian.Uint32(wire[consumed:]))
+			if again := encodeFrame(t, m); !bytes.Equal(again, wire[consumed:consumed+n]) {
+				t.Fatalf("accepted frame at offset %d does not re-encode to itself:\n got % x\nwant % x", consumed, again, wire[consumed:consumed+n])
+			}
+			consumed += n
+		}
 		// Sections double as bytes arrive (≤ 2× received) on top of one eager
 		// section each for Params and Payload and the link's read buffer.
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(wire)+2*eagerBytes+2*bufSize); grew > limit {
+		if limit := uint64(2*len(wire) + 2*eagerBytes + 2*bufSize); grew > limit {
 			t.Fatalf("%d bytes received, %d allocated (limit %d)", len(wire), grew, limit)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrFrame) && !errors.Is(err, ErrClosed) {
-				t.Fatalf("Recv error is neither ErrFrame nor ErrClosed: %v", err)
-			}
-			return
-		}
-		consumed := prefixSize + int(binary.LittleEndian.Uint32(wire))
-		if again := encodeFrame(t, m); !bytes.Equal(again, wire[:consumed]) {
-			t.Fatalf("accepted frame does not re-encode to itself:\n got % x\nwant % x", again, wire[:consumed])
 		}
 	})
 }

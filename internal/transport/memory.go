@@ -51,6 +51,8 @@ func (l *memLink) Recv() (Msg, error) {
 	}
 }
 
+func (*memLink) keepsReceived() bool { return true }
+
 // Close implements Link. It is idempotent.
 func (l *memLink) Close() error {
 	l.once.Do(func() { close(l.closed) })

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"unsafe"
 
 	"github.com/edgeai/fedml/internal/obs"
 )
@@ -59,6 +60,12 @@ const (
 	eagerBytes = 256 << 10
 )
 
+// littleEndian reports whether a []float64 already holds the wire's bytes:
+// then the Params section is written from and read into the slice's own
+// memory in one piece, and only a big-endian host converts float by float
+// (writeFloats, readFloats).
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // ErrFrame reports a frame that violates the wire format: a length over
 // MaxFrameBytes or under the header size, section lengths that do not add up
 // to the frame length, an unknown format version, a reserved bit set — or, on
@@ -78,11 +85,22 @@ type tcpLink struct {
 	// recvErr is the first error Recv returned. A failed Recv leaves the
 	// stream at an unknown offset, so every later one repeats the error.
 	recvErr error
+	in      recvState
+	once    sync.Once
+}
+
+// recvState is what a link's receive side keeps from one frame to the next.
+type recvState struct {
 	// codec is the last non-empty codec name Recv returned. A link carries
 	// one codec for long stretches, so a frame whose name matches reuses
 	// this string instead of allocating its own.
 	codec string
-	once  sync.Once
+	// params and payload are the buffers every frame's Params and Payload
+	// sections are read into, lent to the caller until the next Recv. They
+	// only grow, by the rule of section, so a steady stream of frames of one
+	// shape allocates nothing.
+	params  []float64
+	payload []byte
 }
 
 var _ Link = (*tcpLink)(nil)
@@ -247,19 +265,13 @@ func writeFrame(w *bufio.Writer, h header, m Msg) error {
 		return err
 	}
 	_, _ = w.Write(appendHeader(b, h))
-	for p := m.Params; len(p) > 0; {
-		if b, err = room(w, 8); err != nil {
-			return err
-		}
-		k := min(len(p), cap(b)/8)
-		for _, v := range p[:k] {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		_, _ = w.Write(b)
-		p = p[k:]
-	}
-	// A payload that does not fit the buffer goes out straight from the
+	// A section that does not fit the buffer goes out straight from the
 	// caller's slice.
+	if littleEndian {
+		_, _ = w.Write(floatBytes(m.Params))
+	} else if err := writeFloats(w, m.Params); err != nil {
+		return err
+	}
 	_, _ = w.Write(m.Payload)
 	_, _ = w.WriteString(m.Codec)
 	_, _ = w.WriteString(m.Err)
@@ -270,6 +282,32 @@ func writeFrame(w *bufio.Writer, h header, m Msg) error {
 		_, _ = w.Write(appendPartial(b, m.Partial))
 	}
 	return w.Flush()
+}
+
+// writeFloats writes p as little-endian IEEE-754 bit patterns one float at
+// a time, converting into the buffer: the Params path of a big-endian host,
+// byte for byte what the bulk write of floatBytes puts on the wire of a
+// little-endian one.
+func writeFloats(w *bufio.Writer, p []float64) error {
+	for len(p) > 0 {
+		b, err := room(w, 8)
+		if err != nil {
+			return err
+		}
+		k := min(len(p), cap(b)/8)
+		for _, v := range p[:k] {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		_, _ = w.Write(b)
+		p = p[k:]
+	}
+	return nil
+}
+
+// floatBytes is p's own memory as bytes. On a little-endian host these are
+// the section's wire bytes.
+func floatBytes(p []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), 8*len(p))
 }
 
 // room returns the empty tail of w's buffer with at least n bytes of
@@ -284,8 +322,9 @@ func room(w *bufio.Writer, n int) ([]byte, error) {
 	return w.AvailableBuffer(), nil
 }
 
-// Recv implements Link. Params and Payload of the returned Msg are freshly
-// allocated and belong to the caller; zero-length sections come back nil.
+// Recv implements Link. Params and Payload of the returned Msg are lent:
+// they are the link's receive buffers, valid until the next Recv, which
+// reads the next frame into them. Zero-length sections come back nil.
 func (l *tcpLink) Recv() (Msg, error) {
 	l.recvMu.Lock()
 	defer l.recvMu.Unlock()
@@ -295,7 +334,7 @@ func (l *tcpLink) Recv() (Msg, error) {
 	if l.r == nil {
 		l.r = bufio.NewReaderSize(l.conn, bufSize)
 	}
-	m, err := readFrame(l.r, &l.codec)
+	m, err := readFrame(l.r, &l.in)
 	if err != nil {
 		l.recvErr = fmt.Errorf("transport: recv: %w", mapClosed(err))
 		return Msg{}, l.recvErr
@@ -303,10 +342,10 @@ func (l *tcpLink) Recv() (Msg, error) {
 	return m, nil
 }
 
-// readFrame reads one frame from r. last is the link's last codec name: a
-// frame with the same name gets that string, a frame with another non-empty
+// readFrame reads one frame from r into the buffers of s. A frame whose
+// codec name equals s.codec gets that string; one with another non-empty
 // name replaces it.
-func readFrame(r *bufio.Reader, last *string) (Msg, error) {
+func readFrame(r *bufio.Reader, s *recvState) (Msg, error) {
 	// The version is judged first, on the first bytes to arrive: a peer
 	// speaking another format is told so, whatever its bytes look like as
 	// a length.
@@ -337,11 +376,17 @@ func readFrame(r *bufio.Reader, last *string) (Msg, error) {
 		Kind: Kind(h.kind), Round: int(int32(h.round)), NodeID: int(int32(h.node)),
 		Version: int(int32(h.version)), LocalSteps: int(int32(h.steps)),
 	}
-	if m.Params, err = readParams(r, int(h.nParams)); err != nil {
-		return Msg{}, err
+	if h.nParams > 0 {
+		if s.params, err = readParams(r, s.params, int(h.nParams)); err != nil {
+			return Msg{}, err
+		}
+		m.Params = s.params
 	}
-	if m.Payload, err = readBytes(r, int(h.nPayload)); err != nil {
-		return Msg{}, err
+	if h.nPayload > 0 {
+		if s.payload, err = readBytes(r, s.payload, int(h.nPayload)); err != nil {
+			return Msg{}, err
+		}
+		m.Payload = s.payload
 	}
 	nTail := int(n) - headerSize - 8*len(m.Params) - len(m.Payload)
 	if nTail == 0 {
@@ -353,16 +398,16 @@ func readFrame(r *bufio.Reader, last *string) (Msg, error) {
 	if peeked {
 		b, err = r.Peek(nTail)
 	} else {
-		b, err = readBytes(r, nTail)
+		b, err = readBytes(r, nil, nTail)
 	}
 	if err != nil {
 		return Msg{}, err
 	}
 	if name := b[:h.nCodec]; len(name) > 0 {
-		if string(name) != *last { // the comparison does not allocate
-			*last = string(name)
+		if string(name) != s.codec { // the comparison does not allocate
+			s.codec = string(name)
 		}
-		m.Codec = *last
+		m.Codec = s.codec
 	}
 	m.Err = string(b[h.nCodec:][:h.nErr])
 	if h.flags&flagPartial != 0 {
@@ -374,48 +419,71 @@ func readFrame(r *bufio.Reader, last *string) (Msg, error) {
 	return m, nil
 }
 
-// sectionLen is how long the slice receiving an n-element section is made
-// once got elements have arrived: eager elements up front, doubling after,
-// so memory follows the bytes a peer actually sends, not the length it
-// claims.
-func sectionLen(got, n, eager int) int { return min(n, max(2*got, eager)) }
-
-// readParams reads n float64 values as little-endian IEEE-754 bit patterns,
-// converting straight out of the read buffer.
-func readParams(r *bufio.Reader, n int) ([]float64, error) {
-	var out []float64
-	for got := 0; got < n; {
-		grown := make([]float64, sectionLen(got, n, eagerBytes/8))
-		copy(grown, out)
-		for out = grown; got < len(out); {
-			if _, err := r.Peek(8); err != nil {
-				return nil, err
-			}
-			k := min(r.Buffered()/8, len(out)-got)
-			b, _ := r.Peek(8 * k)
-			for i := range out[got : got+k] {
-				out[got+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-			}
-			_, _ = r.Discard(8 * k)
-			got += k
-		}
+// section returns buf resliced to the first end elements of an n-element
+// section of which got have arrived, growing it by the eager rule: eager
+// elements up front, doubling after, so memory follows the bytes a peer
+// actually sends, not the length it claims. Capacity buf already has is used
+// as it is.
+func section[T float64 | byte](buf []T, got, n, eager int) []T {
+	end := min(n, max(cap(buf), 2*got, eager))
+	if end > cap(buf) {
+		grown := make([]T, end)
+		copy(grown, buf[:got])
+		return grown
 	}
-	return out, nil
+	return buf[:end]
 }
 
-// readBytes reads an n-byte section into a fresh slice; once the buffer is
-// drained, bufio reads the rest straight into it.
-func readBytes(r *bufio.Reader, n int) ([]byte, error) {
-	var out []byte
-	for got := 0; got < n; got = len(out) {
-		grown := make([]byte, sectionLen(got, n, eagerBytes))
-		copy(grown, out)
-		out = grown
-		if _, err := io.ReadFull(r, out[got:]); err != nil {
+// readParams reads n float64 values, sent as little-endian IEEE-754 bit
+// patterns, into buf (grown as section allows) and returns it at length n.
+// A little-endian host reads the bytes straight into the floats' memory.
+func readParams(r *bufio.Reader, buf []float64, n int) ([]float64, error) {
+	for got := 0; got < n; got = len(buf) {
+		buf = section(buf, got, n, eagerBytes/8)
+		var err error
+		if littleEndian {
+			_, err = io.ReadFull(r, floatBytes(buf[got:]))
+		} else {
+			err = readFloats(r, buf[got:])
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return buf, nil
+}
+
+// readFloats fills p with little-endian IEEE-754 bit patterns read from r,
+// converting one float at a time straight out of the read buffer: the
+// Params path of a big-endian host, bit for bit what readParams's bulk read
+// gives on a little-endian one.
+func readFloats(r *bufio.Reader, p []float64) error {
+	for len(p) > 0 {
+		if _, err := r.Peek(8); err != nil {
+			return err
+		}
+		k := min(r.Buffered()/8, len(p))
+		b, _ := r.Peek(8 * k)
+		for i := range p[:k] {
+			p[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		_, _ = r.Discard(8 * k)
+		p = p[k:]
+	}
+	return nil
+}
+
+// readBytes reads an n-byte section into buf (grown as section allows) and
+// returns it at length n; once r's buffer is drained, bufio reads the rest
+// straight into it.
+func readBytes(r *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	for got := 0; got < n; got = len(buf) {
+		buf = section(buf, got, n, eagerBytes)
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Close implements Link; idempotent.

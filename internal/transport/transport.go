@@ -53,23 +53,33 @@ func (k Kind) String() string {
 // Msg is one message between the platform and a node.
 //
 // The in-memory link passes slices by reference (no serialization), so the
-// Params slice carries an ownership contract that depends on the kind:
+// Params and Payload slices carry an ownership contract. On the send side it
+// depends on the kind:
 //
 //   - KindParams (platform to node, director to shard): Params is a
 //     read-only snapshot. The sender may hand the same slice to many links —
 //     the platform shares one clone of θ per round across every broadcast —
-//     and never writes it again; a receiver may read and retain it
-//     indefinitely but must never write it, and copies it first if it wants
-//     to compute in place.
-//   - Every other kind: ownership of Params transfers to the receiver when
-//     the message is sent. After Send returns the sender must neither read
-//     nor mutate the slice, and the receiver may retain it. The senders in
-//     internal/core reuse their parameter buffers across rounds, so they Send
-//     a Clone.
+//     and never writes it again; a receiver must never write it, and copies
+//     it first if it wants to compute in place.
+//   - Every other kind: the sections are given away when the message is
+//     sent. After Send returns the sender must neither read nor mutate them.
+//     The senders in internal/core reuse their parameter buffers across
+//     rounds, so they Send a Clone.
 //
-// One Link relaxes the second rule on its own receive side, by contract with
-// its only caller: core.SimNodeLink lends its replies (valid until its next
-// Send), see its documentation.
+// On the receive side the sections of a message returned by Recv are lent:
+// they stay valid until the next receive on that endpoint, and a caller that
+// keeps them longer copies them. The TCP link reads every frame into the
+// same per-link buffers, and transport.Async copies what such a link lends
+// into a ring of its own, so neither allocates per message; the in-memory
+// pipe lends the sender's slices, which nobody reuses. A caller may hold a
+// lent message across other links' receives: the strict gather of
+// internal/core keeps each reply in an aggregation slot without copying,
+// because it makes one Recv per link per round and clears the slots before
+// the next dispatch. The fault-tolerant gather can take two replies from one
+// link in a round, so it copies what it accepts.
+//
+// core.SimNodeLink lends its replies until its next Send instead, see its
+// documentation.
 type Msg struct {
 	Kind   Kind
 	Round  int
@@ -130,18 +140,27 @@ type Partial struct {
 // Send and Recv may be used from different goroutines, but neither is safe
 // for concurrent use with itself.
 //
-// Implementations must honor the Msg.Params ownership contract: a message
-// handed to Send belongs to the far endpoint from that moment on (read-only
-// when it is a KindParams snapshot the sender may share across links), and
-// a message returned by Recv belongs to the caller. Implementations never
-// write the Params of a KindParams message (Chaos corrupts only what it
+// Implementations must honor the Msg ownership contract: a message handed to
+// Send belongs to the far endpoint from that moment on (read-only when it is
+// a KindParams snapshot the sender may share across links), and a message
+// returned by Recv is lent to the caller until the next Recv. Implementations
+// never write the Params of a KindParams message (Chaos corrupts only what it
 // receives), and may pass slices through by reference (the in-memory pipe
-// does) or copy them (the TCP pipe serializes); callers cannot tell the
-// difference as long as they respect the contract.
+// does) or read them into buffers they reuse (the TCP pipe does); callers
+// cannot tell the difference as long as they respect the contract.
 type Link interface {
 	Send(Msg) error
 	Recv() (Msg, error)
 	Close() error
+}
+
+// keepsReceived reports whether the sections of a message l's Recv returns
+// stay valid past its next Recv: true for the in-memory pipe, which hands
+// over the sender's own slices and never reuses them, and for a Chaos around
+// one. Async copies what any other link lends.
+func keepsReceived(l Link) bool {
+	k, ok := l.(interface{ keepsReceived() bool })
+	return ok && k.keepsReceived()
 }
 
 // ErrClosed is returned by operations on a closed link.
