@@ -207,12 +207,12 @@ func TestAsyncSecondReplyKeepsAcceptedSlot(t *testing.T) {
 }
 
 // TestAsyncSecondReplyKeepsAcceptedSlotRaw is the raw-codec twin of
-// TestAsyncSecondReplyKeepsAcceptedSlot, over TCP. A raw update is lent by
-// the link — the TCP link reads every frame into one buffer and the async
-// pump copies each into a ring of queue+2 slots — so settle must copy the
-// accepted reply. Here the link delivers five rejected replies after it,
-// enough to wrap the ring, and the slot must still hold the first bit for
-// bit. The test settles the replies one by one as the async sweep does.
+// TestAsyncSecondReplyKeepsAcceptedSlot, over TCP. The TCP link reads every
+// frame into one buffer, which the next frame overwrites; settle keeps the
+// accepted raw update as it came, so the async pump must have copied it out.
+// Here the link delivers five rejected replies after it, and the slot must
+// still hold the first bit for bit. The test settles the replies one by one
+// as the async sweep does.
 func TestAsyncSecondReplyKeepsAcceptedSlotRaw(t *testing.T) {
 	const dim = 300
 	c := Config{

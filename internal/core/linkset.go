@@ -658,8 +658,7 @@ func (ls *linkSet) reject(i, round int, cause error) {
 // it survives. An undecodable one is then rejected; a decoded one is held to
 // the staleness drop bound (async mode only — the barrier path never reads
 // the version echo), then to sanitation, and handed to rd.accept with its
-// staleness — in fault-tolerant mode as a copy in a spare vector of the round.
-// The error is nil in fault-tolerant mode.
+// staleness. The error is nil in fault-tolerant mode.
 func (ls *linkSet) settle(i int, rd *nodeRound, msg *transport.Msg, err error) error {
 	u := tensor.Vec(msg.Params)
 	var poison error
@@ -697,15 +696,6 @@ func (ls *linkSet) settle(i int, rd *nodeRound, msg *transport.Msg, err error) e
 	if s > 0 {
 		ls.markStaleApply(i, rd.round, s)
 	}
-	if ls.ft && len(msg.Payload) == 0 && msg.Codec == "" {
-		// A raw update is lent by the link until its next receive, and the
-		// fault-tolerant gather may receive on this link again before the
-		// round reduces (an async link can deliver twice while the slot is
-		// held), so the slot gets a copy. A decoded update is in a spare
-		// already; the strict gather keeps its one reply per link as it is.
-		u = rd.spare()
-		u.CopyFrom(msg.Params)
-	}
 	rd.accept(i, u, s)
 	return nil
 }
@@ -714,10 +704,11 @@ func (ls *linkSet) settle(i int, rd *nodeRound, msg *transport.Msg, err error) e
 // broadcast went out to (each bounded by RoundTimeout in fault-tolerant
 // mode) and settle its reply. Rejected updates are billed and counted but
 // never reach rd.accept. A non-nil error means the run must abort
-// (strict-mode failure, or the alive count fell below MinNodes). In strict
-// mode an accepted reply stays in its slot as the link lent it: one receive
-// per link per round, slots cleared before the next dispatch (see
-// transport.Msg).
+// (strict-mode failure, or the alive count fell below MinNodes). An accepted
+// reply stays in its slot as received: in strict mode the link lends it, but
+// there is one receive per link per round and the slots are cleared before
+// the next dispatch (see transport.Msg); in fault-tolerant mode the async
+// pump hands over messages the caller owns.
 func (ls *linkSet) gatherRound(rd *nodeRound, selected []int) error {
 	sent, probed, err := ls.dispatch(rd, selected)
 	if err != nil {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 )
@@ -22,45 +23,12 @@ type Async struct {
 	bell  chan<- struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
-	// slots are where the receive pump copies each message's sections, in
-	// turn, before its next inner Recv reuses the link's buffers: one slot
-	// per queued message, one for the message the caller holds and one for
-	// the message being received, so no slot is rewritten while a message in
-	// it can still be read. Only the pump touches them. Nil over a link that
+	// clone makes the receive pump copy each message's sections into fresh
+	// slices before its next inner Recv can reuse the link's buffers, so
+	// every message TryRecv returns is the caller's. False over a link that
 	// never reuses what it lends (keepsReceived), whose messages pass through
 	// as they are.
-	slots []slot
-}
-
-// slot is one pump-owned copy of a received message's sections.
-type slot struct {
-	params  []float64
-	payload []byte
-}
-
-// hold copies m's sections into the slot and points m at the copies.
-func (s *slot) hold(m *Msg) {
-	m.Params = keep(&s.params, m.Params)
-	m.Payload = keep(&s.payload, m.Payload)
-}
-
-// keep copies src into *buf and returns the copy. A buffer too small for
-// src, or more than twice its size, is replaced by one of src's size, so a
-// slot holds at most twice the message it last carried (a large first sync
-// is not pinned by every slot it passed through), and a steady stream of one
-// shape allocates nothing. An empty src comes back as it is, and frees the
-// buffer.
-func keep[T float64 | byte](buf *[]T, src []T) []T {
-	if len(src) == 0 {
-		*buf = nil
-		return src[:0:0]
-	}
-	if c := cap(*buf); c < len(src) || c > 2*len(src) {
-		*buf = make([]T, len(src))
-	}
-	dst := (*buf)[:len(src)]
-	copy(dst, src)
-	return dst
+	clone bool
 }
 
 // NewAsync starts the I/O pumps for link with the given queue depth per
@@ -86,9 +54,7 @@ func NewAsyncBell(link Link, queue int, bell chan<- struct{}) *Async {
 		errc:  make(chan error, 2), // one slot per pump
 		done:  make(chan struct{}),
 		bell:  bell,
-	}
-	if !keepsReceived(link) {
-		a.slots = make([]slot, queue+2)
+		clone: !keepsReceived(link),
 	}
 	a.wg.Add(2)
 	go a.sendLoop()
@@ -114,15 +80,16 @@ func (a *Async) sendLoop() {
 
 func (a *Async) recvLoop() {
 	defer a.wg.Done()
-	for next := 0; ; next++ {
+	for {
 		m, err := a.link.Recv()
 		if err != nil {
 			a.reportErr(err)
 			a.ring()
 			return
 		}
-		if a.slots != nil {
-			a.slots[next%len(a.slots)].hold(&m)
+		if a.clone {
+			m.Params = slices.Clone(m.Params)
+			m.Payload = slices.Clone(m.Payload)
 		}
 		select {
 		case <-a.done:
@@ -191,8 +158,9 @@ func (a *Async) TrySend(m Msg, timeout time.Duration) error {
 // queued are delivered even if the link has since closed. A timeout <= 0
 // only checks, in order, for a queued message, a pump error and Close, and
 // returns ErrTimeout otherwise; it builds no timer and does not allocate.
-// Like Link.Recv, it lends the message's Params and Payload: they are the
-// pump's copies and stay valid until the next TryRecv.
+// Unlike Link.Recv, it does not lend: the message's Params and Payload are
+// the caller's to keep (the pump copied them out of a link that reuses its
+// buffers).
 func (a *Async) TryRecv(timeout time.Duration) (Msg, error) {
 	select {
 	case m := <-a.recvQ:

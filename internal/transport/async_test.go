@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -185,41 +184,16 @@ func TestAsyncOverTCPKeepsQueuedMessages(t *testing.T) {
 	}
 }
 
-// TestAsyncSteadyRecvAllocatesNothing: once every slot of the ring has
-// carried a message of the steady shape, receiving through the pump — the
-// link's Recv, the copy into a slot and TryRecv — allocates nothing.
-func TestAsyncSteadyRecvAllocatesNothing(t *testing.T) {
-	const runs, queue = 100, 1
-	frame := encodeFrame(t, Msg{Kind: KindUpdate, Round: 1, Params: make([]float64, 7850)})
-	bell := make(chan struct{}, 1)
-	// The script runs out some frames after the last receive, and the pump
-	// then stops on EOF.
-	a := NewAsyncBell(NewConnLink(script(bytes.Repeat(frame, runs+2*(queue+2)))), queue, bell)
-	defer a.Close()
-	recv := func() {
-		<-bell // waitBell's timer would allocate
-		if m, err := a.TryRecv(0); err != nil || len(m.Params) != 7850 {
-			t.Fatalf("TryRecv = %d params, %v", len(m.Params), err)
-		}
-	}
-	for range queue + 2 { // every slot gets its buffer
-		recv()
-	}
-	if allocs := testing.AllocsPerRun(runs-1, recv); allocs != 0 {
-		t.Errorf("steady receive through the pump: %v allocs, want 0", allocs)
-	}
-}
-
-// TestAsyncRingOnlyForLendingLinks: the pump copies from every link that
-// may reuse what it lends — TCP, anything wrapped by another package, a
-// Chaos around either — and lets the in-memory pipe's messages, which
+// TestAsyncCopiesOnlyFromLendingLinks: the pump copies from every link
+// that may reuse what it lends — TCP, anything wrapped by another package,
+// a Chaos around either — and lets the in-memory pipe's messages, which
 // nobody reuses, pass as they are.
-func TestAsyncRingOnlyForLendingLinks(t *testing.T) {
+func TestAsyncCopiesOnlyFromLendingLinks(t *testing.T) {
 	p, _ := Pair()
 	s, _ := newTCPPair(t)
 	for name, tc := range map[string]struct {
-		link Link
-		ring bool
+		link  Link
+		clone bool
 	}{
 		"pair":       {p, false},
 		"chaos/pair": {NewChaos(p, ChaosConfig{}), false},
@@ -228,35 +202,10 @@ func TestAsyncRingOnlyForLendingLinks(t *testing.T) {
 		"stub":       {newStubLink(nil), true},
 	} {
 		a := NewAsync(tc.link, 2)
-		if got := a.slots != nil; got != tc.ring {
-			t.Errorf("%s: ring %v, want %v", name, got, tc.ring)
-		} else if tc.ring && len(a.slots) != 4 {
-			t.Errorf("%s: %d slots at queue depth 2, want 4", name, len(a.slots))
+		if a.clone != tc.clone {
+			t.Errorf("%s: clone %v, want %v", name, a.clone, tc.clone)
 		}
 		_ = a.Close()
-	}
-}
-
-// TestAsyncSlotHoldsAtMostTwiceItsMessage: a slot that carried a large
-// message gives its buffer up when a much smaller one follows, keeps it for
-// one at least half its size, and frees it for an empty section, which
-// stays as it was sent.
-func TestAsyncSlotHoldsAtMostTwiceItsMessage(t *testing.T) {
-	var s slot
-	big := Msg{Params: make([]float64, 1000), Payload: make([]byte, 1000)}
-	s.hold(&big)
-	if cap(s.params) != 1000 || cap(s.payload) != 1000 || &big.Params[0] != &s.params[0] {
-		t.Fatalf("slot after a 1000-element message: caps %d and %d", cap(s.params), cap(s.payload))
-	}
-	half := Msg{Params: make([]float64, 500), Payload: make([]byte, 499)}
-	s.hold(&half)
-	if cap(s.params) != 1000 || cap(s.payload) != 499 {
-		t.Errorf("slot after 500 params and 499 payload bytes: caps %d and %d, want 1000 and 499", cap(s.params), cap(s.payload))
-	}
-	empty := Msg{Params: []float64{}}
-	s.hold(&empty)
-	if s.params != nil || s.payload != nil || empty.Params == nil || len(empty.Params) != 0 || empty.Payload != nil {
-		t.Errorf("slot after empty sections: %d and %d elements kept, message %#v", cap(s.params), cap(s.payload), empty)
 	}
 }
 

@@ -69,14 +69,13 @@ func (k Kind) String() string {
 // On the receive side the sections of a message returned by Recv are lent:
 // they stay valid until the next receive on that endpoint, and a caller that
 // keeps them longer copies them. The TCP link reads every frame into the
-// same per-link buffers, and transport.Async copies what such a link lends
-// into a ring of its own, so neither allocates per message; the in-memory
-// pipe lends the sender's slices, which nobody reuses. A caller may hold a
-// lent message across other links' receives: the strict gather of
-// internal/core keeps each reply in an aggregation slot without copying,
-// because it makes one Recv per link per round and clears the slots before
-// the next dispatch. The fault-tolerant gather can take two replies from one
-// link in a round, so it copies what it accepts.
+// same per-link buffers, so it does not allocate per message; the in-memory
+// pipe lends the sender's slices, which nobody reuses. Async is the
+// exception: its pump copies what a reusing link lends, and TryRecv hands
+// over messages the caller owns. A caller may hold a lent message across
+// other links' receives: the strict gather of internal/core keeps each reply
+// in an aggregation slot without copying, because it makes one Recv per link
+// per round and clears the slots before the next dispatch.
 //
 // core.SimNodeLink lends its replies until its next Send instead, see its
 // documentation.
