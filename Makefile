@@ -34,8 +34,9 @@ all: build vet test
 # little-endian like amd64, so the s390x vet and build compile the
 # transport's big-endian Params path for a host that takes it (DESIGN.md §7,
 # "Why 64 KiB"); TestFloatLoopsMatchBulk runs that path's loops here. The
-# last line repeats the two doorbell tests of the buffered-async gather ten
-# times under the race detector: a lost wake shows only now and then, as a
+# last line repeats the three doorbell tests of the buffered-async gather
+# ten times under the race detector: a lost wake, or a sweep that leaves
+# queued replies behind a coalesced ring, shows only now and then, as a
 # stall their watchdogs turn into a failure (DESIGN.md §12).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
@@ -73,7 +74,7 @@ check:
 	GOARCH=s390x $(GO) vet ./internal/transport
 	GOARCH=s390x $(GO) build ./...
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=10 -run '^(TestAsyncDoorbellDeliversAll|TestAsyncLinkErrorWakesGather)$$' ./internal/transport ./internal/core
+	$(GO) test -race -count=10 -run '^(TestAsyncDoorbellDeliversAll|TestAsyncLinkErrorWakesGather|TestAsyncGatherDrainsQueuedReplies)$$' ./internal/transport ./internal/core
 
 # The repo's benchmark (BENCHMARK.json): six workloads that each stress one
 # layer, end-to-end and per-layer metrics, correctness checks against the
@@ -296,7 +297,8 @@ bench-workloads:
 	$(GO) run ./cmd/fedml-bench -workloads-bench -out BENCH_experiments.json
 
 # Short fuzzing pass over the parsers (model checkpoint, run-state snapshot),
-# the update codecs and the TCP frame.
+# the update codecs, the TCP frame and the kernel tiers (every tier the CPU
+# has must agree with the Go loops bit for bit).
 # Each -fuzz pattern is anchored: go test refuses to fuzz when a pattern
 # matches more than one target.
 fuzz:
@@ -304,6 +306,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzLoadRunState$$' -fuzztime 30s ./internal/checkpoint
 	$(GO) test -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 30s ./internal/codec
 	$(GO) test -fuzz '^FuzzFrameRecv$$' -fuzztime 30s ./internal/transport
+	$(GO) test -fuzz '^FuzzKernelTiersAgree$$' -fuzztime 30s ./internal/tensor
 
 # Seconds-long fuzz smoke for CI: enough to replay the corpus and catch
 # shallow regressions without holding up the pipeline. Minimization is off:
@@ -314,6 +317,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzLoadRunState$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/checkpoint
 	$(GO) test -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/codec
 	$(GO) test -fuzz '^FuzzFrameRecv$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/transport
+	$(GO) test -fuzz '^FuzzKernelTiersAgree$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/tensor
 
 examples:
 	$(GO) run ./examples/quickstart

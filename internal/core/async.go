@@ -156,20 +156,34 @@ sweep:
 				continue
 			}
 			anyPending = true
-			var msg transport.Msg
-			err := ls.pollUpdate(&msg, i, rd, 0)
-			if errors.Is(err, transport.ErrTimeout) {
-				continue // nothing queued yet; the doorbell rings when it is
-			}
-			ls.settle(i, rd, &msg, err)
-			if err == nil && msg.Version != ls.pending[i] {
-				continue // an answer to an older assignment; the node is still busy
-			}
-			ls.pending[i] = -1
-			resolvedAny++
-			if ls.fresh[i] {
-				ls.fresh[i] = false
-				resolvedFresh++
+			// Drain the link: one ring can announce several queued replies,
+			// and the current one may wait behind answers to older
+			// assignments.
+			for {
+				var msg transport.Msg
+				err := ls.pollUpdate(&msg, i, rd, 0)
+				if errors.Is(err, transport.ErrTimeout) {
+					break // nothing queued; the doorbell rings when it is
+				}
+				ls.settle(i, rd, &msg, err)
+				if err == nil && msg.Version != ls.pending[i] {
+					// An answer to an older assignment; the node is still
+					// busy. A link that never stops sending them cannot hold
+					// the round past its deadline.
+					select {
+					case <-deadline.C:
+						break sweep
+					default:
+						continue
+					}
+				}
+				ls.pending[i] = -1
+				resolvedAny++
+				if ls.fresh[i] {
+					ls.fresh[i] = false
+					resolvedFresh++
+				}
+				break
 			}
 		}
 		if !anyPending || freshCnt > 0 && resolvedFresh >= need || freshCnt == 0 && resolvedAny > 0 {

@@ -585,3 +585,95 @@ func TestAsyncLinkErrorWakesGather(t *testing.T) {
 		t.Errorf("event stream folds to %+v, CommStats says %+v", got, res.stats)
 	}
 }
+
+// TestAsyncGatherDrainsQueuedReplies has one link deliver six replies: five
+// answers to older assignments, then the answer to the node's current one.
+// They wait in line before the gather starts, so the pump's queue is full
+// and its two rings have coalesced into one: a sweep that took one reply
+// per link and then slept would stay one reply behind the doorbell and
+// wait out the minute-long RoundTimeout with the current reply queued. A
+// sweep drains the link instead: all six settle, well inside a 10 s
+// watchdog, and the slot holds the current reply. θ has the bench MLP's
+// size: settling a reply then takes long enough for the pump to queue the
+// next and ring while the gather is still busy, which is when a ring is
+// lost (with eight parameters the one-per-sweep gather stalled in 1 run of
+// 10 under -race, with 25 970 in 6 of 10).
+func TestAsyncGatherDrainsQueuedReplies(t *testing.T) {
+	const dim = 25970
+	c := Config{
+		Alpha: 0.01, Beta: 0.01, T: 10, T0: 1,
+		Async: true, RoundTimeout: time.Minute, AsyncQuorum: 1,
+		MaxStaleness: 10, StalenessDecay: 0.5,
+	}
+	c = c.normalized()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	plat, node := transport.Pair()
+	defer node.Close()
+	ns, err := newNodeSource(c, []transport.Link{plat}, []float64{1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.ls.finish()
+	if err := ns.size(dim); err != nil {
+		t.Fatal(err)
+	}
+	theta := tensor.NewVec(dim)
+
+	// The platform is at θ-version 5 and the node holds the assignment of
+	// version 5; its answers to versions 0…4 arrive first.
+	const current = 5
+	ns.ls.pending[0] = current
+	ns.ls.stats.Rounds = current
+	replies := make([]tensor.Vec, current+1)
+	for v := range replies {
+		replies[v] = tensor.NewVec(dim)
+		replies[v].Fill(float64(v + 1))
+	}
+	// The pump receives a reply only after it has queued and rung for the
+	// one before, so once the third has been handed over, the first two
+	// fill the pump's queue of two and the pump waits with the third.
+	full := make(chan struct{})
+	go func() {
+		for v, p := range replies {
+			if node.Send(transport.Msg{Kind: transport.KindUpdate, Round: v, Version: v, Params: p}) != nil {
+				return
+			}
+			if v == 2 {
+				close(full)
+			}
+		}
+	}()
+	select {
+	case <-full:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pump took no third reply in 10 s")
+	}
+
+	type result struct {
+		count int
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, _, count, err := ns.collect(current+1, 1, theta)
+		done <- result{count, err}
+	}()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("gather still waiting after 10 s with the current reply queued: the sweep did not drain the link")
+	}
+	if res.err != nil || res.count != 1 {
+		t.Fatalf("collect: %d updates, err %v; want the current reply", res.count, res.err)
+	}
+	if st := ns.ls.stats; st.StaleApplied != current || st.Rejected != 0 || st.Dropped != 0 {
+		t.Fatalf("stats %+v, want the %d older answers applied stale", st, current)
+	}
+	if ns.ls.pending[0] != -1 {
+		t.Fatalf("pending version %d after the current reply, want -1", ns.ls.pending[0])
+	}
+	sameBits(t, "the slot against the current reply", ns.agg.slots[0], replies[current])
+}

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/tensor"
 )
@@ -72,17 +74,25 @@ func FiniteDiffHVPInto(m Model, ws Workspace, params tensor.Vec, batch []data.Sa
 // finiteDiffHVPInto is FiniteDiffHVPInto with the perturbed-parameter
 // scratch taken from bufs.
 func finiteDiffHVPInto(m Model, ws Workspace, bufs *fdBufs, params tensor.Vec, batch []data.Sample, v, out tensor.Vec) {
-	vn := v.Norm()
+	// ‖v‖² and ‖θ‖² in one sweep: each is its own chain summed in index
+	// order, as Vec.Dot sums it, so the bits are Norm's; the two chains
+	// overlap, where two Dot calls would each wait out the latency of every
+	// addition alone.
+	var vv, pp2 float64
+	p := params[:len(v)]
+	for i, x := range v {
+		vv += x * x
+		pp2 += p[i] * p[i]
+	}
+	vn := math.Sqrt(vv)
 	if vn == 0 {
 		out.Zero()
 		return
 	}
 	pp, pm, g2 := bufs.sized(len(params))
-	eps := _fdEpsBase * (1 + params.Norm()) / vn
-	pp.CopyFrom(params)
-	pp.Axpy(eps, v)
-	pm.CopyFrom(params)
-	pm.Axpy(-eps, v)
+	eps := _fdEpsBase * (1 + math.Sqrt(pp2)) / vn
+	params.AxpyInto(eps, v, pp)
+	params.AxpyInto(-eps, v, pm)
 	m.GradInto(ws, pp, batch, out)
 	m.GradInto(ws, pm, batch, g2)
 	out.SubInPlace(g2)

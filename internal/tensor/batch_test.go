@@ -323,30 +323,24 @@ func TestBatchKernelsSpecialValues(t *testing.T) {
 	}
 }
 
-// kernelPath is one implementation of the batch primitives. The Go path
-// calls the Go loops directly; the dispatch path calls what the exported
-// kernels call, which is the AVX2 assembly wherever useAVX2 is set.
+// kernelPath is one tier of the kernels, named for its subtests. The Go
+// tier runs the Go loops; the others run their assembly directly, whatever
+// tier the exported kernels dispatch to.
 type kernelPath struct {
-	name        string
-	axpy        func(v Vec, c float64, w Vec)
-	axpy4       func(acc Vec, c0, c1, c2, c3 float64, y0, y1, y2, y3 Vec)
-	axpyRows4   func(y Vec, c0, c1, c2, c3 float64, r0, r1, r2, r3 Vec)
-	mulVecBatch func(m *Mat, xs []Vec, bias Vec, outs []Vec)
+	name string
+	tier tier
 }
 
-var kernelPaths = []kernelPath{
-	{"go", axpyGo, axpy4Go, axpyRows4Go, (*Mat).mulVecBatchGo},
-	{"avx2", axpy, axpy4, axpyRows4, (*Mat).mulVecBatch},
-}
+var kernelPaths = []kernelPath{{"go", tierGo}, {"avx2", tierAVX2}, {"avx512", tierAVX512}}
 
-// forEachPath runs f once per kernel path. The AVX2 half skips only where
-// the CPU (or GOARCH) has no AVX2, since the dispatchers then run the Go
-// loops the first half already covered.
+// forEachPath runs f once per kernel path. A tier above the CPU's skips:
+// CPUID or XCR0 lacks its instructions or registers (or GOARCH is not
+// amd64), so nothing could run it.
 func forEachPath(t *testing.T, f func(t *testing.T, p kernelPath)) {
 	for _, p := range kernelPaths {
 		t.Run(p.name, func(t *testing.T) {
-			if p.name == "avx2" && !useAVX2 {
-				t.Skip("CPUID reports no AVX2 with OS-enabled YMM state (or GOARCH is not amd64): the Go loops are the only path")
+			if p.tier > cpuTier {
+				t.Skipf("CPUID or XCR0 reports no %s (or GOARCH is not amd64): the CPU's tier is %d", p.name, cpuTier)
 			}
 			f(t, p)
 		})
@@ -393,14 +387,16 @@ func coeffCombos() [][4]float64 {
 	return out
 }
 
-// The vector primitives at every length 0…13 (every tail of a four-lane
-// loop, with and without a full block before it) and one long length,
-// against one-accumulator loops. A zero coefficient in axpy4 and axpyRows4
-// skips its term; axpy (Vec.Axpy) skips nothing.
+// vectorLengths are every tail of a four- and an eight-lane loop, with and
+// without a full block before it, and one long length.
+var vectorLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 360}
+
+// The vector primitives at every vectorLengths length, against
+// one-accumulator loops. A zero coefficient in axpy4 and axpyRows4 skips
+// its term; axpy (Vec.Axpy) skips nothing.
 func TestVectorPrimitivesMatchOracle(t *testing.T) {
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 360}
 	forEachPath(t, func(t *testing.T, p kernelPath) {
-		for _, n := range lengths {
+		for _, n := range vectorLengths {
 			seed := uint64(11 + n)
 			acc := lcgAccumulator(1, n, &seed).Data // −0 in every third element
 			ys := lcgVecs(4, n, &seed)
@@ -411,14 +407,14 @@ func TestVectorPrimitivesMatchOracle(t *testing.T) {
 				what := fmt.Sprintf("len %d coefficients %d", n, ci)
 
 				got, want := acc.Clone(), acc.Clone()
-				p.axpy(got, c[0], ys[0])
+				axpyOn(p.tier, got, c[0], ys[0])
 				for k := range want {
 					want[k] += c[0] * ys[0][k]
 				}
 				requireSameBits(t, "axpy "+what, got, want)
 
 				got, want = acc.Clone(), acc.Clone()
-				p.axpy4(got, c[0], c[1], c[2], c[3], ys[0], ys[1], ys[2], ys[3])
+				axpy4On(p.tier, got, c[0], c[1], c[2], c[3], ys[0], ys[1], ys[2], ys[3])
 				for l := range c {
 					if c[l] == 0 {
 						continue
@@ -443,7 +439,7 @@ func TestVectorPrimitivesMatchOracle(t *testing.T) {
 						wantRows[l][k] += c[l] * ys[0][k]
 					}
 				}
-				p.axpyRows4(ys[0], c[0], c[1], c[2], c[3], rows[0], rows[1], rows[2], rows[3])
+				axpyRows4On(p.tier, ys[0], c[0], c[1], c[2], c[3], rows[0], rows[1], rows[2], rows[3])
 				for l := range rows {
 					requireSameBits(t, fmt.Sprintf("axpyRows4 %s row %d", what, l), rows[l], wantRows[l])
 				}
@@ -452,16 +448,20 @@ func TestVectorPrimitivesMatchOracle(t *testing.T) {
 	})
 }
 
-// mulVecBatchShapes add to kernelShapes the shapes whose row count is not
-// a multiple of four: the softmax regression (10×784, deeper than one
-// transposed block) and the MLP's 2-row last layer.
-var mulVecBatchShapes = append([]struct{ rows, cols int }{{10, 784}, {2, 16}}, kernelShapes...)
+// mulVecBatchShapes add to kernelShapes the softmax regression (10×784,
+// deeper than one transposed block, two tail rows), a 16×16 layer (the
+// small block) and the MLP's 2-row last layer.
+var mulVecBatchShapes = append([]struct{ rows, cols int }{{10, 784}, {16, 16}, {2, 16}}, kernelShapes...)
 
-// MulVecBatch on both paths at n = 1…13, so every padded-lane count runs,
-// with a bias and without, against per-sample one-accumulator dot
-// products. Subnormals sit in the weights and the inputs; each output
-// element meets at most one ±Inf or NaN, from its weight row or from its
-// input.
+// maxTierBatch bounds the batch sizes the tiers run at: n = 1…17 covers one
+// and two eight-sample groups, every four-or-fewer tail after them, and
+// every padded-lane count of both tiles.
+const maxTierBatch = 17
+
+// MulVecBatch on every path at n = 1…maxTierBatch, with a bias and
+// without, against per-sample one-accumulator dot products. Subnormals sit
+// in the weights and the inputs; each output element meets at most one
+// ±Inf or NaN, from its weight row or from its input.
 func TestMulVecBatchPathsMatchOracle(t *testing.T) {
 	forEachPath(t, func(t *testing.T, p kernelPath) {
 		for _, sh := range mulVecBatchShapes {
@@ -472,7 +472,7 @@ func TestMulVecBatchPathsMatchOracle(t *testing.T) {
 			operandMix(special.Data, func(k int) bool { return k%sh.cols == (k/sh.cols*7)%sh.cols })
 			bias := NewVec(sh.rows)
 			lcgFill(bias, &seed)
-			for n := 1; n <= maxTableBatch; n++ {
+			for n := 1; n <= maxTierBatch; n++ {
 				xs := tileCoeffs(n, sh.cols, &seed)
 				for j, x := range xs {
 					operandMix(x, func(k int) bool { return k == (5*j+2)%sh.cols })
@@ -488,7 +488,7 @@ func TestMulVecBatchPathsMatchOracle(t *testing.T) {
 					bias Vec
 				}{{"bias", m, xs, bias}, {"nil-bias", m, xs, nil}, {"weight-specials", special, finite, bias}} {
 					outs := lcgVecs(n, sh.rows, &seed) // garbage the kernel must overwrite
-					p.mulVecBatch(c.m, c.xs, c.bias, outs)
+					c.m.mulVecBatchOn(p.tier, c.xs, c.bias, outs)
 					ref := NewVec(sh.rows)
 					for j, x := range c.xs {
 						refMulVec(c.m, x, ref)
@@ -505,26 +505,42 @@ func TestMulVecBatchPathsMatchOracle(t *testing.T) {
 	})
 }
 
-// The batch kernels allocate nothing in steady state, on whichever path
-// the CPU selects; the AVX2 MulVecBatch keeps its transposed block on the
-// stack. Both shapes are the ones the bench/ workloads run: the MLP's first
-// layer at the K=5 training batch, and the softmax regression's weights at
-// a 12-sample batch (three transposed blocks' worth of samples, two of k).
+// The batch kernels allocate nothing in steady state, on every path the
+// CPU has; the assembly tiers keep their transposed block on the stack.
+// The shapes are the ones the bench/ workloads run: the MLP's first layer
+// at the K=5 training batch (one eight-sample group) and its 16×16 layer
+// (the small block), and the softmax regression's weights at its
+// four-sample chunk (the four-lane block) and at a 12-sample batch (an
+// eight-sample group and a four-sample tail, two blocks of k).
 func TestBatchKernelsZeroAllocs(t *testing.T) {
-	for _, sh := range []struct{ rows, cols, n int }{{64, 360, 5}, {10, 784, 12}} {
-		seed := uint64(13)
-		m := lcgMat(sh.rows, sh.cols, &seed)
-		xs, outs := lcgVecs(sh.n, sh.cols, &seed), lcgVecs(sh.n, sh.rows, &seed)
-		ds := lcgVecs(sh.n, sh.rows, &seed)
-		bias := NewVec(sh.rows)
-		what := fmt.Sprintf("%dx%d n=%d", sh.rows, sh.cols, sh.n)
-		if a := testing.AllocsPerRun(20, func() { m.MulVecBatch(xs, bias, outs) }); a != 0 {
-			t.Errorf("MulVecBatch %s: %v allocs per run, want 0", what, a)
+	forEachPath(t, func(t *testing.T, p kernelPath) {
+		for _, sh := range []struct{ rows, cols, n int }{{64, 360, 5}, {16, 16, 5}, {10, 784, 4}, {10, 784, 12}} {
+			seed := uint64(13)
+			m := lcgMat(sh.rows, sh.cols, &seed)
+			xs, outs := lcgVecs(sh.n, sh.cols, &seed), lcgVecs(sh.n, sh.rows, &seed)
+			ds := lcgVecs(sh.n, sh.rows, &seed)
+			bias := NewVec(sh.rows)
+			what := fmt.Sprintf("%dx%d n=%d", sh.rows, sh.cols, sh.n)
+			if a := testing.AllocsPerRun(20, func() { m.mulVecBatchOn(p.tier, xs, bias, outs) }); a != 0 {
+				t.Errorf("MulVecBatch %s: %v allocs per run, want 0", what, a)
+			}
+			c := 0.5
+			if a := testing.AllocsPerRun(20, func() {
+				c = -c
+				for i := 0; i < m.Rows; i++ {
+					axpy4On(p.tier, m.Row(i), c*ds[0][i], c*ds[1][i], c*ds[2][i], c*ds[3][i], xs[0], xs[1], xs[2], xs[3])
+				}
+			}); a != 0 {
+				t.Errorf("axpy4 %s: %v allocs per run, want 0", what, a)
+			}
 		}
-		c := 0.5
-		if a := testing.AllocsPerRun(20, func() { c = -c; m.AddOuterBatch(c, ds, xs) }); a != 0 {
-			t.Errorf("AddOuterBatch %s: %v allocs per run, want 0", what, a)
-		}
+	})
+	// The exported kernels, on whatever tier the CPU selects.
+	seed := uint64(14)
+	m := lcgMat(64, 360, &seed)
+	xs, ds := lcgVecs(5, 360, &seed), lcgVecs(5, 64, &seed)
+	if a := testing.AllocsPerRun(20, func() { m.AddOuterBatch(0.5, ds, xs) }); a != 0 {
+		t.Errorf("AddOuterBatch: %v allocs per run, want 0", a)
 	}
 }
 

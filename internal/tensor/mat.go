@@ -40,12 +40,15 @@ func (m *Mat) Clone() *Mat {
 // it (the oracles live in batch_test.go) — the determinism contract the
 // golden workers=1-vs-8 tests enforce extends to tiling.
 //
-// On amd64 with AVX2 the batch primitives run as assembly
-// (kernels_amd64.s) that keeps the same per-element order four lanes at a
-// time, each lane its own output element; the Go loops below are the only
-// path everywhere else and the oracles the assembly is tested against. The
-// dispatchers (axpy, axpy4, axpyRows4, mulVecBatch) live in kernels_amd64.go
-// and kernels_other.go.
+// On amd64 the batch primitives run as assembly that keeps the same
+// per-element order, each lane its own output element: four lanes at a
+// time with AVX2 (kernels_amd64.s), eight with AVX-512
+// (kernels_avx512_amd64.s), which also runs the θ-sized elementwise ops of
+// vec.go. The Go loops below are the only path everywhere else and the
+// oracles the assembly is tested against. Every kernel takes its tier
+// (kernels.go) as an argument, cpuTier at every call outside the tests;
+// the per-tier functions (axpyOn, axpy4On, axpyRows4On, mulVecBatchOn and
+// the elementwise addOn, …) live in kernels_amd64.go and kernels_other.go.
 
 // tile is the width of every blocked loop: four scalar accumulators (or four
 // coefficients and one accumulator) plus the five slice pointers fit the
@@ -165,7 +168,7 @@ func (m *Mat) MulVecT(x, out Vec) {
 	out.Zero()
 	i := 0
 	for ; i+tile <= m.Rows; i += tile {
-		axpy4(out, x[i], x[i+1], x[i+2], x[i+3], m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
+		axpy4On(cpuTier, out, x[i], x[i+1], x[i+2], x[i+3], m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
 	}
 	for ; i < m.Rows; i++ {
 		if x[i] != 0 {
@@ -184,7 +187,7 @@ func (m *Mat) AddOuterInPlace(c float64, x, y Vec) {
 	}
 	i := 0
 	for ; i+tile <= m.Rows; i += tile {
-		axpyRows4(y, c*x[i], c*x[i+1], c*x[i+2], c*x[i+3], m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
+		axpyRows4On(cpuTier, y, c*x[i], c*x[i+1], c*x[i+2], c*x[i+3], m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
 	}
 	for ; i < m.Rows; i++ {
 		if cxi := c * x[i]; cxi != 0 {
@@ -210,7 +213,7 @@ func (m *Mat) MulVecBatch(xs []Vec, bias Vec, outs []Vec) {
 			panic(fmt.Sprintf("tensor: MulVecBatch shape mismatch at sample %d: %dx%d by %d into %d", j, m.Rows, m.Cols, len(xs[j]), len(outs[j])))
 		}
 	}
-	m.mulVecBatch(xs, bias, outs)
+	m.mulVecBatchOn(cpuTier, xs, bias, outs)
 }
 
 // mulVecBatchGo is MulVecBatch after its shape checks, in Go: dot4 shares
@@ -279,7 +282,7 @@ func (m *Mat) AddOuterBatch(c float64, xs, ys []Vec) {
 		x0, x1, x2, x3 := xs[j], xs[j+1], xs[j+2], xs[j+3]
 		y0, y1, y2, y3 := ys[j], ys[j+1], ys[j+2], ys[j+3]
 		for i := 0; i < m.Rows; i++ {
-			axpy4(m.Row(i), c*x0[i], c*x1[i], c*x2[i], c*x3[i], y0, y1, y2, y3)
+			axpy4On(cpuTier, m.Row(i), c*x0[i], c*x1[i], c*x2[i], c*x3[i], y0, y1, y2, y3)
 		}
 	}
 	for ; j < n; j++ { // remainder: one sample at a time

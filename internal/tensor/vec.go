@@ -80,6 +80,12 @@ func (v Vec) SubInto(w, out Vec) {
 // ScaleInto sets out = c*v. out may alias v.
 func (v Vec) ScaleInto(c float64, out Vec) {
 	checkLen("ScaleInto", v, out)
+	scaleOn(cpuTier, c, v, out)
+}
+
+// scaleGo is ScaleInto in Go: out[i] = c*v[i]. out must be as long as v.
+func scaleGo(c float64, v, out Vec) {
+	out = out[:len(v)]
 	for i := range v {
 		out[i] = c * v[i]
 	}
@@ -88,6 +94,12 @@ func (v Vec) ScaleInto(c float64, out Vec) {
 // AddInPlace sets v = v + w.
 func (v Vec) AddInPlace(w Vec) {
 	checkLen("AddInPlace", v, w)
+	addOn(cpuTier, v, w)
+}
+
+// addGo is AddInPlace in Go. w must be as long as v.
+func addGo(v, w Vec) {
+	w = w[:len(v)]
 	for i := range v {
 		v[i] += w[i]
 	}
@@ -96,6 +108,12 @@ func (v Vec) AddInPlace(w Vec) {
 // SubInPlace sets v = v - w.
 func (v Vec) SubInPlace(w Vec) {
 	checkLen("SubInPlace", v, w)
+	subOn(cpuTier, v, w)
+}
+
+// subGo is SubInPlace in Go. w must be as long as v.
+func subGo(v, w Vec) {
+	w = w[:len(v)]
 	for i := range v {
 		v[i] -= w[i]
 	}
@@ -111,16 +129,12 @@ func (v Vec) Scale(c float64) Vec {
 }
 
 // ScaleInPlace sets v = c*v.
-func (v Vec) ScaleInPlace(c float64) {
-	for i := range v {
-		v[i] *= c
-	}
-}
+func (v Vec) ScaleInPlace(c float64) { scaleOn(cpuTier, c, v, v) }
 
 // Axpy sets v = v + c*w (BLAS axpy).
 func (v Vec) Axpy(c float64, w Vec) {
 	checkLen("Axpy", v, w)
-	axpy(v, c, w)
+	axpyOn(cpuTier, v, c, w)
 }
 
 // axpyGo is axpy in Go: v[i] += c*w[i]. w must be at least as long as v.
@@ -137,6 +151,12 @@ func axpyGo(v Vec, c float64, w Vec) {
 func (v Vec) AxpyInto(c float64, w, out Vec) {
 	checkLen("AxpyInto", v, w)
 	checkLen("AxpyInto", v, out)
+	axpyIntoOn(cpuTier, v, c, w, out)
+}
+
+// axpyIntoGo is AxpyInto in Go. w and out must be as long as v.
+func axpyIntoGo(v Vec, c float64, w, out Vec) {
+	w, out = w[:len(v)], out[:len(v)]
 	for i := range v {
 		out[i] = v[i] + c*w[i]
 	}
@@ -198,10 +218,13 @@ func (v Vec) ArgMax() int {
 	return best
 }
 
-// IsFinite reports whether every element is finite (no NaN or Inf). It is
-// branch-free: x*0 is ±0 for finite x and NaN for ±Inf or NaN, so the sum
-// of x*0 over v is NaN exactly when some element is not finite.
-func (v Vec) IsFinite() bool {
+// IsFinite reports whether every element is finite (no NaN or Inf).
+func (v Vec) IsFinite() bool { return isFiniteOn(cpuTier, v) }
+
+// isFiniteGo is IsFinite in Go. It is branch-free: x*0 is ±0 for finite x
+// and NaN for ±Inf or NaN, so the sum of x*0 over v is NaN exactly when
+// some element is not finite, in whatever order it is summed.
+func isFiniteGo(v Vec) bool {
 	var s float64
 	for _, x := range v {
 		s += x * 0

@@ -287,6 +287,35 @@ func TestTCPRecvRawAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTCPRecvBuffersShrink: a link keeps at most twice the last section in
+// each receive buffer. After one full-sync frame of tcp_mlp_topk's size
+// (208 KB of Params, the same again as Payload), the 13 KB deltas that
+// follow leave neither buffer holding the full sync.
+func TestTCPRecvBuffersShrink(t *testing.T) {
+	const full, delta = 208_000, 13_000
+	msgs := []Msg{{Kind: KindParams, Round: 1, Params: make([]float64, full/8), Codec: "topk", Payload: make([]byte, full)}}
+	for r := 2; r <= 4; r++ {
+		msgs = append(msgs, Msg{Kind: KindParams, Round: r, Params: make([]float64, delta/8), Codec: "topk", Payload: make([]byte, delta)})
+	}
+	var wire []byte
+	for _, m := range msgs {
+		wire = append(wire, encodeFrame(t, m)...)
+	}
+	l := NewConnLink(script(wire)).(*tcpLink)
+	for _, want := range msgs {
+		m, err := l.Recv()
+		if err != nil || len(m.Params) != len(want.Params) || len(m.Payload) != len(want.Payload) {
+			t.Fatalf("round %d: Recv = %d params, %d payload bytes, %v", want.Round, len(m.Params), len(m.Payload), err)
+		}
+		if c := cap(l.in.params); c > 2*len(want.Params) {
+			t.Errorf("round %d: Params buffer capacity %d after a %d-float section, want at most %d", want.Round, c, len(want.Params), 2*len(want.Params))
+		}
+		if c := cap(l.in.payload); c > 2*len(want.Payload) {
+			t.Errorf("round %d: Payload buffer capacity %d after a %d-byte section, want at most %d", want.Round, c, len(want.Payload), 2*len(want.Payload))
+		}
+	}
+}
+
 // TestTCPRecvReusedBuffersHoldOnlyTheirFrame: the link's receive buffers
 // carry frames of every size in turn, and each Recv returns exactly its own
 // frame's sections — a shorter frame after a longer one shows none of the

@@ -97,8 +97,8 @@ type recvState struct {
 	codec string
 	// params and payload are the buffers every frame's Params and Payload
 	// sections are read into, lent to the caller until the next Recv. They
-	// only grow, by the rule of section, so a steady stream of frames of one
-	// shape allocates nothing.
+	// grow by the rule of section and keep at most twice the last section
+	// they held, so a steady stream of frames of one shape allocates nothing.
 	params  []float64
 	payload []byte
 }
@@ -423,8 +423,15 @@ func readFrame(r *bufio.Reader, s *recvState) (Msg, error) {
 // section of which got have arrived, growing it by the eager rule: eager
 // elements up front, doubling after, so memory follows the bytes a peer
 // actually sends, not the length it claims. Capacity buf already has is used
-// as it is.
+// as it is, up to twice the section: a larger buffer is replaced when the
+// section starts, so one large frame (a full sync among top-k deltas) is not
+// kept for the link's life. The replacement holds half as much again as the
+// section (within the eager bound), so sections that wander a little
+// around one length neither outgrow it nor shrink it again.
 func section[T float64 | byte](buf []T, got, n, eager int) []T {
+	if got == 0 && cap(buf) > 2*n {
+		buf = make([]T, 0, min(n+n/2, eager))
+	}
 	end := min(n, max(cap(buf), 2*got, eager))
 	if end > cap(buf) {
 		grown := make([]T, end)
