@@ -26,11 +26,16 @@ all: build vet test
 # coming back: every model gradient accumulates through AddOuterBatch, so
 # AddOuterInPlace has no non-test caller outside internal/tensor
 # (DESIGN.md §13). The next two keep one model contract (DESIGN.md §6). The
-# last keeps the traffic counters declared once, as obs.Totals: a struct
+# eighth keeps the traffic counters declared once, as obs.Totals: a struct
 # field named SkippedRounds anywhere outside internal/obs is a mirror of the
-# counter set coming back (DESIGN.md §9). The arm64 vet and build compile
-# internal/tensor's !amd64 kernel file, the only path off amd64, so the
-# fallback for the AVX2 assembly cannot rot unseen (DESIGN.md §13). arm64 is
+# counter set coming back (DESIGN.md §9). The last keeps internal/nn's
+# arithmetic unfused on every architecture: it compiles the package for
+# arm64, whose compiler fuses a product into the add or subtract that
+# consumes it unless float64(...) rounds the product first, and fails on any
+# fused multiply-add in the listing, with no allowlist (DESIGN.md §6). The
+# arm64 vet and build compile internal/tensor's !amd64 kernel file, the only
+# path off amd64, so the fallback for the AVX2 assembly cannot rot unseen
+# (DESIGN.md §13). arm64 is
 # little-endian like amd64, so the s390x vet and build compile the
 # transport's big-endian Params path for a host that takes it (DESIGN.md §7,
 # "Why 64 KiB"); TestFloatLoopsMatchBulk runs that path's loops here. The
@@ -68,6 +73,8 @@ check:
 	@hits=$$(grep -rn -E '^[[:space:]]*SkippedRounds[[:space:]]+[][*[:alpha:]]' --include='*.go' . \
 		| grep -v -e '^./internal/obs/'); if [ -n "$$hits" ]; then \
 		echo "counter field declared outside internal/obs (one counter set, obs.Totals; see DESIGN.md §9):"; echo "$$hits"; exit 1; fi
+	@hits=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2>&1 | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b'); if [ -n "$$hits" ]; then \
+		echo "fused multiply-add in internal/nn (round the product with float64(...), see DESIGN.md §6):"; echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...

@@ -81,8 +81,8 @@ func finiteDiffHVPInto(m Model, ws Workspace, bufs *fdBufs, params tensor.Vec, b
 	var vv, pp2 float64
 	p := params[:len(v)]
 	for i, x := range v {
-		vv += x * x
-		pp2 += p[i] * p[i]
+		vv += float64(x * x)
+		pp2 += float64(p[i] * p[i])
 	}
 	vn := math.Sqrt(vv)
 	if vn == 0 {

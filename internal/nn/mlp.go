@@ -12,6 +12,9 @@ import (
 // _bnEps is the batch-normalization variance floor.
 const _bnEps = 1e-5
 
+// _posInfBits is math.Float64bits(math.Inf(1)).
+const _posInfBits = 0x7FF0000000000000
+
 // MLPConfig describes a feed-forward network: Dims[0] inputs, hidden layers
 // Dims[1:len-1] (each optionally batch-normalized, then ReLU), and a final
 // linear layer producing Dims[len-1] logits. This is the Sent140 model shape
@@ -198,7 +201,7 @@ type mlpWorkspace struct {
 
 	// Rebindable parameter and gradient views, plus InputGradInto scratch.
 	pv, gv mlpView
-	gstep  tensor.Vec // gradient accumulator of the fused GradStepInto
+	gstep  tensor.Vec // gradient accumulator of GradStepInto
 	dx1    []tensor.Vec
 	frozen bnStats
 
@@ -353,32 +356,26 @@ func (m *MLP) forward(ws *mlpWorkspace, v mlpView, batch []data.Sample, frozen *
 				batchStatsInto(c.z[l], c.mean[l], c.istd[l])
 			}
 			// Fused normalize → affine → ReLU: one pass per sample writes
-			// zhat, preAct, and the next layer's input.
+			// zhat, preAct, and the next layer's input. Every operand is
+			// resliced to dim first, so the loop carries no bounds check.
 			dim := m.dims[l+1]
-			mean, istd, gamma, beta := c.mean[l], c.istd[l], v.gamma[l], v.beta[l]
+			mean, istd, gamma, beta := c.mean[l][:dim], c.istd[l][:dim], v.gamma[l][:dim], v.beta[l][:dim]
 			for j := range batch {
-				zj, zh, pa, h := c.z[l][j], c.zhat[l][j], c.preAct[l][j], c.inputs[l+1][j]
+				zj, zh, pa, h := c.z[l][j][:dim], c.zhat[l][j][:dim], c.preAct[l][j][:dim], c.inputs[l+1][j][:dim]
 				for f := 0; f < dim; f++ {
 					zhf := (zj[f] - mean[f]) * istd[f]
 					zh[f] = zhf
-					paf := gamma[f]*zhf + beta[f]
+					paf := float64(gamma[f]*zhf) + beta[f]
 					pa[f] = paf
-					if paf > 0 {
-						h[f] = paf
-					} else {
-						h[f] = 0
-					}
+					h[f] = relu(paf)
 				}
 			}
 		} else {
 			for j := range batch {
-				h := c.inputs[l+1][j]
-				for f, a := range c.z[l][j] {
-					if a > 0 {
-						h[f] = a
-					} else {
-						h[f] = 0
-					}
+				z := c.z[l][j]
+				h := c.inputs[l+1][j][:len(z)]
+				for f, a := range z {
+					h[f] = relu(a)
 				}
 			}
 		}
@@ -409,10 +406,12 @@ func batchStatsInto(zs []tensor.Vec, mean, istd tensor.Vec) {
 	}
 	mean.ScaleInPlace(1 / n)
 	istd.Zero() // accumulate the variance in istd, then invert
+	mean = mean[:len(istd)]
 	for _, z := range zs {
+		z = z[:len(istd)]
 		for f := range istd {
 			d := z[f] - mean[f]
-			istd[f] += d * d
+			istd[f] += float64(d * d)
 		}
 	}
 	for f := range istd {
@@ -464,11 +463,11 @@ func (m *MLP) GradInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, 
 }
 
 // GradStepInto implements Model: out = params − lr·∇L(params, batch)
-// as one fused kernel. The gradient accumulates into workspace scratch, and
-// the L2 term plus the descent step collapse into a single final pass over
-// the parameter vector — element for element the same arithmetic as GradInto
-// followed by the axpy step, so results are bit-identical. out may alias
-// params (in-place step); it must not alias workspace memory.
+// without a gradient buffer of the caller's. The gradient accumulates into
+// workspace scratch, which then takes GradInto's L2 axpy and feeds the
+// AxpyInto step: the same tensor kernels as GradInto followed by AxpyInto,
+// so the results are bit-identical on every architecture and kernel tier.
+// out may alias params (in-place step); it must not alias workspace memory.
 func (m *MLP) GradStepInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
 	ws := m.workspace(wsAny)
 	if len(out) != m.numParams {
@@ -486,13 +485,7 @@ func (m *MLP) GradStepInto(wsAny Workspace, params tensor.Vec, batch []data.Samp
 		m.backward(ws, ws.pv, &ws.gv, c, batch, nil)
 	}
 	if m.l2 != 0 {
-		// out = params − lr·(g + l2·params): the L2 axpy of GradInto and the
-		// step fused into one sweep, with identical per-element rounding.
-		l2 := m.l2
-		for i := range out {
-			out[i] = params[i] - lr*(g[i]+l2*params[i])
-		}
-		return
+		g.Axpy(m.l2, params)
 	}
 	params.AxpyInto(-lr, g, out)
 }
@@ -540,44 +533,50 @@ func (m *MLP) backward(ws *mlpWorkspace, v mlpView, gv *mlpView, c *mlpCache, ba
 
 	for l := hidden - 1; l >= 0; l-- {
 		dim := m.dims[l+1]
-		// Through ReLU: dy[j] = d[j] ∘ 1[preAct > 0].
-		dy := d
-		for j := 0; j < n; j++ {
-			pa := c.preAct[l][j]
-			for f := 0; f < dim; f++ {
-				if pa[f] <= 0 {
-					dy[j][f] = 0
-				}
-			}
-		}
-
-		dz := dy
+		dz := d
 		if m.batchNorm {
-			// Through the affine BN parameters.
+			// Through ReLU and the affine BN parameters in one sweep per
+			// sample: dy = d ∘ 1[preAct > 0] feeds the γ and β gradients and
+			// dzhat = dy ∘ γ, and is not stored.
 			dz = ws.dzhat[l][:n]
-			gamma := v.gamma[l]
+			gamma := v.gamma[l][:dim]
 			for j := 0; j < n; j++ {
+				dj, pa, dzj := d[j][:dim], c.preAct[l][j][:dim], dz[j][:dim]
 				if gv != nil {
-					zhat := c.zhat[l][j]
+					zhat := c.zhat[l][j][:dim]
+					gg, gb := gv.gamma[l][:dim], gv.beta[l][:dim]
 					for f := 0; f < dim; f++ {
-						gv.gamma[l][f] += dy[j][f] * zhat[f]
-						gv.beta[l][f] += dy[j][f]
+						dy := reluMask(pa[f], dj[f])
+						gg[f] += float64(dy * zhat[f])
+						gb[f] += dy
+						dzj[f] = dy * gamma[f]
 					}
-				}
-				for f := 0; f < dim; f++ {
-					dz[j][f] = dy[j][f] * gamma[f]
+				} else {
+					for f := 0; f < dim; f++ {
+						dzj[f] = reluMask(pa[f], dj[f]) * gamma[f]
+					}
 				}
 			}
 			if c.frozen {
 				// Constant statistics: dz = dzhat * istd.
+				istd := c.istd[l][:dim]
 				for j := 0; j < n; j++ {
+					dzj := dz[j][:dim]
 					for f := 0; f < dim; f++ {
-						dz[j][f] *= c.istd[l][f]
+						dzj[f] *= istd[f]
 					}
 				}
 			} else {
 				bnBackwardInPlace(dz, c.z[l], c.mean[l], c.istd[l],
 					ws.sumDzhat[:dim], ws.sumDzhatZc[:dim])
+			}
+		} else {
+			// Through ReLU: dz[j] = d[j] ∘ 1[preAct > 0], in place.
+			for j := 0; j < n; j++ {
+				dj, pa := d[j][:dim], c.preAct[l][j][:dim]
+				for f := 0; f < dim; f++ {
+					dj[f] = reluMask(pa[f], dj[f])
+				}
 			}
 		}
 		d = m.backwardLinear(ws, v, gv, c, l, dz, inputGrad)
@@ -617,24 +616,56 @@ func bnBackwardInPlace(dzhat, z []tensor.Vec, mean, istd, sumDzhat, sumDzhatZc t
 	n := len(dzhat)
 	invN := 1 / float64(n)
 
+	// Every per-feature operand is resliced to dim, so the sweeps carry no
+	// bounds check.
+	dim := len(sumDzhat)
+	sumDzhatZc, mean, istd = sumDzhatZc[:dim], mean[:dim], istd[:dim]
 	sumDzhat.Zero()
 	sumDzhatZc.Zero() // Σ_j dzhat_j ∘ (z_j − mean)
 	for j := 0; j < n; j++ {
-		for f := range sumDzhat {
-			sumDzhat[f] += dzhat[j][f]
-			sumDzhatZc[f] += dzhat[j][f] * (z[j][f] - mean[f])
+		dj, zj := dzhat[j][:dim], z[j][:dim]
+		for f := 0; f < dim; f++ {
+			sumDzhat[f] += dj[f]
+			sumDzhatZc[f] += float64(dj[f] * (zj[f] - mean[f]))
 		}
 	}
 
 	for j := 0; j < n; j++ {
-		dj := dzhat[j]
-		for f := range sumDzhat {
-			zc := z[j][f] - mean[f]
+		dj, zj := dzhat[j][:dim], z[j][:dim]
+		for f := 0; f < dim; f++ {
+			zc := zj[f] - mean[f]
 			// Standard BN backward:
 			// dz = istd*(dzhat − mean(dzhat) − zhat*mean(dzhat∘zhat_like))
-			dj[f] = istd[f] * (dj[f] - invN*sumDzhat[f] - zc*istd[f]*istd[f]*invN*sumDzhatZc[f])
+			dj[f] = istd[f] * (dj[f] - float64(invN*sumDzhat[f]) - float64(zc*istd[f]*istd[f]*invN*sumDzhatZc[f]))
 		}
 	}
+}
+
+// relu is max(x, 0) with the select made on x's bits, so the compiler emits
+// a conditional move instead of a branch that goes each way about half the
+// time: x > 0 exactly when Float64bits(x)−1 < Float64bits(+Inf) as a uint64
+// (for +0 the subtraction wraps; −0, every negative and every NaN already
+// lie at or above +Inf). The result equals `if x > 0 { x } else { 0 }` bit
+// for bit.
+func relu(x float64) float64 {
+	b := math.Float64bits(x)
+	if b-1 >= _posInfBits {
+		b = 0
+	}
+	return math.Float64frombits(b)
+}
+
+// reluMask is ReLU's backward select: d where pa > 0 or pa is NaN, +0
+// otherwise — `if pa <= 0 { d = 0 }` bit for bit. The condition is the
+// float compare itself (NaN compares unordered, so it keeps d); because the
+// selected value is d's bits, an integer, the compiler emits a conditional
+// move for it.
+func reluMask(pa, d float64) float64 {
+	b := math.Float64bits(d)
+	if pa <= 0 {
+		b = 0
+	}
+	return math.Float64frombits(b)
 }
 
 // InputGradInto implements Model: the input gradient written into out

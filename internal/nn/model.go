@@ -39,10 +39,10 @@ type Model interface {
 	// GradInto computes ∇_θ L(θ, D) averaged over batch into out.
 	// out must not alias params.
 	GradInto(ws Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec)
-	// GradStepInto computes out = params − lr·∇L(params, batch) as one
-	// fused kernel, bit-identical to GradInto followed by the axpy step.
-	// out may alias params (in-place step); it must not alias workspace
-	// memory.
+	// GradStepInto computes out = params − lr·∇L(params, batch) in
+	// workspace scratch, bit-identical to GradInto followed by the axpy
+	// step. out may alias params (in-place step); it must not alias
+	// workspace memory.
 	GradStepInto(ws Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec)
 	// HVPInto computes ∇²L(θ, D)·v into out. out must alias neither
 	// params nor v.

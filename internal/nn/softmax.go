@@ -46,7 +46,7 @@ type softmaxWorkspace struct {
 	// holds the HVP direction's logits V·x + v_b, then the curvature
 	// p∘u − p(pᵀu).
 	xs, ps, us [softmaxChunk]tensor.Vec
-	gstep      tensor.Vec // gradient accumulator of the fused GradStepInto
+	gstep      tensor.Vec // gradient accumulator of GradStepInto
 	w, gw, vw  tensor.Mat // views rebound onto params / out / v per call
 }
 
@@ -143,11 +143,11 @@ func (m *SoftmaxRegression) GradInto(ws Workspace, params tensor.Vec, batch []da
 }
 
 // GradStepInto implements Model: out = params − lr·∇L(params, batch)
-// as one fused kernel. The gradient accumulates into workspace scratch, and
-// the L2 term plus the descent step collapse into a single final pass over
-// the parameter vector — element for element the same arithmetic as GradInto
-// followed by the axpy step, so results are bit-identical. out may alias
-// params (in-place step); it must not alias workspace memory.
+// without a gradient buffer of the caller's. The gradient accumulates into
+// workspace scratch, which then takes GradInto's L2 axpy and feeds the
+// AxpyInto step: the same tensor kernels as GradInto followed by AxpyInto,
+// so the results are bit-identical on every architecture and kernel tier.
+// out may alias params (in-place step); it must not alias workspace memory.
 func (m *SoftmaxRegression) GradStepInto(ws Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
 	s := m.workspace(ws)
 	if len(out) != m.NumParams() {
@@ -160,13 +160,7 @@ func (m *SoftmaxRegression) GradStepInto(ws Workspace, params tensor.Vec, batch 
 	g.Zero()
 	m.lossGrad(s, params, batch, g)
 	if m.L2 != 0 {
-		// out = params − lr·(g + l2·params): the L2 axpy of GradInto and the
-		// step fused into one sweep, with identical per-element rounding.
-		l2 := m.L2
-		for i := range out {
-			out[i] = params[i] - lr*(g[i]+l2*params[i])
-		}
-		return
+		g.Axpy(m.L2, params)
 	}
 	params.AxpyInto(-lr, g, out)
 }
@@ -196,7 +190,7 @@ func (m *SoftmaxRegression) HVPInto(ws Workspace, params tensor.Vec, batch []dat
 			p := ps[j]
 			pu := p.Dot(u)
 			for c := range u {
-				u[c] = p[c]*u[c] - p[c]*pu
+				u[c] = float64(p[c]*u[c]) - float64(p[c]*pu)
 			}
 		}
 		s.gw.AddOuterBatch(inv, us, xs)

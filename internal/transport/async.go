@@ -170,8 +170,7 @@ func (a *Async) TryRecv(timeout time.Duration) (Msg, error) {
 	if timeout <= 0 {
 		select {
 		case err := <-a.errc:
-			a.reportErr(err)
-			return Msg{}, err
+			return a.recvAfterErr(err)
 		default:
 		}
 		select {
@@ -192,12 +191,32 @@ func (a *Async) TryRecv(timeout time.Duration) (Msg, error) {
 	case m := <-a.recvQ:
 		return m, nil
 	case err := <-a.errc:
-		a.reportErr(err)
-		return Msg{}, err
+		return a.recvAfterErr(err)
 	case <-a.done:
 		return Msg{}, ErrClosed
 	case <-timer.C:
 		return Msg{}, ErrTimeout
+	}
+}
+
+// recvAfterErr is TryRecv's answer once it has taken err from errc: the
+// error stays reported for later calls, but a message queued before it is
+// delivered first. The receive pump queues a peer's last message before it
+// reports the link's failure, and both can become ready between TryRecv's
+// non-blocking look at recvQ and its select, which picks among ready cases
+// at random; one more look at recvQ here, after the error, sees anything
+// the pump queued before reporting it. Only the receive pump's errors are
+// ordered after its queued messages: errc also carries the send pump's
+// error, and nothing orders that against a reply the receive pump is still
+// reading or copying, so a failed send can still pre-empt a reply in
+// flight.
+func (a *Async) recvAfterErr(err error) (Msg, error) {
+	a.reportErr(err)
+	select {
+	case m := <-a.recvQ:
+		return m, nil
+	default:
+		return Msg{}, err
 	}
 }
 
