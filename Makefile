@@ -39,10 +39,13 @@ all: build vet test
 # little-endian like amd64, so the s390x vet and build compile the
 # transport's big-endian Params path for a host that takes it (DESIGN.md §7,
 # "Why 64 KiB"); TestFloatLoopsMatchBulk runs that path's loops here. The
-# last line repeats the three doorbell tests of the buffered-async gather
-# ten times under the race detector: a lost wake, or a sweep that leaves
-# queued replies behind a coalesced ring, shows only now and then, as a
-# stall their watchdogs turn into a failure (DESIGN.md §12).
+# last line repeats the doorbell tests ten times under the race detector:
+# the three of the async gather, the silent-node bound of the barrier and
+# probe sweeps, and the pump-error stress test. A lost wake, a sweep that
+# leaves queued replies behind a coalesced ring, or a reply pre-empted by a
+# failed send shows only now and then, as a stall their watchdogs or
+# deadline bounds turn into a failure, or as a lost reply (DESIGN.md §7,
+# §12).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -81,7 +84,7 @@ check:
 	GOARCH=s390x $(GO) vet ./internal/transport
 	GOARCH=s390x $(GO) build ./...
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=10 -run '^(TestAsyncDoorbellDeliversAll|TestAsyncLinkErrorWakesGather|TestAsyncGatherDrainsQueuedReplies)$$' ./internal/transport ./internal/core
+	$(GO) test -race -count=10 -run '^(TestAsyncDoorbellDeliversAll|TestAsyncLinkErrorWakesGather|TestAsyncGatherDrainsQueuedReplies|TestSilentNodesCostOneDeadline|TestAsyncSendFailureKeepsReply)$$' ./internal/transport ./internal/core
 
 # The repo's benchmark (BENCHMARK.json): six workloads that each stress one
 # layer, end-to-end and per-layer metrics, correctness checks against the

@@ -3,16 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
 )
 
-// RunAsyncPlatform is RunPlatform with cfg.Async set: the round engine runs
-// with the buffered-async gather (gatherBuffered below) in place of the
-// gather barrier, so it applies node updates as they arrive with
+// RunAsyncPlatform is RunPlatform with cfg.Async set: the round engine's
+// gather (linkSet.gatherRound) runs at the async settings in place of the
+// barrier's, so it applies node updates as they arrive with
 // staleness-decayed weights and keeps re-broadcasting the current θ, and one
 // straggler no longer sets the pace of the whole federation.
 //
@@ -32,7 +30,7 @@ import (
 //     aggregates whatever has arrived — fresh or stale. Stragglers past the
 //     quorum deliver in a later round at decayed weight. The platform
 //     notices a reply when the link set's doorbell rings, not by waiting on
-//     one link at a time.
+//     one link at a time — as the barrier and the probes do too.
 //   - A node whose in-flight assignment falls MaxStaleness versions behind
 //     gets one last poll, bounded by linkSet.pollTO (the one timed poll left
 //     in the async gather): an update that has already arrived is discarded
@@ -58,41 +56,6 @@ func RunAsyncPlatform(links []transport.Link, weights []float64, theta0 tensor.V
 	return RunPlatform(links, weights, theta0, cfg)
 }
 
-// initBuffered allocates the buffered-async gather state (see linkSet).
-func (ls *linkSet) initBuffered() {
-	ls.pending = make([]int, len(ls.alive))
-	for i := range ls.pending {
-		ls.pending[i] = -1
-	}
-	ls.fresh = make([]bool, len(ls.alive))
-	// The bound of the write-off's last poll (writeOffStale), its only
-	// use: long enough for a reply already on its way to land, short enough
-	// that each silent straggler written off costs the round little.
-	ls.pollTO = ls.c.RoundTimeout / 64
-	if ls.pollTO < 200*time.Microsecond {
-		ls.pollTO = 200 * time.Microsecond
-	}
-	if ls.pollTO > 2*time.Millisecond {
-		ls.pollTO = 2 * time.Millisecond
-	}
-}
-
-// pollUpdate waits up to d (d <= 0: not at all) for an update from link i,
-// storing it in *msg and accepting a reply to any round or θ-version — the
-// async gather weighs staleness at apply time instead of discarding late
-// answers. Silence comes back as the bare transport.ErrTimeout: the sweep
-// meets it on most links of every wake, and neither caller reports it, so it
-// is not worth an allocated wrapping.
-func (ls *linkSet) pollUpdate(msg *transport.Msg, i int, rd *nodeRound, d time.Duration) error {
-	if err := ls.ops.recv(i, d, msg); err != nil {
-		if err == transport.ErrTimeout {
-			return err
-		}
-		return fmt.Errorf("core: async gather from node %d in round %d: %w", ls.base+i, rd.round, err)
-	}
-	return ls.vetUpdate(i, rd, msg, true)
-}
-
 // writeOffStale gives every assignment that fell past the drop bound one
 // last poll (the model's last bullet above): an answer that already arrived
 // settles like any other — it is past the bound by construction, so it is
@@ -104,98 +67,12 @@ func (ls *linkSet) writeOffStale(rd *nodeRound) {
 		if pv < 0 || rd.ver-pv <= ls.c.MaxStaleness {
 			continue
 		}
-		ls.pending[i] = -1
 		var msg transport.Msg
-		err := ls.pollUpdate(&msg, i, rd, ls.pollTO)
+		err := ls.recvUpdate(&msg, i, rd, ls.pollTO)
+		ls.pending[i] = -1
 		if err != nil && !errors.Is(err, errDecode) {
 			err = fmt.Errorf("in-flight update at version %d exceeded staleness bound %d at version %d", pv, ls.c.MaxStaleness, rd.ver)
 		}
 		ls.settle(i, rd, &msg, err)
 	}
-}
-
-// gatherBuffered is the quorum-buffered gather, the async counterpart of
-// gatherRound: dispatch to every selected node with no work in flight, then
-// sweep every link with work in flight — stragglers from earlier rounds
-// included, they just don't gate the quorum — until the quorum of this
-// round's fresh assignments has resolved or the round deadline passes.
-// A sweep drains each in-flight link without blocking; between sweeps the
-// gather sleeps on the link set's doorbell, which every pump rings after it
-// queues a reply or reports an error, so a reply is noticed when it lands
-// and a silent link costs one non-blocking check per wake. Suspects are
-// re-probed exactly as on the barrier path.
-func (ls *linkSet) gatherBuffered(rd *nodeRound, selected []int) error {
-	free := selected[:0]
-	for _, i := range selected {
-		if ls.pending[i] < 0 {
-			free = append(free, i)
-		}
-	}
-	sent, probed, err := ls.dispatch(rd, free)
-	if err != nil {
-		return err
-	}
-	for i := range ls.fresh {
-		ls.fresh[i] = false
-	}
-	for _, i := range sent {
-		ls.pending[i] = rd.ver
-		ls.fresh[i] = true
-	}
-	freshCnt := len(sent)
-
-	need := int(math.Ceil(ls.c.AsyncQuorum * float64(freshCnt)))
-	resolvedFresh, resolvedAny := 0, 0
-	deadline := time.NewTimer(ls.c.RoundTimeout)
-	defer deadline.Stop()
-sweep:
-	for {
-		anyPending := false
-		for i := range ls.pending {
-			if ls.pending[i] < 0 {
-				continue
-			}
-			anyPending = true
-			// Drain the link: one ring can announce several queued replies,
-			// and the current one may wait behind answers to older
-			// assignments.
-			for {
-				var msg transport.Msg
-				err := ls.pollUpdate(&msg, i, rd, 0)
-				if errors.Is(err, transport.ErrTimeout) {
-					break // nothing queued; the doorbell rings when it is
-				}
-				ls.settle(i, rd, &msg, err)
-				if err == nil && msg.Version != ls.pending[i] {
-					// An answer to an older assignment; the node is still
-					// busy. A link that never stops sending them cannot hold
-					// the round past its deadline.
-					select {
-					case <-deadline.C:
-						break sweep
-					default:
-						continue
-					}
-				}
-				ls.pending[i] = -1
-				resolvedAny++
-				if ls.fresh[i] {
-					ls.fresh[i] = false
-					resolvedFresh++
-				}
-				break
-			}
-		}
-		if !anyPending || freshCnt > 0 && resolvedFresh >= need || freshCnt == 0 && resolvedAny > 0 {
-			break
-		}
-		select {
-		case <-ls.ops.bell:
-		case <-deadline.C:
-			break sweep
-		}
-	}
-	// A suspect that answered its probe rejoins and its reply (at the probed
-	// version, staleness 0) aggregates like any other.
-	return ls.gatherProbes(rd, probed)
 }

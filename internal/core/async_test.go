@@ -14,13 +14,16 @@ import (
 	"github.com/edgeai/fedml/internal/transport"
 )
 
-// TestAsyncDegenerateMatchesSync pins the degenerate-case equality guarantee:
-// with StalenessDecay 1, MaxStaleness 0, AsyncQuorum 1, and every node
-// answering within the round budget, the async gather dispatches to everyone,
-// waits for everyone, and must produce a θ bit-identical to the barrier
-// gather's — with the same traffic — under every feature that composes with
-// it: codecs, the sync mask, unbiased sampling, an adaptive T0 schedule, and a
-// checkpoint/resume cut.
+// TestAsyncDegenerateMatchesSync pins the identity ladder of the platform's
+// gathers: strict mode (blocking receives, no RoundTimeout), the
+// fault-tolerant barrier, and the async gather at its degenerate knobs
+// (StalenessDecay 1, MaxStaleness 0, AsyncQuorum 1). With every node
+// answering within the round budget, each dispatches to everyone and waits
+// for everyone, and the three must produce bit-identical θ with the same
+// traffic and no drop — under every feature that composes with them:
+// codecs, the sync mask, unbiased sampling, an adaptive T0 schedule, and a
+// checkpoint/resume cut. The barrier and async arms are two settings of one
+// doorbell sweep; strict mode runs the same round engine without pumps.
 func TestAsyncDegenerateMatchesSync(t *testing.T) {
 	fed := tinyFederation(t, 0, 0)
 	soft := tinyModel(fed)
@@ -43,19 +46,27 @@ func TestAsyncDegenerateMatchesSync(t *testing.T) {
 			c.T0Controller = DispersionController(1, 10, 0.05)
 		}},
 		{name: "resume", model: soft, resumeAt: 15},
+		{name: "t0-10", model: soft, mut: func(c *Config) { c.T, c.T0, c.Seed = 30, 10, 2 }},
 	}
+	type arm int
+	const (
+		strict arm = iota
+		barrier
+		async
+	)
+	armNames := [...]string{"strict", "barrier", "async"}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(async bool) *Result {
+			run := func(a arm) *Result {
 				t.Helper()
-				cfg := Config{
-					Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 3,
-					RoundTimeout: 5 * time.Second,
+				cfg := Config{Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 3}
+				if a != strict {
+					cfg.RoundTimeout = 5 * time.Second
 				}
 				if tc.mut != nil {
 					tc.mut(&cfg)
 				}
-				if async {
+				if a == async {
 					cfg.Async, cfg.StalenessDecay, cfg.MaxStaleness, cfg.AsyncQuorum = true, 1, 0, 1
 				}
 				if tc.resumeAt > 0 {
@@ -69,26 +80,28 @@ func TestAsyncDegenerateMatchesSync(t *testing.T) {
 				}
 				res, err := Train(tc.model, fed, nil, cfg)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", armNames[a], err)
+				}
+				if res.Comm.Dropped != 0 || res.Comm.StaleApplied != 0 || res.Comm.StaleDropped != 0 {
+					t.Errorf("%s: healthy run saw drops or staleness: %+v", armNames[a], res.Comm)
 				}
 				return res
 			}
-			sync, async := run(false), run(true)
-
-			if len(sync.Theta) != len(async.Theta) {
-				t.Fatalf("θ lengths differ: %d vs %d", len(sync.Theta), len(async.Theta))
-			}
-			for j := range sync.Theta {
-				if sync.Theta[j] != async.Theta[j] {
-					t.Fatalf("θ[%d] differs: sync %v, async %v (degenerate async must be bit-identical)",
-						j, sync.Theta[j], async.Theta[j])
+			want := run(strict)
+			for _, a := range []arm{barrier, async} {
+				got := run(a)
+				if len(got.Theta) != len(want.Theta) {
+					t.Fatalf("θ lengths differ: strict %d, %s %d", len(want.Theta), armNames[a], len(got.Theta))
 				}
-			}
-			if sync.Comm != async.Comm {
-				t.Errorf("stats differ: sync %+v, async %+v", sync.Comm, async.Comm)
-			}
-			if async.Comm.StaleApplied != 0 || async.Comm.StaleDropped != 0 {
-				t.Errorf("degenerate run saw staleness: %+v", async.Comm)
+				for j := range want.Theta {
+					if math.Float64bits(got.Theta[j]) != math.Float64bits(want.Theta[j]) {
+						t.Fatalf("θ[%d] differs: strict %v, %s %v (the ladder must be bit-identical)",
+							j, want.Theta[j], armNames[a], got.Theta[j])
+					}
+				}
+				if got.Comm != want.Comm {
+					t.Errorf("stats differ: strict %+v, %s %+v", want.Comm, armNames[a], got.Comm)
+				}
 			}
 		})
 	}

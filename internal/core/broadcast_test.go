@@ -254,9 +254,11 @@ func TestAsyncSecondReplyKeepsAcceptedSlotRaw(t *testing.T) {
 		poison[i] = theta[i] + 1e6
 	}
 
-	// As in the payload test, the platform is at θ-version 4: the first
-	// reply answers version 2 (stale by 2, within the bound) and is
-	// accepted; five poisoned ones follow, rejected by the norm guard.
+	// As in the payload test, the platform is at θ-version 4 and the node
+	// holds the assignment of version 2: the first reply answers it (stale
+	// by 2, within the bound) and is accepted; five poisoned ones follow,
+	// rejected by the norm guard.
+	ns.ls.pending[0] = 2
 	ns.ls.stats.Rounds = 4
 	replies := []transport.Msg{{Kind: transport.KindUpdate, Round: 2, Version: 2, Params: good}}
 	for range 5 {
@@ -274,7 +276,7 @@ func TestAsyncSecondReplyKeepsAcceptedSlotRaw(t *testing.T) {
 	ns.agg.reset()
 	for range replies {
 		var msg transport.Msg
-		err := ns.ls.pollUpdate(&msg, 0, rd, time.Second)
+		err := ns.ls.recvUpdate(&msg, 0, rd, time.Second)
 		ns.ls.settle(0, rd, &msg, err)
 	}
 	if _, _, count := ns.agg.reduce(); count != 1 {

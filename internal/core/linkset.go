@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/edgeai/fedml/internal/codec"
@@ -25,19 +26,21 @@ import (
 // deadline, so dead or slow nodes cannot stall a round; links of dropped
 // nodes stay open so the platform can re-probe and re-admit nodes that come
 // back, and everything is closed by finish. Every pump of a link set rings
-// the set's one doorbell, bell, which the buffered-async gather waits on
-// between its non-blocking sweeps; the barrier gathers never read it, and a
-// ring nobody reads costs one non-blocking send. Messages travel by pointer
-// inside the link layer (a transport.Msg is 17 words and a round touches
-// each one several times); only the transport.Link call itself copies.
-// linkOps is a concrete type so those pointers stay on the stack.
+// the set's one doorbell, bell, after it queues a reply or records an error.
+// Every fault-tolerant gather — barrier replies, async quorum, probes —
+// sleeps on it between non-blocking sweeps (linkSet.sweep). Messages travel
+// by pointer inside the link layer (a transport.Msg is 17 words and a round
+// touches each one several times); only the transport.Link call itself
+// copies. linkOps is a concrete type so those pointers stay on the stack.
 type linkOps struct {
 	links   []transport.Link
 	wrapped []*transport.Async
 	bell    chan struct{}
 }
 
-// send transmits *m with deadline d (strict: blocking, d unused).
+// send transmits *m with deadline d (strict: blocking, d unused). In
+// fault-tolerant mode a d <= 0 only enqueues if there is room, without
+// blocking.
 func (o linkOps) send(i int, m *transport.Msg, d time.Duration) error {
 	if o.wrapped != nil {
 		return o.wrapped[i].TrySend(*m, d)
@@ -126,11 +129,12 @@ type linkSet struct {
 	probeFails []int
 	lastMasked []bool
 
-	// Buffered-async gather state (async.go), nil unless c.Async. pending[i]
-	// is the θ-version assigned to node i and not yet resolved (answered,
-	// written off, or suspected); -1 means the node is free. fresh marks the
-	// assignments dispatched in the current round — the set the quorum is
-	// measured against. pollTO bounds the write-off's last poll of a link.
+	// Fault-tolerant gather state, nil in strict mode. pending[i] is the
+	// θ-version assigned to node i and not yet resolved (answered, written
+	// off, or suspected); -1 means the node is free, as every node is
+	// between barrier rounds. fresh marks the assignments dispatched in the
+	// current round — the set the quorum is measured against. pollTO bounds
+	// the async write-off's last poll of a link (async.go).
 	pending []int
 	fresh   []bool
 	pollTO  time.Duration
@@ -215,6 +219,17 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 		ls.alive[i] = true
 		ls.expectID[i] = -1
 	}
+	if ft {
+		ls.pending = make([]int, len(links))
+		ls.fresh = make([]bool, len(links))
+		for i := range ls.pending {
+			ls.pending[i] = -1
+		}
+		// The bound of the async write-off's last poll (writeOffStale):
+		// long enough for a reply already on its way to land, short enough
+		// that each silent straggler written off costs the round little.
+		ls.pollTO = min(max(c.RoundTimeout/64, 200*time.Microsecond), 2*time.Millisecond)
+	}
 	if (c.Codec != "" && c.Codec != codec.Raw) || c.SyncMask != nil {
 		// One encoder/decoder pair per link: stateful codecs track each
 		// node's reference chain independently. Validate caught bad specs.
@@ -239,9 +254,6 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 		ls.maskReady = make([]bool, len(links))
 		ls.probeFails = make([]int, len(links))
 		ls.lastMasked = make([]bool, len(links))
-	}
-	if c.Async {
-		ls.initBuffered()
 	}
 	return ls
 }
@@ -498,21 +510,23 @@ func (ls *linkSet) bindNodeID(i, id int) error {
 }
 
 // errStaleRound marks a well-formed answer to an earlier round than the one
-// being gathered; gatherFrom drains these in fault-tolerant mode.
+// being gathered, which the fault-tolerant sweep discards unbilled.
 var errStaleRound = errors.New("core: stale round answer")
 
 // vetUpdate validates msg, received from link i, as an update — protocol
 // shape, codec decode (filling msg.Params in place), dimension, and NodeID
-// binding. With anyRound unset the reply must answer round: in
-// fault-tolerant mode an answer to an earlier round fails undecoded with
-// errStaleRound (decoding it would advance a reference chain the expected
-// reply does not continue), anything else is a protocol violation. With
-// anyRound set a reply to any round or θ-version passes, for the
-// buffered-async sweep that weighs staleness at apply time. A decode failure
-// wraps errDecode; msg still holds the wire bytes for the caller to bill.
-// rd.theta is the current global vector masked payloads scatter into; its
-// length is the expected update dimension.
-func (ls *linkSet) vetUpdate(i int, rd *nodeRound, msg *transport.Msg, anyRound bool) error {
+// binding. The reply must answer round, with one exception in each
+// fault-tolerant mode. Async accepts an answer to any round or θ-version
+// from a link with an assignment in flight, and settle weighs its
+// staleness. Otherwise, in fault-tolerant mode, an answer to an earlier
+// round fails undecoded with errStaleRound: decoding it would advance a
+// reference chain the expected reply does not continue, and it is a late
+// reply from a node that was dropped and is coming back. Any other round
+// is a protocol violation. A decode failure wraps errDecode; msg still
+// holds the wire bytes for the caller to bill. rd.theta is the current
+// global vector masked payloads scatter into; its length is the expected
+// update dimension.
+func (ls *linkSet) vetUpdate(i int, rd *nodeRound, msg *transport.Msg) error {
 	round, dim := rd.round, len(rd.theta)
 	switch {
 	case msg.Kind == transport.KindError:
@@ -520,7 +534,7 @@ func (ls *linkSet) vetUpdate(i int, rd *nodeRound, msg *transport.Msg, anyRound 
 	case msg.Kind != transport.KindUpdate:
 		return fmt.Errorf("%w: expected update, got %v from node %d", ErrProtocol, msg.Kind, ls.base+i)
 	}
-	if !anyRound && msg.Round != round {
+	if msg.Round != round && !(ls.c.Async && ls.pending[i] >= 0) {
 		if ls.ft && msg.Round < round {
 			return errStaleRound
 		}
@@ -539,39 +553,19 @@ func (ls *linkSet) vetUpdate(i int, rd *nodeRound, msg *transport.Msg, anyRound 
 	return ls.bindNodeID(i, msg.NodeID)
 }
 
-// gatherFrom waits up to d for link i's update to round rd and stores it in
-// *msg. In fault-tolerant mode it drains stale answers to earlier rounds
-// (late replies from a node that was dropped and is coming back) instead of
-// treating them as violations.
-func (ls *linkSet) gatherFrom(msg *transport.Msg, i int, rd *nodeRound, d time.Duration) error {
-	round := rd.round
-	var deadline time.Time
-	if ls.ft {
-		deadline = time.Now().Add(d)
-	}
-	for {
-		remain := d
-		if ls.ft {
-			remain = time.Until(deadline)
-			if remain <= 0 {
-				// The overall gather budget was consumed by earlier traffic
-				// on this link (stale drains) before a receive could even be
-				// issued — distinct from a receive that waited and timed out
-				// below, so suspect causes name the budget that ran out.
-				return fmt.Errorf("core: gather round %d from node %d: %v round budget exhausted before receive: %w", round, ls.base+i, d, transport.ErrTimeout)
-			}
-		}
-		if err := ls.ops.recv(i, remain, msg); err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				return fmt.Errorf("core: gather round %d from node %d: receive timed out after waiting the final %v of the %v budget: %w", round, ls.base+i, remain, d, err)
-			}
-			return fmt.Errorf("core: gather round %d from node %d: %w", round, ls.base+i, err)
-		}
-		if err := ls.vetUpdate(i, rd, msg, false); err != errStaleRound {
+// recvUpdate receives link i's next message into *msg, waiting up to d
+// (strict: blocking; fault-tolerant d <= 0: not at all), and vets it as an
+// update. Silence comes back as the bare transport.ErrTimeout: the sweep
+// meets it on most links of every wake and never reports it, so it is not
+// worth an allocated wrapping.
+func (ls *linkSet) recvUpdate(msg *transport.Msg, i int, rd *nodeRound, d time.Duration) error {
+	if err := ls.ops.recv(i, d, msg); err != nil {
+		if err == transport.ErrTimeout {
 			return err
 		}
-		ls.logf("core: discarding stale round-%d update from link %d during round %d", msg.Round, ls.base+i, round)
+		return fmt.Errorf("core: gather round %d from node %d: %w", rd.round, ls.base+i, err)
 	}
+	return ls.vetUpdate(i, rd, msg)
 }
 
 // dispatch is the first half of a node-facing round: broadcast rd.theta
@@ -614,7 +608,7 @@ func (ls *linkSet) dispatch(rd *nodeRound, selected []int) (sent, probed []int, 
 		return ls.sentBuf, nil, nil
 	}
 	// Re-probe suspects with the current θ: a dropped node that has
-	// recovered answers like any other and rejoins in gatherProbes. Every
+	// recovered answers like any other and rejoins in the probe sweep. Every
 	// probe resyncs the link's codec chains first — an unanswered probe must
 	// not advance the reference a revived node has never seen.
 	for i := range ls.alive {
@@ -626,7 +620,11 @@ func (ls *linkSet) dispatch(rd *nodeRound, selected []int) (sent, probed []int, 
 			return nil, nil, err
 		}
 		nBytes := wireBytes(&m)
-		if err := ls.ops.send(i, &m, ls.probeTO); err != nil {
+		// A probe does not wait for room in the send queue: a suspect whose
+		// link still holds the messages queued for it has read none of
+		// them, and waiting on each such link in turn would cost the round
+		// one probeTO per silent node.
+		if err := ls.ops.send(i, &m, 0); err != nil {
 			continue
 		}
 		probed = append(probed, i)
@@ -683,7 +681,7 @@ func (ls *linkSet) settle(i int, rd *nodeRound, msg *transport.Msg, err error) e
 		return nil
 	}
 	s := 0
-	if ls.pending != nil {
+	if ls.c.Async {
 		if s = rd.ver - msg.Version; s > ls.c.MaxStaleness {
 			ls.markStaleDrop(i, rd.round, s)
 			return nil
@@ -700,47 +698,157 @@ func (ls *linkSet) settle(i int, rd *nodeRound, msg *transport.Msg, err error) e
 	return nil
 }
 
-// gatherRound is the barrier gather: dispatch, then wait for every link a
-// broadcast went out to (each bounded by RoundTimeout in fault-tolerant
-// mode) and settle its reply. Rejected updates are billed and counted but
-// never reach rd.accept. A non-nil error means the run must abort
-// (strict-mode failure, or the alive count fell below MinNodes). An accepted
-// reply stays in its slot as received: in strict mode the link lends it, but
-// there is one receive per link per round and the slots are cleared before
-// the next dispatch (see transport.Msg); in fault-tolerant mode the async
-// pump hands over messages the caller owns.
-func (ls *linkSet) gatherRound(rd *nodeRound, selected []int) error {
-	sent, probed, err := ls.dispatch(rd, selected)
+// gatherRound is one node-facing round: dispatch rd.theta to the selected
+// links that have no work in flight, gather and settle their replies, and
+// re-admit the probed suspects that answer. Rejected updates are billed and
+// counted but never reach rd.accept. A non-nil error means the run must
+// abort (strict-mode failure, or the alive count fell below MinNodes).
+//
+// Strict mode receives from each sent link in index order, blocking; the
+// link lends an accepted reply, which its slot keeps until the slots are
+// cleared before the next dispatch (see transport.Msg). Fault-tolerant mode
+// sweeps every link with work in flight under one RoundTimeout timer, then
+// the probed suspects under one probeTO timer. Its two settings are how
+// much of this round's dispatch ends the sweep (quorum) and whether a link
+// still silent at the deadline is suspected or left in flight: the barrier
+// is quorum 1 with suspicion, async is AsyncQuorum without (DESIGN.md §12).
+func (ls *linkSet) gatherRound(rd *nodeRound, selected []int, quorum float64, suspectLate bool) error {
+	free := selected[:0]
+	for _, i := range selected {
+		if !ls.ft || ls.pending[i] < 0 {
+			free = append(free, i)
+		}
+	}
+	sent, probed, err := ls.dispatch(rd, free)
 	if err != nil {
 		return err
 	}
-	for _, i := range sent {
-		var msg transport.Msg
-		err := ls.gatherFrom(&msg, i, rd, ls.c.RoundTimeout)
-		if err := ls.settle(i, rd, &msg, err); err != nil {
-			return err
+	if !ls.ft {
+		for _, i := range sent {
+			var msg transport.Msg
+			err := ls.recvUpdate(&msg, i, rd, 0)
+			if err := ls.settle(i, rd, &msg, err); err != nil {
+				return err
+			}
 		}
-	}
-	return ls.gatherProbes(rd, probed)
-}
-
-// gatherProbes closes a node-facing round: a probed suspect that answered
-// rejoins and its reply aggregates like any other; one that did not stays
-// suspect. The round then aborts if too few nodes remain alive.
-func (ls *linkSet) gatherProbes(rd *nodeRound, probed []int) error {
-	for _, i := range probed {
-		var msg transport.Msg
-		if err := ls.gatherFrom(&msg, i, rd, ls.probeTO); err != nil {
-			ls.probeFailed(i)
-			continue // still unreachable; stays suspect
+	} else {
+		clear(ls.fresh)
+		for _, i := range sent {
+			ls.pending[i] = rd.ver
+			ls.fresh[i] = true
 		}
-		ls.rejoin(i, rd.round)
-		ls.settle(i, rd, &msg, nil)
+		// Only this round's assignments count toward the quorum; with none,
+		// any resolution ends the sweep.
+		need, count := int(math.Ceil(quorum*float64(len(sent)))), ls.fresh
+		if len(sent) == 0 {
+			need, count = 1, nil
+		}
+		inFlight := sent[:0] // a superset of sent, built over it
+		for i, v := range ls.pending {
+			if v >= 0 {
+				inFlight = append(inFlight, i)
+			}
+		}
+		for _, i := range ls.sweep(rd, inFlight, need, count, false) {
+			if suspectLate {
+				ls.pending[i] = -1
+				ls.markSuspect(i, rd.round, fmt.Errorf("core: gather round %d from node %d: no reply within the %v deadline: %w", rd.round, ls.base+i, ls.c.RoundTimeout, transport.ErrTimeout))
+			}
+		}
+		for _, i := range ls.sweep(rd, probed, len(probed), nil, true) {
+			ls.probeFailed(i) // still unreachable; stays suspect
+		}
 	}
 	if min := max(ls.c.MinNodes, 1); ls.aliveCnt < min {
 		return fmt.Errorf("core: only %d nodes alive, below MinNodes=%d", ls.aliveCnt, min)
 	}
 	return nil
+}
+
+// sweep waits for the links of set on the doorbell, under one timer: of
+// probeTO for probed suspects (probe), of RoundTimeout otherwise. Each pass
+// drains every link still in set with the timer-free TryRecv(0), discards
+// answers to earlier rounds (errStaleRound) unbilled, and hands each other
+// reply or link error to take; a link take resolves leaves set. Between
+// passes the sweep sleeps on the doorbell or the timer. No wake is lost: a
+// pump rings after it queues, so a reply that lands after a pass went by
+// its link leaves the doorbell rung, and a pass drains each link because
+// one ring can stand for several replies. The sweep ends when need links
+// have resolved (only those with count[i] set count, unless count is nil),
+// when set is empty, or at the deadline, which a link that keeps sending
+// answers that resolve nothing cannot delay. It returns the links left
+// unresolved, in set's order and array.
+func (ls *linkSet) sweep(rd *nodeRound, set []int, need int, count []bool, probe bool) []int {
+	if len(set) == 0 {
+		return set
+	}
+	d := ls.c.RoundTimeout
+	if probe {
+		d = ls.probeTO
+	}
+	deadline := time.NewTimer(d)
+	defer deadline.Stop()
+	for {
+		left := set[:0]
+	links:
+		for k, i := range set {
+			for {
+				var msg transport.Msg
+				err := ls.recvUpdate(&msg, i, rd, 0)
+				if err == transport.ErrTimeout {
+					break // nothing queued; the doorbell rings when it is
+				}
+				if err == errStaleRound {
+					ls.logf("core: discarding stale round-%d update from link %d during round %d", msg.Round, ls.base+i, rd.round)
+				} else if ls.take(i, rd, &msg, err, probe) {
+					if count == nil || count[i] {
+						need--
+					}
+					continue links
+				}
+				select {
+				case <-deadline.C:
+					return append(left, set[k:]...)
+				default:
+				}
+			}
+			left = append(left, i)
+		}
+		set = left
+		if len(set) == 0 || need <= 0 {
+			return set
+		}
+		select {
+		case <-ls.ops.bell:
+		case <-deadline.C:
+			return set
+		}
+	}
+}
+
+// take settles a reply or link error from link i and reports whether it
+// resolved the link. A probed suspect (probe) is resolved either way: one
+// whose reply survived vetting rejoins and settles it like any other; a
+// link error or a reply that failed vetting is one more failed probe,
+// unbilled. In the round sweep a reply resolves its link unless it answers
+// an older async assignment, which leaves the node computing the current
+// one.
+func (ls *linkSet) take(i int, rd *nodeRound, msg *transport.Msg, err error, probe bool) bool {
+	switch {
+	case probe && err != nil:
+		ls.probeFailed(i)
+		return true
+	case probe:
+		ls.rejoin(i, rd.round)
+		ls.settle(i, rd, msg, nil)
+		return true
+	}
+	ls.settle(i, rd, msg, err)
+	if err == nil && ls.c.Async && msg.Version != ls.pending[i] {
+		return false
+	}
+	ls.pending[i] = -1
+	return true
 }
 
 // shutdown tells every node training is over. Failures here are not drops —
@@ -751,8 +859,9 @@ func (ls *linkSet) shutdown() error {
 		if !ls.alive[i] {
 			if ls.ft {
 				// Best-effort farewell so a node that revives later exits
-				// cleanly instead of waiting for a round that never comes.
-				_ = ls.ops.send(i, &transport.Msg{Kind: transport.KindDone}, ls.probeTO)
+				// cleanly instead of waiting for a round that never comes;
+				// like a probe, it does not wait for room in the queue.
+				_ = ls.ops.send(i, &transport.Msg{Kind: transport.KindDone}, 0)
 			}
 			continue
 		}

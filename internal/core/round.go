@@ -20,8 +20,8 @@ import (
 // accounting, and the commit tail. What differs is supplied by two small
 // strategies: *what a round aggregates from* (a roundSource: node links for
 // the flat platform, shard partials for the director) and, for node links,
-// *how the round gathers* (the barrier linkSet.gatherRound or the
-// quorum-buffered linkSet.gatherBuffered, chosen by Config.Async). See
+// *how the round gathers* (linkSet.gatherRound at the barrier's settings
+// or the quorum-buffered async ones, chosen by Config.Async). See
 // DESIGN.md §11.
 
 // roundSource is what a round aggregates from. nodeSource (node links) and
@@ -310,21 +310,22 @@ func (n *nodeSource) selectRound(round, t0 int) []int {
 	return selected
 }
 
-// collect runs one node-facing round and reduces it. The gather strategy is
-// the barrier unless the link set carries buffered-async state, in which
-// case the θ-version is the aggregation count — skipped rounds leave both θ
-// and the version unchanged, so staleness measures actual drift.
+// collect runs one node-facing round and reduces it. The gather waits for
+// every sent link and suspects the silent ones (the barrier) unless
+// Config.Async sets its quorum and leaves silent links in flight; then the
+// θ-version is the aggregation count — skipped rounds leave both θ and the
+// version unchanged, so staleness measures actual drift.
 func (n *nodeSource) collect(round, t0 int, theta tensor.Vec) (sum tensor.Vec, wsum float64, count int, err error) {
 	ls, rd := n.ls, &n.rd
 	rd.round, rd.t0, rd.theta, rd.thetaNorm = round, t0, theta, theta.Norm()
 	rd.snap = nil
 	n.agg.reset()
-	if ls.pending == nil {
-		err = ls.gatherRound(rd, n.selectRound(round, t0))
-	} else {
+	if ls.c.Async {
 		rd.ver = ls.stats.Rounds
 		ls.writeOffStale(rd)
-		err = ls.gatherBuffered(rd, n.selectRound(round, t0))
+		err = ls.gatherRound(rd, n.selectRound(round, t0), ls.c.AsyncQuorum, false)
+	} else {
+		err = ls.gatherRound(rd, n.selectRound(round, t0), 1, true)
 	}
 	if err != nil {
 		return nil, 0, 0, err

@@ -18,11 +18,17 @@ type Async struct {
 	link  Link
 	sendQ chan Msg
 	recvQ chan Msg
-	errc  chan error
-	done  chan struct{}
-	bell  chan<- struct{}
-	once  sync.Once
-	wg    sync.WaitGroup
+	// sendFail and recvFail close when the send or the receive pump stops
+	// on a link error, which the pump stores in sendErr or recvErr first.
+	// The two are kept apart because only the receive pump's failure is
+	// ordered after the messages it queued: a send can fail while the
+	// receive pump still holds the peer's last reply.
+	sendFail, recvFail chan struct{}
+	sendErr, recvErr   error
+	done               chan struct{}
+	bell               chan<- struct{}
+	once               sync.Once
+	wg                 sync.WaitGroup
 	// clone makes the receive pump copy each message's sections into fresh
 	// slices before its next inner Recv can reuse the link's buffers, so
 	// every message TryRecv returns is the caller's. False over a link that
@@ -48,13 +54,14 @@ func NewAsyncBell(link Link, queue int, bell chan<- struct{}) *Async {
 		queue = 1
 	}
 	a := &Async{
-		link:  link,
-		sendQ: make(chan Msg, queue),
-		recvQ: make(chan Msg, queue),
-		errc:  make(chan error, 2), // one slot per pump
-		done:  make(chan struct{}),
-		bell:  bell,
-		clone: !keepsReceived(link),
+		link:     link,
+		sendQ:    make(chan Msg, queue),
+		recvQ:    make(chan Msg, queue),
+		sendFail: make(chan struct{}),
+		recvFail: make(chan struct{}),
+		done:     make(chan struct{}),
+		bell:     bell,
+		clone:    !keepsReceived(link),
 	}
 	a.wg.Add(2)
 	go a.sendLoop()
@@ -70,7 +77,8 @@ func (a *Async) sendLoop() {
 			return
 		case m := <-a.sendQ:
 			if err := a.link.Send(m); err != nil {
-				a.reportErr(err)
+				a.sendErr = err
+				close(a.sendFail)
 				a.ring()
 				return
 			}
@@ -83,7 +91,8 @@ func (a *Async) recvLoop() {
 	for {
 		m, err := a.link.Recv()
 		if err != nil {
-			a.reportErr(err)
+			a.recvErr = err
+			close(a.recvFail)
 			a.ring()
 			return
 		}
@@ -101,8 +110,6 @@ func (a *Async) recvLoop() {
 }
 
 // ring announces a queued message or a pump error on the doorbell, if any.
-// Only the pumps ring: a caller that re-reports an error it took from errc
-// announces nothing new.
 func (a *Async) ring() {
 	select {
 	case a.bell <- struct{}{}:
@@ -110,18 +117,14 @@ func (a *Async) ring() {
 	}
 }
 
-func (a *Async) reportErr(err error) {
-	select {
-	case a.errc <- err:
-	default:
-	}
-}
-
 // TrySend enqueues m, waiting at most timeout for queue space. It returns
-// ErrTimeout on deadline, or the pump's error if the link has failed.
-// Close and a pending pump error take priority over free queue space (a
-// queued message would never be sent once the pumps have stopped). With
-// room in the queue it enqueues without building a timer.
+// ErrTimeout on deadline, or the link's failure: the send pump's error, or
+// the receive pump's when only that pump has failed (a peer that is gone
+// takes no more messages either). Close and a pump error take priority
+// over free queue space (a queued message would never be sent once the
+// pumps have stopped). With room in the queue it enqueues without building
+// a timer; a timeout <= 0 never waits for room, and returns ErrTimeout when
+// the queue is full.
 func (a *Async) TrySend(m Msg, timeout time.Duration) error {
 	select {
 	case <-a.done:
@@ -129,24 +132,29 @@ func (a *Async) TrySend(m Msg, timeout time.Duration) error {
 	default:
 	}
 	select {
-	case err := <-a.errc:
-		a.reportErr(err)
-		return err
+	case <-a.sendFail:
+		return a.sendErr
+	case <-a.recvFail:
+		return a.recvErr
 	default:
 	}
 	select {
 	case a.sendQ <- m:
 		return nil
 	default:
+	}
+	if timeout <= 0 {
+		return ErrTimeout
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case a.sendQ <- m:
 		return nil
-	case err := <-a.errc:
-		a.reportErr(err) // keep it observable for later calls
-		return err
+	case <-a.sendFail:
+		return a.sendErr
+	case <-a.recvFail:
+		return a.recvErr
 	case <-a.done:
 		return ErrClosed
 	case <-timer.C:
@@ -155,9 +163,14 @@ func (a *Async) TrySend(m Msg, timeout time.Duration) error {
 }
 
 // TryRecv waits at most timeout for an inbound message. Messages already
-// queued are delivered even if the link has since closed. A timeout <= 0
-// only checks, in order, for a queued message, a pump error and Close, and
-// returns ErrTimeout otherwise; it builds no timer and does not allocate.
+// queued are delivered even if the link has since closed. It reports only
+// the receive pump's error, and only once every message that pump queued
+// has been delivered; a failed send alone is not a receive failure (the
+// peer's reply may still be on its way in), so TryRecv keeps waiting for a
+// message, the receive pump's error, Close or the timeout. A timeout <= 0
+// only checks, in order, for a queued message, a receive-pump error and
+// Close, and returns ErrTimeout otherwise; it builds no timer and does not
+// allocate.
 // Unlike Link.Recv, it does not lend: the message's Params and Payload are
 // the caller's to keep (the pump copied them out of a link that reuses its
 // buffers).
@@ -169,8 +182,8 @@ func (a *Async) TryRecv(timeout time.Duration) (Msg, error) {
 	}
 	if timeout <= 0 {
 		select {
-		case err := <-a.errc:
-			return a.recvAfterErr(err)
+		case <-a.recvFail:
+			return a.recvAfterFail()
 		default:
 		}
 		select {
@@ -190,8 +203,8 @@ func (a *Async) TryRecv(timeout time.Duration) (Msg, error) {
 	select {
 	case m := <-a.recvQ:
 		return m, nil
-	case err := <-a.errc:
-		return a.recvAfterErr(err)
+	case <-a.recvFail:
+		return a.recvAfterFail()
 	case <-a.done:
 		return Msg{}, ErrClosed
 	case <-timer.C:
@@ -199,24 +212,18 @@ func (a *Async) TryRecv(timeout time.Duration) (Msg, error) {
 	}
 }
 
-// recvAfterErr is TryRecv's answer once it has taken err from errc: the
-// error stays reported for later calls, but a message queued before it is
-// delivered first. The receive pump queues a peer's last message before it
-// reports the link's failure, and both can become ready between TryRecv's
-// non-blocking look at recvQ and its select, which picks among ready cases
-// at random; one more look at recvQ here, after the error, sees anything
-// the pump queued before reporting it. Only the receive pump's errors are
-// ordered after its queued messages: errc also carries the send pump's
-// error, and nothing orders that against a reply the receive pump is still
-// reading or copying, so a failed send can still pre-empt a reply in
-// flight.
-func (a *Async) recvAfterErr(err error) (Msg, error) {
-	a.reportErr(err)
+// recvAfterFail is TryRecv's answer once the receive pump has failed: a
+// message queued before the failure is delivered first. The pump queues a
+// peer's last message before it records the failure, and both can become
+// ready between TryRecv's non-blocking look at recvQ and its select, which
+// picks among ready cases at random; one more look at recvQ here, after the
+// failure, sees everything the pump queued.
+func (a *Async) recvAfterFail() (Msg, error) {
 	select {
 	case m := <-a.recvQ:
 		return m, nil
 	default:
-		return Msg{}, err
+		return Msg{}, a.recvErr
 	}
 }
 

@@ -311,3 +311,56 @@ func TestAsyncTryRecvKeepsLastMessage(t *testing.T) {
 		t.Errorf("TryRecv lost %d of %d messages sent just before the peer closed", lost, iters)
 	}
 }
+
+// lendingLink hides the in-memory pipe's keepsReceived, so the receive pump
+// copies every message it takes, as it does over TCP.
+type lendingLink struct{ Link }
+
+// TestAsyncSendFailureKeepsReply: a peer that replies and then closes while
+// a platform send is pending must not lose its reply. The pending send fails
+// as soon as the peer closes, while the receive pump may still be copying
+// the reply it took; the send pump's error must not pre-empt it, and the
+// receive pump's own error follows the reply. Odd iterations wait in
+// TryRecv's select, even ones poll with TryRecv(0). A TryRecv that reported
+// either pump's error lost most of these replies.
+func TestAsyncSendFailureKeepsReply(t *testing.T) {
+	const iters = 2000
+	reply := make([]float64, 1<<14) // long enough that the copy takes a while
+	lost := 0
+	for i := 0; i < iters; i++ {
+		p, n := Pair()
+		a := NewAsync(lendingLink{p}, 1)
+		// The peer never reads, so the send pump holds this message in a
+		// blocked Send until the peer closes.
+		if err := a.TrySend(Msg{Kind: KindParams, Round: i}, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Send(Msg{Kind: KindUpdate, Round: i, Params: reply}); err != nil {
+			t.Fatal(err)
+		}
+		_ = n.Close()
+		var m Msg
+		var err error
+		if i%2 == 1 {
+			m, err = a.TryRecv(time.Second)
+		} else {
+			for m, err = a.TryRecv(0); err == ErrTimeout; m, err = a.TryRecv(0) {
+				runtime.Gosched()
+			}
+		}
+		switch {
+		case err != nil:
+			lost++
+		case m.Round != i || len(m.Params) != len(reply):
+			t.Fatalf("iteration %d delivered round %d with %d params", i, m.Round, len(m.Params))
+		default:
+			if _, err := a.TryRecv(time.Second); err != ErrClosed {
+				t.Fatalf("iteration %d: after the reply TryRecv = %v, want the receive pump's ErrClosed", i, err)
+			}
+		}
+		_ = a.Close()
+	}
+	if lost > 0 {
+		t.Errorf("TryRecv lost %d of %d replies to a failed send", lost, iters)
+	}
+}

@@ -336,3 +336,27 @@ func TestAsyncTrySendFastPathAllocs(t *testing.T) {
 		t.Errorf("TrySend with queue room allocates %v times, want 0", allocs)
 	}
 }
+
+// TestAsyncTrySendZeroTimeout pins the non-blocking send: with the queue
+// full, a TrySend with timeout 0 returns ErrTimeout at once, builds no timer
+// and does not allocate.
+func TestAsyncTrySendZeroTimeout(t *testing.T) {
+	p, n := Pair()
+	a := NewAsync(p, 1)
+	defer a.Close()
+	defer n.Close()
+	// The peer never reads: the pump holds the first message in its Send,
+	// and the second fills the queue.
+	for r := 1; r <= 2; r++ {
+		if err := a.TrySend(Msg{Kind: KindParams, Round: r}, time.Second); err != nil {
+			t.Fatalf("send %d: %v", r, err)
+		}
+	}
+	m := Msg{Kind: KindParams, Round: 3}
+	if err := a.TrySend(m, 0); err != ErrTimeout {
+		t.Fatalf("TrySend(0) on a full queue = %v, want ErrTimeout", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.TrySend(m, 0) }); allocs != 0 {
+		t.Errorf("TrySend(0) on a full queue allocates %v times, want 0", allocs)
+	}
+}
