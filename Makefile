@@ -39,13 +39,14 @@ all: build vet test
 # little-endian like amd64, so the s390x vet and build compile the
 # transport's big-endian Params path for a host that takes it (DESIGN.md §7,
 # "Why 64 KiB"); TestFloatLoopsMatchBulk runs that path's loops here. The
-# last line repeats the doorbell tests ten times under the race detector:
-# the three of the async gather, the silent-node bound of the barrier and
-# probe sweeps, and the pump-error stress test. A lost wake, a sweep that
-# leaves queued replies behind a coalesced ring, or a reply pre-empted by a
-# failed send shows only now and then, as a stall their watchdogs or
-# deadline bounds turn into a failure, or as a lost reply (DESIGN.md §7,
-# §12).
+# last line repeats the doorbell and teardown tests ten times under the race
+# detector: the three of the async gather, the silent-node bound of the
+# barrier and probe sweeps, the pump-error stress test, and the fault-tolerant
+# TCP run whose nodes must all read their farewell Done. A lost wake, a sweep
+# that leaves queued replies behind a coalesced ring, a reply pre-empted by a
+# failed send, or a link closed under a queued Done shows only now and then,
+# as a stall their watchdogs or deadline bounds turn into a failure, as a
+# lost reply, or as a node that exits on a closed link (DESIGN.md §7, §12).
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -84,7 +85,7 @@ check:
 	GOARCH=s390x $(GO) vet ./internal/transport
 	GOARCH=s390x $(GO) build ./...
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=10 -run '^(TestAsyncDoorbellDeliversAll|TestAsyncLinkErrorWakesGather|TestAsyncGatherDrainsQueuedReplies|TestSilentNodesCostOneDeadline|TestAsyncSendFailureKeepsReply)$$' ./internal/transport ./internal/core
+	$(GO) test -race -count=10 -run '^(TestAsyncDoorbellDeliversAll|TestAsyncLinkErrorWakesGather|TestAsyncGatherDrainsQueuedReplies|TestSilentNodesCostOneDeadline|TestAsyncSendFailureKeepsReply|TestFaultTolerantTCPNodesExitClean)$$' ./internal/transport ./internal/core
 
 # The repo's benchmark (BENCHMARK.json): six workloads that each stress one
 # layer, end-to-end and per-layer metrics, correctness checks against the

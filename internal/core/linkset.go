@@ -59,9 +59,15 @@ func (o linkOps) recv(i int, d time.Duration, m *transport.Msg) (err error) {
 	return err
 }
 
-// finish releases the async pumps, if any.
-func (o linkOps) finish() {
-	for _, w := range o.wrapped {
+// finish releases the async pumps, if any. The pump of each link flagged in
+// flush first writes what it queued, with one deadline, bound away, shared
+// by the whole set; the other pumps close at once, dropping their queues.
+func (o linkOps) finish(flush []bool, bound time.Duration) {
+	deadline := time.Now().Add(bound)
+	for i, w := range o.wrapped {
+		if flush[i] {
+			_ = w.Flush(deadline)
+		}
 		_ = w.Close()
 	}
 }
@@ -259,7 +265,11 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 }
 
 // finish releases the I/O resources (async pumps in fault-tolerant mode).
-func (ls *linkSet) finish() { ls.ops.finish() }
+// Alive links get what their pumps queued, the farewell Done of shutdown
+// included, written before their links close; the whole set waits at most
+// one RoundTimeout for it. A suspect's link closes at once, so a peer that
+// never reads cannot hold finish.
+func (ls *linkSet) finish() { ls.ops.finish(ls.alive, ls.c.RoundTimeout) }
 
 // wireBytes is the billed size of a parameter-bearing message: the encoded
 // payload when one is attached, 8 bytes per raw parameter otherwise.
@@ -853,7 +863,8 @@ func (ls *linkSet) take(i int, rd *nodeRound, msg *transport.Msg, err error, pro
 
 // shutdown tells every node training is over. Failures here are not drops —
 // training is already complete — so they are logged under a named phase and
-// excluded from the Dropped count.
+// excluded from the Dropped count. In fault-tolerant mode a send only
+// queues the Done on the link's pump; finish sees it written.
 func (ls *linkSet) shutdown() error {
 	for i := range ls.alive {
 		if !ls.alive[i] {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
@@ -133,6 +134,22 @@ func TestEndToEndOverTCP(t *testing.T) {
 	sameBits(t, "TCP vs in-memory links", theta, mem.Theta)
 	if stats != mem.Comm {
 		t.Errorf("TCP run billed %+v, in-memory run %+v", stats, mem.Comm)
+	}
+}
+
+// TestFaultTolerantTCPNodesExitClean: a fault-tolerant platform hands its
+// farewell KindDone to the asynchronous send pump of each link; teardown
+// must let the pump write it before the socket closes, so every node reads
+// Done and returns nil instead of a closed-link error. trainOverTCP fails
+// the test on any node error.
+func TestFaultTolerantTCPNodesExitClean(t *testing.T) {
+	fed := tinyFederation(t, 0, 0)
+	fed.Sources = fed.Sources[:4]
+	m := tinyModel(fed)
+	cfg := Config{Alpha: 0.01, Beta: 0.01, T: 20, T0: 10, Seed: 1, RoundTimeout: 2 * time.Second}
+	theta, stats, _ := trainOverTCP(t, m, fed, m.InitParams(rng.New(1)), cfg)
+	if !theta.IsFinite() || stats.Rounds != 2 || stats.Dropped != 0 {
+		t.Errorf("θ finite %v, %d rounds, %d dropped; want finite, 2, 0", theta.IsFinite(), stats.Rounds, stats.Dropped)
 	}
 }
 

@@ -147,8 +147,10 @@ func (f *nodeFleet) runErr(c Config, topErr error, shardErrs []error) error {
 		if err == nil {
 			continue
 		}
-		// In fault-tolerant mode dropped (or raced-at-shutdown) nodes see
-		// their link closed by their aggregator; that is expected, not
+		// In fault-tolerant mode a dropped node sees its link closed by
+		// its aggregator, whose farewell Done to a suspect is best effort;
+		// so does an alive node whose Done its pump could not write within
+		// the teardown bound (linkSet.finish). That is expected, not
 		// failure.
 		if c.RoundTimeout > 0 && errors.Is(err, transport.ErrClosed) {
 			continue

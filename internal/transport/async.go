@@ -25,10 +25,13 @@ type Async struct {
 	// receive pump still holds the peer's last reply.
 	sendFail, recvFail chan struct{}
 	sendErr, recvErr   error
-	done               chan struct{}
-	bell               chan<- struct{}
-	once               sync.Once
-	wg                 sync.WaitGroup
+	// flush carries Flush's requests to the send pump, which closes the
+	// request's channel once it has written everything queued before it.
+	flush chan chan struct{}
+	done  chan struct{}
+	bell  chan<- struct{}
+	once  sync.Once
+	wg    sync.WaitGroup
 	// clone makes the receive pump copy each message's sections into fresh
 	// slices before its next inner Recv can reuse the link's buffers, so
 	// every message TryRecv returns is the caller's. False over a link that
@@ -59,6 +62,7 @@ func NewAsyncBell(link Link, queue int, bell chan<- struct{}) *Async {
 		recvQ:    make(chan Msg, queue),
 		sendFail: make(chan struct{}),
 		recvFail: make(chan struct{}),
+		flush:    make(chan chan struct{}),
 		done:     make(chan struct{}),
 		bell:     bell,
 		clone:    !keepsReceived(link),
@@ -76,14 +80,33 @@ func (a *Async) sendLoop() {
 		case <-a.done:
 			return
 		case m := <-a.sendQ:
-			if err := a.link.Send(m); err != nil {
-				a.sendErr = err
-				close(a.sendFail)
-				a.ring()
+			if !a.write(m) {
 				return
 			}
+		case ack := <-a.flush:
+			// Every message queued before the request is in sendQ: TrySend
+			// had returned before Flush was called. Only this pump takes
+			// from sendQ, so a non-zero length never blocks the take.
+			for len(a.sendQ) > 0 {
+				if !a.write(<-a.sendQ) {
+					return
+				}
+			}
+			close(ack)
 		}
 	}
+}
+
+// write sends m on the link and reports whether the pump may go on; on a
+// link error it records the error and closes sendFail first.
+func (a *Async) write(m Msg) bool {
+	if err := a.link.Send(m); err != nil {
+		a.sendErr = err
+		close(a.sendFail)
+		a.ring()
+		return false
+	}
+	return true
 }
 
 func (a *Async) recvLoop() {
@@ -224,6 +247,36 @@ func (a *Async) recvAfterFail() (Msg, error) {
 		return m, nil
 	default:
 		return Msg{}, a.recvErr
+	}
+}
+
+// Flush waits until the send pump has written every message queued before
+// the call, and returns nil then. It returns the send pump's error if the
+// link fails first, ErrClosed after Close, and ErrTimeout once deadline
+// passes. Close alone drops whatever is still queued; Flush before Close
+// lets a last message, such as a farewell KindDone, reach the peer. Callers
+// flushing several links pass them one deadline: the pumps write in
+// parallel, so the waits overlap and the set costs at most one bound.
+func (a *Async) Flush(deadline time.Time) error {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	ack := make(chan struct{})
+	select {
+	case a.flush <- ack:
+	case <-a.sendFail:
+		return a.sendErr
+	case <-a.done:
+		return ErrClosed
+	case <-timer.C:
+		return ErrTimeout
+	}
+	select {
+	case <-ack:
+		return nil
+	case <-a.sendFail:
+		return a.sendErr
+	case <-timer.C:
+		return ErrTimeout
 	}
 }
 

@@ -73,6 +73,64 @@ func TestAsyncSendTimeoutWhenPeerNotReceiving(t *testing.T) {
 	}
 }
 
+// Flush returns once the pump has written everything queued, so a Close
+// right after it drops nothing; against a peer that never reads it gives up
+// at the deadline instead.
+func TestAsyncFlushWritesQueuedBeforeClose(t *testing.T) {
+	p, n := Pair()
+	a := NewAsync(p, 2)
+	defer n.Close()
+	for r := 1; r <= 2; r++ {
+		if err := a.TrySend(Msg{Kind: KindParams, Round: r}, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(chan int, 2)
+	go func() {
+		time.Sleep(20 * time.Millisecond) // the messages wait in the queue
+		for range 2 {
+			m, err := n.Recv()
+			if err != nil {
+				return
+			}
+			got <- m.Round
+		}
+	}()
+	if err := a.Flush(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatalf("Flush = %v, want nil", err)
+	}
+	_ = a.Close()
+	for want := 1; want <= 2; want++ {
+		select {
+		case r := <-got:
+			if r != want {
+				t.Errorf("peer read round %d, want %d", r, want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("message %d never reached the peer", want)
+		}
+	}
+
+	p2, n2 := Pair()
+	b := NewAsync(p2, 1)
+	defer b.Close()
+	defer n2.Close()
+	if err := b.TrySend(Msg{Kind: KindDone}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := b.Flush(start.Add(30 * time.Millisecond)); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Flush to a peer that never reads = %v, want ErrTimeout", err)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("Flush past its deadline took %v", elapsed)
+	}
+	_ = b.Close()
+	if err := b.Flush(time.Now().Add(time.Second)); !errors.Is(err, ErrClosed) {
+		t.Errorf("Flush after Close = %v, want ErrClosed", err)
+	}
+}
+
 func TestAsyncSurfacesPeerClose(t *testing.T) {
 	p, n := Pair()
 	a := NewAsync(p, 1)
