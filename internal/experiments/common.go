@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
 	"github.com/edgeai/fedml/internal/nn"
@@ -42,49 +43,116 @@ func (s Scale) String() string {
 	}
 }
 
-// syntheticFederation builds Synthetic(alpha, beta) at the given scale.
-func syntheticFederation(alpha, beta float64, scale Scale, k int, seed uint64) (*data.Federation, error) {
-	cfg := data.DefaultSyntheticConfig(alpha, beta)
-	cfg.K = k
-	cfg.Seed = seed
-	if scale == ScaleCI {
-		cfg.Nodes = 20
-	}
-	return data.GenerateSynthetic(cfg)
-}
-
-// mnistFederation builds the MNIST-like workload at the given scale.
-func mnistFederation(scale Scale, k int, seed uint64) (*data.Federation, error) {
-	cfg := data.DefaultMNISTConfig()
-	cfg.K = k
-	cfg.Seed = seed
-	if scale == ScaleCI {
-		cfg.Nodes = 20
-		cfg.MeanSamples = 24
-	}
-	return data.GenerateMNIST(cfg)
-}
-
-// sent140Federation builds the Sent140-like workload. The paper's 706-node
-// fleet and Table I statistics are kept at paper scale, but the embedding
+// datasets generates every federation the experiments train on, keyed by
+// dataset name, at the given scale: ab is Synthetic's similarity level
+// (α̃ = β̃), which the other generators ignore, and k the samples per node of
+// the inner step. ScaleCI shrinks the fleets. At paper scale Sent140 keeps
+// the paper's 706-node fleet and Table I statistics, but its embedding
 // dimension is reduced from 300 (the full GloVe width) to 24: the MLP keeps
 // its 3 BN+ReLU hidden layers, and the run fits in minutes instead of days
 // of CPU (every node runs finite-difference second-order meta-updates).
-// ScaleCI shrinks further.
-func sent140Federation(scale Scale, k int, seed uint64) (*data.Federation, error) {
-	cfg := data.DefaultSent140Config()
-	cfg.K = k
-	cfg.Seed = seed
-	switch scale {
-	case ScalePaper:
-		cfg.Nodes = 706
-		cfg.EmbedDim = 24
-	default:
-		cfg.Nodes = 30
-		cfg.EmbedDim = 12
-		cfg.SeqLen = 10
+var datasets = map[string]func(scale Scale, ab float64, k int, seed uint64) (*data.Federation, error){
+	"synthetic": func(scale Scale, ab float64, k int, seed uint64) (*data.Federation, error) {
+		cfg := data.DefaultSyntheticConfig(ab, ab)
+		cfg.K = k
+		cfg.Seed = seed
+		if scale == ScaleCI {
+			cfg.Nodes = 20
+		}
+		return data.GenerateSynthetic(cfg)
+	},
+	"mnist": func(scale Scale, _ float64, k int, seed uint64) (*data.Federation, error) {
+		cfg := data.DefaultMNISTConfig()
+		cfg.K = k
+		cfg.Seed = seed
+		if scale == ScaleCI {
+			cfg.Nodes = 20
+			cfg.MeanSamples = 24
+		}
+		return data.GenerateMNIST(cfg)
+	},
+	"sent140": func(scale Scale, _ float64, k int, seed uint64) (*data.Federation, error) {
+		cfg := data.DefaultSent140Config()
+		cfg.K = k
+		cfg.Seed = seed
+		switch scale {
+		case ScalePaper:
+			cfg.Nodes = 706
+			cfg.EmbedDim = 24
+		default:
+			cfg.Nodes = 30
+			cfg.EmbedDim = 12
+			cfg.SeqLen = 10
+		}
+		return data.GenerateSent140(cfg)
+	},
+	"rec": func(scale Scale, _ float64, k int, seed uint64) (*data.Federation, error) {
+		cfg := data.DefaultRecommendConfig()
+		cfg.K = k
+		cfg.Seed = seed
+		if scale == ScaleCI {
+			cfg.Users = 20
+			cfg.Items = 60
+		}
+		return data.GenerateRecommend(cfg)
+	},
+	"fault": func(scale Scale, _ float64, k int, seed uint64) (*data.Federation, error) {
+		cfg := data.DefaultFaultConfig()
+		cfg.K = k
+		cfg.Seed = seed
+		if scale == ScaleCI {
+			cfg.Devices = 20
+		}
+		return data.GenerateFault(cfg)
+	},
+}
+
+// workload names a federation and the model trained on it.
+type workload struct {
+	// dataset keys datasets; ab is Synthetic's similarity level.
+	dataset string
+	ab      float64
+	// k is the samples per node of the inner step; 0 means 5, every
+	// generator's default.
+	k int
+	// hidden > 0 trains a one-hidden-layer MLP of that width instead of the
+	// dataset's own model (sent140Model for Sent140, softmaxModel else).
+	hidden int
+}
+
+// build generates the workload's federation and model.
+func (w workload) build(scale Scale, seed uint64) (*data.Federation, nn.Model, error) {
+	gen, ok := datasets[w.dataset]
+	if !ok {
+		return nil, nil, fmt.Errorf("experiments: unknown dataset %q", w.dataset)
 	}
-	return data.GenerateSent140(cfg)
+	k := w.k
+	if k == 0 {
+		k = 5
+	}
+	fed, err := gen(scale, w.ab, k, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s data: %w", w.dataset, err)
+	}
+	var m nn.Model
+	switch {
+	case w.hidden > 0:
+		m, err = nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, w.hidden, fed.NumClasses}, L2: 0.01})
+	case w.dataset == "sent140":
+		m, err = sent140Model(fed, scale)
+	default:
+		m = softmaxModel(fed)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s model: %w", w.dataset, err)
+	}
+	return fed, m, nil
+}
+
+// arm is the builder of an arm that generates the workload itself, inside
+// its worker.
+func (w workload) arm(scale Scale, seed uint64) func(*core.Config) (*data.Federation, nn.Model, error) {
+	return func(*core.Config) (*data.Federation, nn.Model, error) { return w.build(scale, seed) }
 }
 
 // sent140Model builds the Sent140 head: 3 hidden layers with batch
@@ -109,9 +177,10 @@ func softmaxModel(fed *data.Federation) *nn.SoftmaxRegression {
 // trackingView caps the number of source nodes used for objective tracking
 // on very large fleets: evaluating G(θ) over 700 nodes every round costs
 // more than the training it measures. The subset is a deterministic prefix,
-// so tracked curves are comparable across runs.
+// so tracked curves are comparable across runs. A cap <= 0 keeps every
+// source.
 func trackingView(fed *data.Federation, maxSources int) *data.Federation {
-	if len(fed.Sources) <= maxSources {
+	if maxSources <= 0 || len(fed.Sources) <= maxSources {
 		return fed
 	}
 	view := *fed

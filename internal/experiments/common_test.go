@@ -74,7 +74,7 @@ func TestRenderAdaptTableEmptyAndLoss(t *testing.T) {
 }
 
 func TestBuildWorkloadUnknownDataset(t *testing.T) {
-	if _, _, err := buildWorkload("cifar", ScaleCI, 5, 1); err == nil {
+	if _, _, err := (workload{dataset: "cifar"}).build(ScaleCI, 1); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 }

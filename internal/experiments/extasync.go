@@ -95,11 +95,10 @@ type ExtAsyncResult struct {
 // RunExtAsync trains the same federation through the sync barrier and the
 // buffered-async loop under identical latency skew.
 func RunExtAsync(cfg ExtAsyncConfig) (*ExtAsyncResult, error) {
-	fed, err := syntheticFederation(0, 0, cfg.Scale, 5, cfg.Seed)
+	fed, m, err := workload{dataset: "synthetic"}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("ext-async federation: %w", err)
+		return nil, fmt.Errorf("ext-async: %w", err)
 	}
-	m := softmaxModel(fed)
 	base := core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed}
 
 	ff, err := core.Train(m, fed, nil, base)

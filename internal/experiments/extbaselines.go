@@ -7,7 +7,6 @@ import (
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/eval"
 	"github.com/edgeai/fedml/internal/meta"
-	"github.com/edgeai/fedml/internal/par"
 )
 
 // Extension: a four-way baseline comparison. Besides the paper's
@@ -56,52 +55,37 @@ type ExtBaselinesResult struct {
 	SourceMeta []float64
 }
 
-// RunExtBaselines trains all four algorithms on the same federation and
+// RunExtBaselines trains all five algorithms on the same federation and
 // evaluates target fast adaptation.
 func RunExtBaselines(cfg ExtBaselinesConfig) (*ExtBaselinesResult, error) {
-	fed, err := syntheticFederation(0.5, 0.5, cfg.Scale, 5, cfg.Seed)
+	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("ext-baselines data: %w", err)
+		return nil, fmt.Errorf("ext-baselines: %w", err)
 	}
-	m := softmaxModel(fed)
-
 	// Every arm runs on the platform loop; they differ only in the
 	// meta-gradient mode or in what a node does between aggregations.
-	algos := []struct {
-		name  string
-		mode  meta.GradMode
-		local core.LocalRule
-	}{
-		{"FedML", meta.SecondOrder, nil},
-		{"FedML-FO", meta.FirstOrder, nil},
-		{"FedAvg", meta.SecondOrder, core.LocalSGD{}},
-		{"FedProx", meta.SecondOrder, core.LocalSGD{Mu: cfg.ProxMu}},
-		{"Reptile", meta.SecondOrder, core.Reptile{Eps: cfg.ReptileEps}},
-	}
-
-	// Algorithms are independent; train and evaluate each on the worker
-	// pool into index slots.
-	res := &ExtBaselinesResult{
-		Names:      make([]string, len(algos)),
-		Curves:     make([][]eval.AdaptPoint, len(algos)),
-		SourceMeta: make([]float64, len(algos)),
-	}
-	err = par.ForEachErr(0, len(algos), func(c int) error {
-		a := algos[c]
-		trained, err := core.Train(m, fed, nil, core.Config{
+	variant := func(name string, mode meta.GradMode, local core.LocalRule) arm {
+		return arm{name: name, build: shared(fed, m), cfg: core.Config{
 			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-			GradMode: a.mode, Local: a.local,
-		})
-		if err != nil {
-			return fmt.Errorf("ext-baselines %s: %w", a.name, err)
-		}
-		res.Names[c] = a.name
-		res.Curves[c] = eval.AverageAdaptationCurveN(m, trained.Theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-		res.SourceMeta[c] = eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, trained.Theta, 1)
-		return nil
-	})
+			GradMode: mode, Local: local,
+		}}
+	}
+	arms := []arm{
+		variant("FedML", meta.SecondOrder, nil),
+		variant("FedML-FO", meta.FirstOrder, nil),
+		variant("FedAvg", meta.SecondOrder, core.LocalSGD{}),
+		variant("FedProx", meta.SecondOrder, core.LocalSGD{Mu: cfg.ProxMu}),
+		variant("Reptile", meta.SecondOrder, core.Reptile{Eps: cfg.ReptileEps}),
+	}
+	runs, err := runArms("ext-baselines", arms)
 	if err != nil {
 		return nil, err
+	}
+	res := &ExtBaselinesResult{}
+	for i, r := range runs {
+		res.Names = append(res.Names, arms[i].name)
+		res.Curves = append(res.Curves, eval.AverageAdaptationCurveN(m, r.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 0))
+		res.SourceMeta = append(res.SourceMeta, eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, r.theta, 0))
 	}
 	return res, nil
 }

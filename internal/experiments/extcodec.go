@@ -6,9 +6,6 @@ import (
 
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/eval"
-	"github.com/edgeai/fedml/internal/obs"
-	"github.com/edgeai/fedml/internal/par"
-	"github.com/edgeai/fedml/internal/tensor"
 )
 
 // ExtCodecConfig parameterizes the communication-efficiency extension: the
@@ -63,72 +60,32 @@ type ExtCodecResult struct {
 	FinalAcc []float64
 }
 
-// extCodecCell is one codec's output slot.
-type extCodecCell struct {
-	curve *eval.Series
-	bytes int64
-	acc   float64
-}
-
 // RunExtCodec trains the same Synthetic federation once per codec and
-// reports accuracy-versus-traffic. Each cell owns its federation, model,
-// recorder, and series, so the fan-out is bit-identical for every worker
-// count; only the wire encoding differs between cells.
+// reports accuracy-versus-traffic. Every arm builds its own federation; only
+// the wire encoding differs between arms.
 func RunExtCodec(cfg ExtCodecConfig) (*ExtCodecResult, error) {
 	if len(cfg.Codecs) == 0 {
 		cfg.Codecs = []string{"raw", "f16", "q8", "topk"}
 	}
-	cells := make([]extCodecCell, len(cfg.Codecs))
-	err := par.ForEachErr(0, len(cfg.Codecs), func(c int) error {
-		spec := cfg.Codecs[c]
-		fed, err := syntheticFederation(cfg.AlphaBeta, cfg.AlphaBeta, cfg.Scale, 5, cfg.Seed)
-		if err != nil {
-			return fmt.Errorf("ext-codec data: %w", err)
+	arms := make([]arm, len(cfg.Codecs))
+	for i, spec := range cfg.Codecs {
+		arms[i] = arm{
+			name:     spec,
+			cfg:      core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Codec: spec},
+			build:    workload{dataset: "synthetic", ab: cfg.AlphaBeta}.arm(cfg.Scale, cfg.Seed),
+			accuracy: &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps},
 		}
-		m := softmaxModel(fed)
-		rec := obs.NewRecorder()
-		accByIter := map[int]float64{}
-		trainCfg := core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-			Codec:    spec,
-			Observer: rec,
-			OnRound: func(_, iter int, theta tensor.Vec) {
-				accs := eval.FinalAccuraciesN(m, theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-				var s float64
-				for _, a := range accs {
-					s += a
-				}
-				accByIter[iter] = s / float64(len(accs))
-			},
-		}
-		res, err := core.Train(m, fed, nil, trainCfg)
-		if err != nil {
-			return fmt.Errorf("ext-codec train %q: %w", spec, err)
-		}
-		// Join the accuracy probe with the billed traffic on the shared
-		// iteration axis, yielding accuracy as a function of bytes spent.
-		curve := &eval.Series{Name: spec}
-		for _, p := range eval.TrafficTrajectory(spec, rec.Rounds()).Points {
-			if acc, ok := accByIter[p.Iter]; ok {
-				curve.Add(int(p.Value/1024), acc)
-			}
-		}
-		cells[c].curve = curve
-		cells[c].bytes = res.Comm.Bytes
-		if last, ok := curve.Last(); ok {
-			cells[c].acc = last.Value
-		}
-		return nil
-	})
+	}
+	runs, err := runArms("ext-codec", arms)
 	if err != nil {
 		return nil, err
 	}
-	res := &ExtCodecResult{}
-	for i, cell := range cells {
-		res.Curves = append(res.Curves, cell.curve)
-		res.Codecs = append(res.Codecs, cfg.Codecs[i])
-		res.Bytes = append(res.Bytes, cell.bytes)
-		res.FinalAcc = append(res.FinalAcc, cell.acc)
+	res := &ExtCodecResult{Codecs: cfg.Codecs}
+	for _, r := range runs {
+		last, _ := r.accVsKiB.Last()
+		res.Curves = append(res.Curves, r.accVsKiB)
+		res.Bytes = append(res.Bytes, r.comm.Bytes)
+		res.FinalAcc = append(res.FinalAcc, last.Value)
 	}
 	return res, nil
 }

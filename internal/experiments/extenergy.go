@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"github.com/edgeai/fedml/internal/core"
+	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
 	"github.com/edgeai/fedml/internal/nn"
-	"github.com/edgeai/fedml/internal/obs"
-	"github.com/edgeai/fedml/internal/par"
-	"github.com/edgeai/fedml/internal/tensor"
 )
 
 // The paper motivates FedML by the resource constraints of wireless edge
@@ -93,45 +91,6 @@ type ExtEnergyResult struct {
 	BudgetFiltered []int
 }
 
-// extEnergyCell is one arm's output slot.
-type extEnergyCell struct {
-	joules   *eval.Series
-	kib      *eval.Series
-	totalJ   float64
-	totalKiB float64
-	acc      float64
-	filtered int
-}
-
-// joulesByRound folds an event stream into cumulative fleet joules at each
-// round boundary, pricing from the node's perspective: a broadcast or probe
-// is received (rx), a delivered update was transmitted (tx) after t0 local
-// iterations of compute. scale multiplies per-node costs (nil = 1).
-func joulesByRound(events []obs.Event, em core.EnergyModel, scale []float64) map[int]float64 {
-	nodeScale := func(i int) float64 {
-		if scale == nil || i >= len(scale) {
-			return 1
-		}
-		return scale[i]
-	}
-	cum := map[int]float64{}
-	total := 0.0
-	t0 := 0
-	for _, e := range events {
-		switch e.Type {
-		case obs.TypeRoundStart:
-			t0 = e.T0
-		case obs.TypeBroadcast, obs.TypeProbe:
-			total += nodeScale(e.Node) * em.RoundJoules(e.Bytes, 0, 0)
-		case obs.TypeUpdate:
-			total += nodeScale(e.Node) * em.RoundJoules(0, e.Bytes, t0)
-		case obs.TypeRoundEnd, obs.TypeRoundSkip:
-			cum[e.Round] = total
-		}
-	}
-	return cum
-}
-
 // RunExtEnergy trains the same federation under each sync policy and reports
 // adapted accuracy against the modeled energy spent to reach it.
 func RunExtEnergy(cfg ExtEnergyConfig) (*ExtEnergyResult, error) {
@@ -140,94 +99,53 @@ func RunExtEnergy(cfg ExtEnergyConfig) (*ExtEnergyResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("ext-energy: unknown energy profile %q", cfg.Profile)
 	}
-	arms := []string{"full-sync", "head-sync", "head+budget"}
-	cells := make([]extEnergyCell, len(arms))
-	err := par.ForEachErr(0, len(arms), func(c int) error {
-		arm := arms[c]
-		fed, err := syntheticFederation(0.5, 0.5, cfg.Scale, 5, cfg.Seed)
-		if err != nil {
-			return fmt.Errorf("ext-energy data: %w", err)
-		}
-		m, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, cfg.Hidden, fed.NumClasses}, L2: 0.01})
-		if err != nil {
-			return fmt.Errorf("ext-energy model: %w", err)
-		}
-		rec := obs.NewRecorder()
-		accByIter := map[int]float64{}
-		trainCfg := core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-			Observer: rec,
-			Energy:   &em,
-			OnRound: func(_, iter int, theta tensor.Vec) {
-				accs := eval.FinalAccuraciesN(m, theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-				var s float64
-				for _, a := range accs {
-					s += a
-				}
-				accByIter[iter] = s / float64(len(accs))
-			},
-		}
-		var scale []float64
-		if arm != "full-sync" {
-			mask, err := core.ResolveSyncMask(fmt.Sprintf("head:%d", cfg.Warmup), m)
+	w := workload{dataset: "synthetic", ab: 0.5, hidden: cfg.Hidden}
+	// headSync builds the arm's own federation and MLP, then syncs only the
+	// output head after warmup; with budget, the last source node's radio
+	// is HungryScale times as costly and every node gets a per-round budget
+	// of twice the modeled full-sync round cost of an unscaled node, so
+	// only the mask's discount lets the hungry node in.
+	headSync := func(budget bool) func(*core.Config) (*data.Federation, nn.Model, error) {
+		return func(c *core.Config) (*data.Federation, nn.Model, error) {
+			fed, m, err := w.build(cfg.Scale, cfg.Seed)
 			if err != nil {
-				return fmt.Errorf("ext-energy mask: %w", err)
+				return nil, nil, err
 			}
-			trainCfg.SyncMask = mask
-		}
-		if arm == "head+budget" {
-			// The modeled full-sync round cost of an unscaled node prices the
-			// budget; the hungry node only fits under the mask discount.
-			fullBytes := int64(8 * m.NumParams())
-			budget := 2 * em.RoundJoules(fullBytes, fullBytes, cfg.T0)
-			scale = make([]float64, len(fed.Sources))
-			for i := range scale {
-				scale[i] = 1
+			if c.SyncMask, err = core.ResolveSyncMask(fmt.Sprintf("head:%d", cfg.Warmup), m); err != nil {
+				return nil, nil, fmt.Errorf("mask: %w", err)
 			}
-			scale[len(scale)-1] = cfg.HungryScale
-			trainCfg.EnergyBudget = budget
-			trainCfg.EnergyScale = scale
-		}
-		res, err := core.Train(m, fed, nil, trainCfg)
-		if err != nil {
-			return fmt.Errorf("ext-energy train %s: %w", arm, err)
-		}
-		// Join the accuracy probe with the energy and traffic bills on the
-		// shared round/iteration axes.
-		cumJ := joulesByRound(rec.Events(), em, scale)
-		jCurve := &eval.Series{Name: arm}
-		kCurve := &eval.Series{Name: arm}
-		for _, r := range rec.Rounds() {
-			acc, ok := accByIter[r.Iter]
-			if !ok {
-				continue
+			if budget {
+				fullBytes := int64(8 * m.NumParams())
+				c.EnergyBudget = 2 * em.RoundJoules(fullBytes, fullBytes, cfg.T0)
+				c.EnergyScale = make([]float64, len(fed.Sources))
+				for i := range c.EnergyScale {
+					c.EnergyScale[i] = 1
+				}
+				c.EnergyScale[len(c.EnergyScale)-1] = cfg.HungryScale
 			}
-			jCurve.Add(int(cumJ[r.Round]), acc)
-			kCurve.Add(int(r.Cum.Bytes/1024), acc)
+			return fed, m, nil
 		}
-		cells[c] = extEnergyCell{
-			joules:   jCurve,
-			kib:      kCurve,
-			totalKiB: float64(res.Comm.Bytes) / 1024,
-			filtered: res.Comm.BudgetFiltered,
-		}
-		if last, ok := jCurve.Last(); ok {
-			cells[c].totalJ = float64(last.Iter)
-			cells[c].acc = last.Value
-		}
-		return nil
+	}
+	base := core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Energy: &em}
+	probe := &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps}
+	runs, err := runArms("ext-energy", []arm{
+		{name: "full-sync", cfg: base, build: w.arm(cfg.Scale, cfg.Seed), accuracy: probe},
+		{name: "head-sync", cfg: base, build: headSync(false), accuracy: probe},
+		{name: "head+budget", cfg: base, build: headSync(true), accuracy: probe},
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &ExtEnergyResult{Profile: cfg.Profile, Arms: arms}
-	for _, cell := range cells {
-		res.AccVsJoules = append(res.AccVsJoules, cell.joules)
-		res.AccVsKiB = append(res.AccVsKiB, cell.kib)
-		res.TotalJoules = append(res.TotalJoules, cell.totalJ)
-		res.TotalKiB = append(res.TotalKiB, cell.totalKiB)
-		res.FinalAcc = append(res.FinalAcc, cell.acc)
-		res.BudgetFiltered = append(res.BudgetFiltered, cell.filtered)
+	res := &ExtEnergyResult{Profile: cfg.Profile}
+	for _, r := range runs {
+		last, _ := r.accVsJ.Last()
+		res.Arms = append(res.Arms, r.accVsJ.Name)
+		res.AccVsJoules = append(res.AccVsJoules, r.accVsJ)
+		res.AccVsKiB = append(res.AccVsKiB, r.accVsKiB)
+		res.TotalJoules = append(res.TotalJoules, float64(last.Iter))
+		res.TotalKiB = append(res.TotalKiB, float64(r.comm.Bytes)/1024)
+		res.FinalAcc = append(res.FinalAcc, last.Value)
+		res.BudgetFiltered = append(res.BudgetFiltered, r.comm.BudgetFiltered)
 	}
 	return res, nil
 }

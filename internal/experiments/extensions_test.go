@@ -132,11 +132,11 @@ func TestExtTimeRawPricing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := syntheticFederation(0.5, 0.5, cfg.Scale, 5, cfg.Seed)
+	_, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawBytes := 8 * softmaxModel(fed).NumParams()
+	rawBytes := 8 * m.NumParams()
 	profiles := core.EdgeProfiles(cfg.LocalStepTime)
 	checked := 0
 	for _, c := range res.Cells {

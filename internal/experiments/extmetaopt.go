@@ -51,11 +51,10 @@ type ExtMetaOptResult struct {
 
 // RunExtMetaOpt runs the ablation.
 func RunExtMetaOpt(cfg ExtMetaOptConfig) (*ExtMetaOptResult, error) {
-	fed, err := syntheticFederation(0.5, 0.5, cfg.Scale, 5, cfg.Seed)
+	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("ext-meta-opt data: %w", err)
+		return nil, fmt.Errorf("ext-meta-opt: %w", err)
 	}
-	m := softmaxModel(fed)
 	theta0 := m.InitParams(rng.New(cfg.Seed))
 
 	optimizers := []opt.Optimizer{

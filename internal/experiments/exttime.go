@@ -7,9 +7,6 @@ import (
 	"time"
 
 	"github.com/edgeai/fedml/internal/core"
-	"github.com/edgeai/fedml/internal/eval"
-	"github.com/edgeai/fedml/internal/par"
-	"github.com/edgeai/fedml/internal/tensor"
 )
 
 // The paper motivates the T0 knob by the communication bottleneck of
@@ -78,51 +75,29 @@ type ExtTimeResult struct {
 // RunExtTime trains FedML once per T0, finds when each run crosses the
 // target objective, and prices that point under each network profile.
 func RunExtTime(cfg ExtTimeConfig) (*ExtTimeResult, error) {
-	fed, err := syntheticFederation(0.5, 0.5, cfg.Scale, 5, cfg.Seed)
+	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("ext-time data: %w", err)
+		return nil, fmt.Errorf("ext-time: %w", err)
 	}
-	m := softmaxModel(fed)
 	paramBytes := 8 * m.NumParams() // raw []float64 messages
-
-	type point struct {
-		iters, rounds int
-		g             float64
-	}
-	for _, t0 := range cfg.T0s {
-		if cfg.T%t0 != 0 {
-			return nil, fmt.Errorf("ext-time: T=%d not a multiple of T0=%d", cfg.T, t0)
+	probe := &objectiveProbe{alpha: cfg.Alpha}
+	arms := make([]arm, len(cfg.T0s))
+	for i, t0 := range cfg.T0s {
+		arms[i] = arm{
+			name:      fmt.Sprintf("T0=%d", t0),
+			cfg:       core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: cfg.Seed},
+			build:     shared(fed, m),
+			objective: probe,
 		}
 	}
-	// One training per T0, on the worker pool into per-cell slots (the
-	// worstFinal reduction happens in index order afterwards).
-	series := make([][]point, len(cfg.T0s))
-	err = par.ForEachErr(0, len(cfg.T0s), func(c int) error {
-		t0 := cfg.T0s[c]
-		var pts []point
-		trainCfg := core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: cfg.Seed,
-			OnRound: func(round, iter int, theta tensor.Vec) {
-				pts = append(pts, point{
-					iters:  iter,
-					rounds: round,
-					g:      eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, theta, 1),
-				})
-			},
-		}
-		if _, err := core.Train(m, fed, nil, trainCfg); err != nil {
-			return fmt.Errorf("ext-time train T0=%d: %w", t0, err)
-		}
-		series[c] = pts
-		return nil
-	})
+	runs, err := runArms("ext-time", arms)
 	if err != nil {
 		return nil, err
 	}
 	worstFinal := 0.0
-	for _, pts := range series {
-		if final := pts[len(pts)-1].g; final > worstFinal {
-			worstFinal = final
+	for _, r := range runs {
+		if final, _ := r.objective.Last(); final.Value > worstFinal {
+			worstFinal = final.Value
 		}
 	}
 	target := cfg.TargetG
@@ -136,9 +111,10 @@ func RunExtTime(cfg ExtTimeConfig) (*ExtTimeResult, error) {
 	crossings := map[int]crossing{}
 	for c, t0 := range cfg.T0s {
 		var cross crossing
-		for _, p := range series[c] {
-			if p.g <= target {
-				cross = crossing{iters: p.iters, rounds: p.rounds}
+		for _, p := range runs[c].objective.Points {
+			// Strict rounds never skip, so every round advanced θ by T0.
+			if p.Value <= target {
+				cross = crossing{iters: p.Iter, rounds: p.Iter / t0}
 				break
 			}
 		}

@@ -5,12 +5,7 @@ import (
 	"strings"
 
 	"github.com/edgeai/fedml/internal/core"
-	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
-	"github.com/edgeai/fedml/internal/nn"
-	"github.com/edgeai/fedml/internal/obs"
-	"github.com/edgeai/fedml/internal/par"
-	"github.com/edgeai/fedml/internal/tensor"
 )
 
 // The new-workloads extension: the Fed-Meta-Align-style comparison matrix on
@@ -78,29 +73,6 @@ func DefaultExtWorkloadConfig(workload string, scale Scale) ExtWorkloadConfig {
 	return cfg
 }
 
-// workloadFederation builds the named new-workload federation at scale.
-func workloadFederation(workload string, scale Scale, seed uint64) (*data.Federation, error) {
-	switch workload {
-	case "rec":
-		cfg := data.DefaultRecommendConfig()
-		cfg.Seed = seed
-		if scale == ScaleCI {
-			cfg.Users = 20
-			cfg.Items = 60
-		}
-		return data.GenerateRecommend(cfg)
-	case "fault":
-		cfg := data.DefaultFaultConfig()
-		cfg.Seed = seed
-		if scale == ScaleCI {
-			cfg.Devices = 20
-		}
-		return data.GenerateFault(cfg)
-	default:
-		return nil, fmt.Errorf("ext-workload: unknown workload %q (want rec or fault)", workload)
-	}
-}
-
 // ExtWorkloadResult holds the personalization matrix plus the fedml arm's
 // accuracy/traffic trajectory.
 type ExtWorkloadResult struct {
@@ -116,73 +88,37 @@ type ExtWorkloadResult struct {
 }
 
 // RunExtWorkload trains the four algorithms on the same workload federation
-// and reports each one's personalized-vs-global split. Arms are independent
-// and fan out on the worker pool; every arm rebuilds its own federation from
-// the shared seed, so results are bit-identical for every worker count.
+// and reports each one's personalized-vs-global split. Every arm builds its
+// own federation from the shared seed.
 func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
-	arms := []string{"fedml", "fedavg", "fedprox", "repshare"}
-	locals := []core.LocalRule{nil, core.LocalSGD{}, core.LocalSGD{Mu: cfg.Mu}, core.RepShare{}}
-	pers := make([]eval.Personalization, len(arms))
-	kib := make([]float64, len(arms))
-	var accVsKiB *eval.Series
-	err := par.ForEachErr(0, len(arms), func(c int) error {
-		arm := arms[c]
-		fed, err := workloadFederation(cfg.Workload, cfg.Scale, cfg.Seed)
-		if err != nil {
-			return fmt.Errorf("ext-%s data: %w", cfg.Workload, err)
-		}
-		m, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, cfg.Hidden, fed.NumClasses}, L2: 0.01})
-		if err != nil {
-			return fmt.Errorf("ext-%s model: %w", cfg.Workload, err)
-		}
-		trainCfg := core.Config{T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: locals[c]}
-		var rec *obs.Recorder
-		accByIter := map[int]float64{}
-		if arm == "fedml" {
-			rec = obs.NewRecorder()
-			trainCfg.Alpha, trainCfg.Beta = cfg.Alpha, cfg.Beta
-			trainCfg.Observer = rec
-			trainCfg.OnRound = func(_, iter int, th tensor.Vec) {
-				accs := eval.FinalAccuraciesN(m, th, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-				var s float64
-				for _, a := range accs {
-					s += a
-				}
-				accByIter[iter] = s / float64(len(accs))
-			}
-		} else {
-			trainCfg.Beta = cfg.Eta
-		}
-		res, err := core.Train(m, fed, nil, trainCfg)
-		if err != nil {
-			return fmt.Errorf("ext-%s train %s: %w", cfg.Workload, arm, err)
-		}
-		kib[c] = float64(res.Comm.Bytes) / 1024
-		if rec != nil {
-			curve := &eval.Series{Name: "fedml/raw"}
-			for _, p := range eval.TrafficTrajectory("raw", rec.Rounds()).Points {
-				if acc, ok := accByIter[p.Iter]; ok {
-					curve.Add(int(p.Value/1024), acc)
-				}
-			}
-			accVsKiB = curve
-		}
-		// Targets are nodes unseen during training for every arm, so the
-		// same split applies: θ as-is (global) vs θ after AdaptSteps local
-		// steps on the node's K-shot split (personalized).
-		pers[c] = eval.PersonalizationN(m, res.Theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-		return nil
-	})
+	if cfg.Workload != "rec" && cfg.Workload != "fault" {
+		return nil, fmt.Errorf("ext-workload: unknown workload %q (want rec or fault)", cfg.Workload)
+	}
+	build := workload{dataset: cfg.Workload, hidden: cfg.Hidden}.arm(cfg.Scale, cfg.Seed)
+	global := func(name string, local core.LocalRule) arm {
+		return arm{name: name, build: build, cfg: core.Config{Beta: cfg.Eta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: local}}
+	}
+	arms := []arm{{
+		name:     "fedml",
+		cfg:      core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
+		build:    build,
+		accuracy: &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps},
+	}, global("fedavg", core.LocalSGD{}), global("fedprox", core.LocalSGD{Mu: cfg.Mu}), global("repshare", core.RepShare{})}
+	runs, err := runArms("ext-"+cfg.Workload, arms)
 	if err != nil {
 		return nil, err
 	}
-	return &ExtWorkloadResult{
-		Workload: cfg.Workload,
-		Arms:     arms,
-		Pers:     pers,
-		KiB:      kib,
-		AccVsKiB: accVsKiB,
-	}, nil
+	res := &ExtWorkloadResult{Workload: cfg.Workload, AccVsKiB: runs[0].accVsKiB}
+	res.AccVsKiB.Name = "fedml/raw"
+	for i, r := range runs {
+		res.Arms = append(res.Arms, arms[i].name)
+		// Targets are nodes unseen during training for every arm, so the
+		// same split applies: θ as-is (global) vs θ after AdaptSteps local
+		// steps on the node's K-shot split (personalized).
+		res.Pers = append(res.Pers, eval.PersonalizationN(r.model, r.theta, r.fed.Targets, cfg.Alpha, cfg.AdaptSteps, 0))
+		res.KiB = append(res.KiB, float64(r.comm.Bytes)/1024)
+	}
+	return res, nil
 }
 
 // Render implements the printable extension: the fedml accuracy-vs-KiB

@@ -10,9 +10,7 @@ import (
 	"github.com/edgeai/fedml/internal/meta"
 	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/opt"
-	"github.com/edgeai/fedml/internal/par"
 	"github.com/edgeai/fedml/internal/rng"
-	"github.com/edgeai/fedml/internal/tensor"
 )
 
 // estimateGStar approximates the optimal meta-objective value G(θ*) by
@@ -76,7 +74,7 @@ func DefaultFig2aConfig(scale Scale) Fig2aConfig {
 	if scale == ScaleCI {
 		// The similarity ordering only emerges once the transient has
 		// decayed, so CI keeps the paper's T and shrinks the node count
-		// (done by syntheticFederation) instead.
+		// (done by the datasets table) instead.
 		cfg.T = 500
 	}
 	return cfg
@@ -93,58 +91,30 @@ type Fig2aResult struct {
 	Warnings []string
 }
 
-// fig2Cell is one grid cell's output slot.
-type fig2Cell struct {
-	series  *eval.Series
-	final   float64
-	warning string
-}
-
 // RunFig2a reproduces Figure 2(a): the impact of node similarity on FedML
-// convergence at T0 = 10. The similarity levels are independent cells and
-// run on the worker pool; every cell owns its federation, model, and series,
-// and the result is assembled in cell order, so the output is bit-identical
-// for every worker count.
+// convergence at T0 = 10. Each similarity level is an arm that builds its
+// own federation and estimates its own G*.
 func RunFig2a(cfg Fig2aConfig) (*Fig2aResult, error) {
-	cells := make([]fig2Cell, len(cfg.Similarities))
-	err := par.ForEachErr(0, len(cfg.Similarities), func(c int) error {
-		ab := cfg.Similarities[c]
-		fed, err := syntheticFederation(ab, ab, cfg.Scale, 5, cfg.Seed)
-		if err != nil {
-			return fmt.Errorf("fig2a Synthetic(%g,%g): %w", ab, ab, err)
+	arms := make([]arm, len(cfg.Similarities))
+	for i, ab := range cfg.Similarities {
+		arms[i] = arm{
+			name:  fmt.Sprintf("Synthetic(%g,%g)", ab, ab),
+			cfg:   core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
+			build: workload{dataset: "synthetic", ab: ab}.arm(cfg.Scale, cfg.Seed),
+			objective: &objectiveProbe{alpha: cfg.Alpha, offset: func(m nn.Model, fed *data.Federation) (float64, error) {
+				return estimateGStar(m, fed, cfg.Alpha, cfg.Beta, 4*cfg.T, 1)
+			}},
 		}
-		m := softmaxModel(fed)
-		// Inner loops stay serial: the cell grid is the coarser, better-
-		// balanced grain, and nesting pools would oversubscribe.
-		gStar, gErr := estimateGStar(m, fed, cfg.Alpha, cfg.Beta, 4*cfg.T, 1)
-		if gErr != nil {
-			cells[c].warning = fmt.Sprintf("Synthetic(%g,%g): %v", ab, ab, gErr)
-		}
-
-		series := &eval.Series{Name: fmt.Sprintf("Synthetic(%g,%g)", ab, ab)}
-		trainCfg := core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-			OnRound: func(_, iter int, theta tensor.Vec) {
-				series.Add(iter, eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, theta, 1)-gStar)
-			},
-		}
-		if _, err := core.Train(m, fed, nil, trainCfg); err != nil {
-			return fmt.Errorf("fig2a train Synthetic(%g,%g): %w", ab, ab, err)
-		}
-		cells[c].series = series
-		last, _ := series.Last()
-		cells[c].final = last.Value
-		return nil
-	})
+	}
+	runs, err := runArms("fig2a", arms)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig2aResult{}
-	for _, cell := range cells {
-		res.Curves = append(res.Curves, cell.series)
-		res.FinalErrors = append(res.FinalErrors, cell.final)
-		if cell.warning != "" {
-			res.Warnings = append(res.Warnings, cell.warning)
+	res.Curves, res.FinalErrors = objectiveCurves(runs)
+	for _, r := range runs {
+		if r.warning != "" {
+			res.Warnings = append(res.Warnings, r.warning)
 		}
 	}
 	return res, nil
@@ -200,52 +170,47 @@ type Fig2bResult struct {
 }
 
 // RunFig2b reproduces Figure 2(b): the impact of the number of local update
-// steps T0 on convergence at fixed T. The T0 cells share one federation and
-// G* estimate (both computed up front, read-only during the fan-out) and run
-// on the worker pool with per-cell result slots.
+// steps T0 on convergence at fixed T. The T0 arms share one federation and
+// G* estimate, both computed up front and read-only during the fan-out.
 func RunFig2b(cfg Fig2bConfig) (*Fig2bResult, error) {
-	fed, err := syntheticFederation(cfg.AlphaBeta, cfg.AlphaBeta, cfg.Scale, 5, cfg.Seed)
+	fed, m, err := workload{dataset: "synthetic", ab: cfg.AlphaBeta}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("fig2b data: %w", err)
+		return nil, fmt.Errorf("fig2b: %w", err)
 	}
-	m := softmaxModel(fed)
 	res := &Fig2bResult{}
 	gStar, gErr := estimateGStar(m, fed, cfg.Alpha, cfg.Beta, 4*cfg.T, 0)
 	if gErr != nil {
 		res.Warnings = append(res.Warnings, gErr.Error())
 	}
-	for _, t0 := range cfg.T0s {
-		if cfg.T%t0 != 0 {
-			return nil, fmt.Errorf("fig2b: T=%d not a multiple of T0=%d", cfg.T, t0)
+	probe := &objectiveProbe{alpha: cfg.Alpha, offset: func(nn.Model, *data.Federation) (float64, error) { return gStar, nil }}
+	arms := make([]arm, len(cfg.T0s))
+	for i, t0 := range cfg.T0s {
+		arms[i] = arm{
+			name:      fmt.Sprintf("T0=%d", t0),
+			cfg:       core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: cfg.Seed},
+			build:     shared(fed, m),
+			objective: probe,
 		}
 	}
-
-	cells := make([]fig2Cell, len(cfg.T0s))
-	err = par.ForEachErr(0, len(cfg.T0s), func(c int) error {
-		t0 := cfg.T0s[c]
-		series := &eval.Series{Name: fmt.Sprintf("T0=%d", t0)}
-		trainCfg := core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: cfg.Seed,
-			OnRound: func(_, iter int, theta tensor.Vec) {
-				series.Add(iter, eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, theta, 1)-gStar)
-			},
-		}
-		if _, err := core.Train(m, fed, nil, trainCfg); err != nil {
-			return fmt.Errorf("fig2b train T0=%d: %w", t0, err)
-		}
-		cells[c].series = series
-		last, _ := series.Last()
-		cells[c].final = last.Value
-		return nil
-	})
+	runs, err := runArms("fig2b", arms)
 	if err != nil {
 		return nil, err
 	}
-	for _, cell := range cells {
-		res.Curves = append(res.Curves, cell.series)
-		res.FinalErrors = append(res.FinalErrors, cell.final)
-	}
+	res.Curves, res.FinalErrors = objectiveCurves(runs)
 	return res, nil
+}
+
+// objectiveCurves collects the arms' objective curves and the last value of
+// each.
+func objectiveCurves(runs []armRun) ([]*eval.Series, []float64) {
+	curves := make([]*eval.Series, len(runs))
+	finals := make([]float64, len(runs))
+	for i, r := range runs {
+		curves[i] = r.objective
+		last, _ := r.objective.Last()
+		finals[i] = last.Value
+	}
+	return curves, finals
 }
 
 // Render implements the printable figure. The curves have different

@@ -5,12 +5,8 @@ import (
 	"strings"
 
 	"github.com/edgeai/fedml/internal/core"
-	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
-	"github.com/edgeai/fedml/internal/nn"
-	"github.com/edgeai/fedml/internal/par"
 	"github.com/edgeai/fedml/internal/rng"
-	"github.com/edgeai/fedml/internal/tensor"
 )
 
 // Fig3aConfig parameterizes the Sent140 convergence experiment.
@@ -44,27 +40,19 @@ type Fig3aResult struct {
 // RunFig3a reproduces Figure 3(a): FedML convergence on the non-convex
 // Sent140 model (training loss G(θ), no G* exists for non-convex losses).
 func RunFig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
-	fed, err := sent140Federation(cfg.Scale, 5, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("fig3a data: %w", err)
-	}
-	m, err := sent140Model(fed, cfg.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("fig3a model: %w", err)
-	}
-	series := &eval.Series{Name: "FedML Sent140"}
-	tracked := trackingView(fed, 100)
-	trainCfg := core.Config{
-		Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-		Participation: cfg.Participation,
-		OnRound: func(_, iter int, theta tensor.Vec) {
-			series.Add(iter, eval.GlobalMetaObjectiveN(m, tracked, cfg.Alpha, theta, 0))
+	runs, err := runArms("fig3a", []arm{{
+		name: "FedML Sent140",
+		cfg: core.Config{
+			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
+			Participation: cfg.Participation,
 		},
+		build:     workload{dataset: "sent140"}.arm(cfg.Scale, cfg.Seed),
+		objective: &objectiveProbe{alpha: cfg.Alpha, view: 100},
+	}})
+	if err != nil {
+		return nil, err
 	}
-	if _, err := core.Train(m, fed, nil, trainCfg); err != nil {
-		return nil, fmt.Errorf("fig3a train: %w", err)
-	}
-	return &Fig3aResult{Curve: series}, nil
+	return &Fig3aResult{Curve: runs[0].objective}, nil
 }
 
 // Render implements the printable figure.
@@ -114,34 +102,26 @@ type Fig3bResult struct {
 }
 
 // RunFig3b reproduces Figure 3(b): the impact of target-source similarity on
-// test performance after fast adaptation. The similarity levels are
-// independent cells on the worker pool; per-cell slots keep the output
-// bit-identical for every worker count.
+// test performance after fast adaptation. Each similarity level is an arm
+// that builds its own federation.
 func RunFig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
-	names := make([]string, len(cfg.Similarities))
-	curves := make([][]eval.AdaptPoint, len(cfg.Similarities))
-	err := par.ForEachErr(0, len(cfg.Similarities), func(c int) error {
-		ab := cfg.Similarities[c]
-		fed, err := syntheticFederation(ab, ab, cfg.Scale, 5, cfg.Seed)
-		if err != nil {
-			return fmt.Errorf("fig3b Synthetic(%g,%g): %w", ab, ab, err)
+	arms := make([]arm, len(cfg.Similarities))
+	for i, ab := range cfg.Similarities {
+		arms[i] = arm{
+			name:  fmt.Sprintf("Synthetic(%g,%g)", ab, ab),
+			cfg:   core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
+			build: workload{dataset: "synthetic", ab: ab}.arm(cfg.Scale, cfg.Seed),
 		}
-		m := softmaxModel(fed)
-		trainRes, err := core.Train(m, fed, nil, core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return fmt.Errorf("fig3b train Synthetic(%g,%g): %w", ab, ab, err)
-		}
-		names[c] = fmt.Sprintf("Synthetic(%g,%g)", ab, ab)
-		curves[c] = eval.AverageAdaptationCurveN(m, trainRes.Theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-		return nil
-	})
+	}
+	runs, err := runArms("fig3b", arms)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig3bResult{Names: names, Curves: curves}
-	for _, curve := range curves {
+	res := &Fig3bResult{}
+	for i, r := range runs {
+		curve := eval.AverageAdaptationCurveN(r.model, r.theta, r.fed.Targets, cfg.Alpha, cfg.AdaptSteps, 0)
+		res.Names = append(res.Names, arms[i].name)
+		res.Curves = append(res.Curves, curve)
 		res.FinalAccuracies = append(res.FinalAccuracies, curve[len(curve)-1].Accuracy)
 	}
 	return res, nil
@@ -214,7 +194,8 @@ type AdaptCompareResult struct {
 }
 
 // RunAdaptCompare reproduces one of Figures 3(c)–3(e): fast-adaptation
-// performance at held-out target nodes, FedML vs the FedAvg baseline.
+// performance at held-out target nodes, FedML vs the FedAvg baseline. Every
+// K is a pair of arms on one resplit federation.
 func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
 	// Generate node datasets large enough to re-split at the biggest K.
 	maxK := 0
@@ -226,59 +207,50 @@ func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
 	if maxK == 0 {
 		return nil, fmt.Errorf("experiments: adapt-compare needs at least one K")
 	}
-	fed, m, err := buildWorkload(cfg.Dataset, cfg.Scale, maxK, cfg.Seed)
+	fed, m, err := workload{dataset: cfg.Dataset, ab: 0.5, k: maxK}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("adapt-compare: %w", err)
 	}
 
 	// The resplits draw from one shared sequential RNG stream, so they must
-	// happen in K order BEFORE the cells fan out — otherwise the split for
+	// happen in K order BEFORE the arms fan out — otherwise the split for
 	// a given K would depend on the execution schedule.
 	splitRng := rng.New(cfg.Seed ^ 0xfeed)
-	feds := make([]*data.Federation, len(cfg.Ks))
-	for i, k := range cfg.Ks {
+	var arms []arm
+	for _, k := range cfg.Ks {
 		fedK, err := fed.Resplit(splitRng, k)
 		if err != nil {
 			return nil, fmt.Errorf("adapt-compare resplit K=%d: %w", k, err)
 		}
-		feds[i] = fedK
-	}
-
-	res := &AdaptCompareResult{
-		Dataset:   cfg.Dataset,
-		Ks:        cfg.Ks,
-		FedML:     make([][]eval.AdaptPoint, len(cfg.Ks)),
-		FedAvg:    make([][]eval.AdaptPoint, len(cfg.Ks)),
-		Bootstrap: make([]eval.BootstrapResult, len(cfg.Ks)),
-	}
-	err = par.ForEachErr(0, len(cfg.Ks), func(c int) error {
-		k, fedK := cfg.Ks[c], feds[c]
-		mlRes, err := core.Train(m, fedK, nil, core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-			Participation: cfg.Participation,
+		arms = append(arms, arm{
+			name: fmt.Sprintf("FedML K=%d", k),
+			cfg: core.Config{
+				Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
+				Participation: cfg.Participation,
+			},
+			build: shared(fedK, m),
+		}, arm{
+			name:  fmt.Sprintf("FedAvg K=%d", k),
+			cfg:   core.Config{Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: core.LocalSGD{}},
+			build: shared(fedK, m),
 		})
-		if err != nil {
-			return fmt.Errorf("adapt-compare FedML K=%d: %w", k, err)
-		}
-		avgRes, err := core.Train(m, fedK, nil, core.Config{
-			Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: core.LocalSGD{},
-		})
-		if err != nil {
-			return fmt.Errorf("adapt-compare FedAvg K=%d: %w", k, err)
-		}
-
-		res.FedML[c] = eval.AverageAdaptationCurveN(m, mlRes.Theta, fedK.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-		res.FedAvg[c] = eval.AverageAdaptationCurveN(m, avgRes.Theta, fedK.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-		boot, err := eval.CompareAlgorithmsN(rng.New(cfg.Seed^0xb007), m,
-			mlRes.Theta, avgRes.Theta, fedK.Targets, cfg.Alpha, cfg.AdaptSteps, 2000, 0.95, 1)
-		if err != nil {
-			return fmt.Errorf("adapt-compare bootstrap K=%d: %w", k, err)
-		}
-		res.Bootstrap[c] = boot
-		return nil
-	})
+	}
+	runs, err := runArms("adapt-compare", arms)
 	if err != nil {
 		return nil, err
+	}
+	res := &AdaptCompareResult{Dataset: cfg.Dataset, Ks: cfg.Ks}
+	for i, k := range cfg.Ks {
+		ml, avg := runs[2*i], runs[2*i+1]
+		targets := ml.fed.Targets
+		res.FedML = append(res.FedML, eval.AverageAdaptationCurveN(m, ml.theta, targets, cfg.Alpha, cfg.AdaptSteps, 0))
+		res.FedAvg = append(res.FedAvg, eval.AverageAdaptationCurveN(m, avg.theta, targets, cfg.Alpha, cfg.AdaptSteps, 0))
+		boot, err := eval.CompareAlgorithmsN(rng.New(cfg.Seed^0xb007), m,
+			ml.theta, avg.theta, targets, cfg.Alpha, cfg.AdaptSteps, 2000, 0.95, 0)
+		if err != nil {
+			return nil, fmt.Errorf("adapt-compare bootstrap K=%d: %w", k, err)
+		}
+		res.Bootstrap = append(res.Bootstrap, boot)
 	}
 	return res, nil
 }
@@ -302,35 +274,4 @@ func (r *AdaptCompareResult) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// buildWorkload constructs the federation and matching model for a named
-// dataset.
-func buildWorkload(dataset string, scale Scale, k int, seed uint64) (*data.Federation, nn.Model, error) {
-	switch dataset {
-	case "synthetic":
-		fed, err := syntheticFederation(0.5, 0.5, scale, k, seed)
-		if err != nil {
-			return nil, nil, fmt.Errorf("workload synthetic: %w", err)
-		}
-		return fed, softmaxModel(fed), nil
-	case "mnist":
-		fed, err := mnistFederation(scale, k, seed)
-		if err != nil {
-			return nil, nil, fmt.Errorf("workload mnist: %w", err)
-		}
-		return fed, softmaxModel(fed), nil
-	case "sent140":
-		fed, err := sent140Federation(scale, k, seed)
-		if err != nil {
-			return nil, nil, fmt.Errorf("workload sent140: %w", err)
-		}
-		m, err := sent140Model(fed, scale)
-		if err != nil {
-			return nil, nil, fmt.Errorf("workload sent140 model: %w", err)
-		}
-		return fed, m, nil
-	default:
-		return nil, nil, fmt.Errorf("experiments: unknown dataset %q", dataset)
-	}
 }

@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"github.com/edgeai/fedml/internal/core"
+	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
-	"github.com/edgeai/fedml/internal/par"
-	"github.com/edgeai/fedml/internal/tensor"
+	"github.com/edgeai/fedml/internal/nn"
 )
 
 // Fig4Config parameterizes the Robust-FedML evaluation on MNIST (§VI-C).
@@ -76,66 +76,41 @@ type Fig4Result struct {
 // MNIST-like workload and evaluates the target-node adaptation on clean and
 // FGSM-perturbed test data.
 func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
-	fed, err := mnistFederation(cfg.Scale, 5, cfg.Seed)
+	fed, m, err := workload{dataset: "mnist"}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("fig4 data: %w", err)
+		return nil, fmt.Errorf("fig4: %w", err)
 	}
-	m := softmaxModel(fed)
-
-	type trained struct {
-		name  string
-		theta tensor.Vec
-	}
-	// Slot 0 is plain FedML; slot i+1 is Robust at Lambdas[i]. The
-	// trainings are independent (the federation is read-only) and run on
-	// the worker pool into index slots.
-	models := make([]trained, 1+len(cfg.Lambdas))
-	err = par.ForEachErr(0, len(models), func(c int) error {
-		trainCfg := core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-		}
-		name := "FedML"
-		if c > 0 {
-			lambda := cfg.Lambdas[c-1]
-			name = fmt.Sprintf("Robust λ=%g", lambda)
-			trainCfg.Robust = &core.RobustConfig{
-				Lambda: lambda, Nu: cfg.Nu, Ta: cfg.Ta, N0: cfg.N0, R: cfg.R,
-				ClampMin: 0, ClampMax: 1, // MNIST pixel domain
-			}
-		}
-		trainRes, err := core.Train(m, fed, nil, trainCfg)
-		if err != nil {
-			return fmt.Errorf("fig4 %s: %w", name, err)
-		}
-		models[c] = trained{name: name, theta: trainRes.Theta}
-		return nil
-	})
+	arms := robustArms(fed, m, core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
+		core.RobustConfig{Nu: cfg.Nu, Ta: cfg.Ta, N0: cfg.N0, R: cfg.R}, cfg.Lambdas)
+	runs, err := runArms("fig4", arms)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Fig4Result{
-		Xi:    cfg.Xi,
-		Names: make([]string, len(models)),
-		Clean: make([][]eval.AdaptPoint, len(models)),
-		Adv:   make([][]eval.AdaptPoint, len(models)),
-	}
-	err = par.ForEachErr(0, len(models), func(c int) error {
-		tr := models[c]
-		clean := eval.AverageAdaptationCurveN(m, tr.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 1)
-		adv, err := eval.AverageAdversarialAdaptationCurveN(m, tr.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, cfg.Xi, 0, 1, 1)
+	res := &Fig4Result{Xi: cfg.Xi}
+	for i, r := range runs {
+		adv, err := eval.AverageAdversarialAdaptationCurveN(m, r.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, cfg.Xi, 0, 1, 0)
 		if err != nil {
-			return fmt.Errorf("fig4 adversarial eval %s: %w", tr.name, err)
+			return nil, fmt.Errorf("fig4 adversarial eval %s: %w", arms[i].name, err)
 		}
-		res.Names[c] = tr.name
-		res.Clean[c] = clean
-		res.Adv[c] = adv
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		res.Names = append(res.Names, arms[i].name)
+		res.Clean = append(res.Clean, eval.AverageAdaptationCurveN(m, r.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 0))
+		res.Adv = append(res.Adv, adv)
 	}
 	return res, nil
+}
+
+// robustArms is plain FedML under base, then one Robust FedML arm per λ
+// that adds rc at that λ, clamped to MNIST's pixel domain [0, 1]. All train
+// on one read-only federation.
+func robustArms(fed *data.Federation, m nn.Model, base core.Config, rc core.RobustConfig, lambdas []float64) []arm {
+	arms := []arm{{name: "FedML", cfg: base, build: shared(fed, m)}}
+	for _, lambda := range lambdas {
+		r, c := rc, base
+		r.Lambda, r.ClampMin, r.ClampMax = lambda, 0, 1
+		c.Robust = &r
+		arms = append(arms, arm{name: fmt.Sprintf("Robust λ=%g", lambda), cfg: c, build: shared(fed, m)})
+	}
+	return arms
 }
 
 // Render prints all four panels.
@@ -209,63 +184,29 @@ type Fig4eResult struct {
 // RunFig4e reproduces Figure 4(e): the accuracy improvement of Robust FedML
 // over FedML as a function of the attack strength ξ.
 func RunFig4e(cfg Fig4eConfig) (*Fig4eResult, error) {
-	fed, err := mnistFederation(cfg.Scale, 5, cfg.Seed)
+	fed, m, err := workload{dataset: "mnist"}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("fig4e data: %w", err)
+		return nil, fmt.Errorf("fig4e: %w", err)
 	}
-	m := softmaxModel(fed)
-
-	// The plain and robust trainings are independent; run both on the pool.
-	thetas := make([]tensor.Vec, 2)
-	err = par.ForEachErr(0, 2, func(c int) error {
-		trainCfg := core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-		}
-		name := "FedML"
-		if c == 1 {
-			name = "Robust"
-			trainCfg.Robust = &core.RobustConfig{
-				Lambda: cfg.Lambda, Nu: cfg.Nu, Ta: cfg.Ta, N0: cfg.N0, R: cfg.R,
-				ClampMin: 0, ClampMax: 1,
+	arms := robustArms(fed, m, core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
+		core.RobustConfig{Nu: cfg.Nu, Ta: cfg.Ta, N0: cfg.N0, R: cfg.R}, []float64{cfg.Lambda})
+	runs, err := runArms("fig4e", arms)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig4eResult{Xis: cfg.Xis}
+	for _, xi := range cfg.Xis {
+		var final [2]float64
+		for i, r := range runs {
+			curve, err := eval.AverageAdversarialAdaptationCurveN(m, r.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, xi, 0, 1, 0)
+			if err != nil {
+				return nil, fmt.Errorf("fig4e %s ξ=%g: %w", arms[i].name, xi, err)
 			}
+			final[i] = curve[len(curve)-1].Accuracy
 		}
-		trainRes, err := core.Train(m, fed, nil, trainCfg)
-		if err != nil {
-			return fmt.Errorf("fig4e %s: %w", name, err)
-		}
-		thetas[c] = trainRes.Theta
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	plainTheta, robustTheta := thetas[0], thetas[1]
-
-	res := &Fig4eResult{
-		Xis:         cfg.Xis,
-		FedMLAcc:    make([]float64, len(cfg.Xis)),
-		RobustAcc:   make([]float64, len(cfg.Xis)),
-		Improvement: make([]float64, len(cfg.Xis)),
-	}
-	err = par.ForEachErr(0, len(cfg.Xis), func(c int) error {
-		xi := cfg.Xis[c]
-		pc, err := eval.AverageAdversarialAdaptationCurveN(m, plainTheta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, xi, 0, 1, 1)
-		if err != nil {
-			return fmt.Errorf("fig4e FedML ξ=%g: %w", xi, err)
-		}
-		rc, err := eval.AverageAdversarialAdaptationCurveN(m, robustTheta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, xi, 0, 1, 1)
-		if err != nil {
-			return fmt.Errorf("fig4e Robust ξ=%g: %w", xi, err)
-		}
-		pa := pc[len(pc)-1].Accuracy
-		ra := rc[len(rc)-1].Accuracy
-		res.FedMLAcc[c] = pa
-		res.RobustAcc[c] = ra
-		res.Improvement[c] = ra - pa
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		res.FedMLAcc = append(res.FedMLAcc, final[0])
+		res.RobustAcc = append(res.RobustAcc, final[1])
+		res.Improvement = append(res.Improvement, final[1]-final[0])
 	}
 	return res, nil
 }

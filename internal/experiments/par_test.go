@@ -12,11 +12,10 @@ import (
 
 // estimateGStar's normal path returns a finite reference value and no error.
 func TestEstimateGStarNormalPath(t *testing.T) {
-	fed, err := syntheticFederation(0.5, 0.5, ScaleCI, 5, 1)
+	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(ScaleCI, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := softmaxModel(fed)
 	gStar, err := estimateGStar(m, fed, 0.01, 0.01, 50, 1)
 	if err != nil {
 		t.Fatalf("normal path returned error: %v", err)
@@ -31,11 +30,10 @@ func TestEstimateGStarNormalPath(t *testing.T) {
 // initialization objective AND report the failure — the old code swallowed
 // it, making a diverged baseline indistinguishable from a converged one.
 func TestEstimateGStarFallbackReportsError(t *testing.T) {
-	fed, err := syntheticFederation(0.5, 0.5, ScaleCI, 5, 1)
+	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(ScaleCI, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := softmaxModel(fed)
 	// A NaN meta rate slips past the lower clamp (NaN < 0.05 is false) and
 	// poisons θ on the first SGD step, so the reference run reliably fails.
 	gStar, gErr := estimateGStar(m, fed, 0.01, math.NaN(), 20, 1)

@@ -25,150 +25,48 @@ type Experiment struct {
 // All returns the experiment registry, sorted by ID.
 func All() []Experiment {
 	exps := []Experiment{
-		{
-			ID:          "table1",
-			Description: "Dataset statistics (nodes, samples per node)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunTable1(Table1Config{Scale: s, Seed: 1})
-			},
-		},
-		{
-			ID:          "fig2a",
-			Description: "Impact of node similarity on FedML convergence (T0=10)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunFig2a(DefaultFig2aConfig(s))
-			},
-		},
-		{
-			ID:          "fig2b",
-			Description: "Impact of local update count T0 on convergence (fixed T)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunFig2b(DefaultFig2bConfig(s))
-			},
-		},
-		{
-			ID:          "fig3a",
-			Description: "FedML convergence on non-convex Sent140",
-			Run: func(s Scale) (Renderable, error) {
-				return RunFig3a(DefaultFig3aConfig(s))
-			},
-		},
-		{
-			ID:          "fig3b",
-			Description: "Impact of target-source similarity on adaptation accuracy",
-			Run: func(s Scale) (Renderable, error) {
-				return RunFig3b(DefaultFig3bConfig(s))
-			},
-		},
-		{
-			ID:          "fig3c",
-			Description: "FedML vs FedAvg fast adaptation on Synthetic(0.5,0.5)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunAdaptCompare(DefaultAdaptCompareConfig("synthetic", s))
-			},
-		},
-		{
-			ID:          "fig3d",
-			Description: "FedML vs FedAvg fast adaptation on MNIST",
-			Run: func(s Scale) (Renderable, error) {
-				return RunAdaptCompare(DefaultAdaptCompareConfig("mnist", s))
-			},
-		},
-		{
-			ID:          "fig3e",
-			Description: "FedML vs FedAvg fast adaptation on Sent140",
-			Run: func(s Scale) (Renderable, error) {
-				return RunAdaptCompare(DefaultAdaptCompareConfig("sent140", s))
-			},
-		},
-		{
-			ID:          "fig4",
-			Description: "Robust FedML vs FedML on clean and FGSM data (λ sweep)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunFig4(DefaultFig4Config(s))
-			},
-		},
-		{
-			ID:          "fig4e",
-			Description: "Robust-FedML improvement vs FGSM budget ξ",
-			Run: func(s Scale) (Renderable, error) {
-				return RunFig4e(DefaultFig4eConfig(s))
-			},
-		},
-		{
-			ID:          "thm3",
-			Description: "Extension: target adaptation gap vs surrogate distance (Theorem 3)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunThm3(DefaultThm3Config(s))
-			},
-		},
-		{
-			ID:          "ext-time",
-			Description: "Extension: modelled time-to-target-G by T0 and network profile",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtTime(DefaultExtTimeConfig(s))
-			},
-		},
-		{
-			ID:          "ext-baselines",
-			Description: "Extension: FedML vs FedML-FO vs FedAvg vs FedProx vs Reptile",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtBaselines(DefaultExtBaselinesConfig(s))
-			},
-		},
-		{
-			ID:          "ext-codec",
-			Description: "Extension: accuracy vs wire bytes by update codec (raw/f16/q8/topk)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtCodec(DefaultExtCodecConfig(s))
-			},
-		},
-		{
-			ID:          "ext-energy",
-			Description: "Extension: accuracy vs modeled joules under partial sync and energy budgets",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtEnergy(DefaultExtEnergyConfig(s))
-			},
-		},
-		{
-			ID:          "ext-async",
-			Description: "Extension: buffered-async vs sync round throughput under latency skew",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtAsync(DefaultExtAsyncConfig(s))
-			},
-		},
-		{
-			ID:          "ext-scale",
-			Description: "Extension: fleet-scale two-tier aggregation (10⁵–10⁶ simulated nodes/round)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtScale(DefaultExtScaleConfig(s))
-			},
-		},
-		{
-			ID:          "ext-rec",
-			Description: "Extension: federated recommendation — personalized vs global baselines (FedML/FedAvg/FedProx/RepShare)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtWorkload(DefaultExtWorkloadConfig("rec", s))
-			},
-		},
-		{
-			ID:          "ext-fault",
-			Description: "Extension: TinyML fault classification — personalized vs global baselines under class skew",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtWorkload(DefaultExtWorkloadConfig("fault", s))
-			},
-		},
-		{
-			ID:          "ext-meta-opt",
-			Description: "Extension: outer-optimizer ablation (SGD vs momentum vs Adam)",
-			Run: func(s Scale) (Renderable, error) {
-				return RunExtMetaOpt(DefaultExtMetaOptConfig(s))
-			},
-		},
+		entry("table1", "Dataset statistics (nodes, samples per node)", defaultTable1Config, RunTable1),
+		entry("fig2a", "Impact of node similarity on FedML convergence (T0=10)", DefaultFig2aConfig, RunFig2a),
+		entry("fig2b", "Impact of local update count T0 on convergence (fixed T)", DefaultFig2bConfig, RunFig2b),
+		entry("fig3a", "FedML convergence on non-convex Sent140", DefaultFig3aConfig, RunFig3a),
+		entry("fig3b", "Impact of target-source similarity on adaptation accuracy", DefaultFig3bConfig, RunFig3b),
+		entry("fig3c", "FedML vs FedAvg fast adaptation on Synthetic(0.5,0.5)", on("synthetic", DefaultAdaptCompareConfig), RunAdaptCompare),
+		entry("fig3d", "FedML vs FedAvg fast adaptation on MNIST", on("mnist", DefaultAdaptCompareConfig), RunAdaptCompare),
+		entry("fig3e", "FedML vs FedAvg fast adaptation on Sent140", on("sent140", DefaultAdaptCompareConfig), RunAdaptCompare),
+		entry("fig4", "Robust FedML vs FedML on clean and FGSM data (λ sweep)", DefaultFig4Config, RunFig4),
+		entry("fig4e", "Robust-FedML improvement vs FGSM budget ξ", DefaultFig4eConfig, RunFig4e),
+		entry("thm3", "Extension: target adaptation gap vs surrogate distance (Theorem 3)", DefaultThm3Config, RunThm3),
+		entry("ext-time", "Extension: modelled time-to-target-G by T0 and network profile", DefaultExtTimeConfig, RunExtTime),
+		entry("ext-baselines", "Extension: FedML vs FedML-FO vs FedAvg vs FedProx vs Reptile", DefaultExtBaselinesConfig, RunExtBaselines),
+		entry("ext-codec", "Extension: accuracy vs wire bytes by update codec (raw/f16/q8/topk)", DefaultExtCodecConfig, RunExtCodec),
+		entry("ext-energy", "Extension: accuracy vs modeled joules under partial sync and energy budgets", DefaultExtEnergyConfig, RunExtEnergy),
+		entry("ext-async", "Extension: buffered-async vs sync round throughput under latency skew", DefaultExtAsyncConfig, RunExtAsync),
+		entry("ext-scale", "Extension: fleet-scale two-tier aggregation (10⁵–10⁶ simulated nodes/round)", DefaultExtScaleConfig, RunExtScale),
+		entry("ext-rec", "Extension: federated recommendation — personalized vs global baselines (FedML/FedAvg/FedProx/RepShare)",
+			on("rec", DefaultExtWorkloadConfig), RunExtWorkload),
+		entry("ext-fault", "Extension: TinyML fault classification — personalized vs global baselines under class skew",
+			on("fault", DefaultExtWorkloadConfig), RunExtWorkload),
+		entry("ext-meta-opt", "Extension: outer-optimizer ablation (SGD vs momentum vs Adam)", DefaultExtMetaOptConfig, RunExtMetaOpt),
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
 }
+
+// entry registers the experiment that runs run on config's configuration at
+// the requested scale.
+func entry[C any, R Renderable](id, description string, config func(Scale) C, run func(C) (R, error)) Experiment {
+	return Experiment{ID: id, Description: description, Run: func(s Scale) (Renderable, error) {
+		return run(config(s))
+	}}
+}
+
+// on fixes the dataset or workload name of a configuration constructor.
+func on[C any](name string, config func(string, Scale) C) func(Scale) C {
+	return func(s Scale) C { return config(name, s) }
+}
+
+// defaultTable1Config is Table I at the given scale, seed 1.
+func defaultTable1Config(s Scale) Table1Config { return Table1Config{Scale: s, Seed: 1} }
 
 // Run executes the experiment with the given ID at the given scale and
 // returns its rendered output.

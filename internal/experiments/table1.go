@@ -40,19 +40,12 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	}
 	// Each generator owns its seed; run the three on the worker pool into
 	// index slots.
-	feds := make([]*data.Federation, 3)
-	err := par.ForEachErr(0, 3, func(c int) error {
+	names := []string{"synthetic", "mnist", "sent140"}
+	feds := make([]*data.Federation, len(names))
+	err := par.ForEachErr(0, len(names), func(c int) error {
 		var err error
-		switch c {
-		case 0:
-			feds[c], err = syntheticFederation(0.5, 0.5, cfg.Scale, 5, cfg.Seed+1)
-		case 1:
-			feds[c], err = mnistFederation(cfg.Scale, 5, cfg.Seed+2)
-		case 2:
-			feds[c], err = sent140Federation(cfg.Scale, 5, cfg.Seed+3)
-		}
-		if err != nil {
-			return fmt.Errorf("table1 generator %d: %w", c, err)
+		if feds[c], err = datasets[names[c]](cfg.Scale, 0.5, 5, cfg.Seed+uint64(c)+1); err != nil {
+			return fmt.Errorf("table1 %s: %w", names[c], err)
 		}
 		return nil
 	})

@@ -76,11 +76,10 @@ type Thm3Result struct {
 // gradient descent on its full local data, and compares adaptation from the
 // meta-model against adaptation from the target optimum.
 func RunThm3(cfg Thm3Config) (*Thm3Result, error) {
-	fed, err := syntheticFederation(cfg.AlphaBeta, cfg.AlphaBeta, cfg.Scale, 5, cfg.Seed)
+	fed, m, err := workload{dataset: "synthetic", ab: cfg.AlphaBeta}.build(cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("thm3 data: %w", err)
+		return nil, fmt.Errorf("thm3: %w", err)
 	}
-	m := softmaxModel(fed)
 	trainRes, err := core.Train(m, fed, nil, core.Config{
 		Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
 	})

@@ -2,9 +2,10 @@
 // formulas: the Lemma 1 curvature constants of the meta-objective, the
 // Theorem 1 meta-gradient dissimilarity bound, and the Theorem 2 convergence
 // bound with its h(T0) local-update penalty. The tests validate the formulas
-// numerically on quadratic problems where every constant is exact, and the
-// experiment harness uses them to pick admissible learning rates and to
-// overlay predicted convergence floors on measured curves.
+// numerically on quadratic problems where every constant is exact. No
+// experiment uses them: the only caller outside the tests is
+// examples/edgeiot, which prints Theorem 2's bound and error floor for a
+// range of T0 on a quadratic federation.
 package theory
 
 import (
