@@ -31,7 +31,8 @@ type arm struct {
 	// bit-identical for every worker count; arms may also share one that is
 	// read-only (shared).
 	build func(cfg *core.Config) (*data.Federation, nn.Model, error)
-	// objective, when set, tracks G(θ) after every round.
+	// objective, when set, tracks G(θ) after every round. Each probe is
+	// the run's OnRound, so an arm asks for at most one.
 	objective *objectiveProbe
 	// accuracy, when set, tracks the mean adapted target accuracy after
 	// every round.

@@ -149,9 +149,9 @@ func (w workload) build(scale Scale, seed uint64) (*data.Federation, nn.Model, e
 	return fed, m, nil
 }
 
-// arm is the builder of an arm that generates the workload itself, inside
-// its worker.
-func (w workload) arm(scale Scale, seed uint64) func(*core.Config) (*data.Federation, nn.Model, error) {
+// builder is the builder of an arm that generates the workload itself,
+// inside its worker.
+func (w workload) builder(scale Scale, seed uint64) func(*core.Config) (*data.Federation, nn.Model, error) {
 	return func(*core.Config) (*data.Federation, nn.Model, error) { return w.build(scale, seed) }
 }
 

@@ -72,7 +72,7 @@ func RunExtCodec(cfg ExtCodecConfig) (*ExtCodecResult, error) {
 		arms[i] = arm{
 			name:     spec,
 			cfg:      core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Codec: spec},
-			build:    workload{dataset: "synthetic", ab: cfg.AlphaBeta}.arm(cfg.Scale, cfg.Seed),
+			build:    workload{dataset: "synthetic", ab: cfg.AlphaBeta}.builder(cfg.Scale, cfg.Seed),
 			accuracy: &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps},
 		}
 	}

@@ -129,7 +129,7 @@ func RunExtEnergy(cfg ExtEnergyConfig) (*ExtEnergyResult, error) {
 	base := core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Energy: &em}
 	probe := &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps}
 	runs, err := runArms("ext-energy", []arm{
-		{name: "full-sync", cfg: base, build: w.arm(cfg.Scale, cfg.Seed), accuracy: probe},
+		{name: "full-sync", cfg: base, build: w.builder(cfg.Scale, cfg.Seed), accuracy: probe},
 		{name: "head-sync", cfg: base, build: headSync(false), accuracy: probe},
 		{name: "head+budget", cfg: base, build: headSync(true), accuracy: probe},
 	})

@@ -94,16 +94,21 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 	if cfg.Workload != "rec" && cfg.Workload != "fault" {
 		return nil, fmt.Errorf("ext-workload: unknown workload %q (want rec or fault)", cfg.Workload)
 	}
-	build := workload{dataset: cfg.Workload, hidden: cfg.Hidden}.arm(cfg.Scale, cfg.Seed)
+	build := workload{dataset: cfg.Workload, hidden: cfg.Hidden}.builder(cfg.Scale, cfg.Seed)
 	global := func(name string, local core.LocalRule) arm {
 		return arm{name: name, build: build, cfg: core.Config{Beta: cfg.Eta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: local}}
 	}
-	arms := []arm{{
-		name:     "fedml",
-		cfg:      core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
-		build:    build,
-		accuracy: &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps},
-	}, global("fedavg", core.LocalSGD{}), global("fedprox", core.LocalSGD{Mu: cfg.Mu}), global("repshare", core.RepShare{})}
+	arms := []arm{
+		{
+			name:     "fedml",
+			cfg:      core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
+			build:    build,
+			accuracy: &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps},
+		},
+		global("fedavg", core.LocalSGD{}),
+		global("fedprox", core.LocalSGD{Mu: cfg.Mu}),
+		global("repshare", core.RepShare{}),
+	}
 	runs, err := runArms("ext-"+cfg.Workload, arms)
 	if err != nil {
 		return nil, err

@@ -100,7 +100,7 @@ func RunFig2a(cfg Fig2aConfig) (*Fig2aResult, error) {
 		arms[i] = arm{
 			name:  fmt.Sprintf("Synthetic(%g,%g)", ab, ab),
 			cfg:   core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
-			build: workload{dataset: "synthetic", ab: ab}.arm(cfg.Scale, cfg.Seed),
+			build: workload{dataset: "synthetic", ab: ab}.builder(cfg.Scale, cfg.Seed),
 			objective: &objectiveProbe{alpha: cfg.Alpha, offset: func(m nn.Model, fed *data.Federation) (float64, error) {
 				return estimateGStar(m, fed, cfg.Alpha, cfg.Beta, 4*cfg.T, 1)
 			}},

@@ -46,7 +46,7 @@ func RunFig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
 			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
 			Participation: cfg.Participation,
 		},
-		build:     workload{dataset: "sent140"}.arm(cfg.Scale, cfg.Seed),
+		build:     workload{dataset: "sent140"}.builder(cfg.Scale, cfg.Seed),
 		objective: &objectiveProbe{alpha: cfg.Alpha, view: 100},
 	}})
 	if err != nil {
@@ -110,7 +110,7 @@ func RunFig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
 		arms[i] = arm{
 			name:  fmt.Sprintf("Synthetic(%g,%g)", ab, ab),
 			cfg:   core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
-			build: workload{dataset: "synthetic", ab: ab}.arm(cfg.Scale, cfg.Seed),
+			build: workload{dataset: "synthetic", ab: ab}.builder(cfg.Scale, cfg.Seed),
 		}
 	}
 	runs, err := runArms("fig3b", arms)

@@ -76,17 +76,15 @@ type Thm3Result struct {
 // gradient descent on its full local data, and compares adaptation from the
 // meta-model against adaptation from the target optimum.
 func RunThm3(cfg Thm3Config) (*Thm3Result, error) {
-	fed, m, err := workload{dataset: "synthetic", ab: cfg.AlphaBeta}.build(cfg.Scale, cfg.Seed)
+	runs, err := runArms("thm3", []arm{{
+		name:  "FedML",
+		cfg:   core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
+		build: workload{dataset: "synthetic", ab: cfg.AlphaBeta}.builder(cfg.Scale, cfg.Seed),
+	}})
 	if err != nil {
-		return nil, fmt.Errorf("thm3: %w", err)
+		return nil, err
 	}
-	trainRes, err := core.Train(m, fed, nil, core.Config{
-		Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("thm3 train: %w", err)
-	}
-	thetaC := trainRes.Theta
+	fed, m, thetaC := runs[0].fed, runs[0].model, runs[0].theta
 
 	// Targets are independent; measure them on the worker pool into index
 	// slots (θ_c is read-only during the fan-out).
