@@ -275,6 +275,8 @@ func (a *Async) Flush(deadline time.Time) error {
 		return nil
 	case <-a.sendFail:
 		return a.sendErr
+	case <-a.done:
+		return ErrClosed
 	case <-timer.C:
 		return ErrTimeout
 	}
