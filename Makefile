@@ -25,10 +25,14 @@ all: build vet test
 # (DESIGN.md §15). The fifth keeps per-sample gradient accumulation from
 # coming back: every model gradient accumulates through AddOuterBatch, so
 # AddOuterInPlace has no non-test caller outside internal/tensor
-# (DESIGN.md §13). The next two keep one model contract (DESIGN.md §6). The
-# eighth keeps the traffic counters declared once, as obs.Totals: a struct
-# field named SkippedRounds anywhere outside internal/obs is a mirror of the
-# counter set coming back (DESIGN.md §9). The last keeps internal/nn's
+# (DESIGN.md §13). The next three keep one model contract (DESIGN.md §6): no
+# interface in internal/nn but Model and Workspace, and no type assertion or
+# type-switch arm on an nn type outside it — internal/checkpoint, whose
+# serializer hides the on-disk format, is the one place a switch may name
+# the concrete models. The ninth keeps the traffic counters declared once, as
+# obs.Totals: a struct field named SkippedRounds anywhere outside
+# internal/obs is a mirror of the counter set coming back (DESIGN.md §9).
+# The last keeps internal/nn's
 # arithmetic unfused on every architecture: it compiles the package for
 # arm64, whose compiler fuses a product into the add or subtract that
 # consumes it unless float64(...) rounds the product first, and fails on any
@@ -74,6 +78,9 @@ check:
 	@hits=$$(grep -rn -F '.(nn.' --include='*.go' . \
 		| grep -v -e '^./internal/nn/' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
 		echo "type assertion on an nn type outside internal/nn (call the nn.Model method, see DESIGN.md §6):"; echo "$$hits"; exit 1; fi
+	@hits=$$(grep -rn -E '\bcase[[:space:]]+\*?nn\.' --include='*.go' . \
+		| grep -v -e '^./internal/nn/' -e '^./internal/checkpoint/' -e ':[0-9]*:[[:space:]]*//'); if [ -n "$$hits" ]; then \
+		echo "type switch on an nn type outside internal/nn and internal/checkpoint (call the nn.Model method, see DESIGN.md §6):"; echo "$$hits"; exit 1; fi
 	@hits=$$(grep -rn -E '^[[:space:]]*SkippedRounds[[:space:]]+[][*[:alpha:]]' --include='*.go' . \
 		| grep -v -e '^./internal/obs/'); if [ -n "$$hits" ]; then \
 		echo "counter field declared outside internal/obs (one counter set, obs.Totals; see DESIGN.md §9):"; echo "$$hits"; exit 1; fi

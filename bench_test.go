@@ -587,7 +587,7 @@ func BenchmarkInputGradInto(b *testing.B) {
 		theta := m.InitParams(rng.New(1))
 		nd := fed.Sources[0]
 		ws := m.NewWorkspace()
-		out := tensor.NewVec(m.InputDim())
+		out := tensor.NewVec(m.Dims()[0])
 		m.InputGradInto(ws, theta, nd.Train[0], nd.Train, out)
 		b.ReportAllocs()
 		b.ResetTimer()

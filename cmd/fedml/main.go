@@ -71,21 +71,18 @@ func run(args []string) error {
 	}
 }
 
-// commonFlags holds the flags shared by all modes.
+// commonFlags holds the flags shared by all modes. Each flag that sets one
+// core.Config field binds straight into cfg; the fields below it hold the
+// flags that still need resolving against the workload or each other.
 type commonFlags struct {
+	cfg     core.Config
 	dataset string
 	nodes   int
 	k       int
-	seed    uint64
-	alpha   float64
-	beta    float64
-	t       int
-	t0      int
 	robust  bool
 	lambda  float64
 	csvPath string
 	csvDim  int
-	codec   string
 
 	syncMask      string
 	energyProfile string
@@ -98,16 +95,16 @@ func addCommonFlags(fs *flag.FlagSet) *commonFlags {
 	fs.StringVar(&c.dataset, "dataset", "synthetic", "workload: synthetic, mnist, sent140, rec, fault or csv")
 	fs.IntVar(&c.nodes, "nodes", 20, "number of edge nodes in the federation")
 	fs.IntVar(&c.k, "k", 5, "few-shot training-set size K per node")
-	fs.Uint64Var(&c.seed, "seed", 1, "random seed (all sides must agree)")
-	fs.Float64Var(&c.alpha, "alpha", 0.05, "inner (adaptation) learning rate α")
-	fs.Float64Var(&c.beta, "beta", 0.01, "meta learning rate β")
-	fs.IntVar(&c.t, "t", 200, "total local iterations T")
-	fs.IntVar(&c.t0, "t0", 5, "local iterations per aggregation round T0")
+	fs.Uint64Var(&c.cfg.Seed, "seed", 1, "random seed (all sides must agree)")
+	fs.Float64Var(&c.cfg.Alpha, "alpha", 0.05, "inner (adaptation) learning rate α")
+	fs.Float64Var(&c.cfg.Beta, "beta", 0.01, "meta learning rate β")
+	fs.IntVar(&c.cfg.T, "t", 200, "total local iterations T")
+	fs.IntVar(&c.cfg.T0, "t0", 5, "local iterations per aggregation round T0")
 	fs.BoolVar(&c.robust, "robust", false, "use Robust FedML (Algorithm 2)")
 	fs.Float64Var(&c.lambda, "lambda", 0.01, "DRO penalty λ (with -robust)")
 	fs.StringVar(&c.csvPath, "csv", "", "with -dataset csv: path to a CSV of feature columns + integer label")
 	fs.IntVar(&c.csvDim, "csv-dim", 0, "with -dataset csv: number of feature columns")
-	fs.StringVar(&c.codec, "codec", "", "update compression codec: raw, f16, q8, or topk[:frac] (empty = raw; nodes mirror the platform's choice)")
+	fs.StringVar(&c.cfg.Codec, "codec", "", "update compression codec: raw, f16, q8, or topk[:frac] (empty = raw; nodes mirror the platform's choice)")
 	fs.StringVar(&c.syncMask, "sync-mask", "", `partial-parameter sync policy: "head:<warmup>" freezes the feature layers after <warmup> full-sync rounds and syncs only the output head (nodes mirror the mask from the wire format)`)
 	fs.StringVar(&c.energyProfile, "energy-profile", "", "per-node energy pricing profile: lora-like, wifi, or datacenter (enables joule accounting)")
 	fs.Float64Var(&c.energyJPerIt, "energy-compute", 1e-4, "with -energy-profile: modeled compute joules per local iteration")
@@ -140,174 +137,121 @@ func (c *commonFlags) applyPolicies(cfg *core.Config, m nn.Model) error {
 	return nil
 }
 
-// buildWorkload constructs the federation and model for the CLI flags.
+// buildWorkload constructs the federation and model for the CLI flags: a
+// softmax regression, or an MLP for the workloads that set mlp.
 func (c *commonFlags) buildWorkload() (*data.Federation, nn.Model, error) {
+	var (
+		fed *data.Federation
+		err error
+		// mlp holds the hidden widths; the workload fixes the two ends.
+		mlp *nn.MLPConfig
+	)
 	switch c.dataset {
 	case "synthetic":
 		cfg := data.DefaultSyntheticConfig(0.5, 0.5)
-		cfg.Nodes = c.nodes
-		cfg.K = c.k
-		cfg.Seed = c.seed
-		fed, err := data.GenerateSynthetic(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fed, &nn.SoftmaxRegression{In: fed.Dim, Classes: fed.NumClasses, L2: 0.01}, nil
+		cfg.Nodes, cfg.K, cfg.Seed = c.nodes, c.k, c.cfg.Seed
+		fed, err = data.GenerateSynthetic(cfg)
 	case "mnist":
 		cfg := data.DefaultMNISTConfig()
-		cfg.Nodes = c.nodes
-		cfg.K = c.k
-		cfg.Seed = c.seed
-		fed, err := data.GenerateMNIST(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fed, &nn.SoftmaxRegression{In: fed.Dim, Classes: fed.NumClasses, L2: 0.01}, nil
+		cfg.Nodes, cfg.K, cfg.Seed = c.nodes, c.k, c.cfg.Seed
+		fed, err = data.GenerateMNIST(cfg)
 	case "sent140":
 		cfg := data.DefaultSent140Config()
-		cfg.Nodes = c.nodes
-		cfg.K = c.k
-		cfg.Seed = c.seed
-		cfg.EmbedDim = 24
-		cfg.SeqLen = 15
-		fed, err := data.GenerateSent140(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, 64, 32, 16, fed.NumClasses}, BatchNorm: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		return fed, m, nil
+		cfg.Nodes, cfg.K, cfg.Seed = c.nodes, c.k, c.cfg.Seed
+		cfg.EmbedDim, cfg.SeqLen = 24, 15
+		fed, err = data.GenerateSent140(cfg)
+		mlp = &nn.MLPConfig{Dims: []int{64, 32, 16}, BatchNorm: true}
 	case "rec":
 		cfg := data.DefaultRecommendConfig()
-		cfg.Users = c.nodes
-		cfg.K = c.k
-		cfg.Seed = c.seed
-		fed, err := data.GenerateRecommend(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
+		cfg.Users, cfg.K, cfg.Seed = c.nodes, c.k, c.cfg.Seed
+		fed, err = data.GenerateRecommend(cfg)
 		// An MLP (not all-head softmax) so the sync mask and the RepShare
 		// rule have a representation block to act on.
-		m, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, 16, fed.NumClasses}, L2: 0.01})
-		if err != nil {
-			return nil, nil, err
-		}
-		return fed, m, nil
+		mlp = &nn.MLPConfig{Dims: []int{16}, L2: 0.01}
 	case "fault":
 		cfg := data.DefaultFaultConfig()
-		cfg.Devices = c.nodes
-		cfg.K = c.k
-		cfg.Seed = c.seed
-		fed, err := data.GenerateFault(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := nn.NewMLP(nn.MLPConfig{Dims: []int{fed.Dim, 16, fed.NumClasses}, L2: 0.01})
-		if err != nil {
-			return nil, nil, err
-		}
-		return fed, m, nil
+		cfg.Devices, cfg.K, cfg.Seed = c.nodes, c.k, c.cfg.Seed
+		fed, err = data.GenerateFault(cfg)
+		mlp = &nn.MLPConfig{Dims: []int{16}, L2: 0.01}
 	case "csv":
 		if c.csvPath == "" || c.csvDim <= 0 {
 			return nil, nil, fmt.Errorf("-dataset csv requires -csv <path> and -csv-dim <n>")
 		}
-		samples, classes, err := data.LoadCSVFile(c.csvPath, c.csvDim)
-		if err != nil {
-			return nil, nil, err
+		samples, classes, lerr := data.LoadCSVFile(c.csvPath, c.csvDim)
+		if lerr != nil {
+			return nil, nil, lerr
 		}
-		fed, err := data.BuildFederation("csv:"+c.csvPath, samples, classes, data.PartitionConfig{
+		fed, err = data.BuildFederation("csv:"+c.csvPath, samples, classes, data.PartitionConfig{
 			Nodes:          c.nodes,
 			ClassesPerNode: 2, // the paper's label-skew level
 			K:              c.k,
 			SourceFraction: 0.8,
-			Seed:           c.seed,
+			Seed:           c.cfg.Seed,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return fed, &nn.SoftmaxRegression{In: fed.Dim, Classes: fed.NumClasses, L2: 0.01}, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown dataset %q (want synthetic, mnist, sent140, rec, fault or csv)", c.dataset)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if mlp == nil {
+		return fed, &nn.SoftmaxRegression{In: fed.Dim, Classes: fed.NumClasses, L2: 0.01}, nil
+	}
+	mlp.Dims = append(append([]int{fed.Dim}, mlp.Dims...), fed.NumClasses)
+	m, err := nn.NewMLP(*mlp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fed, m, nil
 }
 
-// faultFlags holds the resilience and chaos-injection flags shared by the
-// train and platform modes.
-type faultFlags struct {
-	roundTimeout   time.Duration
-	minNodes       int
-	guard          float64
-	statePath      string
-	stateEvery     int
-	resume         bool
-	async          bool
-	stalenessDecay float64
-	maxStaleness   int
-	asyncQuorum    float64
-	chaosSpec      string
-	chaosSeed      uint64
-	chaosDrop      float64
-	chaosCorrupt   float64
-	chaosLatency   time.Duration
-	chaosJitter    time.Duration
-}
-
-func addFaultFlags(fs *flag.FlagSet) *faultFlags {
-	f := &faultFlags{}
-	fs.DurationVar(&f.roundTimeout, "round-timeout", 0, "per-operation deadline enabling fault-tolerant rounds with drop/rejoin (0 = strict)")
-	fs.IntVar(&f.minNodes, "min-nodes", 0, "abort a fault-tolerant run when fewer nodes remain alive (0 means 1)")
-	fs.Float64Var(&f.guard, "guard", 0, "sanitation guard radius relative to broadcast θ (0 disables the norm guard)")
-	fs.StringVar(&f.statePath, "state", "", "snapshot (round, iter, θ, stats) to this file for crash recovery")
-	fs.IntVar(&f.stateEvery, "state-every", 1, "with -state: snapshot every N aggregated rounds")
-	fs.BoolVar(&f.resume, "resume", false, "resume from the -state snapshot when it exists")
-	fs.BoolVar(&f.async, "async", false, "buffered-async aggregation: apply updates as they arrive with staleness-decayed weights (requires -round-timeout)")
-	fs.Float64Var(&f.stalenessDecay, "staleness-decay", 0.6, "with -async: per-round weight decay α for stale updates (w = ω·α^staleness)")
-	fs.IntVar(&f.maxStaleness, "max-staleness", 4, "with -async: drop updates (and suspect nodes) more than this many aggregations behind")
-	fs.Float64Var(&f.asyncQuorum, "async-quorum", 0.8, "with -async: fraction of the round's dispatched updates to wait for before aggregating")
-	fs.StringVar(&f.chaosSpec, "chaos", "", `scripted faults "<node>:<op>@<round>,..." with ops kill, revive, part-send, part-recv, heal, corrupt, drop, send-err, slow=<dur>`)
-	fs.Uint64Var(&f.chaosSeed, "chaos-seed", 1, "seed for the injected-fault random streams")
-	fs.Float64Var(&f.chaosDrop, "chaos-drop", 0, "per-message drop probability")
-	fs.Float64Var(&f.chaosCorrupt, "chaos-corrupt", 0, "per-update payload corruption probability")
-	fs.DurationVar(&f.chaosLatency, "chaos-latency", 0, "mean injected per-message latency")
-	fs.DurationVar(&f.chaosJitter, "chaos-jitter", 0, "injected latency jitter")
+// addFaultFlags binds the resilience flags of the train and platform modes
+// into cfg and returns the chaos-injection flags.
+func addFaultFlags(fs *flag.FlagSet, cfg *core.Config) *chaosFlags {
+	fs.DurationVar(&cfg.RoundTimeout, "round-timeout", 0, "per-operation deadline enabling fault-tolerant rounds with drop/rejoin (0 = strict)")
+	fs.IntVar(&cfg.MinNodes, "min-nodes", 0, "abort a fault-tolerant run when fewer nodes remain alive (0 means 1)")
+	fs.Float64Var(&cfg.GuardRadius, "guard", 0, "sanitation guard radius relative to broadcast θ (0 disables the norm guard)")
+	fs.StringVar(&cfg.CheckpointPath, "state", "", "snapshot (round, iter, θ, stats) to this file for crash recovery")
+	fs.IntVar(&cfg.CheckpointEvery, "state-every", 1, "with -state: snapshot every N aggregated rounds")
+	fs.BoolVar(&cfg.Resume, "resume", false, "resume from the -state snapshot when it exists")
+	// The three async knobs are read only when cfg.Async is set.
+	fs.BoolVar(&cfg.Async, "async", false, "buffered-async aggregation: apply updates as they arrive with staleness-decayed weights (requires -round-timeout)")
+	fs.Float64Var(&cfg.StalenessDecay, "staleness-decay", 0.6, "with -async: per-round weight decay α for stale updates (w = ω·α^staleness)")
+	fs.IntVar(&cfg.MaxStaleness, "max-staleness", 4, "with -async: drop updates (and suspect nodes) more than this many aggregations behind")
+	fs.Float64Var(&cfg.AsyncQuorum, "async-quorum", 0.8, "with -async: fraction of the round's dispatched updates to wait for before aggregating")
+	f := &chaosFlags{}
+	fs.StringVar(&f.spec, "chaos", "", `scripted faults "<node>:<op>@<round>,..." with ops kill, revive, part-send, part-recv, heal, corrupt, drop, send-err, slow=<dur>`)
+	fs.Uint64Var(&f.cc.Seed, "chaos-seed", 1, "seed for the injected-fault random streams")
+	fs.Float64Var(&f.cc.DropProb, "chaos-drop", 0, "per-message drop probability")
+	fs.Float64Var(&f.cc.CorruptProb, "chaos-corrupt", 0, "per-update payload corruption probability")
+	fs.DurationVar(&f.cc.Latency, "chaos-latency", 0, "mean injected per-message latency")
+	fs.DurationVar(&f.cc.Jitter, "chaos-jitter", 0, "injected latency jitter")
 	return f
 }
 
-// apply folds the fault flags into cfg, building the chaos link wrapper when
-// any injection was requested.
-func (f *faultFlags) apply(cfg *core.Config) error {
-	cfg.RoundTimeout = f.roundTimeout
-	cfg.MinNodes = f.minNodes
-	cfg.GuardRadius = f.guard
-	cfg.CheckpointPath = f.statePath
-	cfg.CheckpointEvery = f.stateEvery
-	cfg.Resume = f.resume
-	if f.async {
-		cfg.Async = true
-		cfg.StalenessDecay = f.stalenessDecay
-		cfg.MaxStaleness = f.maxStaleness
-		cfg.AsyncQuorum = f.asyncQuorum
-	}
-	chaosOn := f.chaosSpec != "" || f.chaosDrop > 0 || f.chaosCorrupt > 0 ||
-		f.chaosLatency > 0 || f.chaosJitter > 0
-	if !chaosOn {
+// chaosFlags holds the chaos-injection flags of the train and platform
+// modes: the scenario script, and the rest bound into one link's config.
+type chaosFlags struct {
+	spec string
+	cc   transport.ChaosConfig
+}
+
+// apply sets cfg.WrapLink to the chaos wrapper the flags request, if any.
+// Link i gets its own scenario and a seed salted by i.
+func (f *chaosFlags) apply(cfg *core.Config) error {
+	on := f.spec != "" || f.cc.DropProb > 0 || f.cc.CorruptProb > 0 || f.cc.Latency > 0 || f.cc.Jitter > 0
+	if !on {
 		return nil
 	}
-	events, err := transport.ParseScenario(f.chaosSpec)
+	events, err := transport.ParseScenario(f.spec)
 	if err != nil {
 		return err
 	}
 	cfg.WrapLink = func(i int, l transport.Link) transport.Link {
-		return transport.NewChaos(l, transport.ChaosConfig{
-			Seed:        f.chaosSeed + uint64(i)*0x9e3779b9,
-			DropProb:    f.chaosDrop,
-			CorruptProb: f.chaosCorrupt,
-			Latency:     f.chaosLatency,
-			Jitter:      f.chaosJitter,
-			Scenario:    events[i],
-		})
+		cc := f.cc
+		cc.Seed += uint64(i) * 0x9e3779b9
+		cc.Scenario = events[i]
+		return transport.NewChaos(l, cc)
 	}
 	return nil
 }
@@ -370,26 +314,100 @@ func printResilience(stats core.CommStats) {
 	}
 }
 
-func (c *commonFlags) trainConfig(track func(round, iter int, theta tensor.Vec)) core.Config {
-	cfg := core.Config{
-		Alpha: c.alpha, Beta: c.beta, T: c.t, T0: c.t0, Seed: c.seed,
-		Codec:   c.codec,
-		OnRound: track,
-	}
+// config is the Config the common flags describe, with -robust resolved into
+// Algorithm 2's settings.
+func (c *commonFlags) config() core.Config {
+	cfg := c.cfg
 	if c.robust {
 		cfg.Robust = &core.RobustConfig{
-			Lambda: c.lambda, Nu: 1, Ta: 10, N0: maxInt(1, c.t*2/5/c.t0), R: 2,
+			Lambda: c.lambda, Nu: 1, Ta: 10, N0: max(1, cfg.T*2/5/cfg.T0), R: 2,
 			ClampMin: 0, ClampMax: 1,
 		}
 	}
 	return cfg
 }
 
+// aggFlags holds the flags of the two aggregating modes, train and platform.
+type aggFlags struct {
+	*commonFlags
+	chaos *chaosFlags
+	obs   *obsFlags
+}
+
+func addAggFlags(fs *flag.FlagSet) *aggFlags {
+	c := addCommonFlags(fs)
+	return &aggFlags{commonFlags: c, chaos: addFaultFlags(fs, &c.cfg), obs: addObsFlags(fs)}
+}
+
+// aggRun is a train or platform run over a built workload.
+type aggRun struct {
+	m        nn.Model
+	fed      *data.Federation
+	cfg      core.Config
+	closeObs func() error
+	// metricsOut is the -metrics-out path, named once the run is done.
+	metricsOut string
+}
+
+// startRun assembles the Config of a run over m and fed: the flag-bound
+// fields, the observer, a G(θ) line every printEvery rounds and at the last,
+// the sync-mask and energy policies, and the chaos wrapper. Call finish once
+// training returns.
+func (a *aggFlags) startRun(m nn.Model, fed *data.Federation, printEvery int) (*aggRun, error) {
+	ob, closeObs, err := a.obs.start()
+	if err != nil {
+		return nil, err
+	}
+	r := &aggRun{m: m, fed: fed, cfg: a.config(), closeObs: closeObs, metricsOut: a.obs.metricsOut}
+	r.cfg.Observer = ob
+	r.cfg.OnRound = func(round, iter int, theta tensor.Vec) {
+		if round%printEvery == 0 || iter == a.cfg.T {
+			g := eval.GlobalMetaObjective(m, fed, a.cfg.Alpha, theta)
+			fmt.Printf("round %4d (iter %5d): G(θ) = %.4f\n", round, iter, g)
+			// OnRound fires after the round's end event, so the sinks fold
+			// this measurement into the record of the round it belongs to.
+			obs.Emit(ob, obs.Event{Type: obs.TypeMetaLoss, Round: round, Iter: iter, Value: g})
+		}
+	}
+	err = a.applyPolicies(&r.cfg, m)
+	if err == nil {
+		err = a.chaos.apply(&r.cfg)
+	}
+	if err != nil {
+		_ = closeObs()
+		return nil, err
+	}
+	return r, nil
+}
+
+// finish closes the observer and reports the run: runErr if it failed, else
+// res's totals line (totals formats the rounds, messages and KiB), its fault
+// accounting, and the fast-adaptation curve of adaptSteps steps at the
+// held-out target nodes.
+func (r *aggRun) finish(res *core.Result, runErr error, totals string, adaptSteps int) error {
+	if err := r.closeObs(); runErr == nil {
+		runErr = err
+	}
+	if runErr != nil {
+		return runErr
+	}
+	if r.metricsOut != "" {
+		fmt.Printf("per-round metrics written to %s\n", r.metricsOut)
+	}
+	fmt.Printf(totals, res.Comm.Rounds, res.Comm.Messages, float64(res.Comm.Bytes)/1024)
+	printResilience(res.Comm)
+
+	curve := eval.AverageAdaptationCurve(r.m, res.Theta, r.fed.Targets, r.cfg.Alpha, adaptSteps)
+	fmt.Println("fast adaptation at held-out target nodes:")
+	for _, p := range curve {
+		fmt.Printf("  step %2d: loss %.4f  accuracy %.3f\n", p.Step, p.Loss, p.Accuracy)
+	}
+	return nil
+}
+
 func runTrain(args []string) error {
 	fs := flag.NewFlagSet("fedml train", flag.ContinueOnError)
-	c := addCommonFlags(fs)
-	ff := addFaultFlags(fs)
-	of := addObsFlags(fs)
+	a := addAggFlags(fs)
 	shards := fs.Int("shards", 0, "two-tier topology: number of leaf shard aggregators under a director (0 = flat platform); θ is bit-identical to the flat run")
 	adaptSteps := fs.Int("adapt-steps", 5, "fast-adaptation gradient steps at target nodes")
 	savePath := fs.String("save", "", "write the trained meta-model checkpoint to this path")
@@ -397,72 +415,33 @@ func runTrain(args []string) error {
 		return err
 	}
 
-	fed, m, err := c.buildWorkload()
+	fed, m, err := a.buildWorkload()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("federation %s: %d source nodes, %d target nodes, dim %d, %d classes\n",
 		fed.Name, len(fed.Sources), len(fed.Targets), fed.Dim, fed.NumClasses)
 
-	ob, closeObs, err := of.start()
+	r, err := a.startRun(m, fed, 5)
 	if err != nil {
 		return err
 	}
-	cfg := c.trainConfig(func(round, iter int, theta tensor.Vec) {
-		if round%5 == 0 || iter == c.t {
-			g := eval.GlobalMetaObjective(m, fed, c.alpha, theta)
-			fmt.Printf("round %4d (iter %5d): G(θ) = %.4f\n", round, iter, g)
-			// OnRound fires after the round's end event, so the sinks fold
-			// this measurement into the record of the round it belongs to.
-			obs.Emit(ob, obs.Event{Type: obs.TypeMetaLoss, Round: round, Iter: iter, Value: g})
-		}
-	})
-	cfg.Observer = ob
-	if err := c.applyPolicies(&cfg, m); err != nil {
+	var res *core.Result
+	switch {
+	case *shards > 0 && r.cfg.Async:
+		err = fmt.Errorf("-async is not supported with -shards (the async consistency model is flat-platform only)")
+	case *shards > 0:
+		res, err = trainSharded(m, fed, r.cfg, *shards, a.obs.metricsOut)
+	default:
+		res, err = core.Train(m, fed, nil, r.cfg)
+	}
+	if err := r.finish(res, err, "training done: %d rounds, %d messages, %.1f KiB transferred\n", *adaptSteps); err != nil {
 		return err
-	}
-	if err := ff.apply(&cfg); err != nil {
-		return err
-	}
-	var (
-		theta tensor.Vec
-		comm  core.CommStats
-	)
-	if *shards > 0 {
-		if cfg.Async {
-			return fmt.Errorf("-async is not supported with -shards (the async consistency model is flat-platform only)")
-		}
-		theta, comm, err = trainSharded(m, fed, cfg, *shards, of.metricsOut)
-	} else {
-		var res *core.Result
-		res, err = core.Train(m, fed, nil, cfg)
-		if res != nil {
-			theta, comm = res.Theta, res.Comm
-		}
-	}
-	if err != nil {
-		_ = closeObs()
-		return err
-	}
-	if err := closeObs(); err != nil {
-		return err
-	}
-	if of.metricsOut != "" {
-		fmt.Printf("per-round metrics written to %s\n", of.metricsOut)
-	}
-	fmt.Printf("training done: %d rounds, %d messages, %.1f KiB transferred\n",
-		comm.Rounds, comm.Messages, float64(comm.Bytes)/1024)
-	printResilience(comm)
-
-	curve := eval.AverageAdaptationCurve(m, theta, fed.Targets, c.alpha, *adaptSteps)
-	fmt.Println("fast adaptation at held-out target nodes:")
-	for _, p := range curve {
-		fmt.Printf("  step %2d: loss %.4f  accuracy %.3f\n", p.Step, p.Loss, p.Accuracy)
 	}
 
 	if *savePath != "" {
-		desc := fmt.Sprintf("FedML %s nodes=%d T=%d T0=%d", c.dataset, c.nodes, c.t, c.t0)
-		ck, err := checkpoint.FromModel(m, theta, c.alpha, desc)
+		desc := fmt.Sprintf("FedML %s nodes=%d T=%d T0=%d", a.dataset, a.nodes, a.cfg.T, a.cfg.T0)
+		ck, err := checkpoint.FromModel(m, res.Theta, a.cfg.Alpha, desc)
 		if err != nil {
 			return err
 		}
@@ -487,14 +466,13 @@ func shardMetricsPath(path string, shard int) string {
 // each shard writes its own JSONL stream next to the director's — the shard
 // streams carry the traffic and fault events, the director stream the global
 // rounds, and each validates independently under cmd/obscheck.
-func trainSharded(m nn.Model, fed *data.Federation, cfg core.Config, shards int, metricsOut string) (tensor.Vec, core.CommStats, error) {
+func trainSharded(m nn.Model, fed *data.Federation, cfg core.Config, shards int, metricsOut string) (*core.Result, error) {
 	ranges := core.ShardRanges(len(fed.Sources), shards)
 	opt := core.ShardedOptions{Ranges: ranges}
 	sinks := make([]*obs.JSONLSink, 0, len(ranges))
-	closeSinks := func() error {
-		var first error
+	closeSinks := func() (first error) {
 		for _, s := range sinks {
-			if err := s.Close(); err != nil && first == nil {
+			if err := s.Close(); first == nil {
 				first = err
 			}
 		}
@@ -506,7 +484,7 @@ func trainSharded(m nn.Model, fed *data.Federation, cfg core.Config, shards int,
 			sink, err := obs.CreateJSONL(shardMetricsPath(metricsOut, s))
 			if err != nil {
 				_ = closeSinks()
-				return nil, core.CommStats{}, err
+				return nil, err
 			}
 			sinks = append(sinks, sink)
 		}
@@ -514,18 +492,17 @@ func trainSharded(m nn.Model, fed *data.Federation, cfg core.Config, shards int,
 	}
 	fmt.Printf("two-tier topology: %d shard aggregators over %d nodes\n", len(ranges), len(fed.Sources))
 	res, err := core.TrainSharded(m, fed, nil, cfg, opt)
-	if err != nil {
-		_ = closeSinks()
-		return nil, core.CommStats{}, err
+	if cerr := closeSinks(); err == nil {
+		err = cerr
 	}
-	if err := closeSinks(); err != nil {
-		return nil, core.CommStats{}, err
+	if err != nil {
+		return nil, err
 	}
 	for s, st := range res.Shards {
 		fmt.Printf("  shard %d (nodes %d..%d): %d messages, %.1f KiB\n",
 			s, ranges[s].Lo, ranges[s].Hi-1, st.Messages, float64(st.Bytes)/1024)
 	}
-	return res.Theta, res.Comm, nil
+	return &core.Result{Theta: res.Theta, Comm: res.Comm}, nil
 }
 
 // runAdapt plays the target edge device: load a meta-model checkpoint,
@@ -563,9 +540,13 @@ func runAdapt(args []string) error {
 		return fmt.Errorf("adapt: target %d out of range [0, %d)", *target, len(fed.Targets))
 	}
 	node := fed.Targets[*target]
-	if len(node.Train[0].X) != ckModelInputDim(m) {
+	inDim := ck.SoftmaxIn // ck.Model() vetted the kind and its shape
+	if ck.ModelKind == checkpoint.KindMLP {
+		inDim = ck.MLPDims[0]
+	}
+	if len(node.Train[0].X) != inDim {
 		return fmt.Errorf("adapt: checkpoint expects %d-dim inputs, dataset provides %d",
-			ckModelInputDim(m), len(node.Train[0].X))
+			inDim, len(node.Train[0].X))
 	}
 
 	theta := tensor.Vec(ck.Params)
@@ -578,29 +559,15 @@ func runAdapt(args []string) error {
 	return nil
 }
 
-// ckModelInputDim reports the input dimension of a reconstructed model.
-func ckModelInputDim(m nn.Model) int {
-	switch mt := m.(type) {
-	case *nn.SoftmaxRegression:
-		return mt.In
-	case *nn.MLP:
-		return mt.InputDim()
-	default:
-		return -1
-	}
-}
-
 func runPlatform(args []string) error {
 	fs := flag.NewFlagSet("fedml platform", flag.ContinueOnError)
-	c := addCommonFlags(fs)
-	ff := addFaultFlags(fs)
-	of := addObsFlags(fs)
+	a := addAggFlags(fs)
 	addr := fs.String("addr", ":7001", "listen address for node connections")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	fed, m, err := c.buildWorkload()
+	fed, m, err := a.buildWorkload()
 	if err != nil {
 		return err
 	}
@@ -630,50 +597,12 @@ func runPlatform(args []string) error {
 	for i := range weights {
 		weights[i] = 1
 	}
-	theta0 := m.InitParams(rng.New(c.seed))
-	ob, closeObs, err := of.start()
+	r, err := a.startRun(m, fed, 1)
 	if err != nil {
 		return err
 	}
-	cfg := c.trainConfig(func(round, iter int, theta tensor.Vec) {
-		g := eval.GlobalMetaObjective(m, fed, c.alpha, theta)
-		fmt.Printf("round %4d (iter %5d): G(θ) = %.4f\n", round, iter, g)
-		obs.Emit(ob, obs.Event{Type: obs.TypeMetaLoss, Round: round, Iter: iter, Value: g})
-	})
-	cfg.Observer = ob
-	if err := c.applyPolicies(&cfg, m); err != nil {
-		return err
-	}
-	if err := ff.apply(&cfg); err != nil {
-		return err
-	}
-	// RunPlatform takes pre-built links, so the chaos wrapper (normally
-	// applied by Train) is applied here.
-	if cfg.WrapLink != nil {
-		for i := range links {
-			links[i] = cfg.WrapLink(i, links[i])
-		}
-	}
-	theta, stats, err := core.RunPlatform(links, weights, theta0, cfg)
-	if err != nil {
-		_ = closeObs()
-		return err
-	}
-	if err := closeObs(); err != nil {
-		return err
-	}
-	if of.metricsOut != "" {
-		fmt.Printf("per-round metrics written to %s\n", of.metricsOut)
-	}
-	fmt.Printf("done: %d rounds, %d messages, %.1f KiB\n", stats.Rounds, stats.Messages, float64(stats.Bytes)/1024)
-	printResilience(stats)
-
-	curve := eval.AverageAdaptationCurve(m, theta, fed.Targets, c.alpha, 5)
-	fmt.Println("fast adaptation at held-out target nodes:")
-	for _, p := range curve {
-		fmt.Printf("  step %2d: loss %.4f  accuracy %.3f\n", p.Step, p.Loss, p.Accuracy)
-	}
-	return nil
+	theta, stats, err := core.RunPlatform(links, weights, m.InitParams(rng.New(a.cfg.Seed)), r.cfg)
+	return r.finish(&core.Result{Theta: theta, Comm: stats}, err, "done: %d rounds, %d messages, %.1f KiB\n", 5)
 }
 
 func runNode(args []string) error {
@@ -706,23 +635,15 @@ func runNode(args []string) error {
 		ID:     *id,
 		Model:  m,
 		Data:   fed.Sources[*id],
-		Shared: c.trainConfig(nil),
+		Shared: c.config(),
 		Retry:  core.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase},
 	}
 	if *redial {
 		nc.Redial = func() (transport.Link, error) { return transport.Dial(*addr) }
 	}
-	err = core.RunNode(link, nc)
-	if err != nil {
+	if err := core.RunNode(link, nc); err != nil {
 		return err
 	}
 	fmt.Printf("node %d finished\n", *id)
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

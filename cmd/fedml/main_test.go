@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/obs"
 )
 
@@ -108,8 +109,8 @@ func TestAdaptDetectsDimensionMismatch(t *testing.T) {
 }
 
 func TestCommonFlagWorkloads(t *testing.T) {
-	for _, dataset := range []string{"synthetic", "mnist", "sent140"} {
-		c := &commonFlags{dataset: dataset, nodes: 8, k: 5, seed: 1}
+	for _, dataset := range []string{"synthetic", "mnist", "sent140", "rec", "fault"} {
+		c := &commonFlags{cfg: core.Config{Seed: 1}, dataset: dataset, nodes: 8, k: 5}
 		fed, m, err := c.buildWorkload()
 		if err != nil {
 			t.Fatalf("%s: %v", dataset, err)
@@ -120,12 +121,6 @@ func TestCommonFlagWorkloads(t *testing.T) {
 		if m.NumParams() <= 0 {
 			t.Fatalf("%s: empty model", dataset)
 		}
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	if maxInt(2, 3) != 3 || maxInt(5, 1) != 5 {
-		t.Error("maxInt broken")
 	}
 }
 

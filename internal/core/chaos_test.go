@@ -719,3 +719,54 @@ func TestProbeTimeoutResolution(t *testing.T) {
 
 // Keep the data import used even if federation helpers change shape.
 var _ = data.Sample{}
+
+// TestWrapLinkAppliedOnce: the link layer applies Config.WrapLink, so each
+// entry point wraps every node link exactly once, keyed by its global index —
+// RunPlatform over caller-built links as much as Train and TrainSharded over
+// their in-process fleets.
+func TestWrapLinkAppliedOnce(t *testing.T) {
+	fed := tinyFederation(t, 0, 0)
+	m := tinyModel(fed)
+	n := len(fed.Sources)
+	runs := map[string]func(cfg Config) error{
+		"RunPlatform": func(cfg Config) error {
+			links := make([]transport.Link, n)
+			for i := range links {
+				var nl transport.Link
+				links[i], nl = transport.Pair()
+				go contractingNode(nl, i)
+			}
+			_, _, err := RunPlatform(links, fed.Weights(), tensor.NewVec(m.NumParams()), cfg)
+			for _, l := range links {
+				_ = l.Close()
+			}
+			return err
+		},
+		"Train": func(cfg Config) error {
+			_, err := Train(m, fed, nil, cfg)
+			return err
+		},
+		"TrainSharded": func(cfg Config) error {
+			_, err := TrainSharded(m, fed, nil, cfg, ShardedOptions{Ranges: ShardRanges(n, 3)})
+			return err
+		},
+	}
+	for name, runFn := range runs {
+		for _, timeout := range []time.Duration{0, 5 * time.Second} {
+			wraps := make([]int, n)
+			cfg := Config{Alpha: 0.01, Beta: 0.01, T: 10, T0: 5, Seed: 1, RoundTimeout: timeout,
+				WrapLink: func(i int, l transport.Link) transport.Link {
+					wraps[i]++
+					return l
+				}}
+			if err := runFn(cfg); err != nil {
+				t.Fatalf("%s (timeout %v): %v", name, timeout, err)
+			}
+			for i, w := range wraps {
+				if w != 1 {
+					t.Errorf("%s (timeout %v): node %d wrapped %d times, want 1", name, timeout, i, w)
+				}
+			}
+		}
+	}
+}

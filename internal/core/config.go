@@ -91,9 +91,12 @@ type Config struct {
 	// snapshot file starts a fresh run, so a supervisor can always restart
 	// with Resume set.
 	Resume bool
-	// WrapLink, when non-nil, wraps each platform-side link before training
-	// starts — the hook Train and cmd/fedml use to inject transport.Chaos
-	// faults for resilience testing. It receives the node's link index.
+	// WrapLink, when non-nil, wraps each platform-side node link before
+	// training starts — the hook resilience tests and cmd/fedml use to
+	// inject transport.Chaos faults. The link layer applies it once per
+	// link, so it holds for RunPlatform, RunShardAggregator, Train and
+	// TrainSharded alike. It receives the node's global index: a shard
+	// aggregator's link i is node r.Lo+i.
 	WrapLink func(node int, l transport.Link) transport.Link
 	// Logf, when non-nil, receives operational events from the platform
 	// (node drops, round summaries in fault-tolerant mode). It is

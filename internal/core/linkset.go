@@ -195,9 +195,16 @@ var perLinkEncode bool
 const probeEscalation = 2
 
 // newLinkSet builds the link layer over node links whose global indices
-// start at base. c must already be normalized and validated. The caller must
-// ls.finish() when the run ends.
+// start at base, each wrapped by c.WrapLink when it is set. c must already be
+// normalized and validated. The caller must ls.finish() when the run ends.
 func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
+	if c.WrapLink != nil {
+		wrapped := make([]transport.Link, len(links))
+		for i, l := range links {
+			wrapped[i] = c.WrapLink(base+i, l)
+		}
+		links = wrapped
+	}
 	ft := c.RoundTimeout > 0
 	ops := linkOps{links: links}
 	if ft {

@@ -71,8 +71,9 @@ func checkTrainInputs(m nn.Model, fed *data.Federation, theta0 tensor.Vec, c Con
 // source node of the federation runs RunNode in its own goroutine behind an
 // in-memory link pair.
 type nodeFleet struct {
-	// platform[i] is the aggregator-side end of node i's link (wrapped by
-	// Config.WrapLink, keyed by the global node index); node[i] the node's.
+	// platform[i] is the aggregator-side end of node i's link, unwrapped:
+	// the aggregator's link layer applies Config.WrapLink; node[i] is the
+	// node's end.
 	platform, node []transport.Link
 	wg             sync.WaitGroup
 	errs           []error
@@ -88,11 +89,6 @@ func startNodes(m nn.Model, fed *data.Federation, c Config) *nodeFleet {
 	}
 	for i, nd := range fed.Sources {
 		f.platform[i], f.node[i] = transport.Pair()
-		if c.WrapLink != nil {
-			// Fault-injection hook: resilience tests and the CLI wrap the
-			// platform-side endpoints in transport.Chaos here.
-			f.platform[i] = c.WrapLink(i, f.platform[i])
-		}
 		f.wg.Add(1)
 		go func(i int, nd *data.NodeDataset) {
 			defer f.wg.Done()

@@ -49,8 +49,9 @@ type ShardedResult struct {
 // fault tolerance, codecs, and the sanitation guard are applied by the
 // shards against their own node links (cfg.MinNodes is per shard).
 // cfg.WrapLink wraps the node links with their *global* index, exactly as
-// in Train (both start the node tier through startNodes); director↔shard
-// links are an unbilled in-process control plane and are never wrapped.
+// in Train: each shard's link layer wraps its links at base r.Lo, so node i
+// is wrapped once, as i. Director↔shard links are an unbilled in-process
+// control plane and are never wrapped.
 // cfg.Async is rejected: the async gather is flat-only.
 func TrainSharded(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config, opt ShardedOptions) (*ShardedResult, error) {
 	c := cfg.normalized()

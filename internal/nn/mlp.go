@@ -83,9 +83,6 @@ func (m *MLP) BatchNorm() bool { return m.batchNorm }
 // L2 returns the ridge coefficient.
 func (m *MLP) L2() float64 { return m.l2 }
 
-// InputDim returns the input dimension.
-func (m *MLP) InputDim() int { return m.dims[0] }
-
 // NumParams implements Model.
 func (m *MLP) NumParams() int { return m.numParams }
 

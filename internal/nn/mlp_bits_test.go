@@ -33,8 +33,8 @@ func hashVecs(vs ...tensor.Vec) string {
 func mlpOutputs(m *MLP, seed uint64, n int) (grad, step, hvp, igrad tensor.Vec) {
 	r := rng.New(seed)
 	params := m.InitParams(r)
-	batch := randBatch(r, n, m.InputDim(), m.NumClasses())
-	ctx := randBatch(r, 7, m.InputDim(), m.NumClasses())
+	batch := randBatch(r, n, m.Dims()[0], m.NumClasses())
+	ctx := randBatch(r, 7, m.Dims()[0], m.NumClasses())
 	v := tensor.NewVec(m.NumParams())
 	for i := range v {
 		v[i] = r.Norm()
@@ -42,7 +42,7 @@ func mlpOutputs(m *MLP, seed uint64, n int) (grad, step, hvp, igrad tensor.Vec) 
 	grad = tensor.NewVec(m.NumParams())
 	step = tensor.NewVec(m.NumParams())
 	hvp = tensor.NewVec(m.NumParams())
-	igrad = tensor.NewVec(m.InputDim())
+	igrad = tensor.NewVec(m.Dims()[0])
 	m.GradInto(m.NewWorkspace(), params, batch, grad)
 	m.GradStepInto(m.NewWorkspace(), params, batch, 0.05, step)
 	HVPInto(m, m.NewWorkspace(), params, batch, v, hvp)
@@ -152,7 +152,7 @@ func TestGradIntoHoldsNoInputDelta(t *testing.T) {
 	m.GradStepInto(ws, params, batch, 0.1, out)
 	HVPInto(m, ws, params, batch, params, out)
 	if len(ws.delta[0]) != 0 {
-		t.Errorf("parameter-gradient calls allocated %d input-gradient vectors of %d floats", len(ws.delta[0]), m.InputDim())
+		t.Errorf("parameter-gradient calls allocated %d input-gradient vectors of %d floats", len(ws.delta[0]), m.Dims()[0])
 	}
 	m.InputGradInto(ws, params, batch[0], batch, tensor.NewVec(12))
 	if len(ws.delta[0]) != 1 {

@@ -43,8 +43,8 @@ func TestMLPNumParams(t *testing.T) {
 	if mbn.NumParams() != 29 {
 		t.Errorf("BN NumParams = %d, want 29", mbn.NumParams())
 	}
-	if m.InputDim() != 4 || m.NumClasses() != 2 {
-		t.Errorf("shape accessors wrong: %d/%d", m.InputDim(), m.NumClasses())
+	if m.Dims()[0] != 4 || m.NumClasses() != 2 {
+		t.Errorf("shape accessors wrong: %d/%d", m.Dims()[0], m.NumClasses())
 	}
 }
 
