@@ -338,11 +338,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzKernelTiersAgree$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/tensor
 
 examples:
-	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/edgeiot
-	$(GO) run ./examples/sentiment
-	$(GO) run ./examples/robustness
-	$(GO) run ./examples/operations
 
 clean:
 	$(GO) clean ./...

@@ -274,24 +274,32 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 // and — when a pprof address is given — an expvar mirror of the comm
 // counters served next to /debug/pprof. The returned close function flushes
 // the metrics file; run it once training ends. With no flags set it returns
-// a nil observer, which the training stack treats as zero-overhead.
+// a nil observer, which the training stack treats as zero-overhead. The
+// pprof address is bound before the metrics file is created, so a bad
+// address leaves no file behind.
 func (o *obsFlags) start() (obs.RoundObserver, func() error, error) {
+	var ln net.Listener
+	if o.pprofAddr != "" {
+		var err error
+		if ln, err = net.Listen("tcp", o.pprofAddr); err != nil {
+			return nil, nil, fmt.Errorf("pprof listen %s: %w", o.pprofAddr, err)
+		}
+	}
 	var observers []obs.RoundObserver
 	closeFn := func() error { return nil }
 	if o.metricsOut != "" {
 		sink, err := obs.CreateJSONL(o.metricsOut)
 		if err != nil {
+			if ln != nil {
+				_ = ln.Close()
+			}
 			return nil, nil, err
 		}
 		observers = append(observers, sink)
 		closeFn = sink.Close
 	}
-	if o.pprofAddr != "" {
+	if ln != nil {
 		observers = append(observers, obs.NewExpvarSink("fedml.comm"))
-		ln, err := net.Listen("tcp", o.pprofAddr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("pprof listen %s: %w", o.pprofAddr, err)
-		}
 		fmt.Printf("profiling: http://%s/debug/pprof/ (comm counters at /debug/vars)\n", ln.Addr())
 		go func() { _ = http.Serve(ln, nil) }()
 	}
@@ -320,7 +328,7 @@ func (c *commonFlags) config() core.Config {
 	cfg := c.cfg
 	if c.robust {
 		cfg.Robust = &core.RobustConfig{
-			Lambda: c.lambda, Nu: 1, Ta: 10, N0: max(1, cfg.T*2/5/cfg.T0), R: 2,
+			Lambda: c.lambda, Nu: 1, Ta: 10, N0: max(1, cfg.T*2/5/max(cfg.T0, 1)), R: 2,
 			ClampMin: 0, ClampMax: 1,
 		}
 	}
@@ -349,16 +357,30 @@ type aggRun struct {
 	metricsOut string
 }
 
-// startRun assembles the Config of a run over m and fed: the flag-bound
-// fields, the observer, a G(θ) line every printEvery rounds and at the last,
-// the sync-mask and energy policies, and the chaos wrapper. Call finish once
+// runConfig assembles and validates the Config of a run over m: the
+// flag-bound fields, the sync-mask and energy policies, and the chaos
+// wrapper. Both modes call it before they open anything.
+func (a *aggFlags) runConfig(m nn.Model) (core.Config, error) {
+	cfg := a.config()
+	err := a.applyPolicies(&cfg, m)
+	if err == nil {
+		err = a.chaos.apply(&cfg)
+	}
+	if err == nil {
+		err = cfg.Validate()
+	}
+	return cfg, err
+}
+
+// startRun opens the observer of a run of cfg over m and fed and prints a
+// G(θ) line every printEvery rounds and at the last. Call finish once
 // training returns.
-func (a *aggFlags) startRun(m nn.Model, fed *data.Federation, printEvery int) (*aggRun, error) {
+func (a *aggFlags) startRun(m nn.Model, fed *data.Federation, cfg core.Config, printEvery int) (*aggRun, error) {
 	ob, closeObs, err := a.obs.start()
 	if err != nil {
 		return nil, err
 	}
-	r := &aggRun{m: m, fed: fed, cfg: a.config(), closeObs: closeObs, metricsOut: a.obs.metricsOut}
+	r := &aggRun{m: m, fed: fed, cfg: cfg, closeObs: closeObs, metricsOut: a.obs.metricsOut}
 	r.cfg.Observer = ob
 	r.cfg.OnRound = func(round, iter int, theta tensor.Vec) {
 		if round%printEvery == 0 || iter == a.cfg.T {
@@ -368,14 +390,6 @@ func (a *aggFlags) startRun(m nn.Model, fed *data.Federation, printEvery int) (*
 			// this measurement into the record of the round it belongs to.
 			obs.Emit(ob, obs.Event{Type: obs.TypeMetaLoss, Round: round, Iter: iter, Value: g})
 		}
-	}
-	err = a.applyPolicies(&r.cfg, m)
-	if err == nil {
-		err = a.chaos.apply(&r.cfg)
-	}
-	if err != nil {
-		_ = closeObs()
-		return nil, err
 	}
 	return r, nil
 }
@@ -422,7 +436,11 @@ func runTrain(args []string) error {
 	fmt.Printf("federation %s: %d source nodes, %d target nodes, dim %d, %d classes\n",
 		fed.Name, len(fed.Sources), len(fed.Targets), fed.Dim, fed.NumClasses)
 
-	r, err := a.startRun(m, fed, 5)
+	cfg, err := a.runConfig(m)
+	if err != nil {
+		return err
+	}
+	r, err := a.startRun(m, fed, cfg, 5)
 	if err != nil {
 		return err
 	}
@@ -571,6 +589,12 @@ func runPlatform(args []string) error {
 	if err != nil {
 		return err
 	}
+	// A bad config is reported before the platform listens, not once every
+	// node has connected.
+	cfg, err := a.runConfig(m)
+	if err != nil {
+		return err
+	}
 	n := len(fed.Sources)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -597,7 +621,7 @@ func runPlatform(args []string) error {
 	for i := range weights {
 		weights[i] = 1
 	}
-	r, err := a.startRun(m, fed, 1)
+	r, err := a.startRun(m, fed, cfg, 1)
 	if err != nil {
 		return err
 	}

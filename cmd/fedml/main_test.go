@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/obs"
@@ -267,5 +269,46 @@ func TestTrainMetricsOutRejectsBadPath(t *testing.T) {
 		"-metrics-out", filepath.Join(t.TempDir(), "no", "such", "dir", "m.jsonl")})
 	if err == nil {
 		t.Error("unwritable metrics path accepted")
+	}
+}
+
+// TestPprofListenFailureLeavesNoMetricsFile: a bad -pprof address fails the
+// run before the metrics sink is created, so no empty file is left behind.
+func TestPprofListenFailureLeavesNoMetricsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.jsonl")
+	err := quiet(t, func() error {
+		return run([]string{"train", "-t", "10", "-t0", "5", "-metrics-out", path, "-pprof", "bad::addr"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "pprof listen") {
+		t.Errorf("bad -pprof address: %v", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("failed run left %s behind (stat: %v)", path, err)
+	}
+}
+
+// TestPlatformValidatesBeforeListening: a platform whose Config is invalid
+// reports it at once instead of first waiting for every node to connect.
+func TestPlatformValidatesBeforeListening(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"platform", "-addr", "127.0.0.1:0", "-nodes", "4", "-t", "21", "-t0", "5"})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "T=21 must be a multiple of T0=5") {
+			t.Errorf("platform -t 21 -t0 5: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("platform -t 21 -t0 5 still waiting for nodes after 2s")
+	}
+}
+
+// TestRobustZeroT0Rejected: -robust derives its regeneration spacing from
+// T0, and a zero T0 must surface as the config error, not a division panic.
+func TestRobustZeroT0Rejected(t *testing.T) {
+	err := quiet(t, func() error { return run([]string{"train", "-t", "10", "-t0", "0", "-robust"}) })
+	if err == nil || !strings.Contains(err.Error(), "must be positive") {
+		t.Errorf("-t0 0 -robust: %v", err)
 	}
 }

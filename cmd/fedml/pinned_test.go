@@ -7,7 +7,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -148,5 +150,37 @@ func TestRunsPinned(t *testing.T) {
 		if got, want := digest(out.String()), runDigests[sc.name]; got != want {
 			t.Errorf("%s: stdout digest %s, want %q\n%s", sc.name, got, want, out.String())
 		}
+	}
+}
+
+// TestReadmeQuotesQuickstart keeps README.md's Quickstart honest: its
+// command is the "raw" scenario's, and the fenced block under it is that
+// run's stdout, byte for byte.
+func TestReadmeQuotesQuickstart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a small federation")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the quoted output is amd64's, not %s's", runtime.GOARCH)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quickstart := regexp.MustCompile("(?s)## Quickstart\n\n```sh\ngo run ./cmd/fedml ([^\n]*)\n```\n\n```\n(.*?)```\n")
+	m := quickstart.FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("README.md's Quickstart no longer quotes a fedml command and its output")
+	}
+	args := strings.Fields(string(m[1]))
+	if raw := cliScenarios[0]; raw.name != "raw" || !slices.Equal(args, raw.steps[0]) {
+		t.Errorf("README.md quotes %q, the raw scenario runs %q", args, raw.steps[0])
+	}
+	stdout, _, err := captureRun(t, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(m[2]) != stdout {
+		t.Errorf("README.md's Quickstart output is stale; the command prints:\n%s", stdout)
 	}
 }

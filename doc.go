@@ -9,7 +9,7 @@
 //     TCP processes, then fast-adapt it at held-out target nodes;
 //   - cmd/fedml-bench — regenerate every table and figure of the paper's
 //     evaluation section;
-//   - examples/ — runnable walkthroughs of the library;
+//   - examples/edgeiot — Theorem 2's bounds next to the T0 trade-off;
 //   - bench_test.go — testing.B entry points, one per table/figure plus
 //     ablations of the design choices called out in DESIGN.md §5.
 package fedml

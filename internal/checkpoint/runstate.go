@@ -41,11 +41,11 @@ type RunState struct {
 	Round int
 	// Iter is the cumulative local-iteration count after Round.
 	Iter int
-	// T0 is the per-round local step count in effect (the adaptive-T0
-	// controller's latest choice).
+	// T0 is the run's local step count per round; a resumed run continues
+	// with it.
 	T0 int
-	// Dispersion is the last measured update dispersion, fed back to the
-	// T0 controller on resume.
+	// Dispersion is the last measured update dispersion. It is recorded
+	// for inspection only: resume does not read it.
 	Dispersion float64
 	// Theta is the aggregated global parameter vector after Round.
 	Theta []float64

@@ -167,8 +167,8 @@ func (a *aggCore) tmp(depth int) tensor.Vec {
 }
 
 // dispersion measures the weighted mean distance of the round's accepted
-// updates from center (the aggregate), the similarity proxy fed to the T0
-// controller. wsum normalizes the weights; 0 is returned for empty rounds.
+// updates from center (the aggregate), the similarity proxy the round-end
+// event and the run-state snapshot record. wsum normalizes the weights; 0 is returned for empty rounds.
 func (a *aggCore) dispersion(center tensor.Vec, wsum float64) float64 {
 	if a.count == 0 || wsum <= 0 {
 		return 0

@@ -21,7 +21,7 @@ import (
 // answering within the round budget, each dispatches to everyone and waits
 // for everyone, and the three must produce bit-identical θ with the same
 // traffic and no drop — under every feature that composes with them:
-// codecs, the sync mask, unbiased sampling, an adaptive T0 schedule, and a
+// codecs, the sync mask, unbiased sampling, a larger T0, and a
 // checkpoint/resume cut. The barrier and async arms are two settings of one
 // doorbell sweep; strict mode runs the same round engine without pumps.
 func TestAsyncDegenerateMatchesSync(t *testing.T) {
@@ -42,9 +42,6 @@ func TestAsyncDegenerateMatchesSync(t *testing.T) {
 		{name: "topk", model: soft, mut: func(c *Config) { c.Codec = "topk" }},
 		{name: "mask-head2", model: mlp, mut: func(c *Config) { c.SyncMask = headMask }},
 		{name: "sampling", model: soft, mut: func(c *Config) { c.Participation = 0.5 }},
-		{name: "t0-controller", model: soft, mut: func(c *Config) {
-			c.T0Controller = DispersionController(1, 10, 0.05)
-		}},
 		{name: "resume", model: soft, resumeAt: 15},
 		{name: "t0-10", model: soft, mut: func(c *Config) { c.T, c.T0, c.Seed = 30, 10, 2 }},
 	}

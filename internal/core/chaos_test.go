@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"net"
 	"os"
@@ -43,7 +42,6 @@ func TestChaosKillsRejoinsAndConverges(t *testing.T) {
 	chaosCfg := base
 	chaosCfg.RoundTimeout = 400 * time.Millisecond
 	chaosCfg.GuardRadius = 50
-	chaosCfg.Logf = t.Logf
 	chaosCfg.WrapLink = func(i int, l transport.Link) transport.Link {
 		var sc []transport.ChaosEvent
 		switch i {
@@ -314,18 +312,16 @@ func TestNodeIDRebindDetected(t *testing.T) {
 
 func TestShutdownFailureNotCountedAsDrop(t *testing.T) {
 	// A node that vanishes right after its final update: the Done sweep
-	// fails, but that is a shutdown event, not a drop, and must never log a
-	// bogus negative round.
+	// fails, but that is a shutdown event, not a drop, and must never emit
+	// an event for a bogus negative round.
 	fed := tinyFederation(t, 0, 0)
 	fed.Sources = fed.Sources[:3]
 	m := tinyModel(fed)
-	var logged []string
+	rec := obs.NewRecorder()
 	cfg := Config{
 		Alpha: 0.01, Beta: 0.01, T: 10, T0: 10, Seed: 1,
 		RoundTimeout: 500 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			logged = append(logged, fmt.Sprintf(format, args...))
-		},
+		Observer:     rec,
 	}
 	n := len(fed.Sources)
 	links := make([]transport.Link, n)
@@ -355,9 +351,9 @@ func TestShutdownFailureNotCountedAsDrop(t *testing.T) {
 	if stats.Dropped != 0 {
 		t.Errorf("Dropped = %d, want 0 (shutdown failures are not drops)", stats.Dropped)
 	}
-	for _, line := range logged {
-		if strings.Contains(line, "round -1") {
-			t.Errorf("bogus shutdown log line: %q", line)
+	for _, e := range rec.Events() {
+		if e.Round < 0 {
+			t.Errorf("bogus shutdown event: %+v", e)
 		}
 	}
 }

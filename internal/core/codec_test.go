@@ -159,7 +159,6 @@ func TestCodecTopKSurvivesKillRevive(t *testing.T) {
 		Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 1,
 		Codec:        "topk",
 		RoundTimeout: 300 * time.Millisecond,
-		Logf:         t.Logf,
 		WrapLink: func(i int, l transport.Link) transport.Link {
 			if i != 2 {
 				return l
@@ -211,7 +210,6 @@ func TestCodecDropForcesResyncNotDeath(t *testing.T) {
 		Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 1,
 		Codec:        "topk",
 		RoundTimeout: 300 * time.Millisecond,
-		Logf:         t.Logf,
 		WrapLink: func(i int, l transport.Link) transport.Link {
 			if i != 1 {
 				return l

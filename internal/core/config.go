@@ -98,10 +98,6 @@ type Config struct {
 	// TrainSharded alike. It receives the node's global index: a shard
 	// aggregator's link i is node r.Lo+i.
 	WrapLink func(node int, l transport.Link) transport.Link
-	// Logf, when non-nil, receives operational events from the platform
-	// (node drops, round summaries in fault-tolerant mode). It is
-	// compatible with (*log.Logger).Printf and testing.T.Logf.
-	Logf func(format string, args ...any)
 	// Observer, when non-nil, receives structured obs.Events from the
 	// training run: round lifecycle and traffic accounting from the
 	// platform loop, plus compute timings and adversarial regenerations
@@ -182,43 +178,6 @@ type Config struct {
 	// fleets where the same bytes cost different radios differently. Entries
 	// must be finite and positive; nil means 1 everywhere.
 	EnergyScale []float64
-	// T0Controller, when non-nil, lets the platform re-choose the number of
-	// local steps for each round — the communication/computation knob the
-	// paper's §IV says the platform should tune to the observed task
-	// similarity. It receives the upcoming (1-based) round, the previous
-	// round's update dispersion (the weighted mean distance of node updates
-	// from their aggregate; 0 before the first aggregation), and the
-	// previous round's step count; it returns the next step count, which
-	// the platform clamps to [1, remaining budget].
-	T0Controller Controller
-}
-
-// Controller chooses the per-round local step count for adaptive-T0
-// training.
-type Controller func(round int, dispersion float64, prevT0 int) int
-
-// DispersionController returns a simple feedback Controller: when the
-// measured update dispersion exceeds target it halves the local step count
-// (nodes are drifting apart — aggregate more often); when dispersion falls
-// below target/2 it grows the step count by half (similarity is high —
-// save communication). The result is clamped to [minT0, maxT0].
-func DispersionController(minT0, maxT0 int, target float64) Controller {
-	return func(_ int, dispersion float64, prevT0 int) int {
-		next := prevT0
-		switch {
-		case dispersion > target:
-			next = prevT0 / 2
-		case dispersion < target/2:
-			next = prevT0 + (prevT0+1)/2
-		}
-		if next < minT0 {
-			next = minT0
-		}
-		if next > maxT0 {
-			next = maxT0
-		}
-		return next
-	}
 }
 
 // RobustConfig holds the Algorithm 2 extras.
@@ -240,14 +199,6 @@ type RobustConfig struct {
 // samplingActive reports whether per-round client sampling is configured.
 func (c Config) samplingActive() bool {
 	return c.Participation > 0 && c.Participation < 1
-}
-
-// logger is Logf, or a no-op when none is configured.
-func (c Config) logger() func(format string, args ...any) {
-	if c.Logf == nil {
-		return func(string, ...any) {}
-	}
-	return c.Logf
 }
 
 func (c *Config) normalized() Config {

@@ -165,7 +165,8 @@ func (d *shardSource) collect(round, t0 int, theta tensor.Vec) (tensor.Vec, floa
 // dispersion is the hierarchical proxy: each contributing shard's
 // within-shard dispersion plus its aggregate's drift from the new global θ,
 // weighted like the aggregation itself. It upper-bounds the flat per-update
-// dispersion (triangle inequality) and feeds the same T0 controller.
+// dispersion (triangle inequality) and is recorded in the same round-end
+// event and snapshot field.
 func (d *shardSource) dispersion(theta tensor.Vec, denom float64) float64 {
 	var disp float64
 	for s, sum := range d.merge.slots {

@@ -245,32 +245,3 @@ func TestStrictModeStillAbortsOnFailure(t *testing.T) {
 	p0.Close()
 	p1.Close()
 }
-
-func TestLogfReceivesDropEvents(t *testing.T) {
-	fed := tinyFederation(t, 0, 0)
-	fed.Sources = fed.Sources[:4]
-	var logged []string
-	cfg := Config{
-		Alpha: 0.01, Beta: 0.01, T: 20, T0: 10, Seed: 1,
-		RoundTimeout: 250 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			logged = append(logged, fmt.Sprintf(format, args...))
-		},
-	}
-	_, stats, err := runFTPlatform(t, fed, cfg, map[int]bool{1: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Dropped != 1 {
-		t.Fatalf("dropped = %d", stats.Dropped)
-	}
-	found := false
-	for _, line := range logged {
-		if strings.Contains(line, "dropped node 1") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("drop event not logged: %v", logged)
-	}
-}

@@ -81,10 +81,9 @@ type linkSet struct {
 	ops     linkOps
 	ft      bool
 	probeTO time.Duration
-	logf    func(format string, args ...any)
 
 	// base is the global node index of local link 0. Every reported index —
-	// obs events, log lines, error strings — is base+i, so per-shard streams
+	// obs events and error strings — is base+i, so per-shard streams
 	// stay distinguishable when merged. The flat platform uses base 0.
 	base int
 
@@ -219,7 +218,6 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 		ops:      ops,
 		ft:       ft,
 		probeTO:  resolveProbeTimeout(c),
-		logf:     c.logger(),
 		base:     base,
 		alive:    make([]bool, len(links)),
 		aliveCnt: len(links),
@@ -444,7 +442,6 @@ func (ls *linkSet) markSuspect(i, round int, cause error) {
 	if ls.obs != nil {
 		ls.obs.Observe(obs.Event{Type: obs.TypeDrop, Round: round, Node: ls.base + i, Alive: ls.aliveCnt, Cause: cause.Error()})
 	}
-	ls.logf("core: dropped node %d in round %d (%d alive): %v", ls.base+i, round, ls.aliveCnt, cause)
 }
 
 // markBudgetFiltered accounts a sampled node excluded from round because its
@@ -455,7 +452,6 @@ func (ls *linkSet) markBudgetFiltered(i, round int, joules float64) {
 	if ls.obs != nil {
 		ls.obs.Observe(obs.Event{Type: obs.TypeBudgetFilter, Round: round, Node: ls.base + i, Value: joules})
 	}
-	ls.logf("core: node %d filtered from round %d by budget (modeled %.3g J)", ls.base+i, round, joules)
 }
 
 // probeFailed records one more unanswered (or undecodable) re-probe of
@@ -485,7 +481,6 @@ func (ls *linkSet) rejoin(i, round int) {
 	if ls.obs != nil {
 		ls.obs.Observe(obs.Event{Type: obs.TypeRejoin, Round: round, Node: ls.base + i, Alive: ls.aliveCnt})
 	}
-	ls.logf("core: node %d rejoined in round %d (%d alive)", ls.base+i, round, ls.aliveCnt)
 }
 
 // markStaleApply accounts an update applied at positive staleness s with a
@@ -506,7 +501,6 @@ func (ls *linkSet) markStaleDrop(i, round, s int) {
 	if ls.obs != nil {
 		ls.obs.Observe(obs.Event{Type: obs.TypeStaleDrop, Round: round, Node: ls.base + i, Value: float64(s)})
 	}
-	ls.logf("core: dropped stale update from node %d in round %d (staleness %d > max %d)", ls.base+i, round, s, ls.c.MaxStaleness)
 }
 
 // bindNodeID validates the claimed NodeID of an update from link i against
@@ -663,7 +657,6 @@ func (ls *linkSet) reject(i, round int, cause error) {
 	if errors.Is(cause, errDecode) {
 		ls.resyncLink(i)
 	}
-	ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, cause)
 }
 
 // settle closes one gather attempt on link i. In strict mode a failed
@@ -815,9 +808,7 @@ func (ls *linkSet) sweep(rd *nodeRound, set []int, need int, count []bool, probe
 				if err == transport.ErrTimeout {
 					break // nothing queued; the doorbell rings when it is
 				}
-				if err == errStaleRound {
-					ls.logf("core: discarding stale round-%d update from link %d during round %d", msg.Round, ls.base+i, rd.round)
-				} else if ls.take(i, rd, &msg, err, probe) {
+				if err != errStaleRound && ls.take(i, rd, &msg, err, probe) {
 					if count == nil || count[i] {
 						need--
 					}
@@ -869,9 +860,9 @@ func (ls *linkSet) take(i int, rd *nodeRound, msg *transport.Msg, err error, pro
 }
 
 // shutdown tells every node training is over. Failures here are not drops —
-// training is already complete — so they are logged under a named phase and
-// excluded from the Dropped count. In fault-tolerant mode a send only
-// queues the Done on the link's pump; finish sees it written.
+// training is already complete — so fault-tolerant mode ignores them and
+// leaves the Dropped count alone. In fault-tolerant mode a send only queues
+// the Done on the link's pump; finish sees it written.
 func (ls *linkSet) shutdown() error {
 	for i := range ls.alive {
 		if !ls.alive[i] {
@@ -883,11 +874,7 @@ func (ls *linkSet) shutdown() error {
 			}
 			continue
 		}
-		if err := ls.ops.send(i, &transport.Msg{Kind: transport.KindDone}, ls.c.RoundTimeout); err != nil {
-			if ls.ft {
-				ls.logf("core: shutdown: done to node %d failed: %v", ls.base+i, err)
-				continue
-			}
+		if err := ls.ops.send(i, &transport.Msg{Kind: transport.KindDone}, ls.c.RoundTimeout); err != nil && !ls.ft {
 			return fmt.Errorf("core: done to node %d: %w", ls.base+i, err)
 		}
 	}

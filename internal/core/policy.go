@@ -243,22 +243,6 @@ func resolveProbeTimeout(c Config) time.Duration {
 	return probeTO
 }
 
-// nextT0 advances the local-step schedule for the upcoming round: the
-// T0Controller (fed the previous round's dispersion) re-chooses the count,
-// clamped to [1, remaining budget].
-func nextT0(c Config, round int, dispersion float64, t0, remaining int) int {
-	if c.T0Controller != nil && round > 1 {
-		t0 = c.T0Controller(round, dispersion, t0)
-		if t0 < 1 {
-			t0 = 1
-		}
-	}
-	if t0 > remaining {
-		t0 = remaining
-	}
-	return t0
-}
-
 // saveSnapshot persists the post-aggregation state of a round for crash
 // recovery. θ goes in uncloned: SaveRunState only reads it.
 func saveSnapshot(path string, round, iter, t0 int, dispersion float64, theta tensor.Vec, stats CommStats) error {

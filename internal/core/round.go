@@ -16,8 +16,8 @@ import (
 // This file is the round engine: the one platform-side round of Algorithm 1
 // — broadcast θ, wait for T0 local steps, aggregate with Eq. 5 — that every
 // topology runs. The engine owns what is the same everywhere: the θ buffer
-// and its observer/mask snapshots, the T0 schedule, checkpoint/resume, skip
-// accounting, and the commit tail. What differs is supplied by two small
+// and its observer/mask snapshots, the local step count, checkpoint/resume,
+// skip accounting, and the commit tail. What differs is supplied by two small
 // strategies: *what a round aggregates from* (a roundSource: node links for
 // the flat platform, shard partials for the director) and, for node links,
 // *how the round gathers* (linkSet.gatherRound at the barrier's settings
@@ -33,7 +33,7 @@ type roundSource interface {
 	// the same merge rule, and the number of updates behind them.
 	collect(round, t0 int, theta tensor.Vec) (sum tensor.Vec, wsum float64, count int, err error)
 	// dispersion measures the collected updates' spread around the new
-	// aggregate theta — the similarity proxy fed back to the T0 controller.
+	// aggregate theta — the similarity proxy observers and snapshots record.
 	dispersion(theta tensor.Vec, denom float64) float64
 	// aliveCount is the number of nodes currently in the federation.
 	aliveCount() int
@@ -89,9 +89,8 @@ func (l *roundLog) aggregated(round, alive int, moved, dispersion float64) {
 // roundSource.
 type roundEngine struct {
 	roundLog
-	c    Config // normalized
-	logf func(format string, args ...any)
-	src  roundSource
+	c   Config // normalized
+	src roundSource
 
 	theta tensor.Vec
 	// prevTheta is the pre-aggregation θ snapshot used to report the update
@@ -105,7 +104,6 @@ type roundEngine struct {
 
 	ckEvery       int
 	firstRound    int // 1, or the round after the resumed snapshot
-	dispersion    float64
 	consecSkipped int
 }
 
@@ -117,7 +115,6 @@ func newRoundEngine(c Config, theta0 tensor.Vec, src roundSource, stats *CommSta
 	e := &roundEngine{
 		roundLog:   roundLog{obs: c.Observer, stats: stats, t0: c.T0},
 		c:          c,
-		logf:       c.logger(),
 		src:        src,
 		theta:      theta0.Clone(),
 		ckEvery:    c.CheckpointEvery,
@@ -160,10 +157,8 @@ func (e *roundEngine) resume() error {
 	e.theta.CopyFrom(tensor.Vec(st.Theta))
 	e.iter = st.Iter
 	e.t0 = st.T0
-	e.dispersion = st.Dispersion
 	*e.stats = st.Totals
 	e.firstRound = st.Round + 1
-	e.logf("core: resumed from %s: round %d done, iter %d", e.c.CheckpointPath, st.Round, st.Iter)
 	return nil
 }
 
@@ -171,7 +166,9 @@ func (e *roundEngine) resume() error {
 // the final θ.
 func (e *roundEngine) run() (tensor.Vec, error) {
 	for round := e.firstRound; e.iter < e.c.T; round++ {
-		e.begin(round, nextT0(e.c, round, e.dispersion, e.t0, e.c.T-e.iter), e.src.aliveCount())
+		// T0 is constant for a run; the clamp only bites on a resumed
+		// snapshot whose T0 does not divide what is left of T.
+		e.begin(round, min(e.t0, e.c.T-e.iter), e.src.aliveCount())
 		sum, wsum, count, err := e.src.collect(round, e.t0, e.theta)
 		if err != nil {
 			return nil, err
@@ -195,7 +192,6 @@ func (e *roundEngine) commit(round int, sum tensor.Vec, wsum float64, count int)
 		}
 		e.skipped(round, alive)
 		e.consecSkipped++
-		e.logf("core: round %d produced no usable updates (%d alive); skipping aggregation", round, alive)
 		if e.consecSkipped > maxConsecutiveSkips {
 			return fmt.Errorf("core: %d consecutive rounds without usable updates (%d nodes alive)", e.consecSkipped, alive)
 		}
@@ -217,18 +213,18 @@ func (e *roundEngine) commit(round int, sum tensor.Vec, wsum float64, count int)
 	if frozen {
 		restoreFrozen(e.theta, e.frozenRef, e.c.SyncMask.Ranges)
 	}
-	e.dispersion = e.src.dispersion(e.theta, wsum)
+	dispersion := e.src.dispersion(e.theta, wsum)
 	e.iter += e.t0
 	var moved float64
 	if e.obs != nil {
 		moved = e.theta.Dist(e.prevTheta)
 	}
-	e.aggregated(round, alive, moved, e.dispersion)
+	e.aggregated(round, alive, moved, dispersion)
 	if e.c.OnRound != nil {
 		e.c.OnRound(round, e.iter, e.theta)
 	}
 	if e.c.CheckpointPath != "" && (e.stats.Rounds%e.ckEvery == 0 || e.iter >= e.c.T) {
-		return saveSnapshot(e.c.CheckpointPath, round, e.iter, e.t0, e.dispersion, e.theta, e.src.totals())
+		return saveSnapshot(e.c.CheckpointPath, round, e.iter, e.t0, dispersion, e.theta, e.src.totals())
 	}
 	return nil
 }

@@ -483,7 +483,6 @@ func TestSyncMaskKillReviveMaskedResync(t *testing.T) {
 		SyncMask:     p,
 		RoundTimeout: 300 * time.Millisecond,
 		Observer:     rec,
-		Logf:         t.Logf,
 		OnRound: func(round, iter int, theta tensor.Vec) {
 			if round == p.Warmup {
 				warmRef = theta.Clone()
@@ -550,7 +549,6 @@ func TestSyncMaskEscalatedFullResync(t *testing.T) {
 		SyncMask:     p,
 		RoundTimeout: 300 * time.Millisecond,
 		Observer:     rec,
-		Logf:         t.Logf,
 		OnRound: func(round, iter int, theta tensor.Vec) {
 			if round == p.Warmup {
 				warmRef = theta.Clone()

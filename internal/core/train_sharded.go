@@ -45,7 +45,7 @@ type ShardedResult struct {
 // federation whenever the same updates arrive.
 //
 // Division of labor inside cfg: the director keeps the policy surface —
-// Observer, OnRound, T0Controller, CheckpointPath/Resume — while sampling,
+// Observer, OnRound, CheckpointPath/Resume — while sampling,
 // fault tolerance, codecs, and the sanitation guard are applied by the
 // shards against their own node links (cfg.MinNodes is per shard).
 // cfg.WrapLink wraps the node links with their *global* index, exactly as
@@ -75,7 +75,7 @@ func TrainSharded(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Confi
 	for s, r := range ranges {
 		var shardLink transport.Link
 		dirLinks[s], shardLink = transport.Pair()
-		// The policy surface (OnRound, T0Controller, checkpointing) belongs to
+		// The policy surface (OnRound, checkpointing) belongs to
 		// the director's round engine and is inert in a shard; only the
 		// observer must not be shared.
 		sc := c

@@ -199,16 +199,10 @@ func AdversarialAdaptationCurve(m nn.Model, theta tensor.Vec, node *data.NodeDat
 	return curve, nil
 }
 
-// AverageAdversarialAdaptationCurve averages AdversarialAdaptationCurve over
-// the target nodes, using all cores.
-func AverageAdversarialAdaptationCurve(m nn.Model, theta tensor.Vec, targets []*data.NodeDataset, alpha float64, maxSteps int, xi, clampMin, clampMax float64) ([]AdaptPoint, error) {
-	return AverageAdversarialAdaptationCurveN(m, theta, targets, alpha, maxSteps, xi, clampMin, clampMax, 0)
-}
-
-// AverageAdversarialAdaptationCurveN is AverageAdversarialAdaptationCurve on
-// `workers` workers, bit-identical for every worker count. On failure the
-// reported error is the one of the lowest-indexed failing target, matching
-// the sequential loop.
+// AverageAdversarialAdaptationCurveN averages AdversarialAdaptationCurve
+// over the target nodes on `workers` workers (0 = GOMAXPROCS), bit-identical
+// for every worker count. On failure the reported error is the one of the
+// lowest-indexed failing target, matching the sequential loop.
 func AverageAdversarialAdaptationCurveN(m nn.Model, theta tensor.Vec, targets []*data.NodeDataset, alpha float64, maxSteps int, xi, clampMin, clampMax float64, workers int) ([]AdaptPoint, error) {
 	if len(targets) == 0 {
 		return nil, nil

@@ -135,14 +135,14 @@ func TestAdversarialAdaptationCurve(t *testing.T) {
 func TestAverageAdversarialAdaptationCurve(t *testing.T) {
 	fed, m := tinyFederation(t)
 	theta := m.InitParams(rng.New(2))
-	avg, err := AverageAdversarialAdaptationCurve(m, theta, fed.Targets, 0.1, 2, 0.2, 0, 0)
+	avg, err := AverageAdversarialAdaptationCurveN(m, theta, fed.Targets, 0.1, 2, 0.2, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(avg) != 3 {
 		t.Fatalf("length %d", len(avg))
 	}
-	empty, err := AverageAdversarialAdaptationCurve(m, theta, nil, 0.1, 2, 0.2, 0, 0)
+	empty, err := AverageAdversarialAdaptationCurveN(m, theta, nil, 0.1, 2, 0.2, 0, 0, 0)
 	if err != nil || empty != nil {
 		t.Error("empty target list should give nil, nil")
 	}

@@ -46,7 +46,7 @@ type RoundRecord struct {
 	// UpdateNorm is ‖θ_new − θ_old‖ of the aggregation (0 when skipped).
 	UpdateNorm float64 `json:"update_norm"`
 	// Dispersion is the weighted mean distance of node updates from the
-	// aggregate — the similarity proxy the T0 controller consumes.
+	// aggregate, an observed proxy for the nodes' task similarity.
 	Dispersion float64 `json:"dispersion"`
 	// Loss is the externally measured meta-objective, when a TypeMetaLoss
 	// event was attached to the round; nil (omitted) otherwise.

@@ -91,9 +91,10 @@ type Msg struct {
 	// difference between its current version and the echoed one. Zero on the
 	// sync path (which tracks freshness by Round instead).
 	Version int
-	// LocalSteps, when positive on a KindParams message, overrides the
-	// node's configured T0 for this round — the knob the platform uses to
-	// balance communication against local computation (§IV of the paper).
+	// LocalSteps, when positive on a KindParams message, carries the
+	// platform's T0 (clamped to the iteration budget left). The node runs
+	// it in place of its own configured T0, so a node started with another
+	// -t0 still follows the platform.
 	LocalSteps int
 	// Err carries a node-side error description on KindError.
 	Err string
