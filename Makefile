@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short check benchmark benchmark-quick chaos-smoke obs-smoke codec-smoke shard-smoke async-smoke energy-smoke workloads-smoke profile bench bench-json bench-check bench-paper bench-par bench-scale bench-async bench-energy bench-workloads fuzz fuzz-smoke examples clean
+.PHONY: all build vet test test-race test-short check benchmark benchmark-quick profile bench bench-json bench-check bench-paper bench-par bench-scale bench-async bench-energy bench-workloads fuzz fuzz-smoke examples clean
 
 # Scratch directory for generated artifacts (metrics sinks, bench output,
 # profiles); removed by `make clean`, never committed.
@@ -119,102 +119,6 @@ test-short:
 
 test-race:
 	$(GO) test -race ./...
-
-# End-to-end fault-tolerance smoke: a federation survives a scripted node
-# crash + rejoin and a corrupted update (rejected by the sanitation guard).
-chaos-smoke:
-	$(GO) run ./cmd/fedml train -dataset synthetic -nodes 6 -k 3 -t 30 -t0 5 \
-		-seed 7 -round-timeout 500ms -guard 25 \
-		-chaos "1:kill@2,1:revive@4,2:corrupt@3" -chaos-seed 11
-
-# Observability smoke: a chaos run writes per-round metrics JSONL, then
-# cmd/obscheck verifies the schema, monotonicity, and that the per-round
-# traffic deltas reconstruct the final totals exactly. Artifacts land in
-# $(BUILD_DIR), never the repo root.
-obs-smoke:
-	@mkdir -p $(BUILD_DIR)
-	$(GO) run ./cmd/fedml train -dataset synthetic -nodes 6 -k 3 -t 30 -t0 5 \
-		-seed 7 -round-timeout 500ms -guard 25 \
-		-chaos "1:kill@2,1:revive@4,2:corrupt@3" -chaos-seed 11 \
-		-metrics-out $(BUILD_DIR)/obs_smoke.jsonl
-	$(GO) run ./cmd/obscheck $(BUILD_DIR)/obs_smoke.jsonl
-
-# Compressed-transport smoke: the same chaos scenario with topk+delta update
-# compression. obscheck proves the metrics stream still folds to the final
-# totals exactly when the billed bytes are the compressed ones and the delta
-# chain is broken and resynced mid-run.
-codec-smoke:
-	@mkdir -p $(BUILD_DIR)
-	$(GO) run ./cmd/fedml train -dataset synthetic -nodes 6 -k 3 -t 30 -t0 5 \
-		-seed 7 -codec topk -round-timeout 500ms -guard 25 \
-		-chaos "1:kill@2,1:revive@4,2:corrupt@3" -chaos-seed 11 \
-		-metrics-out $(BUILD_DIR)/codec_smoke.jsonl
-	$(GO) run ./cmd/obscheck $(BUILD_DIR)/codec_smoke.jsonl
-
-# Two-tier topology smoke: the same chaos scenario through two leaf shard
-# aggregators and a director, with q8 update compression. The director and
-# each shard write their own metrics stream, and obscheck validates all three
-# independently — per-shard traffic accounting must reconstruct exactly even
-# when the faults land inside the shards.
-shard-smoke:
-	@mkdir -p $(BUILD_DIR)
-	$(GO) run ./cmd/fedml train -dataset synthetic -nodes 6 -k 3 -t 30 -t0 5 \
-		-seed 7 -shards 2 -codec q8 -round-timeout 500ms -guard 25 \
-		-chaos "1:kill@2,1:revive@4,4:corrupt@3" -chaos-seed 11 \
-		-metrics-out $(BUILD_DIR)/shard_smoke.jsonl
-	$(GO) run ./cmd/obscheck $(BUILD_DIR)/shard_smoke.jsonl \
-		$(BUILD_DIR)/shard_smoke.shard0.jsonl $(BUILD_DIR)/shard_smoke.shard1.jsonl
-
-# Buffered-async smoke: async aggregation with one scripted straggler (slow
-# link from round 2, healed at round 8) plus a kill/revive window. The
-# staleness machinery — decayed applies, drop bound, suspect/rejoin as the
-# common path — must keep the metrics stream consistent: obscheck validates
-# schema, monotonicity, and exact reconstruction including the stale
-# counters.
-async-smoke:
-	@mkdir -p $(BUILD_DIR)
-	$(GO) run ./cmd/fedml train -dataset synthetic -nodes 6 -k 3 -t 30 -t0 5 \
-		-seed 7 -async -staleness-decay 0.6 -max-staleness 1 -async-quorum 0.8 \
-		-round-timeout 500ms -guard 25 \
-		-chaos "1:slow=40ms@2,1:slow=0s@8,2:kill@3,2:revive@5" -chaos-seed 11 \
-		-metrics-out $(BUILD_DIR)/async_smoke.jsonl
-	$(GO) run ./cmd/obscheck $(BUILD_DIR)/async_smoke.jsonl
-
-# Partial-sync + budget smoke, in two legs. Leg 1: head-only sync after two
-# warmup rounds through the usual kill/revive + corrupt chaos — the masked
-# resync of a rejoining node and the corrupted-payload handling run under the
-# mask. Leg 2: a 1 J lora-like budget no node can afford — every round falls
-# back to the best-progress-per-joule backfill and the new budget_filtered
-# counter fills. obscheck proves both metrics streams (schema 3) reconstruct
-# the final totals exactly.
-energy-smoke:
-	@mkdir -p $(BUILD_DIR)
-	$(GO) run ./cmd/fedml train -dataset synthetic -nodes 6 -k 3 -t 30 -t0 5 \
-		-seed 7 -sync-mask head:2 -round-timeout 500ms -guard 25 \
-		-chaos "1:kill@2,1:revive@4,2:corrupt@3" -chaos-seed 11 \
-		-metrics-out $(BUILD_DIR)/mask_smoke.jsonl
-	$(GO) run ./cmd/obscheck $(BUILD_DIR)/mask_smoke.jsonl
-	$(GO) run ./cmd/fedml train -dataset synthetic -nodes 6 -k 3 -t 30 -t0 5 \
-		-seed 7 -sync-mask head:2 -energy-profile lora-like -energy-budget 1 \
-		-metrics-out $(BUILD_DIR)/energy_smoke.jsonl
-	$(GO) run ./cmd/obscheck $(BUILD_DIR)/energy_smoke.jsonl
-
-# New-workloads smoke, in two legs. Leg 1: the federated recommendation
-# scenario (per-user rating tasks) trained through q8 update compression.
-# Leg 2: the TinyML fault-classification scenario (per-device class skew)
-# under a head-only sync mask. Both write per-round metrics JSONL and
-# obscheck proves the streams reconstruct the final totals exactly — the
-# new generators compose with the platform knobs like any other workload.
-workloads-smoke:
-	@mkdir -p $(BUILD_DIR)
-	$(GO) run ./cmd/fedml train -dataset rec -nodes 8 -k 3 -t 20 -t0 5 \
-		-seed 7 -codec q8 \
-		-metrics-out $(BUILD_DIR)/workloads_rec_smoke.jsonl
-	$(GO) run ./cmd/obscheck $(BUILD_DIR)/workloads_rec_smoke.jsonl
-	$(GO) run ./cmd/fedml train -dataset fault -nodes 8 -k 3 -t 20 -t0 5 \
-		-seed 7 -sync-mask head:2 \
-		-metrics-out $(BUILD_DIR)/workloads_fault_smoke.jsonl
-	$(GO) run ./cmd/obscheck $(BUILD_DIR)/workloads_fault_smoke.jsonl
 
 # CPU + heap profiles of the five hot benchmarks: fig2a (softmax, end to
 # end), MetaGradInto/mnist (one second-order meta-gradient of the MNIST

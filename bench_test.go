@@ -35,7 +35,7 @@ func benchExperiment(b *testing.B, run func() error) {
 
 func BenchmarkTable1DatasetStats(b *testing.B) {
 	benchExperiment(b, func() error {
-		_, err := experiments.RunTable1(experiments.Table1Config{Scale: experiments.ScaleCI, Seed: 1})
+		_, err := experiments.RunTable1(experiments.Table1Config{Scale: experiments.ScaleCI})
 		return err
 	})
 }

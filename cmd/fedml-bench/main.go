@@ -411,8 +411,7 @@ type workloadBenchReport struct {
 // accuracy must be at least the global accuracy of FedAvg and FedProx.
 func runWorkloadsBench(scale experiments.Scale, outPath string) error {
 	for _, workload := range []string{"rec", "fault"} {
-		cfg := experiments.DefaultExtWorkloadConfig(workload, scale)
-		res, err := experiments.RunExtWorkload(cfg)
+		res, err := experiments.RunExtWorkload(experiments.DefaultExtWorkloadConfig(workload, scale))
 		if err != nil {
 			return fmt.Errorf("workloads-bench %s: %w", workload, err)
 		}
@@ -432,7 +431,7 @@ func runWorkloadsBench(scale experiments.Scale, outPath string) error {
 			rep := workloadBenchReport{
 				Scale:      scale.String(),
 				Workload:   workload,
-				AdaptSteps: cfg.AdaptSteps,
+				AdaptSteps: res.AdaptSteps,
 				TotalKiB:   res.KiB[0],
 			}
 			if res.AccVsKiB != nil {

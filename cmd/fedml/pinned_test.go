@@ -12,6 +12,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/edgeai/fedml/internal/obs"
 )
 
 // helpDigests pins the SHA-256 of each mode's -h output: every flag name,
@@ -23,11 +25,12 @@ var helpDigests = map[string]string{
 	"train":    "d61191adebf8275396d94c96407170df25318b0c4540d6f9249d406d5367ae15",
 }
 
-// cliScenarios are small train runs covering the Makefile smoke settings,
-// plus a -save followed by adapt. Each step is one run(...) call; "$DIR" is
-// a per-scenario temporary directory, masked back to "$DIR" in the output.
-// The async smoke run stays out: its straggler makes the output depend on
-// timing.
+// cliScenarios are the end-to-end smoke runs: small train runs through
+// chaos, the sanitation guard, the codecs, shards, sync masks, the energy
+// budget, async staleness and the workload generators, plus a -save
+// followed by adapt. Each step is one run(...) call; "$DIR" is a
+// per-scenario temporary directory, masked back to "$DIR" in the output.
+// Every metrics stream a scenario writes must pass obs.ValidateJSONL.
 var cliScenarios = []struct {
 	name  string
 	steps [][]string
@@ -38,19 +41,24 @@ var cliScenarios = []struct {
 		"-chaos", "1:kill@2,1:revive@4,2:corrupt@3", "-chaos-seed", "11", "-metrics-out", "$DIR/m.jsonl"}}},
 	{"codec-topk", [][]string{{"train", "-dataset", "synthetic", "-nodes", "6", "-k", "3", "-t", "30", "-t0", "5",
 		"-seed", "7", "-codec", "topk", "-round-timeout", "500ms", "-guard", "25",
-		"-chaos", "1:kill@2,1:revive@4,2:corrupt@3", "-chaos-seed", "11"}}},
+		"-chaos", "1:kill@2,1:revive@4,2:corrupt@3", "-chaos-seed", "11", "-metrics-out", "$DIR/m.jsonl"}}},
 	{"shards-q8", [][]string{{"train", "-dataset", "synthetic", "-nodes", "6", "-k", "3", "-t", "30", "-t0", "5",
 		"-seed", "7", "-shards", "2", "-codec", "q8", "-round-timeout", "500ms", "-guard", "25",
 		"-chaos", "1:kill@2,1:revive@4,4:corrupt@3", "-chaos-seed", "11", "-metrics-out", "$DIR/m.jsonl"}}},
 	{"sync-mask", [][]string{{"train", "-dataset", "synthetic", "-nodes", "6", "-k", "3", "-t", "30", "-t0", "5",
 		"-seed", "7", "-sync-mask", "head:2", "-round-timeout", "500ms", "-guard", "25",
-		"-chaos", "1:kill@2,1:revive@4,2:corrupt@3", "-chaos-seed", "11"}}},
+		"-chaos", "1:kill@2,1:revive@4,2:corrupt@3", "-chaos-seed", "11", "-metrics-out", "$DIR/m.jsonl"}}},
 	{"sync-mask-energy", [][]string{{"train", "-dataset", "synthetic", "-nodes", "6", "-k", "3", "-t", "30", "-t0", "5",
-		"-seed", "7", "-sync-mask", "head:2", "-energy-profile", "lora-like", "-energy-budget", "1"}}},
+		"-seed", "7", "-sync-mask", "head:2", "-energy-profile", "lora-like", "-energy-budget", "1",
+		"-metrics-out", "$DIR/m.jsonl"}}},
 	{"rec-q8", [][]string{{"train", "-dataset", "rec", "-nodes", "8", "-k", "3", "-t", "20", "-t0", "5",
-		"-seed", "7", "-codec", "q8"}}},
+		"-seed", "7", "-codec", "q8", "-metrics-out", "$DIR/m.jsonl"}}},
 	{"fault-mask", [][]string{{"train", "-dataset", "fault", "-nodes", "8", "-k", "3", "-t", "20", "-t0", "5",
-		"-seed", "7", "-sync-mask", "head:2"}}},
+		"-seed", "7", "-sync-mask", "head:2", "-metrics-out", "$DIR/m.jsonl"}}},
+	{"async", [][]string{{"train", "-dataset", "synthetic", "-nodes", "6", "-k", "3", "-t", "30", "-t0", "5",
+		"-seed", "7", "-async", "-staleness-decay", "0.6", "-max-staleness", "1", "-async-quorum", "0.8",
+		"-round-timeout", "500ms", "-guard", "25",
+		"-chaos", "1:slow=40ms@2,1:slow=0s@8,2:kill@3,2:revive@5", "-chaos-seed", "11", "-metrics-out", "$DIR/m.jsonl"}}},
 	{"mnist-robust", [][]string{{"train", "-dataset", "mnist", "-nodes", "8", "-t", "20", "-t0", "5",
 		"-robust", "-lambda", "0.05"}}},
 	{"save-adapt", [][]string{
@@ -61,18 +69,19 @@ var cliScenarios = []struct {
 
 // runDigests pins the SHA-256 of each scenario's stdout. amd64 only, like
 // the experiment render digests: arm64 fuses multiply-adds, which moves the
-// last digits of every trained θ.
+// last digits of every trained θ. The async scenario has no digest: its
+// straggler makes the output depend on timing.
 var runDigests = map[string]string{
 	"chaos-guard":      "10c0093692b60d52ea809661c1bb9ec4dc6f1604fe0352e761345989c8076ba4",
-	"codec-topk":       "f07b6cffa355e90857f403ee58c98c04881252b5304e40c7d868ac46a30d3b93",
-	"fault-mask":       "d5bf32e0e56d592e9bbbaa8bf643f2a1e90398b8eac7ea1e3bec488dc01b3f26",
+	"codec-topk":       "de03e076342cc146f6ff53c8180fb51a55c280bf3edb5e7bde2968e77aaee054",
+	"fault-mask":       "7efa14bbc227a9e9820ca9357e4557e953fda04c48f5f3f1760decd7b9b5d9db",
 	"mnist-robust":     "6f5ee38839d249149ea836987a4033c9e3e46f29234002cba2b46b6e1c0b0081",
 	"raw":              "37abef15cfea8bdb9bd79dbbebb6e55531da4c6d91be54bb7a8f40714d546ddf",
-	"rec-q8":           "05fc68f3f551d37c9604cd0823365e6008c97ff210b659703751e1be1b6380c7",
+	"rec-q8":           "23e75c36c87fbe01f79f6ee515ddc64f0447a7e796799d2dd016ee45953832b2",
 	"save-adapt":       "d795235b77062574ec9fbdce46c2e225d86dfdc19c43e86c4178f3669c3f4ea9",
 	"shards-q8":        "0c885e8645c02a920c72a2c160268a1d360a4d03d2942a49131484916bf3dcb0",
-	"sync-mask":        "bd10227a897e17ba80a1d09f33c6f4b63ab7238c98e1b3a62d37f06513b3a850",
-	"sync-mask-energy": "1f9a3f0a8f88c03742a8c150776245cdd9fbde33eea37322ce03d936a6dae300",
+	"sync-mask":        "0014f46697e72f7cae5375dc8330b5a7e957b37f74fb77751d20ffe4af028308",
+	"sync-mask-energy": "3f3fddc171bdaba70e419ec8175321fd27e19fb3baf84ae11dc92e2173f33c22",
 }
 
 // captureRun runs the CLI with os.Stdout and os.Stderr redirected to files
@@ -123,15 +132,13 @@ func TestHelpPinned(t *testing.T) {
 	}
 }
 
-// TestRunsPinned pins the stdout of small train (and adapt) runs: a refactor
-// of the CLI must print the same federation, the same G(θ) trace, the same
-// totals and the same adaptation curve, byte for byte.
+// TestRunsPinned runs every scenario and checks each metrics stream it
+// writes (the director's and every shard's). On amd64 it also pins the
+// stdout: a refactor of the CLI must print the same federation, the same
+// G(θ) trace, the same totals and the same adaptation curve, byte for byte.
 func TestRunsPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains ten small federations")
-	}
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("digests are pinned for amd64, not %s", runtime.GOARCH)
+		t.Skip("trains eleven small federations")
 	}
 	for _, sc := range cliScenarios {
 		dir := t.TempDir()
@@ -147,7 +154,25 @@ func TestRunsPinned(t *testing.T) {
 			}
 			out.WriteString(strings.ReplaceAll(stdout, dir, "$DIR"))
 		}
-		if got, want := digest(out.String()), runDigests[sc.name]; got != want {
+		streams, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range streams {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := obs.ValidateJSONL(f); err != nil {
+				t.Errorf("%s: %s: %v", sc.name, filepath.Base(path), err)
+			}
+			f.Close()
+		}
+		want, pinned := runDigests[sc.name]
+		if !pinned || runtime.GOARCH != "amd64" {
+			continue
+		}
+		if got := digest(out.String()); got != want {
 			t.Errorf("%s: stdout digest %s, want %q\n%s", sc.name, got, want, out.String())
 		}
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,13 +11,25 @@ const goodLines = `{"schema":3,"round":1,"iter":5,"t0":5,"alive":3,"dur_ms":1,"m
 {"schema":3,"round":2,"iter":10,"t0":5,"alive":3,"dur_ms":1,"msgs":6,"bytes":480,"update_norm":0.4,"dispersion":0.1,"stale_applied":1,"cum":{"rounds":2,"messages":12,"bytes":960,"dropped":0,"rejoined":0,"rejected":0,"skipped_rounds":0,"stale_applied":1,"stale_dropped":0}}
 `
 
+// checkLines runs obscheck on a file holding lines.
+func checkLines(t *testing.T, lines string) (string, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{path}, &out)
+	return out.String(), err
+}
+
 func TestValidateAccepts(t *testing.T) {
-	n, cum, err := validate(strings.NewReader(goodLines))
+	out, err := checkLines(t, goodLines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || cum.Messages != 12 || cum.Bytes != 960 || cum.StaleApplied != 1 {
-		t.Errorf("n=%d cum=%+v", n, cum)
+	if !strings.HasPrefix(out, "ok: 2 records, 2 rounds (0 skipped), 12 messages, 960 bytes,") || !strings.Contains(out, " 1 stale applied,") {
+		t.Errorf("out = %q", out)
 	}
 }
 
@@ -41,7 +55,7 @@ func TestValidateRejects(t *testing.T) {
 `,
 	}
 	for name, input := range cases {
-		if _, _, err := validate(strings.NewReader(input)); err == nil {
+		if _, err := checkLines(t, input); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

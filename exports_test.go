@@ -24,9 +24,14 @@ import (
 // exportAllowlist names the exported functions under internal/ that may have
 // no non-test caller, each with the reason it stays.
 var exportAllowlist = map[string]string{
-	"nn.FiniteDiffHVP": "test oracle: the finite-difference Hessian-vector product the exact HVPs are checked against",
-	"nn.NumericalGrad": "test oracle: the central-difference gradient the analytic gradients are checked against",
-	"obs.NewJSONLSink": "the writer seam: tests point a JSONL sink at an in-memory buffer through it",
+	"meta.Grad":          "test reference: alloc_test.go checks the workspace's meta-gradient against it",
+	"meta.InnerStep":     "test reference: alloc_test.go checks the workspace's inner step against it",
+	"meta.Objective":     "test reference: alloc_test.go checks the workspace's objective against it",
+	"meta.Step":          "test reference: meta_test.go checks one Algorithm 1 step with it, and BenchmarkMetaStep, which BENCH_fedml.json gates, measures it",
+	"nn.FiniteDiffHVP":   "test oracle: the finite-difference Hessian-vector product the exact HVPs are checked against",
+	"nn.NumericalGrad":   "test oracle: the central-difference gradient the analytic gradients are checked against",
+	"obs.NewJSONLSink":   "the writer seam: tests point a JSONL sink at an in-memory buffer through it",
+	"obs.Recorder.Count": "the tests of four packages count a run's events by type through it",
 }
 
 // fieldAllowlist names the exported struct fields under internal/ that may
@@ -89,72 +94,135 @@ var loadModule = sync.OnceValues(func() (module, error) {
 // modulePath is the module line of go.mod.
 const modulePath = "github.com/edgeai/fedml"
 
-// TestNoTestOnlyExports fails for any exported function or method declared
-// in a non-test file under internal/ whose name appears in no non-test Go
-// file of the module (cmd/, examples/ and bench/ included) outside its own
-// declaration or inside another such function. Such a function is surface
-// that only tests reach: delete it, or add it to exportAllowlist with its
-// reason.
-//
-// The check is by name, not by type: a call to any function, method or
-// interface method of the same name counts as a use, so a colliding name can
-// hide a dead export.
-func TestNoTestOnlyExports(t *testing.T) {
-	type decl struct {
-		key        string // "pkg.Name" or "pkg.Recv.Name"
-		name       string
-		file       string
-		start, end token.Pos
-	}
+// loadTyped is the type check of loadModule's parse, once; both guards read
+// it.
+var loadTyped = sync.OnceValues(func() (*typedModule, error) {
 	m, err := loadModule()
+	if err != nil {
+		return nil, err
+	}
+	return typeCheck(m.fset, modulePath, m.files)
+})
+
+// TestNoTestOnlyExports fails for any exported function or method declared
+// in a non-test file under internal/ that no non-test Go file of the module
+// (cmd/, examples/ and bench/ included) uses outside its own declaration or
+// inside another such function. Such a function is surface that only tests
+// reach: delete it, or add it to exportAllowlist with its reason.
+func TestNoTestOnlyExports(t *testing.T) {
+	tm, err := loadTyped()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decls []decl
-	uses := map[string][]token.Pos{} // identifier name → positions, declaration names excluded
-	for _, sf := range m.files {
-		f := sf.file
-		declNames := map[*ast.Ident]bool{}
-		if strings.HasPrefix(sf.path, "internal/") {
-			for _, fd := range f.Decls {
-				fn, ok := fd.(*ast.FuncDecl)
-				if !ok || !fn.Name.IsExported() {
-					continue
-				}
-				declNames[fn.Name] = true
-				key := f.Name.Name + "." + fn.Name.Name
-				if fn.Recv != nil && len(fn.Recv.List) == 1 {
-					key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-				}
-				decls = append(decls, decl{key: key, name: fn.Name.Name, file: sf.path, start: fn.Pos(), end: fn.End()})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-				uses[id.Name] = append(uses[id.Name], id.Pos())
-			}
-			return true
-		})
+	dead, decls := tm.deadExports(exportAllowlist)
+	for _, d := range dead {
+		t.Errorf("exported but only tests call it: %s", d)
 	}
-	// A use inside a dead declaration is no use, so repeat until nothing
-	// new dies: a helper reached only from a test-only wrapper goes too.
-	isDead := make([]bool, len(decls))
+	for key := range exportAllowlist {
+		if !decls[key] {
+			t.Errorf("exportAllowlist names %s, which is not declared under internal/", key)
+		}
+	}
+}
+
+// TestDeadExportsIsTyped runs the export guard on an in-memory module where
+// two functions and two methods share a name and only one of each pair is
+// called. A check by name would pass all four; the guard must name the
+// other two, and the wrapper that alone calls one of them. A method that
+// satisfies an interface of the module counts as used.
+func TestDeadExportsIsTyped(t *testing.T) {
+	tm := checkFixture(t, map[string]string{
+		"internal/a/a.go": `package a
+func Run() int { return 1 }
+type Shape interface{ Area() float64 }
+type Sq struct{}
+func (Sq) Area() float64      { return 1 }
+func (Sq) Perimeter() float64 { return 4 }
+`,
+		"internal/b/b.go": `package b
+func Run() int  { return 2 }
+func Wrap() int { return Run() }
+type Circle struct{}
+func (Circle) Area() float64      { return 3 }
+func (Circle) Perimeter() float64 { return 6 }
+`,
+		"cmd/m/main.go": `package main
+import (
+	"fmt"
+	"example.com/m/internal/a"
+	"example.com/m/internal/b"
+)
+func main() {
+	var s a.Shape = a.Sq{}
+	fmt.Println(a.Run(), s.Area(), b.Circle{}.Perimeter())
+}
+`,
+	})
+	got, _ := tm.deadExports(nil)
+	want := []string{"a.Sq.Perimeter", "b.Run", "b.Wrap"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dead exports = %v, want %v", got, want)
+	}
+}
+
+// deadExports returns, sorted as "pkg.Name" or "pkg.Recv.Name", every
+// exported function or method declared under internal/ that the module's
+// files use only inside its own declaration or inside another dead one;
+// the functions keep names stay alive. decls holds the key of every
+// exported function and method declared there. A use is an identifier the
+// type checker resolves to the function. A method is also used when its
+// receiver type implements an interface, declared or referenced in the
+// module, that has a method of its name: a call through the interface
+// reaches it.
+func (tm *typedModule) deadExports(keep map[string]string) (dead []string, decls map[string]bool) {
+	type decl struct {
+		key        string
+		fn         *types.Func
+		start, end token.Pos
+	}
+	var ds []decl
+	for _, sf := range tm.files {
+		if !strings.HasPrefix(sf.path, "internal/") {
+			continue
+		}
+		for _, fd := range sf.file.Decls {
+			fn, ok := fd.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			key := sf.file.Name.Name + "." + fn.Name.Name
+			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+				key = sf.file.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			}
+			ds = append(ds, decl{key: key, fn: tm.info.Defs[fn.Name].(*types.Func), start: fn.Pos(), end: fn.End()})
+		}
+	}
+	uses := map[*types.Func][]token.Pos{}
+	for id, obj := range tm.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			uses[fn.Origin()] = append(uses[fn.Origin()], id.Pos())
+		}
+	}
+	viaInterface := tm.interfaceMethods()
+	isDead := make([]bool, len(ds))
 	inDead := func(p token.Pos) bool {
-		for i, d := range decls {
+		for i, d := range ds {
 			if isDead[i] && p >= d.start && p < d.end {
 				return true
 			}
 		}
 		return false
 	}
+	// A use inside a dead declaration is no use, so repeat until nothing
+	// new dies: a helper reached only from a test-only wrapper goes too.
 	for changed := true; changed; {
 		changed = false
-		for i, d := range decls {
-			if _, ok := exportAllowlist[d.key]; ok || isDead[i] {
+		for i, d := range ds {
+			if _, ok := keep[d.key]; ok || isDead[i] || viaInterface(d.fn) {
 				continue
 			}
 			used := false
-			for _, p := range uses[d.name] {
+			for _, p := range uses[d.fn] {
 				if (p < d.start || p >= d.end) && !inDead(p) {
 					used = true
 					break
@@ -165,24 +233,56 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 		}
 	}
-	var dead []string
-	for i, d := range decls {
+	decls = map[string]bool{}
+	for i, d := range ds {
+		decls[d.key] = true
 		if isDead[i] {
-			dead = append(dead, d.key+" ("+d.file+")")
+			dead = append(dead, d.key)
 		}
 	}
 	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("exported but only tests call it: %s", d)
+	return dead, decls
+}
+
+// interfaceMethods reports whether a method's receiver type implements an
+// interface, declared or referenced in the module, that has the method.
+func (tm *typedModule) interfaceMethods() func(*types.Func) bool {
+	ifaces := map[*types.Interface]bool{}
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[it] = true
+		}
 	}
-	for key := range exportAllowlist {
-		found := false
-		for _, d := range decls {
-			found = found || d.key == key
+	for _, obj := range tm.info.Uses {
+		if tn, ok := obj.(*types.TypeName); ok {
+			add(tn.Type())
 		}
-		if !found {
-			t.Errorf("exportAllowlist names %s, which is not declared under internal/", key)
+	}
+	for _, obj := range tm.info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok {
+			add(tn.Type())
 		}
+	}
+	for _, tv := range tm.info.Types {
+		add(tv.Type)
+	}
+	return func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		for it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() && (types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
+					return true
+				}
+			}
+		}
+		return false
 	}
 }
 
@@ -210,14 +310,11 @@ func recvName(e ast.Expr) string {
 // tests turn: delete it and keep its default as the only path, or add it to
 // fieldAllowlist with its reason.
 func TestNoTestOnlyFields(t *testing.T) {
-	m, err := loadModule()
+	tm, err := loadTyped()
 	if err != nil {
 		t.Fatal(err)
 	}
-	unset, err := unsetFields(m.fset, modulePath, m.files)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unset := tm.unsetFields()
 	found := map[string]bool{}
 	for _, key := range unset {
 		found[key] = true
@@ -238,7 +335,7 @@ func TestNoTestOnlyFields(t *testing.T) {
 // two structs share a field name and only one of them is set. A check by
 // name would pass both; the guard must name the other.
 func TestUnsetFieldsIsTyped(t *testing.T) {
-	src := map[string]string{
+	tm := checkFixture(t, map[string]string{
 		"internal/cfg/cfg.go": `package cfg
 type Config struct{ Time, Seed int }
 type Result struct{ Time int }
@@ -273,7 +370,18 @@ func main() {
 	fmt.Println(run.Run(cfg.Config{Seed: 1}), a)
 }
 `,
+	})
+	got := tm.unsetFields()
+	want := []string{"cfg.Adam.Eps", "cfg.Config.Time"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("unset fields = %v, want %v", got, want)
 	}
+}
+
+// checkFixture parses and type-checks an in-memory module, example.com/m,
+// given as file path → source.
+func checkFixture(t *testing.T, src map[string]string) *typedModule {
+	t.Helper()
 	fset := token.NewFileSet()
 	var files []srcFile
 	for p, s := range src {
@@ -283,24 +391,28 @@ func main() {
 		}
 		files = append(files, srcFile{path: p, file: f})
 	}
-	got, err := unsetFields(fset, "example.com/m", files)
+	tm, err := typeCheck(fset, "example.com/m", files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"cfg.Adam.Eps", "cfg.Config.Time"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("unset fields = %v, want %v", got, want)
-	}
+	return tm
 }
 
-// unsetFields type-checks the module's non-test files and returns, sorted as
-// "pkg.Type.Field", every exported field of an exported struct type declared
-// under internal/ that none of the files sets. A field is set by a keyed or
-// positional composite literal, by an assignment or ++/-- whose target
-// selects it, or by taking its address with &. Module packages are checked
-// from source in dependency order; the standard library comes from its
-// export data.
-func unsetFields(fset *token.FileSet, modPath string, files []srcFile) ([]string, error) {
+// typedModule is the type check of a module's non-test files.
+type typedModule struct {
+	modPath string
+	files   []srcFile
+	info    *types.Info
+	// pkgs are the module's packages by import path; ips their sorted
+	// import paths.
+	pkgs map[string]*types.Package
+	ips  []string
+}
+
+// typeCheck type-checks the module's non-test files. Module packages are
+// checked from source in dependency order; the standard library comes from
+// its export data.
+func typeCheck(fset *token.FileSet, modPath string, files []srcFile) (*typedModule, error) {
 	byPkg := map[string][]*ast.File{}
 	for _, sf := range files {
 		dir := path.Dir(sf.path)
@@ -312,6 +424,7 @@ func unsetFields(fset *token.FileSet, modPath string, files []srcFile) ([]string
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
@@ -367,7 +480,16 @@ func unsetFields(fset *token.FileSet, modPath string, files []srcFile) ([]string
 			return nil, err
 		}
 	}
+	return &typedModule{modPath: modPath, files: files, info: info, pkgs: checked, ips: ips}, nil
+}
 
+// unsetFields returns, sorted as "pkg.Type.Field", every exported field of
+// an exported struct type declared under internal/ that none of the
+// module's files sets. A field is set by a keyed or positional composite
+// literal, by an assignment or ++/-- whose target selects it, or by taking
+// its address with &.
+func (tm *typedModule) unsetFields() []string {
+	info := tm.info
 	set := map[*types.Var]bool{}
 	setSel := func(e ast.Expr) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
@@ -376,7 +498,7 @@ func unsetFields(fset *token.FileSet, modPath string, files []srcFile) ([]string
 			}
 		}
 	}
-	for _, sf := range files {
+	for _, sf := range tm.files {
 		ast.Inspect(sf.file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CompositeLit:
@@ -414,11 +536,11 @@ func unsetFields(fset *token.FileSet, modPath string, files []srcFile) ([]string
 	}
 
 	var unset []string
-	for _, ip := range ips {
-		if !strings.HasPrefix(ip, modPath+"/internal/") {
+	for _, ip := range tm.ips {
+		if !strings.HasPrefix(ip, tm.modPath+"/internal/") {
 			continue
 		}
-		scope := checked[ip].Scope()
+		scope := tm.pkgs[ip].Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok || !tn.Exported() || tn.IsAlias() {
@@ -430,13 +552,13 @@ func unsetFields(fset *token.FileSet, modPath string, files []srcFile) ([]string
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() && !set[f] {
-					unset = append(unset, checked[ip].Name()+"."+name+"."+f.Name())
+					unset = append(unset, tm.pkgs[ip].Name()+"."+name+"."+f.Name())
 				}
 			}
 		}
 	}
 	sort.Strings(unset)
-	return unset, nil
+	return unset
 }
 
 // stdImporter reads the standard library's packages from their gc export

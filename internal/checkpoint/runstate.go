@@ -41,8 +41,8 @@ type RunState struct {
 	Round int
 	// Iter is the cumulative local-iteration count after Round.
 	Iter int
-	// T0 is the run's local step count per round; a resumed run continues
-	// with it.
+	// T0 is the run's local step count per round; a resume at another T0
+	// is refused.
 	T0 int
 	// Dispersion is the last measured update dispersion. It is recorded
 	// for inspection only: resume does not read it.

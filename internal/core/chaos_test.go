@@ -676,6 +676,41 @@ func TestResumeRefusesV1Snapshot(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesChangedT0: a snapshot written at T0 = 5 is refused by a
+// resume at T0 = 10, with both values named, and picks up at round 4 when
+// the resume keeps T0 = 5.
+func TestResumeRefusesChangedT0(t *testing.T) {
+	fed := tinyFederation(t, 0, 0)
+	fed.Sources = fed.Sources[:4]
+	m := tinyModel(fed)
+	ckPath := filepath.Join(t.TempDir(), "run.state")
+	base := Config{Alpha: 0.01, Beta: 0.01, T: 15, T0: 5, Seed: 2, CheckpointPath: ckPath, CheckpointEvery: 1}
+	if _, err := Train(m, fed, nil, base); err != nil {
+		t.Fatal(err)
+	}
+	var rounds []int
+	resumed := base
+	resumed.T, resumed.Resume = 30, true
+	resumed.OnRound = func(round, _ int, _ tensor.Vec) { rounds = append(rounds, round) }
+
+	changed := resumed
+	changed.T0 = 10
+	_, err := Train(m, fed, nil, changed)
+	if err == nil || !strings.Contains(err.Error(), "T0=5") || !strings.Contains(err.Error(), "T0=10") {
+		t.Fatalf("resume at T0=10 from a T0=5 snapshot: err = %v, want one naming both", err)
+	}
+	if len(rounds) != 0 {
+		t.Fatalf("rounds %v ran after the refused resume", rounds)
+	}
+
+	if _, err := Train(m, fed, nil, resumed); err != nil {
+		t.Fatal(err)
+	}
+	if len(rounds) != 3 || rounds[0] != 4 {
+		t.Errorf("resume at T0=5 ran rounds %v, want 4, 5, 6", rounds)
+	}
+}
+
 func TestResilienceConfigValidation(t *testing.T) {
 	good := Config{Alpha: 0.1, Beta: 0.1, T: 10, T0: 5}
 	bad := []Config{

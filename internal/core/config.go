@@ -196,11 +196,6 @@ type RobustConfig struct {
 	ClampMin, ClampMax float64
 }
 
-// samplingActive reports whether per-round client sampling is configured.
-func (c Config) samplingActive() bool {
-	return c.Participation > 0 && c.Participation < 1
-}
-
 func (c *Config) normalized() Config {
 	out := *c
 	if out.GradMode == 0 {

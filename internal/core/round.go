@@ -113,7 +113,7 @@ type roundEngine struct {
 // restored to. c must already be normalized and validated.
 func newRoundEngine(c Config, theta0 tensor.Vec, src roundSource, stats *CommStats) (*roundEngine, error) {
 	e := &roundEngine{
-		roundLog:   roundLog{obs: c.Observer, stats: stats, t0: c.T0},
+		roundLog:   roundLog{obs: c.Observer, stats: stats},
 		c:          c,
 		src:        src,
 		theta:      theta0.Clone(),
@@ -140,7 +140,9 @@ func newRoundEngine(c Config, theta0 tensor.Vec, src roundSource, stats *CommSta
 	return e, nil
 }
 
-// resume restores the engine from the snapshot at c.CheckpointPath.
+// resume restores the engine from the snapshot at c.CheckpointPath. A
+// snapshot written at another T0 is refused: c.T0 is what Validate checked
+// T against and what the nodes are told to run.
 func (e *roundEngine) resume() error {
 	st, err := checkpoint.LoadRunState(e.c.CheckpointPath)
 	if errors.Is(err, os.ErrNotExist) {
@@ -154,9 +156,11 @@ func (e *roundEngine) resume() error {
 	if len(st.Theta) != len(e.theta) {
 		return fmt.Errorf("core: resume: snapshot has %d params, model needs %d", len(st.Theta), len(e.theta))
 	}
+	if st.T0 != e.c.T0 {
+		return fmt.Errorf("core: resume: snapshot ran T0=%d, the config has T0=%d", st.T0, e.c.T0)
+	}
 	e.theta.CopyFrom(tensor.Vec(st.Theta))
 	e.iter = st.Iter
-	e.t0 = st.T0
 	*e.stats = st.Totals
 	e.firstRound = st.Round + 1
 	return nil
@@ -166,10 +170,8 @@ func (e *roundEngine) resume() error {
 // the final θ.
 func (e *roundEngine) run() (tensor.Vec, error) {
 	for round := e.firstRound; e.iter < e.c.T; round++ {
-		// T0 is constant for a run; the clamp only bites on a resumed
-		// snapshot whose T0 does not divide what is left of T.
-		e.begin(round, min(e.t0, e.c.T-e.iter), e.src.aliveCount())
-		sum, wsum, count, err := e.src.collect(round, e.t0, e.theta)
+		e.begin(round, e.c.T0, e.src.aliveCount())
+		sum, wsum, count, err := e.src.collect(round, e.c.T0, e.theta)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +216,7 @@ func (e *roundEngine) commit(round int, sum tensor.Vec, wsum float64, count int)
 		restoreFrozen(e.theta, e.frozenRef, e.c.SyncMask.Ranges)
 	}
 	dispersion := e.src.dispersion(e.theta, wsum)
-	e.iter += e.t0
+	e.iter += e.c.T0
 	var moved float64
 	if e.obs != nil {
 		moved = e.theta.Dist(e.prevTheta)
@@ -224,7 +226,7 @@ func (e *roundEngine) commit(round int, sum tensor.Vec, wsum float64, count int)
 		e.c.OnRound(round, e.iter, e.theta)
 	}
 	if e.c.CheckpointPath != "" && (e.stats.Rounds%e.ckEvery == 0 || e.iter >= e.c.T) {
-		return saveSnapshot(e.c.CheckpointPath, round, e.iter, e.t0, dispersion, e.theta, e.src.totals())
+		return saveSnapshot(e.c.CheckpointPath, round, e.iter, e.c.T0, dispersion, e.theta, e.src.totals())
 	}
 	return nil
 }

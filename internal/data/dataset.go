@@ -153,18 +153,3 @@ func (f *Federation) Resplit(r *rng.Rand, k int) (*Federation, error) {
 	}
 	return out, nil
 }
-
-// Accuracy returns the fraction of samples whose label matches the
-// prediction function's output.
-func Accuracy(samples []Sample, predict func(x tensor.Vec) int) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, s := range samples {
-		if predict(s.X) == s.Y {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples))
-}

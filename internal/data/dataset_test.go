@@ -116,27 +116,6 @@ func TestResplit(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	samples := []Sample{
-		{X: tensor.Vec{0}, Y: 0},
-		{X: tensor.Vec{1}, Y: 1},
-		{X: tensor.Vec{2}, Y: 0},
-		{X: tensor.Vec{3}, Y: 1},
-	}
-	acc := Accuracy(samples, func(x tensor.Vec) int {
-		if x[0] >= 2 {
-			return 1
-		}
-		return 0
-	})
-	if acc != 0.5 {
-		t.Errorf("accuracy = %v, want 0.5", acc)
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Error("empty accuracy should be 0")
-	}
-}
-
 func TestPowerLawSizes(t *testing.T) {
 	r := rng.New(5)
 	sizes := PowerLawSizes(r, 5000, 17, 5, 3)

@@ -86,7 +86,7 @@ func TestSyntheticHeterogeneityIncreasesWithAlphaBeta(t *testing.T) {
 			var m float64
 			cnt := 0
 			for _, s := range n.All() {
-				m += s.X.Mean()
+				m += s.X.Sum() / float64(len(s.X))
 				cnt++
 			}
 			centers = append(centers, m/float64(cnt))

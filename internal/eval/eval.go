@@ -80,20 +80,6 @@ func (s *Series) Last() (Point, bool) {
 	return s.Points[len(s.Points)-1], true
 }
 
-// Min returns the smallest value in the series (+Inf-free: zero for empty).
-func (s *Series) Min() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].Value
-	for _, p := range s.Points[1:] {
-		if p.Value < m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
 // TSV renders the series as two tab-separated columns, one point per line.
 func (s *Series) TSV() string {
 	var b strings.Builder

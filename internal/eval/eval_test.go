@@ -50,18 +50,12 @@ func TestSeries(t *testing.T) {
 	if _, ok := s.Last(); ok {
 		t.Error("empty series reported a last point")
 	}
-	if s.Min() != 0 {
-		t.Error("empty Min should be 0")
-	}
 	s.Add(10, 2.5)
 	s.Add(20, 1.5)
 	s.Add(30, 1.8)
 	last, ok := s.Last()
 	if !ok || last.Iter != 30 || last.Value != 1.8 {
 		t.Errorf("Last = %+v", last)
-	}
-	if s.Min() != 1.5 {
-		t.Errorf("Min = %v", s.Min())
 	}
 	tsv := s.TSV()
 	if !strings.HasPrefix(tsv, "# loss\n") || !strings.Contains(tsv, "20\t1.5\n") {

@@ -22,48 +22,15 @@ import (
 
 // ExtAsyncConfig parameterizes the latency-skew comparison.
 type ExtAsyncConfig struct {
-	Scale       Scale
-	Alpha, Beta float64
-	// T and T0 are the iteration budget and local step count.
-	T, T0 int
-	// BaseLatency is every healthy link's per-message delay;
-	// StragglerLatency (10× base) applies to StragglerNode's link only.
-	BaseLatency      time.Duration
-	StragglerLatency time.Duration
-	StragglerNode    int
-	// RoundTimeout bounds both loops' per-round waiting. It is sized far
-	// above the straggler's round trip, so the sync barrier always waits the
-	// full straggler latency rather than dropping the node — the regime the
-	// async loop is built for.
-	RoundTimeout time.Duration
-	// StalenessDecay, MaxStaleness, AsyncQuorum are the async knobs
-	// (core.Config semantics).
-	StalenessDecay float64
-	MaxStaleness   int
-	AsyncQuorum    float64
-	Seed           uint64
+	Scale Scale
+	// T is the iteration budget.
+	T int
 }
 
 // DefaultExtAsyncConfig returns the cell configuration: the CI scale trims
 // the iteration budget, not the structure.
 func DefaultExtAsyncConfig(scale Scale) ExtAsyncConfig {
-	cfg := ExtAsyncConfig{
-		Scale: scale,
-		Alpha: 0.01, Beta: 0.01,
-		T: 300, T0: 5,
-		BaseLatency:      2 * time.Millisecond,
-		StragglerLatency: 20 * time.Millisecond,
-		StragglerNode:    3,
-		RoundTimeout:     2 * time.Second,
-		StalenessDecay:   0.5,
-		MaxStaleness:     20,
-		// High quorum: only the true straggler should ride the staleness
-		// path. A lower quorum lets borderline-fast nodes systematically
-		// miss the round too, trading objective quality for no extra
-		// throughput (the straggler already never gates).
-		AsyncQuorum: 0.9,
-		Seed:        7,
-	}
+	cfg := ExtAsyncConfig{Scale: scale, T: 300}
 	if scale == ScaleCI {
 		// Long enough for the transient to decay — the 5%-gap claim is
 		// about the converged objective, not the first dozen rounds.
@@ -95,11 +62,29 @@ type ExtAsyncResult struct {
 // RunExtAsync trains the same federation through the sync barrier and the
 // buffered-async loop under identical latency skew.
 func RunExtAsync(cfg ExtAsyncConfig) (*ExtAsyncResult, error) {
-	fed, m, err := workload{dataset: "synthetic"}.build(cfg.Scale, cfg.Seed)
+	const (
+		alpha, beta, t0, seed = 0.01, 0.01, 5, 7
+		// Every healthy link delays each message by baseLatency; the
+		// straggler's link by ten times as much.
+		baseLatency, stragglerLatency = 2 * time.Millisecond, 20 * time.Millisecond
+		stragglerNode                 = 3
+		// roundTimeout bounds both loops' per-round waiting. It is sized
+		// far above the straggler's round trip, so the sync barrier always
+		// waits the full straggler latency rather than dropping the node —
+		// the regime the async loop is built for.
+		roundTimeout = 2 * time.Second
+		// The async knobs (core.Config semantics). High quorum: only the
+		// true straggler should ride the staleness path. A lower quorum
+		// lets borderline-fast nodes systematically miss the round too,
+		// trading objective quality for no extra throughput (the straggler
+		// already never gates).
+		stalenessDecay, maxStaleness, asyncQuorum = 0.5, 20, 0.9
+	)
+	fed, m, err := workload{dataset: "synthetic"}.build(cfg.Scale, seed)
 	if err != nil {
 		return nil, fmt.Errorf("ext-async: %w", err)
 	}
-	base := core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed}
+	base := core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed}
 
 	ff, err := core.Train(m, fed, nil, base)
 	if err != nil {
@@ -107,14 +92,14 @@ func RunExtAsync(cfg ExtAsyncConfig) (*ExtAsyncResult, error) {
 	}
 
 	skewed := func(c core.Config) core.Config {
-		c.RoundTimeout = cfg.RoundTimeout
+		c.RoundTimeout = roundTimeout
 		c.GuardRadius = 50
 		c.WrapLink = func(i int, l transport.Link) transport.Link {
-			lat := cfg.BaseLatency
-			if i == cfg.StragglerNode {
-				lat = cfg.StragglerLatency
+			lat := baseLatency
+			if i == stragglerNode {
+				lat = stragglerLatency
 			}
-			return transport.NewChaos(l, transport.ChaosConfig{Seed: cfg.Seed + uint64(i), Latency: lat})
+			return transport.NewChaos(l, transport.ChaosConfig{Seed: seed + uint64(i), Latency: lat})
 		}
 		return c
 	}
@@ -132,17 +117,17 @@ func RunExtAsync(cfg ExtAsyncConfig) (*ExtAsyncResult, error) {
 
 	asyncCfg := skewed(base)
 	asyncCfg.Async = true
-	asyncCfg.StalenessDecay = cfg.StalenessDecay
-	asyncCfg.MaxStaleness = cfg.MaxStaleness
-	asyncCfg.AsyncQuorum = cfg.AsyncQuorum
+	asyncCfg.StalenessDecay = stalenessDecay
+	asyncCfg.MaxStaleness = maxStaleness
+	asyncCfg.AsyncQuorum = asyncQuorum
 	asyncRes, asyncElapsed, err := timed(asyncCfg)
 	if err != nil {
 		return nil, fmt.Errorf("ext-async async run: %w", err)
 	}
 
-	gFF := eval.GlobalMetaObjective(m, fed, cfg.Alpha, ff.Theta)
-	gSync := eval.GlobalMetaObjective(m, fed, cfg.Alpha, syncRes.Theta)
-	gAsync := eval.GlobalMetaObjective(m, fed, cfg.Alpha, asyncRes.Theta)
+	gFF := eval.GlobalMetaObjective(m, fed, alpha, ff.Theta)
+	gSync := eval.GlobalMetaObjective(m, fed, alpha, syncRes.Theta)
+	gAsync := eval.GlobalMetaObjective(m, fed, alpha, asyncRes.Theta)
 	syncRate := float64(syncRes.Comm.Rounds) / syncElapsed.Seconds()
 	asyncRate := float64(asyncRes.Comm.Rounds) / asyncElapsed.Seconds()
 	speedup := 0.0

@@ -17,30 +17,13 @@ import (
 
 // ExtBaselinesConfig parameterizes the comparison.
 type ExtBaselinesConfig struct {
-	Scale       Scale
-	Alpha, Beta float64
-	T, T0       int
-	// ProxMu is FedProx's proximal coefficient.
-	ProxMu float64
-	// ReptileEps is Reptile's interpolation step.
-	ReptileEps float64
-	AdaptSteps int
-	Seed       uint64
+	Scale Scale
+	T     int
 }
 
 // DefaultExtBaselinesConfig returns the comparison configuration.
 func DefaultExtBaselinesConfig(scale Scale) ExtBaselinesConfig {
-	cfg := ExtBaselinesConfig{
-		Scale:      scale,
-		Alpha:      0.05,
-		Beta:       0.01,
-		T:          300,
-		T0:         5,
-		ProxMu:     0.1,
-		ReptileEps: 0.5,
-		AdaptSteps: 10,
-		Seed:       9,
-	}
+	cfg := ExtBaselinesConfig{Scale: scale, T: 300}
 	if scale == ScaleCI {
 		cfg.T = 100
 	}
@@ -58,7 +41,13 @@ type ExtBaselinesResult struct {
 // RunExtBaselines trains all five algorithms on the same federation and
 // evaluates target fast adaptation.
 func RunExtBaselines(cfg ExtBaselinesConfig) (*ExtBaselinesResult, error) {
-	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, cfg.Seed)
+	const (
+		alpha, beta, t0, adaptSteps, seed = 0.05, 0.01, 5, 10, 9
+		// proxMu is FedProx's proximal coefficient, reptileEps Reptile's
+		// interpolation step.
+		proxMu, reptileEps = 0.1, 0.5
+	)
+	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, seed)
 	if err != nil {
 		return nil, fmt.Errorf("ext-baselines: %w", err)
 	}
@@ -66,7 +55,7 @@ func RunExtBaselines(cfg ExtBaselinesConfig) (*ExtBaselinesResult, error) {
 	// meta-gradient mode or in what a node does between aggregations.
 	variant := func(name string, mode meta.GradMode, local core.LocalRule) arm {
 		return arm{name: name, build: shared(fed, m), cfg: core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
+			Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed,
 			GradMode: mode, Local: local,
 		}}
 	}
@@ -74,8 +63,8 @@ func RunExtBaselines(cfg ExtBaselinesConfig) (*ExtBaselinesResult, error) {
 		variant("FedML", meta.SecondOrder, nil),
 		variant("FedML-FO", meta.FirstOrder, nil),
 		variant("FedAvg", meta.SecondOrder, core.LocalSGD{}),
-		variant("FedProx", meta.SecondOrder, core.LocalSGD{Mu: cfg.ProxMu}),
-		variant("Reptile", meta.SecondOrder, core.Reptile{Eps: cfg.ReptileEps}),
+		variant("FedProx", meta.SecondOrder, core.LocalSGD{Mu: proxMu}),
+		variant("Reptile", meta.SecondOrder, core.Reptile{Eps: reptileEps}),
 	}
 	runs, err := runArms("ext-baselines", arms)
 	if err != nil {
@@ -84,8 +73,8 @@ func RunExtBaselines(cfg ExtBaselinesConfig) (*ExtBaselinesResult, error) {
 	res := &ExtBaselinesResult{}
 	for i, r := range runs {
 		res.Names = append(res.Names, arms[i].name)
-		res.Curves = append(res.Curves, eval.AverageAdaptationCurveN(m, r.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 0))
-		res.SourceMeta = append(res.SourceMeta, eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, r.theta, 0))
+		res.Curves = append(res.Curves, eval.AverageAdaptationCurveN(m, r.theta, fed.Targets, alpha, adaptSteps, 0))
+		res.SourceMeta = append(res.SourceMeta, eval.GlobalMetaObjectiveN(m, fed, alpha, r.theta, 0))
 	}
 	return res, nil
 }

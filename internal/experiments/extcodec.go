@@ -13,34 +13,17 @@ import (
 // per wire byte.
 type ExtCodecConfig struct {
 	Scale Scale
-	// Codecs lists the internal/codec specs to compare; nil means
-	// {raw, f16, q8, topk}.
+	// Codecs lists the internal/codec specs to compare; the first is the
+	// baseline the compression ratios are taken against.
 	Codecs []string
-	// AlphaBeta is the Synthetic similarity level (0.5, the middle ground).
-	AlphaBeta float64
-	// Alpha, Beta are the learning rates.
-	Alpha, Beta float64
-	// T, T0 are the iteration budget and local steps.
-	T, T0 int
-	// AdaptSteps is the target-side adaptation depth for the accuracy probe.
-	AdaptSteps int
-	Seed       uint64
+	// T is the iteration budget.
+	T int
 }
 
 // DefaultExtCodecConfig returns the extension's configuration at the given
 // scale.
 func DefaultExtCodecConfig(scale Scale) ExtCodecConfig {
-	cfg := ExtCodecConfig{
-		Scale:      scale,
-		Codecs:     []string{"raw", "f16", "q8", "topk"},
-		AlphaBeta:  0.5,
-		Alpha:      0.01,
-		Beta:       0.01,
-		T:          500,
-		T0:         10,
-		AdaptSteps: 10,
-		Seed:       1,
-	}
+	cfg := ExtCodecConfig{Scale: scale, Codecs: []string{"raw", "f16", "q8", "topk"}, T: 500}
 	if scale == ScaleCI {
 		cfg.T = 100
 	}
@@ -64,16 +47,16 @@ type ExtCodecResult struct {
 // reports accuracy-versus-traffic. Every arm builds its own federation; only
 // the wire encoding differs between arms.
 func RunExtCodec(cfg ExtCodecConfig) (*ExtCodecResult, error) {
-	if len(cfg.Codecs) == 0 {
-		cfg.Codecs = []string{"raw", "f16", "q8", "topk"}
-	}
+	// Synthetic(0.5, 0.5), the middle ground; adaptSteps is the target-side
+	// adaptation depth of the accuracy probe.
+	const ab, alpha, beta, t0, adaptSteps, seed = 0.5, 0.01, 0.01, 10, 10, 1
 	arms := make([]arm, len(cfg.Codecs))
 	for i, spec := range cfg.Codecs {
 		arms[i] = arm{
 			name:     spec,
-			cfg:      core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Codec: spec},
-			build:    workload{dataset: "synthetic", ab: cfg.AlphaBeta}.builder(cfg.Scale, cfg.Seed),
-			accuracy: &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps},
+			cfg:      core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed, Codec: spec},
+			build:    workload{dataset: "synthetic", ab: ab}.builder(cfg.Scale, seed),
+			accuracy: &accuracyProbe{alpha: alpha, steps: adaptSteps},
 		}
 	}
 	runs, err := runArms("ext-codec", arms)

@@ -25,46 +25,13 @@ import (
 // ExtEnergyConfig parameterizes the accuracy-vs-energy experiment.
 type ExtEnergyConfig struct {
 	Scale Scale
-	// Alpha, Beta are the FedML rates; T the iteration budget, T0 the local
-	// steps per round.
-	Alpha, Beta float64
-	T, T0       int
-	// Warmup is the number of full-sync rounds before the head mask engages.
-	Warmup int
-	// Hidden is the MLP hidden width (the frozen feature layer; the softmax
-	// models elsewhere are all head, so partial sync needs a deeper model).
-	Hidden int
-	// AdaptSteps is the target-side adaptation depth for the accuracy probe.
-	AdaptSteps int
-	// Profile selects the core.EnergyProfiles radio ("lora-like", "wifi",
-	// "datacenter"); ComputeJPerIter is its workload-dependent compute term.
-	Profile         string
-	ComputeJPerIter float64
-	// HungryScale is the energy multiplier of the last source node in the
-	// budgeted arm (a node with a power-hungry radio). The arm's per-node
-	// per-round budget is 2x the modeled full-sync round cost of an
-	// unscaled node, so regular nodes always fit while the hungry node only
-	// fits once the mask discounts its traffic.
-	HungryScale float64
-	Seed        uint64
+	// T is the iteration budget.
+	T int
 }
 
 // DefaultExtEnergyConfig returns the experiment configuration.
 func DefaultExtEnergyConfig(scale Scale) ExtEnergyConfig {
-	cfg := ExtEnergyConfig{
-		Scale:           scale,
-		Alpha:           0.01,
-		Beta:            0.01,
-		T:               500,
-		T0:              10,
-		Warmup:          2,
-		Hidden:          16,
-		AdaptSteps:      10,
-		Profile:         "lora-like",
-		ComputeJPerIter: 1e-4,
-		HungryScale:     10,
-		Seed:            1,
-	}
+	cfg := ExtEnergyConfig{Scale: scale, T: 500}
 	if scale == ScaleCI {
 		cfg.T = 120
 	}
@@ -94,49 +61,59 @@ type ExtEnergyResult struct {
 // RunExtEnergy trains the same federation under each sync policy and reports
 // adapted accuracy against the modeled energy spent to reach it.
 func RunExtEnergy(cfg ExtEnergyConfig) (*ExtEnergyResult, error) {
-	profiles := core.EnergyProfiles(cfg.ComputeJPerIter)
-	em, ok := profiles[cfg.Profile]
-	if !ok {
-		return nil, fmt.Errorf("ext-energy: unknown energy profile %q", cfg.Profile)
-	}
-	w := workload{dataset: "synthetic", ab: 0.5, hidden: cfg.Hidden}
+	const (
+		alpha, beta, t0, adaptSteps, seed = 0.01, 0.01, 10, 10, 1
+		// hidden is the MLP hidden width: the frozen feature layer (the
+		// softmax models elsewhere are all head, so partial sync needs a
+		// deeper model).
+		hidden = 16
+		// The radio of core.EnergyProfiles the runs are priced on, and its
+		// workload-dependent compute term.
+		profile, computeJPerIter = "lora-like", 1e-4
+		// hungryScale is the energy multiplier of the budgeted arm's
+		// power-hungry node.
+		hungryScale = 10
+	)
+	em := core.EnergyProfiles(computeJPerIter)[profile]
+	w := workload{dataset: "synthetic", ab: 0.5, hidden: hidden}
 	// headSync builds the arm's own federation and MLP, then syncs only the
-	// output head after warmup; with budget, the last source node's radio
-	// is HungryScale times as costly and every node gets a per-round budget
-	// of twice the modeled full-sync round cost of an unscaled node, so
-	// only the mask's discount lets the hungry node in.
+	// output head after two full-sync warmup rounds; with budget, the last
+	// source node's radio is hungryScale times as costly and every node
+	// gets a per-round budget of twice the modeled full-sync round cost of
+	// an unscaled node, so regular nodes always fit while the hungry node
+	// only fits once the mask discounts its traffic.
 	headSync := func(budget bool) func(*core.Config) (*data.Federation, nn.Model, error) {
 		return func(c *core.Config) (*data.Federation, nn.Model, error) {
-			fed, m, err := w.build(cfg.Scale, cfg.Seed)
+			fed, m, err := w.build(cfg.Scale, seed)
 			if err != nil {
 				return nil, nil, err
 			}
-			if c.SyncMask, err = core.ResolveSyncMask(fmt.Sprintf("head:%d", cfg.Warmup), m); err != nil {
+			if c.SyncMask, err = core.ResolveSyncMask("head:2", m); err != nil {
 				return nil, nil, fmt.Errorf("mask: %w", err)
 			}
 			if budget {
 				fullBytes := int64(8 * m.NumParams())
-				c.EnergyBudget = 2 * em.RoundJoules(fullBytes, fullBytes, cfg.T0)
+				c.EnergyBudget = 2 * em.RoundJoules(fullBytes, fullBytes, t0)
 				c.EnergyScale = make([]float64, len(fed.Sources))
 				for i := range c.EnergyScale {
 					c.EnergyScale[i] = 1
 				}
-				c.EnergyScale[len(c.EnergyScale)-1] = cfg.HungryScale
+				c.EnergyScale[len(c.EnergyScale)-1] = hungryScale
 			}
 			return fed, m, nil
 		}
 	}
-	base := core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Energy: &em}
-	probe := &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps}
+	base := core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed, Energy: &em}
+	probe := &accuracyProbe{alpha: alpha, steps: adaptSteps}
 	runs, err := runArms("ext-energy", []arm{
-		{name: "full-sync", cfg: base, build: w.builder(cfg.Scale, cfg.Seed), accuracy: probe},
+		{name: "full-sync", cfg: base, build: w.builder(cfg.Scale, seed), accuracy: probe},
 		{name: "head-sync", cfg: base, build: headSync(false), accuracy: probe},
 		{name: "head+budget", cfg: base, build: headSync(true), accuracy: probe},
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &ExtEnergyResult{Profile: cfg.Profile}
+	res := &ExtEnergyResult{Profile: profile}
 	for _, r := range runs {
 		last, _ := r.accVsJ.Last()
 		res.Arms = append(res.Arms, r.accVsJ.Name)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/edgeai/fedml/internal/core"
 )
@@ -132,12 +131,12 @@ func TestExtTimeRawPricing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, cfg.Seed)
+	_, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, extTimeSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rawBytes := 8 * m.NumParams()
-	profiles := core.EdgeProfiles(cfg.LocalStepTime)
+	profiles := core.EdgeProfiles(extTimeStepTime)
 	checked := 0
 	for _, c := range res.Cells {
 		if c.ItersToTarget == 0 {
@@ -269,18 +268,9 @@ func TestExtEnergyAcceptance(t *testing.T) {
 	}
 }
 
-// TestExtEnergyRejectsUnknownProfile covers the config error path.
-func TestExtEnergyRejectsUnknownProfile(t *testing.T) {
-	cfg := DefaultExtEnergyConfig(ScaleCI)
-	cfg.Profile = "5g"
-	if _, err := RunExtEnergy(cfg); err == nil {
-		t.Error("unknown energy profile accepted")
-	}
-}
-
 func TestDefaultExtTimeConfigSane(t *testing.T) {
 	cfg := DefaultExtTimeConfig(ScalePaper)
-	if cfg.T != 500 || cfg.LocalStepTime != 2*time.Millisecond {
+	if cfg.T != 500 {
 		t.Errorf("paper-scale config unexpected: %+v", cfg)
 	}
 }

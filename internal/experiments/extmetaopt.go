@@ -20,23 +20,12 @@ import (
 // ExtMetaOptConfig parameterizes the ablation.
 type ExtMetaOptConfig struct {
 	Scale Scale
-	// Alpha is the inner rate; Beta the SGD/momentum outer rate (Adam uses
-	// AdamLR since its scale-free steps need a different magnitude).
-	Alpha, Beta, AdamLR float64
-	Iters               int
-	Seed                uint64
+	Iters int
 }
 
 // DefaultExtMetaOptConfig returns the ablation configuration.
 func DefaultExtMetaOptConfig(scale Scale) ExtMetaOptConfig {
-	cfg := ExtMetaOptConfig{
-		Scale:  scale,
-		Alpha:  0.05,
-		Beta:   0.01,
-		AdamLR: 0.01,
-		Iters:  300,
-		Seed:   10,
-	}
+	cfg := ExtMetaOptConfig{Scale: scale, Iters: 300}
 	if scale == ScaleCI {
 		cfg.Iters = 100
 	}
@@ -51,16 +40,19 @@ type ExtMetaOptResult struct {
 
 // RunExtMetaOpt runs the ablation.
 func RunExtMetaOpt(cfg ExtMetaOptConfig) (*ExtMetaOptResult, error) {
-	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, cfg.Seed)
+	// alpha is the inner rate, beta the SGD/momentum outer rate; Adam's
+	// scale-free steps need a magnitude of their own, adamLR.
+	const alpha, beta, adamLR, seed = 0.05, 0.01, 0.01, 10
+	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, seed)
 	if err != nil {
 		return nil, fmt.Errorf("ext-meta-opt: %w", err)
 	}
-	theta0 := m.InitParams(rng.New(cfg.Seed))
+	theta0 := m.InitParams(rng.New(seed))
 
 	optimizers := []opt.Optimizer{
-		&opt.SGD{LR: cfg.Beta},
-		&opt.Momentum{LR: cfg.Beta, Gamma: 0.9},
-		&opt.Adam{LR: cfg.AdamLR},
+		&opt.SGD{LR: beta},
+		&opt.Momentum{LR: beta, Gamma: 0.9},
+		&opt.Adam{LR: adamLR},
 	}
 
 	// Each optimizer run is independent (stateful optimizers are per-cell);
@@ -70,10 +62,10 @@ func RunExtMetaOpt(cfg ExtMetaOptConfig) (*ExtMetaOptResult, error) {
 		o := optimizers[c]
 		series := &eval.Series{Name: o.Name()}
 		_, err := meta.TrainCentralized(m, fed.Sources, fed.Weights(), theta0,
-			cfg.Alpha, o, cfg.Iters, meta.SecondOrder, 1,
+			alpha, o, cfg.Iters, meta.SecondOrder, 1,
 			func(iter int, theta tensor.Vec) {
 				if iter%10 == 0 || iter == cfg.Iters {
-					series.Add(iter, eval.GlobalMetaObjectiveN(m, fed, cfg.Alpha, theta, 1))
+					series.Add(iter, eval.GlobalMetaObjectiveN(m, fed, alpha, theta, 1))
 				}
 			})
 		if err != nil {

@@ -31,28 +31,12 @@ type ExtScaleConfig struct {
 	Nodes int
 	// Shards is the number of leaf aggregators the fleet is split across.
 	Shards int
-	// Dim is the simulated model dimension (kept small: the experiment
-	// measures coordination overhead, not FLOPs).
-	Dim int
-	// Rounds is the number of global aggregations.
-	Rounds int
-	// Eta is the contraction rate of the linear node dynamics.
-	Eta  float64
-	Seed uint64
 }
 
 // DefaultExtScaleConfig returns the experiment configuration: 4096 nodes in
 // CI, 262144 (2.6×10⁵) at paper scale.
 func DefaultExtScaleConfig(scale Scale) ExtScaleConfig {
-	cfg := ExtScaleConfig{
-		Scale:  scale,
-		Nodes:  262144,
-		Shards: 8,
-		Dim:    16,
-		Rounds: 3,
-		Eta:    0.3,
-		Seed:   17,
-	}
+	cfg := ExtScaleConfig{Scale: scale, Nodes: 262144, Shards: 8}
 	if scale == ScaleCI {
 		cfg.Nodes = 4096
 		cfg.Shards = 4
@@ -92,11 +76,18 @@ func simWeight(i int) float64 { return 0.5 + float64(i%10)/10 }
 // RunExtScale builds the simulated fleet, runs the two-tier topology, and
 // verifies the aggregate against the closed form.
 func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
-	n, dim := cfg.Nodes, cfg.Dim
-	if n < 1 || cfg.Shards < 1 || dim < 1 || cfg.Rounds < 1 {
+	const (
+		// dim is the simulated model dimension, kept small: the experiment
+		// measures coordination overhead, not FLOPs.
+		dim = 16
+		// rounds is the number of global aggregations; eta the contraction
+		// rate of the linear node dynamics.
+		rounds, eta, seed = 3, 0.3, 17
+	)
+	n := cfg.Nodes
+	if n < 1 || cfg.Shards < 1 {
 		return nil, fmt.Errorf("ext-scale: bad config %+v", cfg)
 	}
-	eta := cfg.Eta
 
 	weights := make([]float64, n)
 	for i := range weights {
@@ -107,7 +98,7 @@ func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
 	ci := make([]float64, dim)
 	var wsum float64
 	for i := 0; i < n; i++ {
-		simCenter(cfg.Seed, i, dim, ci)
+		simCenter(seed, i, dim, ci)
 		w := weights[i]
 		wsum += w
 		for d := range cbar {
@@ -120,8 +111,8 @@ func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
 
 	runCfg := core.Config{
 		Alpha: 0.01, Beta: 0.01, // required by validation; unused by SimNodeLink dynamics
-		T: cfg.Rounds, T0: 1,
-		Seed: cfg.Seed,
+		T: rounds, T0: 1,
+		Seed: seed,
 	}
 	ranges := core.ShardRanges(n, cfg.Shards)
 	dirLinks := make([]transport.Link, len(ranges))
@@ -143,7 +134,7 @@ func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
 					// reply buffer (a copy of the shared broadcast); the
 					// per-node center is regenerated from (seed, id) each
 					// call.
-					simCenter(cfg.Seed, id, len(theta), scratch)
+					simCenter(seed, id, len(theta), scratch)
 					for d := range theta {
 						theta[d] += eta * (scratch[d] - theta[d])
 					}
@@ -177,7 +168,7 @@ func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
 	}
 
 	// Closed form: θ_R = c̄ + (1−η)^R (θ0 − c̄); θ0 = 0.
-	decay := math.Pow(1-eta, float64(cfg.Rounds))
+	decay := math.Pow(1-eta, float64(rounds))
 	var maxErr float64
 	for d := range theta {
 		want := cbar[d] * (1 - decay)
@@ -191,14 +182,14 @@ func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
 		sum.Add(s)
 	}
 	parity := sum.Messages == root.Messages && sum.Bytes == root.Bytes &&
-		root.Messages == 2*n*cfg.Rounds
+		root.Messages == 2*n*rounds
 
 	secs := elapsed.Seconds()
 	return &ExtScaleResult{
-		Nodes: n, Shards: cfg.Shards, Dim: dim, Rounds: cfg.Rounds,
+		Nodes: n, Shards: cfg.Shards, Dim: dim, Rounds: rounds,
 		Elapsed:          elapsed,
-		RoundsPerSec:     float64(cfg.Rounds) / secs,
-		NodeRoundsPerSec: float64(cfg.Rounds) * float64(n) / secs,
+		RoundsPerSec:     float64(rounds) / secs,
+		NodeRoundsPerSec: float64(rounds) * float64(n) / secs,
 		MaxClosedFormErr: maxErr,
 		StatsParity:      parity,
 		Root:             root,

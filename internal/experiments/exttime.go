@@ -22,29 +22,24 @@ type ExtTimeConfig struct {
 	Scale Scale
 	// T0s are the local-step counts compared.
 	T0s []int
-	// Alpha, Beta are the FedML rates; T the iteration budget.
-	Alpha, Beta float64
-	T           int
+	// T is the iteration budget.
+	T int
 	// TargetG is the meta-objective value to reach. Zero selects the
 	// target automatically: 5%% above the worst final objective across the
 	// T0 runs, so every run crosses it and the comparison is meaningful.
 	TargetG float64
-	// LocalStepTime models one local meta-iteration's compute cost.
-	LocalStepTime time.Duration
-	Seed          uint64
 }
+
+// The seed of ext-time's federation, and the modelled compute cost of one
+// local meta-iteration.
+const (
+	extTimeSeed     = 8
+	extTimeStepTime = 2 * time.Millisecond
+)
 
 // DefaultExtTimeConfig returns the experiment configuration.
 func DefaultExtTimeConfig(scale Scale) ExtTimeConfig {
-	cfg := ExtTimeConfig{
-		Scale:         scale,
-		T0s:           []int{1, 5, 20},
-		Alpha:         0.01,
-		Beta:          0.01,
-		T:             500,
-		LocalStepTime: 2 * time.Millisecond,
-		Seed:          8,
-	}
+	cfg := ExtTimeConfig{Scale: scale, T0s: []int{1, 5, 20}, T: 500}
 	if scale == ScaleCI {
 		cfg.T = 200
 	}
@@ -75,17 +70,18 @@ type ExtTimeResult struct {
 // RunExtTime trains FedML once per T0, finds when each run crosses the
 // target objective, and prices that point under each network profile.
 func RunExtTime(cfg ExtTimeConfig) (*ExtTimeResult, error) {
-	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, cfg.Seed)
+	const alpha, beta = 0.01, 0.01
+	fed, m, err := workload{dataset: "synthetic", ab: 0.5}.build(cfg.Scale, extTimeSeed)
 	if err != nil {
 		return nil, fmt.Errorf("ext-time: %w", err)
 	}
 	paramBytes := 8 * m.NumParams() // raw []float64 messages
-	probe := &objectiveProbe{alpha: cfg.Alpha}
+	probe := &objectiveProbe{alpha: alpha}
 	arms := make([]arm, len(cfg.T0s))
 	for i, t0 := range cfg.T0s {
 		arms[i] = arm{
 			name:      fmt.Sprintf("T0=%d", t0),
-			cfg:       core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: cfg.Seed},
+			cfg:       core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: extTimeSeed},
 			build:     shared(fed, m),
 			objective: probe,
 		}
@@ -121,7 +117,7 @@ func RunExtTime(cfg ExtTimeConfig) (*ExtTimeResult, error) {
 		crossings[t0] = cross
 	}
 
-	profiles := core.EdgeProfiles(cfg.LocalStepTime)
+	profiles := core.EdgeProfiles(extTimeStepTime)
 	names := make([]string, 0, len(profiles))
 	for name := range profiles {
 		names = append(names, name)

@@ -36,37 +36,13 @@ type ExtWorkloadConfig struct {
 	Scale Scale
 	// Workload selects the scenario: "rec" or "fault".
 	Workload string
-	// Alpha, Beta are FedML's adaptation and meta rates; Eta the local rate
-	// of the non-meta baselines (paper convention: Eta = Beta).
-	Alpha, Beta, Eta float64
-	// T, T0 are the iteration budget and local steps per round.
-	T, T0 int
-	// Hidden is the MLP hidden width (a hidden layer is required: repshare
-	// needs a non-head representation block to share).
-	Hidden int
-	// AdaptSteps is the per-node adaptation budget of the personalized
-	// column.
-	AdaptSteps int
-	// Mu is FedProx's proximal coefficient.
-	Mu   float64
-	Seed uint64
+	// T is the iteration budget.
+	T int
 }
 
 // DefaultExtWorkloadConfig returns the matrix configuration for a workload.
 func DefaultExtWorkloadConfig(workload string, scale Scale) ExtWorkloadConfig {
-	cfg := ExtWorkloadConfig{
-		Scale:      scale,
-		Workload:   workload,
-		Alpha:      0.05,
-		Beta:       0.05,
-		Eta:        0.05,
-		T:          400,
-		T0:         10,
-		Hidden:     16,
-		AdaptSteps: 5,
-		Mu:         0.1,
-		Seed:       1,
-	}
+	cfg := ExtWorkloadConfig{Scale: scale, Workload: workload, T: 400}
 	if scale == ScaleCI {
 		cfg.T = 120
 	}
@@ -77,6 +53,9 @@ func DefaultExtWorkloadConfig(workload string, scale Scale) ExtWorkloadConfig {
 // accuracy/traffic trajectory.
 type ExtWorkloadResult struct {
 	Workload string
+	// AdaptSteps is the per-node adaptation budget of the personalized
+	// column.
+	AdaptSteps int
 	// Arms, Pers and KiB are the matrix rows: per algorithm, global vs
 	// adapted target accuracy and the run's billed wire traffic.
 	Arms []string
@@ -94,33 +73,43 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 	if cfg.Workload != "rec" && cfg.Workload != "fault" {
 		return nil, fmt.Errorf("ext-workload: unknown workload %q (want rec or fault)", cfg.Workload)
 	}
-	build := workload{dataset: cfg.Workload, hidden: cfg.Hidden}.builder(cfg.Scale, cfg.Seed)
+	const (
+		// alpha and beta are FedML's adaptation and meta rates, eta the
+		// local rate of the non-meta baselines (paper convention: η = β).
+		alpha, beta, eta, t0, adaptSteps, seed = 0.05, 0.05, 0.05, 10, 5, 1
+		// hidden is the MLP hidden width: a hidden layer is required, since
+		// repshare needs a non-head representation block to share.
+		hidden = 16
+		// mu is FedProx's proximal coefficient.
+		mu = 0.1
+	)
+	build := workload{dataset: cfg.Workload, hidden: hidden}.builder(cfg.Scale, seed)
 	global := func(name string, local core.LocalRule) arm {
-		return arm{name: name, build: build, cfg: core.Config{Beta: cfg.Eta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: local}}
+		return arm{name: name, build: build, cfg: core.Config{Beta: eta, T: cfg.T, T0: t0, Seed: seed, Local: local}}
 	}
 	arms := []arm{
 		{
 			name:     "fedml",
-			cfg:      core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
+			cfg:      core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed},
 			build:    build,
-			accuracy: &accuracyProbe{alpha: cfg.Alpha, steps: cfg.AdaptSteps},
+			accuracy: &accuracyProbe{alpha: alpha, steps: adaptSteps},
 		},
 		global("fedavg", core.LocalSGD{}),
-		global("fedprox", core.LocalSGD{Mu: cfg.Mu}),
+		global("fedprox", core.LocalSGD{Mu: mu}),
 		global("repshare", core.RepShare{}),
 	}
 	runs, err := runArms("ext-"+cfg.Workload, arms)
 	if err != nil {
 		return nil, err
 	}
-	res := &ExtWorkloadResult{Workload: cfg.Workload, AccVsKiB: runs[0].accVsKiB}
+	res := &ExtWorkloadResult{Workload: cfg.Workload, AdaptSteps: adaptSteps, AccVsKiB: runs[0].accVsKiB}
 	res.AccVsKiB.Name = "fedml/raw"
 	for i, r := range runs {
 		res.Arms = append(res.Arms, arms[i].name)
 		// Targets are nodes unseen during training for every arm, so the
-		// same split applies: θ as-is (global) vs θ after AdaptSteps local
+		// same split applies: θ as-is (global) vs θ after adaptSteps local
 		// steps on the node's K-shot split (personalized).
-		res.Pers = append(res.Pers, eval.PersonalizationN(r.model, r.theta, r.fed.Targets, cfg.Alpha, cfg.AdaptSteps, 0))
+		res.Pers = append(res.Pers, eval.PersonalizationN(r.model, r.theta, r.fed.Targets, alpha, adaptSteps, 0))
 		res.KiB = append(res.KiB, float64(r.comm.Bytes)/1024)
 	}
 	return res, nil

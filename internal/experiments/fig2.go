@@ -50,34 +50,18 @@ func renderWarnings(b *strings.Builder, warnings []string) {
 // Fig2aConfig parameterizes the node-similarity convergence experiment.
 type Fig2aConfig struct {
 	Scale Scale
-	// Similarities lists the (α̃, β̃) levels; nil means the paper's
-	// {(0,0), (0.5,0.5), (1,1)}.
+	// Similarities lists the (α̃, β̃) levels.
 	Similarities []float64
-	// Alpha, Beta are the learning rates (paper: 0.01 both).
-	Alpha, Beta float64
-	// T, T0 are the iteration budget and local steps (paper: T0 = 10).
-	T, T0 int
-	Seed  uint64
+	// T is the iteration budget.
+	T int
 }
 
 // DefaultFig2aConfig returns the paper configuration at the given scale.
+// The similarity ordering only emerges once the transient has decayed, so
+// CI keeps the paper's T and shrinks the node count (done by the datasets
+// table) instead.
 func DefaultFig2aConfig(scale Scale) Fig2aConfig {
-	cfg := Fig2aConfig{
-		Scale:        scale,
-		Similarities: []float64{0, 0.5, 1},
-		Alpha:        0.01,
-		Beta:         0.01,
-		T:            500,
-		T0:           10,
-		Seed:         1,
-	}
-	if scale == ScaleCI {
-		// The similarity ordering only emerges once the transient has
-		// decayed, so CI keeps the paper's T and shrinks the node count
-		// (done by the datasets table) instead.
-		cfg.T = 500
-	}
-	return cfg
+	return Fig2aConfig{Scale: scale, Similarities: []float64{0, 0.5, 1}, T: 500}
 }
 
 // Fig2aResult holds one convergence-error series per similarity level.
@@ -95,14 +79,16 @@ type Fig2aResult struct {
 // convergence at T0 = 10. Each similarity level is an arm that builds its
 // own federation and estimates its own G*.
 func RunFig2a(cfg Fig2aConfig) (*Fig2aResult, error) {
+	// The paper's rates: α = β = 0.01.
+	const alpha, beta, t0, seed = 0.01, 0.01, 10, 1
 	arms := make([]arm, len(cfg.Similarities))
 	for i, ab := range cfg.Similarities {
 		arms[i] = arm{
 			name:  fmt.Sprintf("Synthetic(%g,%g)", ab, ab),
-			cfg:   core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
-			build: workload{dataset: "synthetic", ab: ab}.builder(cfg.Scale, cfg.Seed),
-			objective: &objectiveProbe{alpha: cfg.Alpha, offset: func(m nn.Model, fed *data.Federation) (float64, error) {
-				return estimateGStar(m, fed, cfg.Alpha, cfg.Beta, 4*cfg.T, 1)
+			cfg:   core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed},
+			build: workload{dataset: "synthetic", ab: ab}.builder(cfg.Scale, seed),
+			objective: &objectiveProbe{alpha: alpha, offset: func(m nn.Model, fed *data.Federation) (float64, error) {
+				return estimateGStar(m, fed, alpha, beta, 4*cfg.T, 1)
 			}},
 		}
 	}
@@ -133,28 +119,15 @@ func (r *Fig2aResult) Render() string {
 // Fig2bConfig parameterizes the local-update-count experiment.
 type Fig2bConfig struct {
 	Scale Scale
-	// AlphaBeta is the Synthetic similarity level (paper: 0.5).
-	AlphaBeta float64
 	// T0s lists the local-update counts to compare.
 	T0s []int
-	// Alpha, Beta are the learning rates.
-	Alpha, Beta float64
 	// T is the fixed total iteration budget (paper: 500).
-	T    int
-	Seed uint64
+	T int
 }
 
 // DefaultFig2bConfig returns the paper configuration at the given scale.
 func DefaultFig2bConfig(scale Scale) Fig2bConfig {
-	cfg := Fig2bConfig{
-		Scale:     scale,
-		AlphaBeta: 0.5,
-		T0s:       []int{1, 5, 10, 20},
-		Alpha:     0.01,
-		Beta:      0.01,
-		T:         500,
-		Seed:      1,
-	}
+	cfg := Fig2bConfig{Scale: scale, T0s: []int{1, 5, 10, 20}, T: 500}
 	if scale == ScaleCI {
 		cfg.T = 100
 	}
@@ -173,21 +146,23 @@ type Fig2bResult struct {
 // steps T0 on convergence at fixed T. The T0 arms share one federation and
 // G* estimate, both computed up front and read-only during the fan-out.
 func RunFig2b(cfg Fig2bConfig) (*Fig2bResult, error) {
-	fed, m, err := workload{dataset: "synthetic", ab: cfg.AlphaBeta}.build(cfg.Scale, cfg.Seed)
+	// Synthetic(0.5, 0.5), the middle similarity level, at α = β = 0.01.
+	const ab, alpha, beta, seed = 0.5, 0.01, 0.01, 1
+	fed, m, err := workload{dataset: "synthetic", ab: ab}.build(cfg.Scale, seed)
 	if err != nil {
 		return nil, fmt.Errorf("fig2b: %w", err)
 	}
 	res := &Fig2bResult{}
-	gStar, gErr := estimateGStar(m, fed, cfg.Alpha, cfg.Beta, 4*cfg.T, 0)
+	gStar, gErr := estimateGStar(m, fed, alpha, beta, 4*cfg.T, 0)
 	if gErr != nil {
 		res.Warnings = append(res.Warnings, gErr.Error())
 	}
-	probe := &objectiveProbe{alpha: cfg.Alpha, offset: func(nn.Model, *data.Federation) (float64, error) { return gStar, nil }}
+	probe := &objectiveProbe{alpha: alpha, offset: func(nn.Model, *data.Federation) (float64, error) { return gStar, nil }}
 	arms := make([]arm, len(cfg.T0s))
 	for i, t0 := range cfg.T0s {
 		arms[i] = arm{
 			name:      fmt.Sprintf("T0=%d", t0),
-			cfg:       core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: cfg.Seed},
+			cfg:       core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed},
 			build:     shared(fed, m),
 			objective: probe,
 		}

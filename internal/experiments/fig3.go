@@ -12,19 +12,16 @@ import (
 // Fig3aConfig parameterizes the Sent140 convergence experiment.
 type Fig3aConfig struct {
 	Scale Scale
-	// Alpha, Beta are the learning rates (paper: α=0.01, β=0.3 for Sent140).
-	Alpha, Beta float64
-	T, T0       int
+	T     int
 	// Participation enables client sampling (0 = full participation).
 	Participation float64
-	Seed          uint64
 }
 
-// DefaultFig3aConfig returns the paper configuration at the given scale
-// (T0 = 5 as in Figure 3's caption). At paper scale the 706-node fleet uses
-// 20% client sampling per round to keep the wall-clock tractable.
+// DefaultFig3aConfig returns the paper configuration at the given scale.
+// At paper scale the 706-node fleet uses 20% client sampling per round to
+// keep the wall-clock tractable.
 func DefaultFig3aConfig(scale Scale) Fig3aConfig {
-	cfg := Fig3aConfig{Scale: scale, Alpha: 0.01, Beta: 0.3, T: 100, T0: 5, Participation: 0.1, Seed: 2}
+	cfg := Fig3aConfig{Scale: scale, T: 100, Participation: 0.1}
 	if scale == ScaleCI {
 		cfg.T = 40
 		cfg.Participation = 0
@@ -40,14 +37,17 @@ type Fig3aResult struct {
 // RunFig3a reproduces Figure 3(a): FedML convergence on the non-convex
 // Sent140 model (training loss G(θ), no G* exists for non-convex losses).
 func RunFig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
+	// The paper's Sent140 rates (α = 0.01, β = 0.3) and T0 = 5, as in
+	// Figure 3's caption.
+	const alpha, beta, t0, seed = 0.01, 0.3, 5, 2
 	runs, err := runArms("fig3a", []arm{{
 		name: "FedML Sent140",
 		cfg: core.Config{
-			Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
+			Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed,
 			Participation: cfg.Participation,
 		},
-		build:     workload{dataset: "sent140"}.builder(cfg.Scale, cfg.Seed),
-		objective: &objectiveProbe{alpha: cfg.Alpha, view: 100},
+		build:     workload{dataset: "sent140"}.builder(cfg.Scale, seed),
+		objective: &objectiveProbe{alpha: alpha, view: 100},
 	}})
 	if err != nil {
 		return nil, err
@@ -66,26 +66,12 @@ func (r *Fig3aResult) Render() string {
 type Fig3bConfig struct {
 	Scale        Scale
 	Similarities []float64
-	Alpha, Beta  float64
-	T, T0        int
-	// AdaptSteps is the number of fast-adaptation gradient steps evaluated
-	// at the target nodes.
-	AdaptSteps int
-	Seed       uint64
+	T            int
 }
 
 // DefaultFig3bConfig returns the paper configuration at the given scale.
 func DefaultFig3bConfig(scale Scale) Fig3bConfig {
-	cfg := Fig3bConfig{
-		Scale:        scale,
-		Similarities: []float64{0, 0.5, 1},
-		Alpha:        0.01,
-		Beta:         0.01,
-		T:            500,
-		T0:           5,
-		AdaptSteps:   10,
-		Seed:         3,
-	}
+	cfg := Fig3bConfig{Scale: scale, Similarities: []float64{0, 0.5, 1}, T: 500}
 	if scale == ScaleCI {
 		cfg.T = 150
 	}
@@ -105,12 +91,15 @@ type Fig3bResult struct {
 // test performance after fast adaptation. Each similarity level is an arm
 // that builds its own federation.
 func RunFig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
+	// adaptSteps is the number of fast-adaptation gradient steps evaluated
+	// at the target nodes.
+	const alpha, beta, t0, adaptSteps, seed = 0.01, 0.01, 5, 10, 3
 	arms := make([]arm, len(cfg.Similarities))
 	for i, ab := range cfg.Similarities {
 		arms[i] = arm{
 			name:  fmt.Sprintf("Synthetic(%g,%g)", ab, ab),
-			cfg:   core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
-			build: workload{dataset: "synthetic", ab: ab}.builder(cfg.Scale, cfg.Seed),
+			cfg:   core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed},
+			build: workload{dataset: "synthetic", ab: ab}.builder(cfg.Scale, seed),
 		}
 	}
 	runs, err := runArms("fig3b", arms)
@@ -119,7 +108,7 @@ func RunFig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
 	}
 	res := &Fig3bResult{}
 	for i, r := range runs {
-		curve := eval.AverageAdaptationCurveN(r.model, r.theta, r.fed.Targets, cfg.Alpha, cfg.AdaptSteps, 0)
+		curve := eval.AverageAdaptationCurveN(r.model, r.theta, r.fed.Targets, alpha, adaptSteps, 0)
 		res.Names = append(res.Names, arms[i].name)
 		res.Curves = append(res.Curves, curve)
 		res.FinalAccuracies = append(res.FinalAccuracies, curve[len(curve)-1].Accuracy)
@@ -146,27 +135,15 @@ type AdaptCompareConfig struct {
 	Ks []int
 	// Alpha, Beta are FedML's rates; FedAvg uses Beta (as in the paper).
 	Alpha, Beta float64
-	T, T0       int
+	T           int
 	// Participation enables client sampling in FedML training (0 = full).
 	Participation float64
-	AdaptSteps    int
-	Seed          uint64
 }
 
 // DefaultAdaptCompareConfig returns the paper configuration for the given
-// dataset at the given scale (T0 = 5 per Figure 3's caption).
+// dataset at the given scale.
 func DefaultAdaptCompareConfig(dataset string, scale Scale) AdaptCompareConfig {
-	cfg := AdaptCompareConfig{
-		Scale:      scale,
-		Dataset:    dataset,
-		Ks:         []int{5, 10, 20},
-		Alpha:      0.05,
-		Beta:       0.01,
-		T:          500,
-		T0:         5,
-		AdaptSteps: 10,
-		Seed:       4,
-	}
+	cfg := AdaptCompareConfig{Scale: scale, Dataset: dataset, Ks: []int{5, 10, 20}, Alpha: 0.05, Beta: 0.01, T: 500}
 	if dataset == "sent140" {
 		cfg.Alpha = 0.01
 		cfg.Beta = 0.3
@@ -197,6 +174,8 @@ type AdaptCompareResult struct {
 // performance at held-out target nodes, FedML vs the FedAvg baseline. Every
 // K is a pair of arms on one resplit federation.
 func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
+	// T0 = 5 as in Figure 3's caption; the targets adapt for 10 steps.
+	const t0, adaptSteps, seed = 5, 10, 4
 	// Generate node datasets large enough to re-split at the biggest K.
 	maxK := 0
 	for _, k := range cfg.Ks {
@@ -207,7 +186,7 @@ func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
 	if maxK == 0 {
 		return nil, fmt.Errorf("experiments: adapt-compare needs at least one K")
 	}
-	fed, m, err := workload{dataset: cfg.Dataset, ab: 0.5, k: maxK}.build(cfg.Scale, cfg.Seed)
+	fed, m, err := workload{dataset: cfg.Dataset, ab: 0.5, k: maxK}.build(cfg.Scale, seed)
 	if err != nil {
 		return nil, fmt.Errorf("adapt-compare: %w", err)
 	}
@@ -215,7 +194,7 @@ func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
 	// The resplits draw from one shared sequential RNG stream, so they must
 	// happen in K order BEFORE the arms fan out — otherwise the split for
 	// a given K would depend on the execution schedule.
-	splitRng := rng.New(cfg.Seed ^ 0xfeed)
+	splitRng := rng.New(seed ^ 0xfeed)
 	var arms []arm
 	for _, k := range cfg.Ks {
 		fedK, err := fed.Resplit(splitRng, k)
@@ -225,13 +204,13 @@ func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
 		arms = append(arms, arm{
 			name: fmt.Sprintf("FedML K=%d", k),
 			cfg: core.Config{
-				Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed,
+				Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: seed,
 				Participation: cfg.Participation,
 			},
 			build: shared(fedK, m),
 		}, arm{
 			name:  fmt.Sprintf("FedAvg K=%d", k),
-			cfg:   core.Config{Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Local: core.LocalSGD{}},
+			cfg:   core.Config{Beta: cfg.Beta, T: cfg.T, T0: t0, Seed: seed, Local: core.LocalSGD{}},
 			build: shared(fedK, m),
 		})
 	}
@@ -243,10 +222,10 @@ func RunAdaptCompare(cfg AdaptCompareConfig) (*AdaptCompareResult, error) {
 	for i, k := range cfg.Ks {
 		ml, avg := runs[2*i], runs[2*i+1]
 		targets := ml.fed.Targets
-		res.FedML = append(res.FedML, eval.AverageAdaptationCurveN(m, ml.theta, targets, cfg.Alpha, cfg.AdaptSteps, 0))
-		res.FedAvg = append(res.FedAvg, eval.AverageAdaptationCurveN(m, avg.theta, targets, cfg.Alpha, cfg.AdaptSteps, 0))
-		boot, err := eval.CompareAlgorithmsN(rng.New(cfg.Seed^0xb007), m,
-			ml.theta, avg.theta, targets, cfg.Alpha, cfg.AdaptSteps, 2000, 0.95, 0)
+		res.FedML = append(res.FedML, eval.AverageAdaptationCurveN(m, ml.theta, targets, cfg.Alpha, adaptSteps, 0))
+		res.FedAvg = append(res.FedAvg, eval.AverageAdaptationCurveN(m, avg.theta, targets, cfg.Alpha, adaptSteps, 0))
+		boot, err := eval.CompareAlgorithmsN(rng.New(seed^0xb007), m,
+			ml.theta, avg.theta, targets, cfg.Alpha, adaptSteps, 2000, 0.95, 0)
 		if err != nil {
 			return nil, fmt.Errorf("adapt-compare bootstrap K=%d: %w", k, err)
 		}

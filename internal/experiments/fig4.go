@@ -10,23 +10,26 @@ import (
 	"github.com/edgeai/fedml/internal/nn"
 )
 
+// The training settings fig4 and fig4e share: FedML's rates and T0, the
+// seed of the MNIST workload, and Algorithm 2's adversarial-generation
+// parameters other than N0 (paper: ν = 1, Ta = 10, R = 2).
+const (
+	robustAlpha, robustBeta = 0.01, 0.01
+	robustT0, robustSeed    = 5, 5
+	robustNu                = 1
+	robustTa, robustR       = 10, 2
+)
+
 // Fig4Config parameterizes the Robust-FedML evaluation on MNIST (§VI-C).
 type Fig4Config struct {
 	Scale Scale
 	// Lambdas are the DRO penalties compared (paper: 0.1, 1, 10; smaller λ
 	// = larger uncertainty set = more robustness).
 	Lambdas []float64
-	// Alpha, Beta are the FedML learning rates.
-	Alpha, Beta float64
-	T, T0       int
-	// Nu, Ta, N0, R are the Algorithm 2 adversarial-generation parameters
-	// (paper: ν=1, Ta=10, N0=7, R=2).
-	Nu        float64
-	Ta, N0, R int
-	// Xi is the FGSM budget used for the adversarial evaluation panels.
-	Xi         float64
-	AdaptSteps int
-	Seed       uint64
+	T       int
+	// N0 is Algorithm 2's round count between adversarial generations
+	// (paper: 7).
+	N0 int
 }
 
 // DefaultFig4Config returns the paper configuration at the given scale.
@@ -39,21 +42,7 @@ func DefaultFig4Config(scale Scale) Fig4Config {
 	// generations happen mid-training — at the paper's N0=7 the generations
 	// fire at iterations 35/70 where our model is still near its tiny
 	// initialization and gradient-based perturbations are no-ops.
-	cfg := Fig4Config{
-		Scale:      scale,
-		Lambdas:    []float64{0.01, 0.1, 1},
-		Alpha:      0.01,
-		Beta:       0.01,
-		T:          500,
-		T0:         5,
-		Nu:         1,
-		Ta:         10,
-		N0:         40,
-		R:          2,
-		Xi:         0.02,
-		AdaptSteps: 10,
-		Seed:       5,
-	}
+	cfg := Fig4Config{Scale: scale, Lambdas: []float64{0.01, 0.1, 1}, T: 500, N0: 40}
 	if scale == ScaleCI {
 		cfg.T = 300
 		cfg.N0 = 24
@@ -76,38 +65,39 @@ type Fig4Result struct {
 // MNIST-like workload and evaluates the target-node adaptation on clean and
 // FGSM-perturbed test data.
 func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
-	fed, m, err := workload{dataset: "mnist"}.build(cfg.Scale, cfg.Seed)
+	// xi is the FGSM budget of the adversarial evaluation panels.
+	const xi, adaptSteps = 0.02, 10
+	fed, m, err := workload{dataset: "mnist"}.build(cfg.Scale, robustSeed)
 	if err != nil {
 		return nil, fmt.Errorf("fig4: %w", err)
 	}
-	arms := robustArms(fed, m, core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
-		core.RobustConfig{Nu: cfg.Nu, Ta: cfg.Ta, N0: cfg.N0, R: cfg.R}, cfg.Lambdas)
+	arms := robustArms(fed, m, cfg.T, cfg.N0, cfg.Lambdas)
 	runs, err := runArms("fig4", arms)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig4Result{Xi: cfg.Xi}
+	res := &Fig4Result{Xi: xi}
 	for i, r := range runs {
-		adv, err := eval.AverageAdversarialAdaptationCurveN(m, r.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, cfg.Xi, 0, 1, 0)
+		adv, err := eval.AverageAdversarialAdaptationCurveN(m, r.theta, fed.Targets, robustAlpha, adaptSteps, xi, 0, 1, 0)
 		if err != nil {
 			return nil, fmt.Errorf("fig4 adversarial eval %s: %w", arms[i].name, err)
 		}
 		res.Names = append(res.Names, arms[i].name)
-		res.Clean = append(res.Clean, eval.AverageAdaptationCurveN(m, r.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, 0))
+		res.Clean = append(res.Clean, eval.AverageAdaptationCurveN(m, r.theta, fed.Targets, robustAlpha, adaptSteps, 0))
 		res.Adv = append(res.Adv, adv)
 	}
 	return res, nil
 }
 
-// robustArms is plain FedML under base, then one Robust FedML arm per λ
-// that adds rc at that λ, clamped to MNIST's pixel domain [0, 1]. All train
-// on one read-only federation.
-func robustArms(fed *data.Federation, m nn.Model, base core.Config, rc core.RobustConfig, lambdas []float64) []arm {
+// robustArms is plain FedML for t iterations, then one Robust FedML arm per
+// λ that generates adversarial samples every n0 rounds, clamped to MNIST's
+// pixel domain [0, 1]. All train on one read-only federation.
+func robustArms(fed *data.Federation, m nn.Model, t, n0 int, lambdas []float64) []arm {
+	base := core.Config{Alpha: robustAlpha, Beta: robustBeta, T: t, T0: robustT0, Seed: robustSeed}
 	arms := []arm{{name: "FedML", cfg: base, build: shared(fed, m)}}
 	for _, lambda := range lambdas {
-		r, c := rc, base
-		r.Lambda, r.ClampMin, r.ClampMax = lambda, 0, 1
-		c.Robust = &r
+		c := base
+		c.Robust = &core.RobustConfig{Lambda: lambda, Nu: robustNu, Ta: robustTa, N0: n0, R: robustR, ClampMin: 0, ClampMax: 1}
 		arms = append(arms, arm{name: fmt.Sprintf("Robust λ=%g", lambda), cfg: c, build: shared(fed, m)})
 	}
 	return arms
@@ -132,13 +122,8 @@ type Fig4eConfig struct {
 	// Lambda is the Robust-FedML penalty to compare against plain FedML
 	// (paper's robust setting: the small-λ, most-robust model).
 	Lambda float64
-	// Training parameters as in Fig4Config.
-	Alpha, Beta float64
-	T, T0       int
-	Nu          float64
-	Ta, N0, R   int
-	AdaptSteps  int
-	Seed        uint64
+	// T and N0 are as in Fig4Config.
+	T, N0 int
 }
 
 // DefaultFig4eConfig returns the paper configuration at the given scale.
@@ -147,21 +132,7 @@ func DefaultFig4eConfig(scale Scale) Fig4eConfig {
 	// defend (see DefaultFig4Config for the λ/N0 rescaling rationale); the
 	// paper's improvement-grows-with-ξ shape holds inside that range and
 	// collapses once ξ exceeds the trained radius.
-	cfg := Fig4eConfig{
-		Scale:      scale,
-		Xis:        []float64{0.005, 0.01, 0.02, 0.05},
-		Lambda:     0.1,
-		Alpha:      0.01,
-		Beta:       0.01,
-		T:          500,
-		T0:         5,
-		Nu:         1,
-		Ta:         10,
-		N0:         40,
-		R:          2,
-		AdaptSteps: 5,
-		Seed:       5,
-	}
+	cfg := Fig4eConfig{Scale: scale, Xis: []float64{0.005, 0.01, 0.02, 0.05}, Lambda: 0.1, T: 500, N0: 40}
 	if scale == ScaleCI {
 		cfg.T = 300
 		cfg.N0 = 24
@@ -184,12 +155,12 @@ type Fig4eResult struct {
 // RunFig4e reproduces Figure 4(e): the accuracy improvement of Robust FedML
 // over FedML as a function of the attack strength ξ.
 func RunFig4e(cfg Fig4eConfig) (*Fig4eResult, error) {
-	fed, m, err := workload{dataset: "mnist"}.build(cfg.Scale, cfg.Seed)
+	const adaptSteps = 5
+	fed, m, err := workload{dataset: "mnist"}.build(cfg.Scale, robustSeed)
 	if err != nil {
 		return nil, fmt.Errorf("fig4e: %w", err)
 	}
-	arms := robustArms(fed, m, core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
-		core.RobustConfig{Nu: cfg.Nu, Ta: cfg.Ta, N0: cfg.N0, R: cfg.R}, []float64{cfg.Lambda})
+	arms := robustArms(fed, m, cfg.T, cfg.N0, []float64{cfg.Lambda})
 	runs, err := runArms("fig4e", arms)
 	if err != nil {
 		return nil, err
@@ -198,7 +169,7 @@ func RunFig4e(cfg Fig4eConfig) (*Fig4eResult, error) {
 	for _, xi := range cfg.Xis {
 		var final [2]float64
 		for i, r := range runs {
-			curve, err := eval.AverageAdversarialAdaptationCurveN(m, r.theta, fed.Targets, cfg.Alpha, cfg.AdaptSteps, xi, 0, 1, 0)
+			curve, err := eval.AverageAdversarialAdaptationCurveN(m, r.theta, fed.Targets, robustAlpha, adaptSteps, xi, 0, 1, 0)
 			if err != nil {
 				return nil, fmt.Errorf("fig4e %s ξ=%g: %w", arms[i].name, xi, err)
 			}

@@ -52,15 +52,7 @@ func TestEstimateGStarFallbackReportsError(t *testing.T) {
 // A degraded G* baseline must be visible in the rendered figure, and a clean
 // run must not carry a warning banner.
 func TestFig2aRendersGStarWarning(t *testing.T) {
-	clean := Fig2aConfig{
-		Scale:        ScaleCI,
-		Similarities: []float64{0.5},
-		Alpha:        0.01,
-		Beta:         0.01,
-		T:            20,
-		T0:           10,
-		Seed:         1,
-	}
+	clean := Fig2aConfig{Scale: ScaleCI, Similarities: []float64{0.5}, T: 20}
 	res, err := RunFig2a(clean)
 	if err != nil {
 		t.Fatal(err)
@@ -86,22 +78,14 @@ func TestExperimentsWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment comparison")
 	}
-	fig2a := Fig2aConfig{
-		Scale:        ScaleCI,
-		Similarities: []float64{0, 1},
-		Alpha:        0.01,
-		Beta:         0.01,
-		T:            40,
-		T0:           10,
-		Seed:         1,
-	}
+	fig2a := Fig2aConfig{Scale: ScaleCI, Similarities: []float64{0, 1}, T: 40}
 	metaOpt := DefaultExtMetaOptConfig(ScaleCI)
 	metaOpt.Iters = 30
 	for _, tc := range []struct {
 		name string
 		run  func() (Renderable, error)
 	}{
-		{"table1", func() (Renderable, error) { return RunTable1(Table1Config{Scale: ScaleCI, Seed: 1}) }},
+		{"table1", func() (Renderable, error) { return RunTable1(Table1Config{Scale: ScaleCI}) }},
 		{"fig2a", func() (Renderable, error) { return RunFig2a(fig2a) }},
 		{"ext-meta-opt", func() (Renderable, error) { return RunExtMetaOpt(metaOpt) }},
 	} {

@@ -65,8 +65,8 @@ func on[C any](name string, config func(string, Scale) C) func(Scale) C {
 	return func(s Scale) C { return config(name, s) }
 }
 
-// defaultTable1Config is Table I at the given scale, seed 1.
-func defaultTable1Config(s Scale) Table1Config { return Table1Config{Scale: s, Seed: 1} }
+// defaultTable1Config is Table I at the given scale.
+func defaultTable1Config(s Scale) Table1Config { return Table1Config{Scale: s} }
 
 // Run executes the experiment with the given ID at the given scale and
 // returns its rendered output.

@@ -12,8 +12,6 @@ import (
 type Table1Config struct {
 	// Scale selects CI or paper-size federations.
 	Scale Scale
-	// Seed drives all three generators.
-	Seed uint64
 }
 
 // Table1Row is one dataset's statistics, matching the paper's Table I
@@ -38,13 +36,14 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = ScaleCI
 	}
-	// Each generator owns its seed; run the three on the worker pool into
-	// index slots.
+	// Each generator owns its seed, seed+c+1; run the three on the worker
+	// pool into index slots.
+	const seed = 1
 	names := []string{"synthetic", "mnist", "sent140"}
 	feds := make([]*data.Federation, len(names))
 	err := par.ForEachErr(0, len(names), func(c int) error {
 		var err error
-		if feds[c], err = datasets[names[c]](cfg.Scale, 0.5, 5, cfg.Seed+uint64(c)+1); err != nil {
+		if feds[c], err = datasets[names[c]](cfg.Scale, 0.5, 5, seed+uint64(c)+1); err != nil {
 			return fmt.Errorf("table1 %s: %w", names[c], err)
 		}
 		return nil

@@ -22,29 +22,15 @@ import (
 // Thm3Config parameterizes the experiment.
 type Thm3Config struct {
 	Scale Scale
-	// AlphaBeta is the Synthetic similarity level.
-	AlphaBeta float64
-	// Alpha, Beta are the FedML rates.
-	Alpha, Beta float64
-	T, T0       int
+	T     int
 	// OptSteps is the gradient budget used to approximate each target's own
 	// optimum θ*_t.
 	OptSteps int
-	Seed     uint64
 }
 
 // DefaultThm3Config returns the experiment configuration.
 func DefaultThm3Config(scale Scale) Thm3Config {
-	cfg := Thm3Config{
-		Scale:     scale,
-		AlphaBeta: 1, // heterogeneous: spreads the surrogate distances
-		Alpha:     0.05,
-		Beta:      0.01,
-		T:         300,
-		T0:        5,
-		OptSteps:  400,
-		Seed:      6,
-	}
+	cfg := Thm3Config{Scale: scale, T: 300, OptSteps: 400}
 	if scale == ScaleCI {
 		cfg.T = 100
 		cfg.OptSteps = 200
@@ -76,10 +62,13 @@ type Thm3Result struct {
 // gradient descent on its full local data, and compares adaptation from the
 // meta-model against adaptation from the target optimum.
 func RunThm3(cfg Thm3Config) (*Thm3Result, error) {
+	// Synthetic(1, 1), the heterogeneous level: it spreads the surrogate
+	// distances.
+	const ab, alpha, beta, t0, seed = 1, 0.05, 0.01, 5, 6
 	runs, err := runArms("thm3", []arm{{
 		name:  "FedML",
-		cfg:   core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed},
-		build: workload{dataset: "synthetic", ab: cfg.AlphaBeta}.builder(cfg.Scale, cfg.Seed),
+		cfg:   core.Config{Alpha: alpha, Beta: beta, T: cfg.T, T0: t0, Seed: seed},
+		build: workload{dataset: "synthetic", ab: ab}.builder(cfg.Scale, seed),
 	}})
 	if err != nil {
 		return nil, err
@@ -93,12 +82,12 @@ func RunThm3(cfg Thm3Config) (*Thm3Result, error) {
 		node := fed.Targets[ti]
 		all := node.All()
 		// θ*_t: the target's own (regularized) optimum on its full data.
-		thetaT := meta.Adapt(m, thetaC, all, cfg.Alpha, cfg.OptSteps)
+		thetaT := meta.Adapt(m, thetaC, all, alpha, cfg.OptSteps)
 
 		// One-step adaptation from the meta-model vs from θ*_t, both
 		// evaluated on the target's test split (L*_t stand-in).
-		phiC := meta.Adapt(m, thetaC, node.Train, cfg.Alpha, 1)
-		phiT := meta.Adapt(m, thetaT, node.Train, cfg.Alpha, 1)
+		phiC := meta.Adapt(m, thetaC, node.Train, alpha, 1)
+		phiT := meta.Adapt(m, thetaT, node.Train, alpha, 1)
 		gap := nn.Loss(m, phiC, node.Test) - nn.Loss(m, phiT, node.Test)
 
 		res.Points[ti] = Thm3Point{

@@ -23,7 +23,7 @@ func randBatch(r *rng.Rand, n, dim, classes int) []data.Sample {
 }
 
 func relErr(a, b tensor.Vec) float64 {
-	d := a.Sub(b).Norm()
+	d := a.Dist(b)
 	den := math.Max(a.Norm(), b.Norm())
 	if den == 0 {
 		return d
@@ -137,7 +137,8 @@ func TestGradWithExtraCombinesOuterLosses(t *testing.T) {
 	// Must equal the sum of the two individual meta-gradients.
 	g1, _ := Grad(m, theta, train, test, alpha, SecondOrder)
 	g2, _ := Grad(m, theta, train, extra, alpha, SecondOrder)
-	want := g1.Add(g2)
+	want := g1.Clone()
+	want.AddInPlace(g2)
 	if e := relErr(got, want); e > 1e-10 {
 		t.Errorf("GradWithExtraInto relErr = %v", e)
 	}

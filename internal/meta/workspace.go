@@ -37,9 +37,6 @@ func NewWorkspace(m nn.Model) *Workspace {
 	}
 }
 
-// Model returns the model the workspace was built for.
-func (ws *Workspace) Model() nn.Model { return ws.m }
-
 // InnerStepInto computes φ = θ − α∇L(θ, train) (Eq. 3) into the workspace
 // and returns it, via the fused gradient+step kernel (one pass over the
 // parameter vector instead of gradient-write, copy, axpy). The result is

@@ -16,9 +16,6 @@ type Segment struct {
 	Lo, Hi int
 }
 
-// Len returns the number of parameters in the segment.
-func (s Segment) Len() int { return s.Hi - s.Lo }
-
 // HeadSegments returns the model's output-layer ("head.*") segments, the
 // structural subset a head-only sync policy keeps synchronizing after
 // warmup. The error names models that have no head — callers surface it at

@@ -34,7 +34,7 @@ func TestSoftmaxSegments(t *testing.T) {
 	// Single-layer model: the head is the entire vector.
 	total := 0
 	for _, s := range head {
-		total += s.Len()
+		total += s.Hi - s.Lo
 	}
 	if total != m.NumParams() {
 		t.Fatalf("softmax head covers %d of %d params", total, m.NumParams())
@@ -58,7 +58,7 @@ func TestMLPSegments(t *testing.T) {
 		// hidden-layer only), and far smaller than the full vector.
 		total := 0
 		for _, s := range head {
-			total += s.Len()
+			total += s.Hi - s.Lo
 		}
 		if total != 10*16+10 {
 			t.Fatalf("bn=%v: head covers %d params, want %d", bn, total, 10*16+10)

@@ -31,7 +31,7 @@ func inputGrad(m Model, params tensor.Vec, s data.Sample, ctx []data.Sample) ten
 }
 
 func relErr(a, b tensor.Vec) float64 {
-	d := a.Sub(b).Norm()
+	d := a.Dist(b)
 	den := math.Max(a.Norm(), b.Norm())
 	if den == 0 {
 		return d
@@ -102,9 +102,11 @@ func TestSoftmaxRegressionHVPLinearity(t *testing.T) {
 	for i := range v1 {
 		v1[i], v2[i] = r.Norm(), r.Norm()
 	}
-	sum := v1.Add(v2)
+	sum := v1.Clone()
+	sum.AddInPlace(v2)
 	lhs := HVP(m, p, batch, sum)
-	rhs := HVP(m, p, batch, v1).Add(HVP(m, p, batch, v2))
+	rhs := HVP(m, p, batch, v1)
+	rhs.AddInPlace(HVP(m, p, batch, v2))
 	if e := relErr(lhs, rhs); e > 1e-10 {
 		t.Errorf("HVP not linear: relErr = %v", e)
 	}
@@ -217,7 +219,9 @@ func TestSoftmaxRegressionEmptyBatch(t *testing.T) {
 		t.Errorf("empty-batch loss = %v, want pure L2 term 0.5", got)
 	}
 	g := Grad(m, p, nil)
-	if relErr(g, p.Scale(0.5)) > 1e-12 {
+	half := p.Clone()
+	half.ScaleInPlace(0.5)
+	if relErr(g, half) > 1e-12 {
 		t.Errorf("empty-batch grad = %v", g)
 	}
 	if preds := m.PredictBatch(p, nil); len(preds) != 0 {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -87,4 +88,68 @@ func (s *JSONLSink) Close() error {
 		s.c = nil
 	}
 	return err
+}
+
+// ValidateJSONL reads a stream a JSONLSink wrote and returns its record
+// count and final cumulative totals, or the first violation: every line
+// must parse as a RoundRecord of SchemaVersion, rounds must rise strictly
+// with non-decreasing iteration counts, no cumulative counter may regress,
+// and the per-round traffic deltas must sum to the final totals exactly.
+func ValidateJSONL(in io.Reader) (int, Totals, error) {
+	var (
+		prev  RoundRecord
+		n     int
+		msgs  int
+		bytes int64
+	)
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		n++
+		var r RoundRecord
+		if err := json.Unmarshal(line, &r); err != nil {
+			return n, prev.Cum, fmt.Errorf("record %d does not parse: %w", n, err)
+		}
+		if r.Schema != SchemaVersion {
+			return n, prev.Cum, fmt.Errorf("record %d has schema %d, want %d", n, r.Schema, SchemaVersion)
+		}
+		if r.Round < 1 {
+			return n, prev.Cum, fmt.Errorf("record %d has round %d < 1", n, r.Round)
+		}
+		if r.Msgs < 0 || r.Bytes < 0 {
+			return n, prev.Cum, fmt.Errorf("record %d has negative traffic delta (%d msgs, %d bytes)", n, r.Msgs, r.Bytes)
+		}
+		if n > 1 {
+			if r.Round <= prev.Round {
+				return n, prev.Cum, fmt.Errorf("record %d: round %d not above previous round %d", n, r.Round, prev.Round)
+			}
+			if r.Iter < prev.Iter {
+				return n, prev.Cum, fmt.Errorf("record %d: iter %d regressed from %d", n, r.Iter, prev.Iter)
+			}
+			old := prev.Cum.Values()
+			for i, v := range r.Cum.Values() {
+				if v < old[i] {
+					return n, prev.Cum, fmt.Errorf("record %d: cumulative %s regressed from %d to %d", n, CounterKeys[i], old[i], v)
+				}
+			}
+		}
+		msgs += r.Msgs
+		bytes += r.Bytes
+		prev = r
+	}
+	if err := sc.Err(); err != nil {
+		return n, prev.Cum, err
+	}
+	if n == 0 {
+		return 0, Totals{}, fmt.Errorf("no records")
+	}
+	if msgs != prev.Cum.Messages || bytes != prev.Cum.Bytes {
+		return n, prev.Cum, fmt.Errorf("delta sums (%d msgs, %d bytes) do not reconstruct final totals (%d, %d)",
+			msgs, bytes, prev.Cum.Messages, prev.Cum.Bytes)
+	}
+	return n, prev.Cum, nil
 }

@@ -9,7 +9,8 @@ import (
 
 // quadGrad returns the gradient of f(θ) = ½‖θ − c‖².
 func quadGrad(params, c tensor.Vec) tensor.Vec {
-	g := params.Sub(c)
+	g := params.Clone()
+	g.SubInPlace(c)
 	return g
 }
 

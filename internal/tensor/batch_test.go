@@ -33,6 +33,9 @@ func lcgAccumulator(rows, cols int, seed *uint64) *Mat {
 	return m
 }
 
+// cloneMat is a deep copy of m.
+func cloneMat(m *Mat) *Mat { return &Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()} }
+
 func lcgVecs(n, dim int, seed *uint64) []Vec {
 	vs := make([]Vec, n)
 	for i := range vs {
@@ -205,7 +208,7 @@ func TestAddOuterBatchMatchesPerSample(t *testing.T) {
 			xs := tileCoeffs(n, sh.rows, &seed)
 			ys := lcgVecs(n, sh.cols, &seed)
 			got := lcgAccumulator(sh.rows, sh.cols, &seed)
-			want := got.Clone()
+			want := cloneMat(got)
 			got.AddOuterBatch(-0.75, xs, ys)
 			for j := range xs {
 				refAddOuter(want, -0.75, xs[j], ys[j])
@@ -239,7 +242,7 @@ func TestRowBlockedKernelsMatchReference(t *testing.T) {
 
 			y := lcgVecs(1, sh.cols, &seed)[0]
 			acc := lcgAccumulator(sh.rows, sh.cols, &seed)
-			wantAcc := acc.Clone()
+			wantAcc := cloneMat(acc)
 			acc.AddOuterInPlace(1.5, x, y)
 			refAddOuter(wantAcc, 1.5, x, y)
 			requireSameBits(t, fmt.Sprintf("AddOuterInPlace %s input %d", what, j), acc.Data, wantAcc.Data)
@@ -294,7 +297,7 @@ func TestBatchKernelsSpecialValues(t *testing.T) {
 				ys[k%n][k] = specials[(k/n)%len(specials)]
 			}
 			got := lcgMat(sh.rows, sh.cols, &seed)
-			want, blocked := got.Clone(), got.Clone()
+			want, blocked := cloneMat(got), cloneMat(got)
 			got.AddOuterBatch(0.5, xs, ys)
 			for j := range xs {
 				refAddOuter(want, 0.5, xs[j], ys[j])

@@ -19,11 +19,6 @@ func NewMat(rows, cols int) *Mat {
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
-}
-
 // Matrix-vector kernels. A one-accumulator loop does a load and a store of
 // its accumulator per multiply-add, and a per-sample kernel streams the whole
 // weight matrix through the cache once per sample. The kernels below work on

@@ -61,15 +61,6 @@ func TestAddOuterInPlace(t *testing.T) {
 	}
 }
 
-func TestMatClone(t *testing.T) {
-	m := &Mat{Rows: 1, Cols: 2, Data: Vec{1, 2}}
-	c := m.Clone()
-	c.Data[0] = 99
-	if m.Data[0] != 1 {
-		t.Error("Clone shares storage")
-	}
-}
-
 func TestMatShapePanics(t *testing.T) {
 	cases := []struct {
 		name string

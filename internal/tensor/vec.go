@@ -47,26 +47,6 @@ func (v Vec) Fill(c float64) {
 	}
 }
 
-// Add returns v + w as a new vector.
-func (v Vec) Add(w Vec) Vec {
-	checkLen("Add", v, w)
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
-// Sub returns v - w as a new vector.
-func (v Vec) Sub(w Vec) Vec {
-	checkLen("Sub", v, w)
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
 // SubInto sets out = v - w. out must have the same length as v and w; it
 // may alias either input.
 func (v Vec) SubInto(w, out Vec) {
@@ -117,15 +97,6 @@ func subGo(v, w Vec) {
 	for i := range v {
 		v[i] -= w[i]
 	}
-}
-
-// Scale returns c*v as a new vector.
-func (v Vec) Scale(c float64) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = c * v[i]
-	}
-	return out
 }
 
 // ScaleInPlace sets v = c*v.
@@ -193,14 +164,6 @@ func (v Vec) Sum() float64 {
 		s += x
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty vector.
-func (v Vec) Mean() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return v.Sum() / float64(len(v))
 }
 
 // ArgMax returns the index of the largest element (first on ties), or -1 for

@@ -270,7 +270,8 @@ func TestTheorem2BoundHoldsOnFederatedQuadratics(t *testing.T) {
 				if gn > trajB {
 					trajB = gn
 				}
-				g := ti.Sub(centers[i])
+				g := ti.Clone()
+				g.SubInPlace(centers[i])
 				ti.Axpy(-beta*q, g)
 			}
 			locals[i] = ti

@@ -297,13 +297,6 @@ func (c *Chaos) Close() error { return c.inner.Close() }
 
 func (c *Chaos) keepsReceived() bool { return keepsReceived(c.inner) }
 
-// Stats returns the injected-fault counters (dropped, corrupted, errored).
-func (c *Chaos) Stats() (dropped, corrupted, errored int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Dropped, c.Corrupted, c.Errored
-}
-
 // ParseScenario parses a comma-separated chaos script of the form
 // "<node>:<op>@<round>", e.g. "3:kill@5,3:revive@9,1:corrupt@4", into
 // per-node event lists. Ops: kill, revive, part-send, part-recv, heal,

@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// chaosStats reads c's injected-fault counters under its lock.
+func chaosStats(c *Chaos) (dropped, corrupted, errored int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Dropped, c.Corrupted, c.Errored
+}
+
 // echoNode answers every KindParams message with a KindUpdate carrying the
 // same round and params, until the link dies.
 func echoNode(l Link, id int) {
@@ -56,7 +63,7 @@ func TestChaosScenarioKillRevive(t *testing.T) {
 	if m, err := a.TryRecv(time.Second); err != nil || m.Round != 4 {
 		t.Fatalf("round 4 echo after revive: %v %+v", err, m)
 	}
-	if dropped, _, _ := chaos.Stats(); dropped < 2 {
+	if dropped, _, _ := chaosStats(chaos); dropped < 2 {
 		t.Errorf("dropped = %d, want >= 2", dropped)
 	}
 }
@@ -88,7 +95,7 @@ func TestChaosScenarioCorrupt(t *testing.T) {
 	if same {
 		t.Errorf("payload not corrupted: %v", m.Params)
 	}
-	if _, corrupted, _ := chaos.Stats(); corrupted != 1 {
+	if _, corrupted, _ := chaosStats(chaos); corrupted != 1 {
 		t.Errorf("corrupted = %d, want 1", corrupted)
 	}
 }
@@ -142,7 +149,7 @@ func TestChaosDropProbOne(t *testing.T) {
 	for m := range received {
 		t.Errorf("message leaked through DropProb=1: %+v", m)
 	}
-	if dropped, _, _ := chaos.Stats(); dropped != 5 {
+	if dropped, _, _ := chaosStats(chaos); dropped != 5 {
 		t.Errorf("dropped = %d, want 5", dropped)
 	}
 }
@@ -207,11 +214,11 @@ func TestChaosDeterminism(t *testing.T) {
 		}()
 		var dropped []bool
 		for r := 1; r <= 32; r++ {
-			before, _, _ := chaos.Stats()
+			before, _, _ := chaosStats(chaos)
 			if err := chaos.Send(Msg{Kind: KindParams, Round: r}); err != nil {
 				t.Fatal(err)
 			}
-			after, _, _ := chaos.Stats()
+			after, _, _ := chaosStats(chaos)
 			dropped = append(dropped, after > before)
 		}
 		return dropped
